@@ -26,8 +26,8 @@ from fractions import Fraction
 import mpmath
 
 from . import oracle
-from .borwein import (RampBoundaryError, SincProductSpec, borwein_deficit,
-                      borwein_exact, sinc_cos_product_integral)
+from .borwein import (RampBoundaryError, SincProductSpec, borwein_exact,
+                      sinc_cos_product_integral)
 from .classify import classify
 from .exact import as_fraction
 from .operators import NotExponentialPolynomial, RampEvaluationError
@@ -139,7 +139,7 @@ def _render(result: TransformResult, args, input_text: str) -> str:
             "regularization": diag.get("regularization"),
             "verdict": str(diag.get("verdict", "")),
         }
-        for extra in ("oracle", "difference"):
+        for extra in ("oracle", "difference", "deficit", "lord_condition"):
             if extra in diag:
                 diagnostics[extra] = diag[extra]
         payload = {
@@ -252,10 +252,9 @@ def _cmd_fourier(args) -> TransformResult:
 
 def _cmd_borwein(args) -> TransformResult:
     value = borwein_exact(args.n)
-    deficit = borwein_deficit(args.n)
     return TransformResult.from_exact(
         value, method="sinc_product_enumeration", formula="delta_ramp_tuple_sum",
-        diagnostics={"verdict": "exact", "deficit": str(deficit)})
+        diagnostics={"verdict": "exact", "deficit": str(1 - value.pi_coefficient)})
 
 
 def _cmd_lord(args) -> TransformResult:

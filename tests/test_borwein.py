@@ -1,5 +1,6 @@
 """Borwein-family machinery: tuples, exact values, the theorem, Gaussians."""
 
+import itertools
 import math
 import random
 import time
@@ -10,13 +11,77 @@ import pytest
 from opcalc.borwein import (RampBoundaryError, SignTuple, SincProductSpec,
                             beta_of, borwein_deficit, borwein_exact,
                             borwein_exact_half, borwein_rates,
-                            coefficient_identity_check,
+                            coefficient_identity_check, signed_ramp_sum,
                             sinc_cos_product_integral, sinc_power_gaussian)
-from opcalc.exact import ExactValue
+from opcalc.exact import ExactValue, double_factorial
 from opcalc.oracle import quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 
 B8_DEFICIT = Fraction(6879714958723010531, 467807924720320453655260875000)
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference: every sign tuple, in integers
+# ---------------------------------------------------------------------------
+
+def _integer_rates(rates):
+    """The lcm L of the rate denominators and the rates times L."""
+    rates = [Fraction(r) for r in rates]
+    scale = math.lcm(*(r.denominator for r in rates))
+    return scale, [int(r * scale) for r in rates]
+
+
+def brute_ramp_sum(rates, weighted, m, poly=()):
+    """signed_ramp_sum term by term: sum over all 2^k tuples of
+    w(gamma) [R_m(beta) + poly(beta)]."""
+    scale, ints = _integer_rates(rates)
+    ramps = 0
+    moments = [0] * len(poly)
+    for signs in itertools.product((1, -1), repeat=len(ints)):
+        beta = sum(g * r for g, r in zip(signs, ints))
+        w = math.prod(g for g, flag in zip(signs, weighted) if flag)
+        if m == 0 and beta == 0:
+            raise RampBoundaryError("the reference hit a jump")
+        if beta > 0:
+            ramps += w * beta ** m
+        for j in range(len(moments)):
+            moments[j] += w * beta ** j
+    return Fraction(ramps, scale ** m * math.factorial(m)) + \
+        sum(Fraction(c) * Fraction(mom, scale ** j)
+            for j, (c, mom) in enumerate(zip(poly, moments)))
+
+
+def brute_borwein(n):
+    """pi-coefficient of B_n: (2n-1)!!/2^(n-1) sum sign(gamma) R_(n-1)(beta)
+    over all 2^n tuples."""
+    return Fraction(double_factorial(2 * n - 1), 2 ** (n - 1)) * \
+        brute_ramp_sum(borwein_rates(n), [True] * n, n - 1)
+
+
+def brute_sinc_cos(spec, perturbation=()):
+    """pi-coefficient of the sinc/cos product integral: all 2^(m+n) tuples
+    of the normalized spec, each giving R_m(beta + 1) - R_m(beta - 1),
+    with *perturbation* added to every ramp."""
+    norm = spec.normalized()
+    m, n = len(norm.sinc_rates), len(norm.cos_rates)
+    scale, rates = _integer_rates(norm.sinc_rates + norm.cos_rates + (1,))
+    one = rates.pop()
+    ramps = 0
+    moments = [0] * len(perturbation)
+    for signs in itertools.product((1, -1), repeat=m + n):
+        beta = sum(g * r for g, r in zip(signs, rates))
+        sign = math.prod(signs[:m])
+        for x, side in ((beta + one, sign), (beta - one, -sign)):
+            if m == 0 and x == 0:
+                raise RampBoundaryError("the reference hit a jump")
+            if x > 0:
+                ramps += side * x ** m
+            for j in range(len(moments)):
+                moments[j] += side * x ** j
+    total = Fraction(ramps, scale ** m * math.factorial(m))
+    total += sum(Fraction(c) * Fraction(mom, scale ** j)
+                 for j, (c, mom) in enumerate(zip(perturbation, moments)))
+    return total / (2 ** (m + n) * math.prod(norm.sinc_rates)) / spec.outer_rate
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +134,10 @@ def test_borwein_eight_exact_fraction():
     assert float(B8_DEFICIT) == pytest.approx(1.47e-11, rel=0.01)
 
 
-def test_borwein_full_and_half_tuple_agree():
-    for n in range(1, 13):
-        assert borwein_exact(n) == borwein_exact_half(n)
+def test_borwein_matches_brute_force():
+    for n in range(1, 17):
+        assert borwein_exact(n).pi_coefficient == brute_borwein(n)
+        assert borwein_exact_half(n) == borwein_exact(n)
 
 
 def test_borwein_runtime():
@@ -203,3 +269,86 @@ def test_sinc_gaussian_perturbation_invariance():
 def test_sinc_gaussian_rejects_high_degree_perturbation():
     with pytest.raises(ValueError):
         sinc_power_gaussian(2, chain_perturbation=[1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# the meet-in-the-middle tuple sum against the brute-force reference
+# ---------------------------------------------------------------------------
+
+def _random_spec(rng):
+    """Up to 12 slots; rates drawn partly from a small pool, so that
+    repeated rates and merged partial sums are common."""
+    def rate():
+        return Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    pool = [rate() for _ in range(3)]
+    slots = [rng.choice(pool) if rng.random() < 0.4 else rate()
+             for _ in range(rng.randint(0, 12))]
+    m = rng.randint(0, len(slots))
+    outer = rng.choice((Fraction(1), rate()))
+    if m == 0 and rng.random() < 0.5:
+        # an outer rate equal to a signed cos sum puts a step at its jump
+        outer = abs(sum(rng.choice((1, -1)) * b for b in slots)) or outer
+    return SincProductSpec(tuple(slots[:m]), tuple(slots[m:]), outer)
+
+
+def test_sinc_cos_matches_brute_force():
+    rng = random.Random(31)
+    perturbed = boundaries = 0
+    for _ in range(200):
+        spec = _random_spec(rng)
+        m = len(spec.sinc_rates)
+        poly = ()
+        if m and rng.random() < 0.3:
+            poly = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(rng.randint(1, m)))
+            perturbed += 1
+        try:
+            want = brute_sinc_cos(spec, poly)
+        except RampBoundaryError:
+            boundaries += 1
+            with pytest.raises(RampBoundaryError):
+                sinc_cos_product_integral(spec, ramp_perturbation=poly)
+            continue
+        out = sinc_cos_product_integral(spec, ramp_perturbation=poly)
+        assert out.value.pi_coefficient == want, spec
+        assert out.is_pi == (want == 1)
+    assert perturbed >= 20 and boundaries >= 5
+
+
+def test_step_hits_raise_in_both():
+    # no sinc slots (m = 0): a cos sum landing on +-1 puts a step at its
+    # jump; the tuples with beta = 1 and beta = -1 cancel in weight.  In
+    # (1/3, 1/3, 1) they also cancel inside one half of the slots.
+    for cos in [(Fraction(1, 3), Fraction(2, 3)),
+                (Fraction(1, 3), Fraction(1, 3), Fraction(1)),
+                (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                (Fraction(3, 2), Fraction(1, 2), Fraction(1, 5), Fraction(1, 5)),
+                (Fraction(1),)]:
+        spec = SincProductSpec((), cos, 1)
+        with pytest.raises(RampBoundaryError):
+            brute_sinc_cos(spec)
+        with pytest.raises(RampBoundaryError):
+            sinc_cos_product_integral(spec)
+
+
+def test_signed_ramp_sum_matches_brute_force():
+    # any polynomial, not only the admissible ones that cancel
+    rng = random.Random(17)
+    for _ in range(150):
+        k = rng.randint(1, 10)
+        pool = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
+        rates = [rng.choice(pool) if rng.random() < 0.4 else
+                 Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k)]
+        weighted = [rng.random() < 0.5 for _ in range(k)]
+        m = rng.randint(0, 6)
+        poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(rng.randint(0, 4))]
+        try:
+            want = brute_ramp_sum(rates, weighted, m, poly)
+        except RampBoundaryError:
+            with pytest.raises(RampBoundaryError):
+                signed_ramp_sum(rates, weighted, m, poly)
+            continue
+        assert signed_ramp_sum(rates, weighted, m, poly) == want
+    with pytest.raises(ValueError):
+        signed_ramp_sum([1, 2], [True], 1)

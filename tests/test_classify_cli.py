@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from opcalc.classify import classify
@@ -115,6 +116,36 @@ def test_cli_borwein_json_schema(capsys):
         jsonschema.validate(payload, JSON_SCHEMA)
     assert payload["pi_coefficient"] == \
         "467807924713440738696537864469/467807924720320453655260875000"
+    assert payload["diagnostics"]["deficit"] == \
+        "6879714958723010531/467807924720320453655260875000"
+
+
+def test_cli_json_reports_lord_condition(capsys):
+    for argv, holds in [(("lord", "--sinc", "1/3,1/5"), True),
+                        (("lord", "--sinc", "1/2,3/4"), False),
+                        (("integrate", "sinc(x)*sinc(x/3)"), True)]:
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["diagnostics"]["lord_condition"] is holds
+
+
+def test_cli_dyadic_lord_is_pi(capsys):
+    # 20 sinc slots plus the outer one, too many for a brute force; the
+    # rates sum to 1 - 2^-20 < 1, so Lord's condition gives exactly pi
+    rates = ",".join(f"1/{2 ** k}" for k in range(1, 21))
+    code, out, err = run_cli(capsys, "lord", "--sinc", rates, "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["pi_coefficient"] == "1"
+
+
+def test_cli_slot_limit_exits_fast(capsys):
+    for argv in [("borwein", "40"),
+                 ("lord", "--sinc", ",".join(["1/80"] * 40))]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_UNSUPPORTED and out == ""
+        assert "slots exceed the limit" in err and "Traceback" not in err
 
 
 def test_cli_json_schema_across_corpus(capsys):
