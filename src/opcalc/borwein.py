@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import SQRT_TWO_PI, ExactValue, as_fraction, binomial, double_factorial
-from .kernels import gaussian_chain
+from .exact import (SQRT_TWO_PI, ComplexRational, ExactValue, as_fraction,
+                    double_factorial)
+from .kernels import HEAT
+from .operators import OperatorTerm, OperatorWord, RampSum, apply_word
 from .result import TransformResult
 
 # Most sign slots a tuple sum accepts.  Each half of the meet-in-the-middle
@@ -254,8 +256,9 @@ def sinc_power_gaussian(n: int,
     """Integral of sinc(x)^n e^(-x^2/2) over the real line.
 
     The Gaussian part turns the delta into e^(-y^2/2)/sqrt(2 pi) (the heat
-    kernel at unit time), and each sinc contributes a central difference
-    of one more anti-derivative:
+    kernel at unit time), and sinc(x)^n is the word
+    2^-n sum_k (-1)^k C(n,k) T_(n-2k) D^-n, a central difference of n
+    anti-derivatives; read off at 0 the image is
 
         sqrt(2 pi)/2^n * sum_k (-1)^k C(n,k) G_n(n - 2k)
 
@@ -265,19 +268,15 @@ def sinc_power_gaussian(n: int,
     """
     if n < 0:
         raise ValueError("sinc powers are indexed by n >= 0")
-    chain = gaussian_chain(n)
-    coeffs = tuple(as_fraction(c) for c in chain_perturbation or ())
+    coeffs = tuple(chain_perturbation or ())
     if len(coeffs) > n:
         raise ValueError("perturbation degree must stay below n")
-
-    total = ExactValue.zero()
-    for k in range(n + 1):
-        arg = Fraction(n - 2 * k)
-        term = chain.value_at(arg)
-        if coeffs:
-            term = term + ExactValue.rational(sum(c * arg ** j for j, c in enumerate(coeffs)))
-        total = total + term * Fraction((-1) ** k * binomial(n, k))
-    value = SQRT_TWO_PI * total * Fraction(1, 2 ** n)
+    word = OperatorWord.from_terms(
+        OperatorTerm(ComplexRational(Fraction((-1) ** k * math.comb(n, k), 2 ** n)),
+                     Fraction(n - 2 * k), -n)
+        for k in range(n + 1))
+    image = apply_word(word, RampSum.of(HEAT), perturb=lambda _order: coeffs)
+    value = SQRT_TWO_PI * image.evaluate_at(0)
     return TransformResult.from_exact(
         value, method="gaussian_heat_kernel", formula="gaussian_sinc_difference",
         diagnostics={"sinc_power": n, "verdict": "exact"})

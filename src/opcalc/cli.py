@@ -53,6 +53,15 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _rate_list(text: str) -> tuple:
     text = text.strip()
     if not text:
@@ -68,9 +77,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--precision", type=int, default=15,
+        p.add_argument("--precision", type=_int_at_least(1), default=15,
                        help="significant digits for the numeric shadow")
-        p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+        p.add_argument("--truncation", type=_int_at_least(0), default=DEFAULT_TRUNCATION,
                        help="series truncation order")
         p.add_argument("--exact", action="store_true",
                        help="suppress the float shadow")

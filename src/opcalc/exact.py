@@ -257,7 +257,7 @@ class Residue:
         if self.e_exp != 0:
             v *= mpmath.exp(_to_mpf(self.e_exp))
         for r in self.erf_args:
-            v *= high_precision_erf(_to_mpf(r) / mpmath.sqrt(2))
+            v *= mpmath.erf(_to_mpf(r) / mpmath.sqrt(2))
         for s in self.log_args:
             v *= mpmath.log(_to_mpf(s))
         return v
@@ -479,52 +479,3 @@ def log_value(s, coeff=1) -> ExactValue:
 def erf_value(r, coeff=1) -> ExactValue:
     """coeff * erf(r/sqrt(2)) for rational r."""
     return ExactValue.single(Residue(erf_args=(as_fraction(r),)), coeff)
-
-
-# ---------------------------------------------------------------------------
-# High-precision error function
-# ---------------------------------------------------------------------------
-
-def high_precision_erf(x) -> mpmath.mpf:
-    """erf(x) at the current mpmath working precision.
-
-    Maclaurin series for |x| <= 3, a continued fraction for erfc beyond.
-    The continued fraction depth is doubled until two evaluations agree.
-    """
-    x = mpmath.mpf(x)
-    if x == 0:
-        return mpmath.mpf(0)
-    if x < 0:
-        return -high_precision_erf(-x)
-    with mpmath.extraprec(60):
-        if x <= 3:
-            # sum_k (-1)^k x^(2k+1) / (k! (2k+1)); worst cancellation at
-            # x = 3 costs ~5 digits, covered by the extra precision
-            term = x
-            total = mpmath.mpf(0)
-            k = 0
-            x2 = x * x
-            eps = mpmath.mpf(10) ** (-(mpmath.mp.dps + 5))
-            while abs(term) / (2 * k + 1) > eps:
-                total += term / (2 * k + 1)
-                k += 1
-                term = -term * x2 / k
-            value = 2 / mpmath.sqrt(mpmath.pi) * total
-        else:
-            # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-            prefactor = mpmath.exp(-x * x) / mpmath.sqrt(mpmath.pi)
-            depth = 60
-            prev = None
-            while True:
-                frac = mpmath.mpf(0)
-                for k in range(depth, 0, -1):
-                    frac = (mpmath.mpf(k) / 2) / (x + frac)
-                erfc = prefactor / (x + frac)
-                if prev is not None and abs(erfc - prev) <= abs(erfc) * mpmath.mpf(10) ** (-(mpmath.mp.dps + 3)):
-                    break
-                if depth > 20000:
-                    break
-                prev = erfc
-                depth *= 2
-            value = 1 - erfc
-    return +value

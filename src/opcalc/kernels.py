@@ -1,29 +1,69 @@
-"""Closed-form targets the operator words act on, besides ramp sums.
+"""The kernels operator words act on, each one chain of closed forms.
 
-Three families cover the formal routes:
+A kernel K is a fixed function of y.  Its chain member K_m = D^-(m+1) K
+is the (m+1)-th anti-derivative for m >= 0, K itself at m = -1 and a
+derivative below that, so a word term T_b D^n takes K_m to K_(m-n)
+shifted by b.  A kernel is given by its chain: a function of m returning
+K_m as an object whose ``value_at(z)`` is exact at rational z, an
+ExactValue whose transcendental residues are e-powers, erf values and
+logarithms.
 
-* ``LogChain``    derivatives and anti-derivatives of 1/y, spanned by
-                  y^m and y^m log(y) terms (integration constants zero);
-* ``GaussianChain``  anti-derivatives of e^(-y^2/2), of the shape
-                  p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt(2)) + r(y)
-                  with rational polynomials, the representative picked
-                  with definite parity (odd order -> odd function);
-* ``PiecewiseExp``  combinations of e^(-a|y - s|), the Green's functions
-                  of the operators -D^2 + a^2.
+* ``DELTA``   the Dirac delta; ``Ramp`` is R_m(z) = z^m/m! Theta(z), the
+              delta and its derivatives for m < 0 (Fourier routes);
+* ``ONE_OVER_Y``  1/y; ``LogChain`` spans y^m and y^m log(y) terms,
+              integration constants zero, read at 0 as the 0+ limit
+              (Laplace and half-line routes);
+* ``HEAT``    e^(-y^2/2); ``GaussianChain`` is
+              p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt(2)) + r(y)
+              with rational polynomials, the representative picked with
+              definite parity (odd order -> odd function);
+* ``green_kernel(rates)``  the partial-fraction sum of Green's functions
+              e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``;
+* ``regularized_kernel(a)``  the entire kernel (1 - e^(-ay))/y, whose
+              derivatives ``RegularizedChain`` evaluates.
 
-Chains evaluate exactly at rational points, producing ExactValues whose
-transcendental residues are e-powers, erf values and logarithms.
+``eval_kernel`` gives any chain member's numeric shadow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .exact import (ComplexRational, CR_ZERO, ExactValue, Residue,
-                    as_fraction, high_precision_erf)
+from .exact import ComplexRational, CR_ZERO, ExactValue, Residue, as_fraction
+
+
+class RampEvaluationError(ArithmeticError):
+    """Two-sided limit does not exist at the requested point."""
+
+
+# ---------------------------------------------------------------------------
+# The delta: generalized ramps
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Ramp:
+    """R_m(z) = z^m/m! Theta(z) for m >= 0; the delta (m = -1) and its
+    derivatives for m < 0, zero off their support.  There is no two-sided
+    value at a jump or at a delta: evaluating one there raises."""
+
+    m: int
+
+    def value_at(self, z) -> ExactValue:
+        z = as_fraction(z)
+        if z == 0 and self.m == 0:
+            raise RampEvaluationError("discontinuous: a step has its jump at the point")
+        if z == 0 and self.m < 0:
+            raise RampEvaluationError(f"singular: a delta term of order {self.m} sits at the point")
+        if z < 0 or self.m < 0:
+            return ExactValue.zero()
+        return ExactValue.rational(Fraction(z ** self.m, math.factorial(self.m)))
+
+
+DELTA = Ramp  # the delta's chain member K_m is the ramp R_m
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +110,16 @@ class LogChain:
         return LogChain.from_terms(out)
 
     def value_at(self, z) -> ExactValue:
-        """Exact value at rational z > 0 (log z kept symbolic)."""
+        """Exact value at rational z > 0 (log z kept symbolic); at z = 0
+        the limit from above.  Arguments below 0 leave the domain."""
         z = as_fraction(z)
-        if z <= 0:
-            raise ValueError(f"1/y chains live on y > 0, got {z}")
-        total = ExactValue.zero()
-        for c, m, flag in self.terms:
-            power = c * z ** m
-            if flag:
-                total = total + ExactValue.single(Residue(log_args=(z,)), power)
-            else:
-                total = total + ExactValue.rational(power)
-        return total
+        if z == 0:
+            return self.limit_at_zero_plus()
+        if z < 0:
+            raise ValueError(f"kernel argument {z} leaves the domain y > 0 of 1/y")
+        return ExactValue.from_terms(
+            (Residue(log_args=(z,)) if flag else Residue(), c * z ** m)
+            for c, m, flag in self.terms)
 
     def limit_at_zero_plus(self) -> ExactValue:
         """Limit y -> 0+: finite iff only positive powers (and y^m log y,
@@ -109,28 +147,19 @@ def one_over_y_chain(n: int) -> LogChain:
     return chain
 
 
+def ONE_OVER_Y(m: int) -> LogChain:
+    """The kernel 1/y: K_m is its -(m+1)-th derivative chain."""
+    return one_over_y_chain(-1 - m)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian chains
 # ---------------------------------------------------------------------------
 
-def _poly_add(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_scale(a: tuple, c: Fraction) -> tuple:
-    return tuple(x * c for x in a) if c != 0 else ()
-
-
-def _poly_shift_up(a: tuple) -> tuple:
-    return (Fraction(0),) + tuple(a) if a else ()
+def _trimmed(coeffs: list) -> tuple:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _poly_deriv(a: tuple) -> tuple:
@@ -146,7 +175,7 @@ def _poly_eval(a: tuple, z: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianChain:
-    """p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt(2)) + r(y), rational p, q, r."""
+    """p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt 2) + r(y), rational p, q, r."""
 
     p: tuple = ()
     q: tuple = ()
@@ -155,32 +184,34 @@ class GaussianChain:
     def derivative(self) -> "GaussianChain":
         # d/dy [p e^(-y^2/2)] = (p' - y p) e^(-y^2/2)
         # d/dy [q sqrt(pi/2) erf(y/sqrt 2)] = q' (erf part) + q e^(-y^2/2)
-        p = _poly_add(_poly_add(_poly_deriv(self.p),
-                                _poly_scale(_poly_shift_up(self.p), Fraction(-1))),
-                      self.q)
-        return GaussianChain(p, _poly_deriv(self.q), _poly_deriv(self.r))
+        p = [Fraction(0)] * max(len(self.p) + 1, len(self.q))
+        for k, c in enumerate(self.p):
+            p[k + 1] -= c
+            if k:
+                p[k - 1] += k * c
+        for k, c in enumerate(self.q):
+            p[k] += c
+        return GaussianChain(_trimmed(p), _poly_deriv(self.q), _poly_deriv(self.r))
 
     def antiderivative(self, odd_target: bool) -> "GaussianChain":
-        """Term-wise anti-derivative; when the target order is odd the free
-        constant is fixed so the representative is an odd function."""
-        p_acc: tuple = ()
-        q_acc: tuple = ()
-        r_acc: tuple = ()
+        """Term-wise anti-derivative, accumulated in place; when the target
+        order is odd the free constant is fixed so the representative is an
+        odd function."""
+        p = [Fraction(0)] * max(len(self.p), len(self.q), 1)
+        q = [Fraction(0)] * (len(self.q) + 1)
+        r = [Fraction(0)] * (len(self.r) + 1)
 
         def gauss_integral(k: int, coeff: Fraction):
-            # integral of coeff * y^k e^(-y^2/2)
-            nonlocal p_acc, q_acc
+            # integral of coeff * y^k e^(-y^2/2): peel off
+            # -y^(k-1) e^(-y^2/2) + (k-1) * integral y^(k-2) e^(-y^2/2)
             while k >= 2:
-                # -y^(k-1) e^(-y^2/2) + (k-1) * integral y^(k-2) e^(-y^2/2)
-                mono = [Fraction(0)] * k
-                mono[k - 1] = -coeff
-                p_acc = _poly_add(p_acc, tuple(mono))
-                coeff = coeff * (k - 1)
+                p[k - 1] -= coeff
+                coeff *= k - 1
                 k -= 2
             if k == 1:
-                p_acc = _poly_add(p_acc, (-coeff,))
+                p[0] -= coeff
             else:
-                q_acc = _poly_add(q_acc, (coeff,))
+                q[0] += coeff
 
         for k, c in enumerate(self.p):
             if c:
@@ -189,42 +220,22 @@ class GaussianChain:
             if c:
                 # integral y^k erf-part = y^(k+1)/(k+1) erf-part
                 #   - 1/(k+1) integral y^(k+1) e^(-y^2/2)
-                mono = [Fraction(0)] * (k + 2)
-                mono[k + 1] = Fraction(c, k + 1)
-                q_acc = _poly_add(q_acc, tuple(mono))
+                q[k + 1] += Fraction(c, k + 1)
                 gauss_integral(k + 1, -Fraction(c, k + 1))
         for k, c in enumerate(self.r):
-            if c:
-                mono = [Fraction(0)] * (k + 2)
-                mono[k + 1] = Fraction(c, k + 1)
-                r_acc = _poly_add(r_acc, tuple(mono))
-
-        chain = GaussianChain(p_acc, q_acc, r_acc)
+            r[k + 1] += Fraction(c, k + 1)
         if odd_target:
-            at_zero = chain.value_at_zero_rational()
-            if at_zero != 0:
-                chain = GaussianChain(p_acc, q_acc,
-                                      _poly_add(r_acc, (-at_zero,)))
-        return chain
-
-    def value_at_zero_rational(self) -> Fraction:
-        p0 = self.p[0] if self.p else Fraction(0)
-        r0 = self.r[0] if self.r else Fraction(0)
-        return p0 + r0  # erf(0) = 0
+            r[0] -= p[0] + r[0]  # erf(0) = 0: the value at 0 is p(0) + r(0)
+        return GaussianChain(_trimmed(p), _trimmed(q), _trimmed(r))
 
     def value_at(self, z) -> ExactValue:
         """Exact value at rational z: e^(-z^2/2) and erf(z/sqrt 2) residues."""
         z = as_fraction(z)
-        total = ExactValue.rational(_poly_eval(self.r, z))
-        pv = _poly_eval(self.p, z)
-        if pv:
-            total = total + ExactValue.single(Residue(e_exp=-z * z / 2), pv)
-        qv = _poly_eval(self.q, z)
-        if qv:
-            # sqrt(pi/2) = sqrt(2*pi)/2
-            total = total + ExactValue.single(
-                Residue(sqrt_two_pi=1, erf_args=(z,)), Fraction(qv, 2))
-        return total
+        # sqrt(pi/2) = sqrt(2*pi)/2
+        return ExactValue.from_terms([
+            (Residue(), _poly_eval(self.r, z)),
+            (Residue(e_exp=-z * z / 2), _poly_eval(self.p, z)),
+            (Residue(sqrt_two_pi=1, erf_args=(z,)), _poly_eval(self.q, z) / 2)])
 
 
 def gaussian_chain(n: int) -> GaussianChain:
@@ -235,6 +246,11 @@ def gaussian_chain(n: int) -> GaussianChain:
     for k in range(1, n + 1):
         chain = chain.antiderivative(odd_target=(k % 2 == 1))
     return chain
+
+
+def HEAT(m: int) -> GaussianChain:
+    """The heat kernel e^(-y^2/2): K_m is its (m+1)-th anti-derivative."""
+    return gaussian_chain(m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,36 +271,16 @@ class PiecewiseExp:
             if a <= 0:
                 raise ValueError(f"decay rates must be positive, got {a}")
             key = (a, as_fraction(s))
-            if not isinstance(c, ComplexRational):
-                c = ComplexRational(as_fraction(c))
             acc[key] = acc.get(key, CR_ZERO) + c
         return PiecewiseExp(tuple((c, a, s)
                                   for (a, s), c in sorted(acc.items())
                                   if not c.is_zero))
 
-    def translate(self, b) -> "PiecewiseExp":
-        b = as_fraction(b)
-        return PiecewiseExp.from_terms(
-            [(c, a, s - b) for c, a, s in self.terms])
-
-    def scale(self, c: ComplexRational) -> "PiecewiseExp":
-        return PiecewiseExp.from_terms(
-            [(v * c, a, s) for v, a, s in self.terms])
-
-    def __add__(self, other: "PiecewiseExp") -> "PiecewiseExp":
-        return PiecewiseExp.from_terms(self.terms + other.terms)
-
     def value_at(self, z) -> ExactValue:
-        """Exact value at rational z; imaginary parts must cancel."""
+        """Exact value at rational z; the coefficients must be real."""
         z = as_fraction(z)
-        acc: dict = {}
-        for c, a, s in self.terms:
-            expo = -a * abs(z - s)
-            acc[expo] = acc.get(expo, CR_ZERO) + c
-        total = ExactValue.zero()
-        for expo, c in acc.items():
-            total = total + ExactValue.single(Residue(e_exp=expo), c.require_real())
-        return total
+        return ExactValue.from_terms((Residue(e_exp=-a * abs(z - s)), c.require_real())
+                                     for c, a, s in self.terms)
 
 
 def green_function(a) -> PiecewiseExp:
@@ -296,42 +292,67 @@ def green_function(a) -> PiecewiseExp:
         [(ComplexRational(Fraction(1, 2) / a), a, Fraction(0))])
 
 
+def green_kernel(rates):
+    """Kernel of 1/prod_k (x^2 + a_k^2) for distinct rates: by partial
+    fractions in x^2, sum_k c_k e^(-a_k|y|)/(2 a_k) with
+    c_k = prod_(j != k) 1/(a_j^2 - a_k^2).  It takes translations only."""
+    terms = []
+    for k, ak in enumerate(rates):
+        ck = math.prod((Fraction(1) / (aj * aj - ak * ak)
+                        for j, aj in enumerate(rates) if j != k), start=Fraction(1))
+        terms += [(c * ck, a, s) for c, a, s in green_function(ak).terms]
+    combined = PiecewiseExp.from_terms(terms)
+
+    def chain(m: int) -> PiecewiseExp:
+        if m != -1:
+            raise ValueError("the Green kernel takes no derivative powers")
+        return combined
+
+    return chain
+
+
+# ---------------------------------------------------------------------------
+# The regularized kernel (1 - e^(-a y))/y
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RegularizedChain:
+    """n-th derivative (n >= 0) of the entire kernel (1 - e^(-a y))/y."""
+
+    n: int
+    a: Fraction
+
+    def value_at(self, z) -> ExactValue:
+        """Exact at rational z >= 0.  At z = 0 the Taylor coefficient
+        formula applies; elsewhere Leibniz on e^(-a y) * y^(-1) gives a
+        rational plus e^(-a z) times a rational."""
+        n, a, z = self.n, self.a, as_fraction(z)
+        if z < 0:
+            raise ValueError(f"kernel argument {z} is negative")
+        if z == 0:
+            # k_a(y) = sum_m (-1)^m a^(m+1) y^m/(m+1)!; n-th derivative at 0
+            return ExactValue.rational(Fraction((-1) ** n) * a ** (n + 1) / (n + 1))
+        plain = Fraction((-1) ** n) * math.factorial(n) / z ** (n + 1)
+        exp_part = Fraction(0)
+        for j in range(n + 1):
+            exp_part += (Fraction(math.comb(n, j)) * (-a) ** j
+                         * Fraction((-1) ** (n - j)) * math.factorial(n - j)
+                         / z ** (n - j + 1))
+        return ExactValue.rational(plain) - ExactValue.single(
+            Residue(e_exp=-a * z), exp_part)
+
+
+def regularized_kernel(a):
+    """The kernel (1 - e^(-a y))/y; anti-derivatives would need Ei."""
+    a = as_fraction(a)
+    return lambda m: RegularizedChain(-1 - m, a)
+
+
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
 def eval_kernel(chain, y, precision: int = 30) -> mpmath.mpf:
-    """Evaluate any of the kernel chains at a float/rational point with
-    *precision* significant digits."""
-    with mpmath.workdps(precision + 10):
-        yv = mpmath.mpf(y.numerator) / y.denominator if isinstance(y, Fraction) \
-            else mpmath.mpf(y)
-        if isinstance(chain, LogChain):
-            if yv <= 0:
-                raise ValueError("1/y chains are evaluated on y > 0 only")
-            total = mpmath.mpf(0)
-            logy = mpmath.log(yv)
-            for c, m, flag in chain.terms:
-                t = mpmath.mpf(c.numerator) / c.denominator * yv ** m
-                total += t * logy if flag else t
-            return +total
-        if isinstance(chain, GaussianChain):
-            def poly(coeffs):
-                acc = mpmath.mpf(0)
-                for c in reversed(coeffs):
-                    acc = acc * yv + mpmath.mpf(c.numerator) / c.denominator
-                return acc
-            gauss = mpmath.exp(-yv * yv / 2)
-            erf_part = mpmath.sqrt(mpmath.pi / 2) * high_precision_erf(yv / mpmath.sqrt(2))
-            return +(poly(chain.p) * gauss + poly(chain.q) * erf_part + poly(chain.r))
-        if isinstance(chain, PiecewiseExp):
-            total = mpmath.mpf(0)
-            for c, a, s in chain.terms:
-                if c.im != 0:
-                    raise ValueError("numeric evaluation needs real coefficients")
-                coeff = mpmath.mpf(c.re.numerator) / c.re.denominator
-                rate = mpmath.mpf(a.numerator) / a.denominator
-                shift = mpmath.mpf(s.numerator) / s.denominator
-                total += coeff * mpmath.exp(-rate * abs(yv - shift))
-            return +total
-    raise TypeError(f"not a kernel chain: {chain!r}")
+    """Numeric value of any kernel chain at a float/rational point with
+    *precision* significant digits: the shadow of its exact value."""
+    return chain.value_at(as_fraction(y)).evalf(precision)

@@ -1,37 +1,38 @@
-"""Formal operator words and the ramp/delta calculus they act on.
+"""Formal operator words and the one image algebra they act through.
 
 An exponential-polynomial integrand f decomposes into a finite word
 
     f(-d/dy)   or   f(-i d/dy)  =  sum_j  c_j * T_{b_j} * D^{n_j}
 
 where T_b shifts the argument by b and D^n differentiates (n > 0) or
-anti-differentiates (n < 0).  Words act on ramp sums: combinations of
-generalized ramps R_m(y - s) = (y - s)^m / m! * Theta(y - s), delta
-derivatives (order m < 0), and global polynomials kept in the y^j/j!
-basis so that cancellation is structural, not numeric.
+anti-differentiates (n < 0).  Every exact route is the same move:
+``apply_word(word, RampSum.of(kernel))`` acts with the word on a kernel
+(the delta, 1/y, the heat kernel, a Green's function; see ``kernels``)
+and the image is read off at one point with ``evaluate_at``.
 
-T_b turns R_m(y - s) into R_m(y - (s - b)); D^n lowers the order by n.
-Evaluation is always a two-sided limit: a genuine jump or delta at the
+An image is a sum of kernel chain members K_m(y - s) plus a global
+polynomial kept in the y^j/j! basis, so that cancellation is structural,
+not numeric.  T_b turns K_m(y - s) into K_m(y - (s - b)); D^n lowers the
+order by n.  For the delta K_m is the generalized ramp R_m, and its
+evaluation is a two-sided limit: a genuine jump or delta at the
 evaluation point is an error, never a silently picked side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .exact import (CR_I, CR_ONE, CR_ZERO, ComplexRational, ExactValue,
-                    as_fraction)
+                    Residue, as_fraction)
+from .kernels import DELTA, RampEvaluationError  # noqa: F401 (re-exported)
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
 
 class NotExponentialPolynomial(ValueError):
     """The integrand is outside the exp-poly family this layer handles."""
-
-
-class RampEvaluationError(ArithmeticError):
-    """Two-sided limit does not exist at the requested point."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +172,10 @@ def laurent_defect(nf: ExpPoly) -> dict:
         for (mu, n), c in nf.items():
             if n <= d:
                 k = d - n
-                total = total + c * mu ** k / ComplexRational(Fraction(_factorial(k)))
+                total = total + c * mu ** k / ComplexRational(Fraction(math.factorial(k)))
         if not total.is_zero:
             defects[d] = total
     return defects
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +216,6 @@ class OperatorWord:
             OperatorTerm(a.coeff * b.coeff, a.shift + b.shift, a.power + b.power)
             for a in self.terms for b in other.terms)
 
-    def scale(self, c: ComplexRational) -> "OperatorWord":
-        return OperatorWord(tuple(
-            OperatorTerm(t.coeff * c, t.shift, t.power) for t in self.terms))
-
     @property
     def max_power(self) -> int:
         return max((t.power for t in self.terms), default=0)
@@ -262,24 +252,27 @@ def decompose(ast: Node, variant: str) -> OperatorWord:
 
 
 # ---------------------------------------------------------------------------
-# Ramp sums
+# Images: ramp sums over a kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RampSum:
-    """sum coeff * R_m(y - s)  +  a global polynomial sum coeff * y^j / j!.
+    """sum coeff * K_m(y - s)  +  a global polynomial sum coeff * y^j / j!.
 
-    Step terms are (coeff, order m, shift s): m >= 0 is the generalized
-    ramp R_m, m == -1 the Dirac delta, m < -1 its derivatives.  Polynomial
-    terms are kept unshifted so that translation invariances cancel
-    exactly term-by-term.
+    *kernel* is K's chain, m -> K_m = D^-(m+1) K (see ``kernels``), the
+    delta unless given.  Step terms are (coeff, order m, shift s): for the
+    delta, m >= 0 is the generalized ramp R_m, m == -1 the Dirac delta,
+    m < -1 its derivatives.  Polynomial terms carry the
+    representative polynomial; they are kept unshifted so that translation
+    invariances cancel exactly term-by-term.
     """
 
     steps: tuple = ()   # (ComplexRational, int, Fraction)
     poly: tuple = ()    # (ComplexRational, int)
+    kernel: Callable = DELTA
 
     @staticmethod
-    def from_parts(steps, poly=()) -> "RampSum":
+    def from_parts(steps, poly=(), kernel: Callable = DELTA) -> "RampSum":
         acc_s: dict = {}
         for c, m, s in steps:
             key = (m, as_fraction(s))
@@ -291,29 +284,34 @@ class RampSum:
             acc_p[j] = acc_p.get(j, CR_ZERO) + c
         return RampSum(
             tuple((c, m, s) for (m, s), c in sorted(acc_s.items()) if not c.is_zero),
-            tuple((c, j) for j, c in sorted(acc_p.items()) if not c.is_zero))
+            tuple((c, j) for j, c in sorted(acc_p.items()) if not c.is_zero),
+            kernel)
+
+    @staticmethod
+    def of(kernel: Callable) -> "RampSum":
+        """The kernel itself, K_(-1)(y), as an image."""
+        return RampSum.from_parts([(CR_ONE, -1, Fraction(0))], kernel=kernel)
 
     @staticmethod
     def delta() -> "RampSum":
-        return RampSum.from_parts([(CR_ONE, -1, Fraction(0))])
+        return RampSum.of(DELTA)
 
     @staticmethod
-    def polynomial(coeffs) -> "RampSum":
+    def polynomial(coeffs, kernel: Callable = DELTA) -> "RampSum":
         """Polynomial sum coeffs[j] * y^j (plain monomial basis)."""
         return RampSum.from_parts([], [
-            (ComplexRational(as_fraction(c)) * ComplexRational(Fraction(_factorial(j))), j)
-            for j, c in enumerate(coeffs)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.steps and not self.poly
+            (ComplexRational(as_fraction(c)) * ComplexRational(Fraction(math.factorial(j))), j)
+            for j, c in enumerate(coeffs)], kernel)
 
     def __add__(self, other: "RampSum") -> "RampSum":
-        return RampSum.from_parts(self.steps + other.steps, self.poly + other.poly)
+        if other.kernel is not self.kernel:
+            raise ValueError("images of different kernels do not add")
+        return RampSum.from_parts(self.steps + other.steps, self.poly + other.poly,
+                                  self.kernel)
 
     def scale(self, c: ComplexRational) -> "RampSum":
         return RampSum.from_parts([(v * c, m, s) for v, m, s in self.steps],
-                                  [(v * c, j) for v, j in self.poly])
+                                  [(v * c, j) for v, j in self.poly], self.kernel)
 
     def translate(self, b: Fraction) -> "RampSum":
         """T_b: argument shifted by +b, so every shift s becomes s - b."""
@@ -324,44 +322,34 @@ class RampSum:
             # (y+b)^j/j! = sum_i y^i/i! * b^(j-i)/(j-i)!
             for i in range(j + 1):
                 poly.append((c * ComplexRational(
-                    Fraction(b ** (j - i), _factorial(j - i))), i))
-        return RampSum.from_parts(steps, poly)
+                    Fraction(b ** (j - i), math.factorial(j - i))), i))
+        return RampSum.from_parts(steps, poly, self.kernel)
 
     def apply_power(self, n: int) -> "RampSum":
-        """D^n: ramp/delta order m -> m - n; polynomial degrees likewise,
+        """D^n: chain order m -> m - n; polynomial degrees likewise,
         with differentiated-away constants dropped and anti-derivative
         constants chosen zero."""
         steps = [(c, m - n, s) for c, m, s in self.steps]
         poly = [(c, j - n) for c, j in self.poly if j - n >= 0]
-        return RampSum.from_parts(steps, poly)
+        return RampSum.from_parts(steps, poly, self.kernel)
 
     # -- evaluation ----------------------------------------------------
-    def evaluate_at(self, y) -> ComplexRational:
-        """Two-sided limit of the sum at y; jumps and deltas there raise."""
+    def evaluate_at(self, y) -> ExactValue:
+        """Exact value at rational y: every coeff * K_m(y - s) and the
+        polynomial summed per residue, then checked real once.  The
+        kernel's chain refuses points outside its domain: for the delta,
+        jumps and deltas at y raise."""
         y = as_fraction(y)
-        total = CR_ZERO
+        acc: dict = {}
+        chains: dict = {}
         for c, m, s in self.steps:
-            if m <= -1:
-                if s == y:
-                    raise RampEvaluationError(
-                        f"singular at {y}: delta term of order {m} sits there")
-                continue
-            if m == 0:
-                if s == y:
-                    raise RampEvaluationError(
-                        f"discontinuous at {y}: step with jump {c} sits there")
-                if y > s:
-                    total = total + c
-                continue
-            if y > s:
-                total = total + c * ComplexRational(
-                    Fraction((y - s) ** m, _factorial(m)))
+            if m not in chains:
+                chains[m] = self.kernel(m)
+            for residue, q in chains[m].value_at(y - s).terms:
+                acc[residue] = acc.get(residue, CR_ZERO) + c * q
         for c, j in self.poly:
-            if j == 0:
-                total = total + c
-            elif y != 0:
-                total = total + c * ComplexRational(Fraction(y ** j, _factorial(j)))
-        return total
+            acc[Residue()] = acc.get(Residue(), CR_ZERO) + c * Fraction(y ** j, math.factorial(j))
+        return ExactValue.from_terms((r, v.require_real()) for r, v in acc.items())
 
     def breakpoints(self) -> tuple:
         return tuple(sorted({s for _c, m, s in self.steps}))
@@ -369,30 +357,29 @@ class RampSum:
 
 def apply_word(word: OperatorWord, target: RampSum,
                perturb: Optional[Callable[[int], Sequence]] = None) -> RampSum:
-    """Act with an operator word on a ramp sum.
+    """Act with an operator word on an image, a kernel to begin with.
 
-    When *perturb* is given, every anti-differentiation D^-n additionally
+    This is the one place where a word's terms act on a kernel.  When
+    *perturb* is given, every anti-differentiation D^-n additionally
     receives perturb(n): plain coefficients of a polynomial of degree < n
     added to the chosen representative.  Results must be invariant under
     any admissible choice; the test harness exercises exactly that.
     """
-    out = RampSum()
+    steps: list = []
+    poly: list = []
     for t in word.terms:
         part = target.apply_power(t.power)
         if perturb is not None and t.power < 0:
-            coeffs = tuple(perturb(-t.power))
-            if len(coeffs) > -t.power:
-                raise ValueError(
-                    f"perturbation degree {len(coeffs) - 1} too high for D^{t.power}")
-            part = part + RampSum.polynomial(coeffs)
-        out = out + part.translate(t.shift).scale(t.coeff)
-    return out
+            part = perturb_antiderivative(part, -t.power, perturb(-t.power))
+        part = part.translate(t.shift).scale(t.coeff)
+        steps += part.steps
+        poly += part.poly
+    return RampSum.from_parts(steps, poly, target.kernel)
 
 
 def eval_limit_at_zero(rs: RampSum) -> ExactValue:
     """Exact two-sided limit of a ramp sum at y = 0."""
-    value = rs.evaluate_at(0)
-    return ExactValue.rational(value.require_real())
+    return rs.evaluate_at(0)
 
 
 def perturb_antiderivative(rs: RampSum, order: int, poly_coeffs) -> RampSum:
@@ -402,4 +389,4 @@ def perturb_antiderivative(rs: RampSum, order: int, poly_coeffs) -> RampSum:
     if len(coeffs) > order:
         raise ValueError(
             f"polynomial degree {len(coeffs) - 1} not allowed for order {order}")
-    return rs + RampSum.polynomial(coeffs)
+    return rs + RampSum.polynomial(coeffs, rs.kernel)

@@ -13,6 +13,11 @@ Known functions: sinc, sin, cos, exp, sqrt.  Decimal literals are turned
 into exact fractions at parse time (0.25 -> 1/4); exponents must be
 integer literals, optionally negated.  sinc stays a primitive node so the
 route classifier can recognize it structurally.
+
+Expressions nest at most MAX_DEPTH levels: both the nesting of
+parentheses, calls and signs while parsing and the depth of the finished
+tree (a sum of n terms is n levels deep).  Deeper input is a ParseError,
+so that no later recursion over the tree can exhaust the stack.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 
 FUNCTIONS = ("sinc", "sin", "cos", "exp", "sqrt")
 SYMBOLS = ("x", "pi")
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -130,6 +136,12 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nest(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -175,11 +187,15 @@ class _Parser:
                 return node
 
     def unary(self) -> Node:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
+        self.nest(pos)
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -198,8 +214,10 @@ class _Parser:
             kind, val, pos = self.peek()
         if kind == "op" and val == "(":
             self.advance()
+            self.nest(pos)
             n = self.exponent()
             self.expect_op(")")
+            self.depth -= 1
             return sign * n
         if kind != "num" or "." in val:
             raise ParseError("exponent must be an integer literal", pos)
@@ -230,8 +248,18 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Node:
-    """Parse *text* into an integrand AST; raises ParseError on bad input."""
-    return _Parser(text).parse()
+    """Parse *text* into an integrand AST; raises ParseError on bad input,
+    including trees deeper than MAX_DEPTH."""
+    node = _Parser(text).parse()
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        item, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack += [(child, depth + 1) for child in vars(item).values()
+                  if not isinstance(child, (Fraction, int, str))]
+    if deepest > MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +344,6 @@ def eval_numeric(node: Node, x: float) -> float:
             return math.sqrt(t)
         return getattr(math, node.func)(t)
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def as_callable(node: Node):
-    """Wrap an AST as a plain float function of x."""
-    return lambda x: eval_numeric(node, x)
 
 
 def as_vector_callable(node: Node):

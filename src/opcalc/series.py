@@ -183,12 +183,6 @@ class PowerSeries:
     def real_coeffs(self) -> tuple:
         return tuple(c.require_real() for c in self.coeffs)
 
-    def eval_float(self, x: float) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
-        return acc
-
 
 def complex_exponential_series(a: Fraction, n: int) -> PowerSeries:
     """Series of exp(i a x): coefficients (ia)^k / k!."""

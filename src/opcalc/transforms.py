@@ -1,14 +1,16 @@
 """User-facing transform and integration routes.
 
-Each route composes the operator layer with the kernel it acts on:
+Every exact route builds a word, acts with it on a kernel through
+``apply_word(word, RampSum.of(kernel))`` and reads the image off at one
+point with ``evaluate_at``:
 
-* delta route: f(-i d/dy) applied to the Dirac delta gives the Fourier
-  transform as a ramp sum, hence real-line integrals at frequency 0;
-* half-line route: f(-+ d/dy) applied to the 1/y chains gives Laplace
-  transforms and half-line integrals, with an entire regularized kernel
-  (1 - e^(-ay))/y as the analytic continuation workhorse;
-* Green route: quotients with Pi(x^2 + a^2) denominators convolve the
-  numerator word against piecewise-exponential Green's functions;
+* delta route: f(-i d/dy) on the Dirac delta gives the Fourier transform
+  as a ramp sum, hence real-line integrals at frequency 0;
+* half-line route: f(-+ d/dy) on 1/y gives Laplace transforms and
+  half-line integrals; f(-d/dy) on the entire kernel (1 - e^(-ay))/y is
+  the regularized Laplace route;
+* Green route: the trig numerator's word on the partial-fraction sum of
+  Green's functions of Pi(x^2 + a^2) denominators;
 * series routes: truncated-series application against entire kernels,
   and the Paley-Wiener pairing sum against test-function profiles.
 
@@ -26,9 +28,9 @@ import mpmath
 
 from .borwein import SincProductSpec, sinc_cos_product_integral, sinc_power_gaussian
 from .classify import classify
-from .exact import (CR_I, CR_ONE, CR_ZERO, ComplexRational, ExactValue,
-                    Residue, as_fraction, binomial)
-from .kernels import PiecewiseExp, green_function, one_over_y_chain
+from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
+                    ExactValue, as_fraction)
+from .kernels import ONE_OVER_Y, green_kernel, regularized_kernel
 from .operators import (NotExponentialPolynomial, OperatorTerm, OperatorWord,
                         RampSum, apply_word, decompose, exp_poly_normal_form,
                         laurent_defect)
@@ -68,13 +70,11 @@ class FourierImage:
 
     def transform_at(self, y) -> ExactValue:
         """Integral of f(x) e^(ixy) dx at rational y."""
-        value = self.ramps.evaluate_at(as_fraction(y))
-        return ExactValue.pi_times(2 * value.require_real())
+        return ExactValue.pi_times(2) * self.ramps.evaluate_at(as_fraction(y))
 
     def hat_at(self, y) -> ExactValue:
         """Unitary-convention transform value at rational y."""
-        value = self.ramps.evaluate_at(as_fraction(y)).require_real()
-        return ExactValue.single(Residue(sqrt_two_pi=1), value)
+        return SQRT_TWO_PI * self.ramps.evaluate_at(as_fraction(y))
 
     def breakpoints(self) -> tuple:
         return self.ramps.breakpoints()
@@ -140,41 +140,13 @@ def _word_for_halfline(ast: Node, side: str,
     return OperatorWord.from_terms(terms)
 
 
-def _chain_value(word: OperatorWord, y: Fraction,
-                 perturb=None) -> ExactValue:
-    """Apply a word to the 1/y chains and evaluate at y (shifts folded in).
-
-    Terms with zero shift are y -> 0+ limits when y == 0; those are finite
-    exactly when the chain has only positive powers, which the entirety
-    check upstream guarantees for integrable combinations.
-    """
-    total = ExactValue.zero()
-    for t in word.terms:
-        chain = one_over_y_chain(t.power)
-        arg = y + t.shift
-        coeff = t.coeff.require_real()
-        if arg == 0:
-            try:
-                value = chain.limit_at_zero_plus()
-            except ValueError as exc:
-                raise DivergentIntegralError(str(exc)) from exc
-        elif arg < 0:
-            raise DivergentIntegralError(
-                f"kernel argument {arg} leaves the domain y + shift > 0")
-        else:
-            value = chain.value_at(arg)
-        if perturb is not None and t.power < 0:
-            coeffs = tuple(perturb(-t.power))
-            if len(coeffs) > -t.power:
-                raise ValueError("perturbation degree too high")
-            xp = Fraction(1)
-            poly = Fraction(0)
-            for c in coeffs:
-                poly += as_fraction(c) * xp
-                xp *= arg
-            value = value + ExactValue.rational(poly)
-        total = total + value * coeff
-    return total
+def _read_off(image: RampSum, y) -> ExactValue:
+    """The image at y; a kernel argument outside the kernel's domain, or
+    a 0+ limit that diverges, means the integral diverges."""
+    try:
+        return image.evaluate_at(y)
+    except ValueError as exc:
+        raise DivergentIntegralError(str(exc)) from exc
 
 
 def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
@@ -190,7 +162,7 @@ def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
     if word.terms and y + min_shift <= 0 and not (y == 0 and min_shift == 0):
         raise DivergentIntegralError(
             f"y = {y} is at or below the abscissa -{min_shift}")
-    value = _chain_value(word, y, perturb)
+    value = _read_off(apply_word(word, RampSum.of(ONE_OVER_Y), perturb), y)
     return TransformResult.from_exact(
         value, method="laplace_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"verdict": "exact", "abscissa": float(-min_shift)})
@@ -202,7 +174,7 @@ def integrate_half_line(ast: Node, side: str = "positive",
     if side not in ("positive", "negative"):
         raise ValueError(f"unknown side {side!r}")
     word = _word_for_halfline(ast, side)
-    value = _chain_value(word, Fraction(0), perturb)
+    value = _read_off(apply_word(word, RampSum.of(ONE_OVER_Y), perturb), 0)
     return TransformResult.from_exact(
         value, method="halfline_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"side": side, "verdict": "exact"})
@@ -214,7 +186,7 @@ def laplace_regularized(ast: Node, y, a) -> TransformResult:
     The kernel's derivatives have closed forms (Leibniz against e^(-az)),
     so the word acts exactly;  anti-derivative powers would need the
     exponential-integral special function and are out of scope here (the
-    formal 1/y route covers them).
+    formal 1/y route covers them).  Arguments y + shift below 0 diverge.
     """
     y = as_fraction(y)
     a = as_fraction(a)
@@ -225,37 +197,10 @@ def laplace_regularized(ast: Node, y, a) -> TransformResult:
         raise UnsupportedFamilyError(
             "anti-derivative powers against the regularized kernel need Ei",
             {"laplace_regularized": "negative powers unsupported"})
-    total = ExactValue.zero()
-    for t in word.terms:
-        z = y + t.shift
-        total = total + _regularized_kernel_derivative(t.power, z, a) \
-            * t.coeff.require_real()
+    value = _read_off(apply_word(word, RampSum.of(regularized_kernel(a))), y)
     return TransformResult.from_exact(
-        total, method="laplace_regularized", formula="regularized_one_over_y_kernel",
+        value, method="laplace_regularized", formula="regularized_one_over_y_kernel",
         diagnostics={"regularization": float(a), "verdict": "exact"})
-
-
-def _regularized_kernel_derivative(n: int, z: Fraction, a: Fraction) -> ExactValue:
-    """n-th derivative of (1 - e^(-a y))/y at y = z >= 0, exact.
-
-    At z = 0 the Taylor coefficient formula applies; elsewhere Leibniz on
-    e^(-a y) * y^(-1) gives a rational plus e^(-a z) times a rational.
-    """
-    if z < 0:
-        raise DivergentIntegralError(f"kernel argument {z} is negative")
-    if z == 0:
-        # k_a(y) = sum_m (-1)^m a^(m+1) y^m/(m+1)!; n-th derivative at 0
-        coeff = Fraction((-1) ** n) * a ** (n + 1) / (n + 1)
-        return ExactValue.rational(coeff)
-    fact_n = math.factorial(n)
-    plain = Fraction((-1) ** n) * fact_n / z ** (n + 1)
-    exp_part = Fraction(0)
-    for j in range(n + 1):
-        exp_part += (Fraction(binomial(n, j)) * (-a) ** j
-                     * Fraction((-1) ** (n - j)) * math.factorial(n - j)
-                     / z ** (n - j + 1))
-    return ExactValue.rational(plain) - ExactValue.single(
-        Residue(e_exp=-a * z), exp_part)
 
 
 def fourier_regularized(ast: Node, y, a, n_terms: int = 400,
@@ -437,9 +382,9 @@ def integrate_rational_trig(numerator: Node, rates: Sequence) -> TransformResult
     """Real-line integral of numerator(x) / prod_k (x^2 + a_k^2).
 
     A partial-fraction split in x^2 rewrites the inverse operator as a sum
-    of Green's functions e^(-a|y|)/(2a); the numerator word then acts by
-    pure translations, so it must decompose with no derivative powers
-    (trig combinations do; polynomial factors do not).
+    of Green's functions e^(-a|y|)/(2a), the kernel; the numerator word
+    then acts by pure translations, so it must decompose with no
+    derivative powers (trig combinations do; polynomial factors do not).
     """
     rates = tuple(sorted(as_fraction(r) for r in rates))
     if len(set(rates)) != len(rates):
@@ -452,18 +397,8 @@ def integrate_rational_trig(numerator: Node, rates: Sequence) -> TransformResult
         raise UnsupportedFamilyError(
             "numerator must be a pure trig combination (no x powers)",
             {"rational_trig": "derivative powers in the numerator word"})
-    # partial fractions over x^2: 1/prod(x^2+a_k^2) = sum c_k/(x^2+a_k^2)
-    kernel = PiecewiseExp(())
-    for k, ak in enumerate(rates):
-        ck = Fraction(1)
-        for j, aj in enumerate(rates):
-            if j != k:
-                ck /= (aj * aj - ak * ak)
-        kernel = kernel + green_function(ak).scale(ComplexRational(ck))
-    image = PiecewiseExp(())
-    for t in word.terms:
-        image = image + kernel.translate(t.shift).scale(t.coeff)
-    value = ExactValue.pi_times(2) * image.value_at(0)
+    image = apply_word(word, RampSum.of(green_kernel(rates)))
+    value = ExactValue.pi_times(2) * image.evaluate_at(0)
     return TransformResult.from_exact(
         value, method="greens_function", formula="greens_function_convolution",
         diagnostics={"rates": [str(r) for r in rates], "verdict": "exact"})

@@ -13,7 +13,8 @@ from opcalc.borwein import (RampBoundaryError, SignTuple, SincProductSpec,
                             borwein_exact_half, borwein_rates,
                             coefficient_identity_check, signed_ramp_sum,
                             sinc_cos_product_integral, sinc_power_gaussian)
-from opcalc.exact import ExactValue, double_factorial
+from opcalc.exact import SQRT_TWO_PI, ExactValue, double_factorial
+from opcalc.kernels import gaussian_chain
 from opcalc.oracle import quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 
@@ -264,6 +265,31 @@ def test_sinc_gaussian_perturbation_invariance():
         base = sinc_power_gaussian(n).exact
         poly = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
         assert sinc_power_gaussian(n, chain_perturbation=poly).exact == base
+
+
+def central_difference_reference(n, chain_perturbation=()):
+    """The central-difference loop sinc_power_gaussian ran before it
+    became a word acting on the heat kernel: sqrt(2 pi)/2^n *
+    sum_k (-1)^k C(n,k) [G_n(n - 2k) + poly(n - 2k)]."""
+    chain = gaussian_chain(n)
+    coeffs = tuple(Fraction(c) for c in chain_perturbation)
+    total = ExactValue.zero()
+    for k in range(n + 1):
+        arg = Fraction(n - 2 * k)
+        term = chain.value_at(arg)
+        if coeffs:
+            term = term + ExactValue.rational(sum(c * arg ** j for j, c in enumerate(coeffs)))
+        total = total + term * Fraction((-1) ** k * math.comb(n, k))
+    return SQRT_TWO_PI * total * Fraction(1, 2 ** n)
+
+
+def test_sinc_gaussian_matches_central_difference_reference():
+    rng = random.Random(2016)
+    for n in range(25):
+        assert sinc_power_gaussian(n).exact == central_difference_reference(n)
+        poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, n))]
+        assert sinc_power_gaussian(n, chain_perturbation=poly).exact == \
+            central_difference_reference(n, poly)
 
 
 def test_sinc_gaussian_rejects_high_degree_perturbation():

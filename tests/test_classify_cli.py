@@ -6,6 +6,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from opcalc.classify import classify
 from opcalc.cli import (EXIT_NONCONVERGENT, EXIT_OK, EXIT_PARSE,
                         EXIT_UNSUPPORTED, run)
@@ -180,6 +182,26 @@ def test_cli_exit_codes(capsys):
     assert code == EXIT_NONCONVERGENT  # transform has a jump exactly there
     code, _, err = run_cli(capsys, "fourier", "exp(-x^2/2)", "--at", "0")
     assert code == EXIT_UNSUPPORTED  # Gaussians travel other routes
+
+
+@pytest.mark.parametrize("flag, value", [("--precision", "0"), ("--truncation", "-5")])
+def test_cli_rejects_out_of_range_flags(capsys, flag, value):
+    # --precision 0 used to print ".0e+0", --truncation -5 to fail deep in
+    # the series code; both are now usage errors
+    with pytest.raises(SystemExit) as exc:
+        run(["integrate", "sinc(x)", flag, value])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {flag}: must be at least" in err
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000,
+                                  "+".join(["sinc(x)"] * 3000)],
+                         ids=["nested_parentheses", "long_sum"])
+def test_cli_rejects_too_deep_expressions(capsys, expr):
+    code, out, err = run_cli(capsys, "integrate", expr)
+    assert code == EXIT_PARSE and out == ""
+    assert "nests deeper than" in err and "Traceback" not in err
 
 
 def test_cli_interval_series(capsys):

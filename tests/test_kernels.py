@@ -8,7 +8,9 @@ import pytest
 
 from opcalc.exact import ComplexRational, ExactValue, exp_value, log_value
 from opcalc.kernels import (GaussianChain, LogChain, eval_kernel,
-                            gaussian_chain, green_function, one_over_y_chain)
+                            gaussian_chain, green_function, green_kernel,
+                            one_over_y_chain)
+from opcalc.operators import RampSum
 from opcalc.oracle import quad_interval
 
 
@@ -102,6 +104,56 @@ def test_gaussian_chain_parity(n):
             assert minus == plus
 
 
+def _tuple_poly_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_antiderivative(chain, odd_target):
+    """The tuple-rebuilding anti-derivative GaussianChain used before it
+    accumulated in place: every monomial is added as a fresh tuple."""
+    p_acc, q_acc, r_acc = (), (), ()
+
+    def gauss_integral(k, coeff):
+        nonlocal p_acc, q_acc
+        while k >= 2:
+            p_acc = _tuple_poly_add(p_acc, (Fraction(0),) * (k - 1) + (-coeff,))
+            coeff = coeff * (k - 1)
+            k -= 2
+        if k == 1:
+            p_acc = _tuple_poly_add(p_acc, (-coeff,))
+        else:
+            q_acc = _tuple_poly_add(q_acc, (coeff,))
+
+    for k, c in enumerate(chain.p):
+        if c:
+            gauss_integral(k, c)
+    for k, c in enumerate(chain.q):
+        if c:
+            q_acc = _tuple_poly_add(q_acc, (Fraction(0),) * (k + 1) + (Fraction(c, k + 1),))
+            gauss_integral(k + 1, -Fraction(c, k + 1))
+    for k, c in enumerate(chain.r):
+        if c:
+            r_acc = _tuple_poly_add(r_acc, (Fraction(0),) * (k + 1) + (Fraction(c, k + 1),))
+    at_zero = (p_acc[0] if p_acc else 0) + (r_acc[0] if r_acc else 0)
+    if odd_target and at_zero != 0:
+        r_acc = _tuple_poly_add(r_acc, (-at_zero,))
+    return GaussianChain(p_acc, q_acc, r_acc)
+
+
+def test_gaussian_chain_matches_tuple_reference():
+    ref = GaussianChain(p=(Fraction(1),))
+    for n in range(1, 31):
+        ref = reference_antiderivative(ref, odd_target=(n % 2 == 1))
+        assert gaussian_chain(n) == ref, n
+
+
 def test_gaussian_chain_value_matches_quadrature():
     # integral of G2 over [0, 1] equals G3(1) - G3(0)
     g2 = gaussian_chain(2)
@@ -189,8 +241,11 @@ def test_green_delta_pairing():
 
 
 def test_piecewise_exp_translation_and_value():
-    g = green_function(1).translate(Fraction(1))
-    v = g.value_at(0)
-    assert v == exp_value(-1, Fraction(1, 2))
+    # translations act on the kernel's image: T_1 G (y) = G(y + 1)
+    image = RampSum.of(green_kernel([Fraction(1)])).translate(Fraction(1))
+    v = image.evaluate_at(0)
+    assert v == exp_value(-1, Fraction(1, 2)) == green_function(1).value_at(1)
     with mpmath.workdps(25):
-        assert abs(eval_kernel(g, 0.0) - mpmath.exp(-1) / 2) < mpmath.mpf("1e-24")
+        assert abs(v.evalf(25) - mpmath.exp(-1) / 2) < mpmath.mpf("1e-24")
+        assert abs(eval_kernel(green_function(1), 1.0) - mpmath.exp(-1) / 2) \
+            < mpmath.mpf("1e-24")

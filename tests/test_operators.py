@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcalc.exact import CR_ONE, ComplexRational, ExactValue
+from opcalc.kernels import DELTA, ONE_OVER_Y
 from opcalc.operators import (NotExponentialPolynomial, OperatorTerm,
                               OperatorWord, RampEvaluationError, RampSum,
                               apply_word, decompose, eval_limit_at_zero,
@@ -192,6 +193,18 @@ def test_delta_route_value_invariant_under_representatives(coeffs, _seed):
     plain = apply_word(w, RampSum.delta())
     perturbed = apply_word(w, RampSum.delta(), perturb=lambda n: coeffs[:n])
     assert eval_limit_at_zero(plain) == eval_limit_at_zero(perturbed)
+
+
+def test_perturbation_is_added_before_it_cancels():
+    # a lone anti-derivative keeps its representative polynomial; the
+    # invariance tests above see it cancel only because it is there
+    w = word((1, Fraction(1, 2), -2))
+    for kernel in (DELTA, ONE_OVER_Y):
+        y = Fraction(3)
+        plain = apply_word(w, RampSum.of(kernel)).evaluate_at(y)
+        perturbed = apply_word(w, RampSum.of(kernel),
+                               perturb=lambda n: [Fraction(2), Fraction(5)]).evaluate_at(y)
+        assert perturbed - plain == ExactValue.rational(2 + 5 * (y + Fraction(1, 2)))
 
 
 def test_word_multiplication_matches_product_decomposition():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from opcalc.parser import (Add, Call, Div, Mul, Neg, Num, ParseError, Pow,
-                           Sym, as_vector_callable, eval_numeric,
-                           parse_expression, to_source)
+from opcalc.parser import (MAX_DEPTH, Add, Call, Div, Mul, Neg, Num,
+                           ParseError, Pow, Sym, as_vector_callable,
+                           eval_numeric, parse_expression, to_source)
 
 
 def test_sinc_product():
@@ -104,3 +104,22 @@ def test_vector_callable_agrees_with_scalar():
     got = f(xs)
     for x, g in zip(xs, got):
         assert g == pytest.approx(eval_numeric(ast, float(x)), rel=1e-14)
+
+
+def test_depth_limit_bounds_nesting_and_tree_depth():
+    # just inside the limit everything parses
+    inside = ["(" * (MAX_DEPTH - 2) + "x" + ")" * (MAX_DEPTH - 2),
+              "+".join(["x"] * (MAX_DEPTH - 1)),
+              "-" * (MAX_DEPTH - 1) + "x",
+              "x^" + "(" * (MAX_DEPTH - 1) + "2" + ")" * (MAX_DEPTH - 1)]
+    for text in inside:
+        parse_expression(text)
+    # one level more: parenthesis, sum, sign and exponent nesting all refuse
+    outside = ["(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+               "+".join(["x"] * (MAX_DEPTH + 1)),
+               "-" * MAX_DEPTH + "x",
+               "x^" + "(" * (MAX_DEPTH + 1) + "2" + ")" * (MAX_DEPTH + 1),
+               "*".join(["sinc(x)"] * (MAX_DEPTH + 1))]
+    for text in outside:
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_expression(text)

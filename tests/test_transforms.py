@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from opcalc.exact import ExactValue, exp_value, log_value
+from opcalc.kernels import one_over_y_chain
 from opcalc.oracle import quad_interval, quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 from opcalc.series import complex_exponential_series, laplace_laurent, taylor_of
 from opcalc.transforms import (DivergentIntegralError, TaylorProfile,
-                               UnsupportedFamilyError, fourier_regularized,
-                               fourier_via_delta, integrate_half_line,
-                               integrate_rational_trig, integrate_real_line,
-                               laplace_formal, laplace_regularized, pw_pairing)
+                               UnsupportedFamilyError, _word_for_halfline,
+                               fourier_regularized, fourier_via_delta,
+                               integrate_half_line, integrate_rational_trig,
+                               integrate_real_line, laplace_formal,
+                               laplace_regularized, pw_pairing)
 
 PI = ExactValue.pi_times(1)
 
@@ -170,6 +172,80 @@ def test_laplace_formal_agrees_with_laurent_when_it_converges():
     assert laplace_laurent(s, 0.5).verdict == "diverged"
     assert laplace_formal(P("exp(-x)"), Fraction(1, 2)).exact == \
         ExactValue.rational(Fraction(2, 3))
+
+
+def chain_value_reference(word, y, perturb=None):
+    """The loop the half-line routes ran before apply_word: each word term
+    picks its 1/y chain, reads it at y + shift (the 0+ limit at 0) and
+    adds the perturbation polynomial there."""
+    total = ExactValue.zero()
+    for t in word.terms:
+        chain = one_over_y_chain(t.power)
+        arg = y + t.shift
+        if arg == 0:
+            try:
+                value = chain.limit_at_zero_plus()
+            except ValueError as exc:
+                raise DivergentIntegralError(str(exc)) from exc
+        elif arg < 0:
+            raise DivergentIntegralError(f"kernel argument {arg} is negative")
+        else:
+            value = chain.value_at(arg)
+        if perturb is not None and t.power < 0:
+            value = value + ExactValue.rational(
+                sum(Fraction(c) * arg ** j for j, c in enumerate(perturb(-t.power))))
+        total = total + value * t.coeff.require_real()
+    return total
+
+
+def _halfline_corpus(rng):
+    """x^k e^(-ax) for k <= 5, Frullani-type differences
+    (e^(-ax) - e^(-bx))/x and (1 - e^(-ax))^j/x^j, whose rate-0 terms
+    are read as 0+ limits, and entire divided differences over x^k."""
+    rate = lambda: Fraction(rng.randint(1, 12), rng.randint(1, 4))
+    for k in range(6):
+        yield f"x^{k}*exp(-({rate()})*x)"
+    for _ in range(6):
+        a, b = rate(), rate()
+        yield f"(exp(-({a})*x)-exp(-({b})*x))/x"
+    for j in (1, 2, 3):
+        yield f"(1-exp(-({rate()})*x))^{j}/x^{j}"
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        rates = rng.sample(range(1, 9), k + 1)
+        weights = [math.prod(Fraction(1, b - o) for o in rates if o != b) for b in rates]
+        yield "(" + "+".join(f"({w})*exp(-{b}*x)" for w, b in zip(weights, rates)) + f")/x^{k}"
+
+
+def test_halfline_routes_match_chain_value_reference():
+    rng = random.Random(1610)
+    for text in _halfline_corpus(rng):
+        ast = P(text)
+        pos = _word_for_halfline(ast, "positive", zero_frequency=False)
+        abscissa = -min(t.shift for t in pos.terms)
+        for y in (Fraction(0), Fraction(1), Fraction(7, 3), abscissa + Fraction(1, 5),
+                  abscissa / 2, Fraction(rng.randint(1, 9), rng.randint(1, 9))):
+            if y <= abscissa and y != 0:
+                continue
+            try:
+                expected = chain_value_reference(pos, y)
+            except DivergentIntegralError:
+                with pytest.raises(DivergentIntegralError):
+                    laplace_formal(ast, y)
+                continue
+            assert laplace_formal(ast, y).exact == expected, (text, y)
+        try:
+            expected = chain_value_reference(_word_for_halfline(ast, "positive"), Fraction(0))
+        except DivergentIntegralError:
+            with pytest.raises(DivergentIntegralError):
+                integrate_half_line(ast)
+            continue
+        assert integrate_half_line(ast).exact == expected, text
+        polys = {n: [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                 for n in range(1, 6)}
+        perturb = lambda n: polys[n]
+        assert integrate_half_line(ast, perturb=perturb).exact == chain_value_reference(
+            _word_for_halfline(ast, "positive"), Fraction(0), perturb) == expected
 
 
 def test_laplace_regularized_closed_form():
