@@ -9,7 +9,7 @@ from .borwein import (SignTuple, SincProductSpec, beta_of, borwein_deficit,
                       borwein_exact, coefficient_identity_check,
                       sinc_cos_product_integral, sinc_power_gaussian)
 from .classify import RouteClass, classify
-from .exact import (ComplexRational, ExactValue, Rational, Residue, binomial,
+from .exact import (ComplexRational, ExactValue, Rational, Residue,
                     double_factorial)
 from .kernels import (GaussianChain, LogChain, PiecewiseExp, eval_kernel,
                       gaussian_chain, green_function, one_over_y_chain)

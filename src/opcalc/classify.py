@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .operators import NotExponentialPolynomial, exp_poly_normal_form
-from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
+from .parser import Call, Div, Mul, Neg, Node, Num, Pow
 from .series import NotSeriesRepresentable, taylor_of
 
 
@@ -51,49 +51,15 @@ def _flatten_product(node: Node, sign: int = 1):
 
 
 def _as_polynomial(node: Node) -> dict:
-    """Expression as {degree: coeff} over the rationals, or _NoMatch."""
-    if isinstance(node, Num):
-        return {0: node.value} if node.value != 0 else {}
-    if isinstance(node, Sym):
-        if node.name != "x":
-            raise _NoMatch("pi is not a rational polynomial coefficient")
-        return {1: Fraction(1)}
-    if isinstance(node, Neg):
-        return {d: -c for d, c in _as_polynomial(node.arg).items()}
-    if isinstance(node, (Add, Sub)):
-        left = _as_polynomial(node.left)
-        right = _as_polynomial(node.right)
-        s = 1 if isinstance(node, Add) else -1
-        out = dict(left)
-        for d, c in right.items():
-            out[d] = out.get(d, Fraction(0)) + s * c
-        return {d: c for d, c in out.items() if c != 0}
-    if isinstance(node, Mul):
-        left = _as_polynomial(node.left)
-        right = _as_polynomial(node.right)
-        out: dict = {}
-        for d1, c1 in left.items():
-            for d2, c2 in right.items():
-                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
-        return {d: c for d, c in out.items() if c != 0}
-    if isinstance(node, Div):
-        right = _as_polynomial(node.right)
-        if list(right) != [0]:
-            raise _NoMatch("polynomial division only by constants")
-        return {d: c / right[0] for d, c in _as_polynomial(node.left).items()}
-    if isinstance(node, Pow):
-        if node.exponent < 0:
-            raise _NoMatch("negative powers are not polynomial")
-        base = _as_polynomial(node.base)
-        out = {0: Fraction(1)}
-        for _ in range(node.exponent):
-            nxt: dict = {}
-            for d1, c1 in out.items():
-                for d2, c2 in base.items():
-                    nxt[d1 + d2] = nxt.get(d1 + d2, Fraction(0)) + c1 * c2
-            out = nxt
-        return {d: c for d, c in out.items() if c != 0}
-    raise _NoMatch(f"not a polynomial: {type(node).__name__}")
+    """Expression as {degree: coeff} over the rationals, or _NoMatch: the
+    mu = 0, n >= 0 slice of the exp-poly normal form."""
+    try:
+        nf = exp_poly_normal_form(node)
+    except NotExponentialPolynomial as exc:
+        raise _NoMatch(str(exc))
+    if any(not mu.is_zero or n < 0 for mu, n in nf):
+        raise _NoMatch("not a polynomial in x")
+    return {n: c.require_real() for (_mu, n), c in nf.items()}
 
 
 def _linear_rate_of(node: Node) -> Fraction:

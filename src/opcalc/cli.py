@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -148,7 +147,7 @@ def _render(result: TransformResult, args, input_text: str) -> str:
             "regularization": diag.get("regularization"),
             "verdict": str(diag.get("verdict", "")),
         }
-        for extra in ("oracle", "difference", "deficit", "lord_condition"):
+        for extra in ("oracle", "difference", "deficit", "lord_condition", "attempts"):
             if extra in diag:
                 diagnostics[extra] = diag[extra]
         payload = {
@@ -179,63 +178,53 @@ def _render(result: TransformResult, args, input_text: str) -> str:
 
 def _cmd_integrate(args) -> TransformResult:
     ast = parse_expression(args.expr)
+    lo, hi = (part.strip() for part in args.interval or ("-inf", "inf"))
     if args.method == "oracle":
-        return _oracle_result(args.expr, ast)
-    if args.interval is not None:
-        lo, hi = (part.strip() for part in args.interval)
-        if lo in ("-inf", "inf") or hi in ("-inf", "inf"):
-            if lo == "-inf" and hi == "inf":
-                return integrate_real_line(ast, truncation=args.truncation)
-            if hi == "inf":
-                base = as_fraction(lo)
-            else:
-                base = as_fraction(hi)
-            if base != 0:
-                raise UnsupportedFamilyError(
-                    "half-lines must start at 0 (shift the integrand instead)")
-            side = "positive" if hi == "inf" else "negative"
-            return integrate_half_line(ast, side)
-        series = taylor_of(ast, args.truncation)
-        value = finite_interval_transform(series, Fraction(lo), Fraction(hi))
-        return TransformResult(
-            value.real if value.imag == 0 else value,
-            method="series_finite_interval", formula="finite_interval_kernel",
-            diagnostics={"truncation": args.truncation, "verdict": "truncated-exact"})
-    if args.method in ("auto",):
-        return integrate_real_line(ast, truncation=args.truncation)
-    route = classify(ast)
-    if args.method == "delta":
-        image = fourier_via_delta(ast)
-        return TransformResult.from_exact(
-            image.transform_at(0), method="fourier_delta",
-            formula="delta_ramp_sum", diagnostics={"verdict": "exact"})
-    if args.method == "laplace":
-        pos = integrate_half_line(ast, "positive")
-        neg = integrate_half_line(ast, "negative")
-        return TransformResult.from_exact(
-            pos.exact + neg.exact, method="halfline_sum",
-            formula="halfline_one_over_y_kernel", diagnostics={"verdict": "exact"})
-    if args.method == "green":
-        if route.tag != "rational_trig":
+        return _oracle_result(ast, lo, hi)
+    if args.interval is None:
+        return integrate_real_line(ast, args.truncation, args.method)
+    if lo in ("-inf", "inf") or hi in ("-inf", "inf"):
+        if lo == "-inf" and hi == "inf":
+            return integrate_real_line(ast, args.truncation)
+        if hi == "inf":
+            base = as_fraction(lo)
+        else:
+            base = as_fraction(hi)
+        if base != 0:
             raise UnsupportedFamilyError(
-                "the Green route needs trig over (x^2 + a^2) factors",
-                route.reasons)
-        return integrate_real_line(ast, truncation=args.truncation)
-    if args.method == "series":
-        raise UnsupportedFamilyError(
-            "the series method needs --interval with finite endpoints")
-    raise AssertionError(args.method)
+                "half-lines must start at 0 (shift the integrand instead)")
+        side = "positive" if hi == "inf" else "negative"
+        return integrate_half_line(ast, side)
+    series = taylor_of(ast, args.truncation)
+    value = finite_interval_transform(series, Fraction(lo), Fraction(hi))
+    return TransformResult(
+        value.real if value.imag == 0 else value,
+        method="series_finite_interval", formula="finite_interval_kernel",
+        diagnostics={"truncation": args.truncation, "verdict": "truncated-exact"})
 
 
-def _oracle_result(text: str, ast) -> TransformResult:
+# Quadrature envelope and tolerance per family; anything else is treated
+# as exponentially decaying.
+_ORACLE_ENVELOPES = {
+    "gaussian_sinc": ("gaussian", 1e-10),
+    "series_only": ("gaussian", 1e-10),
+    "sinc_cos_product": ("oscillatory_algebraic", 1e-8),
+    "rational_trig": ("oscillatory_algebraic", 1e-8),
+}
+
+
+def _oracle_result(ast, lo: str = "-inf", hi: str = "inf") -> TransformResult:
+    """Quadrature over [lo, hi]: a finite interval or the whole real line."""
     f = as_vector_callable(ast)
-    route = classify(ast)
-    if route.tag == "gaussian_sinc" or route.tag == "series_only":
-        report = oracle.quad_real_line(f, tol=1e-10, decay="gaussian")
-    elif route.tag in ("sinc_cos_product", "rational_trig"):
-        report = oracle.quad_real_line(f, tol=1e-8, decay="oscillatory_algebraic")
+    if (lo, hi) == ("-inf", "inf"):
+        decay, tol = _ORACLE_ENVELOPES.get(classify(ast).tag, ("exponential", 1e-10))
+        report = oracle.quad_real_line(f, tol=tol, decay=decay)
+    elif {lo, hi} & {"-inf", "inf"}:
+        raise UnsupportedFamilyError(
+            "the oracle integrates finite intervals or the whole real line, "
+            "not half-lines")
     else:
-        report = oracle.quad_real_line(f, tol=1e-10, decay="exponential")
+        report = oracle.quad_interval(f, float(Fraction(lo)), float(Fraction(hi)))
     return TransformResult(
         report.value, method="oracle_quadrature", formula="adaptive_quadrature",
         diagnostics={"verdict": f"error<={report.error_estimate:.2e}",
@@ -281,7 +270,7 @@ def _cmd_lord(args) -> TransformResult:
 def _cmd_compare(args) -> TransformResult:
     ast = parse_expression(args.expr)
     engine = integrate_real_line(ast, truncation=args.truncation)
-    ora = _oracle_result(args.expr, ast)
+    ora = _oracle_result(ast)
     difference = abs(engine.approx - ora.approx)
     engine.diagnostics["oracle"] = ora.approx
     engine.diagnostics["difference"] = difference
@@ -299,14 +288,11 @@ _COMMANDS = {
 
 
 def _shield_negative_numbers(argv):
-    """argparse treats "-1/2" or "-inf" as flags; a leading space keeps
-    them values (Fraction parsing tolerates the whitespace)."""
-    shielded = []
-    for token in argv:
-        if re.fullmatch(r"-(\d+(/\d+)?(\.\d+)?|\d*\.\d+|inf)", token):
-            token = " " + token
-        shielded.append(token)
-    return shielded
+    """argparse treats "-1/2", "-inf" or "-sinc(x)" as flags; a leading
+    space keeps every single-dash token but -h a value (Fraction parsing
+    tolerates the whitespace; run() takes it off the expression)."""
+    return [" " + token if token.startswith("-") and not token.startswith("--")
+            and token != "-h" else token for token in argv]
 
 
 def run(argv=None) -> int:
@@ -314,6 +300,8 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_arg_parser().parse_args(_shield_negative_numbers(argv))
+    if getattr(args, "expr", "").startswith(" -"):
+        args.expr = args.expr[1:]
     input_text = getattr(args, "expr", None) or \
         (f"borwein({args.n})" if args.command == "borwein" else args.command)
     try:
@@ -329,7 +317,7 @@ def run(argv=None) -> int:
                 print(f"  {family}: {why}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (SeriesConvergenceError, DivergentIntegralError,
-            RampEvaluationError, RampBoundaryError) as exc:
+            RampEvaluationError, RampBoundaryError, oracle.QuadratureError) as exc:
         print(f"non-convergent: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENT
     except (ValueError, ZeroDivisionError) as exc:

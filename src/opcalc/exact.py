@@ -22,13 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 import mpmath
 
 Rational = Fraction
-
-RationalLike = Union[Fraction, int]
 
 
 def as_fraction(x) -> Fraction:
@@ -58,13 +56,6 @@ def double_factorial(n: int) -> int:
     for k in range(1, n + 1, 2):
         out *= k
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) with 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial requires 0 <= k <= n, got ({n}, {k})")
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +453,6 @@ def _as_exact(x):
     return NotImplemented
 
 
-PI_VALUE = ExactValue.pi_times(1)
 SQRT_TWO_PI = ExactValue.single(Residue(sqrt_two_pi=1))
 
 

@@ -22,6 +22,11 @@ _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
 
 
+class QuadratureError(ArithmeticError):
+    """A quadrature sum that is not finite (the integrand is not finite
+    at some node), so no value or error estimate exists."""
+
+
 @dataclass(frozen=True)
 class QuadReport:
     value: float
@@ -58,7 +63,8 @@ def quad_interval(f: Callable[[float], float], a: float, b: float,
 
     Bisects the subinterval with the worst error estimate until the total
     estimate is below *tol* or the subdivision budget runs out; endpoint
-    values are never requested (all nodes are interior).
+    values are never requested (all nodes are interior).  A sum that is
+    not finite raises QuadratureError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("quad_interval needs finite endpoints")
@@ -87,6 +93,9 @@ def quad_interval(f: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, (-e1, xa, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, xb, v2, e2))
     total = sum(item[3] for item in heap)
+    if not (math.isfinite(total) and math.isfinite(total_err)):
+        raise QuadratureError(
+            f"the integrand is not finite at a quadrature node in [{a:g}, {b:g}]")
     return QuadReport(sign * total, total_err, subdivisions)
 
 

@@ -98,7 +98,6 @@ class Call:
 Node = object  # any of the dataclasses above
 
 X = Sym("x")
-PI_SYM = Sym("pi")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def to_source(node: Node) -> str:
         return f"{node.func}({to_source(node.arg)})"
     if isinstance(node, Neg):
         inner = to_source(node.arg)
-        if _prec(node.arg) < _PREC[Neg] or isinstance(node.arg, Neg):
+        if _prec(node.arg) < _PREC[Neg]:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, Pow):
@@ -311,40 +310,6 @@ def to_source(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # Numeric evaluation (used by the quadrature oracle)
 # ---------------------------------------------------------------------------
-
-def _sinc(t: float) -> float:
-    if t == 0.0:
-        return 1.0
-    return math.sin(t) / t
-
-
-def eval_numeric(node: Node, x: float) -> float:
-    """Evaluate the AST at a float point (sinc(0) handled by its limit)."""
-    if isinstance(node, Num):
-        return float(node.value)
-    if isinstance(node, Sym):
-        return x if node.name == "x" else math.pi
-    if isinstance(node, Neg):
-        return -eval_numeric(node.arg, x)
-    if isinstance(node, Add):
-        return eval_numeric(node.left, x) + eval_numeric(node.right, x)
-    if isinstance(node, Sub):
-        return eval_numeric(node.left, x) - eval_numeric(node.right, x)
-    if isinstance(node, Mul):
-        return eval_numeric(node.left, x) * eval_numeric(node.right, x)
-    if isinstance(node, Div):
-        return eval_numeric(node.left, x) / eval_numeric(node.right, x)
-    if isinstance(node, Pow):
-        return eval_numeric(node.base, x) ** node.exponent
-    if isinstance(node, Call):
-        t = eval_numeric(node.arg, x)
-        if node.func == "sinc":
-            return _sinc(t)
-        if node.func == "sqrt":
-            return math.sqrt(t)
-        return getattr(math, node.func)(t)
-    raise TypeError(f"not an AST node: {node!r}")
-
 
 def as_vector_callable(node: Node):
     """Wrap an AST as a numpy-vectorized function, for the quadrature

@@ -14,7 +14,7 @@ point with ``evaluate_at``:
 * series routes: truncated-series application against entire kernels,
   and the Paley-Wiener pairing sum against test-function profiles.
 
-The dispatcher tries exact routes first and logs every attempt.
+The real-line dispatcher walks ROUTES in order and logs every attempt.
 """
 
 from __future__ import annotations
@@ -408,72 +408,91 @@ def integrate_rational_trig(numerator: Node, rates: Sequence) -> TransformResult
 # Real-line dispatcher
 # ---------------------------------------------------------------------------
 
-def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION
-                        ) -> TransformResult:
-    """Integral over the real line; exact routes first, series fallback last.
+def _solve_sinc_cos_product(ast: Node, params: dict, truncation: int) -> TransformResult:
+    outcome = sinc_cos_product_integral(SincProductSpec(
+        params["sinc_rates"], params["cos_rates"], params["outer_rate"]))
+    return TransformResult.from_exact(
+        outcome.value, method="sinc_product_enumeration",
+        formula="delta_ramp_tuple_sum",
+        diagnostics={"lord_condition": outcome.lord_condition, "verdict": "exact"})
 
-    Route order: exact ramp enumeration (sinc/cos products), general delta
-    route, Green route, Gaussian route, half-line sum, then the windowed
-    series kernel.  The first applicable route wins and every attempt is
-    logged in the diagnostics.
+
+def _solve_gaussian_sinc(ast: Node, params: dict, truncation: int) -> TransformResult:
+    return sinc_power_gaussian(params["sinc_power"])
+
+
+def _solve_green(ast: Node, params: dict, truncation: int) -> TransformResult:
+    return integrate_rational_trig(params["numerator"], params["rates"])
+
+
+def _solve_delta(ast: Node, params: dict, truncation: int) -> TransformResult:
+    return TransformResult.from_exact(
+        fourier_via_delta(ast).transform_at(0), method="fourier_delta",
+        formula="delta_ramp_sum", diagnostics={"verdict": "exact"})
+
+
+def _solve_laplace(ast: Node, params: dict, truncation: int) -> TransformResult:
+    value = integrate_half_line(ast, "positive").exact \
+        + integrate_half_line(ast, "negative").exact
+    return TransformResult.from_exact(
+        value, method="halfline_sum", formula="halfline_one_over_y_kernel",
+        diagnostics={"verdict": "exact"})
+
+
+def _solve_series(ast: Node, params: dict, truncation: int) -> TransformResult:
+    # windowed kernel: the Gaussian-type decay of series-only corpus
+    # members makes a modest window exact to well below tolerance
+    window = Fraction(12)
+    return fourier_regularized(ast, 0, window,
+                               n_terms=max(truncation, 4 * int(window) ** 2))
+
+
+# (name, families it serves, solve(ast, params, truncation)), in the order
+# the dispatcher tries them; the names are the CLI's --method choices.
+ROUTES = (
+    ("sinc_cos_product", ("sinc_cos_product",), _solve_sinc_cos_product),
+    ("gaussian_sinc", ("gaussian_sinc",), _solve_gaussian_sinc),
+    ("green", ("rational_trig",), _solve_green),
+    ("delta", ("sinc_cos_product", "exp_poly"), _solve_delta),
+    ("laplace", ("exp_poly",), _solve_laplace),
+    ("series", ("series_only",), _solve_series),
+)
+
+
+def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
+                        method: str = "auto") -> TransformResult:
+    """Integral over the real line by the first route of ROUTES that
+    serves the integrand's family and does not miss.
+
+    A miss (not exp-poly, unsupported shape, divergent) is logged and the
+    next route tried; the result's diagnostics list every attempt.
+    ``method`` names one route to run alone: its misses propagate, and an
+    integrand outside its families is an UnsupportedFamilyError.
     """
-    attempts = []
+    routes = [entry for entry in ROUTES if method in ("auto", entry[0])]
+    if not routes:
+        raise ValueError(f"unknown method {method!r}")
     route = classify(ast)
-
-    if route.tag == "sinc_cos_product":
-        spec = SincProductSpec(route.params["sinc_rates"],
-                               route.params["cos_rates"],
-                               route.params["outer_rate"])
-        outcome = sinc_cos_product_integral(spec)
-        return TransformResult.from_exact(
-            outcome.value, method="sinc_product_enumeration",
-            formula="delta_ramp_tuple_sum",
-            diagnostics={"lord_condition": outcome.lord_condition,
-                         "verdict": "exact",
-                         "attempts": ["sinc_cos_product"]})
-
-    if route.tag == "gaussian_sinc":
-        result = sinc_power_gaussian(route.params["sinc_power"])
-        result.diagnostics["attempts"] = ["gaussian_sinc"]
-        return result
-
-    if route.tag == "rational_trig":
-        return integrate_rational_trig(route.params["numerator"],
-                                       route.params["rates"])
-
-    if route.tag == "exp_poly":
+    attempts = []
+    for name, families, solve in routes:
+        if route.tag not in families:
+            if method == name:
+                raise UnsupportedFamilyError(
+                    f"the {name} route does not serve the {route.tag} family",
+                    route.reasons)
+            continue
         try:
-            image = fourier_via_delta(ast)
-            value = image.transform_at(0)
-            return TransformResult.from_exact(
-                value, method="fourier_delta", formula="delta_ramp_sum",
-                diagnostics={"verdict": "exact",
-                             "attempts": attempts + ["fourier_delta"]})
+            result = solve(ast, route.params, truncation)
         except (NotExponentialPolynomial, UnsupportedFamilyError,
                 DivergentIntegralError) as exc:
-            attempts.append(f"fourier_delta: {exc}")
-        try:
-            pos = integrate_half_line(ast, "positive")
-            neg = integrate_half_line(ast, "negative")
-            value = pos.exact + neg.exact
-            return TransformResult.from_exact(
-                value, method="halfline_sum", formula="halfline_one_over_y_kernel",
-                diagnostics={"verdict": "exact",
-                             "attempts": attempts + ["halfline_sum"]})
-        except (NotExponentialPolynomial, DivergentIntegralError) as exc:
-            attempts.append(f"halfline_sum: {exc}")
-            raise UnsupportedFamilyError(
-                f"no exact route applies: {'; '.join(attempts)}",
-                dict(route.reasons, attempts="; ".join(attempts)))
-
-    if route.tag == "series_only":
-        # windowed kernel: the Gaussian-type decay of series-only corpus
-        # members makes a modest window exact to well below tolerance
-        window = Fraction(12)
-        result = fourier_regularized(ast, 0, window,
-                                     n_terms=max(truncation, 4 * int(window) ** 2))
-        result.diagnostics["attempts"] = attempts + ["fourier_regularized"]
+            if method == name:
+                raise
+            attempts.append(f"{name}: {exc}")
+            continue
+        result.diagnostics["attempts"] = attempts + [name]
         return result
-
-    raise UnsupportedFamilyError(
-        "unsupported integrand family", route.reasons)
+    if attempts:
+        raise UnsupportedFamilyError(
+            f"no exact route applies: {'; '.join(attempts)}",
+            dict(route.reasons, attempts="; ".join(attempts)))
+    raise UnsupportedFamilyError("unsupported integrand family", route.reasons)

@@ -1,6 +1,8 @@
 """Route classification and the command-line surface (text, JSON, exits)."""
 
+import argparse
 import json
+import math
 import subprocess
 import sys
 import time
@@ -10,8 +12,9 @@ import pytest
 
 from opcalc.classify import classify
 from opcalc.cli import (EXIT_NONCONVERGENT, EXIT_OK, EXIT_PARSE,
-                        EXIT_UNSUPPORTED, run)
+                        EXIT_UNSUPPORTED, build_arg_parser, run)
 from opcalc.parser import parse_expression
+from opcalc.transforms import ROUTES
 
 try:
     import jsonschema
@@ -28,6 +31,14 @@ def test_classify_sinc_product():
     assert route.tag == "sinc_cos_product"
     assert route.params["outer_rate"] == 1
     assert route.params["sinc_rates"] == (Fraction(1, 3),)
+
+
+def test_classify_reads_rates_through_the_normal_form():
+    # rates that only the exp-poly normal form reduces to a multiple of x
+    for text, rate in [("sinc(2^(-1)*x)", Fraction(1, 2)), ("sinc(x^2/x)", 1)]:
+        route = classify(parse_expression(text))
+        assert route.tag == "sinc_cos_product"
+        assert route.params["outer_rate"] == rate
 
 
 def test_classify_gaussian_sinc():
@@ -249,6 +260,103 @@ def test_cli_oracle_method(capsys):
     code, out, _ = run_cli(capsys, "integrate", "sinc(x)", "--method", "oracle")
     assert code == EXIT_OK
     assert "oracle_quadrature" in out
+
+
+def test_cli_oracle_honours_the_interval(capsys):
+    for argv, value in [(("exp(-x^2/2)", "--interval", "0", "1"), 0.8556243918921488),
+                        (("exp(-x)", "--interval", "0", "1"), 1 - math.exp(-1)),
+                        (("exp(-x^2/2)", "--interval", "-inf", "inf"),
+                         math.sqrt(2 * math.pi))]:
+        code, out, err = run_cli(capsys, "integrate", *argv, "--method", "oracle",
+                                 "--json")
+        assert code == EXIT_OK, err
+        assert float(json.loads(out)["approx"]) == pytest.approx(value, abs=1e-10)
+    code, out, err = run_cli(capsys, "integrate", "exp(-x)", "--interval", "0", "inf",
+                             "--method", "oracle")
+    assert code == EXIT_UNSUPPORTED and out == "" and "half-lines" in err
+
+
+def test_cli_non_finite_oracle_value_exits_4(capsys):
+    # sin(x)/x is nan at the panel midpoint x = 0, which the exponential
+    # envelope's first Gauss-Legendre panel evaluates
+    for argv in [("integrate", "sin(x)/x", "--method", "oracle"),
+                 ("compare", "sin(x)/x")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_NONCONVERGENT and out == ""
+        assert "not finite" in err
+
+
+def test_cli_leading_minus_expression(capsys):
+    code, out, err = run_cli(capsys, "integrate", "-sinc(x)", "--json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["input"] == "-sinc(x)" and payload["exact"] == "-pi"
+    with pytest.raises(SystemExit) as exc:
+        run(["integrate", "-h"])
+    assert exc.value.code == EXIT_OK
+    assert "usage: opcalc integrate" in capsys.readouterr().out
+
+
+# integrand per family, and the (exit code, method) each --method gives it
+METHOD_FAMILIES = ("sinc(x)*sinc(x/3)", "sinc(x)^3*exp(-x^2/2)", "cos(x)/(x^2+1)",
+                   "sin(x)^2/x^2", "x^2*exp(-x^2/2)", "sqrt(x)")
+UNSUPPORTED = (EXIT_UNSUPPORTED, None)
+METHOD_TABLE = {
+    "auto": [(EXIT_OK, "sinc_product_enumeration"), (EXIT_OK, "gaussian_heat_kernel"),
+             (EXIT_OK, "greens_function"), (EXIT_OK, "fourier_delta"),
+             (EXIT_OK, "fourier_regularized"), UNSUPPORTED],
+    "delta": [(EXIT_OK, "fourier_delta"), UNSUPPORTED, UNSUPPORTED,
+              (EXIT_OK, "fourier_delta"), UNSUPPORTED, UNSUPPORTED],
+    "laplace": [UNSUPPORTED] * 6,
+    "green": [UNSUPPORTED, UNSUPPORTED, (EXIT_OK, "greens_function"),
+              UNSUPPORTED, UNSUPPORTED, UNSUPPORTED],
+    "series": [UNSUPPORTED] * 4 + [(EXIT_OK, "fourier_regularized"), UNSUPPORTED],
+}
+
+
+# the route that gives each method string
+ROUTE_OF = {"sinc_product_enumeration": "sinc_cos_product",
+            "gaussian_heat_kernel": "gaussian_sinc", "greens_function": "green",
+            "fourier_delta": "delta", "fourier_regularized": "series"}
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_TABLE))
+def test_cli_method_choices_per_family(capsys, method):
+    for expr, (want_code, want_method) in zip(METHOD_FAMILIES, METHOD_TABLE[method]):
+        code, out, err = run_cli(capsys, "integrate", expr, "--method", method, "--json")
+        assert code == want_code, (expr, err)
+        if want_method is None:
+            assert out == "" and "Traceback" not in err
+            continue
+        payload = json.loads(out)
+        assert payload["method"] == want_method
+        attempts = payload["diagnostics"]["attempts"]
+        assert attempts[-1] == ROUTE_OF[want_method]
+        if method != "auto":
+            assert attempts == [method]
+
+
+def test_method_choices_name_routes():
+    commands = next(a for a in build_arg_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    choices = next(a for a in commands.choices["integrate"]._actions
+                   if a.dest == "method").choices
+    assert {"delta", "laplace", "green", "series"} <= set(choices)
+    assert set(choices) - {"auto", "oracle"} <= {name for name, _f, _s in ROUTES}
+
+
+def test_cli_attempts_reach_json(capsys):
+    code, out, err = run_cli(capsys, "integrate", "cos(x)/(x^2+1)", "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["diagnostics"]["attempts"] == ["green"]
+    # every route that serves exp_poly misses: each miss is on stderr
+    code, out, err = run_cli(capsys, "integrate", "1/x", "--json")
+    assert code == EXIT_UNSUPPORTED and out == ""
+    assert "attempts: delta: integrand has a pole at 0" in err
+    assert "; laplace: integrand has a pole at 0" in err
+    # a lone method's own miss keeps its exit code
+    code, _, err = run_cli(capsys, "integrate", "1/x", "--method", "delta")
+    assert code == EXIT_NONCONVERGENT and "pole at 0" in err
 
 
 def test_cli_precision_flag(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcalc.exact import (ComplexRational, ExactValue, Residue, binomial,
+from opcalc.exact import (ComplexRational, ExactValue, Residue,
                           double_factorial, erf_value, exp_value, log_value)
 
 rationals = st.fractions(
@@ -16,7 +16,7 @@ rationals = st.fractions(
 
 
 # ---------------------------------------------------------------------------
-# double_factorial / binomial
+# double_factorial
 # ---------------------------------------------------------------------------
 
 def test_double_factorial_base_case():
@@ -37,32 +37,13 @@ def test_double_factorial_rejects_even_and_nonpositive(bad):
         double_factorial(bad)
 
 
-def test_binomial_values():
-    assert binomial(3, 0) == 1
-    assert binomial(3, 1) == 3  # the sinc^3 expansion coefficients 1,3,3,1
-    assert binomial(8, 4) == 70
-
-
-def test_binomial_pascal_recurrence():
-    for n in range(1, 12):
-        for k in range(1, n):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_binomial_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        binomial(3, 4)
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
 def test_double_factorial_cross_identity():
     # (2n-1)!! * 2^n * n! == (2n)!  for n <= 20, hence the scaled central
     # binomial form is integral
     for n in range(1, 21):
         assert double_factorial(2 * n - 1) * 2 ** n * math.factorial(n) \
             == math.factorial(2 * n)
-        assert binomial(2 * n, n) * math.factorial(n) ** 2 == math.factorial(2 * n)
+        assert math.comb(2 * n, n) * math.factorial(n) ** 2 == math.factorial(2 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from opcalc.parser import (MAX_DEPTH, Add, Call, Div, Mul, Neg, Num,
                            ParseError, Pow, Sym, as_vector_callable,
-                           eval_numeric, parse_expression, to_source)
+                           parse_expression, to_source)
 
 
 def test_sinc_product():
@@ -84,26 +84,34 @@ def test_print_parse_round_trip(text):
 
 
 def test_eval_numeric_matches_math():
-    ast = parse_expression("x*exp(-x) + cos(x)/(x^2+1)")
-    for x in (0.3, 1.7, -2.2):
+    f = as_vector_callable(parse_expression("x*exp(-x) + cos(x)/(x^2+1)"))
+    xs = (0.3, 1.7, -2.2)
+    for x, got in zip(xs, f(xs)):
         expected = x * math.exp(-x) + math.cos(x) / (x * x + 1)
-        assert eval_numeric(ast, x) == pytest.approx(expected, rel=1e-15)
+        assert got == pytest.approx(expected, rel=1e-15)
 
 
 def test_eval_numeric_sinc_limit():
-    assert eval_numeric(parse_expression("sinc(x)"), 0.0) == 1.0
-    assert eval_numeric(parse_expression("sinc(2*x)"), 1e-8) == \
+    assert as_vector_callable(parse_expression("sinc(x)"))([0.0])[0] == 1.0
+    assert as_vector_callable(parse_expression("sinc(2*x)"))([1e-8])[0] == \
         pytest.approx(1.0, abs=1e-15)
 
 
 def test_vector_callable_agrees_with_scalar():
-    import numpy as np
-    ast = parse_expression("sinc(x)^2*cos(x/3)")
-    f = as_vector_callable(ast)
-    xs = np.array([0.0, 0.5, -1.3, 7.0])
-    got = f(xs)
-    for x, g in zip(xs, got):
-        assert g == pytest.approx(eval_numeric(ast, float(x)), rel=1e-14)
+    f = as_vector_callable(parse_expression("sinc(x)^2*cos(x/3)"))
+    xs = [0.0, 0.5, -1.3, 7.0]
+    for x, g in zip(xs, f(xs)):
+        sinc = math.sin(x) / x if x else 1.0
+        assert g == pytest.approx(sinc ** 2 * math.cos(x / 3), rel=1e-14)
+
+
+def test_unary_minus_chain_round_trip():
+    # k signs print as k signs, not k nested parentheses, so a chain just
+    # inside the depth limit still prints to text that parses
+    ast = parse_expression("-" * (MAX_DEPTH - 1) + "x")
+    text = to_source(ast)
+    assert text == "-" * (MAX_DEPTH - 1) + "x"
+    assert parse_expression(text) == ast
 
 
 def test_depth_limit_bounds_nesting_and_tree_depth():
