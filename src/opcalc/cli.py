@@ -203,8 +203,11 @@ def _cmd_integrate(args) -> TransformResult:
         diagnostics={"truncation": args.truncation, "verdict": "truncated-exact"})
 
 
-# Quadrature envelope and tolerance per family; anything else is treated
-# as exponentially decaying.
+# Quadrature envelope and tolerance per family.  A family without one has
+# no known decay on both sides (exp(-x) grows as x -> -inf), so the oracle
+# refuses its real-line integral rather than truncate it at a guess; an
+# integrand that is not even finite at 0 has no quadrature value under any
+# envelope, and says so first.
 _ORACLE_ENVELOPES = {
     "gaussian_sinc": ("gaussian", 1e-10),
     "series_only": ("gaussian", 1e-10),
@@ -217,7 +220,13 @@ def _oracle_result(ast, lo: str = "-inf", hi: str = "inf") -> TransformResult:
     """Quadrature over [lo, hi]: a finite interval or the whole real line."""
     f = as_vector_callable(ast)
     if (lo, hi) == ("-inf", "inf"):
-        decay, tol = _ORACLE_ENVELOPES.get(classify(ast).tag, ("exponential", 1e-10))
+        family = classify(ast)
+        if family.tag not in _ORACLE_ENVELOPES:
+            oracle.require_finite(f, 0.0)
+            raise UnsupportedFamilyError(
+                f"the oracle has no real-line envelope for the {family.tag} family",
+                family.reasons)
+        decay, tol = _ORACLE_ENVELOPES[family.tag]
         report = oracle.quad_real_line(f, tol=tol, decay=decay)
     elif {lo, hi} & {"-inf", "inf"}:
         raise UnsupportedFamilyError(

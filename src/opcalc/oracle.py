@@ -11,6 +11,7 @@ accelerated by repeated averaging of the partial sums.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -57,6 +58,18 @@ def _panel(f, a: float, b: float):
     return hi * half, abs(hi - lo) * half
 
 
+def _quiet(fn):
+    """Run fn with numpy's floating-point warnings off for the whole call:
+    a sum that is not finite raises QuadratureError, which reports the
+    same event once and without numpy's source line."""
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return call
+
+
+@_quiet
 def quad_interval(f: Callable[[float], float], a: float, b: float,
                   tol: float = 1e-10, max_subdivisions: int = 4000) -> QuadReport:
     """Adaptive integral of f over the finite interval [a, b].
@@ -68,12 +81,23 @@ def quad_interval(f: Callable[[float], float], a: float, b: float,
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("quad_interval needs finite endpoints")
+    return _adaptive(_ensure_vectorized(f), a, b, tol, max_subdivisions)
+
+
+@_quiet
+def require_finite(f: Callable[[float], float], x: float) -> None:
+    """Raise QuadratureError unless f is finite at x."""
+    if not np.all(np.isfinite(_ensure_vectorized(f)(np.array([x])))):
+        raise QuadratureError(f"the integrand is not finite at x = {x:g}")
+
+
+def _adaptive(f, a: float, b: float, tol: float,
+              max_subdivisions: int = 4000) -> QuadReport:
     if a == b:
         return QuadReport(0.0, 0.0, 0)
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
-    f = _ensure_vectorized(f)
     value, err = _panel(f, a, b)
     heap = [(-err, a, b, value, err)]
     subdivisions = 0
@@ -122,6 +146,7 @@ def _truncation_radius(decay: str, rate: float, tol: float) -> float:
     raise ValueError(f"no truncation radius for decay {decay!r}")
 
 
+@_quiet
 def quad_real_line(f: Callable[[float], float], tol: float = 1e-8,
                    decay: str = "exponential", rate: float = 1.0,
                    half_period: float = math.pi,
@@ -134,9 +159,10 @@ def quad_real_line(f: Callable[[float], float], tol: float = 1e-8,
     half-period segments and the alternating partial sums are accelerated
     by repeated averaging.
     """
+    f = _ensure_vectorized(f)
     if decay in ("exponential", "gaussian"):
         radius = _truncation_radius(decay, rate, tol)
-        report = quad_interval(f, -radius, radius, tol=tol / 2)
+        report = _adaptive(f, -radius, radius, tol / 2)
         return QuadReport(report.value, report.error_estimate + tol / 100.0,
                           report.subdivisions, radius)
     if decay != "oscillatory_algebraic":
@@ -152,7 +178,7 @@ def quad_real_line(f: Callable[[float], float], tol: float = 1e-8,
         for k in range(segments):
             xa = sign * k * half_period
             xb = sign * (k + 1) * half_period
-            rep = quad_interval(f, min(xa, xb), max(xa, xb), tol=seg_tol)
+            rep = _adaptive(f, min(xa, xb), max(xa, xb), seg_tol)
             subdivisions += rep.subdivisions
             seg_err += rep.error_estimate
             acc += rep.value

@@ -76,6 +76,32 @@ def series_verdict(magnitudes: Sequence[float], tol: float) -> str:
 # PowerSeries
 # ---------------------------------------------------------------------------
 
+def _integer_form(coeffs):
+    """(den, re, im) with coeffs[k] == (re[k] + i*im[k]) / den, where den is
+    the lcm of every real and imaginary denominator; im is None when every
+    coefficient is real."""
+    den = math.lcm(*(c.re.denominator for c in coeffs),
+                   *(c.im.denominator for c in coeffs))
+    re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
+    im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
+    return den, re, (im if any(im) else None)
+
+
+def _convolve(x: list, y: list) -> list:
+    """Coefficients 0..len(x)-1 of the product of two equally long integer
+    lists, skipping zero entries."""
+    n = len(x)
+    out = [0] * n
+    ys = [(j, v) for j, v in enumerate(y) if v]
+    for i, u in enumerate(x):
+        if u:
+            for j, v in ys:
+                if i + j >= n:
+                    break
+                out[i + j] += u * v
+    return out
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Coefficients a_0..a_N of f(x) = sum a_k x^k, exact."""
@@ -114,17 +140,23 @@ class PowerSeries:
         return PowerSeries(tuple(c * a for a in self.coeffs))
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
+        """Truncated product as integer convolutions: each side is brought
+        to one common denominator, so every output coefficient is built,
+        and reduced, once."""
         n = self._order_with(other)
-        out = [CR_ZERO] * (n + 1)
-        for i in range(n + 1):
-            ai = self[i]
-            if ai.is_zero:
-                continue
-            for j in range(n + 1 - i):
-                bj = other[j]
-                if not bj.is_zero:
-                    out[i + j] = out[i + j] + ai * bj
-        return PowerSeries(tuple(out))
+        da, ar, ai = _integer_form(self.coeffs[:n + 1])
+        db, br, bi = _integer_form(other.coeffs[:n + 1])
+        re = _convolve(ar, br)
+        im = [0] * (n + 1)
+        if ai is not None and bi is not None:
+            re = [r - s for r, s in zip(re, _convolve(ai, bi))]
+        if bi is not None:
+            im = _convolve(ar, bi)
+        if ai is not None:
+            im = [r + s for r, s in zip(im, _convolve(ai, br))]
+        den = da * db
+        return PowerSeries(tuple(ComplexRational(Fraction(r, den), Fraction(i, den))
+                                 for r, i in zip(re, im)))
 
     def pow(self, n: int) -> "PowerSeries":
         if n < 0:
@@ -439,19 +471,55 @@ def termwise_integral(series: PowerSeries, a, b) -> ComplexRational:
     return total
 
 
+def _rotate(z: tuple, quarter_turns: int) -> tuple:
+    """The integer pair (re, im) times i^quarter_turns."""
+    re, im = z
+    return ((re, im), (-im, re), (-re, -im), (im, -re))[quarter_turns % 4]
+
+
 def _kernel_coefficients(a: Fraction, b: Fraction, m: int, imaginary: bool):
-    """Taylor coefficients of (e^(iby)-e^(iay))/(iy) (imaginary) or
-    (e^(by)-e^(ay))/y (real kernel), through order m."""
+    """Taylor coefficients c_0..c_m of (e^(iby)-e^(iay))/(iy) (imaginary) or
+    (e^(by)-e^(ay))/y (real kernel), as (den, [(re_j, im_j), ...]) with
+    c_j = (re_j + i*im_j)/den.  With a = p/L and b = q/L,
+    c_j = i^j (q^(j+1) - p^(j+1)) / (L^(j+1) (j+1)!), without the i^j
+    for the real kernel."""
+    scale = math.lcm(a.denominator, b.denominator)
+    p = a.numerator * (scale // a.denominator)
+    q = b.numerator * (scale // b.denominator)
     coeffs = []
-    ipow = CR_ONE
-    fact = 1
-    for j in range(m + 1):
-        fact *= j + 1  # (j+1)!
-        base = ComplexRational(Fraction(b ** (j + 1) - a ** (j + 1), fact))
-        coeffs.append(base * ipow if imaginary else base)
-        if imaginary:
-            ipow = ipow * CR_I
-    return coeffs
+    cofactor = 1  # L^(m-j) (m+1)!/(j+1)!, built from j = m down
+    for j in range(m, -1, -1):
+        num = (q ** (j + 1) - p ** (j + 1)) * cofactor
+        coeffs.append(_rotate((num, 0), j if imaginary else 0))
+        cofactor *= scale * (j + 1)
+    return scale ** (m + 1) * math.factorial(m + 1), coeffs[::-1]
+
+
+def _log_abs(re: Fraction, im: Fraction) -> float:
+    """log |re + i*im| for a nonzero value, without leaving the float range."""
+    sq = re * re + im * im
+    return 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
+
+
+def _check_interval_tail(series: PowerSeries, radius: Fraction, total: tuple,
+                         tol: float) -> None:
+    """Raise SeriesConvergenceError, carrying the largest bound, unless the
+    term bounds |a_k| R^(k+1)/(k+1) of the last three orders sit below
+    tol * max(1, |total|); R bounds |x| on the interval and total is the
+    exact (re, im) sum.  Compared as logarithms, so no bound overflows."""
+    ceiling = math.log(tol) + max(0.0, _log_abs(*total) if any(total) else 0.0)
+    log_bounds = [
+        -math.inf if c.is_zero or radius == 0 else
+        _log_abs(c.re, c.im) + (k + 1) * math.log(radius) - math.log(k + 1)
+        for k, c in enumerate(series.coeffs[-3:], start=max(series.order - 2, 0))]
+    worst = max(log_bounds)
+    if len(log_bounds) < 3:
+        message = "finite-interval series needs truncation order 2 or more to bound its tail"
+    elif worst >= ceiling:
+        message = "finite-interval series did not settle at this truncation order"
+    else:
+        return
+    raise SeriesConvergenceError(message, math.exp(worst) if worst < 709 else math.inf)
 
 
 def finite_interval_transform(series: PowerSeries, a, b, y=0,
@@ -463,6 +531,8 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
     G(y) = (e^(iby)-e^(iay))/(iy), whose derivatives at the evaluation
     point come from G's own exact Taylor coefficients.  kernel "none"
     takes the y -> 0 limit, which collapses to exact term-wise integration.
+    Either way the last orders' terms must fall below tol relative to the
+    value, or SeriesConvergenceError is raised.
     """
     if kernel not in ("none", "fourier", "laplace"):
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -473,21 +543,29 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
     if kernel == "none" or y == 0:
         # G^(k)(0) = k! c_k, and the i-powers cancel pairwise, leaving the
         # term-wise rule; keep the operator form so the exactness claim
-        # against termwise_integral is a real cross-check.
-        ck = _kernel_coefficients(a, b, n, imaginary)
-        total = CR_ZERO
-        op = CR_ONE
+        # against termwise_integral is a real cross-check.  The sum runs
+        # on integer numerators over the common denominator den_a * den_c.
+        den_a, ar, ai = _integer_form(series.coeffs)
+        den_c, ck = _kernel_coefficients(a, b, n, imaginary)
+        ai = ai or [0] * (n + 1)
+        re = im = 0
         fact = 1
         for k in range(n + 1):
-            total = total + series[k] * op * ck[k] * fact
+            if ar[k] or ai[k]:
+                cr, ci = _rotate(ck[k], 3 * k if imaginary else 0)  # (-i)^k c_k
+                re += (ar[k] * cr - ai[k] * ci) * fact
+                im += (ar[k] * ci + ai[k] * cr) * fact
             fact *= k + 1
-            op = op * (CR_I * ComplexRational(-1) if imaginary else CR_ONE)
-        return complex(total)
+        den = den_a * den_c
+        total = (Fraction(re, den), Fraction(im, den))
+        _check_interval_tail(series, max(abs(a), abs(b)), total, tol)
+        return complex(ComplexRational(*total))
 
     yq = as_fraction(y)
     scale = max(abs(a), abs(b), Fraction(1)) * max(abs(yq), Fraction(1))
     m = n + 60 + int(4 * float(scale))
-    ck = _kernel_coefficients(a, b, m, imaginary)
+    den_c, nums = _kernel_coefficients(a, b, m, imaginary)
+    ck = [ComplexRational(Fraction(re, den_c), Fraction(im, den_c)) for re, im in nums]
     # derivatives G^(k)(y) = sum_{j>=k} c_j j!/(j-k)! y^(j-k)
     total = CR_ZERO
     mags = []

@@ -1,11 +1,13 @@
 """Quadrature oracle: knowns, self-consistency, oscillatory acceleration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from opcalc.oracle import QuadReport, quad_interval, quad_real_line
+from opcalc.oracle import (QuadratureError, QuadReport, quad_interval,
+                           quad_real_line, require_finite)
 from opcalc.parser import as_vector_callable, parse_expression
 
 
@@ -83,3 +85,15 @@ def test_halving_tolerance_is_consistent():
 def test_unknown_decay_rejected():
     with pytest.raises(ValueError):
         quad_real_line(f_of("sinc(x)"), decay="mystery")
+
+
+def test_non_finite_values_raise_without_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="not finite"):
+            quad_interval(f_of("sin(x)/x"), -1.0, 1.0)
+        with pytest.raises(QuadratureError, match="not finite"):
+            quad_real_line(f_of("exp(-x^2/2)/x"), decay="gaussian")
+        with pytest.raises(QuadratureError, match="x = 0"):
+            require_finite(f_of("1/x"), 0.0)
+        require_finite(f_of("sinc(x)"), 0.0)

@@ -1,14 +1,16 @@
 """Series engine: Taylor extraction, majorants, Laurent Laplace, intervals."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from opcalc.exact import ComplexRational
+from opcalc.exact import CR_ZERO, ComplexRational
 from opcalc.oracle import quad_interval
 from opcalc.parser import as_vector_callable, parse_expression
 from opcalc.series import (CONVERGED, DIVERGED, NotSeriesRepresentable,
+                           PowerSeries, SeriesConvergenceError,
                            complex_exponential_series,
                            finite_interval_transform, laplace_laurent,
                            majorant_abscissa, taylor_of, termwise_integral)
@@ -210,7 +212,128 @@ def test_complex_exponential_series():
 def test_interval_truncation_nonconvergence_is_reported():
     # at a frequency the truncated series cannot resolve, the route refuses
     # to answer and reports the dangling term magnitude
-    from opcalc.series import SeriesConvergenceError
     s = taylor_of(parse_expression("exp(-x)"), 10)
     with pytest.raises(SeriesConvergenceError, match="magnitude"):
         finite_interval_transform(s, 0, 1, 50, "fourier")
+
+
+def test_interval_tail_refuses_unsettled_truncations():
+    # the term bounds |a_k| R^(k+1)/(k+1) of the last three orders must be
+    # below tol * max(1, |value|); each of these used to print a number.
+    # The rule is conservative: x^2 at order 3 is exact, but its own
+    # coefficient sits in the last three orders
+    for text, a, b, order in [("x*exp(-x)", 0, 1, 0), ("x*exp(-x)", 0, 1, 1),
+                              ("exp(x)", 0, 100, 80), ("exp(x)*sin(x)", 0, 50, 80),
+                              ("exp(x)", 0, 10 ** 6, 80), ("x^2", 0, 1, 3)]:
+        s = taylor_of(parse_expression(text), order)
+        with pytest.raises(SeriesConvergenceError, match="magnitude"):
+            finite_interval_transform(s, a, b)
+
+
+def test_interval_tail_accepts_settled_truncations():
+    # benchmark-shaped intervals (a*b <= 6 at order 80) and an empty
+    # interval still answer
+    s = taylor_of(parse_expression("x^5*exp(-3*x/2)"), 80)
+    b = Fraction(4)
+    head = sum((Fraction(3, 2) * b) ** j / math.factorial(j) for j in range(6))
+    want = math.factorial(5) / 1.5 ** 6 * (1 - math.exp(-6) * float(head))
+    assert finite_interval_transform(s, 0, b).real == pytest.approx(want, rel=1e-13)
+    s = taylor_of(parse_expression("exp(-2*x)*cos(3*x)"), 80)
+    z = complex(2, -3)
+    want = ((1 - complex(math.exp(-6)) * complex(math.cos(9), math.sin(9))) / z).real
+    assert finite_interval_transform(s, 0, 3).real == pytest.approx(want, rel=1e-12)
+    assert finite_interval_transform(taylor_of(parse_expression("x^2"), 5), 0, 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# PowerSeries products against the ComplexRational double loop
+# ---------------------------------------------------------------------------
+
+def reference_mul(self, other):
+    """The ComplexRational double loop that PowerSeries.mul replaced."""
+    n = min(self.order, other.order)
+    out = [CR_ZERO] * (n + 1)
+    for i in range(n + 1):
+        ai = self[i]
+        if ai.is_zero:
+            continue
+        for j in range(n + 1 - i):
+            bj = other[j]
+            if not bj.is_zero:
+                out[i + j] = out[i + j] + ai * bj
+    return PowerSeries(tuple(out))
+
+
+def with_reference_mul(monkeypatch, compute):
+    """compute() with PowerSeries.mul, and so pow and compose, on the
+    reference loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(PowerSeries, "mul", reference_mul)
+        return compute()
+
+
+def random_series(rng, order, kind):
+    """Random complex-rational coefficients with zero runs; kind "real" or
+    "imaginary" zeroes the other part of every coefficient."""
+    coeffs = []
+    while len(coeffs) <= order:
+        if rng.random() < 0.25:
+            coeffs += [CR_ZERO] * rng.randint(1, 4)
+            continue
+        re = Fraction(rng.randint(-40, 40), rng.randint(1, 720))
+        im = Fraction(rng.randint(-40, 40), rng.randint(1, 720))
+        coeffs.append(ComplexRational(0 if kind == "imaginary" else re,
+                                      0 if kind == "real" else im))
+    return PowerSeries(tuple(coeffs[:order + 1]))
+
+
+KINDS = ("real", "imaginary", "complex")
+
+
+def test_mul_matches_the_reference_loop():
+    rng = random.Random(5)
+    for _ in range(400):
+        a = random_series(rng, rng.randint(0, 14), rng.choice(KINDS))
+        b = random_series(rng, rng.randint(0, 14), rng.choice(KINDS))
+        got = a.mul(b)
+        assert got.coeffs == reference_mul(a, b).coeffs
+        assert got.order == min(a.order, b.order)
+    zero = PowerSeries((CR_ZERO,) * 6)
+    assert a.mul(zero).coeffs == (CR_ZERO,) * (min(a.order, 5) + 1)
+
+
+def test_pow_and_compose_match_the_reference_loop(monkeypatch):
+    rng = random.Random(6)
+    for _ in range(60):
+        base = random_series(rng, rng.randint(0, 8), rng.choice(KINDS))
+        k = rng.randint(0, 5)
+        assert base.pow(k).coeffs == with_reference_mul(
+            monkeypatch, lambda: base.pow(k)).coeffs
+        outer = random_series(rng, rng.randint(0, 6), rng.choice(KINDS))
+        inner = random_series(rng, rng.randint(0, 8), rng.choice(KINDS))
+        inner = PowerSeries((CR_ZERO,) + inner.coeffs[1:])
+        assert outer.compose(inner).coeffs == with_reference_mul(
+            monkeypatch, lambda: outer.compose(inner)).coeffs
+
+
+@pytest.mark.parametrize("text", ["exp(-x^2/2)*cos(x)", "sinc(x)^3*exp(-x)",
+                                  "x^4*exp(-3*x/2)", "sin(x^2+x)*cos(2*x)",
+                                  "exp(x-x^3/3)", "sinc(x+x^2)",
+                                  "(exp(-x)-exp(-2*x))/x"])
+def test_taylor_of_matches_the_reference_loop(monkeypatch, text):
+    def outcome(order):
+        # order 0 leaves sinc(x) and /x without an x term: both refuse
+        try:
+            return taylor_of(ast, order).coeffs
+        except NotSeriesRepresentable as exc:
+            return str(exc)
+
+    ast = parse_expression(text)
+    for order in (0, 1, 7, 40):
+        assert outcome(order) == with_reference_mul(monkeypatch, lambda: outcome(order))
+
+
+def test_series_fallback_value_is_unchanged():
+    from opcalc.transforms import fourier_regularized
+    result = fourier_regularized(parse_expression("exp(-x^2/2)*cos(x)"), 0, 12, 576)
+    assert f"{result.approx:.15g}" == "1.52034690106628"
