@@ -5,9 +5,9 @@ closed-form kernels, Borwein-type sinc-product enumeration, and an
 independent quadrature oracle for validation.
 """
 
-from .borwein import (SignTuple, SincProductSpec, beta_of, borwein_deficit,
-                      borwein_exact, coefficient_identity_check,
-                      sinc_cos_product_integral, sinc_power_gaussian)
+from .borwein import (SincProductSpec, borwein_deficit, borwein_exact,
+                      coefficient_identity_check, sinc_cos_product_integral,
+                      sinc_power_gaussian)
 from .classify import RouteClass, classify
 from .exact import (ComplexRational, ExactValue, Rational, Residue,
                     double_factorial)
@@ -27,4 +27,22 @@ from .transforms import (FourierImage, TaylorProfile, fourier_regularized,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SincProductSpec", "borwein_deficit", "borwein_exact",
+    "coefficient_identity_check", "sinc_cos_product_integral",
+    "sinc_power_gaussian",
+    "RouteClass", "classify",
+    "ComplexRational", "ExactValue", "Rational", "Residue", "double_factorial",
+    "GaussianChain", "LogChain", "PiecewiseExp", "eval_kernel", "gaussian_chain",
+    "green_function", "one_over_y_chain",
+    "OperatorTerm", "OperatorWord", "RampSum", "apply_word", "decompose",
+    "eval_limit_at_zero", "perturb_antiderivative",
+    "QuadReport", "quad_interval", "quad_real_line",
+    "parse_expression", "to_source",
+    "TransformResult",
+    "Majorant", "PowerSeries", "finite_interval_transform", "laplace_laurent",
+    "majorant_abscissa", "taylor_of",
+    "FourierImage", "TaylorProfile", "fourier_regularized", "fourier_via_delta",
+    "integrate_half_line", "integrate_rational_trig", "integrate_real_line",
+    "laplace_formal", "laplace_regularized", "pw_pairing",
+]

@@ -38,31 +38,6 @@ class RampBoundaryError(ArithmeticError):
     """A step function would be evaluated exactly at its jump."""
 
 
-@dataclass(frozen=True)
-class SignTuple:
-    """A +-1 assignment; sign() is the product of the designated leading
-    entries (the sinc slots in mixed sinc/cos products)."""
-
-    entries: tuple
-    designated: Optional[int] = None  # defaults to all entries
-
-    def __post_init__(self):
-        if any(e not in (-1, 1) for e in self.entries):
-            raise ValueError("sign tuples hold only +1/-1 entries")
-
-    def sign(self) -> int:
-        upto = len(self.entries) if self.designated is None else self.designated
-        return math.prod(self.entries[:upto])
-
-
-def beta_of(gamma: SignTuple, rates: Sequence) -> Fraction:
-    """Signed frequency sum  sum_k gamma_k * rates_k, exact."""
-    if len(gamma.entries) != len(rates):
-        raise ValueError(
-            f"sign tuple length {len(gamma.entries)} != rates length {len(rates)}")
-    return sum((g * as_fraction(r) for g, r in zip(gamma.entries, rates)), Fraction(0))
-
-
 def borwein_rates(n: int) -> tuple:
     """1, 1/3, ..., 1/(2n-1)."""
     return tuple(Fraction(1, 2 * k - 1) for k in range(1, n + 1))

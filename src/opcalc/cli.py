@@ -12,7 +12,7 @@ Subcommands:
 Shared flags: --json, --precision DIGITS, --truncation N, --exact.
 
 Exit codes: 0 success, 2 parse error, 3 unsupported integrand family,
-4 numeric non-convergence.
+4 numeric non-convergence or a value beyond the double range.
 """
 
 from __future__ import annotations

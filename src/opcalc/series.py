@@ -7,21 +7,27 @@ as exact complex rationals.  The two user-facing routes built on it are
   y beyond the majorant abscissa of the coefficient sequence, and
 * finite-interval transforms, where f(-i d/dy) (or f(d/dy)) is applied as
   a truncated series to the entire kernel (e^(iby) - e^(iay))/(iy) whose
-  own Taylor coefficients are exact.
+  own Taylor coefficients are exact.  This is one integer sum read off
+  at y = 0; a frequency y != 0 first multiplies f by the e^(ixy) series,
+  and the windowed Fourier route (transforms.fourier_regularized) is the
+  same pass on [-a, a].
 
-Coefficient arithmetic never leaves the rationals; floats appear only when
-a result is finally converted for the caller.
+Coefficient arithmetic never leaves the rationals; the one float
+conversion, of the finished value, is range-checked.  Every factorial
+ladder (exp, sin, cos, sinc of c x^v) is built by _monomial_compose.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import CR_I, CR_ONE, CR_ZERO, ComplexRational, as_fraction
+from .exact import CR_ONE, CR_ZERO, ComplexRational, as_fraction
 from . import parser
+from .operators import NotExponentialPolynomial, exp_poly_normal_form
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
 DEFAULT_TRUNCATION = 80
@@ -32,10 +38,12 @@ class NotSeriesRepresentable(ValueError):
 
 
 class SeriesConvergenceError(ArithmeticError):
-    """A truncated series application failed to settle; carries the last term."""
+    """A truncated series application failed to settle, carrying the last
+    term's magnitude, or its value does not fit in a float."""
 
-    def __init__(self, message: str, last_term: float):
-        super().__init__(f"{message} (last term magnitude {last_term:.3e})")
+    def __init__(self, message: str, last_term: Optional[float] = None):
+        super().__init__(message if last_term is None
+                         else f"{message} (last term magnitude {last_term:.3e})")
         self.last_term = last_term
 
 
@@ -218,77 +226,33 @@ class PowerSeries:
 
 def complex_exponential_series(a: Fraction, n: int) -> PowerSeries:
     """Series of exp(i a x): coefficients (ia)^k / k!."""
-    a = as_fraction(a)
-    coeffs = []
-    cur = CR_ONE
-    fact = 1
-    for k in range(n + 1):
-        coeffs.append(cur * ComplexRational(Fraction(1, fact)))
-        cur = cur * ComplexRational(0, a)
-        fact *= k + 1
-    return PowerSeries(tuple(coeffs))
+    return _monomial_compose("exp", ComplexRational(0, as_fraction(a)), 1, n)
 
 
 # ---------------------------------------------------------------------------
 # Taylor expansion of integrand ASTs
 # ---------------------------------------------------------------------------
 
-def _basic_series(func: str, n: int) -> PowerSeries:
-    coeffs = []
-    for k in range(n + 1):
-        fact = math.factorial(k)
-        if func == "exp":
-            coeffs.append(Fraction(1, fact))
-        elif func == "sin":
-            coeffs.append(Fraction(0) if k % 2 == 0 else Fraction((-1) ** (k // 2), fact))
-        elif func == "cos":
-            coeffs.append(Fraction((-1) ** (k // 2), fact) if k % 2 == 0 else Fraction(0))
-        else:
-            raise AssertionError(func)
-    return PowerSeries(tuple(ComplexRational(c) for c in coeffs))
+# func -> (step, sign, parity offset p, sinc shift s):
+# func(u) = sum_j sign^j u^(step j + p - s) / (step j + p)!
+_LADDERS = {"exp": (1, 1, 0, 0), "cos": (2, -1, 0, 0),
+            "sin": (2, -1, 1, 0), "sinc": (2, -1, 1, 1)}
 
 
 def _monomial_compose(func: str, c: ComplexRational, v: int, n: int) -> PowerSeries:
-    """func(c x^v) expanded directly; the O(n) path that keeps large
-    truncation orders (Gaussian kernels) affordable."""
+    """func(c x^v) through order n, one factorial ladder for every
+    function: the O(n) path that keeps large truncation orders (Gaussian
+    kernels) affordable, and the only place a Taylor ladder is written."""
+    step, sign, p, s = _LADDERS[func]
+    ratio = ComplexRational(sign) * c ** step
     coeffs = [CR_ZERO] * (n + 1)
-    if func == "exp":
-        term = CR_ONE
-        j = 0
-        while j * v <= n:
-            coeffs[j * v] = term
-            j += 1
-            term = term * c / ComplexRational(Fraction(j))
-        return PowerSeries(tuple(coeffs))
-    if func in ("sin", "cos", "sinc"):
-        # sin(u)/u, sin(u), cos(u) share the alternating factorial ladder
-        m = 0
-        if func == "cos":
-            term = CR_ONE  # u^0/0!
-        elif func == "sin":
-            term = c       # u^1/1!
-        else:
-            term = CR_ONE  # sinc: u^(2m)/(2m+1)!
-        while True:
-            if func == "cos":
-                degree = 2 * m * v
-            elif func == "sin":
-                degree = (2 * m + 1) * v
-            else:
-                degree = 2 * m * v
-            if degree > n:
-                break
-            coeffs[degree] = term
-            m += 1
-            c2 = c * c
-            if func == "cos":
-                term = term * c2 * ComplexRational(Fraction(-1, (2 * m) * (2 * m - 1)))
-            elif func == "sin":
-                term = term * c2 * ComplexRational(Fraction(-1, (2 * m) * (2 * m + 1)))
-            else:
-                term = term * c2 * ComplexRational(Fraction(-1, (2 * m) * (2 * m + 1)))
-        return PowerSeries(tuple(coeffs))
-    raise AssertionError(func)
+    term = c if p > s else CR_ONE  # c^(p-s)/p!, with p - s in {0, 1}
+    k = p
+    while (k - s) * v <= n:
+        coeffs[(k - s) * v] = term
+        term = term * ratio / ComplexRational(math.perm(k + step, step))
+        k += step
+    return PowerSeries(tuple(coeffs))
 
 
 def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
@@ -302,6 +266,20 @@ def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
     """
     series = _taylor(ast, n)
     return PowerSeries(series.coeffs, closed_form=ast, radius_hint=math.inf)
+
+
+def _monomial(node: Node) -> Optional[tuple]:
+    """(c, v) when *node* is exactly c x^v with v >= 0, else None.  Read
+    off the exp-poly normal form, not a truncated series: truncation
+    drops the high orders of 1 + x^4 and would pass it as the constant 1."""
+    try:
+        nf = exp_poly_normal_form(node)
+    except NotExponentialPolynomial:
+        return None
+    if len(nf) != 1:
+        return None
+    ((mu, v), c), = nf.items()
+    return (c, v) if mu.is_zero and v >= 0 else None
 
 
 def _taylor(node: Node, n: int) -> PowerSeries:
@@ -322,23 +300,22 @@ def _taylor(node: Node, n: int) -> PowerSeries:
     if isinstance(node, Mul):
         return _taylor(node.left, n).mul(_taylor(node.right, n))
     if isinstance(node, Div):
-        den = _taylor(node.right, n)
-        v = den.valuation()
-        if v <= den.order and all(den[k].is_zero for k in range(v + 1, den.order + 1)):
-            # monomial denominator c*x^v: exact shift, still entire
-            num = _taylor(node.left, n + v)
-            return num.shift_down(v).scale(CR_ONE / den[v])
-        raise NotSeriesRepresentable(
-            "not series-representable on the real line: denominator "
-            f"{parser.to_source(node.right)!r} is not a monomial")
+        den = _monomial(node.right)
+        if den is None:
+            raise NotSeriesRepresentable(
+                "not series-representable on the real line: denominator "
+                f"{parser.to_source(node.right)!r} is not a monomial")
+        # monomial denominator c*x^v: exact shift, still entire
+        c, v = den
+        return _taylor(node.left, n + v).shift_down(v).scale(CR_ONE / c)
     if isinstance(node, Pow):
-        base = _taylor(node.base, n)
         if node.exponent >= 0:
-            return base.pow(node.exponent)
-        if base.valuation() == 0 and all(base[k].is_zero
-                                         for k in range(1, base.order + 1)):
-            return PowerSeries((CR_ONE / base[0] ** (-node.exponent),) + pad)
-        raise NotSeriesRepresentable("negative powers of x have a pole at 0")
+            return _taylor(node.base, n).pow(node.exponent)
+        base = _monomial(node.base)
+        if base is None or base[1] > 0:
+            raise NotSeriesRepresentable(
+                "negative powers need a constant base: anything else has a pole")
+        return PowerSeries((CR_ONE / base[0] ** (-node.exponent),) + pad)
     if isinstance(node, Call):
         if node.func == "sqrt":
             raise NotSeriesRepresentable(
@@ -352,13 +329,13 @@ def _taylor(node: Node, n: int) -> PowerSeries:
                                   for k in range(v + 1, arg.order + 1)):
             return _monomial_compose(node.func, arg[v], v, n)
         if node.func in ("exp", "sin", "cos"):
-            return _basic_series(node.func, n).compose(arg)
+            return _monomial_compose(node.func, CR_ONE, 1, n).compose(arg)
         if node.func == "sinc":
             if v > arg.order:
                 raise NotSeriesRepresentable("sinc of the zero function")
             # sin(g)/g is entire whenever g is
             wide = _taylor(node.arg, n + v)
-            return _basic_series("sin", n + v).compose(wide).divide(wide)
+            return _monomial_compose("sin", CR_ONE, 1, n + v).compose(wide).divide(wide)
         raise AssertionError(node.func)
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -501,13 +478,16 @@ def _log_abs(re: Fraction, im: Fraction) -> float:
     return 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
 
 
-def _check_interval_tail(series: PowerSeries, radius: Fraction, total: tuple,
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _check_interval_tail(series: PowerSeries, radius: Fraction, log_total: float,
                          tol: float) -> None:
     """Raise SeriesConvergenceError, carrying the largest bound, unless the
     term bounds |a_k| R^(k+1)/(k+1) of the last three orders sit below
-    tol * max(1, |total|); R bounds |x| on the interval and total is the
-    exact (re, im) sum.  Compared as logarithms, so no bound overflows."""
-    ceiling = math.log(tol) + max(0.0, _log_abs(*total) if any(total) else 0.0)
+    tol * max(1, |total|); R bounds |x| on the interval and log_total is
+    log |total|.  Compared as logarithms, so no bound overflows."""
+    ceiling = math.log(tol) + max(0.0, log_total)
     log_bounds = [
         -math.inf if c.is_zero or radius == 0 else
         _log_abs(c.re, c.im) + (k + 1) * math.log(radius) - math.log(k + 1)
@@ -528,63 +508,56 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
     """Integral of f over [a, b] against e^(ixy), e^(xy), or nothing.
 
     The operator series sum_k a_k (-i d/dy)^k is applied to the kernel
-    G(y) = (e^(iby)-e^(iay))/(iy), whose derivatives at the evaluation
-    point come from G's own exact Taylor coefficients.  kernel "none"
-    takes the y -> 0 limit, which collapses to exact term-wise integration.
-    Either way the last orders' terms must fall below tol relative to the
-    value, or SeriesConvergenceError is raised.
+    G(y) = (e^(iby)-e^(iay))/(iy) and read off at 0, where G's
+    derivatives are its own exact Taylor coefficients; kernel "none" is
+    the same sum.  A frequency y != 0 is the translation T_y: f(-i d/dy) G
+    read at y is (f e^(ixy))(-i d/dy) G read at 0 (e^(xy) for the Laplace
+    kernel), so f is multiplied by that series first.  The last orders'
+    term bounds must fall below tol relative to the value, or
+    SeriesConvergenceError is raised; so is a value beyond the double
+    range.
     """
     if kernel not in ("none", "fourier", "laplace"):
         raise ValueError(f"unknown kernel {kernel!r}")
     a = as_fraction(a)
     b = as_fraction(b)
-    n = series.order
+    radius = max(abs(a), abs(b))
     imaginary = kernel != "laplace"
-    if kernel == "none" or y == 0:
-        # G^(k)(0) = k! c_k, and the i-powers cancel pairwise, leaving the
-        # term-wise rule; keep the operator form so the exactness claim
-        # against termwise_integral is a real cross-check.  The sum runs
-        # on integer numerators over the common denominator den_a * den_c.
-        den_a, ar, ai = _integer_form(series.coeffs)
-        den_c, ck = _kernel_coefficients(a, b, n, imaginary)
-        ai = ai or [0] * (n + 1)
-        re = im = 0
-        fact = 1
-        for k in range(n + 1):
-            if ar[k] or ai[k]:
-                cr, ci = _rotate(ck[k], 3 * k if imaginary else 0)  # (-i)^k c_k
-                re += (ar[k] * cr - ai[k] * ci) * fact
-                im += (ar[k] * ci + ai[k] * cr) * fact
-            fact *= k + 1
-        den = den_a * den_c
-        total = (Fraction(re, den), Fraction(im, den))
-        _check_interval_tail(series, max(abs(a), abs(b)), total, tol)
-        return complex(ComplexRational(*total))
-
-    yq = as_fraction(y)
-    scale = max(abs(a), abs(b), Fraction(1)) * max(abs(yq), Fraction(1))
-    m = n + 60 + int(4 * float(scale))
-    den_c, nums = _kernel_coefficients(a, b, m, imaginary)
-    ck = [ComplexRational(Fraction(re, den_c), Fraction(im, den_c)) for re, im in nums]
-    # derivatives G^(k)(y) = sum_{j>=k} c_j j!/(j-k)! y^(j-k)
-    total = CR_ZERO
-    mags = []
-    op = CR_ONE
-    minus_i = ComplexRational(-1) * CR_I
-    for k in range(n + 1):
-        deriv = CR_ZERO
-        ypow = ComplexRational(Fraction(1))
-        falling = math.factorial(k)
-        for j in range(k, m + 1):
-            deriv = deriv + ck[j] * ComplexRational(Fraction(falling)) * ypow
-            falling = falling * (j + 1) // (j + 1 - k)
-            ypow = ypow * ComplexRational(yq)
-        term = series[k] * op * deriv
-        total = total + term
-        mags.append(abs(complex(term)))
-        op = op * (minus_i if imaginary else CR_ONE)
-    if mags and mags[-1] > tol * max(1.0, abs(complex(total))):
+    own = series
+    if kernel != "none" and y != 0:
+        # the product keeps the exponential's terms up to a margin past
+        # f's own order that grows with the phase |x y|
+        y = as_fraction(y)
+        m = series.order + 60 + int(4 * float(max(radius, 1) * max(abs(y), 1)))
+        shift = _monomial_compose(
+            "exp", ComplexRational(0, y) if imaginary else ComplexRational(y), 1, m)
+        series = PowerSeries(series.coeffs + (CR_ZERO,) * (m - series.order)).mul(shift)
+    # G^(k)(0) = k! c_k, and the i-powers cancel pairwise, leaving the
+    # term-wise rule; keep the operator form so the exactness claim
+    # against termwise_integral is a real cross-check.  The sum runs on
+    # integer numerators over the common denominator den_a * den_c.
+    n = series.order
+    den_a, ar, ai = _integer_form(series.coeffs)
+    den_c, ck = _kernel_coefficients(a, b, n, imaginary)
+    ai = ai or [0] * (n + 1)
+    re = im = 0
+    for k in range(n, -1, -1):
+        # the factor k! by Horner's rule, from the top order down
+        re *= k + 1
+        im *= k + 1
+        if ar[k] or ai[k]:
+            cr, ci = _rotate(ck[k], 3 * k if imaginary else 0)  # (-i)^k c_k
+            re += ar[k] * cr - ai[k] * ci
+            im += ar[k] * ci + ai[k] * cr
+    den = den_a * den_c
+    total = (Fraction(re, den), Fraction(im, den))
+    size = _log_abs(*total) if any(total) else -math.inf
+    # f's own truncation: its padded product with e^(ixy) cannot show it
+    _check_interval_tail(own, radius, size, tol)
+    if series is not own:
+        _check_interval_tail(series, radius, size, tol)
+    if size >= _LOG_FLOAT_MAX:
         raise SeriesConvergenceError(
-            "finite-interval series did not settle at this truncation order",
-            mags[-1])
-    return complex(total)
+            "finite-interval value is beyond the double range: "
+            f"|value| is about 10^{size / math.log(10):.1f}")
+    return complex(ComplexRational(*total))

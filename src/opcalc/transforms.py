@@ -11,8 +11,9 @@ point with ``evaluate_at``:
   the regularized Laplace route;
 * Green route: the trig numerator's word on the partial-fraction sum of
   Green's functions of Pi(x^2 + a^2) denominators;
-* series routes: truncated-series application against entire kernels,
-  and the Paley-Wiener pairing sum against test-function profiles.
+* series routes: the windowed Fourier route, which is the exact
+  finite-interval series pass of series.py on [-a, a], and the
+  Paley-Wiener pairing sum against test-function profiles.
 
 The real-line dispatcher walks ROUTES in order and logs every attempt.
 """
@@ -23,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import mpmath
 
 from .borwein import SincProductSpec, sinc_cos_product_integral, sinc_power_gaussian
 from .classify import classify
@@ -37,7 +36,8 @@ from .operators import (NotExponentialPolynomial, OperatorTerm, OperatorWord,
 from .parser import Node
 from .result import TransformResult
 from .series import (CONVERGED, DIVERGED, DEFAULT_TRUNCATION, PowerSeries,
-                     SeriesConvergenceError, series_verdict, taylor_of)
+                     _monomial_compose, finite_interval_transform,
+                     series_verdict, taylor_of)
 
 
 class UnsupportedFamilyError(ValueError):
@@ -207,103 +207,24 @@ def fourier_regularized(ast: Node, y, a, n_terms: int = 400,
                         tol: float = 1e-12) -> TransformResult:
     """Fourier transform against the entire kernel 2a sinc(ay).
 
-    A truncated application of the operator series; the value equals the
-    integral of f e^(ixy) over [-a, a], so a is chosen by the integrand's
-    decay.  The terms transiently grow to e^(a^2/2) scale before the
-    factorials win, so partial sums are accumulated in adaptive-precision
-    arithmetic sized to that peak and only then rounded.
+    That kernel is (e^(iay) - e^(-iay))/(iy), the finite-interval kernel
+    on [-a, a], so this is finite_interval_transform on that window: the
+    value is the integral of f e^(ixy) over [-a, a], and a is chosen by
+    the integrand's decay.  The terms transiently grow to e^(a^2/2) scale
+    before the factorials win; the sum is exact, with no adaptive mpmath
+    precision, and only the final value is rounded.
     """
-    y = as_fraction(y)
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("the window half-width must be positive")
-    series = taylor_of(ast, n_terms)
-    dps = 40 + int(0.55 * float(a) * float(a) / math.log(10)) \
-        + int(2.2 * float(a) * abs(float(y)))
-    with mpmath.workdps(dps):
-        if y == 0:
-            value, mags = _fourier_reg_at_zero(series, a)
-        else:
-            value, mags = _fourier_reg_general(series, a, y)
-        approx = complex(value)
+    approx = finite_interval_transform(taylor_of(ast, n_terms), -a, a, y, "fourier", tol)
     scale = max(1.0, abs(approx))
-    tail_ok = len(mags) >= 3 and all(m < tol * scale for m in mags[-3:])
-    if not tail_ok:
-        raise SeriesConvergenceError(
-            "the kernel series did not settle at this truncation order",
-            mags[-1] if mags else 0.0)
     result = approx.real if abs(approx.imag) < 1e-30 * scale else approx
     return TransformResult(
         result, method="fourier_regularized", formula="windowed_sinc_kernel",
         exact=None,
         diagnostics={"regularization": float(a), "truncation": n_terms,
                      "verdict": CONVERGED})
-
-
-def _cr_to_mpc(c: ComplexRational):
-    re = mpmath.mpf(c.re.numerator) / c.re.denominator
-    im = mpmath.mpf(c.im.numerator) / c.im.denominator
-    return mpmath.mpc(re, im)
-
-
-def _fourier_reg_at_zero(series: PowerSeries, a: Fraction):
-    # K^(k)(0) = k! c_k; the kernel 2a sinc(ay) has only even Taylor
-    # orders, c_(2m) = 2 (-1)^m a^(2m+1)/(2m+1)!, so the k-th term is
-    # a_k (-i)^k 2 (-1)^(k/2) a^(k+1)/(k+1).
-    total = mpmath.mpc(0)
-    mags = []
-    a_mp = mpmath.mpf(a.numerator) / a.denominator
-    apow = a_mp
-    minus_i = mpmath.mpc(0, -1)
-    op = mpmath.mpc(1)
-    for k, coeff in enumerate(series.coeffs):
-        if k % 2 == 0 and not coeff.is_zero:
-            sign = 1 if (k // 2) % 2 == 0 else -1
-            term = _cr_to_mpc(coeff) * op * (2 * sign) * apow / (k + 1)
-            total += term
-            mags.append(float(abs(term)))
-        else:
-            mags.append(0.0)
-        apow *= a_mp
-        op *= minus_i
-    return total, mags
-
-
-def _fourier_reg_general(series: PowerSeries, a: Fraction, y: Fraction):
-    n = series.order
-    margin = 60 + int(4 * float(a) * (1 + abs(float(y))))
-    m_max = n + margin
-    a_mp = mpmath.mpf(a.numerator) / a.denominator
-    y_mp = mpmath.mpf(y.numerator) / y.denominator
-    kernel = [mpmath.mpf(0)] * (m_max + 1)
-    apow = a_mp
-    for m in range(m_max + 1):
-        if m % 2 == 0:
-            sign = 1 if (m // 2) % 2 == 0 else -1
-            kernel[m] = 2 * sign * apow / mpmath.factorial(m + 1)
-        apow *= a_mp
-    total = mpmath.mpc(0)
-    mags = []
-    minus_i = mpmath.mpc(0, -1)
-    op = mpmath.mpc(1)
-    for k in range(n + 1):
-        coeff = series[k]
-        if not coeff.is_zero:
-            deriv = mpmath.mpf(0)
-            falling = mpmath.mpf(math.factorial(k))
-            ypow = mpmath.mpf(1)
-            for m in range(k, m_max + 1):
-                if kernel[m]:
-                    deriv += kernel[m] * falling * ypow
-                falling = falling * (m + 1) / (m + 1 - k)
-                ypow *= y_mp
-            term = _cr_to_mpc(coeff) * op * deriv
-            total += term
-            mags.append(float(abs(term)))
-        else:
-            mags.append(0.0)
-        op *= minus_i
-    return total, mags
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +250,9 @@ class TaylorProfile:
     @staticmethod
     def gaussian(order: int) -> "TaylorProfile":
         """Unit Gaussian e^(-y^2/2); super-exponentially decaying terms."""
-        coeffs = []
-        for k in range(order + 1):
-            if k % 2 == 0:
-                m = k // 2
-                coeffs.append(ComplexRational(
-                    Fraction((-1) ** m, 2 ** m * math.factorial(m))))
-            else:
-                coeffs.append(CR_ZERO)
-        return TaylorProfile(tuple(coeffs), "gaussian")
+        minus_half = ComplexRational(Fraction(-1, 2))
+        return TaylorProfile(_monomial_compose("exp", minus_half, 2, order).coeffs,
+                             "gaussian")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from opcalc.borwein import (RampBoundaryError, SignTuple, SincProductSpec,
-                            beta_of, borwein_deficit, borwein_exact,
+from opcalc.borwein import (RampBoundaryError, SincProductSpec,
+                            borwein_deficit, borwein_exact,
                             borwein_exact_half, borwein_rates,
                             coefficient_identity_check, signed_ramp_sum,
                             sinc_cos_product_integral, sinc_power_gaussian)
@@ -83,39 +83,6 @@ def brute_sinc_cos(spec, perturbation=()):
     total += sum(Fraction(c) * Fraction(mom, scale ** j)
                  for j, (c, mom) in enumerate(zip(perturbation, moments)))
     return total / (2 ** (m + n) * math.prod(norm.sinc_rates)) / spec.outer_rate
-
-
-# ---------------------------------------------------------------------------
-# sign tuples / beta
-# ---------------------------------------------------------------------------
-
-def test_beta_examples():
-    rates = borwein_rates(2)
-    assert beta_of(SignTuple((1, 1)), rates) == Fraction(4, 3)
-    assert beta_of(SignTuple((1, -1)), rates) == Fraction(2, 3)
-    assert beta_of(SignTuple((1,)), borwein_rates(1)) == 1
-
-
-def test_beta_antisymmetry():
-    rates = borwein_rates(4)
-    rng = random.Random(7)
-    for _ in range(20):
-        entries = tuple(rng.choice((1, -1)) for _ in range(4))
-        flipped = tuple(-e for e in entries)
-        assert beta_of(SignTuple(entries), rates) == \
-            -beta_of(SignTuple(flipped), rates)
-
-
-def test_beta_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        beta_of(SignTuple((1, 1)), (Fraction(1),))
-
-
-def test_sign_tuple_validation():
-    with pytest.raises(ValueError):
-        SignTuple((1, 0))
-    assert SignTuple((1, -1, -1)).sign() == 1
-    assert SignTuple((1, -1, -1), designated=2).sign() == -1
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,32 @@ def test_cli_finite_interval_refuses_an_unsettled_tail(capsys):
     assert code == EXIT_OK and "approx:  0.264241117657115" in out
 
 
+def test_cli_finite_interval_refuses_a_truncated_denominator(capsys):
+    # below its degree a polynomial denominator truncates to a constant;
+    # this printed 1.0, verdict truncated-exact, for a value of 0.8670
+    code, out, err = run_cli(capsys, "integrate", "1/(1+x^4)", "--interval", "0", "1",
+                             "--truncation", "3")
+    assert code == EXIT_UNSUPPORTED and out == ""
+    assert "'1 + x^4' is not a monomial" in err
+    code, out, err = run_cli(capsys, "integrate", "(exp(-x)-exp(-2*x))/x",
+                             "--interval", "0", "1", "--json")
+    assert code == EXIT_OK, err
+    # term-wise: sum over k >= 1 of (-1)^k (1 - 2^k) / (k k!)
+    want = sum(Fraction((-1) ** k * (1 - 2 ** k), k * math.factorial(k))
+               for k in range(1, 60))
+    assert float(json.loads(out)["approx"]) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_cli_finite_interval_refuses_a_value_beyond_the_double_range(capsys):
+    # the integral is 1000^121/121, about 10^361: this was an OverflowError
+    # traceback
+    code, out, err = run_cli(capsys, "integrate", "x^120", "--interval", "0", "1000",
+                             "--truncation", "123")
+    assert code == EXIT_NONCONVERGENT and out == ""
+    assert err.startswith("non-convergent: finite-interval value is beyond the double range")
+    assert "10^360.9" in err
+
+
 def test_cli_leading_minus_expression(capsys):
     code, out, err = run_cli(capsys, "integrate", "-sinc(x)", "--json")
     assert code == EXIT_OK, err

@@ -217,6 +217,28 @@ def test_interval_truncation_nonconvergence_is_reported():
         finite_interval_transform(s, 0, 1, 50, "fourier")
 
 
+# Values of finite_interval_transform at y != 0 while it differentiated
+# the kernel at y in a ComplexRational double loop; the translation T_y
+# (multiply f by the e^(ixy) or e^(xy) series, read off at 0) must give
+# the same floats.
+PINNED_FREQUENCIES = [
+    (("1", 10, 0, math.pi, 1, "fourier"), (1.2246467991473532e-16 + 2j)),
+    (("exp(-x)", 60, 0, 1, Fraction(1, 2), "laplace"), (0.7869386805747332 + 0j)),
+    (("x*exp(-x)", 40, Fraction(-1, 2), Fraction(4, 3), Fraction(3, 2), "fourier"),
+     (-0.020907829478540436 + 0.39883127526051787j)),
+    (("exp(-x)", 60, 0, 1, Fraction(-2), "laplace"), (0.3167376438773787 + 0j)),
+    (("sinc(x)*exp(-x)", 70, -1, 2, Fraction(5, 7), "fourier"),
+     (2.0999091152809197 - 0.3191325249486933j)),
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_FREQUENCIES)
+def test_interval_frequency_values_are_pinned(args, want):
+    text, order, a, b, y, kernel = args
+    got = finite_interval_transform(taylor_of(parse_expression(text), order), a, b, y, kernel)
+    assert got == want
+
+
 def test_interval_tail_refuses_unsettled_truncations():
     # the term bounds |a_k| R^(k+1)/(k+1) of the last three orders must be
     # below tol * max(1, |value|); each of these used to print a number.

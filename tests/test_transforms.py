@@ -1,5 +1,6 @@
 """Transform routes: delta, half-line, regularized, pairing, Green, dispatch."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,8 @@ from opcalc.exact import ExactValue, exp_value, log_value
 from opcalc.kernels import one_over_y_chain
 from opcalc.oracle import quad_interval, quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
-from opcalc.series import complex_exponential_series, laplace_laurent, taylor_of
+from opcalc.series import (SeriesConvergenceError, complex_exponential_series,
+                           laplace_laurent, taylor_of)
 from opcalc.transforms import (DivergentIntegralError, TaylorProfile,
                                UnsupportedFamilyError, _word_for_halfline,
                                fourier_regularized, fourier_via_delta,
@@ -275,28 +277,35 @@ def test_laplace_regularized_rejects_antiderivative_words():
 # fourier_regularized
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def regularized(text, y, a, n_terms):
+    """fourier_regularized on parsed *text*, computed once per input: the
+    pinned values below share the costliest inputs with the tests above."""
+    return fourier_regularized(P(text), y, a, n_terms)
+
+
 def test_fourier_regularized_identity_on_constants():
     # f = 1: the operator is the identity, value = 2a sinc(a y)
-    r = fourier_regularized(P("1"), Fraction(1, 2), 3, 40)
+    r = regularized("1", Fraction(1, 2), 3, 40)
     expected = 2 * 3 * math.sin(1.5) / 1.5
     assert r.approx == pytest.approx(expected, abs=1e-12)
 
 
 def test_fourier_regularized_gaussian_window():
-    r = fourier_regularized(P("exp(-x^2/2)"), 0, 30, 2600)
+    r = regularized("exp(-x^2/2)", 0, 30, 2600)
     assert r.approx == pytest.approx(math.sqrt(2 * math.pi), abs=1e-6)
     assert r.diagnostics["verdict"] == "converged"
 
 
 def test_fourier_regularized_odd_integrand():
-    r = fourier_regularized(P("x*exp(-x^2/2)"), 0, 10, 400)
+    r = regularized("x*exp(-x^2/2)", 0, 10, 400)
     assert r.approx == pytest.approx(0.0, abs=1e-20)
 
 
 def test_fourier_regularized_equals_windowed_integral():
     # at finite a the value is the integral of f e^(ixy) over [-a, a]
     a = 6
-    r = fourier_regularized(P("exp(-x^2/2)"), 1, a, 260)
+    r = regularized("exp(-x^2/2)", 1, a, 260)
     f = as_vector_callable(P("exp(-x^2/2)"))
     rep = quad_interval(lambda xs: f(xs) * np().cos(xs), -float(a), float(a),
                         tol=1e-12)
@@ -307,9 +316,43 @@ def test_heat_kernel_identity_numerically():
     # transform of the unit Gaussian is sqrt(2 pi) times itself: the fact
     # that exp(D^2/2) turns the delta into the unit Gaussian over sqrt(2 pi)
     for y in (Fraction(1), Fraction(3, 2)):
-        r = fourier_regularized(P("exp(-x^2/2)"), y, 12, 620)
+        r = regularized("exp(-x^2/2)", y, 12, 620)
         expected = math.sqrt(2 * math.pi) * math.exp(-float(y) ** 2 / 2)
         assert r.approx == pytest.approx(expected, abs=1e-9)
+
+
+# repr of the value each input gave while the route summed in adaptive
+# mpmath precision; the exact finite-interval pass must round to the same
+# floats.  The last two inputs are the real-line series fallback.
+PINNED_REGULARIZED = [
+    (("1", Fraction(1, 2), 3, 40), "3.989979946416218"),
+    (("exp(-x^2/2)", 0, 30, 2600), "2.5066282746310007"),
+    (("x*exp(-x^2/2)", 0, 10, 400), "0.0"),
+    (("exp(-x^2/2)", 1, 6, 260), "1.5203468962173012"),
+    (("exp(-x^2/2)", Fraction(1), 12, 620), "1.520346901066281"),
+    (("exp(-x^2/2)", Fraction(3, 2), 12, 620), "0.8137830541091574"),
+    (("exp(-x^2/2)*cos(x)", 0, 12, 576), "1.520346901066281"),
+    (("x^2*exp(-x^2/2)", 0, 12, 576), "2.5066282746310007"),
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_REGULARIZED)
+def test_fourier_regularized_values_are_pinned(args, want):
+    r = regularized(*args)
+    assert repr(r.approx) == want
+    assert (r.method, r.formula, r.exact) == ("fourier_regularized",
+                                              "windowed_sinc_kernel", None)
+    assert r.diagnostics == {"regularization": float(args[2]), "truncation": args[3],
+                             "verdict": "converged"}
+
+
+def test_fourier_regularized_refuses_a_value_beyond_the_double_range():
+    # the window integral of e^(x^2/2) on [-38, 38] is about 10^312; the
+    # tail settles at this order, and the value used to print inf with
+    # verdict converged
+    with pytest.raises(SeriesConvergenceError,
+                       match=r"double range: \|value\| is about 10\^312"):
+        fourier_regularized(P("exp(x^2/2)"), 0, 38, 1900)
 
 
 # ---------------------------------------------------------------------------
