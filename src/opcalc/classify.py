@@ -11,15 +11,22 @@ Families, tried most specific first:
 * series_only: entire (exact Taylor coefficients exist) but none of the
   closed-form patterns; handled by truncated-series kernels.
 * unsupported: everything else, carrying the per-family failure reasons.
+
+Arguments and denominator factors are read with the operators module's
+polynomial reader (``polynomial_of``, ``linear_rate``).  A product is
+scanned once into (factor, multiplicity) pairs, so a power's rate is
+read once, not once per copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .operators import NotExponentialPolynomial, exp_poly_normal_form
+from .operators import (NotExponentialPolynomial, exp_poly_normal_form,
+                        linear_rate, polynomial_of)
 from .parser import Call, Div, Mul, Neg, Node, Num, Pow
 from .series import NotSeriesRepresentable, taylor_of
 
@@ -35,72 +42,42 @@ class _NoMatch(Exception):
     pass
 
 
-def _flatten_product(node: Node, sign: int = 1):
-    """Multiplicative factors of a product, with Pow expanded to copies."""
+def _factor_scan(node: Node, count: int = 1, sign: int = 1):
+    """Multiplicative factors of a product as (factor, multiplicity) pairs,
+    a power's base counted exponent times without copies, and the sign
+    the unary minus signs leave."""
     if isinstance(node, Mul):
-        left, sign = _flatten_product(node.left, sign)
-        right, sign = _flatten_product(node.right, sign)
+        left, sign = _factor_scan(node.left, count, sign)
+        right, sign = _factor_scan(node.right, count, sign)
         return left + right, sign
     if isinstance(node, Neg):
-        inner, sign = _flatten_product(node.arg, sign)
+        inner, sign = _factor_scan(node.arg, count, sign)
         return inner, -sign
     if isinstance(node, Pow) and node.exponent >= 1:
-        inner, sign = _flatten_product(node.base, sign)
-        return inner * node.exponent, sign
-    return [node], sign
-
-
-def _as_polynomial(node: Node) -> dict:
-    """Expression as {degree: coeff} over the rationals, or _NoMatch: the
-    mu = 0, n >= 0 slice of the exp-poly normal form."""
-    try:
-        nf = exp_poly_normal_form(node)
-    except NotExponentialPolynomial as exc:
-        raise _NoMatch(str(exc))
-    if any(not mu.is_zero or n < 0 for mu, n in nf):
-        raise _NoMatch("not a polynomial in x")
-    return {n: c.require_real() for (_mu, n), c in nf.items()}
-
-
-def _linear_rate_of(node: Node) -> Fraction:
-    poly = _as_polynomial(node)
-    if set(poly) <= {1}:
-        return poly.get(1, Fraction(0))
-    raise _NoMatch("argument must be a pure multiple of x")
-
-
-def _is_unit_gaussian(node: Node) -> bool:
-    """exp with argument exactly -x^2/2."""
-    if not (isinstance(node, Call) and node.func == "exp"):
-        return False
-    try:
-        poly = _as_polynomial(node.arg)
-    except _NoMatch:
-        return False
-    return poly == {2: Fraction(-1, 2)}
+        return _factor_scan(node.base, count * node.exponent, sign)
+    return [(node, count)], sign
 
 
 # -- family matchers --------------------------------------------------------
 
 def _match_sinc_cos(ast: Node) -> dict:
-    factors, sign = _flatten_product(ast)
+    factors, sign = _factor_scan(ast)
     if sign != 1:
         raise _NoMatch("an overall minus sign is not a plain sinc/cos product")
     sinc_rates = []
     cos_rates = []
-    for f in factors:
+    for f, count in factors:
         if isinstance(f, Num) and f.value == 1:
             continue
         if not isinstance(f, Call):
             raise _NoMatch(f"factor {type(f).__name__} is not sinc or cos")
-        rate = _linear_rate_of(f.arg)
+        rate = linear_rate(f.arg)
         if rate == 0:
             raise _NoMatch("zero-frequency factor")
-        rate = abs(rate)
         if f.func == "sinc":
-            sinc_rates.append(rate)
+            sinc_rates += [abs(rate)] * count
         elif f.func == "cos":
-            cos_rates.append(rate)
+            cos_rates += [abs(rate)] * count
         else:
             raise _NoMatch(f"factor {f.func} is not sinc or cos")
     if not sinc_rates:
@@ -112,21 +89,22 @@ def _match_sinc_cos(ast: Node) -> dict:
 
 
 def _match_gaussian_sinc(ast: Node) -> dict:
-    factors, sign = _flatten_product(ast)
+    factors, sign = _factor_scan(ast)
     if sign != 1:
         raise _NoMatch("an overall minus sign is not in this family")
     gaussians = 0
     sinc_power = 0
-    for f in factors:
+    for f, count in factors:
         if isinstance(f, Num) and f.value == 1:
             continue
-        if _is_unit_gaussian(f):
-            gaussians += 1
-            continue
-        if isinstance(f, Call) and f.func == "sinc" and _linear_rate_of(f.arg) in (1, -1):
-            sinc_power += 1
-            continue
-        raise _NoMatch(f"factor {type(f).__name__} is neither sinc(x) nor the unit Gaussian")
+        if isinstance(f, Call) and f.func == "exp" \
+                and polynomial_of(f.arg) == {2: Fraction(-1, 2)}:
+            gaussians += count
+        elif isinstance(f, Call) and f.func == "sinc" and linear_rate(f.arg) in (1, -1):
+            sinc_power += count
+        else:
+            raise _NoMatch(
+                f"factor {type(f).__name__} is neither sinc(x) nor the unit Gaussian")
     if gaussians != 1:
         raise _NoMatch("needs exactly one unit Gaussian factor")
     return {"sinc_power": sinc_power}
@@ -135,18 +113,18 @@ def _match_gaussian_sinc(ast: Node) -> dict:
 def _match_rational_trig(ast: Node) -> dict:
     if not isinstance(ast, Div):
         raise _NoMatch("not a quotient")
-    factors, sign = _flatten_product(ast.right)
+    factors, sign = _factor_scan(ast.right)
     rates = []
-    for f in factors:
+    for f, count in factors:
         try:
-            poly = _as_polynomial(f)
-        except _NoMatch as exc:
+            poly = polynomial_of(f)
+        except NotExponentialPolynomial as exc:
             raise _NoMatch(f"denominator factor not polynomial: {exc}")
         if set(poly) <= {0, 2} and poly.get(2) == 1 and poly.get(0, 0) > 0:
             root = _rational_sqrt(poly[0])
             if root is None:
                 raise _NoMatch(f"decay rate sqrt({poly[0]}) is irrational")
-            rates.append(root)
+            rates += [root] * count
         else:
             raise _NoMatch("denominator factors must look like x^2 + a^2")
     if sign != 1:
@@ -157,39 +135,28 @@ def _match_rational_trig(ast: Node) -> dict:
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
         return None
     return Fraction(num, den)
 
 
-def _isqrt_exact(n: int) -> Optional[int]:
-    import math
-    r = math.isqrt(n)
-    return r if r * r == n else None
+_FAMILIES = (("sinc_cos_product", _match_sinc_cos),
+             ("gaussian_sinc", _match_gaussian_sinc),
+             ("rational_trig", _match_rational_trig))
 
 
 def classify(ast: Node) -> RouteClass:
     """Total, deterministic classification with per-family failure reasons."""
     reasons = {}
+    for tag, match in _FAMILIES:
+        try:
+            return RouteClass(tag, match(ast))
+        except (_NoMatch, NotExponentialPolynomial) as exc:
+            reasons[tag] = str(exc)
     try:
-        return RouteClass("sinc_cos_product", _match_sinc_cos(ast))
-    except _NoMatch as exc:
-        reasons["sinc_cos_product"] = str(exc)
-    try:
-        return RouteClass("gaussian_sinc", _match_gaussian_sinc(ast))
-    except _NoMatch as exc:
-        reasons["gaussian_sinc"] = str(exc)
-    try:
-        return RouteClass("rational_trig", _match_rational_trig(ast))
-    except _NoMatch as exc:
-        reasons["rational_trig"] = str(exc)
-    try:
-        nf = exp_poly_normal_form(ast)
-        return RouteClass("exp_poly", {"normal_form": nf})
+        exp_poly_normal_form(ast)
+        return RouteClass("exp_poly", {})
     except NotExponentialPolynomial as exc:
         reasons["exp_poly"] = str(exc)
     try:

@@ -70,8 +70,11 @@ class ComplexRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
+        # ints must become Fractions too: int / int would give a float
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", as_fraction(self.re))
+        if not isinstance(self.im, Fraction):
+            object.__setattr__(self, "im", as_fraction(self.im))
 
     # -- helpers ------------------------------------------------------
     @staticmethod
@@ -135,9 +138,11 @@ class ComplexRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if o.is_zero:
             raise ZeroDivisionError("division by zero ComplexRational")
+        if o.im == 0:  # a real divisor divides part-wise
+            return ComplexRational(self.re / o.re, self.im / o.re)
+        d = o.re * o.re + o.im * o.im
         return ComplexRational((self.re * o.re + self.im * o.im) / d,
                                (self.im * o.re - self.re * o.im) / d)
 

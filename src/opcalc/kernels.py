@@ -11,8 +11,9 @@ logarithms.
 * ``DELTA``   the Dirac delta; ``Ramp`` is R_m(z) = z^m/m! Theta(z), the
               delta and its derivatives for m < 0 (Fourier routes);
 * ``ONE_OVER_Y``  1/y; ``LogChain`` spans y^m and y^m log(y) terms,
-              integration constants zero, read at 0 as the 0+ limit
-              (Laplace and half-line routes);
+              each member in closed form with integration constants
+              zero, read at 0 as the 0+ limit (Laplace and half-line
+              routes);
 * ``HEAT``    e^(-y^2/2); ``GaussianChain`` is
               p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt(2)) + r(y)
               with rational polynomials, the representative picked with
@@ -93,22 +94,6 @@ class LogChain:
                 out.append((c, m - 1, False))
         return LogChain.from_terms(out)
 
-    def antiderivative(self) -> "LogChain":
-        """One anti-derivative, integration constant zero."""
-        out = []
-        for c, m, flag in self.terms:
-            if not flag:
-                if m == -1:
-                    out.append((c, 0, True))
-                else:
-                    out.append((Fraction(c, m + 1), m + 1, False))
-            else:
-                if m == -1:
-                    raise ValueError("log(y)/y does not arise in 1/y chains")
-                out.append((Fraction(c, m + 1), m + 1, True))
-                out.append((-Fraction(c, (m + 1) ** 2), m + 1, False))
-        return LogChain.from_terms(out)
-
     def value_at(self, z) -> ExactValue:
         """Exact value at rational z > 0 (log z kept symbolic); at z = 0
         the limit from above.  Arguments below 0 leave the domain."""
@@ -136,15 +121,16 @@ class LogChain:
 
 
 def one_over_y_chain(n: int) -> LogChain:
-    """n-th derivative (n >= 0) or |n|-th anti-derivative (n < 0) of 1/y."""
-    chain = LogChain.from_terms([(Fraction(1), -1, False)])
+    """n-th derivative (n >= 0) or |n|-th anti-derivative (n < 0) of 1/y,
+    in closed form: (-1)^n n! y^(-n-1), and for the k-th anti-derivative
+    y^(k-1)/(k-1)! (log y - H_(k-1)) with H the harmonic numbers, every
+    integration constant zero."""
     if n >= 0:
-        for _ in range(n):
-            chain = chain.derivative()
-    else:
-        for _ in range(-n):
-            chain = chain.antiderivative()
-    return chain
+        return LogChain.from_terms([((-1) ** n * math.factorial(n), -n - 1, False)])
+    m = -n - 1
+    scale = Fraction(1, math.factorial(m))
+    harmonic = sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
+    return LogChain.from_terms([(scale, m, True), (-harmonic * scale, m, False)])
 
 
 def ONE_OVER_Y(m: int) -> LogChain:

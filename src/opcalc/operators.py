@@ -66,21 +66,6 @@ def _nf_scale(a: ExpPoly, c: ComplexRational) -> ExpPoly:
     return _nf_merge({k: v * c for k, v in a.items()})
 
 
-def _linear_rate(node: Node) -> Fraction:
-    """Argument of a trig/exp call as a*x with rational a; rejects the rest."""
-    nf = exp_poly_normal_form(node)
-    if any(not mu.is_zero for (mu, _n) in nf):
-        raise NotExponentialPolynomial("nested transcendental arguments")
-    rate = CR_ZERO
-    for (_mu, n), c in nf.items():
-        if n == 1:
-            rate = c
-        elif n != 0 or not c.is_zero:
-            raise NotExponentialPolynomial(
-                "function arguments must be linear in x with no offset")
-    return rate.require_real()
-
-
 def exp_poly_normal_form(ast: Node) -> ExpPoly:
     """Rewrite the AST as sum of c * x^n * e^(mu x) terms, exactly.
 
@@ -117,25 +102,24 @@ def exp_poly_normal_form(ast: Node) -> ExpPoly:
         inv = CR_ONE / c
         return _nf_merge({(m, k - n): v * inv for (m, k), v in num.items()})
     if isinstance(ast, Pow):
-        if ast.exponent >= 0:
-            out: ExpPoly = {(CR_ZERO, 0): CR_ONE}
-            base = exp_poly_normal_form(ast.base)
-            for _ in range(ast.exponent):
-                out = _nf_mul(out, base)
-            return out
         base = exp_poly_normal_form(ast.base)
-        if len(base) != 1:
+        k = ast.exponent
+        if len(base) == 1:
+            # (c x^n e^(mu x))^k = c^k x^(nk) e^(k mu x), either sign of k
+            ((mu, n), c), = base.items()
+            return {(mu * k, n * k): c ** k}
+        if k < 0:
             raise NotExponentialPolynomial(
                 "negative powers need a monomial base in this family")
-        ((mu, n), c), = base.items()
-        k = -ast.exponent
-        return _nf_merge({(mu * ComplexRational(Fraction(-k)), -n * k): (CR_ONE / c) ** k})
+        out: ExpPoly = {(CR_ZERO, 0): CR_ONE}
+        for _ in range(k):
+            out = _nf_mul(out, base)
+        return out
     if isinstance(ast, Call):
         if ast.func == "exp":
-            rate = _linear_rate(ast.arg)
-            return {(ComplexRational(rate), 0): CR_ONE}
+            return {(ComplexRational(linear_rate(ast.arg)), 0): CR_ONE}
         if ast.func in ("sin", "cos", "sinc"):
-            a = _linear_rate(ast.arg)
+            a = linear_rate(ast.arg)
             if a == 0:
                 if ast.func == "sin":
                     return {}
@@ -157,6 +141,25 @@ def exp_poly_normal_form(ast: Node) -> ExpPoly:
                 "sqrt is not exactly representable in this family")
         raise NotExponentialPolynomial(f"unsupported function {ast.func!r}")
     raise TypeError(f"not an AST node: {ast!r}")
+
+
+def polynomial_of(node: Node) -> dict:
+    """*node* as {degree: Fraction}: the mu = 0, n >= 0 slice of its
+    normal form.  Anything that is not a polynomial in x raises
+    NotExponentialPolynomial."""
+    nf = exp_poly_normal_form(node)
+    if any(not mu.is_zero or n < 0 for mu, n in nf):
+        raise NotExponentialPolynomial("not a polynomial in x")
+    return {n: c.require_real() for (_mu, n), c in nf.items()}
+
+
+def linear_rate(node: Node) -> Fraction:
+    """The rational a of a function argument a*x (a = 0 included)."""
+    poly = polynomial_of(node)
+    if not set(poly) <= {1}:
+        raise NotExponentialPolynomial(
+            "function arguments must be linear in x with no offset")
+    return poly.get(1, Fraction(0))
 
 
 def laurent_defect(nf: ExpPoly) -> dict:
@@ -221,34 +224,31 @@ class OperatorWord:
         return max((t.power for t in self.terms), default=0)
 
 
+def word_of(nf: ExpPoly, rot: ComplexRational) -> OperatorWord:
+    """The word f(rot d/dy) of a normal form: each c x^n e^(mu x) becomes
+    c rot^n T_(rot mu) D^n.  The shift must come out real."""
+    terms = []
+    for (mu, n), c in nf.items():
+        shift = rot * mu
+        if not shift.is_real:
+            kind = "oscillatory factors" if rot.is_real else "real exponential rates"
+            raise NotExponentialPolynomial(
+                f"{kind} give complex translations under this variant")
+        terms.append(OperatorTerm(c * rot ** n, shift.re, n))
+    return OperatorWord.from_terms(terms)
+
+
 def decompose(ast: Node, variant: str) -> OperatorWord:
     """Operator word for f(-d/dy) ("real_laplace") or f(-i d/dy)
     ("imaginary_fourier") of an exp-poly integrand.
 
-    Substituting into c x^n e^(mu x) gives c (r D)^n T_{r mu} with r = -1
-    or r = -i; the resulting shift must come out real, which for the
-    Fourier variant restricts exponentials to oscillatory ones and for the
-    Laplace variant to real rates.
+    For the Fourier variant a real shift restricts exponentials to
+    oscillatory ones, for the Laplace variant to real rates.
     """
-    nf = exp_poly_normal_form(ast)
-    if variant == "real_laplace":
-        rot = ComplexRational(Fraction(-1))
-    elif variant == "imaginary_fourier":
-        rot = -CR_I
-    else:
+    rot = {"real_laplace": ComplexRational(-1), "imaginary_fourier": -CR_I}.get(variant)
+    if rot is None:
         raise ValueError(f"unknown decompose variant {variant!r}")
-    if not nf:
-        return OperatorWord(())
-    terms = []
-    for (mu, n), c in nf.items():
-        shift_c = rot * mu
-        if not shift_c.is_real:
-            kind = ("real exponential rates" if variant == "imaginary_fourier"
-                    else "oscillatory factors")
-            raise NotExponentialPolynomial(
-                f"{kind} give complex translations under this variant")
-        terms.append(OperatorTerm(c * rot ** n, shift_c.require_real(), n))
-    return OperatorWord.from_terms(terms)
+    return word_of(exp_poly_normal_form(ast), rot)
 
 
 # ---------------------------------------------------------------------------

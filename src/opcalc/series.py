@@ -14,7 +14,9 @@ as exact complex rationals.  The two user-facing routes built on it are
 
 Coefficient arithmetic never leaves the rationals; the one float
 conversion, of the finished value, is range-checked.  Every factorial
-ladder (exp, sin, cos, sinc of c x^v) is built by _monomial_compose.
+ladder (exp, sin, cos, sinc of c x^v) is built by _monomial_compose; of
+any other argument g, the function's own ladder is composed with g's
+series.  A monomial is read with operators.polynomial_of.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 from .exact import CR_ONE, CR_ZERO, ComplexRational, as_fraction
 from . import parser
-from .operators import NotExponentialPolynomial, exp_poly_normal_form
+from .operators import polynomial_of
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
 DEFAULT_TRUNCATION = 80
@@ -167,11 +169,17 @@ class PowerSeries:
                                  for r, i in zip(re, im)))
 
     def pow(self, n: int) -> "PowerSeries":
+        """self^n by squaring and multiplying: about 2 log2(n) products."""
         if n < 0:
-            raise ValueError("negative series powers go through division")
+            raise ValueError("negative series powers are not supported")
         out = PowerSeries((CR_ONE,) + (CR_ZERO,) * self.order)
-        for _ in range(n):
-            out = out.mul(self)
+        base = self
+        while n:
+            if n & 1:
+                out = out.mul(base)
+            n >>= 1
+            if n:
+                base = base.mul(base)
         return out
 
     def valuation(self) -> int:
@@ -186,23 +194,6 @@ class PowerSeries:
             raise NotSeriesRepresentable(
                 f"division by x^{n} leaves a pole (valuation {self.valuation()})")
         return PowerSeries(self.coeffs[n:] or (CR_ZERO,))
-
-    def divide(self, den: "PowerSeries") -> "PowerSeries":
-        """Series division; the denominator's leading coefficient must divide out."""
-        v = den.valuation()
-        if v > den.order:
-            raise ZeroDivisionError("division by the zero series")
-        num = self.shift_down(v)
-        den = den.shift_down(v)
-        n = min(num.order, den.order)
-        lead = den[0]
-        out = [CR_ZERO] * (n + 1)
-        for k in range(n + 1):
-            acc = num[k]
-            for j in range(1, k + 1):
-                acc = acc - den[j] * out[k - j]
-            out[k] = acc / lead
-        return PowerSeries(tuple(out))
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(x)) for inner with zero constant term (Horner scheme)."""
@@ -270,16 +261,13 @@ def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
 
 def _monomial(node: Node) -> Optional[tuple]:
     """(c, v) when *node* is exactly c x^v with v >= 0, else None.  Read
-    off the exp-poly normal form, not a truncated series: truncation
-    drops the high orders of 1 + x^4 and would pass it as the constant 1."""
+    off the polynomial, not a truncated series: truncation drops the high
+    orders of 1 + x^4 and would pass it as the constant 1."""
     try:
-        nf = exp_poly_normal_form(node)
-    except NotExponentialPolynomial:
+        (v, c), = polynomial_of(node).items()
+    except ValueError:  # not a polynomial, or not a single term
         return None
-    if len(nf) != 1:
-        return None
-    ((mu, v), c), = nf.items()
-    return (c, v) if mu.is_zero and v >= 0 else None
+    return c, v
 
 
 def _taylor(node: Node, n: int) -> PowerSeries:
@@ -328,15 +316,7 @@ def _taylor(node: Node, n: int) -> PowerSeries:
         if v <= arg.order and all(arg[k].is_zero
                                   for k in range(v + 1, arg.order + 1)):
             return _monomial_compose(node.func, arg[v], v, n)
-        if node.func in ("exp", "sin", "cos"):
-            return _monomial_compose(node.func, CR_ONE, 1, n).compose(arg)
-        if node.func == "sinc":
-            if v > arg.order:
-                raise NotSeriesRepresentable("sinc of the zero function")
-            # sin(g)/g is entire whenever g is
-            wide = _taylor(node.arg, n + v)
-            return _monomial_compose("sin", CR_ONE, 1, n + v).compose(wide).divide(wide)
-        raise AssertionError(node.func)
+        return _monomial_compose(node.func, CR_ONE, 1, n).compose(arg)
     raise TypeError(f"not an AST node: {node!r}")
 
 

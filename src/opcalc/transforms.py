@@ -30,9 +30,9 @@ from .classify import classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
 from .kernels import ONE_OVER_Y, green_kernel, regularized_kernel
-from .operators import (NotExponentialPolynomial, OperatorTerm, OperatorWord,
-                        RampSum, apply_word, decompose, exp_poly_normal_form,
-                        laurent_defect)
+from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
+                        apply_word, decompose, exp_poly_normal_form,
+                        laurent_defect, word_of)
 from .parser import Node
 from .result import TransformResult
 from .series import (CONVERGED, DIVERGED, DEFAULT_TRUNCATION, PowerSeries,
@@ -88,12 +88,7 @@ def fourier_via_delta(ast: Node) -> FourierImage:
     UnsupportedFamilyError when derivative powers would leave delta terms
     that only the distributional pairing can read.
     """
-    nf = exp_poly_normal_form(ast)
-    defects = laurent_defect(nf)
-    if defects:
-        raise DivergentIntegralError(
-            f"integrand has a pole at 0 (Laurent orders {sorted(defects)})")
-    word = decompose(ast, "imaginary_fourier")
+    word = word_of(_entire_normal_form(ast), -CR_I)
     if word.max_power > 0:
         raise UnsupportedFamilyError(
             "positive derivative powers leave delta terms; use the pairing route",
@@ -112,22 +107,24 @@ def fourier_via_delta(ast: Node) -> FourierImage:
 # Laplace-type routes
 # ---------------------------------------------------------------------------
 
-def _word_for_halfline(ast: Node, side: str,
-                       zero_frequency: bool = True) -> OperatorWord:
+def _entire_normal_form(ast: Node) -> dict:
+    """The exp-poly normal form of an integrand without a pole at 0."""
     nf = exp_poly_normal_form(ast)
     defects = laurent_defect(nf)
     if defects:
         raise DivergentIntegralError(
             f"integrand has a pole at 0 (Laurent orders {sorted(defects)})")
-    # f(-d/dy) for the positive half-line, f(+d/dy) for the negative one
-    rot = Fraction(-1) if side == "positive" else Fraction(1)
-    terms = []
-    for (mu, n), c in nf.items():
+    return nf
+
+
+def _word_for_halfline(ast: Node, side: str,
+                       zero_frequency: bool = True) -> OperatorWord:
+    nf = _entire_normal_form(ast)
+    for mu, n in nf:
         if not mu.is_real:
             raise NotExponentialPolynomial(
                 "oscillatory rates need the delta route, not the 1/y kernel")
-        rate = mu.require_real()
-        shift = rot * rate
+        rate = mu.re
         # decay check: e^(mu x) must decay on the chosen side
         if (side == "positive" and rate > 0) or (side == "negative" and rate < 0):
             raise DivergentIntegralError(
@@ -136,8 +133,8 @@ def _word_for_halfline(ast: Node, side: str,
             # without the e^(-xy) kernel, bare powers never integrate out
             raise DivergentIntegralError(
                 f"term x^{n} is not integrable at infinity")
-        terms.append(OperatorTerm(c * ComplexRational(rot) ** n, shift, n))
-    return OperatorWord.from_terms(terms)
+    # f(-d/dy) for the positive half-line, f(+d/dy) for the negative one
+    return word_of(nf, ComplexRational(-1 if side == "positive" else 1))
 
 
 def _read_off(image: RampSum, y) -> ExactValue:

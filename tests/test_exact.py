@@ -1,6 +1,7 @@
 """Exact-core: rationals, complex rationals, residues, special integers."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -87,6 +88,36 @@ def test_complex_rational_powers():
     assert i ** 2 == ComplexRational(-1)
     assert i ** -1 == ComplexRational(0, -1)
     assert (ComplexRational(1, 1) ** 2) == ComplexRational(0, 2)
+
+
+def test_complex_rational_division_matches_the_generic_formula():
+    # a real divisor takes the part-wise shortcut; the value and the parts'
+    # types must be those of (a + bi)(c - di) / (c^2 + d^2)
+    rng = random.Random(7)
+    for _ in range(500):
+        z = ComplexRational(*(Fraction(rng.randint(-30, 30), rng.randint(1, 24))
+                              for _ in range(2)))
+        c = Fraction(rng.randint(-30, 30), rng.randint(1, 24))
+        d = rng.choice((0, 0, Fraction(rng.randint(-30, 30), rng.randint(1, 24))))
+        for w in (ComplexRational(c, d), c, int(c.numerator)):
+            wc = w if isinstance(w, ComplexRational) else ComplexRational(w)
+            norm = wc.re * wc.re + wc.im * wc.im
+            if norm == 0:
+                with pytest.raises(ZeroDivisionError):
+                    z / w
+                continue
+            want = ComplexRational((z.re * wc.re + z.im * wc.im) / norm,
+                                   (z.im * wc.re - z.re * wc.im) / norm)
+            got = z / w
+            assert got == want
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+def test_complex_rational_parts_are_fractions():
+    for re, im in ((1, 2), (Fraction(1, 3), 0), ("1/4", 0.5), (0, Fraction(-2))):
+        z = ComplexRational(re, im)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert ComplexRational(1, 2) / 2 == ComplexRational(Fraction(1, 2), 1)
 
 
 def test_complex_rational_require_real():

@@ -47,6 +47,29 @@ def test_one_over_y_deep_antiderivative():
         (Fraction(-1), 1, False), (Fraction(1), 1, True))
 
 
+def reference_log_antiderivative(chain: LogChain) -> LogChain:
+    """One anti-derivative, integration constant zero: the iteration that
+    one_over_y_chain's closed form replaced."""
+    out = []
+    for c, m, flag in chain.terms:
+        if not flag:
+            out.append((c, 0, True) if m == -1 else (Fraction(c, m + 1), m + 1, False))
+        else:
+            out.append((Fraction(c, m + 1), m + 1, True))
+            out.append((-Fraction(c, (m + 1) ** 2), m + 1, False))
+    return LogChain.from_terms(out)
+
+
+def test_one_over_y_chain_matches_the_iteration():
+    base = LogChain.from_terms([(Fraction(1), -1, False)])
+    up, down = base, base
+    for n in range(41):
+        assert one_over_y_chain(n).terms == up.terms
+        assert one_over_y_chain(-n).terms == down.terms
+        up = up.derivative()
+        down = reference_log_antiderivative(down)
+
+
 def test_log_chain_limits():
     assert one_over_y_chain(-2).limit_at_zero_plus() == ExactValue.zero()
     with pytest.raises(ValueError):

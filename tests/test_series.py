@@ -355,6 +355,33 @@ def test_taylor_of_matches_the_reference_loop(monkeypatch, text):
         assert outcome(order) == with_reference_mul(monkeypatch, lambda: outcome(order))
 
 
+def reference_sinc_compose(arg, n):
+    """sinc(g) as sin(g)/g: g to order n + v, its sine composed, and the
+    series division that sinc's own ladder replaced."""
+    v = next(k for k, c in enumerate(arg.coeffs) if not c.is_zero)
+    sin = taylor_of(parse_expression("sin(x)"), n + v)
+    num = sin.compose(arg)
+    num, den = num.coeffs[v:], arg.coeffs[v:]
+    out = []
+    for k in range(n + 1):
+        acc = num[k]
+        for j in range(1, k + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(acc / den[0])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("inner", ["sin(x)", "x+x^2", "x^2-x^3/2", "sinc(x)*x",
+                                   "exp(x)-1", "2*x-sin(3*x)", "x^3+x^5",
+                                   "cos(x)-1"])
+def test_sinc_ladder_matches_sin_over_argument(inner):
+    for n in (3, 8, 30):  # orders at or above every valuation here
+        v = taylor_of(parse_expression(inner), 40).valuation()
+        arg = taylor_of(parse_expression(inner), n + v)
+        got = taylor_of(parse_expression(f"sinc({inner})"), n).coeffs
+        assert got == reference_sinc_compose(arg, n)
+
+
 def test_series_fallback_value_is_unchanged():
     from opcalc.transforms import fourier_regularized
     result = fourier_regularized(parse_expression("exp(-x^2/2)*cos(x)"), 0, 12, 576)
