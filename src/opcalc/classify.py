@@ -42,20 +42,21 @@ class _NoMatch(Exception):
     pass
 
 
-def _factor_scan(node: Node, count: int = 1, sign: int = 1):
+def _factor_scan(node: Node, count: int = 1):
     """Multiplicative factors of a product as (factor, multiplicity) pairs,
     a power's base counted exponent times without copies, and the sign
-    the unary minus signs leave."""
+    the unary minus signs leave (a base's sign raised to the exponent)."""
     if isinstance(node, Mul):
-        left, sign = _factor_scan(node.left, count, sign)
-        right, sign = _factor_scan(node.right, count, sign)
-        return left + right, sign
+        left, left_sign = _factor_scan(node.left, count)
+        right, right_sign = _factor_scan(node.right, count)
+        return left + right, left_sign * right_sign
     if isinstance(node, Neg):
-        inner, sign = _factor_scan(node.arg, count, sign)
+        inner, sign = _factor_scan(node.arg, count)
         return inner, -sign
     if isinstance(node, Pow) and node.exponent >= 1:
-        return _factor_scan(node.base, count * node.exponent, sign)
-    return [(node, count)], sign
+        inner, sign = _factor_scan(node.base, count * node.exponent)
+        return inner, sign ** node.exponent
+    return [(node, count)], 1
 
 
 # -- family matchers --------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    integrate <expr> [--interval A B] [--method auto|series|delta|laplace|green|oracle]
+    integrate <expr> [--interval A B] [--method auto|series|delta|green|oracle]
     laplace   <expr> --at Y [--regularized A]
     fourier   <expr> --at Y
     borwein   <n>
@@ -12,32 +12,29 @@ Subcommands:
 Shared flags: --json, --precision DIGITS, --truncation N, --exact.
 
 Exit codes: 0 success, 2 parse error, 3 unsupported integrand family,
-4 numeric non-convergence or a value beyond the double range.
+4 numeric non-convergence or a value beyond the double range.  The CLI
+parses, renders and maps error base classes to exit codes; ``transforms``
+decides every request.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 import mpmath
 
-from . import oracle
-from .borwein import (RampBoundaryError, SincProductSpec, borwein_exact,
-                      sinc_cos_product_integral)
-from .classify import classify
-from .exact import as_fraction
-from .operators import NotExponentialPolynomial, RampEvaluationError
-from .parser import ParseError, as_vector_callable, parse_expression
+from .borwein import SincProductSpec, borwein_exact
+from .operators import NotExponentialPolynomial
+from .parser import ParseError, parse_expression
 from .result import TransformResult
-from .series import (DEFAULT_TRUNCATION, SeriesConvergenceError,
-                     finite_interval_transform, taylor_of)
-from .transforms import (DivergentIntegralError, UnsupportedFamilyError,
-                         fourier_via_delta, integrate_half_line,
-                         integrate_real_line, laplace_formal,
-                         laplace_regularized)
+from .series import DEFAULT_TRUNCATION
+from .transforms import (UnsupportedFamilyError, fourier_at, integrate,
+                         laplace_formal, laplace_regularized, quadrature,
+                         sinc_product_result)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -50,6 +47,12 @@ def _fraction_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _endpoint_arg(text: str):
+    """An --interval endpoint: a rational number, or inf / -inf."""
+    infinite = {"inf": math.inf, "-inf": -math.inf}.get(text.strip())
+    return _fraction_arg(text) if infinite is None else infinite
 
 
 def _int_at_least(low: int):
@@ -85,10 +88,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="integrate over the real line or an interval")
     p.add_argument("expr")
-    p.add_argument("--interval", nargs=2, metavar=("A", "B"),
-                   help="finite endpoints, or -inf/inf for half-lines")
+    p.add_argument("--interval", nargs=2, type=_endpoint_arg, metavar=("A", "B"),
+                   default=(-math.inf, math.inf),
+                   help="finite endpoints, 0 inf / -inf 0 (half-lines) or -inf inf")
     p.add_argument("--method", default="auto",
-                   choices=["auto", "series", "delta", "laplace", "green", "oracle"])
+                   choices=["auto", "series", "delta", "green", "oracle"])
     common(p)
 
     p = sub.add_parser("laplace", help="Laplace transform at a point")
@@ -147,9 +151,7 @@ def _render(result: TransformResult, args, input_text: str) -> str:
             "regularization": diag.get("regularization"),
             "verdict": str(diag.get("verdict", "")),
         }
-        for extra in ("oracle", "difference", "deficit", "lord_condition", "attempts"):
-            if extra in diag:
-                diagnostics[extra] = diag[extra]
+        diagnostics.update((k, v) for k, v in diag.items() if k not in diagnostics)
         payload = {
             "input": input_text,
             "method": result.method,
@@ -176,85 +178,11 @@ def _render(result: TransformResult, args, input_text: str) -> str:
 # Command bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_integrate(args) -> TransformResult:
-    ast = parse_expression(args.expr)
-    lo, hi = (part.strip() for part in args.interval or ("-inf", "inf"))
-    if args.method == "oracle":
-        return _oracle_result(ast, lo, hi)
-    if args.interval is None:
-        return integrate_real_line(ast, args.truncation, args.method)
-    if lo in ("-inf", "inf") or hi in ("-inf", "inf"):
-        if lo == "-inf" and hi == "inf":
-            return integrate_real_line(ast, args.truncation)
-        if hi == "inf":
-            base = as_fraction(lo)
-        else:
-            base = as_fraction(hi)
-        if base != 0:
-            raise UnsupportedFamilyError(
-                "half-lines must start at 0 (shift the integrand instead)")
-        side = "positive" if hi == "inf" else "negative"
-        return integrate_half_line(ast, side)
-    series = taylor_of(ast, args.truncation)
-    value = finite_interval_transform(series, Fraction(lo), Fraction(hi))
-    return TransformResult(
-        value.real if value.imag == 0 else value,
-        method="series_finite_interval", formula="finite_interval_kernel",
-        diagnostics={"truncation": args.truncation, "verdict": "truncated-exact"})
-
-
-# Quadrature envelope and tolerance per family.  A family without one has
-# no known decay on both sides (exp(-x) grows as x -> -inf), so the oracle
-# refuses its real-line integral rather than truncate it at a guess; an
-# integrand that is not even finite at 0 has no quadrature value under any
-# envelope, and says so first.
-_ORACLE_ENVELOPES = {
-    "gaussian_sinc": ("gaussian", 1e-10),
-    "series_only": ("gaussian", 1e-10),
-    "sinc_cos_product": ("oscillatory_algebraic", 1e-8),
-    "rational_trig": ("oscillatory_algebraic", 1e-8),
-}
-
-
-def _oracle_result(ast, lo: str = "-inf", hi: str = "inf") -> TransformResult:
-    """Quadrature over [lo, hi]: a finite interval or the whole real line."""
-    f = as_vector_callable(ast)
-    if (lo, hi) == ("-inf", "inf"):
-        family = classify(ast)
-        if family.tag not in _ORACLE_ENVELOPES:
-            oracle.require_finite(f, 0.0)
-            raise UnsupportedFamilyError(
-                f"the oracle has no real-line envelope for the {family.tag} family",
-                family.reasons)
-        decay, tol = _ORACLE_ENVELOPES[family.tag]
-        report = oracle.quad_real_line(f, tol=tol, decay=decay)
-    elif {lo, hi} & {"-inf", "inf"}:
-        raise UnsupportedFamilyError(
-            "the oracle integrates finite intervals or the whole real line, "
-            "not half-lines")
-    else:
-        report = oracle.quad_interval(f, float(Fraction(lo)), float(Fraction(hi)))
-    return TransformResult(
-        report.value, method="oracle_quadrature", formula="adaptive_quadrature",
-        diagnostics={"verdict": f"error<={report.error_estimate:.2e}",
-                     "subdivisions": report.subdivisions})
-
-
 def _cmd_laplace(args) -> TransformResult:
     ast = parse_expression(args.expr)
     if args.regularized is not None:
         return laplace_regularized(ast, args.at, args.regularized)
     return laplace_formal(ast, args.at)
-
-
-def _cmd_fourier(args) -> TransformResult:
-    ast = parse_expression(args.expr)
-    image = fourier_via_delta(ast)
-    value = image.transform_at(args.at)
-    return TransformResult.from_exact(
-        value, method="fourier_delta", formula="delta_ramp_sum",
-        diagnostics={"verdict": "exact",
-                     "breakpoints": [str(b) for b in image.breakpoints()]})
 
 
 def _cmd_borwein(args) -> TransformResult:
@@ -264,22 +192,10 @@ def _cmd_borwein(args) -> TransformResult:
         diagnostics={"verdict": "exact", "deficit": str(1 - value.pi_coefficient)})
 
 
-def _cmd_lord(args) -> TransformResult:
-    spec = SincProductSpec(args.sinc, args.cos, args.outer)
-    outcome = sinc_cos_product_integral(spec)
-    diag = {"verdict": "exact", "lord_condition": outcome.lord_condition}
-    if spec.outer_rate != 1:
-        diag["note"] = ("value computed on rates normalized by the outer rate, "
-                        "then divided by it")
-    return TransformResult.from_exact(
-        outcome.value, method="sinc_product_enumeration",
-        formula="delta_ramp_tuple_sum", diagnostics=diag)
-
-
 def _cmd_compare(args) -> TransformResult:
     ast = parse_expression(args.expr)
-    engine = integrate_real_line(ast, truncation=args.truncation)
-    ora = _oracle_result(ast)
+    engine = integrate(ast, truncation=args.truncation)
+    ora = quadrature(ast)
     difference = abs(engine.approx - ora.approx)
     engine.diagnostics["oracle"] = ora.approx
     engine.diagnostics["difference"] = difference
@@ -287,11 +203,13 @@ def _cmd_compare(args) -> TransformResult:
 
 
 _COMMANDS = {
-    "integrate": _cmd_integrate,
+    "integrate": lambda args: integrate(parse_expression(args.expr), *args.interval,
+                                        args.truncation, args.method),
     "laplace": _cmd_laplace,
-    "fourier": _cmd_fourier,
+    "fourier": lambda args: fourier_at(parse_expression(args.expr), args.at),
     "borwein": _cmd_borwein,
-    "lord": _cmd_lord,
+    "lord": lambda args: sinc_product_result(SincProductSpec(args.sinc, args.cos,
+                                                             args.outer)),
     "compare": _cmd_compare,
 }
 
@@ -325,13 +243,14 @@ def run(argv=None) -> int:
             for family, why in reasons.items():
                 print(f"  {family}: {why}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (SeriesConvergenceError, DivergentIntegralError,
-            RampEvaluationError, RampBoundaryError, oracle.QuadratureError) as exc:
-        print(f"non-convergent: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ArithmeticError as exc:
+        # divergence, a jump at the point, a non-finite quadrature, a value
+        # beyond the double range (OverflowError included)
+        print(f"non-convergent: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENT
     print(_render(result, args, input_text))
     if args.command == "compare" and not args.json:
         diff = result.diagnostics["difference"]

@@ -98,9 +98,6 @@ class ComplexRational:
             raise ValueError(f"value {self} has a nonzero imaginary part")
         return self.re
 
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
@@ -358,10 +355,6 @@ class ExactValue:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_rational(self) -> bool:
-        return all(r.is_trivial for r, _ in self.terms)
 
     @property
     def is_pure_pi_multiple(self) -> bool:

@@ -219,10 +219,6 @@ class OperatorWord:
             OperatorTerm(a.coeff * b.coeff, a.shift + b.shift, a.power + b.power)
             for a in self.terms for b in other.terms)
 
-    @property
-    def max_power(self) -> int:
-        return max((t.power for t in self.terms), default=0)
-
 
 def word_of(nf: ExpPoly, rot: ComplexRational) -> OperatorWord:
     """The word f(rot d/dy) of a normal form: each c x^n e^(mu x) becomes

@@ -117,8 +117,6 @@ class PowerSeries:
     """Coefficients a_0..a_N of f(x) = sum a_k x^k, exact."""
 
     coeffs: tuple
-    closed_form: Optional[Node] = None
-    radius_hint: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(
@@ -255,8 +253,7 @@ def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
     with a genuine pole, such as 1/(x^2+1), is rejected: its series stops
     converging before the real line ends.
     """
-    series = _taylor(ast, n)
-    return PowerSeries(series.coeffs, closed_form=ast, radius_hint=math.inf)
+    return _taylor(ast, n)
 
 
 def _monomial(node: Node) -> Optional[tuple]:

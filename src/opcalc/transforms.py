@@ -15,7 +15,9 @@ point with ``evaluate_at``:
   finite-interval series pass of series.py on [-a, a], and the
   Paley-Wiener pairing sum against test-function profiles.
 
-The real-line dispatcher walks ROUTES in order and logs every attempt.
+Convergence is the kernel's call: a chain refuses arguments outside its
+domain.  ``integrate`` owns a request (interval, method, oracle), and the
+real-line dispatcher walks ROUTES in order, logging every attempt.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import oracle
 from .borwein import SincProductSpec, sinc_cos_product_integral, sinc_power_gaussian
 from .classify import classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
@@ -33,7 +36,7 @@ from .kernels import ONE_OVER_Y, green_kernel, regularized_kernel
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
                         laurent_defect, word_of)
-from .parser import Node
+from .parser import Node, as_vector_callable
 from .result import TransformResult
 from .series import (CONVERGED, DIVERGED, DEFAULT_TRUNCATION, PowerSeries,
                      _monomial_compose, finite_interval_transform,
@@ -85,18 +88,13 @@ def fourier_via_delta(ast: Node) -> FourierImage:
     only anti-derivative powers (sin/cos/sinc combinations over x^n).
 
     Raises NotExponentialPolynomial to reroute Gaussians, and
-    UnsupportedFamilyError when derivative powers would leave delta terms
-    that only the distributional pairing can read.
+    UnsupportedFamilyError when the image keeps delta terms, which only
+    the distributional pairing can read.
     """
-    word = word_of(_entire_normal_form(ast), -CR_I)
-    if word.max_power > 0:
-        raise UnsupportedFamilyError(
-            "positive derivative powers leave delta terms; use the pairing route",
-            {"fourier_via_delta": "polynomial growth in the integrand"})
-    image = apply_word(word, RampSum.delta())
+    image = apply_word(word_of(_entire_normal_form(ast), -CR_I), RampSum.delta())
     if any(m <= -1 for _c, m, _s in image.steps):
-        # bounded non-decaying pieces (plain cos/sin/constants) transform
-        # to deltas: not an equality of functions
+        # bounded non-decaying pieces (plain cos/sin/constants) and
+        # derivative powers leave deltas: not an equality of functions
         raise UnsupportedFamilyError(
             "the transform keeps delta terms; the integrand is not integrable",
             {"fourier_via_delta": "distributional image"})
@@ -117,24 +115,11 @@ def _entire_normal_form(ast: Node) -> dict:
     return nf
 
 
-def _word_for_halfline(ast: Node, side: str,
-                       zero_frequency: bool = True) -> OperatorWord:
-    nf = _entire_normal_form(ast)
-    for mu, n in nf:
-        if not mu.is_real:
-            raise NotExponentialPolynomial(
-                "oscillatory rates need the delta route, not the 1/y kernel")
-        rate = mu.re
-        # decay check: e^(mu x) must decay on the chosen side
-        if (side == "positive" and rate > 0) or (side == "negative" and rate < 0):
-            raise DivergentIntegralError(
-                f"term x^{n} e^({rate} x) grows on the {side} half-line")
-        if zero_frequency and rate == 0 and n >= -1:
-            # without the e^(-xy) kernel, bare powers never integrate out
-            raise DivergentIntegralError(
-                f"term x^{n} is not integrable at infinity")
-    # f(-d/dy) for the positive half-line, f(+d/dy) for the negative one
-    return word_of(nf, ComplexRational(-1 if side == "positive" else 1))
+def _word_for_halfline(ast: Node, side: str = "positive") -> OperatorWord:
+    """f(-d/dy) for the positive half-line, f(+d/dy) for the negative one.
+    Whether the integral converges is left to the 1/y kernel (_read_off)."""
+    return word_of(_entire_normal_form(ast),
+                   ComplexRational(-1 if side == "positive" else 1))
 
 
 def _read_off(image: RampSum, y) -> ExactValue:
@@ -149,16 +134,13 @@ def _read_off(image: RampSum, y) -> ExactValue:
 def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
     """Laplace transform by the formal action of f(-d/dy) on 1/y.
 
-    Valid beyond the Laurent series' domain: each translated chain only
-    needs its argument y + b to stay positive, which reaches every y above
-    minus the smallest decay rate (the analytic continuation behavior).
+    Valid beyond the Laurent series' domain: every translated chain only
+    needs its argument y + b in the kernel's domain, so every y above the
+    smallest -b (analytic continuation), and at it if the 0+ limit exists.
     """
     y = as_fraction(y)
-    word = _word_for_halfline(ast, "positive", zero_frequency=False)
+    word = _word_for_halfline(ast)
     min_shift = min((t.shift for t in word.terms), default=Fraction(0))
-    if word.terms and y + min_shift <= 0 and not (y == 0 and min_shift == 0):
-        raise DivergentIntegralError(
-            f"y = {y} is at or below the abscissa -{min_shift}")
     value = _read_off(apply_word(word, RampSum.of(ONE_OVER_Y), perturb), y)
     return TransformResult.from_exact(
         value, method="laplace_formal", formula="halfline_one_over_y_kernel",
@@ -189,7 +171,7 @@ def laplace_regularized(ast: Node, y, a) -> TransformResult:
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("the regularization parameter must be positive")
-    word = _word_for_halfline(ast, "positive", zero_frequency=False)
+    word = _word_for_halfline(ast)
     if any(t.power < 0 for t in word.terms):
         raise UnsupportedFamilyError(
             "anti-derivative powers against the regularized kernel need Ei",
@@ -320,13 +302,27 @@ def integrate_rational_trig(numerator: Node, rates: Sequence) -> TransformResult
 # Real-line dispatcher
 # ---------------------------------------------------------------------------
 
-def _solve_sinc_cos_product(ast: Node, params: dict, truncation: int) -> TransformResult:
-    outcome = sinc_cos_product_integral(SincProductSpec(
-        params["sinc_rates"], params["cos_rates"], params["outer_rate"]))
+def fourier_at(ast: Node, y) -> TransformResult:
+    """The delta route's transform of f at rational y, with its breakpoints."""
+    image = fourier_via_delta(ast)
+    return TransformResult.from_exact(
+        image.transform_at(y), method="fourier_delta", formula="delta_ramp_sum",
+        diagnostics={"verdict": "exact",
+                     "breakpoints": [str(b) for b in image.breakpoints()]})
+
+
+def sinc_product_result(spec: SincProductSpec) -> TransformResult:
+    """The exact sinc/cos product integral, with Lord's condition."""
+    outcome = sinc_cos_product_integral(spec)
     return TransformResult.from_exact(
         outcome.value, method="sinc_product_enumeration",
         formula="delta_ramp_tuple_sum",
         diagnostics={"lord_condition": outcome.lord_condition, "verdict": "exact"})
+
+
+def _solve_sinc_cos_product(ast: Node, params: dict, truncation: int) -> TransformResult:
+    return sinc_product_result(SincProductSpec(
+        params["sinc_rates"], params["cos_rates"], params["outer_rate"]))
 
 
 def _solve_gaussian_sinc(ast: Node, params: dict, truncation: int) -> TransformResult:
@@ -338,17 +334,7 @@ def _solve_green(ast: Node, params: dict, truncation: int) -> TransformResult:
 
 
 def _solve_delta(ast: Node, params: dict, truncation: int) -> TransformResult:
-    return TransformResult.from_exact(
-        fourier_via_delta(ast).transform_at(0), method="fourier_delta",
-        formula="delta_ramp_sum", diagnostics={"verdict": "exact"})
-
-
-def _solve_laplace(ast: Node, params: dict, truncation: int) -> TransformResult:
-    value = integrate_half_line(ast, "positive").exact \
-        + integrate_half_line(ast, "negative").exact
-    return TransformResult.from_exact(
-        value, method="halfline_sum", formula="halfline_one_over_y_kernel",
-        diagnostics={"verdict": "exact"})
+    return fourier_at(ast, 0)
 
 
 def _solve_series(ast: Node, params: dict, truncation: int) -> TransformResult:
@@ -366,7 +352,6 @@ ROUTES = (
     ("gaussian_sinc", ("gaussian_sinc",), _solve_gaussian_sinc),
     ("green", ("rational_trig",), _solve_green),
     ("delta", ("sinc_cos_product", "exp_poly"), _solve_delta),
-    ("laplace", ("exp_poly",), _solve_laplace),
     ("series", ("series_only",), _solve_series),
 )
 
@@ -408,3 +393,74 @@ def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
             f"no exact route applies: {'; '.join(attempts)}",
             dict(route.reasons, attempts="; ".join(attempts)))
     raise UnsupportedFamilyError("unsupported integrand family", route.reasons)
+
+
+# ---------------------------------------------------------------------------
+# Integration requests
+# ---------------------------------------------------------------------------
+
+_REAL_LINE = (-math.inf, math.inf)
+_HALF_LINES = {(0, math.inf): "positive", (-math.inf, 0): "negative"}
+
+# Quadrature envelope and tolerance per family.  A family without one has
+# no known decay on both sides (exp(-x) grows as x -> -inf), so the oracle
+# refuses its real-line integral rather than truncate it at a guess; an
+# integrand that is not even finite at 0 has no quadrature value under any
+# envelope, and says so first.
+_ORACLE_ENVELOPES = {
+    "gaussian_sinc": ("gaussian", 1e-10),
+    "series_only": ("gaussian", 1e-10),
+    "sinc_cos_product": ("oscillatory_algebraic", 1e-8),
+    "rational_trig": ("oscillatory_algebraic", 1e-8),
+}
+
+
+def quadrature(ast: Node, lo=-math.inf, hi=math.inf) -> TransformResult:
+    """The oracle's value over [lo, hi]: a finite interval, or the whole
+    real line under the envelope of the integrand's family."""
+    f = as_vector_callable(ast)
+    if (lo, hi) == _REAL_LINE:
+        family = classify(ast)
+        if family.tag not in _ORACLE_ENVELOPES:
+            oracle.require_finite(f, 0.0)
+            raise UnsupportedFamilyError(
+                f"the oracle has no real-line envelope for the {family.tag} family",
+                family.reasons)
+        decay, tol = _ORACLE_ENVELOPES[family.tag]
+        report = oracle.quad_real_line(f, tol=tol, decay=decay)
+    elif math.inf in (abs(lo), abs(hi)):
+        raise UnsupportedFamilyError(
+            "the oracle integrates finite intervals or the whole real line, "
+            "not half-lines")
+    else:
+        report = oracle.quad_interval(f, float(lo), float(hi))
+    return TransformResult(
+        report.value, method="oracle_quadrature", formula="adaptive_quadrature",
+        diagnostics={"verdict": f"error<={report.error_estimate:.2e}",
+                     "subdivisions": report.subdivisions})
+
+
+def integrate(ast: Node, lo=-math.inf, hi=math.inf,
+              truncation: int = DEFAULT_TRUNCATION,
+              method: str = "auto") -> TransformResult:
+    """The integral of f over [lo, hi], rational endpoints or +-inf.
+
+    ``method="oracle"`` is the quadrature oracle.  Otherwise the real line
+    runs ``method`` through ``integrate_real_line``, [0, inf] and [-inf, 0]
+    the 1/y route, and a finite interval the exact series pass."""
+    if (lo, hi) != _REAL_LINE and (lo, hi) not in _HALF_LINES \
+            and math.inf in (abs(lo), abs(hi)):
+        raise UnsupportedFamilyError(
+            f"the interval [{lo}, {hi}] is neither finite nor the real line, "
+            "[0, inf] or [-inf, 0] (shift the integrand instead)")
+    if method == "oracle":
+        return quadrature(ast, lo, hi)
+    if (lo, hi) == _REAL_LINE:
+        return integrate_real_line(ast, truncation, method)
+    if (lo, hi) in _HALF_LINES:
+        return integrate_half_line(ast, _HALF_LINES[lo, hi])
+    value = finite_interval_transform(taylor_of(ast, truncation), lo, hi)
+    return TransformResult(
+        value.real if value.imag == 0 else value,
+        method="series_finite_interval", formula="finite_interval_kernel",
+        diagnostics={"truncation": truncation, "verdict": "truncated-exact"})

@@ -68,6 +68,28 @@ def test_classify_unsupported_lists_reasons():
                                   "rational_trig", "exp_poly", "series_only"}
 
 
+def test_classify_raises_a_base_sign_to_the_exponent():
+    for text, tag in [("(-sinc(x))^2", "sinc_cos_product"),
+                      ("(-sinc(x))^2*exp(-x^2/2)", "gaussian_sinc"),
+                      ("(-sinc(x))^3", "exp_poly"), ("-(-sinc(x))^2", "exp_poly"),
+                      ("(-(-sinc(x)))^3", "sinc_cos_product")]:
+        assert classify(parse_expression(text)).tag == tag, text
+
+
+def test_cli_squared_minus_sign_is_exact(capsys):
+    # (-sinc(x))^2 exp(-x^2/2) printed the windowed series approximation
+    want = run_cli(capsys, "integrate", "sinc(x)^2*exp(-x^2/2)", "--json")[1]
+    code, out, err = run_cli(capsys, "integrate", "(-sinc(x))^2*exp(-x^2/2)", "--json")
+    assert code == EXIT_OK, err
+    got = json.loads(out)
+    assert got["method"] == "gaussian_heat_kernel"
+    assert got["exact"] == json.loads(want)["exact"]
+    code, out, err = run_cli(capsys, "integrate", "(-sinc(x))^2", "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["method"] == "sinc_product_enumeration"
+    assert json.loads(out)["exact"] == "pi"
+
+
 def test_classify_irrational_rate_not_rational_trig():
     # x^2 + 2 has an irrational decay rate; it must not reach the Green route
     route = classify(parse_expression("cos(x)/(x^2+2)"))
@@ -243,6 +265,43 @@ def test_cli_laplace_negative_y(capsys):
     assert "exact:   2" in out
 
 
+# Laplace transforms of growing exponentials: the 1/y kernel answers at
+# every y where each chain argument y + b stays in its domain.  Each value
+# is the closed form; a decay-sign check in front of the kernel used to
+# refuse all of them with exit 4
+@pytest.mark.parametrize("argv, exact", [
+    (("exp(x)", "--at", "2"), "1"),                 # 1/(y - 1)
+    (("x*exp(x/2)", "--at", "1"), "4"),             # 1/(y - 1/2)^2
+    (("(exp(x)-1)/x", "--at", "2"), "log(2)"),      # log(y/(y - 1))
+    # at the abscissa y = -1 the chain y (log y - 1) has a finite 0+
+    # limit; by parts the integral of (1 - e^-x (1 + x))/x^2 is 1
+    (("exp(-x)*(1-exp(-x)*(1+x))/x^2", "--at", "-1"), "1"),
+    # the regularized kernel gives the integral of e^x e^(-2x) over [0, 3]
+    (("exp(x)", "--at", "2", "--regularized", "3"), "-exp(-3) + 1"),
+])
+def test_cli_laplace_answers_inside_the_kernel_domain(capsys, argv, exact):
+    code, out, err = run_cli(capsys, "laplace", *argv, "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["exact"] == exact
+
+
+@pytest.mark.parametrize("expr, y", [("exp(x)", "1"), ("exp(-x)", "-1"), ("x^2", "0")])
+def test_cli_laplace_outside_the_kernel_domain_exits_4(capsys, expr, y):
+    # a divergent 0+ limit: 1/(y - 1) at 1, 1/(y + 1) at -1, 2/y^3 at 0
+    code, out, err = run_cli(capsys, "laplace", expr, "--at", y)
+    assert code == EXIT_NONCONVERGENT and out == ""
+    assert "diverges at 0+" in err
+
+
+def test_cli_regularized_laplace_refuses_antiderivatives_first(capsys):
+    # the kernel has no closed-form anti-derivatives (they need Ei): exit 3,
+    # whatever the decay of the integrand
+    code, out, err = run_cli(capsys, "laplace", "(exp(x)-1)/x", "--at", "2",
+                             "--regularized", "3")
+    assert code == EXIT_UNSUPPORTED and out == ""
+    assert "need Ei" in err
+
+
 def test_cli_exact_flag_suppresses_shadow(capsys):
     code, out, _ = run_cli(capsys, "integrate", "sinc(x)", "--exact")
     assert code == EXIT_OK
@@ -275,6 +334,59 @@ def test_cli_oracle_honours_the_interval(capsys):
     code, out, err = run_cli(capsys, "integrate", "exp(-x)", "--interval", "0", "inf",
                              "--method", "oracle")
     assert code == EXIT_UNSUPPORTED and out == "" and "half-lines" in err
+
+
+@pytest.mark.parametrize("lo, hi", [("inf", "0"), ("0", "-inf"), ("inf", "-inf"),
+                                    ("1", "inf"), ("-inf", "-1")])
+def test_cli_interval_takes_only_two_half_lines(capsys, lo, hi):
+    # [inf, 0] printed the integral over [-inf, 0] (exactly 1 for exp(x));
+    # the others were refused, some as "Invalid literal for Fraction"
+    for method in ("auto", "oracle"):
+        code, out, err = run_cli(capsys, "integrate", "exp(x)", "--interval", lo, hi,
+                                 "--method", method)
+        assert code == EXIT_UNSUPPORTED and out == ""
+        assert f"the interval [{lo}, {hi}] is neither finite" in err
+
+
+def test_cli_malformed_interval_endpoint_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["integrate", "exp(-x)", "--interval", "0", "1/0"])
+    assert exc.value.code == EXIT_PARSE
+    assert "argument --interval: not a rational number: '1/0'" in capsys.readouterr().err
+
+
+def test_cli_method_applies_on_the_written_real_line(capsys):
+    for interval in ((), ("--interval", "-inf", "inf")):
+        code, out, err = run_cli(capsys, "integrate", "sinc(x)", *interval,
+                                 "--method", "green")
+        assert code == EXIT_UNSUPPORTED and out == ""
+        assert "the green route does not serve the sinc_cos_product family" in err
+        code, out, err = run_cli(capsys, "integrate", "sinc(x)", *interval,
+                                 "--method", "delta", "--json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["diagnostics"]["attempts"] == ["delta"]
+
+
+def test_cli_value_beyond_the_double_range_exits_4(capsys):
+    # an endpoint past the double range was an OverflowError traceback
+    code, out, err = run_cli(capsys, "integrate", "x", "--interval", "0", "1e400",
+                             "--method", "oracle")
+    assert code == EXIT_NONCONVERGENT and out == ""
+    assert err.startswith("non-convergent:") and "Traceback" not in err
+
+
+def test_cli_json_carries_every_route_diagnostic(capsys):
+    code, out, err = run_cli(capsys, "fourier", "sinc(x)", "--at", "1/2", "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["diagnostics"]["breakpoints"] == ["-1", "1"]
+    code, out, err = run_cli(capsys, "integrate", "exp(-x^2/2)", "--interval", "0", "1",
+                             "--method", "oracle", "--json")
+    assert code == EXIT_OK, err
+    assert isinstance(json.loads(out)["diagnostics"]["subdivisions"], int)
+    code, out, err = run_cli(capsys, "integrate", "exp(-x)", "--interval", "0", "inf",
+                             "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["diagnostics"]["side"] == "positive"
 
 
 def test_cli_non_finite_oracle_value_exits_4(capsys):
@@ -380,7 +492,6 @@ METHOD_TABLE = {
              (EXIT_OK, "fourier_regularized"), UNSUPPORTED],
     "delta": [(EXIT_OK, "fourier_delta"), UNSUPPORTED, UNSUPPORTED,
               (EXIT_OK, "fourier_delta"), UNSUPPORTED, UNSUPPORTED],
-    "laplace": [UNSUPPORTED] * 6,
     "green": [UNSUPPORTED, UNSUPPORTED, (EXIT_OK, "greens_function"),
               UNSUPPORTED, UNSUPPORTED, UNSUPPORTED],
     "series": [UNSUPPORTED] * 4 + [(EXIT_OK, "fourier_regularized"), UNSUPPORTED],
@@ -414,7 +525,9 @@ def test_method_choices_name_routes():
                     if isinstance(a, argparse._SubParsersAction))
     choices = next(a for a in commands.choices["integrate"]._actions
                    if a.dest == "method").choices
-    assert {"delta", "laplace", "green", "series"} <= set(choices)
+    assert {"delta", "green", "series"} <= set(choices)
+    # the real-line laplace route could answer only f = 0, which delta gives
+    assert "laplace" not in choices
     assert set(choices) - {"auto", "oracle"} <= {name for name, _f, _s in ROUTES}
 
 
@@ -426,7 +539,8 @@ def test_cli_attempts_reach_json(capsys):
     code, out, err = run_cli(capsys, "integrate", "1/x", "--json")
     assert code == EXIT_UNSUPPORTED and out == ""
     assert "attempts: delta: integrand has a pole at 0" in err
-    assert "; laplace: integrand has a pole at 0" in err
+    assert err.splitlines()[-1] == "  attempts: delta: integrand has a pole at 0 " \
+        "(Laurent orders [-1])"
     # a lone method's own miss keeps its exit code
     code, _, err = run_cli(capsys, "integrate", "1/x", "--method", "delta")
     assert code == EXIT_NONCONVERGENT and "pole at 0" in err

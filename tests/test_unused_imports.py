@@ -1,9 +1,13 @@
-"""No module in src/opcalc imports a name it never uses.
+"""No module in src/opcalc imports a name it never uses, and no module
+defines a private name that nothing in src/opcalc reads.
 
 No linter is part of the toolchain, and deleting a function tends to
-leave its imports behind; this walks every module with the stdlib ast.
-A name counts as used when the module reads it, lists it in __all__, or
-marks the import line ``noqa: F401`` (a deliberate re-export)."""
+leave its imports and its private helpers behind; this walks every module
+with the stdlib ast.  An import counts as used when the module reads it,
+lists it in __all__, or marks the import line ``noqa: F401`` (a
+deliberate re-export).  A module-level ``_private`` definition counts as
+used when another top-level statement of some module reads it: tests do
+not keep a private helper alive, and neither does its own recursion."""
 
 import ast
 from pathlib import Path
@@ -42,9 +46,52 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def _defined_names(node) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unused_private_names(sources: dict) -> list:
+    """Module-level _private names in *sources* ({module: text}) that no
+    other top-level statement of any module reads."""
+    readers = []  # (module, statement index, names it reads)
+    defined = []  # (module, statement index, name, line)
+    for module, source in sources.items():
+        for index, node in enumerate(ast.parse(source).body):
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names |= {alias.name for alias in sub.names}
+            readers.append((module, index, names))
+            defined += [(module, index, name, node.lineno) for name in _defined_names(node)
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted(f"{module}: {name} (line {line})" for module, index, name, line in defined
+                  if not any(name in names for other, at, names in readers
+                             if (other, at) != (module, index)))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {"a.py": "def _used():\n    pass\n\n\ndef _recursive():\n"
+                       "    return _recursive()\n\n\n_TABLE = {}\n",
+               "b.py": "from .a import _used\nX = _used\n"}
+    assert unused_private_names(sources) == ["a.py: _TABLE (line 9)",
+                                             "a.py: _recursive (line 5)"]
 
 
 def test_the_check_sees_an_unused_import():
