@@ -11,15 +11,17 @@ Subcommands:
 
 Shared flags: --json, --precision DIGITS, --truncation N, --exact.
 
-Exit codes: 0 success, 2 parse error, 3 unsupported integrand family,
-4 numeric non-convergence or a value beyond the double range.  The CLI
-parses, renders and maps error base classes to exit codes; ``transforms``
+Exit codes: 0 success, 2 parse error, 3 unsupported integrand family
+or an exact value with more digits than Python prints, 4 numeric
+non-convergence or a value beyond the double range.  The CLI parses,
+renders and maps error base classes to exit codes; ``transforms``
 decides every request.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -124,6 +126,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once per process: every default is immutable and every type= is
+# pure, so parse_args leaves nothing behind for the next call.
+_arg_parser = functools.cache(build_arg_parser)
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -138,9 +145,22 @@ def _approx_str(value, digits: int) -> str:
         return mpmath.nstr(mpmath.mpf(real), digits)
 
 
+def _exact_str(exact) -> str:
+    """str(exact); past Python's int-to-str limit, a ValueError with the size."""
+    try:
+        return str(exact)
+    except ValueError as exc:
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for _, c in exact.terms)
+        raise ValueError(f"the exact value holds an integer of about {bits * math.log10(2):.0f}"
+                         f" digits, past Python's int-to-str limit of "
+                         f"{sys.get_int_max_str_digits()}") from exc
+
+
 def _render(result: TransformResult, args, input_text: str) -> str:
     diag = result.diagnostics
     exact = result.exact
+    exact_text = _exact_str(exact) if exact is not None else None
     if exact is not None and args.precision > 15:
         approx = _approx_str(exact.evalf(args.precision + 5), args.precision)
     else:
@@ -156,7 +176,7 @@ def _render(result: TransformResult, args, input_text: str) -> str:
             "input": input_text,
             "method": result.method,
             "paper_formula": result.formula,
-            "exact": str(exact) if exact is not None else None,
+            "exact": exact_text,
             "pi_coefficient": (str(exact.pi_coefficient)
                                if exact is not None and exact.pi_coefficient != 0
                                else None),
@@ -166,7 +186,7 @@ def _render(result: TransformResult, args, input_text: str) -> str:
         return json.dumps(payload, indent=2)
     lines = [f"input:   {input_text}", f"method:  {result.method}"]
     if exact is not None:
-        lines.append(f"exact:   {exact}")
+        lines.append(f"exact:   {exact_text}")
     if not args.exact:
         lines.append(f"approx:  {approx}")
     if diag.get("verdict"):
@@ -226,13 +246,14 @@ def run(argv=None) -> int:
     """Parse arguments, dispatch, print; returns the exit status."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_arg_parser().parse_args(_shield_negative_numbers(argv))
+    args = _arg_parser().parse_args(_shield_negative_numbers(argv))
     if getattr(args, "expr", "").startswith(" -"):
         args.expr = args.expr[1:]
     input_text = getattr(args, "expr", None) or \
         (f"borwein({args.n})" if args.command == "borwein" else args.command)
     try:
         result = _COMMANDS[args.command](args)
+        text = _render(result, args, input_text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -251,7 +272,7 @@ def run(argv=None) -> int:
         # beyond the double range (OverflowError included)
         print(f"non-convergent: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENT
-    print(_render(result, args, input_text))
+    print(text)
     if args.command == "compare" and not args.json:
         diff = result.diagnostics["difference"]
         print(f"oracle:  {_approx_str(result.diagnostics['oracle'], args.precision)}")

@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
 
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
+@functools.cache
+def _rules():
+    """The 10- and 21-node Gauss-Legendre rules, built by the first quadrature."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(10), np.polynomial.legendre.leggauss(21)
 
 
 class QuadratureError(ArithmeticError):
@@ -40,6 +42,7 @@ class QuadReport:
 
 
 def _ensure_vectorized(f):
+    import numpy as np
     probe = np.array([0.373, 0.651])
     try:
         out = np.asarray(f(probe), dtype=float)
@@ -51,10 +54,12 @@ def _ensure_vectorized(f):
 
 
 def _panel(f, a: float, b: float):
+    import numpy as np
+    (nodes_lo, weights_lo), (nodes_hi, weights_hi) = _rules()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    lo = float(_WEIGHTS_LO @ np.asarray(f(mid + half * _NODES_LO), dtype=float))
-    hi = float(_WEIGHTS_HI @ np.asarray(f(mid + half * _NODES_HI), dtype=float))
+    lo = float(weights_lo @ np.asarray(f(mid + half * nodes_lo), dtype=float))
+    hi = float(weights_hi @ np.asarray(f(mid + half * nodes_hi), dtype=float))
     return hi * half, abs(hi - lo) * half
 
 
@@ -64,6 +69,7 @@ def _quiet(fn):
     same event once and without numpy's source line."""
     @functools.wraps(fn)
     def call(*args, **kwargs):
+        import numpy as np
         with np.errstate(all="ignore"):
             return fn(*args, **kwargs)
     return call
@@ -87,6 +93,7 @@ def quad_interval(f: Callable[[float], float], a: float, b: float,
 @_quiet
 def require_finite(f: Callable[[float], float], x: float) -> None:
     """Raise QuadratureError unless f is finite at x."""
+    import numpy as np
     if not np.all(np.isfinite(_ensure_vectorized(f)(np.array([x])))):
         raise QuadratureError(f"the integrand is not finite at x = {x:g}")
 

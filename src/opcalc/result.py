@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import mpmath
+
 from .exact import ExactValue
 
 
@@ -27,5 +29,11 @@ class TransformResult:
     @staticmethod
     def from_exact(value: ExactValue, method: str, formula: str,
                    diagnostics: Optional[dict] = None) -> "TransformResult":
-        return TransformResult(float(value), method, formula, value,
-                               dict(diagnostics or {}))
+        """value with its float shadow; OverflowError past the double range."""
+        shadow = value.evalf(25)
+        approx = float(shadow)
+        if not mpmath.isfinite(approx):
+            raise OverflowError(
+                "exact value is beyond the double range: "
+                f"|value| is about 10^{float(mpmath.log10(abs(shadow))):.1f}")
+        return TransformResult(approx, method, formula, value, dict(diagnostics or {}))

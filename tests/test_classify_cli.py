@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from opcalc.classify import classify
+from opcalc import cli
 from opcalc.cli import (EXIT_NONCONVERGENT, EXIT_OK, EXIT_PARSE,
                         EXIT_UNSUPPORTED, build_arg_parser, run)
 from opcalc.parser import parse_expression
@@ -375,6 +376,24 @@ def test_cli_value_beyond_the_double_range_exits_4(capsys):
     assert err.startswith("non-convergent:") and "Traceback" not in err
 
 
+def test_cli_exact_value_beyond_the_double_range_exits_4(capsys):
+    # 200! * 1000^201, about 10^978: this printed approx +inf, verdict exact
+    code, out, err = run_cli(capsys, "laplace", "x^200", "--at", "1/1000")
+    assert code == EXIT_NONCONVERGENT and out == ""
+    assert err.startswith("non-convergent: exact value is beyond the double range")
+    assert "10^977.9" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_cli_exact_value_past_the_int_print_limit_exits_3(capsys, extra):
+    # about 0.01743, as a ratio of two integers of about 4,350 digits each:
+    # rendering it was a ValueError traceback from the int-to-str limit
+    code, out, err = run_cli(capsys, "laplace", "x^1800*exp(-x)", "--at", "662", *extra)
+    assert code == EXIT_UNSUPPORTED and out == ""
+    assert err.startswith("error: the exact value holds an integer of about 4352 digits")
+    assert "Traceback" not in err
+
+
 def test_cli_json_carries_every_route_diagnostic(capsys):
     code, out, err = run_cli(capsys, "fourier", "sinc(x)", "--at", "1/2", "--json")
     assert code == EXIT_OK, err
@@ -550,6 +569,64 @@ def test_cli_precision_flag(capsys):
     code, out, _ = run_cli(capsys, "integrate", "sinc(x)", "--precision", "25")
     assert code == EXIT_OK
     assert "3.141592653589793238462643" in out
+
+
+def _outcomes(capsys, argvs):
+    """(exit status, stdout, stderr) of each argv run in turn through run()."""
+    seen = []
+    for argv in argvs:
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # -h and usage errors
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        seen.append((code, out.out, out.err))
+    return seen
+
+
+def test_cli_reused_parser_keeps_no_state(capsys, monkeypatch):
+    # one parser serves every call of a process; defaults left out of one
+    # call must come back in the next, as with a parser built per call
+    argvs = [
+        ["integrate", "sinc(x)", "--interval", "0", "1"],
+        ["integrate", "sinc(x)"],
+        ["integrate", "exp(x)", "--interval", "-inf", "0"],
+        ["lord", "--sinc", "1/3", "--cos", "1/2", "--outer", "2"],
+        ["lord", "--sinc", "1/3"],
+        ["borwein", "3", "--bogus"],
+        ["-h"],
+        ["borwein", "3", "--json", "--precision", "20"],
+        ["borwein", "3"],
+    ]
+    assert cli._arg_parser() is cli._arg_parser()
+    reused = _outcomes(capsys, argvs) + _outcomes(capsys, argvs)
+    monkeypatch.setattr(cli, "_arg_parser", build_arg_parser)
+    fresh = _outcomes(capsys, argvs)
+    assert reused == fresh + fresh
+    codes = [code for code, _out, _err in fresh]
+    assert codes == [EXIT_OK] * 5 + [("exit", EXIT_PARSE), ("exit", 0), EXIT_OK, EXIT_OK]
+    assert "exact:   pi\n" in fresh[1][1] and "exact:   pi\n" not in fresh[0][1]
+
+
+def test_importing_the_cli_leaves_numpy_to_the_oracle():
+    # numpy is loaded by the first quadrature, not by `import opcalc`;
+    # the oracle module itself is imported with the package
+    script = """if True:
+        import contextlib, io, json, sys
+        import opcalc.cli
+        before = ["numpy" in sys.modules, "opcalc.oracle" in sys.modules]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = opcalc.cli.run(["compare", "sinc(x)", "--json"])
+        oracle = json.loads(out.getvalue())["diagnostics"]["oracle"]
+        print(json.dumps([before, "numpy" in sys.modules, code, oracle]))
+    """
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after, code, oracle = json.loads(proc.stdout)
+    assert before == [False, True] and after and code == EXIT_OK
+    # the value the oracle gave while numpy was imported with the package
+    assert oracle == 3.1415926535897922
 
 
 def test_console_entry_point_runs():
