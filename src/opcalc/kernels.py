@@ -15,9 +15,10 @@ logarithms.
               zero, read at 0 as the 0+ limit (Laplace and half-line
               routes);
 * ``HEAT``    e^(-y^2/2); ``GaussianChain`` is
-              p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt(2)) + r(y)
-              with rational polynomials, the representative picked with
-              definite parity (odd order -> odd function);
+              p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt(2)) with
+              rational polynomials, built by the three-term recurrence
+              k G_(k+1) = y G_k + G_(k-1), which leaves no plain
+              polynomial part (odd order -> odd function);
 * ``green_kernel(rates)``  the partial-fraction sum of Green's functions
               e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``;
 * ``regularized_kernel(a)``  the entire kernel (1 - e^(-ay))/y, whose
@@ -161,11 +162,10 @@ def _poly_eval(a: tuple, z: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianChain:
-    """p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt 2) + r(y), rational p, q, r."""
+    """p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt 2), rational p and q."""
 
     p: tuple = ()
     q: tuple = ()
-    r: tuple = ()
 
     def derivative(self) -> "GaussianChain":
         # d/dy [p e^(-y^2/2)] = (p' - y p) e^(-y^2/2)
@@ -177,61 +177,44 @@ class GaussianChain:
                 p[k - 1] += k * c
         for k, c in enumerate(self.q):
             p[k] += c
-        return GaussianChain(_trimmed(p), _poly_deriv(self.q), _poly_deriv(self.r))
-
-    def antiderivative(self, odd_target: bool) -> "GaussianChain":
-        """Term-wise anti-derivative, accumulated in place; when the target
-        order is odd the free constant is fixed so the representative is an
-        odd function."""
-        p = [Fraction(0)] * max(len(self.p), len(self.q), 1)
-        q = [Fraction(0)] * (len(self.q) + 1)
-        r = [Fraction(0)] * (len(self.r) + 1)
-
-        def gauss_integral(k: int, coeff: Fraction):
-            # integral of coeff * y^k e^(-y^2/2): peel off
-            # -y^(k-1) e^(-y^2/2) + (k-1) * integral y^(k-2) e^(-y^2/2)
-            while k >= 2:
-                p[k - 1] -= coeff
-                coeff *= k - 1
-                k -= 2
-            if k == 1:
-                p[0] -= coeff
-            else:
-                q[0] += coeff
-
-        for k, c in enumerate(self.p):
-            if c:
-                gauss_integral(k, c)
-        for k, c in enumerate(self.q):
-            if c:
-                # integral y^k erf-part = y^(k+1)/(k+1) erf-part
-                #   - 1/(k+1) integral y^(k+1) e^(-y^2/2)
-                q[k + 1] += Fraction(c, k + 1)
-                gauss_integral(k + 1, -Fraction(c, k + 1))
-        for k, c in enumerate(self.r):
-            r[k + 1] += Fraction(c, k + 1)
-        if odd_target:
-            r[0] -= p[0] + r[0]  # erf(0) = 0: the value at 0 is p(0) + r(0)
-        return GaussianChain(_trimmed(p), _trimmed(q), _trimmed(r))
+        return GaussianChain(_trimmed(p), _poly_deriv(self.q))
 
     def value_at(self, z) -> ExactValue:
         """Exact value at rational z: e^(-z^2/2) and erf(z/sqrt 2) residues."""
         z = as_fraction(z)
         # sqrt(pi/2) = sqrt(2*pi)/2
         return ExactValue.from_terms([
-            (Residue(), _poly_eval(self.r, z)),
             (Residue(e_exp=-z * z / 2), _poly_eval(self.p, z)),
             (Residue(sqrt_two_pi=1, erf_args=(z,)), _poly_eval(self.q, z) / 2)])
 
 
+def _times_y_plus(a: list, c: int, b: list) -> list:
+    """Coefficients of y a(y) + c b(y)."""
+    out = [0, *a]
+    for i, v in enumerate(b):
+        out[i] += c * v
+    return out
+
+
 def gaussian_chain(n: int) -> GaussianChain:
-    """n-th anti-derivative of e^(-y^2/2), parity-symmetric representative."""
+    """n-th anti-derivative G_n of E = e^(-y^2/2), with S = sqrt(pi/2)
+    erf(y/sqrt 2): G_0 = E, G_1 = S and k G_(k+1) = y G_k + G_(k-1).
+
+    Differentiating the right side gives k G_k, so each step is an
+    anti-derivative with no plain polynomial part, and such an
+    anti-derivative is unique (a constant is not p E + q S).  The scaled
+    H_k = (k-1)! G_k have integer polynomials: H_1 = S, H_2 = E + y S and
+    H_(k+1) = y H_k + (k-1) H_(k-1), so G_n = H_n/(n-1)!."""
     if n < 0:
         raise ValueError("gaussian_chain is indexed by anti-derivative order n >= 0")
-    chain = GaussianChain(p=(Fraction(1),))
-    for k in range(1, n + 1):
-        chain = chain.antiderivative(odd_target=(k % 2 == 1))
-    return chain
+    if n == 0:
+        return GaussianChain(p=(Fraction(1),))
+    low, high = ([], [1]), ([1], [0, 1])  # (p, q) of H_1 and H_2
+    for k in range(2, n):
+        low, high = high, tuple(_times_y_plus(h, k - 1, l) for h, l in zip(high, low))
+    scale = math.factorial(n - 1)
+    return GaussianChain(*(tuple(Fraction(c, scale) for c in poly)
+                           for poly in (low if n == 1 else high)))
 
 
 def HEAT(m: int) -> GaussianChain:

@@ -346,7 +346,8 @@ def _solve_series(ast: Node, params: dict, truncation: int) -> TransformResult:
 
 
 # (name, families it serves, solve(ast, params, truncation)), in the order
-# the dispatcher tries them; the names are the CLI's --method choices.
+# the dispatcher tries them; integrate_real_line's method names one of
+# them, and the CLI's --method offers delta, green and series.
 ROUTES = (
     ("sinc_cos_product", ("sinc_cos_product",), _solve_sinc_cos_product),
     ("gaussian_sinc", ("gaussian_sinc",), _solve_gaussian_sinc),

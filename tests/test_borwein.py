@@ -1,5 +1,6 @@
 """Borwein-family machinery: tuples, exact values, the theorem, Gaussians."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -19,6 +20,11 @@ from opcalc.oracle import quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 
 B8_DEFICIT = Fraction(6879714958723010531, 467807924720320453655260875000)
+
+# sha256 of the exact strings of the integrals of sinc(x)^n e^(-x^2/2),
+# n = 0..45, one a line: pins every order the gauss_series workload runs
+# (up to 40), bit for bit.
+SINC_GAUSSIAN_DIGEST = "ceb938c7b682336d6de309878dd5e89c4e82734f55066d9b818e1eea5384eefd"
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +263,11 @@ def test_sinc_gaussian_matches_central_difference_reference():
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, n))]
         assert sinc_power_gaussian(n, chain_perturbation=poly).exact == \
             central_difference_reference(n, poly)
+
+
+def test_sinc_gaussian_exact_strings_pinned():
+    text = "\n".join(str(sinc_power_gaussian(n).exact) for n in range(46))
+    assert hashlib.sha256(text.encode()).hexdigest() == SINC_GAUSSIAN_DIGEST
 
 
 def test_sinc_gaussian_rejects_high_degree_perturbation():
