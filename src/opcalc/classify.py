@@ -45,7 +45,8 @@ class _NoMatch(Exception):
 def _factor_scan(node: Node, count: int = 1):
     """Multiplicative factors of a product as (factor, multiplicity) pairs,
     a power's base counted exponent times without copies, and the sign
-    the unary minus signs leave (a base's sign raised to the exponent)."""
+    the unary minus signs leave (a base's sign raised to the exponent).
+    A zeroth power is the factor 1: a multiplicity 0 leaves no pair."""
     if isinstance(node, Mul):
         left, left_sign = _factor_scan(node.left, count)
         right, right_sign = _factor_scan(node.right, count)
@@ -53,10 +54,10 @@ def _factor_scan(node: Node, count: int = 1):
     if isinstance(node, Neg):
         inner, sign = _factor_scan(node.arg, count)
         return inner, -sign
-    if isinstance(node, Pow) and node.exponent >= 1:
+    if isinstance(node, Pow) and node.exponent >= 0:
         inner, sign = _factor_scan(node.base, count * node.exponent)
         return inner, sign ** node.exponent
-    return [(node, count)], 1
+    return [(node, count)] if count else [], 1
 
 
 # -- family matchers --------------------------------------------------------
@@ -130,6 +131,8 @@ def _match_rational_trig(ast: Node) -> dict:
             raise _NoMatch("denominator factors must look like x^2 + a^2")
     if sign != 1:
         raise _NoMatch("negated denominators are not supported")
+    if not rates:
+        raise _NoMatch("no x^2 + a^2 factor in the denominator")
     if len(set(rates)) != len(rates):
         raise _NoMatch("repeated factors unsupported")
     return {"rates": tuple(sorted(rates)), "numerator": ast.left}

@@ -11,11 +11,11 @@ Subcommands:
 
 Shared flags: --json, --precision DIGITS, --truncation N, --exact.
 
-Exit codes: 0 success, 2 parse error, 3 unsupported integrand family
-or an exact value with more digits than Python prints, 4 numeric
-non-convergence or a value beyond the double range.  The CLI parses,
-renders and maps error base classes to exit codes; ``transforms``
-decides every request.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 parse error, 3
+unsupported integrand family or an exact value with more digits than
+Python prints, 4 numeric non-convergence or a value beyond the double
+range.  The CLI parses, renders and maps error base classes to exit
+codes; ``transforms`` decides every request.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from .transforms import (UnsupportedFamilyError, fourier_at, integrate,
                          sinc_product_result)
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NONCONVERGENT = 4
@@ -281,7 +283,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:  # the reader left, as `| head` does: no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -154,10 +154,14 @@ def _poly_deriv(a: tuple) -> tuple:
 
 
 def _poly_eval(a: tuple, z: Fraction) -> Fraction:
-    total = Fraction(0)
+    """a(z) by homogeneous integer Horner: with z = u/v and D the lcm of
+    a's denominators, D v^deg a(z) is an integer, divided out once."""
+    u, v = z.numerator, z.denominator
+    total, scale = 0, math.lcm(*(c.denominator for c in a))  # D v^(deg - k)
     for c in reversed(a):
-        total = total * z + c
-    return total
+        total = total * u + c.numerator * (scale // c.denominator)
+        scale *= v
+    return Fraction(total * v, scale)
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,8 @@ class GaussianChain:
         return GaussianChain(_trimmed(p), _poly_deriv(self.q))
 
     def value_at(self, z) -> ExactValue:
-        """Exact value at rational z: e^(-z^2/2) and erf(z/sqrt 2) residues."""
+        """Exact value at rational z: e^(-z^2/2) and erf(z/sqrt 2) residues,
+        p(z) and q(z) each read by one integer pass (_poly_eval)."""
         z = as_fraction(z)
         # sqrt(pi/2) = sqrt(2*pi)/2
         return ExactValue.from_terms([

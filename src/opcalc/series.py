@@ -13,10 +13,12 @@ as exact complex rationals.  The two user-facing routes built on it are
   same pass on [-a, a].
 
 Coefficient arithmetic never leaves the rationals; the one float
-conversion, of the finished value, is range-checked.  Every factorial
-ladder (exp, sin, cos, sinc of c x^v) is built by _monomial_compose; of
-any other argument g, the function's own ladder is composed with g's
-series.  A monomial is read with operators.polynomial_of.
+conversion, of the finished value, is range-checked.  Products and the
+read-off share one integer form, a_k = A_k/(d k!), since
+G^(k)(0) = k! c_k, in which a product is a binomial convolution.  Every
+factorial ladder (exp, sin, cos, sinc of c x^v) is built by
+_monomial_compose; of any other argument g, the function's own ladder is
+composed with g's series.  A monomial is read with operators.polynomial_of.
 """
 
 from __future__ import annotations
@@ -87,28 +89,37 @@ def series_verdict(magnitudes: Sequence[float], tol: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _integer_form(coeffs):
-    """(den, re, im) with coeffs[k] == (re[k] + i*im[k]) / den, where den is
-    the lcm of every real and imaginary denominator; im is None when every
-    coefficient is real."""
-    den = math.lcm(*(c.re.denominator for c in coeffs),
-                   *(c.im.denominator for c in coeffs))
-    re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
-    im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
-    return den, re, (im if any(im) else None)
+    """(d, re, im) with coeffs[k] == (re[k] + i*im[k]) / (d * k!), d the
+    lcm of the reduced denominators of coeffs[k] * k! (cos has re = +-1)."""
+    fact, parts = 1, []
+    for k, c in enumerate(coeffs):
+        fact *= k or 1
+        for num, den in (c.re.as_integer_ratio(), c.im.as_integer_ratio()):
+            g = math.gcd(fact, den) if num else den  # a zero part is 0/1
+            parts.append((num and num * (fact // g), den // g))
+    d = math.lcm(*[e for _, e in parts])
+    scaled = [v * (d // e) for v, e in parts]
+    return d, scaled[0::2], scaled[1::2]
 
 
-def _convolve(x: list, y: list) -> list:
-    """Coefficients 0..len(x)-1 of the product of two equally long integer
-    lists, skipping zero entries."""
+def _binomial_convolve(x: list, y: list) -> list:
+    """out_m = sum_i C(m, i) x_i y_(m-i) for m < len(x), two equally long
+    integer lists, skipping zero entries.  For each nonzero x_i the term
+    x_i C(i + j, j) steps from one nonzero y_j to the next: across a gap g
+    it is multiplied by (i + j)!/(i + j - g)! and divided, exactly, by
+    j!/(j - g)!."""
     n = len(x)
     out = [0] * n
-    ys = [(j, v) for j, v in enumerate(y) if v]
-    for i, u in enumerate(x):
-        if u:
-            for j, v in ys:
+    nonzero = [j for j, v in enumerate(y) if v]
+    ys = [(j, y[j], j - prev, math.perm(j, j - prev))
+          for j, prev in zip(nonzero, [0] + nonzero)]
+    for i, term in enumerate(x):
+        if term:
+            for j, v, gap, down in ys:
                 if i + j >= n:
                     break
-                out[i + j] += u * v
+                term = term * math.perm(i + j, gap) // down
+                out[i + j] += term * v
     return out
 
 
@@ -148,23 +159,21 @@ class PowerSeries:
         return PowerSeries(tuple(c * a for a in self.coeffs))
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
-        """Truncated product as integer convolutions: each side is brought
-        to one common denominator, so every output coefficient is built,
-        and reduced, once."""
+        """Truncated product, the binomial convolution of the k!-scaled
+        integer forms: the m-th coefficient is sum_i C(m, i) A_i B_(m-i)
+        over d_a d_b m!, built, and reduced, once."""
         n = self._order_with(other)
         da, ar, ai = _integer_form(self.coeffs[:n + 1])
         db, br, bi = _integer_form(other.coeffs[:n + 1])
-        re = _convolve(ar, br)
-        im = [0] * (n + 1)
-        if ai is not None and bi is not None:
-            re = [r - s for r, s in zip(re, _convolve(ai, bi))]
-        if bi is not None:
-            im = _convolve(ar, bi)
-        if ai is not None:
-            im = [r + s for r, s in zip(im, _convolve(ai, br))]
-        den = da * db
-        return PowerSeries(tuple(ComplexRational(Fraction(r, den), Fraction(i, den))
-                                 for r, i in zip(re, im)))
+        # an all-zero part costs one pass over the other list
+        re = [r - s for r, s in zip(_binomial_convolve(ar, br), _binomial_convolve(ai, bi))]
+        im = [r + s for r, s in zip(_binomial_convolve(ar, bi), _binomial_convolve(ai, br))]
+        out, den = [], da * db
+        for m, (r, i) in enumerate(zip(re, im)):
+            den *= m or 1  # d_a d_b m!
+            out.append(ComplexRational(Fraction(r, den), Fraction(i, den))
+                       if r or i else CR_ZERO)
+        return PowerSeries(tuple(out))
 
     def pow(self, n: int) -> "PowerSeries":
         """self^n by squaring and multiplying: about 2 log2(n) products."""
@@ -511,21 +520,17 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
         series = PowerSeries(series.coeffs + (CR_ZERO,) * (m - series.order)).mul(shift)
     # G^(k)(0) = k! c_k, and the i-powers cancel pairwise, leaving the
     # term-wise rule; keep the operator form so the exactness claim
-    # against termwise_integral is a real cross-check.  The sum runs on
-    # integer numerators over the common denominator den_a * den_c.
+    # against termwise_integral is a real cross-check.  The k!-scaled form
+    # holds a_k k!, so the sum is over integers, divided by den_a * den_c.
     n = series.order
     den_a, ar, ai = _integer_form(series.coeffs)
     den_c, ck = _kernel_coefficients(a, b, n, imaginary)
-    ai = ai or [0] * (n + 1)
     re = im = 0
-    for k in range(n, -1, -1):
-        # the factor k! by Horner's rule, from the top order down
-        re *= k + 1
-        im *= k + 1
-        if ar[k] or ai[k]:
-            cr, ci = _rotate(ck[k], 3 * k if imaginary else 0)  # (-i)^k c_k
-            re += ar[k] * cr - ai[k] * ci
-            im += ar[k] * ci + ai[k] * cr
+    for k, (xr, xi, c) in enumerate(zip(ar, ai, ck)):
+        if xr or xi:
+            cr, ci = _rotate(c, 3 * k if imaginary else 0)  # (-i)^k c_k
+            re += xr * cr - xi * ci
+            im += xr * ci + xi * cr
     den = den_a * den_c
     total = (Fraction(re, den), Fraction(im, den))
     size = _log_abs(*total) if any(total) else -math.inf

@@ -1,6 +1,7 @@
 """Route classification and the command-line surface (text, JSON, exits)."""
 
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 
 from opcalc.classify import classify
 from opcalc import cli
-from opcalc.cli import (EXIT_NONCONVERGENT, EXIT_OK, EXIT_PARSE,
-                        EXIT_UNSUPPORTED, build_arg_parser, run)
+from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
+                        EXIT_PARSE, EXIT_UNSUPPORTED, build_arg_parser, run)
 from opcalc.parser import parse_expression
 from opcalc.transforms import ROUTES
 
@@ -636,3 +637,58 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pi_coefficient"] == "1"
+
+
+@pytest.mark.parametrize("text", ["sinc(x)^0*exp(-x^2/2)", "exp(-x^2/2)*cos(x)^0",
+                                  "exp(-x^2/2)*x^0", "(-sinc(x))^0*exp(-x^2/2)"])
+def test_a_zeroth_power_is_the_factor_one(capsys, text):
+    route = classify(parse_expression(text))
+    assert route.tag == "gaussian_sinc" and route.params["sinc_power"] == 0
+    code, out, _ = run_cli(capsys, "integrate", text, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["exact"] == "sqrt(2*pi)"
+
+
+def test_a_zeroth_power_denominator_is_not_a_green_factor(capsys):
+    # (x^2+4)^0 is 1: the Green route keeps the one real factor, and a
+    # denominator with none is not rational_trig
+    code, out, _ = run_cli(capsys, "integrate", "cos(x)/((x^2+1)*(x^2+4)^0)", "--json")
+    assert code == EXIT_OK and json.loads(out)["exact"] == "pi*exp(-1)"
+    assert classify(parse_expression("cos(x)/(x^2+1)^0")).tag != "rational_trig"
+
+
+# sha256 of the --json stdout of each request, taken while series products
+# ran on one lcm denominator and the Gaussian chain was read by Fraction
+# Horner: no printed digit may move
+PINNED_OUTPUTS = [
+    (("integrate", "exp(-x^2/2)*cos(x)"),
+     "9f91e0aef7c56bdf372b7df88f5254829bec347f956139429e1a07380d982758"),
+    (("integrate", "x^3*exp(-x)", "--interval", "0", "5/2"),
+     "cf5a89488cf19b2f4dd045c75fcc0a9b39725e53092c124e50b0b349b4fdacc3"),
+    (("integrate", "exp(-3*x/2)*cos(2*x)", "--interval", "0", "7/4", "--precision", "30"),
+     "0023219b1f1ef034b66ef4e76d914d3008bf8f98806ff4ab6372d5b72c5b8072"),
+    (("integrate", "exp(-x^2/2)*cos(x)", "--interval", "0", "1"),
+     "8afa80d14721a994b9f341e9739563f27a1fb2fefd5a219059743c491e30afe5"),
+    (("integrate", "sinc(x)^36*exp(-x^2/2)"),
+     "00836e6e8d36e8984e66925d5e7664c555ab53caf45bd8a3089a3899bc2b16be"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
+def test_cli_printed_digits_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # the reader is gone before anything is printed, as after `| head`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opcalc", "integrate", "exp(-x^2/2)*x^0", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert err == b""

@@ -242,7 +242,8 @@ PINS = {
     'sinc(x)^10': '8fe8a1db93a1eb03',
     'sinc(x)^11': '84b70a6976de0845',
     'sinc(x)^12': '352da8375e0744fb',
-    'sinc(x)^0*exp(-x^2/2)': '42e7ebae3ba52e2b',
+    # a zeroth power is the factor 1: classified gaussian_sinc with power 0
+    'sinc(x)^0*exp(-x^2/2)': '18e4f3aa4568479b',
     'sinc(x)^8*exp(-x^2/2)': 'f8e977345705e136',
     'sinc(x)^16*exp(-x^2/2)': 'b21673af36b5fbf0',
     'sinc(x)^24*exp(-x^2/2)': 'e3425080f134f1f3',

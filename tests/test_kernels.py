@@ -1,12 +1,13 @@
 """Kernel chains: 1/y derivatives, Gaussian anti-derivatives, Green's functions."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from opcalc.exact import ComplexRational, ExactValue, exp_value, log_value
+from opcalc.exact import ComplexRational, ExactValue, Residue, exp_value, log_value
 from opcalc.kernels import (GaussianChain, LogChain, eval_kernel,
                             gaussian_chain, green_function, green_kernel,
                             one_over_y_chain)
@@ -180,6 +181,36 @@ def test_gaussian_chain_matches_tuple_reference():
         p, q, r = reference_antiderivative(p, q, r, odd_target=(n % 2 == 1))
         assert r == (), n
         assert gaussian_chain(n) == GaussianChain(p, q), n
+
+
+def reference_value(chain, z):
+    """value_at by Fraction Horner on p and q, as it was evaluated before
+    the integer read-off."""
+    def horner(poly):
+        total = Fraction(0)
+        for c in reversed(poly):
+            total = total * z + c
+        return total
+
+    return ExactValue.from_terms([
+        (Residue(e_exp=-z * z / 2), horner(chain.p)),
+        (Residue(sqrt_two_pi=1, erf_args=(z,)), horner(chain.q) / 2)])
+
+
+def test_gaussian_chain_value_matches_fraction_horner():
+    rng = random.Random(61)
+    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(1, 10 ** 6)]
+    while len(points) < 50:
+        points.append(Fraction(rng.randint(-400, 400), rng.randint(1, 60)))
+    for n in range(61):
+        chain = gaussian_chain(n)
+        for z in points:
+            assert chain.value_at(z) == reference_value(chain, z), (n, z)
+    # unrelated denominators, an integer coefficient and empty polynomials
+    for chain in (GaussianChain(p=(Fraction(1, 3), Fraction(0), Fraction(-5, 7)),
+                                q=(Fraction(2, 9), Fraction(4))), GaussianChain()):
+        for z in points:
+            assert chain.value_at(z) == reference_value(chain, z), (chain, z)
 
 
 def test_gaussian_chain_value_matches_quadrature():

@@ -386,3 +386,56 @@ def test_series_fallback_value_is_unchanged():
     from opcalc.transforms import fourier_regularized
     result = fourier_regularized(parse_expression("exp(-x^2/2)*cos(x)"), 0, 12, 576)
     assert f"{result.approx:.15g}" == "1.52034690106628"
+
+
+# ---------------------------------------------------------------------------
+# PowerSeries products at the orders the routes use
+# ---------------------------------------------------------------------------
+
+ROUTE_PRODUCTS = [("exp(-x^2/2)", "cos(x)"), ("sinc(x)^3", "exp(-x^2/2)"),
+                  ("exp(x/3)", "exp(2*x/5)"), ("exp(-x^2/2)", None)]
+
+
+@pytest.mark.parametrize("left, right", ROUTE_PRODUCTS)
+def test_mul_matches_the_reference_loop_at_route_orders(left, right):
+    # None is the e^(3ix/2) series a frequency y = 3/2 multiplies f by
+    for order in (120, 200):
+        a = taylor_of(parse_expression(left), order)
+        b = (complex_exponential_series(Fraction(3, 2), order) if right is None
+             else taylor_of(parse_expression(right), order))
+        assert a.mul(b).coeffs == reference_mul(a, b).coeffs
+
+
+def factorial_series(rng, order, kind):
+    """Random coefficients r/k! or r/(2^j j!) (at k = 2j) with zero runs:
+    the denominators of the factorial ladders the routes multiply."""
+    coeffs = []
+    while len(coeffs) <= order:
+        k = len(coeffs)
+        if rng.random() < 0.25:
+            coeffs.append(CR_ZERO)
+            continue
+        den = (2 ** (k // 2) * math.factorial(k // 2) if k % 2 == 0 and rng.random() < 0.5
+               else math.factorial(k))
+        re = Fraction(rng.randint(-9, 9), den)
+        im = Fraction(rng.randint(-9, 9), den)
+        coeffs.append(ComplexRational(0 if kind == "imaginary" else re,
+                                      0 if kind == "real" else im))
+    return PowerSeries(tuple(coeffs))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mul_matches_the_reference_loop_on_factorial_denominators(kind):
+    rng = random.Random(f"factorial:{kind}")
+    for _ in range(12):
+        a = factorial_series(rng, rng.randint(0, 60), kind)
+        b = factorial_series(rng, rng.randint(0, 60), rng.choice(KINDS))
+        assert a.mul(b).coeffs == reference_mul(a, b).coeffs
+        assert b.mul(a).coeffs == reference_mul(b, a).coeffs
+
+
+def test_interval_matches_termwise_rule_at_the_fallback_order():
+    # the windowed fallback's own series, order and window
+    s = taylor_of(parse_expression("exp(-x^2/2)*cos(x)"), 576)
+    route = finite_interval_transform(s, -12, 12, tol=1e-12)
+    assert route == complex(termwise_integral(s, -12, 12))
