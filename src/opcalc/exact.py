@@ -406,12 +406,33 @@ class ExactValue:
 
     # -- numerics --------------------------------------------------------
     def evalf(self, dps: int = 30) -> mpmath.mpf:
-        """High-precision numeric shadow with *dps* significant digits."""
-        with mpmath.workdps(dps + 10):
-            total = mpmath.mpf(0)
+        """High-precision numeric shadow with *dps* significant digits.
+
+        The terms are summed at dps + 10 digits beside their absolute
+        values.  While cancellation, log10(sum |t| / |sum t|) digits, leaves
+        fewer than dps + 2 correct, the sum is taken again with that many
+        extra digits: a total that is all rounding error bounds the loss
+        only from below.  A sum of rationals cancels by fewer digits than
+        its coefficients have bits, which bounds the extra digits."""
+        extra = 10
+        total, lost = self._sum(dps + extra)
+        while lost > extra - 2 and extra < 10 + sum(
+                c.numerator.bit_length() + c.denominator.bit_length() for _, c in self.terms):
+            extra = 10 + math.ceil(lost)
+            total, lost = self._sum(dps + extra)
+        return total
+
+    def _sum(self, dps: int):
+        """The sum of the terms at *dps* digits and the digits it lost."""
+        with mpmath.workdps(dps):
+            total = size = mpmath.mpf(0)
             for r, c in self.terms:
-                total += _to_mpf(c) * r.evalf()
-            return +total
+                term = _to_mpf(c) * r.evalf()
+                total += term
+                size += abs(term)
+            if size <= 1e8 * abs(total):
+                return +total, 0
+            return +total, float(mpmath.log10(size / abs(total))) if total else dps
 
     def __float__(self) -> float:
         return float(self.evalf(25))

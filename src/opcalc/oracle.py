@@ -6,7 +6,9 @@ Gauss-Legendre pair (10 vs 21 nodes; their difference is the error
 estimate).  Real-line integrals are truncated where a declared decay
 envelope drops below tol/100, except for oscillatory-algebraic integrands
 (sinc products), which are summed over half-period segments and
-accelerated by repeated averaging of the partial sums.
+accelerated by repeated averaging of the partial sums.  All the intervals
+of one integral are refined in lockstep, each exactly as it would be
+alone, and each refinement round makes one integrand call.
 """
 
 from __future__ import annotations
@@ -53,14 +55,20 @@ def _ensure_vectorized(f):
     return lambda xs: np.array([f(float(x)) for x in xs])
 
 
-def _panel(f, a: float, b: float):
+def _panels(f, spans):
+    """Value and error estimate of the 10/21-node pair on every (a, b) of
+    *spans*, from one call of f on all their nodes."""
     import numpy as np
+    if not spans:
+        return []
     (nodes_lo, weights_lo), (nodes_hi, weights_hi) = _rules()
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    lo = float(weights_lo @ np.asarray(f(mid + half * nodes_lo), dtype=float))
-    hi = float(weights_hi @ np.asarray(f(mid + half * nodes_hi), dtype=float))
-    return hi * half, abs(hi - lo) * half
+    ends = np.array(spans, dtype=float)
+    mid = 0.5 * (ends[:, :1] + ends[:, 1:])
+    half = 0.5 * (ends[:, 1:] - ends[:, :1])
+    nodes = mid + half * np.concatenate((nodes_lo, nodes_hi))
+    rows = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    pairs = [(float(weights_lo @ row[:10]), float(weights_hi @ row[10:])) for row in rows]
+    return [(hi * h, abs(hi - lo) * h) for h, (lo, hi) in zip(half[:, 0].tolist(), pairs)]
 
 
 def _quiet(fn):
@@ -87,7 +95,7 @@ def quad_interval(f: Callable[[float], float], a: float, b: float,
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("quad_interval needs finite endpoints")
-    return _adaptive(_ensure_vectorized(f), a, b, tol, max_subdivisions)
+    return _adaptive(_ensure_vectorized(f), [(a, b)], tol, max_subdivisions)[0]
 
 
 @_quiet
@@ -98,36 +106,47 @@ def require_finite(f: Callable[[float], float], x: float) -> None:
         raise QuadratureError(f"the integrand is not finite at x = {x:g}")
 
 
-def _adaptive(f, a: float, b: float, tol: float,
-              max_subdivisions: int = 4000) -> QuadReport:
-    if a == b:
-        return QuadReport(0.0, 0.0, 0)
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    value, err = _panel(f, a, b)
-    heap = [(-err, a, b, value, err)]
-    subdivisions = 0
-    total_err = err
-    while total_err > tol and subdivisions < max_subdivisions and heap:
-        _, xa, xb, v, e = heapq.heappop(heap)
-        total_err -= e
-        mid = 0.5 * (xa + xb)
-        if mid == xa or mid == xb:  # cannot split further in floats
-            total_err += e
-            heapq.heappush(heap, (0.0, xa, xb, v, 0.0))
-            continue
-        v1, e1 = _panel(f, xa, mid)
-        v2, e2 = _panel(f, mid, xb)
-        subdivisions += 1
-        total_err += e1 + e2
-        heapq.heappush(heap, (-e1, xa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, xb, v2, e2))
-    total = sum(item[3] for item in heap)
-    if not (math.isfinite(total) and math.isfinite(total_err)):
-        raise QuadratureError(
-            f"the integrand is not finite at a quadrature node in [{a:g}, {b:g}]")
-    return QuadReport(sign * total, total_err, subdivisions)
+def _adaptive(f, intervals, tol: float,
+              max_subdivisions: int = 4000) -> list[QuadReport]:
+    """Adaptive integrals over every (a, b) of *intervals*, refined in
+    lockstep.  Each interval keeps its own heap, error total and budget,
+    and bisects its worst panel exactly as it would alone; one call of f
+    per round evaluates the new halves of all of them.  Raises
+    QuadratureError for the first interval whose sum is not finite."""
+    spans = [(min(a, b), max(a, b)) for a, b in intervals]
+    heaps = [[] for _ in spans]
+    errs = [0.0] * len(spans)
+    splits = [0] * len(spans)
+    live = [i for i, (a, b) in enumerate(spans) if a != b]
+    for i, (v, e) in zip(live, _panels(f, [spans[i] for i in live])):
+        heaps[i].append((-e, *spans[i], v, e))
+        errs[i] = e
+    while live := [i for i in live if errs[i] > tol and splits[i] < max_subdivisions]:
+        halves = []
+        for i in live:
+            _, xa, xb, v, e = heapq.heappop(heaps[i])
+            errs[i] -= e
+            mid = 0.5 * (xa + xb)
+            if mid == xa or mid == xb:  # cannot split further in floats
+                errs[i] += e
+                heapq.heappush(heaps[i], (0.0, xa, xb, v, 0.0))
+            else:
+                halves.append((i, xa, mid, xb))
+        panels = _panels(f, [span for _, xa, mid, xb in halves
+                             for span in ((xa, mid), (mid, xb))])
+        for (i, xa, mid, xb), (v1, e1), (v2, e2) in zip(halves, panels[::2], panels[1::2]):
+            splits[i] += 1
+            errs[i] += e1 + e2
+            heapq.heappush(heaps[i], (-e1, xa, mid, v1, e1))
+            heapq.heappush(heaps[i], (-e2, mid, xb, v2, e2))
+    reports = []
+    for (a, b), (lo, hi), heap, err, n in zip(intervals, spans, heaps, errs, splits):
+        total = sum(item[3] for item in heap)
+        if not (math.isfinite(total) and math.isfinite(err)):
+            raise QuadratureError(
+                f"the integrand is not finite at a quadrature node in [{lo:g}, {hi:g}]")
+        reports.append(QuadReport((-1.0 if a > b else 1.0) * total, err, n))
+    return reports
 
 
 def _iterated_mean(partial: Sequence[float]):
@@ -135,11 +154,12 @@ def _iterated_mean(partial: Sequence[float]):
     the tail is damped by a factor per level, so slowly alternating segment
     sums converge geometrically.  Returns the triangle apex and the gap to
     the previous level as the error clue."""
+    import numpy as np
     heads = [partial[0]]
-    row = list(partial)
+    row = np.asarray(partial, dtype=float)
     while len(row) > 1:
-        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-        heads.append(row[0])
+        row = 0.5 * (row[:-1] + row[1:])
+        heads.append(float(row[0]))
     err = abs(heads[-1] - heads[-2]) if len(heads) > 1 else 0.0
     return heads[-1], err
 
@@ -169,29 +189,28 @@ def quad_real_line(f: Callable[[float], float], tol: float = 1e-8,
     f = _ensure_vectorized(f)
     if decay in ("exponential", "gaussian"):
         radius = _truncation_radius(decay, rate, tol)
-        report = _adaptive(f, -radius, radius, tol / 2)
+        report, = _adaptive(f, [(-radius, radius)], tol / 2)
         return QuadReport(report.value, report.error_estimate + tol / 100.0,
                           report.subdivisions, radius)
     if decay != "oscillatory_algebraic":
         raise ValueError(f"unknown decay class {decay!r}")
 
     seg_tol = tol / (20.0 * segments)
+    ends = [k * half_period for k in range(segments + 1)]
+    reports = _adaptive(f, [(ends[k], ends[k + 1]) for k in range(segments)]
+                        + [(-ends[k + 1], -ends[k]) for k in range(segments)], seg_tol)
     subdivisions = 0
     seg_err = 0.0
     sides = []
-    for sign in (1.0, -1.0):
+    for side in (reports[:segments], reports[segments:]):
         sums = []
         acc = 0.0
-        for k in range(segments):
-            xa = sign * k * half_period
-            xb = sign * (k + 1) * half_period
-            rep = _adaptive(f, min(xa, xb), max(xa, xb), seg_tol)
+        for rep in side:
             subdivisions += rep.subdivisions
             seg_err += rep.error_estimate
             acc += rep.value
             sums.append(acc)
-        accel, accel_err = _iterated_mean(sums)
-        sides.append((accel, accel_err))
+        sides.append(_iterated_mean(sums))
     value = sides[0][0] + sides[1][0]
     err = sides[0][1] + sides[1][1] + seg_err
     return QuadReport(value, err, subdivisions, segments * half_period)

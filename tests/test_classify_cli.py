@@ -682,6 +682,21 @@ def test_cli_printed_digits_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Exact Gaussian values are long alternating sums: sinc^120 loses 21.5
+# digits to cancellation and sinc^160 28.7.  The digits are those of
+# mpmath.quad at 40 digits.
+@pytest.mark.parametrize("argv, approx", [
+    (("integrate", "sinc(x)^160*exp(-x^2/2)"), "0.339753591106925"),
+    (("integrate", "sinc(x)^120*exp(-x^2/2)", "--precision", "30"),
+     "0.391003437161136545791939461816"),
+])
+def test_cancelling_exact_values_print_correct_digits(capsys, argv, approx):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    out = json.loads(out)
+    assert out["approx"] == approx and out["diagnostics"]["verdict"] == "exact"
+
+
 def test_cli_closed_stdout_exits_quietly():
     # the reader is gone before anything is printed, as after `| head`
     proc = subprocess.Popen(

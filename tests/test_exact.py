@@ -189,6 +189,34 @@ def test_exact_value_high_precision():
         assert abs(v.evalf(50) - mpmath.pi) < mpmath.mpf(10) ** -49
 
 
+def _one_pass(value, dps):
+    """The shadow summed once at dps + 10 digits."""
+    with mpmath.workdps(dps + 10):
+        total = mpmath.mpf(0)
+        for r, c in value.terms:
+            total += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * r.evalf()
+        return +total
+
+
+@pytest.mark.parametrize("scale", [10 ** 9, 10 ** 25, 10 ** 60])
+def test_evalf_survives_cancellation(scale):
+    # scale*pi - round(scale*pi) is below 1 while its terms are near scale
+    with mpmath.workdps(200):
+        nearest = int(mpmath.nint(scale * mpmath.pi))
+        truth = scale * mpmath.pi - nearest
+    v = ExactValue.pi_times(scale) - nearest
+    for dps in (15, 30):
+        with mpmath.workdps(dps):
+            assert abs(v.evalf(dps) - truth) <= abs(truth) * mpmath.mpf(10) ** (2 - dps)
+
+
+def test_evalf_is_one_pass_when_little_cancels():
+    # 7 digits of 10 spare are lost: the first sum is returned as it is
+    v = ExactValue.pi_times(10 ** 7) - 31415926 + exp_value(Fraction(-1, 3), Fraction(1, 7))
+    for dps in (15, 25, 40):
+        assert v.evalf(dps) == _one_pass(v, dps)
+
+
 exact_values = st.builds(
     lambda a, b, c, d: (ExactValue.rational(a) + ExactValue.pi_times(b)
                         + exp_value(Fraction(-1), c) + log_value(2, d)),
