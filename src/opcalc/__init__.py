@@ -11,10 +11,10 @@ from .borwein import (SincProductSpec, borwein_deficit, borwein_exact,
 from .classify import RouteClass, classify
 from .exact import (ComplexRational, ExactValue, Rational, Residue,
                     double_factorial)
-from .kernels import (GaussianChain, LogChain, PiecewiseExp, eval_kernel,
-                      gaussian_chain, green_function, one_over_y_chain)
+from .kernels import (GaussianChain, LogChain, PiecewiseExp, eval_kernel, gaussian_chain,
+                      green_function, one_over_y_chain, with_representatives)
 from .operators import (OperatorTerm, OperatorWord, RampSum, apply_word,
-                        decompose, eval_limit_at_zero, perturb_antiderivative)
+                        decompose, eval_limit_at_zero)
 from .oracle import QuadReport, quad_interval, quad_real_line
 from .parser import parse_expression, to_source
 from .result import TransformResult
@@ -34,9 +34,9 @@ __all__ = [
     "RouteClass", "classify",
     "ComplexRational", "ExactValue", "Rational", "Residue", "double_factorial",
     "GaussianChain", "LogChain", "PiecewiseExp", "eval_kernel", "gaussian_chain",
-    "green_function", "one_over_y_chain",
+    "green_function", "one_over_y_chain", "with_representatives",
     "OperatorTerm", "OperatorWord", "RampSum", "apply_word", "decompose",
-    "eval_limit_at_zero", "perturb_antiderivative",
+    "eval_limit_at_zero",
     "QuadReport", "quad_interval", "quad_real_line",
     "parse_expression", "to_source",
     "TransformResult",

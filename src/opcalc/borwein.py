@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .exact import (SQRT_TWO_PI, ComplexRational, ExactValue, as_fraction,
                     double_factorial)
-from .kernels import HEAT
+from .kernels import HEAT, with_representatives
 from .operators import OperatorTerm, OperatorWord, RampSum, apply_word
 from .result import TransformResult
 
@@ -250,7 +250,7 @@ def sinc_power_gaussian(n: int,
         OperatorTerm(ComplexRational(Fraction((-1) ** k * math.comb(n, k), 2 ** n)),
                      Fraction(n - 2 * k), -n)
         for k in range(n + 1))
-    image = apply_word(word, RampSum.of(HEAT), perturb=lambda _order: coeffs)
+    image = apply_word(word, RampSum.of(with_representatives(HEAT, lambda _order: coeffs)))
     value = SQRT_TWO_PI * image.evaluate_at(0)
     return TransformResult.from_exact(
         value, method="gaussian_heat_kernel", formula="gaussian_sinc_difference",

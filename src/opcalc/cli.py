@@ -30,13 +30,13 @@ from fractions import Fraction
 
 import mpmath
 
-from .borwein import SincProductSpec, borwein_exact
+from .borwein import SincProductSpec
 from .operators import NotExponentialPolynomial
 from .parser import ParseError, parse_expression
 from .result import TransformResult
 from .series import DEFAULT_TRUNCATION
-from .transforms import (UnsupportedFamilyError, fourier_at, integrate,
-                         laplace_formal, laplace_regularized, quadrature,
+from .transforms import (UnsupportedFamilyError, borwein_result, compare, fourier_at,
+                         integrate, laplace_formal, laplace_regularized,
                          sinc_product_result)
 
 EXIT_OK = 0
@@ -207,32 +207,15 @@ def _cmd_laplace(args) -> TransformResult:
     return laplace_formal(ast, args.at)
 
 
-def _cmd_borwein(args) -> TransformResult:
-    value = borwein_exact(args.n)
-    return TransformResult.from_exact(
-        value, method="sinc_product_enumeration", formula="delta_ramp_tuple_sum",
-        diagnostics={"verdict": "exact", "deficit": str(1 - value.pi_coefficient)})
-
-
-def _cmd_compare(args) -> TransformResult:
-    ast = parse_expression(args.expr)
-    engine = integrate(ast, truncation=args.truncation)
-    ora = quadrature(ast)
-    difference = abs(engine.approx - ora.approx)
-    engine.diagnostics["oracle"] = ora.approx
-    engine.diagnostics["difference"] = difference
-    return engine
-
-
 _COMMANDS = {
     "integrate": lambda args: integrate(parse_expression(args.expr), *args.interval,
                                         args.truncation, args.method),
     "laplace": _cmd_laplace,
     "fourier": lambda args: fourier_at(parse_expression(args.expr), args.at),
-    "borwein": _cmd_borwein,
+    "borwein": lambda args: borwein_result(args.n),
     "lord": lambda args: sinc_product_result(SincProductSpec(args.sinc, args.cos,
                                                              args.outer)),
-    "compare": _cmd_compare,
+    "compare": lambda args: compare(parse_expression(args.expr), args.truncation),
 }
 
 

@@ -24,6 +24,8 @@ logarithms.
 * ``regularized_kernel(a)``  the entire kernel (1 - e^(-ay))/y, whose
               derivatives ``RegularizedChain`` evaluates.
 
+Each K_m, m >= 0, is fixed only up to a polynomial of degree <= m, which
+no convergent integral sees; ``with_representatives`` picks other ones.
 ``eval_kernel`` gives any chain member's numeric shadow.
 """
 
@@ -320,6 +322,41 @@ def regularized_kernel(a):
     """The kernel (1 - e^(-a y))/y; anti-derivatives would need Ei."""
     a = as_fraction(a)
     return lambda m: RegularizedChain(-1 - m, a)
+
+
+# ---------------------------------------------------------------------------
+# Representatives
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Represented:
+    """A chain member plus a polynomial, plain coefficients c_0 + c_1 z + ..."""
+
+    member: object
+    poly: tuple
+
+    def value_at(self, z) -> ExactValue:
+        return self.member.value_at(z) + _poly_eval(self.poly, as_fraction(z))
+
+
+def with_representatives(kernel, perturb=None):
+    """K's chain with other anti-derivative representatives: K_m, m >= 0,
+    gains the polynomial of degree <= m whose plain coefficients are
+    perturb(m + 1); K and its derivatives stay, and so does every member
+    when *perturb* is None."""
+    if perturb is None:
+        return kernel
+
+    def chain(m: int):
+        if m < 0:
+            return kernel(m)
+        coeffs = tuple(as_fraction(c) for c in perturb(m + 1))
+        if len(coeffs) > m + 1:
+            raise ValueError(
+                f"polynomial degree {len(coeffs) - 1} not allowed for order {m + 1}")
+        return Represented(kernel(m), coeffs) if coeffs else kernel(m)
+
+    return chain
 
 
 # ---------------------------------------------------------------------------

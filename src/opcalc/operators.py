@@ -10,12 +10,12 @@ anti-differentiates (n < 0).  Every exact route is the same move:
 (the delta, 1/y, the heat kernel, a Green's function; see ``kernels``)
 and the image is read off at one point with ``evaluate_at``.
 
-An image is a sum of kernel chain members K_m(y - s) plus a global
-polynomial kept in the y^j/j! basis, so that cancellation is structural,
-not numeric.  T_b turns K_m(y - s) into K_m(y - (s - b)); D^n lowers the
-order by n.  For the delta K_m is the generalized ramp R_m, and its
-evaluation is a two-sided limit: a genuine jump or delta at the
-evaluation point is an error, never a silently picked side.
+An image is a sum of one kernel's chain members K_m(y - s) with exact
+coefficients, so that cancellation is structural, not numeric.  T_b
+turns K_m(y - s) into K_m(y - (s - b)); D^n lowers the order by n.  For
+the delta K_m is the generalized ramp R_m, and its evaluation is a
+two-sided limit: a genuine jump or delta at the evaluation point is an
+error, never a silently picked side.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable
 
 from .exact import (CR_I, CR_ONE, CR_ZERO, ComplexRational, ExactValue,
-                    Residue, as_fraction)
+                    as_fraction)
 from .kernels import DELTA, RampEvaluationError  # noqa: F401 (re-exported)
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
@@ -253,88 +253,38 @@ def decompose(ast: Node, variant: str) -> OperatorWord:
 
 @dataclass(frozen=True)
 class RampSum:
-    """sum coeff * K_m(y - s)  +  a global polynomial sum coeff * y^j / j!.
+    """sum coeff * K_m(y - s) over the chain of one kernel K.
 
     *kernel* is K's chain, m -> K_m = D^-(m+1) K (see ``kernels``), the
-    delta unless given.  Step terms are (coeff, order m, shift s): for the
+    delta unless given.  Steps are (coeff, order m, shift s): for the
     delta, m >= 0 is the generalized ramp R_m, m == -1 the Dirac delta,
-    m < -1 its derivatives.  Polynomial terms carry the
-    representative polynomial; they are kept unshifted so that translation
-    invariances cancel exactly term-by-term.
+    m < -1 its derivatives.  Which anti-derivative representative K_m
+    stands for is the chain's choice (``kernels.with_representatives``).
     """
 
     steps: tuple = ()   # (ComplexRational, int, Fraction)
-    poly: tuple = ()    # (ComplexRational, int)
     kernel: Callable = DELTA
 
     @staticmethod
-    def from_parts(steps, poly=(), kernel: Callable = DELTA) -> "RampSum":
-        acc_s: dict = {}
+    def from_parts(steps, kernel: Callable = DELTA) -> "RampSum":
+        acc: dict = {}
         for c, m, s in steps:
             key = (m, as_fraction(s))
-            acc_s[key] = acc_s.get(key, CR_ZERO) + c
-        acc_p: dict = {}
-        for c, j in poly:
-            if j < 0:
-                raise ValueError("polynomial degrees must be >= 0")
-            acc_p[j] = acc_p.get(j, CR_ZERO) + c
+            acc[key] = acc.get(key, CR_ZERO) + c
         return RampSum(
-            tuple((c, m, s) for (m, s), c in sorted(acc_s.items()) if not c.is_zero),
-            tuple((c, j) for j, c in sorted(acc_p.items()) if not c.is_zero),
+            tuple((c, m, s) for (m, s), c in sorted(acc.items()) if not c.is_zero),
             kernel)
 
     @staticmethod
     def of(kernel: Callable) -> "RampSum":
         """The kernel itself, K_(-1)(y), as an image."""
-        return RampSum.from_parts([(CR_ONE, -1, Fraction(0))], kernel=kernel)
+        return RampSum.from_parts([(CR_ONE, -1, Fraction(0))], kernel)
 
-    @staticmethod
-    def delta() -> "RampSum":
-        return RampSum.of(DELTA)
-
-    @staticmethod
-    def polynomial(coeffs, kernel: Callable = DELTA) -> "RampSum":
-        """Polynomial sum coeffs[j] * y^j (plain monomial basis)."""
-        return RampSum.from_parts([], [
-            (ComplexRational(as_fraction(c)) * ComplexRational(Fraction(math.factorial(j))), j)
-            for j, c in enumerate(coeffs)], kernel)
-
-    def __add__(self, other: "RampSum") -> "RampSum":
-        if other.kernel is not self.kernel:
-            raise ValueError("images of different kernels do not add")
-        return RampSum.from_parts(self.steps + other.steps, self.poly + other.poly,
-                                  self.kernel)
-
-    def scale(self, c: ComplexRational) -> "RampSum":
-        return RampSum.from_parts([(v * c, m, s) for v, m, s in self.steps],
-                                  [(v * c, j) for v, j in self.poly], self.kernel)
-
-    def translate(self, b: Fraction) -> "RampSum":
-        """T_b: argument shifted by +b, so every shift s becomes s - b."""
-        b = as_fraction(b)
-        steps = [(c, m, s - b) for c, m, s in self.steps]
-        poly = []
-        for c, j in self.poly:
-            # (y+b)^j/j! = sum_i y^i/i! * b^(j-i)/(j-i)!
-            for i in range(j + 1):
-                poly.append((c * ComplexRational(
-                    Fraction(b ** (j - i), math.factorial(j - i))), i))
-        return RampSum.from_parts(steps, poly, self.kernel)
-
-    def apply_power(self, n: int) -> "RampSum":
-        """D^n: chain order m -> m - n; polynomial degrees likewise,
-        with differentiated-away constants dropped and anti-derivative
-        constants chosen zero."""
-        steps = [(c, m - n, s) for c, m, s in self.steps]
-        poly = [(c, j - n) for c, j in self.poly if j - n >= 0]
-        return RampSum.from_parts(steps, poly, self.kernel)
-
-    # -- evaluation ----------------------------------------------------
     def evaluate_at(self, y) -> ExactValue:
-        """Exact value at rational y: every coeff * K_m(y - s) and the
-        polynomial summed per residue, then checked real once.  The
-        kernel's chain refuses points outside its domain: for the delta,
-        jumps and deltas at y raise."""
+        """Exact value at rational y: every coeff * K_m(y - s) summed per
+        residue, then checked real once.  The kernel's chain refuses
+        points outside its domain: for the delta, jumps and deltas at y
+        raise."""
         y = as_fraction(y)
         acc: dict = {}
         chains: dict = {}
@@ -343,46 +293,20 @@ class RampSum:
                 chains[m] = self.kernel(m)
             for residue, q in chains[m].value_at(y - s).terms:
                 acc[residue] = acc.get(residue, CR_ZERO) + c * q
-        for c, j in self.poly:
-            acc[Residue()] = acc.get(Residue(), CR_ZERO) + c * Fraction(y ** j, math.factorial(j))
         return ExactValue.from_terms((r, v.require_real()) for r, v in acc.items())
 
-    def breakpoints(self) -> tuple:
-        return tuple(sorted({s for _c, m, s in self.steps}))
 
-
-def apply_word(word: OperatorWord, target: RampSum,
-               perturb: Optional[Callable[[int], Sequence]] = None) -> RampSum:
+def apply_word(word: OperatorWord, target: RampSum) -> RampSum:
     """Act with an operator word on an image, a kernel to begin with.
 
-    This is the one place where a word's terms act on a kernel.  When
-    *perturb* is given, every anti-differentiation D^-n additionally
-    receives perturb(n): plain coefficients of a polynomial of degree < n
-    added to the chosen representative.  Results must be invariant under
-    any admissible choice; the test harness exercises exactly that.
+    This is the one place where a word's terms act on a kernel, in one
+    pass: c T_b D^n takes the step (v, m, s) to (v c, m - n, s - b).
     """
-    steps: list = []
-    poly: list = []
-    for t in word.terms:
-        part = target.apply_power(t.power)
-        if perturb is not None and t.power < 0:
-            part = perturb_antiderivative(part, -t.power, perturb(-t.power))
-        part = part.translate(t.shift).scale(t.coeff)
-        steps += part.steps
-        poly += part.poly
-    return RampSum.from_parts(steps, poly, target.kernel)
+    return RampSum.from_parts(
+        ((v * t.coeff, m - t.power, s - t.shift)
+         for t in word.terms for v, m, s in target.steps), target.kernel)
 
 
 def eval_limit_at_zero(rs: RampSum) -> ExactValue:
     """Exact two-sided limit of a ramp sum at y = 0."""
     return rs.evaluate_at(0)
-
-
-def perturb_antiderivative(rs: RampSum, order: int, poly_coeffs) -> RampSum:
-    """Add an admissible representative shift: a polynomial of degree
-    < order joins the order-th anti-derivative representative."""
-    coeffs = tuple(poly_coeffs)
-    if len(coeffs) > order:
-        raise ValueError(
-            f"polynomial degree {len(coeffs) - 1} not allowed for order {order}")
-    return rs + RampSum.polynomial(coeffs, rs.kernel)

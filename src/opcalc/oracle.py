@@ -39,9 +39,6 @@ class QuadReport:
     subdivisions: int
     truncation_radius: float = 0.0
 
-    def within(self, tol: float) -> bool:
-        return self.error_estimate <= tol
-
 
 def _ensure_vectorized(f):
     import numpy as np
@@ -117,17 +114,20 @@ def _adaptive(f, intervals, tol: float,
     heaps = [[] for _ in spans]
     errs = [0.0] * len(spans)
     splits = [0] * len(spans)
+    done = [False] * len(spans)
     live = [i for i, (a, b) in enumerate(spans) if a != b]
     for i, (v, e) in zip(live, _panels(f, [spans[i] for i in live])):
         heaps[i].append((-e, *spans[i], v, e))
         errs[i] = e
-    while live := [i for i in live if errs[i] > tol and splits[i] < max_subdivisions]:
+    while live := [i for i in live
+                   if errs[i] > tol and splits[i] < max_subdivisions and not done[i]]:
         halves = []
         for i in live:
             _, xa, xb, v, e = heapq.heappop(heaps[i])
             errs[i] -= e
             mid = 0.5 * (xa + xb)
             if mid == xa or mid == xb:  # cannot split further in floats
+                done[i] = e == 0.0  # then every panel left has error 0
                 errs[i] += e
                 heapq.heappush(heaps[i], (0.0, xa, xb, v, 0.0))
             else:

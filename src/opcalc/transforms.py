@@ -28,11 +28,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oracle
-from .borwein import SincProductSpec, sinc_cos_product_integral, sinc_power_gaussian
+from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
+                      sinc_power_gaussian)
 from .classify import classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
-from .kernels import ONE_OVER_Y, green_kernel, regularized_kernel
+from .kernels import (DELTA, ONE_OVER_Y, green_kernel, regularized_kernel,
+                      with_representatives)
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
                         laurent_defect, word_of)
@@ -80,7 +82,7 @@ class FourierImage:
         return SQRT_TWO_PI * self.ramps.evaluate_at(as_fraction(y))
 
     def breakpoints(self) -> tuple:
-        return self.ramps.breakpoints()
+        return tuple(sorted({s for _c, _m, s in self.ramps.steps}))
 
 
 def fourier_via_delta(ast: Node) -> FourierImage:
@@ -91,7 +93,7 @@ def fourier_via_delta(ast: Node) -> FourierImage:
     UnsupportedFamilyError when the image keeps delta terms, which only
     the distributional pairing can read.
     """
-    image = apply_word(word_of(_entire_normal_form(ast), -CR_I), RampSum.delta())
+    image = apply_word(word_of(_entire_normal_form(ast), -CR_I), RampSum.of(DELTA))
     if any(m <= -1 for _c, m, _s in image.steps):
         # bounded non-decaying pieces (plain cos/sin/constants) and
         # derivative powers leave deltas: not an equality of functions
@@ -122,9 +124,10 @@ def _word_for_halfline(ast: Node, side: str = "positive") -> OperatorWord:
                    ComplexRational(-1 if side == "positive" else 1))
 
 
-def _read_off(image: RampSum, y) -> ExactValue:
-    """The image at y; a kernel argument outside the kernel's domain, or
-    a 0+ limit that diverges, means the integral diverges."""
+def _read_off(word: OperatorWord, kernel, y) -> ExactValue:
+    """The word's image of the kernel at y; an argument outside the kernel's
+    domain, or a 0+ limit that diverges, means the integral diverges."""
+    image = apply_word(word, RampSum.of(kernel))
     try:
         return image.evaluate_at(y)
     except ValueError as exc:
@@ -141,7 +144,7 @@ def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
     y = as_fraction(y)
     word = _word_for_halfline(ast)
     min_shift = min((t.shift for t in word.terms), default=Fraction(0))
-    value = _read_off(apply_word(word, RampSum.of(ONE_OVER_Y), perturb), y)
+    value = _read_off(word, with_representatives(ONE_OVER_Y, perturb), y)
     return TransformResult.from_exact(
         value, method="laplace_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"verdict": "exact", "abscissa": float(-min_shift)})
@@ -153,7 +156,7 @@ def integrate_half_line(ast: Node, side: str = "positive",
     if side not in ("positive", "negative"):
         raise ValueError(f"unknown side {side!r}")
     word = _word_for_halfline(ast, side)
-    value = _read_off(apply_word(word, RampSum.of(ONE_OVER_Y), perturb), 0)
+    value = _read_off(word, with_representatives(ONE_OVER_Y, perturb), 0)
     return TransformResult.from_exact(
         value, method="halfline_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"side": side, "verdict": "exact"})
@@ -176,7 +179,7 @@ def laplace_regularized(ast: Node, y, a) -> TransformResult:
         raise UnsupportedFamilyError(
             "anti-derivative powers against the regularized kernel need Ei",
             {"laplace_regularized": "negative powers unsupported"})
-    value = _read_off(apply_word(word, RampSum.of(regularized_kernel(a))), y)
+    value = _read_off(word, regularized_kernel(a), y)
     return TransformResult.from_exact(
         value, method="laplace_regularized", formula="regularized_one_over_y_kernel",
         diagnostics={"regularization": float(a), "verdict": "exact"})
@@ -320,6 +323,14 @@ def sinc_product_result(spec: SincProductSpec) -> TransformResult:
         diagnostics={"lord_condition": outcome.lord_condition, "verdict": "exact"})
 
 
+def borwein_result(n: int) -> TransformResult:
+    """The n-th Borwein integral, exactly, with its deficit from pi."""
+    value = borwein_exact(n)
+    return TransformResult.from_exact(
+        value, method="sinc_product_enumeration", formula="delta_ramp_tuple_sum",
+        diagnostics={"verdict": "exact", "deficit": str(1 - value.pi_coefficient)})
+
+
 def _solve_sinc_cos_product(ast: Node, params: dict, truncation: int) -> TransformResult:
     return sinc_product_result(SincProductSpec(
         params["sinc_rates"], params["cos_rates"], params["outer_rate"]))
@@ -439,6 +450,15 @@ def quadrature(ast: Node, lo=-math.inf, hi=math.inf) -> TransformResult:
         report.value, method="oracle_quadrature", formula="adaptive_quadrature",
         diagnostics={"verdict": f"error<={report.error_estimate:.2e}",
                      "subdivisions": report.subdivisions})
+
+
+def compare(ast: Node, truncation: int = DEFAULT_TRUNCATION) -> TransformResult:
+    """The engine's real-line integral; the oracle's value and the gap in diagnostics."""
+    engine = integrate(ast, truncation=truncation)
+    ora = quadrature(ast)
+    engine.diagnostics["oracle"] = ora.approx
+    engine.diagnostics["difference"] = abs(engine.approx - ora.approx)
+    return engine
 
 
 def integrate(ast: Node, lo=-math.inf, hi=math.inf,

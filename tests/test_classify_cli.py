@@ -4,14 +4,17 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import opcalc
 from opcalc.classify import classify
 from opcalc import cli
 from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
@@ -23,6 +26,11 @@ try:
     import jsonschema
 except ImportError:  # pragma: no cover
     jsonschema = None
+
+# A child process imports opcalc from where this process found it, which
+# may be a path pytest added to sys.path alone.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(opcalc.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +630,7 @@ def test_importing_the_cli_leaves_numpy_to_the_oracle():
         print(json.dumps([before, "numpy" in sys.modules, code, oracle]))
     """
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     before, after, code, oracle = json.loads(proc.stdout)
     assert before == [False, True] and after and code == EXIT_OK
@@ -634,7 +642,7 @@ def test_console_entry_point_runs():
     # the module entry point works as a subprocess (console script wiring)
     proc = subprocess.run(
         [sys.executable, "-m", "opcalc", "borwein", "3", "--json"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pi_coefficient"] == "1"
 
@@ -701,7 +709,7 @@ def test_cli_closed_stdout_exits_quietly():
     # the reader is gone before anything is printed, as after `| head`
     proc = subprocess.Popen(
         [sys.executable, "-m", "opcalc", "integrate", "exp(-x^2/2)*x^0", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

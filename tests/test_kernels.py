@@ -7,11 +7,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from opcalc.exact import ComplexRational, ExactValue, Residue, exp_value, log_value
+from opcalc.exact import (CR_ONE, ComplexRational, ExactValue, Residue, exp_value,
+                          log_value)
 from opcalc.kernels import (GaussianChain, LogChain, eval_kernel,
                             gaussian_chain, green_function, green_kernel,
                             one_over_y_chain)
-from opcalc.operators import RampSum
+from opcalc.operators import OperatorTerm, OperatorWord, RampSum, apply_word
 from opcalc.oracle import quad_interval
 
 
@@ -300,7 +301,8 @@ def test_green_delta_pairing():
 
 def test_piecewise_exp_translation_and_value():
     # translations act on the kernel's image: T_1 G (y) = G(y + 1)
-    image = RampSum.of(green_kernel([Fraction(1)])).translate(Fraction(1))
+    shift = OperatorWord((OperatorTerm(CR_ONE, Fraction(1), 0),))
+    image = apply_word(shift, RampSum.of(green_kernel([Fraction(1)])))
     v = image.evaluate_at(0)
     assert v == exp_value(-1, Fraction(1, 2)) == green_function(1).value_at(1)
     with mpmath.workdps(25):

@@ -1,18 +1,19 @@
 """Operator words, ramp sums, two-sided limits, representative invariance."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcalc.exact import CR_ONE, ComplexRational, ExactValue
-from opcalc.kernels import DELTA, ONE_OVER_Y
+from opcalc.exact import CR_ONE, CR_ZERO, ComplexRational, ExactValue, as_fraction
+from opcalc.kernels import DELTA, HEAT, ONE_OVER_Y, green_kernel, with_representatives
 from opcalc.operators import (NotExponentialPolynomial, OperatorTerm,
                               OperatorWord, RampEvaluationError, RampSum,
                               apply_word, decompose, eval_limit_at_zero,
-                              exp_poly_normal_form, laurent_defect,
-                              perturb_antiderivative)
+                              exp_poly_normal_form, laurent_defect)
 from opcalc.parser import parse_expression
 
 small_fractions = st.fractions(
@@ -80,7 +81,7 @@ def test_normal_form_entirety_defects():
 
 def test_sinc_word_on_delta_gives_window():
     w = decompose(parse_expression("sinc(x)"), "imaginary_fourier")
-    rs = apply_word(w, RampSum.delta())
+    rs = apply_word(w, RampSum.of(DELTA))
     half = ComplexRational(Fraction(1, 2))
     assert rs == RampSum.from_parts(
         [(half, 0, Fraction(-1)), (-half, 0, Fraction(1))])
@@ -88,13 +89,13 @@ def test_sinc_word_on_delta_gives_window():
 
 
 def test_identity_word_fixes_everything():
-    rs = RampSum.from_parts([(CR_ONE, 2, Fraction(1, 3))],
-                            [(CR_ONE, 1)])
+    rs = RampSum.from_parts([(CR_ONE, 2, Fraction(1, 3)),
+                             (ComplexRational(Fraction(-3)), -2, Fraction(1))])
     assert apply_word(OperatorWord.identity(), rs) == rs
 
 
 def test_antiderivative_of_delta_is_ramp():
-    rs = apply_word(word((1, 0, -2)), RampSum.delta())
+    rs = apply_word(word((1, 0, -2)), RampSum.of(DELTA))
     assert rs == RampSum.from_parts([(CR_ONE, 1, Fraction(0))])
 
 
@@ -115,70 +116,204 @@ def test_limit_errors():
     with pytest.raises(RampEvaluationError, match="discontinuous"):
         eval_limit_at_zero(RampSum.from_parts([(CR_ONE, 0, Fraction(0))]))
     with pytest.raises(RampEvaluationError, match="singular"):
-        eval_limit_at_zero(RampSum.delta())
+        eval_limit_at_zero(RampSum.of(DELTA))
+
+
+SOME_STEPS = RampSum.from_parts(
+    [(CR_ONE, 1, Fraction(1, 7)), (ComplexRational(Fraction(2)), 0, Fraction(-2)),
+     (ComplexRational(Fraction(-1, 3)), -2, Fraction(5))])
 
 
 @given(small_fractions, small_fractions)
 @settings(max_examples=40, deadline=None)
 def test_translation_composition(a, b):
-    rs = RampSum.from_parts(
-        [(CR_ONE, 1, Fraction(1, 7)), (ComplexRational(Fraction(2)), 0, Fraction(-2))],
-        [(CR_ONE, 2)])
-    one_step = rs.translate(a + b)
-    two_step = rs.translate(b).translate(a)
-    assert one_step == two_step
+    # T_a T_b = T_(a+b), as one word and as two actions in a row
+    one_step = apply_word(word((1, a + b, 0)), SOME_STEPS)
+    assert apply_word(word((1, a, 0)) * word((1, b, 0)), SOME_STEPS) == one_step
+    assert apply_word(word((1, a, 0)), apply_word(word((1, b, 0)), SOME_STEPS)) == one_step
 
 
 def test_derivative_inverts_antiderivative_exactly():
     rs = RampSum.from_parts(
-        [(CR_ONE, 3, Fraction(1, 2)), (ComplexRational(Fraction(-2, 3)), -1, Fraction(2))],
-        [(CR_ONE, 0), (ComplexRational(Fraction(5)), 3)])
-    assert rs.apply_power(-1).apply_power(1) == rs
-    assert rs.apply_power(-4).apply_power(4) == rs
+        [(CR_ONE, 3, Fraction(1, 2)), (ComplexRational(Fraction(-2, 3)), -1, Fraction(2))])
+    for k in (1, 4):
+        assert apply_word(word((1, 0, k)), apply_word(word((1, 0, -k)), rs)) == rs
 
 
 @given(small_fractions, st.integers(min_value=-2, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_apply_word_linearity(c, n):
+    # the word acts step by step: on a merged step list as on its parts
     w = word((2, Fraction(1, 2), n), (-1, -1, 0))
-    r1 = RampSum.from_parts([(CR_ONE, 2, Fraction(1, 3))])
-    r2 = RampSum.from_parts([(ComplexRational(c), 1, Fraction(-1))], [(CR_ONE, 1)])
-    lhs = apply_word(w, r1 + r2)
-    rhs = apply_word(w, r1) + apply_word(w, r2)
+    s1 = [(CR_ONE, 2, Fraction(1, 3)), (CR_ONE, 1, Fraction(-1))]
+    s2 = [(ComplexRational(c), 1, Fraction(-1)), (CR_ONE, -1, Fraction(0))]
+    lhs = apply_word(w, RampSum.from_parts(s1 + s2))
+    rhs = RampSum.from_parts(apply_word(w, RampSum.from_parts(s1)).steps
+                             + apply_word(w, RampSum.from_parts(s2)).steps)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# apply_word against the per-term walk it replaced
+# ---------------------------------------------------------------------------
+
+def _canonical(steps, poly):
+    acc_s, acc_p = {}, {}
+    for c, m, s in steps:
+        acc_s[m, as_fraction(s)] = acc_s.get((m, as_fraction(s)), CR_ZERO) + c
+    for c, j in poly:
+        acc_p[j] = acc_p.get(j, CR_ZERO) + c
+    return (tuple((c, m, s) for (m, s), c in sorted(acc_s.items()) if not c.is_zero),
+            tuple((c, j) for j, c in sorted(acc_p.items()) if not c.is_zero))
+
+
+def per_term_walk(w, target, perturb=None):
+    """apply_word as it was before it acted in one pass, kept as the
+    reference: each term makes an image of its own, (steps, poly) with a
+    global polynomial in the y^j/j! basis, by D^n, then perturb(n) added to
+    a D^-n representative, then T_b, then the coefficient, each step
+    canonical; the parts are merged once more at the end."""
+    steps, poly = [], []
+    for t in w.terms:
+        part_s, part_p = _canonical([(c, m - t.power, s) for c, m, s in target.steps], [])
+        if perturb is not None and t.power < 0:
+            plain = tuple(perturb(-t.power))
+            assert len(plain) <= -t.power
+            part_s, part_p = _canonical(part_s, part_p + tuple(
+                (ComplexRational(as_fraction(c) * math.factorial(j)), j)
+                for j, c in enumerate(plain)))
+        b = t.shift
+        part_s, part_p = _canonical(
+            [(c, m, s - b) for c, m, s in part_s],
+            [(c * ComplexRational(Fraction(b ** (j - i), math.factorial(j - i))), i)
+             for c, j in part_p for i in range(j + 1)])
+        part_s, part_p = _canonical([(v * t.coeff, m, s) for v, m, s in part_s],
+                                    [(v * t.coeff, j) for v, j in part_p])
+        steps += part_s
+        poly += part_p
+    return _canonical(steps, poly)
+
+
+def walk_value(image, kernel, y):
+    """The per-term walk's image at y: its steps on the kernel's own chain
+    plus its global polynomial."""
+    steps, poly = image
+    value = RampSum(steps, kernel).evaluate_at(y)
+    return value + ExactValue.rational(sum(
+        (c.require_real() * Fraction(y ** j, math.factorial(j)) for c, j in poly),
+        Fraction(0)))
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _random_word(rng, powers, shifts):
+    return OperatorWord.from_terms(
+        OperatorTerm(ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+                     rng.choice(shifts), rng.choice(powers))
+        for _ in range(rng.randint(1, 6)))
+
+
+def _random_steps(rng, orders, shifts):
+    return [(ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+             rng.choice(orders), rng.choice(shifts)) for _ in range(rng.randint(1, 4))]
+
+
+# kernel, word powers, target orders, shifts, read-off points
+EQUIVALENCE_CASES = (
+    ("delta", DELTA, range(-3, 3), range(-3, 4), [Fraction(k, 2) for k in range(-4, 5)],
+     [Fraction(-7, 3), Fraction(0), Fraction(1, 5), Fraction(9, 4)]),
+    ("one_over_y", ONE_OVER_Y, range(-3, 3), range(-3, 3), [Fraction(k, 3) for k in range(-3, 1)],
+     [Fraction(0), Fraction(1), Fraction(5, 2)]),
+    ("heat", HEAT, range(-4, 1), range(-1, 4), [Fraction(k, 2) for k in range(-4, 5)],
+     [Fraction(0), Fraction(1, 3), Fraction(-2)]),
+    ("green", green_kernel([Fraction(1), Fraction(2)]), (0,), (-1,),
+     [Fraction(k, 2) for k in range(-4, 5)], [Fraction(0), Fraction(3, 2)]),
+)
+
+
+@pytest.mark.parametrize("name, kernel, powers, orders, shifts, points", EQUIVALENCE_CASES,
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
+def test_apply_word_matches_the_per_term_walk(name, kernel, powers, orders, shifts, points):
+    rng = random.Random(f"apply_word {name}")
+    for _ in range(40):
+        w = _random_word(rng, powers, shifts)
+        target = RampSum.from_parts(_random_steps(rng, orders, shifts), kernel)
+        steps, poly = per_term_walk(w, target)
+        assert poly == ()
+        assert apply_word(w, target) == RampSum(steps, kernel)
+        # on the bare kernel, perturb(n) on a D^-n term is the kernel's
+        # representative K_(n-1), in value wherever the image has one
+        fixed = {n: [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                     for _ in range(rng.randint(0, n))] for n in range(1, 6)}
+        walked = per_term_walk(w, RampSum.of(kernel), fixed.__getitem__)
+        image = apply_word(w, RampSum.of(with_representatives(kernel, fixed.__getitem__)))
+        assert image.steps == walked[0]
+        for y in points:
+            assert _outcome(lambda: image.evaluate_at(y)) == \
+                _outcome(lambda: walk_value(walked, kernel, y)), (name, w, y)
+
+
+def test_the_equivalence_cases_reach_values():
+    # the comparison above is not only between two raised errors
+    rng = random.Random("apply_word values")
+    for name, kernel, powers, orders, shifts, points in EQUIVALENCE_CASES:
+        values = 0
+        for _ in range(40):
+            image = apply_word(_random_word(rng, powers, shifts), RampSum.of(kernel))
+            values += sum(isinstance(_outcome(lambda: image.evaluate_at(y)), ExactValue)
+                          for y in points)
+        assert values >= 20, name
 
 
 # ---------------------------------------------------------------------------
 # representative invariance
 # ---------------------------------------------------------------------------
 
+def _values(image, points):
+    return [image.evaluate_at(y) for y in points]
+
+
 def test_constant_cancels_in_central_difference():
-    # (T_1 - T_-1)(Theta + C) == Theta(y+1) - Theta(y-1), structurally
-    theta = RampSum.from_parts([(CR_ONE, 0, Fraction(0))])
+    # (T_1 - T_-1)(Theta + C) == Theta(y+1) - Theta(y-1)
     c = Fraction(17, 3)
-    perturbed = perturb_antiderivative(theta, 1, [c])
+    theta = RampSum.from_parts([(CR_ONE, 0, Fraction(0))])
+    perturbed = RampSum(theta.steps, with_representatives(DELTA, lambda n: [c]))
     diff = word((1, 1, 0), (-1, -1, 0))
-    assert apply_word(diff, perturbed) == apply_word(diff, theta)
+    points = [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(3)]
+    assert _values(apply_word(diff, perturbed), points) == \
+        _values(apply_word(diff, theta), points)
+    assert perturbed.evaluate_at(1) == theta.evaluate_at(1) + ExactValue.rational(c)
 
 
 def test_second_central_difference_kills_degree_one():
     # perturbation y + 3 on an R2 representative is annihilated by (T1 - T-1)^2
     base = RampSum.from_parts([(CR_ONE, 2, Fraction(0))])
-    perturbed = perturb_antiderivative(base, 3, [Fraction(3), Fraction(1)])
+    perturbed = RampSum(base.steps, with_representatives(
+        DELTA, lambda n: [Fraction(3), Fraction(1)] if n == 3 else []))
     diff = word((1, 1, 0), (-1, -1, 0))
     sq = diff * diff
-    assert apply_word(sq, perturbed) == apply_word(sq, base)
+    points = [Fraction(k, 3) for k in range(-9, 10)]
+    assert _values(apply_word(sq, perturbed), points) == _values(apply_word(sq, base), points)
 
 
 def test_zero_polynomial_is_identity():
-    rs = RampSum.from_parts([(CR_ONE, 1, Fraction(1))])
-    assert perturb_antiderivative(rs, 2, []) == rs
+    chain = with_representatives(DELTA, lambda n: [])
+    for m in range(-3, 5):
+        assert chain(m) == DELTA(m)
 
 
 def test_perturbation_rejects_high_degree():
-    rs = RampSum.delta()
+    chain = with_representatives(DELTA, lambda n: [Fraction(1)] * (n + 1))
+    assert chain(-1) == DELTA(-1)
+    with pytest.raises(ValueError, match="degree 1 not allowed for order 1"):
+        chain(0)
     with pytest.raises(ValueError):
-        perturb_antiderivative(rs, 1, [Fraction(1), Fraction(1)])
+        RampSum.from_parts([(CR_ONE, 2, Fraction(-1))], chain).evaluate_at(0)
 
 
 @given(st.lists(small_fractions, min_size=0, max_size=3), small_fractions)
@@ -190,21 +325,50 @@ def test_delta_route_value_invariant_under_representatives(coeffs, _seed):
     w = decompose(expr, "imaginary_fourier")
     order = -min(t.power for t in w.terms)
     coeffs = coeffs[:order]
-    plain = apply_word(w, RampSum.delta())
-    perturbed = apply_word(w, RampSum.delta(), perturb=lambda n: coeffs[:n])
+    plain = apply_word(w, RampSum.of(DELTA))
+    perturbed = apply_word(w, RampSum.of(with_representatives(DELTA, lambda n: coeffs[:n])))
     assert eval_limit_at_zero(plain) == eval_limit_at_zero(perturbed)
 
 
 def test_perturbation_is_added_before_it_cancels():
     # a lone anti-derivative keeps its representative polynomial; the
-    # invariance tests above see it cancel only because it is there
+    # invariance tests see it cancel only because it is there
     w = word((1, Fraction(1, 2), -2))
-    for kernel in (DELTA, ONE_OVER_Y):
+    for kernel in (DELTA, ONE_OVER_Y, HEAT):
         y = Fraction(3)
         plain = apply_word(w, RampSum.of(kernel)).evaluate_at(y)
-        perturbed = apply_word(w, RampSum.of(kernel),
-                               perturb=lambda n: [Fraction(2), Fraction(5)]).evaluate_at(y)
+        perturbed = apply_word(w, RampSum.of(with_representatives(
+            kernel, lambda n: [Fraction(2), Fraction(5)]))).evaluate_at(y)
         assert perturbed - plain == ExactValue.rational(2 + 5 * (y + Fraction(1, 2)))
+
+
+# an integrable word per kernel, read off at a point of its domain
+INVARIANCE_CASES = (
+    ("delta", DELTA, decompose(parse_expression("sinc(x)^2*sinc(x/3)"), "imaginary_fourier"),
+     Fraction(0)),
+    ("one_over_y", ONE_OVER_Y,
+     decompose(parse_expression("(1-exp(-x))^3/x^3"), "real_laplace"), Fraction(0)),
+    ("heat", HEAT, decompose(parse_expression("sinc(x)^3"), "imaginary_fourier"), Fraction(0)),
+    ("green", green_kernel([Fraction(1), Fraction(3)]),
+     decompose(parse_expression("cos(2*x)+3*cos(x)"), "imaginary_fourier"), Fraction(1, 2)),
+)
+
+
+@pytest.mark.parametrize("name, kernel, w, y", INVARIANCE_CASES,
+                         ids=[case[0] for case in INVARIANCE_CASES])
+def test_every_kernel_is_invariant_under_representatives(name, kernel, w, y):
+    rng = random.Random(f"representatives {name}")
+    base = apply_word(w, RampSum.of(kernel)).evaluate_at(y)
+    for _ in range(10):
+        plain = {n: [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                 for n in range(1, 8)}
+        image = apply_word(w, RampSum.of(with_representatives(kernel, plain.__getitem__)))
+        assert image.evaluate_at(y) == base
+    too_high = with_representatives(kernel, lambda n: [Fraction(1)] * (n + 1))
+    assert apply_word(w, RampSum.of(too_high)).steps == apply_word(w, RampSum.of(kernel)).steps
+    for m in (0, 3):
+        with pytest.raises(ValueError):
+            too_high(m)
 
 
 def test_word_multiplication_matches_product_decomposition():
@@ -218,10 +382,7 @@ def test_word_multiplication_matches_product_decomposition():
        st.integers(min_value=-2, max_value=2), small_fractions)
 @settings(max_examples=40, deadline=None)
 def test_word_composition_homomorphism(n1, b1, n2, b2):
-    # applying a product word equals applying the factors in sequence, on
-    # ramp/delta terms (global polynomials carry the integration-constant
-    # ambiguity: no anti-derivative choice commutes with translations there,
-    # which is exactly what the representative-invariance tests absorb)
+    # applying a product word equals applying the factors in sequence
     w1 = word((2, b1, n1), (-1, 0, 0))
     w2 = word((1, b2, n2))
     rs = RampSum.from_parts(

@@ -5,6 +5,7 @@ import hashlib
 import heapq
 import math
 import random
+import signal
 import warnings
 
 import numpy as np
@@ -215,6 +216,41 @@ def test_the_one_float_case_and_the_budget_are_reached():
     report = sequential(f, FAR, FAR + 16.0, 0.0, 40, unsplit)
     assert report.subdivisions == 40 and report.error_estimate > 0
     assert unsplit and all(math.nextafter(a, math.inf) == b for a, b in unsplit)
+
+
+def within_seconds(seconds, thunk):
+    """thunk(), or TimeoutError once *seconds* of wall time have passed."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return thunk()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("budget", [80, 4000])
+def test_an_interval_of_unsplittable_panels_finishes(budget):
+    # at tolerance 0 the step near 2^50 runs out of panels to split after
+    # 41 bisections, its estimate still positive, with budget left: the
+    # interval is finished then (the one-interval loop above spins here)
+    f = _ensure_vectorized(vector_integrand)
+    alone, = within_seconds(5, lambda: _adaptive(f, [(FAR, FAR + 16.0)], 0.0, budget))
+    assert alone.subdivisions == 41 and alone.error_estimate > 0
+    assert alone.value == pytest.approx(FAR + 16.0 - STEP, rel=1e-15)
+    step, other = within_seconds(
+        5, lambda: _adaptive(f, [(FAR, FAR + 16.0), (0.0, 3.0)], 0.0, budget))
+    assert bits(step) == bits(alone)
+    assert bits(other) == bits(sequential(f, 0.0, 3.0, 0.0, budget))
+
+
+def test_a_float_wide_interval_finishes_on_the_cli(capsys):
+    argv = ["integrate", "x", "--interval", "1125899906842624", "1125899906842640",
+            "--method", "oracle"]
+    assert within_seconds(5, lambda: run(argv)) == 0
+    assert "approx:  1.80143985094821e+16" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["numpy", "scalar"])
