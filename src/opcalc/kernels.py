@@ -1,32 +1,31 @@
-"""The kernels operator words act on, each one chain of closed forms.
+"""The kernels operator words act on, each read by the power of D.
 
-A kernel K is a fixed function of y.  Its chain member K_m = D^-(m+1) K
-is the (m+1)-th anti-derivative for m >= 0, K itself at m = -1 and a
-derivative below that, so a word term T_b D^n takes K_m to K_(m-n)
-shifted by b.  A kernel is given by its chain: a function of m returning
-K_m as an object whose ``value_at(z)`` is exact at rational z, an
-ExactValue whose transcendental residues are e-powers, erf values and
-logarithms.
+A kernel K is the callable n -> D^n K: the |n|-th anti-derivative for
+n < 0, K itself at n = 0 and the n-th derivative for n > 0, so a word
+term c T_b D^n reads member n at y + b.  A member's ``value_at(z)`` is
+exact at rational z, an ExactValue whose transcendental residues are
+e-powers, erf values and logarithms.
 
-* ``DELTA``   the Dirac delta; ``Ramp`` is R_m(z) = z^m/m! Theta(z), the
-              delta and its derivatives for m < 0 (Fourier routes);
-* ``ONE_OVER_Y``  1/y; ``LogChain`` spans y^m and y^m log(y) terms,
-              each member in closed form with integration constants
-              zero, read at 0 as the 0+ limit (Laplace and half-line
-              routes);
-* ``HEAT``    e^(-y^2/2); ``GaussianChain`` is
-              p(y) e^(-y^2/2) + q(y) sqrt(pi/2) erf(y/sqrt(2)) with
-              rational polynomials, built by the three-term recurrence
-              k G_(k+1) = y G_k + G_(k-1), which leaves no plain
-              polynomial part (odd order -> odd function);
+* ``DELTA``   the Dirac delta; D^n delta is the ramp R_(-1-n), with
+              R_m(z) = z^m/m! Theta(z), the delta and its derivatives
+              for m < 0 (Fourier routes);
+* ``ONE_OVER_Y``  1/y, ``one_over_y_chain``; ``LogChain`` spans y^k and
+              y^k log(y) terms, each member in closed form with
+              integration constants zero, read at 0 as the 0+ limit
+              (Laplace and half-line routes);
+* ``HEAT``    e^(-y^2/2); member n is ``gaussian_chain(-n)``, a
+              ``GaussianChain`` p(y) e^(-y^2/2) + q(y) sqrt(pi/2)
+              erf(y/sqrt(2)) with rational polynomials, built by the
+              three-term recurrence k G_(k+1) = y G_k + G_(k-1), which
+              leaves no plain polynomial part (odd order -> odd function);
 * ``green_kernel(rates)``  the partial-fraction sum of Green's functions
-              e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``;
-* ``regularized_kernel(a)``  the entire kernel (1 - e^(-ay))/y, whose
-              derivatives ``RegularizedChain`` evaluates.
+              e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``; n = 0 only;
+* ``regularized_kernel(a)``  the entire kernel (1 - e^(-ay))/y; its
+              members are ``RegularizedChain``s, n >= 0 (n < 0 needs Ei).
 
-Each K_m, m >= 0, is fixed only up to a polynomial of degree <= m, which
-no convergent integral sees; ``with_representatives`` picks other ones.
-``eval_kernel`` gives any chain member's numeric shadow.
+Each D^-k K is fixed only up to a polynomial of degree < k, which no
+convergent integral sees; ``with_representatives`` picks other ones.
+``eval_kernel`` gives any member's numeric shadow.
 """
 
 from __future__ import annotations
@@ -67,7 +66,9 @@ class Ramp:
         return ExactValue.rational(Fraction(z ** self.m, math.factorial(self.m)))
 
 
-DELTA = Ramp  # the delta's chain member K_m is the ramp R_m
+def DELTA(n: int) -> Ramp:
+    """The Dirac delta: D^n delta is the ramp R_(-1-n)."""
+    return Ramp(-1 - n)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,7 @@ def one_over_y_chain(n: int) -> LogChain:
     return LogChain.from_terms([(scale, m, True), (-harmonic * scale, m, False)])
 
 
-def ONE_OVER_Y(m: int) -> LogChain:
-    """The kernel 1/y: K_m is its -(m+1)-th derivative chain."""
-    return one_over_y_chain(-1 - m)
+ONE_OVER_Y = one_over_y_chain  # the kernel 1/y
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +223,9 @@ def gaussian_chain(n: int) -> GaussianChain:
                            for poly in (low if n == 1 else high)))
 
 
-def HEAT(m: int) -> GaussianChain:
-    """The heat kernel e^(-y^2/2): K_m is its (m+1)-th anti-derivative."""
-    return gaussian_chain(m + 1)
+def HEAT(n: int) -> GaussianChain:
+    """The heat kernel e^(-y^2/2): D^n, n <= 0, is its -n-th anti-derivative."""
+    return gaussian_chain(-n)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +278,8 @@ def green_kernel(rates):
         terms += [(c * ck, a, s) for c, a, s in green_function(ak).terms]
     combined = PiecewiseExp.from_terms(terms)
 
-    def chain(m: int) -> PiecewiseExp:
-        if m != -1:
+    def chain(n: int) -> PiecewiseExp:
+        if n != 0:
             raise ValueError("the Green kernel takes no derivative powers")
         return combined
 
@@ -297,6 +296,10 @@ class RegularizedChain:
 
     n: int
     a: Fraction
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("anti-derivatives of the regularized kernel need Ei")
 
     def value_at(self, z) -> ExactValue:
         """Exact at rational z >= 0.  At z = 0 the Taylor coefficient
@@ -319,9 +322,9 @@ class RegularizedChain:
 
 
 def regularized_kernel(a):
-    """The kernel (1 - e^(-a y))/y; anti-derivatives would need Ei."""
+    """The kernel (1 - e^(-a y))/y, read by its derivatives n >= 0."""
     a = as_fraction(a)
-    return lambda m: RegularizedChain(-1 - m, a)
+    return lambda n: RegularizedChain(n, a)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +343,21 @@ class Represented:
 
 
 def with_representatives(kernel, perturb=None):
-    """K's chain with other anti-derivative representatives: K_m, m >= 0,
-    gains the polynomial of degree <= m whose plain coefficients are
-    perturb(m + 1); K and its derivatives stay, and so does every member
+    """K with other anti-derivative representatives: D^-k K, k >= 1,
+    gains the polynomial of degree < k whose plain coefficients are
+    perturb(k); K and its derivatives stay, and so does every member
     when *perturb* is None."""
     if perturb is None:
         return kernel
 
-    def chain(m: int):
-        if m < 0:
-            return kernel(m)
-        coeffs = tuple(as_fraction(c) for c in perturb(m + 1))
-        if len(coeffs) > m + 1:
+    def chain(n: int):
+        if n >= 0:
+            return kernel(n)
+        coeffs = tuple(as_fraction(c) for c in perturb(-n))
+        if len(coeffs) > -n:
             raise ValueError(
-                f"polynomial degree {len(coeffs) - 1} not allowed for order {m + 1}")
-        return Represented(kernel(m), coeffs) if coeffs else kernel(m)
+                f"polynomial degree {len(coeffs) - 1} not allowed for order {-n}")
+        return Represented(kernel(n), coeffs) if coeffs else kernel(n)
 
     return chain
 
@@ -364,6 +367,6 @@ def with_representatives(kernel, perturb=None):
 # ---------------------------------------------------------------------------
 
 def eval_kernel(chain, y, precision: int = 30) -> mpmath.mpf:
-    """Numeric value of any kernel chain at a float/rational point with
+    """Numeric value of any kernel member at a float/rational point with
     *precision* significant digits: the shadow of its exact value."""
     return chain.value_at(as_fraction(y)).evalf(precision)

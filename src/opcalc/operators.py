@@ -10,12 +10,12 @@ anti-differentiates (n < 0).  Every exact route is the same move:
 (the delta, 1/y, the heat kernel, a Green's function; see ``kernels``)
 and the image is read off at one point with ``evaluate_at``.
 
-An image is a sum of one kernel's chain members K_m(y - s) with exact
-coefficients, so that cancellation is structural, not numeric.  T_b
-turns K_m(y - s) into K_m(y - (s - b)); D^n lowers the order by n.  For
-the delta K_m is the generalized ramp R_m, and its evaluation is a
-two-sided limit: a genuine jump or delta at the evaluation point is an
-error, never a silently picked side.
+An image is a kernel K and the word acting on it: each term c T_b D^n
+reads D^n K at y + b, with exact coefficients, so that cancellation is
+structural, not numeric, and acting on an image multiplies words.  For
+the delta D^n K is a generalized ramp, and evaluation is a two-sided
+limit: a genuine jump or delta at the evaluation point is an error,
+never a silently picked side.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 from .exact import (CR_I, CR_ONE, CR_ZERO, ComplexRational, ExactValue,
                     as_fraction)
-from .kernels import DELTA, RampEvaluationError  # noqa: F401 (re-exported)
+from .kernels import RampEvaluationError  # noqa: F401 (re-exported)
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
 
@@ -248,63 +248,45 @@ def decompose(ast: Node, variant: str) -> OperatorWord:
 
 
 # ---------------------------------------------------------------------------
-# Images: ramp sums over a kernel
+# Images: a word acting on a kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RampSum:
-    """sum coeff * K_m(y - s) over the chain of one kernel K.
+    """sum c * (D^n K)(y + b) over the terms c T_b D^n of *word*.
 
-    *kernel* is K's chain, m -> K_m = D^-(m+1) K (see ``kernels``), the
-    delta unless given.  Steps are (coeff, order m, shift s): for the
-    delta, m >= 0 is the generalized ramp R_m, m == -1 the Dirac delta,
-    m < -1 its derivatives.  Which anti-derivative representative K_m
-    stands for is the chain's choice (``kernels.with_representatives``).
+    *kernel* is K read by the power of D, n -> D^n K (see ``kernels``);
+    the kernel also fixes each anti-derivative's representative
+    (``kernels.with_representatives``).
     """
 
-    steps: tuple = ()   # (ComplexRational, int, Fraction)
-    kernel: Callable = DELTA
-
-    @staticmethod
-    def from_parts(steps, kernel: Callable = DELTA) -> "RampSum":
-        acc: dict = {}
-        for c, m, s in steps:
-            key = (m, as_fraction(s))
-            acc[key] = acc.get(key, CR_ZERO) + c
-        return RampSum(
-            tuple((c, m, s) for (m, s), c in sorted(acc.items()) if not c.is_zero),
-            kernel)
+    word: OperatorWord
+    kernel: Callable
 
     @staticmethod
     def of(kernel: Callable) -> "RampSum":
-        """The kernel itself, K_(-1)(y), as an image."""
-        return RampSum.from_parts([(CR_ONE, -1, Fraction(0))], kernel)
+        """The kernel itself: the identity word acting on it."""
+        return RampSum(OperatorWord.identity(), kernel)
 
     def evaluate_at(self, y) -> ExactValue:
-        """Exact value at rational y: every coeff * K_m(y - s) summed per
-        residue, then checked real once.  The kernel's chain refuses
-        points outside its domain: for the delta, jumps and deltas at y
-        raise."""
+        """Exact value at rational y, summed per residue and checked real
+        once.  The highest power is read first, so that a member refusing y
+        (for the delta, a jump or delta at y) is the most singular one."""
         y = as_fraction(y)
         acc: dict = {}
-        chains: dict = {}
-        for c, m, s in self.steps:
-            if m not in chains:
-                chains[m] = self.kernel(m)
-            for residue, q in chains[m].value_at(y - s).terms:
-                acc[residue] = acc.get(residue, CR_ZERO) + c * q
+        members: dict = {}
+        for t in sorted(self.word.terms, key=lambda term: (-term.power, -term.shift)):
+            if t.power not in members:
+                members[t.power] = self.kernel(t.power)
+            for residue, q in members[t.power].value_at(y + t.shift).terms:
+                acc[residue] = acc.get(residue, CR_ZERO) + t.coeff * q
         return ExactValue.from_terms((r, v.require_real()) for r, v in acc.items())
 
 
 def apply_word(word: OperatorWord, target: RampSum) -> RampSum:
-    """Act with an operator word on an image, a kernel to begin with.
-
-    This is the one place where a word's terms act on a kernel, in one
-    pass: c T_b D^n takes the step (v, m, s) to (v c, m - n, s - b).
-    """
-    return RampSum.from_parts(
-        ((v * t.coeff, m - t.power, s - t.shift)
-         for t in word.terms for v, m, s in target.steps), target.kernel)
+    """Act with an operator word on an image, a kernel to begin with: the
+    image of the product word on the same kernel."""
+    return RampSum(word * target.word, target.kernel)
 
 
 def eval_limit_at_zero(rs: RampSum) -> ExactValue:

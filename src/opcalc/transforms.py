@@ -5,7 +5,7 @@ Every exact route builds a word, acts with it on a kernel through
 point with ``evaluate_at``:
 
 * delta route: f(-i d/dy) on the Dirac delta gives the Fourier transform
-  as a ramp sum, hence real-line integrals at frequency 0;
+  as a sum of generalized ramps, hence real-line integrals at frequency 0;
 * half-line route: f(-+ d/dy) on 1/y gives Laplace transforms and
   half-line integrals; f(-d/dy) on the entire kernel (1 - e^(-ay))/y is
   the regularized Laplace route;
@@ -15,7 +15,7 @@ point with ``evaluate_at``:
   finite-interval series pass of series.py on [-a, a], and the
   Paley-Wiener pairing sum against test-function profiles.
 
-Convergence is the kernel's call: a chain refuses arguments outside its
+Convergence is the kernel's call: a member refuses arguments outside its
 domain.  ``integrate`` owns a request (interval, method, oracle), and the
 real-line dispatcher walks ROUTES in order, logging every attempt.
 """
@@ -63,9 +63,9 @@ class DivergentIntegralError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FourierImage:
-    """The transform of f as a ramp sum.
+    """The transform of f as a sum of generalized ramps.
 
-    ``ramps`` is the raw word action f(-i d/dy) delta(y); multiply by
+    ``ramps`` is the word f(-i d/dy) acting on delta(y); multiply by
     2 pi for the integral-with-kernel-e^(ixy) normalization or by
     sqrt(2 pi) for the unitary transform.  Evaluation anywhere off the
     breakpoints is exact.
@@ -82,7 +82,7 @@ class FourierImage:
         return SQRT_TWO_PI * self.ramps.evaluate_at(as_fraction(y))
 
     def breakpoints(self) -> tuple:
-        return tuple(sorted({s for _c, _m, s in self.ramps.steps}))
+        return tuple(sorted({-t.shift for t in self.ramps.word.terms}))
 
 
 def fourier_via_delta(ast: Node) -> FourierImage:
@@ -94,7 +94,7 @@ def fourier_via_delta(ast: Node) -> FourierImage:
     the distributional pairing can read.
     """
     image = apply_word(word_of(_entire_normal_form(ast), -CR_I), RampSum.of(DELTA))
-    if any(m <= -1 for _c, m, _s in image.steps):
+    if any(t.power >= 0 for t in image.word.terms):
         # bounded non-decaying pieces (plain cos/sin/constants) and
         # derivative powers leave deltas: not an equality of functions
         raise UnsupportedFamilyError(

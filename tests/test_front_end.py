@@ -83,6 +83,14 @@ def _outcome(compute) -> str:
         return f"!{type(exc).__name__}"
 
 
+def _ramp_steps(image) -> str:
+    """The image as the ramp steps (coeff, m, s), m = -1 - n and s = -b,
+    sorted by (m, s): the form the delta readings were pinned in."""
+    steps = sorted(((t.coeff, -1 - t.power, -t.shift) for t in image.word.terms),
+                   key=lambda step: step[1:])
+    return "|".join(map(str, steps))
+
+
 def outcomes(text: str) -> dict:
     """Every front-end reading of *text*, as canonical strings."""
     ast = parse_expression(text)
@@ -93,8 +101,7 @@ def outcomes(text: str) -> dict:
         out[f"halfline/{side}"] = _outcome(lambda: integrate_half_line(ast, side).exact)
     for y in (0, 1):
         out[f"laplace/{y}"] = _outcome(lambda: laplace_formal(ast, y).exact)
-    out["delta"] = _outcome(
-        lambda: "|".join(map(str, fourier_via_delta(ast).ramps.steps)))
+    out["delta"] = _outcome(lambda: _ramp_steps(fourier_via_delta(ast).ramps))
     route = classify(ast)
     out["classify"] = f"{route.tag} {_canon(route.params)}"
     for order in (9, 40):

@@ -9,9 +9,9 @@ import pytest
 
 from opcalc.exact import (CR_ONE, ComplexRational, ExactValue, Residue, exp_value,
                           log_value)
-from opcalc.kernels import (GaussianChain, LogChain, eval_kernel,
-                            gaussian_chain, green_function, green_kernel,
-                            one_over_y_chain)
+from opcalc.kernels import (DELTA, HEAT, ONE_OVER_Y, GaussianChain, LogChain, PiecewiseExp,
+                            eval_kernel, gaussian_chain, green_function, green_kernel,
+                            one_over_y_chain, regularized_kernel, with_representatives)
 from opcalc.operators import OperatorTerm, OperatorWord, RampSum, apply_word
 from opcalc.oracle import quad_interval
 
@@ -41,6 +41,8 @@ def test_one_over_y_first_antiderivative_is_log():
 @pytest.mark.parametrize("n", range(-5, 6))
 def test_one_over_y_chain_consistency(n):
     assert log_chain_equal(one_over_y_chain(n).derivative(), one_over_y_chain(n + 1))
+    # the kernel 1/y is read by the power of D: member n + 1 is D of member n
+    assert log_chain_equal(ONE_OVER_Y(n).derivative(), ONE_OVER_Y(n + 1))
 
 
 def test_one_over_y_deep_antiderivative():
@@ -115,6 +117,8 @@ def test_gaussian_chain_order_three_closed_form():
 @pytest.mark.parametrize("n", range(1, 41))
 def test_gaussian_chain_derivative_consistency(n):
     assert gaussian_chain(n).derivative() == gaussian_chain(n - 1)
+    # the heat kernel is read by the power of D, -n: HEAT(1 - n) = D HEAT(-n)
+    assert HEAT(-n).derivative() == HEAT(1 - n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -309,3 +313,76 @@ def test_piecewise_exp_translation_and_value():
         assert abs(v.evalf(25) - mpmath.exp(-1) / 2) < mpmath.mpf("1e-24")
         assert abs(eval_kernel(green_function(1), 1.0) - mpmath.exp(-1) / 2) \
             < mpmath.mpf("1e-24")
+
+
+# ---------------------------------------------------------------------------
+# Every kernel is read by the power of D
+# ---------------------------------------------------------------------------
+
+def _difference_quotient(member, z, h=Fraction(1, 10 ** 12)) -> ExactValue:
+    return (member.value_at(z + h) - member.value_at(z - h)) / (2 * h)
+
+
+@pytest.mark.parametrize("n", range(-5, 3))
+def test_delta_member_is_the_derivative_off_the_jumps(n):
+    # D^n delta is the ramp R_(-1-n); off 0 each piece is a polynomial, and
+    # the next member is its derivative (for n >= -1 both sides are 0)
+    for z in (Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(5, 2)):
+        gap = _difference_quotient(DELTA(n), z) - DELTA(n + 1).value_at(z)
+        assert gap == ExactValue.rational(gap.rational_part)
+        assert abs(gap.rational_part) < Fraction(1, 10 ** 20)
+    assert DELTA(-1).value_at(Fraction(3)) == ExactValue.rational(1)
+
+
+def _exact(x: mpmath.mpf) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_regularized_member_is_the_derivative(n):
+    # member n + 1 against mpmath.diff of member n, to 30 digits
+    kernel = regularized_kernel(Fraction(3, 2))
+    with mpmath.workdps(30):
+        for z in (Fraction(1, 3), Fraction(2)):
+            slope = mpmath.diff(
+                lambda x: kernel(n).value_at(_exact(x)).evalf(mpmath.mp.dps),
+                mpmath.mpf(z.numerator) / z.denominator)
+            exact = kernel(n + 1).value_at(z).evalf(30)
+            assert abs(slope - exact) <= mpmath.mpf(10) ** -28 * abs(exact)
+
+
+@pytest.mark.parametrize("y", [0, 1])
+def test_regularized_kernel_refuses_antiderivatives(y):
+    # D^-1 on (1 - e^(-2y))/y would need Ei: a ValueError that says so,
+    # not a division by zero at 0 or a negative factorial at 1
+    image = apply_word(OperatorWord((OperatorTerm(CR_ONE, Fraction(0), -1),)),
+                       RampSum.of(regularized_kernel(2)))
+    with pytest.raises(ValueError, match="need Ei"):
+        image.evaluate_at(y)
+
+
+def test_green_kernel_takes_power_zero_only():
+    kernel = green_kernel([Fraction(1), Fraction(2)])
+    assert isinstance(kernel(0), PiecewiseExp)
+    for n in (-2, -1, 1, 2):
+        with pytest.raises(ValueError, match="no derivative powers"):
+            kernel(n)
+
+
+@pytest.mark.parametrize("kernel", [DELTA, ONE_OVER_Y, HEAT], ids=["delta", "one_over_y", "heat"])
+def test_representatives_add_the_polynomial(kernel):
+    # with_representatives(K, p)(-k) - K(-k) is the polynomial with plain
+    # coefficients p(k), of degree < k; degree k is refused
+    def perturb(k):
+        return [Fraction(j + 2, k) for j in range(k)]
+
+    chain = with_representatives(kernel, perturb)
+    too_high = with_representatives(kernel, lambda k: [Fraction(1)] * (k + 1))
+    for k in range(1, 5):
+        for z in (Fraction(1, 3), Fraction(2)):
+            poly = sum((c * z ** j for j, c in enumerate(perturb(k))), Fraction(0))
+            assert chain(-k).value_at(z) - kernel(-k).value_at(z) == ExactValue.rational(poly)
+        with pytest.raises(ValueError, match=f"degree {k} not allowed for order {k}"):
+            too_high(-k)
+    assert chain(0) == kernel(0)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcalc.exact import CR_ONE, CR_ZERO, ComplexRational, ExactValue, as_fraction
-from opcalc.kernels import DELTA, HEAT, ONE_OVER_Y, green_kernel, with_representatives
+from opcalc.exact import CR_ZERO, ComplexRational, ExactValue, as_fraction
+from opcalc.kernels import DELTA, HEAT, ONE_OVER_Y, Ramp, green_kernel, with_representatives
 from opcalc.operators import (NotExponentialPolynomial, OperatorTerm,
                               OperatorWord, RampEvaluationError, RampSum,
                               apply_word, decompose, eval_limit_at_zero,
@@ -82,60 +82,52 @@ def test_normal_form_entirety_defects():
 def test_sinc_word_on_delta_gives_window():
     w = decompose(parse_expression("sinc(x)"), "imaginary_fourier")
     rs = apply_word(w, RampSum.of(DELTA))
-    half = ComplexRational(Fraction(1, 2))
-    assert rs == RampSum.from_parts(
-        [(half, 0, Fraction(-1)), (-half, 0, Fraction(1))])
+    assert rs == RampSum(word((Fraction(1, 2), 1, -1), (Fraction(-1, 2), -1, -1)), DELTA)
     assert eval_limit_at_zero(rs) == ExactValue.rational(Fraction(1, 2))
 
 
 def test_identity_word_fixes_everything():
-    rs = RampSum.from_parts([(CR_ONE, 2, Fraction(1, 3)),
-                             (ComplexRational(Fraction(-3)), -2, Fraction(1))])
+    rs = RampSum(word((1, Fraction(-1, 3), -3), (-3, -1, 1)), DELTA)
     assert apply_word(OperatorWord.identity(), rs) == rs
 
 
 def test_antiderivative_of_delta_is_ramp():
     rs = apply_word(word((1, 0, -2)), RampSum.of(DELTA))
-    assert rs == RampSum.from_parts([(CR_ONE, 1, Fraction(0))])
+    assert rs == RampSum(word((1, 0, -2)), DELTA)
+    assert DELTA(-2) == Ramp(1)
 
 
 def test_limit_examples():
     # the second Borwein window:
     # R1(y+4/3) - R1(y+2/3) - R1(y-2/3) + R1(y-4/3) -> 2/3
-    rs = RampSum.from_parts([
-        (CR_ONE, 1, Fraction(-4, 3)),
-        (-CR_ONE, 1, Fraction(-2, 3)),
-        (-CR_ONE, 1, Fraction(2, 3)),
-        (CR_ONE, 1, Fraction(4, 3)),
-    ])
+    rs = RampSum(word((1, Fraction(4, 3), -2), (-1, Fraction(2, 3), -2),
+                      (-1, Fraction(-2, 3), -2), (1, Fraction(-4, 3), -2)), DELTA)
     assert eval_limit_at_zero(rs) == ExactValue.rational(Fraction(2, 3))
-    assert eval_limit_at_zero(RampSum()) == ExactValue.zero()
+    assert eval_limit_at_zero(RampSum(OperatorWord(()), DELTA)) == ExactValue.zero()
 
 
 def test_limit_errors():
     with pytest.raises(RampEvaluationError, match="discontinuous"):
-        eval_limit_at_zero(RampSum.from_parts([(CR_ONE, 0, Fraction(0))]))
+        eval_limit_at_zero(RampSum(word((1, 0, -1)), DELTA))
     with pytest.raises(RampEvaluationError, match="singular"):
         eval_limit_at_zero(RampSum.of(DELTA))
 
 
-SOME_STEPS = RampSum.from_parts(
-    [(CR_ONE, 1, Fraction(1, 7)), (ComplexRational(Fraction(2)), 0, Fraction(-2)),
-     (ComplexRational(Fraction(-1, 3)), -2, Fraction(5))])
+SOME_IMAGE = RampSum(word((1, Fraction(-1, 7), -2), (2, 2, -1), (Fraction(-1, 3), -5, 1)),
+                     DELTA)
 
 
 @given(small_fractions, small_fractions)
 @settings(max_examples=40, deadline=None)
 def test_translation_composition(a, b):
     # T_a T_b = T_(a+b), as one word and as two actions in a row
-    one_step = apply_word(word((1, a + b, 0)), SOME_STEPS)
-    assert apply_word(word((1, a, 0)) * word((1, b, 0)), SOME_STEPS) == one_step
-    assert apply_word(word((1, a, 0)), apply_word(word((1, b, 0)), SOME_STEPS)) == one_step
+    one_step = apply_word(word((1, a + b, 0)), SOME_IMAGE)
+    assert apply_word(word((1, a, 0)) * word((1, b, 0)), SOME_IMAGE) == one_step
+    assert apply_word(word((1, a, 0)), apply_word(word((1, b, 0)), SOME_IMAGE)) == one_step
 
 
 def test_derivative_inverts_antiderivative_exactly():
-    rs = RampSum.from_parts(
-        [(CR_ONE, 3, Fraction(1, 2)), (ComplexRational(Fraction(-2, 3)), -1, Fraction(2))])
+    rs = RampSum(word((1, Fraction(-1, 2), -4), (Fraction(-2, 3), -2, 0)), DELTA)
     for k in (1, 4):
         assert apply_word(word((1, 0, k)), apply_word(word((1, 0, -k)), rs)) == rs
 
@@ -143,14 +135,14 @@ def test_derivative_inverts_antiderivative_exactly():
 @given(small_fractions, st.integers(min_value=-2, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_apply_word_linearity(c, n):
-    # the word acts step by step: on a merged step list as on its parts
+    # the word acts term by term: on a merged image as on its parts
     w = word((2, Fraction(1, 2), n), (-1, -1, 0))
-    s1 = [(CR_ONE, 2, Fraction(1, 3)), (CR_ONE, 1, Fraction(-1))]
-    s2 = [(ComplexRational(c), 1, Fraction(-1)), (CR_ONE, -1, Fraction(0))]
-    lhs = apply_word(w, RampSum.from_parts(s1 + s2))
-    rhs = RampSum.from_parts(apply_word(w, RampSum.from_parts(s1)).steps
-                             + apply_word(w, RampSum.from_parts(s2)).steps)
-    assert lhs == rhs
+    t1 = word((1, Fraction(-1, 3), -3), (1, 1, -2)).terms
+    t2 = word((c, 1, -2), (1, 0, 0)).terms
+    lhs = apply_word(w, RampSum(OperatorWord.from_terms(t1 + t2), DELTA))
+    rhs = OperatorWord.from_terms(apply_word(w, RampSum(OperatorWord(t1), DELTA)).word.terms
+                                  + apply_word(w, RampSum(OperatorWord(t2), DELTA)).word.terms)
+    assert lhs == RampSum(rhs, DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +159,28 @@ def _canonical(steps, poly):
             tuple((c, j) for j, c in sorted(acc_p.items()) if not c.is_zero))
 
 
+def steps_of(image):
+    """An image as ramp steps (coeff, m, s): the term c T_b D^n reads the
+    kernel's member n at y + b, the chain index m = -1 - n at y - s."""
+    return _canonical([(t.coeff, -1 - t.power, -t.shift) for t in image.word.terms], [])[0]
+
+
+def image_of(steps, kernel):
+    """The image whose ramp steps are *steps*: n = -1 - m and b = -s."""
+    return RampSum(OperatorWord.from_terms(OperatorTerm(c, -as_fraction(s), -1 - m)
+                                           for c, m, s in steps), kernel)
+
+
 def per_term_walk(w, target, perturb=None):
     """apply_word as it was before it acted in one pass, kept as the
     reference: each term makes an image of its own, (steps, poly) with a
     global polynomial in the y^j/j! basis, by D^n, then perturb(n) added to
     a D^-n representative, then T_b, then the coefficient, each step
-    canonical; the parts are merged once more at the end."""
+    canonical; the parts are merged once more at the end.  It works on
+    ramp steps (coeff, m, s), read off the target by ``steps_of``."""
     steps, poly = [], []
     for t in w.terms:
-        part_s, part_p = _canonical([(c, m - t.power, s) for c, m, s in target.steps], [])
+        part_s, part_p = _canonical([(c, m - t.power, s) for c, m, s in steps_of(target)], [])
         if perturb is not None and t.power < 0:
             plain = tuple(perturb(-t.power))
             assert len(plain) <= -t.power
@@ -198,7 +203,7 @@ def walk_value(image, kernel, y):
     """The per-term walk's image at y: its steps on the kernel's own chain
     plus its global polynomial."""
     steps, poly = image
-    value = RampSum(steps, kernel).evaluate_at(y)
+    value = image_of(steps, kernel).evaluate_at(y)
     return value + ExactValue.rational(sum(
         (c.require_real() * Fraction(y ** j, math.factorial(j)) for c, j in poly),
         Fraction(0)))
@@ -242,17 +247,17 @@ def test_apply_word_matches_the_per_term_walk(name, kernel, powers, orders, shif
     rng = random.Random(f"apply_word {name}")
     for _ in range(40):
         w = _random_word(rng, powers, shifts)
-        target = RampSum.from_parts(_random_steps(rng, orders, shifts), kernel)
+        target = image_of(_random_steps(rng, orders, shifts), kernel)
         steps, poly = per_term_walk(w, target)
         assert poly == ()
-        assert apply_word(w, target) == RampSum(steps, kernel)
+        assert apply_word(w, target) == image_of(steps, kernel)
         # on the bare kernel, perturb(n) on a D^-n term is the kernel's
         # representative K_(n-1), in value wherever the image has one
         fixed = {n: [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                      for _ in range(rng.randint(0, n))] for n in range(1, 6)}
         walked = per_term_walk(w, RampSum.of(kernel), fixed.__getitem__)
         image = apply_word(w, RampSum.of(with_representatives(kernel, fixed.__getitem__)))
-        assert image.steps == walked[0]
+        assert steps_of(image) == walked[0]
         for y in points:
             assert _outcome(lambda: image.evaluate_at(y)) == \
                 _outcome(lambda: walk_value(walked, kernel, y)), (name, w, y)
@@ -281,8 +286,8 @@ def _values(image, points):
 def test_constant_cancels_in_central_difference():
     # (T_1 - T_-1)(Theta + C) == Theta(y+1) - Theta(y-1)
     c = Fraction(17, 3)
-    theta = RampSum.from_parts([(CR_ONE, 0, Fraction(0))])
-    perturbed = RampSum(theta.steps, with_representatives(DELTA, lambda n: [c]))
+    theta = RampSum(word((1, 0, -1)), DELTA)
+    perturbed = RampSum(theta.word, with_representatives(DELTA, lambda k: [c]))
     diff = word((1, 1, 0), (-1, -1, 0))
     points = [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(3)]
     assert _values(apply_word(diff, perturbed), points) == \
@@ -292,9 +297,9 @@ def test_constant_cancels_in_central_difference():
 
 def test_second_central_difference_kills_degree_one():
     # perturbation y + 3 on an R2 representative is annihilated by (T1 - T-1)^2
-    base = RampSum.from_parts([(CR_ONE, 2, Fraction(0))])
-    perturbed = RampSum(base.steps, with_representatives(
-        DELTA, lambda n: [Fraction(3), Fraction(1)] if n == 3 else []))
+    base = RampSum(word((1, 0, -3)), DELTA)
+    perturbed = RampSum(base.word, with_representatives(
+        DELTA, lambda k: [Fraction(3), Fraction(1)] if k == 3 else []))
     diff = word((1, 1, 0), (-1, -1, 0))
     sq = diff * diff
     points = [Fraction(k, 3) for k in range(-9, 10)]
@@ -302,18 +307,18 @@ def test_second_central_difference_kills_degree_one():
 
 
 def test_zero_polynomial_is_identity():
-    chain = with_representatives(DELTA, lambda n: [])
-    for m in range(-3, 5):
-        assert chain(m) == DELTA(m)
+    chain = with_representatives(DELTA, lambda k: [])
+    for n in range(-5, 3):
+        assert chain(n) == DELTA(n)
 
 
 def test_perturbation_rejects_high_degree():
-    chain = with_representatives(DELTA, lambda n: [Fraction(1)] * (n + 1))
-    assert chain(-1) == DELTA(-1)
+    chain = with_representatives(DELTA, lambda k: [Fraction(1)] * (k + 1))
+    assert chain(0) == DELTA(0)
     with pytest.raises(ValueError, match="degree 1 not allowed for order 1"):
-        chain(0)
+        chain(-1)
     with pytest.raises(ValueError):
-        RampSum.from_parts([(CR_ONE, 2, Fraction(-1))], chain).evaluate_at(0)
+        RampSum(word((1, 1, -3)), chain).evaluate_at(0)
 
 
 @given(st.lists(small_fractions, min_size=0, max_size=3), small_fractions)
@@ -365,10 +370,10 @@ def test_every_kernel_is_invariant_under_representatives(name, kernel, w, y):
         image = apply_word(w, RampSum.of(with_representatives(kernel, plain.__getitem__)))
         assert image.evaluate_at(y) == base
     too_high = with_representatives(kernel, lambda n: [Fraction(1)] * (n + 1))
-    assert apply_word(w, RampSum.of(too_high)).steps == apply_word(w, RampSum.of(kernel)).steps
-    for m in (0, 3):
+    assert apply_word(w, RampSum.of(too_high)).word == apply_word(w, RampSum.of(kernel)).word
+    for n in (-1, -4):
         with pytest.raises(ValueError):
-            too_high(m)
+            too_high(n)
 
 
 def test_word_multiplication_matches_product_decomposition():
@@ -385,6 +390,5 @@ def test_word_composition_homomorphism(n1, b1, n2, b2):
     # applying a product word equals applying the factors in sequence
     w1 = word((2, b1, n1), (-1, 0, 0))
     w2 = word((1, b2, n2))
-    rs = RampSum.from_parts(
-        [(CR_ONE, 3, Fraction(1, 2)), (ComplexRational(Fraction(1, 3)), -1, Fraction(-1))])
+    rs = RampSum(word((1, Fraction(-1, 2), -4), (Fraction(1, 3), 1, 0)), DELTA)
     assert apply_word(w1 * w2, rs) == apply_word(w1, apply_word(w2, rs))
