@@ -8,8 +8,9 @@ atoms:
 
 with q, r, s rational.  ``ExactValue`` stores such a combination exactly
 (bit-exact rational coefficients, structural equality) and produces a
-high-precision numeric shadow on demand.  A value is a "pure pi multiple"
-iff its plain rational part is zero and no transcendental residues remain.
+high-precision numeric shadow on demand, summed once per digit count.  A
+value is a "pure pi multiple" iff its plain rational part is zero and no
+transcendental residues remain.
 
 ``Rational`` is the stdlib ``fractions.Fraction``, which already maintains
 lowest terms and a positive denominator.  ``ComplexRational`` supplies the
@@ -20,7 +21,7 @@ rewritten in terms of complex exponentials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -126,6 +127,8 @@ class ComplexRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if o.im == 0:  # a real factor multiplies part-wise
+            return ComplexRational(self.re * o.re, self.im * o.re)
         return ComplexRational(self.re * o.re - self.im * o.im,
                                self.re * o.im + self.im * o.re)
 
@@ -297,10 +300,11 @@ class ExactValue:
     """Exact real scalar: rational + rational*pi + transcendental residues.
 
     Immutable and structurally comparable; two values are equal iff their
-    canonical term lists match exactly.  ``evalf`` gives the numeric shadow.
+    canonical term lists match.  ``evalf``'s shadow is kept per digit count.
     """
 
     terms: tuple = ()  # tuple of (Residue, Fraction), canonically sorted
+    _shadows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -414,12 +418,15 @@ class ExactValue:
         extra digits: a total that is all rounding error bounds the loss
         only from below.  A sum of rationals cancels by fewer digits than
         its coefficients have bits, which bounds the extra digits."""
+        if dps in self._shadows:
+            return self._shadows[dps]
         extra = 10
         total, lost = self._sum(dps + extra)
         while lost > extra - 2 and extra < 10 + sum(
                 c.numerator.bit_length() + c.denominator.bit_length() for _, c in self.terms):
             extra = 10 + math.ceil(lost)
             total, lost = self._sum(dps + extra)
+        self._shadows[dps] = total
         return total
 
     def _sum(self, dps: int):

@@ -18,6 +18,7 @@ e-powers, erf values and logarithms.
               erf(y/sqrt(2)) with rational polynomials, built by the
               three-term recurrence k G_(k+1) = y G_k + G_(k-1), which
               leaves no plain polynomial part (odd order -> odd function);
+              read by integer Horner passes; the last 32 chains are kept;
 * ``green_kernel(rates)``  the partial-fraction sum of Green's functions
               e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``; n = 0 only;
 * ``regularized_kernel(a)``  the entire kernel (1 - e^(-ay))/y; its
@@ -30,6 +31,7 @@ convergent integral sees; ``with_representatives`` picks other ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,15 +156,22 @@ def _poly_deriv(a: tuple) -> tuple:
     return tuple(c * i for i, c in enumerate(a) if i >= 1)
 
 
-def _poly_eval(a: tuple, z: Fraction) -> Fraction:
-    """a(z) by homogeneous integer Horner: with z = u/v and D the lcm of
-    a's denominators, D v^deg a(z) is an integer, divided out once."""
+def _integer_poly(coeffs) -> tuple:
+    """(numerators, d), coeffs[k] == numerators[k]/d, d the denominators' lcm."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+
+def _poly_eval(poly: tuple, z: Fraction) -> Fraction:
+    """a(z) of a = (numerators, d) by one homogeneous integer Horner pass:
+    with z = u/v, d v^deg a(z) is an integer, divided out once."""
+    numerators, d = poly
     u, v = z.numerator, z.denominator
-    total, scale = 0, math.lcm(*(c.denominator for c in a))  # D v^(deg - k)
-    for c in reversed(a):
-        total = total * u + c.numerator * (scale // c.denominator)
+    total, scale = 0, 1  # v^(deg - k)
+    for c in reversed(numerators):
+        total = total * u + c * scale
         scale *= v
-    return Fraction(total * v, scale)
+    return Fraction(total * v, d * scale)
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,10 @@ class GaussianChain:
 
     p: tuple = ()
     q: tuple = ()
+
+    @functools.cached_property
+    def integer_form(self) -> tuple:  # p and q as _integer_poly, built once
+        return _integer_poly(self.p), _integer_poly(self.q)
 
     def derivative(self) -> "GaussianChain":
         # d/dy [p e^(-y^2/2)] = (p' - y p) e^(-y^2/2)
@@ -190,8 +203,8 @@ class GaussianChain:
         z = as_fraction(z)
         # sqrt(pi/2) = sqrt(2*pi)/2
         return ExactValue.from_terms([
-            (Residue(e_exp=-z * z / 2), _poly_eval(self.p, z)),
-            (Residue(sqrt_two_pi=1, erf_args=(z,)), _poly_eval(self.q, z) / 2)])
+            (Residue(e_exp=-z * z / 2), _poly_eval(self.integer_form[0], z)),
+            (Residue(sqrt_two_pi=1, erf_args=(z,)), _poly_eval(self.integer_form[1], z) / 2)])
 
 
 def _times_y_plus(a: list, c: int, b: list) -> list:
@@ -202,6 +215,7 @@ def _times_y_plus(a: list, c: int, b: list) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def gaussian_chain(n: int) -> GaussianChain:
     """n-th anti-derivative G_n of E = e^(-y^2/2), with S = sqrt(pi/2)
     erf(y/sqrt 2): G_0 = E, G_1 = S and k G_(k+1) = y G_k + G_(k-1).
@@ -210,7 +224,8 @@ def gaussian_chain(n: int) -> GaussianChain:
     anti-derivative with no plain polynomial part, and such an
     anti-derivative is unique (a constant is not p E + q S).  The scaled
     H_k = (k-1)! G_k have integer polynomials: H_1 = S, H_2 = E + y S and
-    H_(k+1) = y H_k + (k-1) H_(k-1), so G_n = H_n/(n-1)!."""
+    H_(k+1) = y H_k + (k-1) H_(k-1), so G_n = H_n/(n-1)!.  Requests
+    repeat their orders, so the last 32 chains are kept."""
     if n < 0:
         raise ValueError("gaussian_chain is indexed by anti-derivative order n >= 0")
     if n == 0:
@@ -333,7 +348,7 @@ def regularized_kernel(a):
 
 @dataclass(frozen=True)
 class Represented:
-    """A chain member plus a polynomial, plain coefficients c_0 + c_1 z + ..."""
+    """A chain member plus a polynomial c_0 + c_1 z + ..., an _integer_poly."""
 
     member: object
     poly: tuple
@@ -357,7 +372,7 @@ def with_representatives(kernel, perturb=None):
         if len(coeffs) > -n:
             raise ValueError(
                 f"polynomial degree {len(coeffs) - 1} not allowed for order {-n}")
-        return Represented(kernel(n), coeffs) if coeffs else kernel(n)
+        return Represented(kernel(n), _integer_poly(coeffs)) if coeffs else kernel(n)
 
     return chain
 

@@ -215,6 +215,9 @@ class OperatorWord:
         return OperatorWord((OperatorTerm(CR_ONE, Fraction(0), 0),))
 
     def __mul__(self, other: "OperatorWord") -> "OperatorWord":
+        one = OperatorWord.identity()
+        if one in (self, other):  # the identity leaves the other factor
+            return self if other == one else other
         return OperatorWord.from_terms(
             OperatorTerm(a.coeff * b.coeff, a.shift + b.shift, a.power + b.power)
             for a in self.terms for b in other.terms)
@@ -269,18 +272,28 @@ class RampSum:
         return RampSum(OperatorWord.identity(), kernel)
 
     def evaluate_at(self, y) -> ExactValue:
-        """Exact value at rational y, summed per residue and checked real
-        once.  The highest power is read first, so that a member refusing y
-        (for the delta, a jump or delta at y) is the most singular one."""
+        """Exact value at rational y: per residue one sum on one denominator,
+        checked real once.  The highest power is read first, so that a member
+        refusing y (for the delta, a jump or delta at y) is the most singular."""
         y = as_fraction(y)
-        acc: dict = {}
+        acc: dict = {}  # residue -> [(coeff, q)]
         members: dict = {}
         for t in sorted(self.word.terms, key=lambda term: (-term.power, -term.shift)):
             if t.power not in members:
                 members[t.power] = self.kernel(t.power)
             for residue, q in members[t.power].value_at(y + t.shift).terms:
-                acc[residue] = acc.get(residue, CR_ZERO) + t.coeff * q
-        return ExactValue.from_terms((r, v.require_real()) for r, v in acc.items())
+                acc.setdefault(residue, []).append((t.coeff, q))
+        return ExactValue.from_terms(
+            (r, ComplexRational(_dot((c.re, q) for c, q in pairs),
+                                _dot((c.im, q) for c, q in pairs)).require_real())
+            for r, pairs in acc.items())
+
+
+def _dot(pairs) -> Fraction:
+    """sum a q over rational pairs (a, q), reduced once on one denominator."""
+    parts = [(a.numerator * q.numerator, a.denominator * q.denominator) for a, q in pairs if a]
+    d = math.lcm(*(den for _, den in parts))
+    return Fraction(sum(num * (d // den) for num, den in parts), d)
 
 
 def apply_word(word: OperatorWord, target: RampSum) -> RampSum:

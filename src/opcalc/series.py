@@ -16,7 +16,7 @@ Coefficient arithmetic never leaves the rationals; the one float
 conversion, of the finished value, is range-checked.  Products and the
 read-off share one integer form, a_k = A_k/(d k!), since
 G^(k)(0) = k! c_k, in which a product is a binomial convolution.  Every
-factorial ladder (exp, sin, cos, sinc of c x^v) is built by
+factorial ladder (exp, sin, cos, sinc of c x^v) is built in integers by
 _monomial_compose; of any other argument g, the function's own ladder is
 composed with g's series.  A monomial is read with operators.polynomial_of.
 """
@@ -156,7 +156,7 @@ class PowerSeries:
         return PowerSeries(tuple(self[k] - other[k] for k in range(n + 1)))
 
     def scale(self, c: ComplexRational) -> "PowerSeries":
-        return PowerSeries(tuple(c * a for a in self.coeffs))
+        return PowerSeries(tuple(a * c for a in self.coeffs))  # a real c: part-wise
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
         """Truncated product, the binomial convolution of the k!-scaled
@@ -240,15 +240,20 @@ _LADDERS = {"exp": (1, 1, 0, 0), "cos": (2, -1, 0, 0),
 def _monomial_compose(func: str, c: ComplexRational, v: int, n: int) -> PowerSeries:
     """func(c x^v) through order n, one factorial ladder for every
     function: the O(n) path that keeps large truncation orders (Gaussian
-    kernels) affordable, and the only place a Taylor ladder is written."""
+    kernels) affordable, and the only place a Taylor ladder is written:
+    with c = (a + ib)/L it steps on the integers (a + ib)^e and L^e k!."""
     step, sign, p, s = _LADDERS[func]
-    ratio = ComplexRational(sign) * c ** step
+    scale = math.lcm(c.re.denominator, c.im.denominator)
+    a, b = int(c.re * scale), int(c.im * scale)
+    ratio = ComplexRational(sign) * ComplexRational(a, b) ** step
+    wr, wi = int(ratio.re), int(ratio.im)  # sign (a + ib)^step
+    re, im, den = (a, b, scale) if p > s else (1, 0, 1)  # (a + ib)^(p-s), L^(p-s) p!
     coeffs = [CR_ZERO] * (n + 1)
-    term = c if p > s else CR_ONE  # c^(p-s)/p!, with p - s in {0, 1}
     k = p
     while (k - s) * v <= n:
-        coeffs[(k - s) * v] = term
-        term = term * ratio / ComplexRational(math.perm(k + step, step))
+        coeffs[(k - s) * v] = ComplexRational(Fraction(re, den), Fraction(im, den))
+        re, im = re * wr - im * wi, re * wi + im * wr
+        den *= scale ** step * math.perm(k + step, step)
         k += step
     return PowerSeries(tuple(coeffs))
 

@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oracle
-from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
-                      sinc_power_gaussian)
+from .borwein import (RampBoundaryError, SincProductSpec, borwein_exact,
+                      sinc_cos_product_integral, sinc_power_gaussian)
 from .classify import classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
@@ -373,8 +373,8 @@ def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
     """Integral over the real line by the first route of ROUTES that
     serves the integrand's family and does not miss.
 
-    A miss (not exp-poly, unsupported shape, divergent) is logged and the
-    next route tried; the result's diagnostics list every attempt.
+    A miss (not exp-poly, unsupported shape, divergent, a step at its jump)
+    is logged and the next route tried; the diagnostics list every attempt.
     ``method`` names one route to run alone: its misses propagate, and an
     integrand outside its families is an UnsupportedFamilyError.
     """
@@ -393,7 +393,7 @@ def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
         try:
             result = solve(ast, route.params, truncation)
         except (NotExponentialPolynomial, UnsupportedFamilyError,
-                DivergentIntegralError) as exc:
+                DivergentIntegralError, RampBoundaryError) as exc:
             if method == name:
                 raise
             attempts.append(f"{name}: {exc}")

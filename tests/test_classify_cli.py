@@ -15,12 +15,14 @@ from pathlib import Path
 import pytest
 
 import opcalc
+from opcalc.borwein import RampBoundaryError
 from opcalc.classify import classify
 from opcalc import cli
 from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
                         EXIT_PARSE, EXIT_UNSUPPORTED, build_arg_parser, run)
+from opcalc.exact import Residue
 from opcalc.parser import parse_expression
-from opcalc.transforms import ROUTES
+from opcalc.transforms import ROUTES, integrate_real_line
 
 try:
     import jsonschema
@@ -220,8 +222,8 @@ def test_cli_exit_codes(capsys):
     assert code == EXIT_UNSUPPORTED
     code, _, err = run_cli(capsys, "integrate", "exp(x)", "--interval", "0", "inf")
     assert code == EXIT_NONCONVERGENT
-    code, _, err = run_cli(capsys, "integrate", "sinc(x)*cos(x)")
-    assert code == EXIT_NONCONVERGENT  # step evaluated exactly at its jump
+    code, _, err = run_cli(capsys, "lord", "--cos", "1")
+    assert code == EXIT_NONCONVERGENT and "exactly at its jump" in err  # no other route
     code, _, err = run_cli(capsys, "fourier", "sinc(x)", "--at", "1")
     assert code == EXIT_NONCONVERGENT  # transform has a jump exactly there
     code, _, err = run_cli(capsys, "fourier", "exp(-x^2/2)", "--at", "0")
@@ -715,3 +717,45 @@ def test_cli_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
     assert err == b""
+
+
+# A sinc/cos product whose tuple sum has a step exactly at its jump (no
+# sinc slot besides the outer one, and a cos rate equal to it) is a miss of
+# the enumeration route, not an error: the delta route reads the merged
+# word, whose steps at the jump cancel, and answers exactly.
+TUPLE_SUM_TIES = [("sinc(x)*cos(x)", "(1/2)*pi"), ("sinc(x)*cos(x/2)^2", "(3/4)*pi"),
+                  ("sinc(2*x)*cos(2*x)", "(1/4)*pi")]
+
+
+@pytest.mark.parametrize("command", ["integrate", "compare"])
+@pytest.mark.parametrize("expr, exact", TUPLE_SUM_TIES)
+def test_a_tuple_sum_tie_falls_through_to_the_delta_route(capsys, command, expr, exact):
+    code, out, err = run_cli(capsys, command, expr, "--json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["exact"] == exact and payload["method"] == "fourier_delta"
+    assert payload["diagnostics"]["attempts"] == [
+        "sinc_cos_product: step evaluated exactly at its jump", "delta"]
+
+
+@pytest.mark.parametrize("expr, exact", TUPLE_SUM_TIES)
+def test_a_named_enumeration_route_still_raises_at_a_tie(expr, exact):
+    with pytest.raises(RampBoundaryError, match="exactly at its jump"):
+        integrate_real_line(parse_expression(expr), method="sinc_cos_product")
+    result = integrate_real_line(parse_expression(expr), method="delta")
+    assert str(result.exact) == exact
+
+
+def test_printing_more_digits_sums_each_term_once(capsys, monkeypatch):
+    # the float shadow and the printed 20 digits are both 25-digit sums of
+    # the same exact value: each residue is evaluated once, not twice
+    calls = []
+    evalf = Residue.evalf
+    monkeypatch.setattr(Residue, "evalf", lambda self: calls.append(self) or evalf(self))
+    code, out, _ = run_cli(capsys, "integrate", "sinc(x)^8*exp(-x^2/2)", "--precision", "20",
+                           "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["approx"] == "1.2956811223005154718"
+    assert len(calls) == payload["exact"].count("sqrt(2*pi)") + payload["exact"].count("erf(") == 9
+    assert len(set(calls)) == len(calls)

@@ -217,6 +217,21 @@ def test_evalf_is_one_pass_when_little_cancels():
         assert v.evalf(dps) == _one_pass(v, dps)
 
 
+def test_evalf_shadow_is_summed_once_per_digit_count(monkeypatch):
+    # the kept shadow changes neither equality, hash nor text of the value
+    v = ExactValue.pi_times(Fraction(3, 7)) + exp_value(Fraction(-1, 2), 5) + erf_value(2)
+    twin = ExactValue(v.terms)
+    calls = []
+    evalf = Residue.evalf
+    monkeypatch.setattr(Residue, "evalf", lambda self: calls.append(self) or evalf(self))
+    first = v.evalf(25)
+    assert len(calls) == 3
+    assert v.evalf(25) is first and len(calls) == 3
+    assert v.evalf(30) == twin.evalf(30) and len(calls) == 9
+    assert v == twin and hash(v) == hash(twin) and repr(v) == repr(twin) == str(twin)
+    assert first == _one_pass(twin, 25)
+
+
 exact_values = st.builds(
     lambda a, b, c, d: (ExactValue.rational(a) + ExactValue.pi_times(b)
                         + exp_value(Fraction(-1), c) + log_value(2, d)),

@@ -7,11 +7,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from opcalc.borwein import sinc_power_gaussian
 from opcalc.exact import (CR_ONE, ComplexRational, ExactValue, Residue, exp_value,
                           log_value)
 from opcalc.kernels import (DELTA, HEAT, ONE_OVER_Y, GaussianChain, LogChain, PiecewiseExp,
-                            eval_kernel, gaussian_chain, green_function, green_kernel,
-                            one_over_y_chain, regularized_kernel, with_representatives)
+                            _integer_poly, _poly_eval, eval_kernel, gaussian_chain,
+                            green_function, green_kernel, one_over_y_chain,
+                            regularized_kernel, with_representatives)
 from opcalc.operators import OperatorTerm, OperatorWord, RampSum, apply_word
 from opcalc.oracle import quad_interval
 
@@ -188,18 +190,19 @@ def test_gaussian_chain_matches_tuple_reference():
         assert gaussian_chain(n) == GaussianChain(p, q), n
 
 
+def fraction_horner(poly, z):
+    total = Fraction(0)
+    for c in reversed(poly):
+        total = total * z + c
+    return total
+
+
 def reference_value(chain, z):
     """value_at by Fraction Horner on p and q, as it was evaluated before
     the integer read-off."""
-    def horner(poly):
-        total = Fraction(0)
-        for c in reversed(poly):
-            total = total * z + c
-        return total
-
     return ExactValue.from_terms([
-        (Residue(e_exp=-z * z / 2), horner(chain.p)),
-        (Residue(sqrt_two_pi=1, erf_args=(z,)), horner(chain.q) / 2)])
+        (Residue(e_exp=-z * z / 2), fraction_horner(chain.p, z)),
+        (Residue(sqrt_two_pi=1, erf_args=(z,)), fraction_horner(chain.q, z) / 2)])
 
 
 def test_gaussian_chain_value_matches_fraction_horner():
@@ -216,6 +219,45 @@ def test_gaussian_chain_value_matches_fraction_horner():
                                 q=(Fraction(2, 9), Fraction(4))), GaussianChain()):
         for z in points:
             assert chain.value_at(z) == reference_value(chain, z), (chain, z)
+
+
+def test_integer_poly_read_off_matches_fraction_horner():
+    # the integer form on one denominator is read at u/v by one pass
+    rng = random.Random(67)
+    points = [Fraction(0), Fraction(-1), Fraction(5, 3), Fraction(-7, 10 ** 9)]
+    for _ in range(60):
+        degree = rng.randint(-1, 12)
+        big = rng.random() < 0.3
+        poly = tuple(Fraction(rng.randint(-10 ** (30 if big else 3), 10 ** (30 if big else 3)),
+                              rng.randint(1, 10 ** (25 if big else 2)))
+                     if rng.random() < 0.8 else Fraction(0) for _ in range(degree + 1))
+        numerators, d = _integer_poly(poly)
+        assert all(Fraction(c, d) == p for c, p in zip(numerators, poly))
+        for z in points + [Fraction(rng.randint(-50, 50), rng.randint(1, 40))]:
+            assert _poly_eval((numerators, d), z) == fraction_horner(poly, z), (poly, z)
+
+
+def test_gaussian_chain_integer_form_is_its_polynomials():
+    for n in range(0, 41):
+        chain = gaussian_chain(n)
+        for poly, (numerators, d) in zip((chain.p, chain.q), chain.integer_form):
+            assert tuple(Fraction(c, d) for c in numerators) == poly, n
+
+
+def test_gaussian_chain_is_built_once_for_repeated_orders():
+    gaussian_chain.cache_clear()
+    first, second = sinc_power_gaussian(36), sinc_power_gaussian(36)
+    info = gaussian_chain.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.exact == second.exact
+
+
+def test_gaussian_chain_cache_is_bounded():
+    maxsize = gaussian_chain.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 64
+    for n in range(maxsize + 10):
+        gaussian_chain(n)
+    assert gaussian_chain.cache_info().currsize == maxsize
 
 
 def test_gaussian_chain_value_matches_quadrature():

@@ -91,6 +91,16 @@ def test_identity_word_fixes_everything():
     assert apply_word(OperatorWord.identity(), rs) == rs
 
 
+def test_acting_on_a_kernel_keeps_the_word():
+    # the identity factor returns the other one, with no re-merge
+    w = word((1, Fraction(-1, 3), -3), (-3, -1, 1))
+    assert apply_word(w, RampSum.of(HEAT)).word is w
+    assert OperatorWord.identity() * w is w and w * OperatorWord.identity() is w
+    assert w * w == OperatorWord.from_terms(
+        OperatorTerm(a.coeff * b.coeff, a.shift + b.shift, a.power + b.power)
+        for a in w.terms for b in w.terms)
+
+
 def test_antiderivative_of_delta_is_ramp():
     rs = apply_word(word((1, 0, -2)), RampSum.of(DELTA))
     assert rs == RampSum(word((1, 0, -2)), DELTA)
@@ -392,3 +402,103 @@ def test_word_composition_homomorphism(n1, b1, n2, b2):
     w2 = word((1, b2, n2))
     rs = RampSum(word((1, Fraction(-1, 2), -4), (Fraction(1, 3), 1, 0)), DELTA)
     assert apply_word(w1 * w2, rs) == apply_word(w1, apply_word(w2, rs))
+
+
+# ---------------------------------------------------------------------------
+# the image sum on one denominator against the per-term object path
+# ---------------------------------------------------------------------------
+
+def per_term_evaluate(image, y):
+    """evaluate_at as the object path summed it: one full complex product
+    and one ComplexRational sum per member term, then require_real."""
+    y = as_fraction(y)
+    acc, members = {}, {}
+    for t in sorted(image.word.terms, key=lambda term: (-term.power, -term.shift)):
+        if t.power not in members:
+            members[t.power] = image.kernel(t.power)
+        for residue, q in members[t.power].value_at(y + t.shift).terms:
+            c = t.coeff
+            acc[residue] = acc.get(residue, CR_ZERO) + ComplexRational(c.re * q, c.im * q)
+    return ExactValue.from_terms((r, v.require_real()) for r, v in acc.items())
+
+
+def _message(thunk):
+    try:
+        return thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _complex_word(rng, powers, shifts):
+    """A canonical word with complex coefficients (most images not real)."""
+    return OperatorWord.from_terms(
+        OperatorTerm(ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                                     Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                     if rng.random() < 0.6 else 0),
+                     rng.choice(shifts), rng.choice(powers))
+        for _ in range(rng.randint(1, 6)))
+
+
+def _conjugate_pairs(rng, powers, shifts):
+    """Terms in conjugate pairs at one (shift, power), left unmerged: complex
+    coefficients whose imaginary parts cancel in every residue."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2))
+        b, n = rng.choice(shifts), rng.choice(powers)
+        terms += [OperatorTerm(ComplexRational(re, im), b, n),
+                  OperatorTerm(ComplexRational(Fraction(rng.randint(-9, 9), 5), -im), b, n)]
+    rng.shuffle(terms)
+    return OperatorWord(tuple(terms))
+
+
+# Real integrands mixing even and odd parts: their f(-i d/dy) words have
+# complex coefficients, real images at 0 and refusals elsewhere.
+MIXED_PARITY = ("sin(x) + cos(x)", "sinc(x)^2 + x*cos(x/2)", "sin(x)^3 + x^2*cos(x)",
+                "sinc(x)^3*(1 + sin(x/3))", "x*sinc(x)^2 + sinc(x/2)")
+
+IMAGE_SUM_CASES = (
+    ("delta", DELTA, range(-3, 3), [Fraction(k, 2) for k in range(-4, 5)]),
+    ("one_over_y", ONE_OVER_Y, range(-3, 3), [Fraction(k, 3) for k in range(-3, 1)]),
+    ("heat", HEAT, range(-5, 1), [Fraction(k, 2) for k in range(-4, 5)]),
+    ("green", green_kernel([Fraction(1), Fraction(2), Fraction(1, 3)]), (0,),
+     [Fraction(k, 2) for k in range(-4, 5)]),
+    ("heat_represented", with_representatives(
+        HEAT, lambda k: [Fraction(j - 2, 2 * k + 1) for j in range(k)]),
+     range(-5, 1), [Fraction(k, 3) for k in range(-4, 5)]),
+)
+IMAGE_SUM_POINTS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 2), Fraction(-7, 3),
+                    Fraction(1, 10 ** 6)]
+
+
+@pytest.mark.parametrize("name, kernel, powers, shifts", IMAGE_SUM_CASES,
+                         ids=[case[0] for case in IMAGE_SUM_CASES])
+def test_image_sum_matches_the_per_term_object_path(name, kernel, powers, shifts):
+    rng = random.Random(f"image sum {name}")
+    words = [_complex_word(rng, powers, shifts) for _ in range(30)]
+    words += [_conjugate_pairs(rng, powers, shifts) for _ in range(30)]
+    if name != "one_over_y" and name != "green":
+        words += [decompose(parse_expression(f), "imaginary_fourier") for f in MIXED_PARITY]
+    outcomes = []
+    for w in words:
+        image = apply_word(w, RampSum.of(kernel))
+        complex_word = any(t.coeff.im for t in w.terms)
+        for y in IMAGE_SUM_POINTS:
+            got = _message(lambda: image.evaluate_at(y))
+            assert got == _message(lambda: per_term_evaluate(image, y)), (name, w, y)
+            outcomes.append((complex_word, got))
+    # nonzero values of complex words and imaginary-part refusals are reached
+    assert sum(isinstance(v, ExactValue) and not v.is_zero for c, v in outcomes if c) >= 20
+    assert any(isinstance(v, tuple) and v[1].endswith("has a nonzero imaginary part")
+               for _, v in outcomes)
+
+
+def test_a_refused_image_names_its_imaginary_part():
+    # sin + cos under e^(-x^2/2): real at 0, where the sin part cancels;
+    # at 1 the e^(-1/2) residue keeps i/2 (text pinned from the object path)
+    image = apply_word(decompose(parse_expression("sin(x) + cos(x)"), "imaginary_fourier"),
+                       RampSum.of(HEAT))
+    assert str(image.evaluate_at(0)) == "exp(-1/2)"
+    with pytest.raises(ValueError) as exc:
+        image.evaluate_at(1)
+    assert str(exc.value) == "value (1/2 + -1/2*i) has a nonzero imaginary part"

@@ -9,8 +9,8 @@ import pytest
 from opcalc.exact import CR_ZERO, ComplexRational
 from opcalc.oracle import quad_interval
 from opcalc.parser import as_vector_callable, parse_expression
-from opcalc.series import (CONVERGED, DIVERGED, NotSeriesRepresentable,
-                           PowerSeries, SeriesConvergenceError,
+from opcalc.series import (_LADDERS, CONVERGED, DIVERGED, NotSeriesRepresentable,
+                           PowerSeries, SeriesConvergenceError, _monomial_compose,
                            complex_exponential_series,
                            finite_interval_transform, laplace_laurent,
                            majorant_abscissa, taylor_of, termwise_integral)
@@ -439,3 +439,71 @@ def test_interval_matches_termwise_rule_at_the_fallback_order():
     s = taylor_of(parse_expression("exp(-x^2/2)*cos(x)"), 576)
     route = finite_interval_transform(s, -12, 12, tol=1e-12)
     assert route == complex(termwise_integral(s, -12, 12))
+
+
+# ---------------------------------------------------------------------------
+# Factorial ladders and scaling against the ComplexRational object path
+# ---------------------------------------------------------------------------
+
+def _complex_product(a, b):
+    """a b by the full complex formula, whatever the parts."""
+    return ComplexRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def reference_ladder(func, c, v, n):
+    """_monomial_compose as the object path built it: each step one complex
+    product by sign c^step and one division by (k+1)...(k+step)."""
+    step, sign, p, s = _LADDERS[func]
+    ratio = ComplexRational(sign)
+    for _ in range(step):
+        ratio = _complex_product(ratio, c)
+    coeffs = [CR_ZERO] * (n + 1)
+    term = c if p > s else ComplexRational(1)  # c^(p-s)/p!, with p - s in {0, 1}
+    k = p
+    while (k - s) * v <= n:
+        coeffs[(k - s) * v] = term
+        term = _complex_product(term, ratio) / ComplexRational(math.perm(k + step, step))
+        k += step
+    return PowerSeries(tuple(coeffs))
+
+
+def _ladder_arguments():
+    """Seeded real, imaginary and complex c, zero parts and large
+    denominators among them."""
+    rng = random.Random(71)
+
+    def part(big):
+        if rng.random() < 0.2:
+            return Fraction(0)
+        top = 10 ** 40 if big else 12
+        return Fraction(rng.randint(-top, top), rng.randint(1, 10 ** 30 if big else 9))
+
+    out = [CR_ZERO, ComplexRational(1), ComplexRational(0, -1), ComplexRational(Fraction(-1, 2))]
+    for kind in ("real", "imaginary", "complex") * 4:
+        big = rng.random() < 0.4
+        re = part(big) if kind != "imaginary" else Fraction(0)
+        im = part(big) if kind != "real" else Fraction(0)
+        out.append(ComplexRational(re, im))
+    return out
+
+
+@pytest.mark.parametrize("func", sorted(_LADDERS))
+def test_ladders_match_the_object_path(func):
+    orders = (0, 1, 2, 3, 4, 7, 120)
+    for c in _ladder_arguments():
+        for v in (1, 2, 3):
+            for n in orders:
+                got = _monomial_compose(func, c, v, n)
+                assert got == reference_ladder(func, c, v, n), (func, c, v, n)
+                assert all(type(a.re) is Fraction and type(a.im) is Fraction
+                           for a in got.coeffs)
+
+
+def test_scale_matches_the_complex_product():
+    rng = random.Random(73)
+    series = PowerSeries(tuple(
+        ComplexRational(Fraction(rng.randint(-99, 99), rng.randint(1, 50)),
+                        Fraction(rng.randint(-99, 99), rng.randint(1, 50)) if k % 3 else 0)
+        for k in range(40)))
+    for c in _ladder_arguments():
+        assert series.scale(c).coeffs == tuple(_complex_product(c, a) for a in series.coeffs), c
