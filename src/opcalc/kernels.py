@@ -21,12 +21,15 @@ e-powers, erf values and logarithms.
               read by integer Horner passes; the last 32 chains are kept;
 * ``green_kernel(rates)``  the partial-fraction sum of Green's functions
               e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``; n = 0 only;
-* ``regularized_kernel(a)``  the entire kernel (1 - e^(-ay))/y; its
-              members are ``RegularizedChain``s, n >= 0 (n < 0 needs Ei).
+* ``interval_kernel(a, b)``  the entire kernel, the integral of e^(-xy)
+              over [a, b]; ``IntervalChain`` members n >= 0 (n < 0 needs
+              Ei), Taylor coefficients from ``interval_taylor``.
 
 Each D^-k K is fixed only up to a polynomial of degree < k, which no
 convergent integral sees; ``with_representatives`` picks other ones.
-``eval_kernel`` gives any member's numeric shadow.
+``eval_kernel`` gives any member's numeric shadow.  Members refuse by
+type: a divergent read is an ArithmeticError (``DivergentIntegralError``,
+``RampEvaluationError``), a member with no closed form a ValueError.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ from .exact import ComplexRational, CR_ZERO, ExactValue, Residue, as_fraction
 
 class RampEvaluationError(ArithmeticError):
     """Two-sided limit does not exist at the requested point."""
+
+
+class DivergentIntegralError(ArithmeticError):
+    """The integral provably diverges; carries the offending term."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +114,7 @@ class LogChain:
         if z == 0:
             return self.limit_at_zero_plus()
         if z < 0:
-            raise ValueError(f"kernel argument {z} leaves the domain y > 0 of 1/y")
+            raise DivergentIntegralError(f"kernel argument {z} leaves the domain y > 0 of 1/y")
         return ExactValue.from_terms(
             (Residue(log_args=(z,)) if flag else Residue(), c * z ** m)
             for c, m, flag in self.terms)
@@ -117,7 +124,7 @@ class LogChain:
         m >= 1) appear."""
         for c, m, flag in self.terms:
             if m < 0 or (m == 0 and flag):
-                raise ValueError(
+                raise DivergentIntegralError(
                     f"chain term y^{m}{' log y' if flag else ''} diverges at 0+")
         total = Fraction(0)
         for c, m, flag in self.terms:
@@ -302,44 +309,55 @@ def green_kernel(rates):
 
 
 # ---------------------------------------------------------------------------
-# The regularized kernel (1 - e^(-a y))/y
+# The interval kernel: the integral of e^(-xy) over [a, b]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularizedChain:
-    """n-th derivative (n >= 0) of the entire kernel (1 - e^(-a y))/y."""
+def interval_taylor(a: Fraction, b: Fraction, m: int) -> tuple:
+    """Taylor coefficients k_0..k_m at 0 of the interval kernel on [a, b],
+    k_j = (-1)^j (b^(j+1) - a^(j+1))/(j+1)!, as (den, [num_0..num_m]) with
+    k_j = num_j/den: for a = p/L and b = q/L, den = L^(m+1) (m+1)!."""
+    scale = math.lcm(a.denominator, b.denominator)
+    p = a.numerator * (scale // a.denominator)
+    q = b.numerator * (scale // b.denominator)
+    nums = []
+    cofactor = 1  # L^(m-j) (m+1)!/(j+1)!, built from j = m down
+    for j in range(m, -1, -1):
+        nums.append((-1) ** j * (q ** (j + 1) - p ** (j + 1)) * cofactor)
+        cofactor *= scale * (j + 1)
+    return scale ** (m + 1) * math.factorial(m + 1), nums[::-1]
 
-    n: int
+
+@dataclass(frozen=True)
+class IntervalChain:
+    """D^n, n >= 0, of K(y) = integral of e^(-xy) over [a, b] = (e^(-ay) - e^(-by))/y."""
+
     a: Fraction
+    b: Fraction
+    n: int
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("anti-derivatives of the regularized kernel need Ei")
+            raise ValueError("anti-derivatives of the interval kernel need Ei")
 
     def value_at(self, z) -> ExactValue:
-        """Exact at rational z >= 0.  At z = 0 the Taylor coefficient
-        formula applies; elsewhere Leibniz on e^(-a y) * y^(-1) gives a
-        rational plus e^(-a z) times a rational."""
-        n, a, z = self.n, self.a, as_fraction(z)
-        if z < 0:
-            raise ValueError(f"kernel argument {z} is negative")
+        """Exact at every rational z: n! k_n of interval_taylor at 0, and
+        elsewhere, by Leibniz on e^(-cy) y^(-1) for each endpoint c,
+        e^(-cz) (-1)^n n!/z^(n+1) sum_(j <= n) (cz)^j/j!."""
+        n, z = self.n, as_fraction(z)
         if z == 0:
-            # k_a(y) = sum_m (-1)^m a^(m+1) y^m/(m+1)!; n-th derivative at 0
-            return ExactValue.rational(Fraction((-1) ** n) * a ** (n + 1) / (n + 1))
-        plain = Fraction((-1) ** n) * math.factorial(n) / z ** (n + 1)
-        exp_part = Fraction(0)
-        for j in range(n + 1):
-            exp_part += (Fraction(math.comb(n, j)) * (-a) ** j
-                         * Fraction((-1) ** (n - j)) * math.factorial(n - j)
-                         / z ** (n - j + 1))
-        return ExactValue.rational(plain) - ExactValue.single(
-            Residue(e_exp=-a * z), exp_part)
+            den, nums = interval_taylor(self.a, self.b, n)
+            return ExactValue.rational(Fraction(math.factorial(n) * nums[n], den))
+        scale = (-1) ** n * math.factorial(n) / z ** (n + 1)
+        return ExactValue.from_terms(
+            (Residue(e_exp=-c * z), sign * scale * sum(
+                (c * z) ** j / math.factorial(j) for j in range(n + 1)))
+            for c, sign in ((self.a, 1), (self.b, -1)))
 
 
-def regularized_kernel(a):
-    """The kernel (1 - e^(-a y))/y, read by its derivatives n >= 0."""
-    a = as_fraction(a)
-    return lambda n: RegularizedChain(n, a)
+def interval_kernel(a, b):
+    """The interval kernel on [a, b], rational endpoints in any order,
+    read by its derivatives n >= 0 (n < 0 needs Ei)."""
+    return functools.partial(IntervalChain, as_fraction(a), as_fraction(b))
 
 
 # ---------------------------------------------------------------------------

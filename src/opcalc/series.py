@@ -5,12 +5,12 @@ as exact complex rationals.  The two user-facing routes built on it are
 
 * the Laurent-series Laplace transform, sum_k a_k k! / y^(k+1), valid for
   y beyond the majorant abscissa of the coefficient sequence, and
-* finite-interval transforms, where f(-i d/dy) (or f(d/dy)) is applied as
-  a truncated series to the entire kernel (e^(iby) - e^(iay))/(iy) whose
-  own Taylor coefficients are exact.  This is one integer sum read off
-  at y = 0; a frequency y != 0 first multiplies f by the e^(ixy) series,
-  and the windowed Fourier route (transforms.fourier_regularized) is the
-  same pass on [-a, a].
+* finite-interval transforms, where f(-d/dy) is applied as a truncated
+  series to the interval kernel of kernels.py, the integral of e^(-xy)
+  over [a, b], whose own Taylor coefficients are exact.  This is one
+  integer sum read off at y = 0; a frequency y != 0 first multiplies f by
+  the e^(ixy) series, and the windowed Fourier route
+  (transforms.fourier_regularized) is the same pass on [-a, a].
 
 Coefficient arithmetic never leaves the rationals; the one float
 conversion, of the finished value, is range-checked.  Products and the
@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import CR_ONE, CR_ZERO, ComplexRational, as_fraction
+from .kernels import interval_taylor
 from . import parser
 from .operators import polynomial_of
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
@@ -439,30 +440,6 @@ def termwise_integral(series: PowerSeries, a, b) -> ComplexRational:
     return total
 
 
-def _rotate(z: tuple, quarter_turns: int) -> tuple:
-    """The integer pair (re, im) times i^quarter_turns."""
-    re, im = z
-    return ((re, im), (-im, re), (-re, -im), (im, -re))[quarter_turns % 4]
-
-
-def _kernel_coefficients(a: Fraction, b: Fraction, m: int, imaginary: bool):
-    """Taylor coefficients c_0..c_m of (e^(iby)-e^(iay))/(iy) (imaginary) or
-    (e^(by)-e^(ay))/y (real kernel), as (den, [(re_j, im_j), ...]) with
-    c_j = (re_j + i*im_j)/den.  With a = p/L and b = q/L,
-    c_j = i^j (q^(j+1) - p^(j+1)) / (L^(j+1) (j+1)!), without the i^j
-    for the real kernel."""
-    scale = math.lcm(a.denominator, b.denominator)
-    p = a.numerator * (scale // a.denominator)
-    q = b.numerator * (scale // b.denominator)
-    coeffs = []
-    cofactor = 1  # L^(m-j) (m+1)!/(j+1)!, built from j = m down
-    for j in range(m, -1, -1):
-        num = (q ** (j + 1) - p ** (j + 1)) * cofactor
-        coeffs.append(_rotate((num, 0), j if imaginary else 0))
-        cofactor *= scale * (j + 1)
-    return scale ** (m + 1) * math.factorial(m + 1), coeffs[::-1]
-
-
 def _log_abs(re: Fraction, im: Fraction) -> float:
     """log |re + i*im| for a nonzero value, without leaving the float range."""
     sq = re * re + im * im
@@ -498,12 +475,12 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
                               tol: float = 1e-15) -> complex:
     """Integral of f over [a, b] against e^(ixy), e^(xy), or nothing.
 
-    The operator series sum_k a_k (-i d/dy)^k is applied to the kernel
-    G(y) = (e^(iby)-e^(iay))/(iy) and read off at 0, where G's
-    derivatives are its own exact Taylor coefficients; kernel "none" is
-    the same sum.  A frequency y != 0 is the translation T_y: f(-i d/dy) G
-    read at y is (f e^(ixy))(-i d/dy) G read at 0 (e^(xy) for the Laplace
-    kernel), so f is multiplied by that series first.  The last orders'
+    The operator series sum_k a_k (-d/dy)^k is applied to the interval
+    kernel K(y), the integral of e^(-xy) over [a, b], and read off at 0,
+    where K's derivatives are its own exact Taylor coefficients
+    (kernels.interval_taylor).  A frequency y != 0 weighs f by the
+    kernel "fourier" e^(ixy) or "laplace" e^(xy), so f is multiplied by
+    that series first; kernel "none" leaves f as it is.  The last orders'
     term bounds must fall below tol relative to the value, or
     SeriesConvergenceError is raised; so is a value beyond the double
     range.
@@ -513,7 +490,6 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
     a = as_fraction(a)
     b = as_fraction(b)
     radius = max(abs(a), abs(b))
-    imaginary = kernel != "laplace"
     own = series
     if kernel != "none" and y != 0:
         # the product keeps the exponential's terms up to a margin past
@@ -521,21 +497,18 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
         y = as_fraction(y)
         m = series.order + 60 + int(4 * float(max(radius, 1) * max(abs(y), 1)))
         shift = _monomial_compose(
-            "exp", ComplexRational(0, y) if imaginary else ComplexRational(y), 1, m)
+            "exp", ComplexRational(0, y) if kernel == "fourier" else ComplexRational(y), 1, m)
         series = PowerSeries(series.coeffs + (CR_ZERO,) * (m - series.order)).mul(shift)
-    # G^(k)(0) = k! c_k, and the i-powers cancel pairwise, leaving the
-    # term-wise rule; keep the operator form so the exactness claim
-    # against termwise_integral is a real cross-check.  The k!-scaled form
-    # holds a_k k!, so the sum is over integers, divided by den_a * den_c.
-    n = series.order
+    # (-d/dy)^k K at 0 is (-1)^k k! num_k/den_c and the k!-scaled form holds
+    # A_k = den_a a_k k!: the value is sum_k A_k c_k/(den_a den_c) with
+    # c_k = (-1)^k num_k, the term-wise rule that termwise_integral checks.
     den_a, ar, ai = _integer_form(series.coeffs)
-    den_c, ck = _kernel_coefficients(a, b, n, imaginary)
+    den_c, nums = interval_taylor(a, b, series.order)
     re = im = 0
-    for k, (xr, xi, c) in enumerate(zip(ar, ai, ck)):
-        if xr or xi:
-            cr, ci = _rotate(c, 3 * k if imaginary else 0)  # (-i)^k c_k
-            re += xr * cr - xi * ci
-            im += xr * ci + xi * cr
+    for k, (xr, xi, c) in enumerate(zip(ar, ai, nums)):
+        c = -c if k % 2 else c
+        re += xr * c
+        im += xi * c
     den = den_a * den_c
     total = (Fraction(re, den), Fraction(im, den))
     size = _log_abs(*total) if any(total) else -math.inf

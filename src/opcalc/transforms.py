@@ -7,21 +7,24 @@ point with ``evaluate_at``:
 * delta route: f(-i d/dy) on the Dirac delta gives the Fourier transform
   as a sum of generalized ramps, hence real-line integrals at frequency 0;
 * half-line route: f(-+ d/dy) on 1/y gives Laplace transforms and
-  half-line integrals; f(-d/dy) on the entire kernel (1 - e^(-ay))/y is
-  the regularized Laplace route;
+  half-line integrals; f(-d/dy) on the interval kernel of [0, a], the
+  integral of e^(-xy) over [0, a], is the regularized Laplace route;
 * Green route: the trig numerator's word on the partial-fraction sum of
   Green's functions of Pi(x^2 + a^2) denominators;
 * series routes: the windowed Fourier route, which is the exact
   finite-interval series pass of series.py on [-a, a], and the
   Paley-Wiener pairing sum against test-function profiles.
 
-Convergence is the kernel's call: a member refuses arguments outside its
-domain.  ``integrate`` owns a request (interval, method, oracle), and the
-real-line dispatcher walks ROUTES in order, logging every attempt.
+Convergence is the kernel's call: a member refuses by type (see
+``kernels``; ``DivergentIntegralError`` is re-exported here), and no route
+converts or repeats a refusal.  ``integrate`` owns a request (interval,
+method, oracle), and the real-line dispatcher walks ROUTES in order,
+logging every attempt.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,12 +36,12 @@ from .borwein import (RampBoundaryError, SincProductSpec, borwein_exact,
 from .classify import classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
-from .kernels import (DELTA, ONE_OVER_Y, green_kernel, regularized_kernel,
-                      with_representatives)
+from .kernels import (DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel,
+                      interval_kernel, with_representatives)
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
                         laurent_defect, word_of)
-from .parser import Node, as_vector_callable
+from .parser import X, Call, Mul, Node, Num, as_vector_callable
 from .result import TransformResult
 from .series import (CONVERGED, DIVERGED, DEFAULT_TRUNCATION, PowerSeries,
                      _monomial_compose, finite_interval_transform,
@@ -51,10 +54,6 @@ class UnsupportedFamilyError(ValueError):
     def __init__(self, message: str, reasons: Optional[dict] = None):
         super().__init__(message)
         self.reasons = dict(reasons or {})
-
-
-class DivergentIntegralError(ArithmeticError):
-    """The integral provably diverges; carries the offending term."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +118,9 @@ def _entire_normal_form(ast: Node) -> dict:
 
 def _word_for_halfline(ast: Node, side: str = "positive") -> OperatorWord:
     """f(-d/dy) for the positive half-line, f(+d/dy) for the negative one.
-    Whether the integral converges is left to the 1/y kernel (_read_off)."""
+    Whether the integral converges is left to the 1/y kernel."""
     return word_of(_entire_normal_form(ast),
                    ComplexRational(-1 if side == "positive" else 1))
-
-
-def _read_off(word: OperatorWord, kernel, y) -> ExactValue:
-    """The word's image of the kernel at y; an argument outside the kernel's
-    domain, or a 0+ limit that diverges, means the integral diverges."""
-    image = apply_word(word, RampSum.of(kernel))
-    try:
-        return image.evaluate_at(y)
-    except ValueError as exc:
-        raise DivergentIntegralError(str(exc)) from exc
 
 
 def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
@@ -141,10 +130,9 @@ def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
     needs its argument y + b in the kernel's domain, so every y above the
     smallest -b (analytic continuation), and at it if the 0+ limit exists.
     """
-    y = as_fraction(y)
     word = _word_for_halfline(ast)
     min_shift = min((t.shift for t in word.terms), default=Fraction(0))
-    value = _read_off(word, with_representatives(ONE_OVER_Y, perturb), y)
+    value = apply_word(word, RampSum.of(with_representatives(ONE_OVER_Y, perturb))).evaluate_at(y)
     return TransformResult.from_exact(
         value, method="laplace_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"verdict": "exact", "abscissa": float(-min_shift)})
@@ -156,30 +144,23 @@ def integrate_half_line(ast: Node, side: str = "positive",
     if side not in ("positive", "negative"):
         raise ValueError(f"unknown side {side!r}")
     word = _word_for_halfline(ast, side)
-    value = _read_off(word, with_representatives(ONE_OVER_Y, perturb), 0)
+    value = apply_word(word, RampSum.of(with_representatives(ONE_OVER_Y, perturb))).evaluate_at(0)
     return TransformResult.from_exact(
         value, method="halfline_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"side": side, "verdict": "exact"})
 
 
 def laplace_regularized(ast: Node, y, a) -> TransformResult:
-    """Laplace transform against the entire kernel (1 - e^(-ay))/y.
-
-    The kernel's derivatives have closed forms (Leibniz against e^(-az)),
-    so the word acts exactly;  anti-derivative powers would need the
-    exponential-integral special function and are out of scope here (the
-    formal 1/y route covers them).  Arguments y + shift below 0 diverge.
-    """
-    y = as_fraction(y)
+    """Laplace transform of f restricted to [0, a]: f(-d/dy) on the entire
+    interval kernel (1 - e^(-ay))/y, whose derivatives have closed forms,
+    read at every rational y.  Anti-derivative powers would need the
+    exponential integral: the kernel refuses them (a ValueError), and the
+    formal 1/y route covers them."""
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("the regularization parameter must be positive")
     word = _word_for_halfline(ast)
-    if any(t.power < 0 for t in word.terms):
-        raise UnsupportedFamilyError(
-            "anti-derivative powers against the regularized kernel need Ei",
-            {"laplace_regularized": "negative powers unsupported"})
-    value = _read_off(word, regularized_kernel(a), y)
+    value = apply_word(word, RampSum.of(interval_kernel(0, a))).evaluate_at(y)
     return TransformResult.from_exact(
         value, method="laplace_regularized", formula="regularized_one_over_y_kernel",
         diagnostics={"regularization": float(a), "verdict": "exact"})
@@ -314,13 +295,25 @@ def fourier_at(ast: Node, y) -> TransformResult:
                      "breakpoints": [str(b) for b in image.breakpoints()]})
 
 
-def sinc_product_result(spec: SincProductSpec) -> TransformResult:
-    """The exact sinc/cos product integral, with Lord's condition."""
+def _enumeration_result(spec: SincProductSpec) -> TransformResult:
     outcome = sinc_cos_product_integral(spec)
     return TransformResult.from_exact(
         outcome.value, method="sinc_product_enumeration",
         formula="delta_ramp_tuple_sum",
         diagnostics={"lord_condition": outcome.lord_condition, "verdict": "exact"})
+
+
+def sinc_product_result(spec: SincProductSpec) -> TransformResult:
+    """The exact sinc/cos product integral, with Lord's condition.  A step
+    at its jump in the tuple sum sends the product to integrate_real_line,
+    which logs the miss and answers by the delta route."""
+    try:
+        return _enumeration_result(spec)
+    except RampBoundaryError:
+        return integrate_real_line(functools.reduce(Mul, (
+            Call(func, Mul(Num(rate), X)) for func, rates in
+            (("sinc", spec.sinc_rates + (spec.outer_rate,)), ("cos", spec.cos_rates))
+            for rate in rates)))
 
 
 def borwein_result(n: int) -> TransformResult:
@@ -332,7 +325,7 @@ def borwein_result(n: int) -> TransformResult:
 
 
 def _solve_sinc_cos_product(ast: Node, params: dict, truncation: int) -> TransformResult:
-    return sinc_product_result(SincProductSpec(
+    return _enumeration_result(SincProductSpec(
         params["sinc_rates"], params["cos_rates"], params["outer_rate"]))
 
 

@@ -222,8 +222,6 @@ def test_cli_exit_codes(capsys):
     assert code == EXIT_UNSUPPORTED
     code, _, err = run_cli(capsys, "integrate", "exp(x)", "--interval", "0", "inf")
     assert code == EXIT_NONCONVERGENT
-    code, _, err = run_cli(capsys, "lord", "--cos", "1")
-    assert code == EXIT_NONCONVERGENT and "exactly at its jump" in err  # no other route
     code, _, err = run_cli(capsys, "fourier", "sinc(x)", "--at", "1")
     assert code == EXIT_NONCONVERGENT  # transform has a jump exactly there
     code, _, err = run_cli(capsys, "fourier", "exp(-x^2/2)", "--at", "0")
@@ -290,6 +288,12 @@ def test_cli_laplace_negative_y(capsys):
     (("exp(-x)*(1-exp(-x)*(1+x))/x^2", "--at", "-1"), "1"),
     # the regularized kernel gives the integral of e^x e^(-2x) over [0, 3]
     (("exp(x)", "--at", "2", "--regularized", "3"), "-exp(-3) + 1"),
+    # the interval kernel is entire, so an argument y + b below 0 is read
+    # too: the integral of f e^(-yx) over [0, A] (these exited 4)
+    (("exp(x)", "--at", "0", "--regularized", "1"), "-1 + exp(1)"),
+    (("exp(40*x)", "--at", "0", "--regularized", "1"), "-1/40 + (1/40)*exp(40)"),
+    (("x^5*exp(3*x)", "--at", "0", "--regularized", "1"), "40/243 + (26/243)*exp(3)"),
+    (("x^3", "--at", "-5", "--regularized", "2"), "6/625 + (754/625)*exp(10)"),
 ])
 def test_cli_laplace_answers_inside_the_kernel_domain(capsys, argv, exact):
     code, out, err = run_cli(capsys, "laplace", *argv, "--json")
@@ -744,6 +748,27 @@ def test_a_named_enumeration_route_still_raises_at_a_tie(expr, exact):
         integrate_real_line(parse_expression(expr), method="sinc_cos_product")
     result = integrate_real_line(parse_expression(expr), method="delta")
     assert str(result.exact) == exact
+
+
+# lord runs the tuple sum itself; a tie there falls through to the delta
+# route as well, and prints what integrate prints for the same product
+LORD_TIES = [(("--cos", "1"), "sinc(x)*cos(x)", "(1/2)*pi"),
+             (("--cos", "1/2,1/2"), "sinc(x)*cos(x/2)^2", "(3/4)*pi"),
+             (("--cos", "1/3,2/3"), "sinc(x)*cos(x/3)*cos(2*x/3)", "(3/4)*pi"),
+             (("--cos", "2", "--outer", "2"), "sinc(2*x)*cos(2*x)", "(1/4)*pi")]
+
+
+@pytest.mark.parametrize("argv, expr, exact", LORD_TIES)
+def test_lord_at_a_tuple_sum_tie_falls_through_to_the_delta_route(capsys, argv, expr, exact):
+    code, out, err = run_cli(capsys, "lord", *argv, "--json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["exact"] == exact and payload["method"] == "fourier_delta"
+    assert payload["diagnostics"]["attempts"] == [
+        "sinc_cos_product: step evaluated exactly at its jump", "delta"]
+    code, out, err = run_cli(capsys, "integrate", expr, "--json")
+    assert code == EXIT_OK, err
+    assert dict(json.loads(out), input="lord") == payload
 
 
 def test_printing_more_digits_sums_each_term_once(capsys, monkeypatch):

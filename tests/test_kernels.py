@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -12,8 +13,8 @@ from opcalc.exact import (CR_ONE, ComplexRational, ExactValue, Residue, exp_valu
                           log_value)
 from opcalc.kernels import (DELTA, HEAT, ONE_OVER_Y, GaussianChain, LogChain, PiecewiseExp,
                             _integer_poly, _poly_eval, eval_kernel, gaussian_chain,
-                            green_function, green_kernel, one_over_y_chain,
-                            regularized_kernel, with_representatives)
+                            green_function, green_kernel, interval_kernel,
+                            interval_taylor, one_over_y_chain, with_representatives)
 from opcalc.operators import OperatorTerm, OperatorWord, RampSum, apply_word
 from opcalc.oracle import quad_interval
 
@@ -78,9 +79,9 @@ def test_one_over_y_chain_matches_the_iteration():
 
 def test_log_chain_limits():
     assert one_over_y_chain(-2).limit_at_zero_plus() == ExactValue.zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         one_over_y_chain(-1).limit_at_zero_plus()
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         one_over_y_chain(0).limit_at_zero_plus()
 
 
@@ -88,7 +89,7 @@ def test_log_chain_values():
     assert one_over_y_chain(-1).value_at(2) == log_value(2)
     assert float(eval_kernel(one_over_y_chain(-1), 2.0)) == \
         pytest.approx(math.log(2), abs=1e-14)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         one_over_y_chain(0).value_at(0)
 
 
@@ -377,21 +378,25 @@ def test_delta_member_is_the_derivative_off_the_jumps(n):
 
 
 def _exact(x: mpmath.mpf) -> Fraction:
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
+    man, exp = x.man_exp  # the mantissa of |x|
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.mark.parametrize("n", range(0, 5))
 def test_regularized_member_is_the_derivative(n):
-    # member n + 1 against mpmath.diff of member n, to 30 digits
-    kernel = regularized_kernel(Fraction(3, 2))
-    with mpmath.workdps(30):
-        for z in (Fraction(1, 3), Fraction(2)):
-            slope = mpmath.diff(
-                lambda x: kernel(n).value_at(_exact(x)).evalf(mpmath.mp.dps),
-                mpmath.mpf(z.numerator) / z.denominator)
-            exact = kernel(n + 1).value_at(z).evalf(30)
-            assert abs(slope - exact) <= mpmath.mpf(10) ** -28 * abs(exact)
+    # member n + 1 against mpmath.diff of member n, to 30 digits: the
+    # regularized kernel on [0, 3/2] and intervals with a < 0 < b, on both
+    # sides of 0
+    for a, b in ((0, Fraction(3, 2)), (Fraction(-1, 2), Fraction(3, 2)),
+                 (Fraction(-3), Fraction(2, 5))):
+        kernel = interval_kernel(a, b)
+        with mpmath.workdps(30):
+            for z in (Fraction(-7, 4), Fraction(1, 3), Fraction(2)):
+                slope = mpmath.diff(
+                    lambda x: kernel(n).value_at(_exact(x)).evalf(mpmath.mp.dps),
+                    mpmath.mpf(z.numerator) / z.denominator)
+                exact = kernel(n + 1).value_at(z).evalf(30)
+                assert abs(slope - exact) <= mpmath.mpf(10) ** -28 * abs(exact)
 
 
 @pytest.mark.parametrize("y", [0, 1])
@@ -399,9 +404,76 @@ def test_regularized_kernel_refuses_antiderivatives(y):
     # D^-1 on (1 - e^(-2y))/y would need Ei: a ValueError that says so,
     # not a division by zero at 0 or a negative factorial at 1
     image = apply_word(OperatorWord((OperatorTerm(CR_ONE, Fraction(0), -1),)),
-                       RampSum.of(regularized_kernel(2)))
+                       RampSum.of(interval_kernel(0, 2)))
     with pytest.raises(ValueError, match="need Ei"):
         image.evaluate_at(y)
+
+
+def test_interval_members_match_quadrature():
+    # member n is the integral of (-x)^n e^(-xz) over [a, b]: against
+    # mpmath.quad at 30 digits, for seeded rational endpoints (negative,
+    # reversed and equal ones included) and z below, at and above 0
+    rng = random.Random(1702)
+    rational = lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+    intervals = [(rational(), rational()) for _ in range(8)]
+    intervals += [(Fraction(2), Fraction(-1)), (Fraction(-3), Fraction(-1, 5)),
+                  (Fraction(5, 7), Fraction(5, 7))]
+    with mpmath.workdps(30):
+        for a, b in intervals:
+            kernel = interval_kernel(a, b)
+            for z in (-abs(rational()) - Fraction(1, 7), Fraction(0), abs(rational()) + 1):
+                mz = mpmath.mpf(z.numerator) / z.denominator
+                for n in range(7):
+                    want = mpmath.quad(lambda x: (-x) ** n * mpmath.exp(-x * mz),
+                                       [mpmath.mpf(a.numerator) / a.denominator,
+                                        mpmath.mpf(b.numerator) / b.denominator])
+                    got = kernel(n).value_at(z).evalf(30)
+                    assert abs(got - want) <= mpmath.mpf(10) ** -26 * max(1, abs(want)), \
+                        (a, b, z, n)
+
+
+@dataclass(frozen=True)
+class RegularizedChain:
+    """The parent's member n >= 0 of (1 - e^(-a y))/y, the interval kernel
+    on [0, a], exact at z >= 0: the reference interval_kernel(0, a) keeps."""
+
+    n: int
+    a: Fraction
+
+    def value_at(self, z) -> ExactValue:
+        n, a, z = self.n, self.a, Fraction(z)
+        if z == 0:
+            return ExactValue.rational(Fraction((-1) ** n) * a ** (n + 1) / (n + 1))
+        plain = Fraction((-1) ** n) * math.factorial(n) / z ** (n + 1)
+        exp_part = Fraction(0)
+        for j in range(n + 1):
+            exp_part += (Fraction(math.comb(n, j)) * (-a) ** j
+                         * Fraction((-1) ** (n - j)) * math.factorial(n - j)
+                         / z ** (n - j + 1))
+        return ExactValue.rational(plain) - ExactValue.single(
+            Residue(e_exp=-a * z), exp_part)
+
+
+def test_interval_kernel_from_0_is_the_regularized_kernel():
+    rng = random.Random(1703)
+    for _ in range(40):
+        a = Fraction(rng.randint(1, 60), rng.randint(1, 9))
+        z = rng.choice([Fraction(0), Fraction(rng.randint(1, 90), rng.randint(1, 9))])
+        for n in range(8):
+            got = interval_kernel(0, a)(n).value_at(z)
+            assert got == RegularizedChain(n, a).value_at(z), (a, z, n)
+            assert got.terms == RegularizedChain(n, a).value_at(z).terms
+
+
+def test_interval_taylor_is_one_denominator():
+    # k_j = (-1)^j (b^(j+1) - a^(j+1))/(j+1)!, numerators over one denominator
+    for a, b in ((Fraction(-1, 2), Fraction(4, 3)), (Fraction(2), Fraction(-1)),
+                 (Fraction(0), Fraction(5, 2))):
+        den, nums = interval_taylor(a, b, 9)
+        assert len(nums) == 10
+        for j, num in enumerate(nums):
+            assert Fraction(num, den) == \
+                Fraction((-1) ** j) * (b ** (j + 1) - a ** (j + 1)) / math.factorial(j + 1)
 
 
 def test_green_kernel_takes_power_zero_only():

@@ -441,6 +441,28 @@ def test_interval_matches_termwise_rule_at_the_fallback_order():
     assert route == complex(termwise_integral(s, -12, 12))
 
 
+def test_interval_pass_is_the_termwise_rule_on_a_seeded_corpus():
+    # the pass on the interval kernel's integer Taylor coefficients and the
+    # term-wise rule are one exact rational, so one float: real and complex
+    # coefficients, negative, reversed and equal endpoints.  Three zero
+    # orders close each random polynomial, so its tail check passes.
+    rng = random.Random(1704)
+    q = lambda bound: Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
+    for trial in range(80):
+        coeffs = tuple(ComplexRational(q(50), q(50) if trial % 2 else 0)
+                       for _ in range(rng.randint(1, 26)))
+        s = PowerSeries(coeffs + (CR_ZERO,) * 3)
+        a, b = q(40), q(40)
+        for lo, hi in ((a, b), (b, a), (a, a)):
+            assert finite_interval_transform(s, lo, hi) == \
+                complex(termwise_integral(s, lo, hi)), (trial, lo, hi)
+    for text, a, b in (("exp(-x^2/2)*cos(x)", Fraction(-5, 2), Fraction(1, 3)),
+                       ("sinc(x)^3*exp(-x)", Fraction(2), Fraction(-7, 4)),
+                       ("x^3*exp(-x^2)", Fraction(-3), Fraction(-1, 5))):
+        s = taylor_of(parse_expression(text), 120)
+        assert finite_interval_transform(s, a, b) == complex(termwise_integral(s, a, b))
+
+
 # ---------------------------------------------------------------------------
 # Factorial ladders and scaling against the ComplexRational object path
 # ---------------------------------------------------------------------------

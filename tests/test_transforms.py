@@ -270,7 +270,7 @@ def test_laplace_regularized_vs_formal():
 
 
 def test_laplace_regularized_rejects_antiderivative_words():
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(ValueError, match="need Ei"):
         laplace_regularized(P("(exp(-x)-exp(-2*x))/x"), 1, 10)
 
 
