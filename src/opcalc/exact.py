@@ -8,9 +8,13 @@ atoms:
 
 with q, r, s rational.  ``ExactValue`` stores such a combination exactly
 (bit-exact rational coefficients, structural equality) and produces a
-high-precision numeric shadow on demand, summed once per digit count.  A
-value is a "pure pi multiple" iff its plain rational part is zero and no
-transcendental residues remain.
+high-precision numeric shadow on demand, summed once per digit count.
+Each exp, erf and log atom is evaluated once per mpmath working
+precision and kept in a bounded process-wide memo (``_atom``), so values
+that share atoms, such as the erf(m/sqrt 2) of every Gaussian sinc
+power, share their cost; pi and sqrt(2 pi) are taken from mpmath's
+cached pi as before.  A value is a "pure pi multiple" iff its plain rational part is
+zero and no transcendental residues remain.
 
 ``Rational`` is the stdlib ``fractions.Fraction``, which already maintains
 lowest terms and a positive denominator.  ``ComplexRational`` supplies the
@@ -20,6 +24,7 @@ rewritten in terms of complex exponentials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -213,17 +218,17 @@ class Residue:
         return (self.pi_power == 1 and self.sqrt_two_pi == 0
                 and self.e_exp == 0 and not self.erf_args and not self.log_args)
 
-    def combine(self, other: "Residue") -> tuple["Residue", Fraction]:
-        """Product of two residues; returns (residue, rational carried factor)."""
-        carry = Fraction(1)
+    def combine(self, other: "Residue") -> tuple["Residue", int]:
+        """Product of two residues; returns (residue, carried factor 1 or 2)."""
+        carry = 1
         pi_power = self.pi_power + other.pi_power
         sqrt = self.sqrt_two_pi + other.sqrt_two_pi
         if sqrt >= 2:
             # sqrt(2*pi)**2 == 2*pi
             sqrt -= 2
             pi_power += 1
-            carry *= 2
-        return Residue(pi_power, sqrt, self.e_exp + other.e_exp,
+            carry = 2
+        return Residue(pi_power, sqrt, self.e_exp + other.e_exp if other.e_exp else self.e_exp,
                        tuple(sorted(self.erf_args + other.erf_args)),
                        tuple(sorted(self.log_args + other.log_args))), carry
 
@@ -243,24 +248,56 @@ class Residue:
             parts.append(f"log({s})")
         return "*".join(parts) if parts else "1"
 
+    # Residues key the per-residue sums of every read-off, and a chain
+    # reuses its residues from point to point: the field tuple, which
+    # orders residues as the dataclass does, and its hash are built once.
+    @property
+    def sort_key(self) -> tuple:
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = (self.pi_power, self.sqrt_two_pi, self.e_exp,
+                                           self.erf_args, self.log_args)
+        return key
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self.sort_key)
+        return h
+
     def evalf(self) -> mpmath.mpf:
-        """Numeric value at the current mpmath working precision."""
+        """Numeric value at the current mpmath working precision, each
+        atom from the memo."""
+        prec = mpmath.mp.prec
         v = mpmath.mpf(1)
         if self.pi_power:
             v *= mpmath.pi ** self.pi_power
         if self.sqrt_two_pi:
             v *= mpmath.sqrt(2 * mpmath.pi) ** self.sqrt_two_pi
         if self.e_exp != 0:
-            v *= mpmath.exp(_to_mpf(self.e_exp))
+            v *= _atom("exp", self.e_exp, prec)
         for r in self.erf_args:
-            v *= mpmath.erf(_to_mpf(r) / mpmath.sqrt(2))
+            v *= _atom("erf", r, prec)
         for s in self.log_args:
-            v *= mpmath.log(_to_mpf(s))
+            v *= _atom("log", s, prec)
         return v
 
 
 def _to_mpf(q: Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
+
+@functools.lru_cache(maxsize=1024)
+def _atom(kind: str, arg: Fraction, prec: int) -> mpmath.mpf:
+    """exp(arg), erf(arg/sqrt 2) or log(arg) at *prec* bits, the current
+    working precision: the same mpf the atom gives when computed afresh.
+    The last 1024 atoms are kept."""
+    x = _to_mpf(arg)
+    if kind == "exp":
+        return mpmath.exp(x)
+    if kind == "erf":
+        return mpmath.erf(x / mpmath.sqrt(2))
+    return mpmath.log(x)
 
 
 def _normalize_term(residue: Residue, coeff: Fraction):
@@ -316,8 +353,15 @@ class ExactValue:
                 continue
             res, c = norm
             acc[res] = acc.get(res, Fraction(0)) + c
-        terms = tuple(sorted((r, c) for r, c in acc.items() if c != 0))
-        return ExactValue(terms)
+        return ExactValue.from_canonical(acc.items())
+
+    @staticmethod
+    def from_canonical(items: Iterable) -> "ExactValue":
+        """The value of (residue, Fraction) pairs whose residues are already
+        canonical and distinct, such as per-residue sums of canonical
+        values: zero terms are dropped and the rest sorted, nothing else."""
+        return ExactValue(tuple(sorted(((r, c) for r, c in items if c != 0),
+                                       key=lambda term: term[0].sort_key)))
 
     @staticmethod
     def zero() -> "ExactValue":
@@ -390,6 +434,10 @@ class ExactValue:
             q = as_fraction(other)
             return ExactValue.from_terms((r, c * q) for r, c in self.terms)
         if isinstance(other, ExactValue):
+            for mono, rest in ((self, other), (other, self)):
+                if len(mono.terms) == 1 and not (mono.terms[0][0].erf_args
+                                                 or mono.terms[0][0].log_args):
+                    return rest._times_monomial(*mono.terms[0])
             items = []
             for r1, c1 in self.terms:
                 for r2, c2 in other.terms:
@@ -399,6 +447,20 @@ class ExactValue:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, residue: Residue, coeff: Fraction) -> "ExactValue":
+        """self times coeff * residue, a residue of pi, sqrt(2 pi) and exp
+        atoms only.  Multiplying by it maps canonical residues one to one
+        and keeps their order: it adds constants to pi_power and e_exp, and
+        sqrt(2 pi) sends (p, 0, ...) to (p, 1, ...) and (p, 1, ...) to
+        (p + 1, 0, ...).  So the products are canonical as they stand."""
+        factors = {carry: (carry * coeff, carry * coeff != 1) for carry in (1, 2)}
+        out = []
+        for r, c in self.terms:
+            res, carry = r.combine(residue)
+            factor, scales = factors[carry]
+            out.append((res, c * factor if scales else c))
+        return ExactValue(tuple(out))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -3,8 +3,9 @@
 A kernel K is the callable n -> D^n K: the |n|-th anti-derivative for
 n < 0, K itself at n = 0 and the n-th derivative for n > 0, so a word
 term c T_b D^n reads member n at y + b.  A member's ``value_at(z)`` is
-exact at rational z, an ExactValue whose transcendental residues are
-e-powers, erf values and logarithms.
+exact at rational z, an ExactValue in canonical form whose transcendental
+residues are e-powers, erf values and logarithms; a read-off
+(``operators.RampSum.evaluate_at``) only sums and sorts their terms.
 
 * ``DELTA``   the Dirac delta; D^n delta is the ramp R_(-1-n), with
               R_m(z) = z^m/m! Theta(z), the delta and its derivatives
@@ -18,7 +19,9 @@ e-powers, erf values and logarithms.
               erf(y/sqrt(2)) with rational polynomials, built by the
               three-term recurrence k G_(k+1) = y G_k + G_(k-1), which
               leaves no plain polynomial part (odd order -> odd function);
-              read by integer Horner passes; the last 32 chains are kept;
+              read by integer Horner passes into its two terms, already
+              canonical, on residues built once per point; the last 32
+              chains are kept;
 * ``green_kernel(rates)``  the partial-fraction sum of Green's functions
               e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``; n = 0 only;
 * ``interval_kernel(a, b)``  the entire kernel, the integral of e^(-xy)
@@ -205,13 +208,26 @@ class GaussianChain:
         return GaussianChain(_trimmed(p), _poly_deriv(self.q))
 
     def value_at(self, z) -> ExactValue:
-        """Exact value at rational z: e^(-z^2/2) and erf(z/sqrt 2) residues,
-        p(z) and q(z) each read by one integer pass (_poly_eval)."""
+        """Exact value at rational z, p(z) and q(z) each read by one integer
+        pass (_poly_eval), in canonical form as it stands: the e^(-z^2/2)
+        term, then sqrt(2 pi)/2 q(z) erf(|z|/sqrt 2) with erf's sign, zero
+        terms dropped.  The two residues of a point are built once."""
         z = as_fraction(z)
-        # sqrt(pi/2) = sqrt(2*pi)/2
-        return ExactValue.from_terms([
-            (Residue(e_exp=-z * z / 2), _poly_eval(self.integer_form[0], z)),
-            (Residue(sqrt_two_pi=1, erf_args=(z,)), _poly_eval(self.integer_form[1], z) / 2)])
+        gauss, erf = _heat_residues(z)
+        p_form, (q_nums, q_den) = self.integer_form
+        p = _poly_eval(p_form, z)
+        q = _poly_eval((q_nums, 2 * q_den), z) if z else 0  # erf(0) = 0
+        terms = ((gauss, p),) if p else ()
+        if q:
+            terms += ((erf, q if z > 0 else -q),)
+        return ExactValue(terms)
+
+
+@functools.lru_cache(maxsize=256)
+def _heat_residues(z: Fraction) -> tuple:
+    """The residues e^(-z^2/2) and sqrt(2 pi) erf(|z|/sqrt 2) of a heat
+    member at z; sqrt(pi/2) = sqrt(2 pi)/2."""
+    return Residue(e_exp=-z * z / 2), Residue(sqrt_two_pi=1, erf_args=(abs(z),))
 
 
 def _times_y_plus(a: list, c: int, b: list) -> list:

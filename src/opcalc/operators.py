@@ -273,7 +273,8 @@ class RampSum:
 
     def evaluate_at(self, y) -> ExactValue:
         """Exact value at rational y: per residue one sum on one denominator,
-        checked real once.  The highest power is read first, so that a member
+        checked real once.  Members hand over canonical terms, so the sums
+        are only sorted.  The highest power is read first, so that a member
         refusing y (for the delta, a jump or delta at y) is the most singular."""
         y = as_fraction(y)
         acc: dict = {}  # residue -> [(coeff, q)]
@@ -283,7 +284,7 @@ class RampSum:
                 members[t.power] = self.kernel(t.power)
             for residue, q in members[t.power].value_at(y + t.shift).terms:
                 acc.setdefault(residue, []).append((t.coeff, q))
-        return ExactValue.from_terms(
+        return ExactValue.from_canonical(
             (r, ComplexRational(_dot((c.re, q) for c, q in pairs),
                                 _dot((c.im, q) for c, q in pairs)).require_real())
             for r, pairs in acc.items())

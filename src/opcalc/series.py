@@ -18,7 +18,9 @@ read-off share one integer form, a_k = A_k/(d k!), since
 G^(k)(0) = k! c_k, in which a product is a binomial convolution.  Every
 factorial ladder (exp, sin, cos, sinc of c x^v) is built in integers by
 _monomial_compose; of any other argument g, the function's own ladder is
-composed with g's series.  A monomial is read with operators.polynomial_of.
+composed with g's series.  A monomial, and any polynomial subtree with
+no call, negative power or power of a sum, is read with
+operators.polynomial_of.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 from .exact import CR_ONE, CR_ZERO, ComplexRational, as_fraction
 from .kernels import interval_taylor
 from . import parser
-from .operators import polynomial_of
+from .operators import NotExponentialPolynomial, polynomial_of
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
 DEFAULT_TRUNCATION = 80
@@ -282,15 +284,32 @@ def _monomial(node: Node) -> Optional[tuple]:
     return c, v
 
 
+def _plain_polynomial(node: Node, sums: bool = True) -> bool:
+    """True when *node* holds no Call, no negative power and no power of
+    a sum: a polynomial that polynomial_of expands for less than the
+    series products cost (a power of a sum costs it far more)."""
+    if isinstance(node, (Num, Sym)):
+        return True
+    if isinstance(node, Call) or (isinstance(node, (Add, Sub)) and not sums):
+        return False
+    if isinstance(node, Pow):
+        return node.exponent >= 0 and _plain_polynomial(node.base, sums=False)
+    if isinstance(node, Neg):
+        return _plain_polynomial(node.arg, sums)
+    return _plain_polynomial(node.left, sums) and _plain_polynomial(node.right, sums)
+
+
 def _taylor(node: Node, n: int) -> PowerSeries:
-    pad = (CR_ZERO,) * n
-    if isinstance(node, Num):
-        return PowerSeries((ComplexRational(node.value),) + pad)
-    if isinstance(node, Sym):
-        if node.name == "pi":
-            raise NotSeriesRepresentable(
-                "pi is not an exact rational coefficient")
-        return PowerSeries((CR_ZERO, CR_ONE) + pad[1:] if n >= 1 else (CR_ZERO,))
+    if _plain_polynomial(node):
+        try:
+            poly = polynomial_of(node)
+        except NotExponentialPolynomial:
+            pass  # pi or a pole: the cases below refuse it
+        else:  # one step, where products and scale passes would run at order n
+            return PowerSeries(tuple(ComplexRational(poly[k]) if k in poly else CR_ZERO
+                                     for k in range(n + 1)))
+    if isinstance(node, Sym):  # numbers and x are read above: this is pi
+        raise NotSeriesRepresentable("pi is not an exact rational coefficient")
     if isinstance(node, Neg):
         return _taylor(node.arg, n).scale(ComplexRational(-1))
     if isinstance(node, Add):
@@ -315,7 +334,7 @@ def _taylor(node: Node, n: int) -> PowerSeries:
         if base is None or base[1] > 0:
             raise NotSeriesRepresentable(
                 "negative powers need a constant base: anything else has a pole")
-        return PowerSeries((CR_ONE / base[0] ** (-node.exponent),) + pad)
+        return PowerSeries((CR_ONE / base[0] ** (-node.exponent),) + (CR_ZERO,) * n)
     if isinstance(node, Call):
         if node.func == "sqrt":
             raise NotSeriesRepresentable(

@@ -696,6 +696,33 @@ def test_cli_printed_digits_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the --json stdout of the ten Gaussian sinc requests of the
+# gauss_series benchmark round, (n, precision), taken while every heat
+# member went through ExactValue.from_terms and every atom was shadowed
+# afresh: the canonical member terms and the atom memo move no digit
+GAUSS_SERIES_PINS = [
+    (4, 15, "a5ebd981efc0007c018a9304c46c10dfc3d6fdcbf495a85ae3b34e14c3aba8e3"),
+    (8, 20, "889a644faffcfb266bf62afec85c98f4d095206a2abf820e80e2204dd79341a6"),
+    (12, 30, "a08efe5fb4fb4cf3bc3f7efdac898920e150c24c698f1347fc03f6534b9c80bc"),
+    (16, 15, "d6e6423fab2d88b55f18c68f8595d3f5b98b0d55e0dc6b8321e912593b3f3c37"),
+    (20, 20, "5119528afde61be9f24b60c2736ad4380dac0ca37523316c78437f9ff4361f0c"),
+    (24, 30, "4d700736522033e875d21218fb5cfbc553f020792d6e82d0561e614228b603b2"),
+    (28, 15, "a8aad1d86fbdce2d9efec601c1344b6ec4480b3ffd3a8b6255ae26ea33be3ccb"),
+    (32, 15, "9807779725aaa86491562af7ea92ac961da0c119243eab0534776868c0cc0fc7"),
+    (36, 15, "00836e6e8d36e8984e66925d5e7664c555ab53caf45bd8a3089a3899bc2b16be"),
+    (40, 15, "230dea1afbe1758b2a2f078a9c3184c0d4e0341295dd51f33007d1626f737478"),
+]
+
+
+@pytest.mark.parametrize("n, precision, digest", GAUSS_SERIES_PINS,
+                         ids=[f"sinc^{n} --precision {p}" for n, p, _ in GAUSS_SERIES_PINS])
+def test_gauss_series_outputs_are_pinned(capsys, n, precision, digest):
+    code, out, _ = run_cli(capsys, "integrate", f"sinc(x)^{n}*exp(-x^2/2)",
+                           "--precision", str(precision), "--json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Exact Gaussian values are long alternating sums: sinc^120 loses 21.5
 # digits to cancellation and sinc^160 28.7.  The digits are those of
 # mpmath.quad at 40 digits.

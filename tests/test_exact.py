@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcalc.exact import (ComplexRational, ExactValue, Residue,
+from opcalc.borwein import sinc_power_gaussian
+from opcalc.exact import (ComplexRational, ExactValue, Residue, _atom,
                           double_factorial, erf_value, exp_value, log_value)
+from opcalc.parser import parse_expression
+from opcalc.transforms import integrate, laplace_formal
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40)
@@ -263,3 +266,122 @@ def test_high_precision_erf_against_mpmath(x):
         ref = mpmath.sqrt(2 / mpmath.pi) * mpmath.quad(
             lambda t: mpmath.exp(-t * t / 2), [0, mpmath.mpf(r.numerator) / r.denominator])
         assert abs(ours - ref) <= abs(ref) * mpmath.mpf(10) ** -38 + mpmath.mpf(10) ** -45
+
+
+# ---------------------------------------------------------------------------
+# The atom memo
+# ---------------------------------------------------------------------------
+
+def _fresh_evalf(self):
+    """Residue.evalf with every atom computed afresh, as before the memo."""
+    v = mpmath.mpf(1)
+    if self.pi_power:
+        v *= mpmath.pi ** self.pi_power
+    if self.sqrt_two_pi:
+        v *= mpmath.sqrt(2 * mpmath.pi) ** self.sqrt_two_pi
+    if self.e_exp != 0:
+        v *= mpmath.exp(mpmath.mpf(self.e_exp.numerator) / mpmath.mpf(self.e_exp.denominator))
+    for r in self.erf_args:
+        v *= mpmath.erf(mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator) / mpmath.sqrt(2))
+    for s in self.log_args:
+        v *= mpmath.log(mpmath.mpf(s.numerator) / mpmath.mpf(s.denominator))
+    return v
+
+
+def _memo_corpus():
+    """Heat values (erf and e-power atoms), Laplace values with logs and
+    Green values with e-powers."""
+    values = [sinc_power_gaussian(n).exact for n in range(46)]
+    for text, y in (("(exp(-x)-exp(-3*x))/x", 0), ("1/x*(1-exp(-2*x))", Fraction(1, 3)),
+                    ("(exp(-2*x)-exp(-7*x/2))/x", Fraction(5, 4))):
+        values.append(laplace_formal(parse_expression(text), y).exact)
+    for text in ("cos(x)/(x^2+1)", "cos(2*x)/((x^2+1)*(x^2+4))", "cos(x/2)/(x^2+9/4)"):
+        values.append(integrate(parse_expression(text)).exact)
+    return values
+
+
+SHADOW_DPS = (15, 25, 35, 50)
+
+
+def test_atom_memo_shadows_are_bit_identical(monkeypatch):
+    # a cleared memo, a warm one and no memo at all give the same mpf
+    values = _memo_corpus()
+    assert any(r.log_args for v in values for r, _ in v.terms)
+    assert any(r.erf_args for v in values for r, _ in v.terms)
+    assert any(r.e_exp and r.pi_power for v in values for r, _ in v.terms)
+    cleared = []
+    for v in values:
+        for dps in SHADOW_DPS:
+            _atom.cache_clear()
+            cleared.append(ExactValue(v.terms).evalf(dps)._mpf_)
+    warm = [ExactValue(v.terms).evalf(dps)._mpf_ for v in values for dps in SHADOW_DPS]
+    assert _atom.cache_info().hits > 0
+    monkeypatch.setattr(Residue, "evalf", _fresh_evalf)
+    fresh = [ExactValue(v.terms).evalf(dps)._mpf_ for v in values for dps in SHADOW_DPS]
+    assert cleared == warm == fresh
+
+
+def test_atom_memo_is_keyed_by_precision():
+    # an atom asked at 15 digits and then at 50 is the 50-digit mpf
+    _atom.cache_clear()
+    residue = Residue(e_exp=Fraction(-49, 2), erf_args=(Fraction(7),))
+    with mpmath.workdps(15):
+        low = residue.evalf()
+    with mpmath.workdps(50):
+        high = residue.evalf()
+        assert high._mpf_ == _fresh_evalf(residue)._mpf_
+    assert high != low
+    assert _atom.cache_info().currsize == 4
+    value = erf_value(13, Fraction(1, 3))
+    value.evalf(15)
+    with mpmath.workdps(60):
+        truth = mpmath.erf(13 / mpmath.sqrt(2)) / 3
+    assert abs(ExactValue(value.terms).evalf(50) - truth) <= truth * mpmath.mpf(10) ** -49
+
+
+def test_atom_memo_is_bounded():
+    maxsize = _atom.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
+    with mpmath.workdps(15):
+        for k in range(maxsize + 50):
+            exp_value(Fraction(k, 7)).evalf(15)
+            assert _atom.cache_info().currsize <= maxsize
+    assert _atom.cache_info().currsize == maxsize
+
+
+# ---------------------------------------------------------------------------
+# Canonical products and sums
+# ---------------------------------------------------------------------------
+
+def _random_residue(rng, atoms=True):
+    q = lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+    return Residue(rng.randint(0, 2), rng.randint(0, 1), rng.choice([Fraction(0), q()]),
+                   tuple(sorted(abs(q()) + 1 for _ in range(rng.randint(0, 2)))) if atoms else (),
+                   tuple(sorted(abs(q()) + 2 for _ in range(rng.randint(0, 2)))) if atoms else ())
+
+
+def test_monomial_products_keep_the_canonical_order():
+    # multiplying by one term without erf or log atoms skips the
+    # normalize-and-sort pass; it must give the general product's terms,
+    # and so must a term with them, which takes the general pass
+    rng = random.Random(1717)
+    for _ in range(300):
+        value = ExactValue.from_terms(
+            (_random_residue(rng), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            for _ in range(rng.randint(0, 12)))
+        factor = ExactValue.single(_random_residue(rng, atoms=rng.random() < 0.3),
+                                   Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+        general = ExactValue.from_terms(
+            (r1.combine(r2)[0], c1 * c2 * r1.combine(r2)[1])
+            for r1, c1 in value.terms for r2, c2 in factor.terms)
+        assert (value * factor).terms == general.terms
+        assert (factor * value).terms == general.terms
+
+
+def test_sort_key_orders_residues_as_the_dataclass():
+    rng = random.Random(1718)
+    residues = list({_random_residue(rng) for _ in range(400)})
+    assert sorted(residues) == sorted(residues, key=lambda r: r.sort_key)
+    twin = [Residue(r.pi_power, r.sqrt_two_pi, r.e_exp, r.erf_args, r.log_args)
+            for r in residues]
+    assert [hash(r) for r in residues] == [hash(r) for r in twin] and residues == twin

@@ -222,6 +222,40 @@ def test_gaussian_chain_value_matches_fraction_horner():
             assert chain.value_at(z) == reference_value(chain, z), (chain, z)
 
 
+def _poly_with_roots(roots, scale) -> tuple:
+    """Coefficients of scale * prod (y - r)."""
+    coeffs = [Fraction(scale)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    return tuple(coeffs)
+
+
+def test_heat_members_hand_over_canonical_terms():
+    # value_at builds its two terms in canonical form itself; they must be
+    # from_terms of the raw terms, order included, at 0, at negative points
+    # and where p or q vanishes
+    rng = random.Random(1719)
+    roots = [Fraction(-7, 3), Fraction(1, 2), Fraction(3)]
+    chains = [gaussian_chain(n) for n in range(0, 41, 3)]
+    chains += [GaussianChain(_poly_with_roots(roots[:2], Fraction(5, 3)), _poly_with_roots(roots[1:], -2)),
+               GaussianChain(_poly_with_roots(roots, 1), ()),
+               GaussianChain((), _poly_with_roots(roots, Fraction(1, 7))), GaussianChain()]
+    points = roots + [-r for r in roots] + [Fraction(0), Fraction(-1), Fraction(1, 10 ** 6)]
+    points += [Fraction(rng.randint(-300, 300), rng.randint(1, 40)) for _ in range(30)]
+    for chain in chains:
+        for z in points:
+            raw = ExactValue.from_terms([
+                (Residue(e_exp=-z * z / 2), _poly_eval(_integer_poly(chain.p), z)),
+                (Residue(sqrt_two_pi=1, erf_args=(z,)), _poly_eval(_integer_poly(chain.q), z) / 2)])
+            got = chain.value_at(z)
+            assert got.terms == raw.terms, (chain, z)
+            assert all(c != 0 for _, c in got.terms)
+    # the residues of a point are built once and shared by every chain
+    a, b = gaussian_chain(5).value_at(Fraction(-3)), gaussian_chain(8).value_at(Fraction(-3))
+    assert len(a.terms) == len(b.terms) == 2
+    assert all(ra is rb for (ra, _), (rb, _) in zip(a.terms, b.terms))
+
+
 def test_integer_poly_read_off_matches_fraction_horner():
     # the integer form on one denominator is read at u/v by one pass
     rng = random.Random(67)

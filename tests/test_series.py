@@ -8,7 +8,7 @@ import pytest
 
 from opcalc.exact import CR_ZERO, ComplexRational
 from opcalc.oracle import quad_interval
-from opcalc.parser import as_vector_callable, parse_expression
+from opcalc.parser import Num, Sym, as_vector_callable, parse_expression
 from opcalc.series import (_LADDERS, CONVERGED, DIVERGED, NotSeriesRepresentable,
                            PowerSeries, SeriesConvergenceError, _monomial_compose,
                            complex_exponential_series,
@@ -23,6 +23,53 @@ def frs(*nums):
 # ---------------------------------------------------------------------------
 # taylor_of
 # ---------------------------------------------------------------------------
+
+def _random_polynomial_text(rng, depth=0) -> str:
+    """A polynomial in x with powers, products, monomial divisions and
+    signs; now and then pi, a pole or a negative power."""
+    kind = rng.choice(["x", "num", "mono", "sum", "prod", "pow", "div", "neg", "odd"]
+                      if depth < 3 else ["x", "num", "mono"])
+    sub = lambda: _random_polynomial_text(rng, depth + 1)
+    if kind == "x":
+        return "x"
+    if kind == "num":
+        return f"{rng.randint(1, 9)}/{rng.randint(1, 5)}"
+    if kind == "mono":
+        return f"{rng.randint(-5, 5) or 1}*x^{rng.randint(0, 4)}/{rng.randint(1, 7)}"
+    if kind in ("sum", "prod"):
+        return f"({sub()}{'+-*'[rng.randint(0, 1)] if kind == 'sum' else '*'}{sub()})"
+    if kind == "pow":
+        return f"({sub()})^{rng.randint(0, 4)}"
+    if kind == "div":
+        return f"({sub()})/({rng.randint(1, 4)}*x^{rng.randint(0, 2)})"
+    if kind == "neg":
+        return f"-({sub()})"
+    return rng.choice(["pi*x", "1/x", "x/(1+x)", "x^-1*x^2", "2^-2*x", f"({sub()})^-1"])
+
+
+def test_polynomial_subtrees_read_in_one_step_match_the_series_products(monkeypatch):
+    # a call-free polynomial subtree is read from polynomial_of; with that
+    # step kept to numbers and x, the products and scale passes must give
+    # the same coefficients, and refusals the same error
+    import opcalc.series as series
+    rng = random.Random(1720)
+    texts = [_random_polynomial_text(rng) for _ in range(150)]
+    texts += [f"exp(-({t}))*cos({t})" for t in texts[:30]]
+    texts += ["-x^2/2", "exp(-x^2/2)*cos(x)", "exp(-x^2/2+x/3)", "sinc(x^2/2-x)*(1+x)^3"]
+
+    def outcome(text, n):
+        try:
+            return taylor_of(parse_expression(text), n).coeffs
+        except NotSeriesRepresentable as exc:
+            return type(exc), str(exc)
+
+    fast = [outcome(text, n) for text in texts for n in (0, 5, 40)]
+    monkeypatch.setattr(series, "_plain_polynomial",
+                        lambda node, sums=True: isinstance(node, (Num, Sym)))
+    slow = [outcome(text, n) for text in texts for n in (0, 5, 40)]
+    assert fast == slow
+    assert sum(isinstance(o, tuple) and o[0] is NotSeriesRepresentable for o in fast) >= 10
+
 
 def test_taylor_exp_minus_x():
     s = taylor_of(parse_expression("exp(-x)"), 3)

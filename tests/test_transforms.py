@@ -185,10 +185,7 @@ def chain_value_reference(word, y, perturb=None):
         chain = one_over_y_chain(t.power)
         arg = y + t.shift
         if arg == 0:
-            try:
-                value = chain.limit_at_zero_plus()
-            except ValueError as exc:
-                raise DivergentIntegralError(str(exc)) from exc
+            value = chain.limit_at_zero_plus()  # raises DivergentIntegralError itself
         elif arg < 0:
             raise DivergentIntegralError(f"kernel argument {arg} is negative")
         else:
