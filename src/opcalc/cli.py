@@ -162,11 +162,13 @@ def _exact_str(exact) -> str:
 def _render(result: TransformResult, args, input_text: str) -> str:
     diag = result.diagnostics
     exact = result.exact
+    approx = None
+    if args.json or not args.exact:
+        approx = result.approx  # OverflowError past the double range
+        if exact is not None and args.precision > 15:
+            approx = exact.evalf(args.precision + 5)
+        approx = _approx_str(approx, args.precision)
     exact_text = _exact_str(exact) if exact is not None else None
-    if exact is not None and args.precision > 15:
-        approx = _approx_str(exact.evalf(args.precision + 5), args.precision)
-    else:
-        approx = _approx_str(result.approx, args.precision)
     if args.json:
         diagnostics = {
             "truncation": int(diag.get("truncation", 0)),

@@ -111,6 +111,14 @@ def exp_poly_normal_form(ast: Node) -> ExpPoly:
         if k < 0:
             raise NotExponentialPolynomial(
                 "negative powers need a monomial base in this family")
+        if len(base) == 2:
+            # the binomial row (a + b)^k, in the order k products would give
+            ((mu1, n1), c1), ((mu2, n2), c2) = base.items()
+            row, term, ratio = {}, c1 ** k, c2 / c1
+            for j in range(k, -1, -1):  # term is C(k, j) c1^j c2^(k-j)
+                row[mu1 * j + mu2 * (k - j), n1 * j + n2 * (k - j)] = term
+                term = term * ratio * ComplexRational(Fraction(j, k - j + 1))
+            return row
         out: ExpPoly = {(CR_ZERO, 0): CR_ONE}
         for _ in range(k):
             out = _nf_mul(out, base)

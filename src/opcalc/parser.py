@@ -1,31 +1,32 @@
 """Integrand expressions: grammar, AST, printing and numeric evaluation.
 
-Grammar (precedence low to high: + - < * / < unary - < ^, with ^ binding
-right-associatively and allowing a signed integer exponent):
+``ast.parse`` reads an integrand as a Python expression, with ^ as ** and
+each number literal as a name, so precedence is Python's (-x^2 is
+-(x^2)).  A whitelist keeps x, pi, literals, + - * /, unary minus, calls
+of sinc, sin, cos, exp and sqrt on one argument, and ^ with an integer
+literal exponent under signs and parentheses (x^-2, x^(-3), x^--1); it
+refuses every other Python form: other names and keywords, attributes,
+** and //, unary +, x^+2, x^2^3, conditional and generator expressions,
+tuples, and calls of a parenthesized name or with no or several
+arguments.  Literals (1, 2.5, .5; Unicode digits and leading zeros too)
+become exact fractions, and whitespace may appear anywhere.  sinc stays
+a primitive node so the route classifier can recognize it structurally.
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' exponent)?
-    atom   := NUMBER | 'x' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
-
-Known functions: sinc, sin, cos, exp, sqrt.  Decimal literals are turned
-into exact fractions at parse time (0.25 -> 1/4); exponents must be
-integer literals, optionally negated.  sinc stays a primitive node so the
-route classifier can recognize it structurally.
-
-Expressions nest at most MAX_DEPTH levels: both the nesting of
-parentheses, calls and signs while parsing and the depth of the finished
-tree (a sum of n terms is n levels deep).  Deeper input is a ParseError,
-so that no later recursion over the tree can exhaust the stack.
+Expressions nest at most MAX_DEPTH levels: a leaf counts 1 plus the
+parentheses (call and exponent ones included) and the signs outside an
+exponent around it, and the tree is at most MAX_DEPTH deep (a sum of n
+terms is n levels deep).  Deeper input is a ParseError, so that no
+later recursion over the tree can exhaust the stack.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 FUNCTIONS = ("sinc", "sin", "cos", "exp", "sqrt")
 SYMBOLS = ("x", "pi")
@@ -101,164 +102,111 @@ X = Sym("x")
 
 
 # ---------------------------------------------------------------------------
-# Lexer / parser
+# Reading: Python's parser on a rewritten text, then a node whitelist
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and text[pos:].strip():
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.end() == pos:  # trailing whitespace only
-            break
-        number, ident, op = m.groups()
-        start = m.start(1) if number else m.start(2) if ident else m.start(3)
-        if number:
-            tokens.append(("num", number, start))
-        elif ident:
-            tokens.append(("ident", ident, start))
-        else:
-            tokens.append(("op", op, start))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-
-    def nest(self, pos: int):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, val, pos = self.peek()
-        self.nest(pos)
-        if kind == "op" and val == "-":
-            self.advance()
-            node = Neg(self.unary())
-        else:
-            node = self.power()
-        self.depth -= 1
-        return node
-
-    def power(self) -> Node:
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, val, pos = self.peek()
-        while kind == "op" and val == "-":
-            sign = -sign
-            self.advance()
-            kind, val, pos = self.peek()
-        if kind == "op" and val == "(":
-            self.advance()
-            self.nest(pos)
-            n = self.exponent()
-            self.expect_op(")")
-            self.depth -= 1
-            return sign * n
-        if kind != "num" or "." in val:
-            raise ParseError("exponent must be an integer literal", pos)
-        self.advance()
-        return sign * int(val)
-
-    def atom(self) -> Node:
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return Num(Fraction(val))
-        if kind == "ident":
-            nxt_kind, nxt_val, _ = self.peek()
-            if nxt_kind == "op" and nxt_val == "(":
-                if val not in FUNCTIONS:
-                    raise ParseError(f"unknown function {val!r}", pos)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            if val not in SYMBOLS:
-                raise ParseError(f"unknown identifier {val!r}", pos)
-            return Sym(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+# a character outside the alphabet, or **, *^, ^* or ^^ (never an operator)
+_BAD = re.compile(r"[^\s\dA-Za-z_.()+\-*/^]|[*^]\s*[*^]")
+_LITERAL = re.compile(r"\d+\.\d+|\.\d+|\d+")
+_DIGIT_OR_DOT = re.compile(r"[\d.]")
+_SPACE = re.compile(r"\s")
+_BINARY = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
+_DEEPER = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 def parse_expression(text: str) -> Node:
     """Parse *text* into an integrand AST; raises ParseError on bad input,
-    including trees deeper than MAX_DEPTH."""
-    node = _Parser(text).parse()
-    deepest, stack = 0, [(node, 1)]
-    while stack:
-        item, depth = stack.pop()
-        deepest = max(deepest, depth)
-        stack += [(child, depth + 1) for child in vars(item).values()
-                  if not isinstance(child, (Fraction, int, str))]
-    if deepest > MAX_DEPTH:
-        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
-    return node
+    including input nested deeper than MAX_DEPTH."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected {bad.group()!r}", bad.start())
+    return _Reader(text).read()
+
+
+class _Reader:
+    """Reads Python's AST of the rewritten text into the integrand tree,
+    refusing every node type, name and depth the grammar does not have."""
+
+    def __init__(self, text: str):
+        # Python refuses an indented expression, and ^ is its **.  A literal
+        # becomes a run of "_" as long as itself and whitespace a space, so
+        # Python reads names and operators only, and a source offset is a
+        # text offset moved by the leading whitespace and one per ^ before it.
+        self.text, self.lead = text, len(text) - len(text.lstrip())
+        source = text[self.lead:].replace("^", "**")
+        self.literals = {m.start(): m.group() for m in _LITERAL.finditer(source)}
+        self.source = _SPACE.sub(" ", _DIGIT_OR_DOT.sub("_", source))
+        self.parens = None
+
+    def position(self, offset: int) -> int:
+        return self.lead + offset - self.source.count("**", 0, offset)
+
+    def refuse(self, message: str, node):
+        raise ParseError(message, self.position(node.col_offset))
+
+    def read(self) -> Node:
+        source = self.source
+        if source.count("(") + source.count("-") >= MAX_DEPTH:
+            # a leaf may sit under MAX_DEPTH parentheses and signs: count them
+            self.parens = list(accumulate((c == "(") - (c == ")") for c in source))
+            if max(self.parens) >= MAX_DEPTH:
+                raise ParseError(_DEEPER, self.position(self.parens.index(MAX_DEPTH)))
+        try:
+            body = ast.parse(source, mode="eval").body
+        except SyntaxError as exc:
+            raise ParseError(exc.msg, self.position((exc.offset or 1) - 1)) from None
+        except (RecursionError, MemoryError):
+            raise ParseError(_DEEPER, self.lead) from None
+        return self.tree(body)
+
+    def leaf(self, node, signs: int):
+        """Count a Name's parentheses and signs against MAX_DEPTH; return
+        the literal it stands for, or None."""
+        if self.parens and 1 + signs + self.parens[node.col_offset] > MAX_DEPTH:
+            self.refuse(_DEEPER, node)
+        literal = self.literals.get(node.col_offset)
+        return literal if literal and len(literal) == len(node.id) else None
+
+    def tree(self, node, depth: int = 1, signs: int = 0) -> Node:
+        if depth > MAX_DEPTH:
+            self.refuse(_DEEPER, node)
+        kind = type(node)
+        if kind is ast.BinOp:
+            op = type(node.op)
+            if op is ast.Pow:
+                return Pow(self.tree(node.left, depth + 1, signs),
+                           self.exponent(node.right, signs))
+            if op in _BINARY:
+                return _BINARY[op](self.tree(node.left, depth + 1, signs),
+                                   self.tree(node.right, depth + 1, signs))
+        elif kind is ast.Name:
+            literal = self.leaf(node, signs)
+            if node.id in SYMBOLS:
+                return Sym(node.id)
+            if literal is None:
+                start = self.position(node.col_offset)
+                self.refuse(f"unknown identifier {self.text[start:start + len(node.id)]!r}", node)
+            return Num(Fraction(literal))
+        elif kind is ast.Call:
+            func = node.func  # a parenthesized name, as in (sin)(x), is refused
+            if type(func) is not ast.Name or func.id not in FUNCTIONS \
+                    or func.col_offset != node.col_offset:
+                self.refuse(f"only {', '.join(FUNCTIONS)} are called", func)
+            if len(node.args) != 1 or node.keywords:
+                self.refuse(f"{func.id} takes one argument", node)
+            return Call(func.id, self.tree(node.args[0], depth + 1, signs))
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return Neg(self.tree(node.operand, depth + 1, signs + 1))
+        self.refuse("unexpected syntax", node)
+
+    def exponent(self, node, signs: int) -> int:
+        sign = 1
+        while type(node) is ast.UnaryOp and type(node.op) is ast.USub:
+            sign, node = -sign, node.operand
+        literal = self.leaf(node, signs) if type(node) is ast.Name else None
+        if literal is None or "." in literal:
+            self.refuse("exponent must be an integer literal", node)
+        return sign * int(literal)
 
 
 # ---------------------------------------------------------------------------
@@ -266,44 +214,39 @@ def parse_expression(text: str) -> Node:
 # ---------------------------------------------------------------------------
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Sym: 5, Call: 5}
+_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _prec(node) -> int:
-    return _PREC[type(node)]
+def _operand(node: Node, prec: int, right: bool = False) -> str:
+    """*node* as an operand of precedence *prec*: parenthesized when it binds
+    less tightly, or as tightly on the right (the operators associate left)."""
+    text, own = to_source(node), _PREC[type(node)]
+    return f"({text})" if own < prec or right and own == prec else text
 
 
 def to_source(node: Node) -> str:
     """Render an AST back to parseable text; reparsing gives the same tree."""
     if isinstance(node, Num):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
+        v, den = node.value, node.value.denominator
+        twos = (den & -den).bit_length() - 1  # den divides 10^places iff it is 2^a 5^b
+        places = max(twos, round(math.log(den >> twos, 5)))
+        if den == 1 or 10 ** places % den:
+            return str(v.numerator) if den == 1 else f"({v.numerator}/{den})"
+        digits = str(abs(v.numerator) * 10 ** places // den).rjust(places + 1, "0")
+        return f"{'-' * (v < 0)}{digits[:-places]}.{digits[-places:]}"
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Call):
         return f"{node.func}({to_source(node.arg)})"
     if isinstance(node, Neg):
-        inner = to_source(node.arg)
-        if _prec(node.arg) < _PREC[Neg]:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return "-" + _operand(node.arg, _PREC[Neg])
     if isinstance(node, Pow):
-        base = to_source(node.base)
-        if _prec(node.base) < _PREC[Pow]:
-            base = f"({base})"
         exp = str(node.exponent) if node.exponent >= 0 else f"(-{-node.exponent})"
-        return f"{base}^{exp}"
+        return f"{_operand(node.base, _PREC[Pow])}^{exp}"
     if isinstance(node, (Add, Sub, Mul, Div)):
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
-        myprec = _prec(node)
-        left = to_source(node.left)
-        right = to_source(node.right)
-        if _prec(node.left) < myprec:
-            left = f"({left})"
-        # right child needs parens at equal precedence: -, / are left-associative
-        if _prec(node.right) < myprec or (
-                _prec(node.right) == myprec and isinstance(node, (Sub, Div, Add, Mul))):
-            right = f"({right})"
-        return f"{left} {op} {right}"
+        prec = _PREC[type(node)]
+        return (f"{_operand(node.left, prec)} {_OPS[type(node)]} "
+                f"{_operand(node.right, prec, right=True)}")
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -14,13 +14,14 @@ from .exact import ExactValue
 class TransformResult:
     """Outcome of a route: optional exact value, numeric shadow, provenance.
 
-    When ``exact`` is present, ``approx`` is its numeric shadow evaluated
-    to well past double precision; routes without a closed form fill only
-    ``approx``.  ``diagnostics`` carries truncation orders, regularization
+    When ``exact`` is present, ``shadow`` is its numeric shadow evaluated
+    to well past double precision, inf past the double range, where
+    ``approx`` refuses it; routes without a closed form fill only
+    ``shadow``.  ``diagnostics`` carries truncation orders, regularization
     parameters, convergence verdicts and the attempted-route log.
     """
 
-    approx: float
+    shadow: float
     method: str
     formula: str
     exact: Optional[ExactValue] = None
@@ -29,11 +30,14 @@ class TransformResult:
     @staticmethod
     def from_exact(value: ExactValue, method: str, formula: str,
                    diagnostics: Optional[dict] = None) -> "TransformResult":
-        """value with its float shadow; OverflowError past the double range."""
-        shadow = value.evalf(25)
-        approx = float(shadow)
-        if not mpmath.isfinite(approx):
+        return TransformResult(float(value.evalf(25)), method, formula, value,
+                               dict(diagnostics or {}))
+
+    @property
+    def approx(self):
+        """The float shadow; OverflowError for an exact value past the double range."""
+        if self.exact is not None and not mpmath.isfinite(self.shadow):
             raise OverflowError(
-                "exact value is beyond the double range: "
-                f"|value| is about 10^{float(mpmath.log10(abs(shadow))):.1f}")
-        return TransformResult(approx, method, formula, value, dict(diagnostics or {}))
+                "exact value is beyond the double range: |value| is about "
+                f"10^{float(mpmath.log10(abs(self.exact.evalf(25)))):.1f}")
+        return self.shadow

@@ -448,9 +448,10 @@ def quadrature(ast: Node, lo=-math.inf, hi=math.inf) -> TransformResult:
 def compare(ast: Node, truncation: int = DEFAULT_TRUNCATION) -> TransformResult:
     """The engine's real-line integral; the oracle's value and the gap in diagnostics."""
     engine = integrate(ast, truncation=truncation)
+    approx = engine.approx  # past the double range this refuses before the oracle runs
     ora = quadrature(ast)
     engine.diagnostics["oracle"] = ora.approx
-    engine.diagnostics["difference"] = abs(engine.approx - ora.approx)
+    engine.diagnostics["difference"] = abs(approx - ora.approx)
     return engine
 
 

@@ -399,6 +399,43 @@ def test_cli_exact_value_beyond_the_double_range_exits_4(capsys):
     assert "10^977.9" in err
 
 
+def test_cli_exact_flag_prints_a_value_beyond_the_double_range(capsys):
+    # sum_j C(200, j) j!, about 10^375: --exact asks for no float, but the
+    # value was refused as beyond the double range all the same
+    argv = ["integrate", "(1+x)^200*exp(-x)", "--interval", "0", "inf"]
+    code, out, err = run_cli(capsys, *argv, "--exact")
+    assert code == EXIT_OK, err
+    want = sum(math.comb(200, j) * math.factorial(j) for j in range(201))
+    assert out.splitlines()[2] == f"exact:   {want}" and "approx" not in out
+    # a float that is printed is still refused: the text without --exact,
+    # --json, and compare (before its oracle runs)
+    big = "1" + "0" * 400 + "*sinc(x)"
+    for extra in (argv, argv + ["--json"], argv + ["--exact", "--json"],
+                  ["compare", big], ["compare", big, "--exact"]):
+        code, out, err = run_cli(capsys, *extra)
+        assert code == EXIT_NONCONVERGENT and out == "", extra
+        assert err.startswith("non-convergent: exact value is beyond the double range")
+
+
+@pytest.mark.parametrize("command", [["integrate", "sinc(x) "], ["integrate", "sinc(x)\t"],
+                                     ["laplace", "exp(-x)\n", "--at", "2"],
+                                     ["fourier", "sinc(x)  ", "--at", "1/2"],
+                                     ["compare", "cos(x)/(x^2+1) "]])
+def test_cli_accepts_trailing_whitespace(capsys, command):
+    # trailing whitespace was an IndexError traceback with exit 1
+    code, out, err = run_cli(capsys, *command)
+    assert code == EXIT_OK, err
+    stripped = [command[0], command[1].rstrip()] + command[2:]
+    assert out.replace(command[1], stripped[1]) == run_cli(capsys, *stripped)[1]
+
+
+@pytest.mark.parametrize("expr", [" ", "\n", "\t \u3000"])
+def test_cli_refuses_a_whitespace_only_expression(capsys, expr):
+    code, out, err = run_cli(capsys, "integrate", expr)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_cli_exact_value_past_the_int_print_limit_exits_3(capsys, extra):
     # about 0.01743, as a ratio of two integers of about 4,350 digits each:

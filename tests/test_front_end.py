@@ -6,6 +6,7 @@ powers are taken whole."""
 import hashlib
 import importlib
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from opcalc import operators
 from opcalc.classify import classify
 from opcalc.cli import EXIT_OK, run
-from opcalc.exact import CR_ONE, ComplexRational
+from opcalc.exact import CR_ONE, CR_ZERO, ComplexRational
 from opcalc.operators import (NotExponentialPolynomial, decompose,
                               exp_poly_normal_form)
 from opcalc.parser import (Add, Call, Div, Mul, Neg, Num, Pow, Sub, Sym,
@@ -307,6 +308,40 @@ def test_one_term_powers_are_raised_in_closed_form(monkeypatch):
     assert calls == []
     nf = exp_poly_normal_form(parse_expression("(2*x*exp(-x))^-3"))
     assert nf == {(ComplexRational(3), -3): ComplexRational(Fraction(1, 8))}
+
+
+def test_two_term_powers_are_the_binomial_row(monkeypatch):
+    # equal, key order included, to k repeated products, on named and seeded
+    # two-term bases; the row takes no product
+    rng = random.Random(18)
+    texts = ["1+x", "sinc(x)", "cos(x/3)", "sin(2*x)", "x-exp(-x)", "x^-1+2",
+             "sinc(x)*exp(-x)", "exp(-x)+exp(-2*x)", "0.5*x^2+3*x*exp(x/5)"]
+    while len(texts) < 30:
+        a, b, c, d = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        texts.append(f"({a})*x^{rng.randint(-2, 3)}*exp(({b})*x)"
+                     f" + ({c})*x^{rng.randint(-2, 3)}*exp(({d})*x)")
+    powers = []
+    for text in texts:
+        base = exp_poly_normal_form(parse_expression(text))
+        if len(base) == 2:
+            want = {(CR_ZERO, 0): CR_ONE}
+            for k in range(13):
+                powers.append((text, k, want))
+                want = operators._nf_mul(want, base)
+    assert len(powers) > 200
+    calls = []
+    original = operators._nf_mul
+    monkeypatch.setattr(operators, "_nf_mul",
+                        lambda a, b: calls.append(1) or original(a, b))
+    for text, k, want in powers:
+        exp_poly_normal_form(parse_expression(text))
+        products_in_base = len(calls)
+        got = exp_poly_normal_form(parse_expression(f"({text})^{k}"))
+        assert list(got.items()) == list(want.items()), (text, k)
+        assert len(calls) == 2 * products_in_base
+        calls.clear()
+    row = operators.polynomial_of(parse_expression("(1+x)^200"))
+    assert row == {j: math.comb(200, j) for j in range(201)}
 
 
 def test_series_powers_square_and_multiply(monkeypatch):

@@ -1,13 +1,20 @@
 """Grammar, precedence, printing round trips, numeric evaluation."""
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opcalc.parser import (MAX_DEPTH, Add, Call, Div, Mul, Neg, Num,
-                           ParseError, Pow, Sym, as_vector_callable,
+                           ParseError, Pow, Sub, Sym, as_vector_callable,
                            parse_expression, to_source)
+
+sys.path.insert(0, str(Path(__file__).parent))
+import parse_corpus  # noqa: E402  (a script as well, so not a package module)
 
 
 def test_sinc_product():
@@ -131,3 +138,95 @@ def test_depth_limit_bounds_nesting_and_tree_depth():
     for text in outside:
         with pytest.raises(ParseError, match="nests deeper than"):
             parse_expression(text)
+
+
+# sha256 of the outcomes over parse_corpus.corpus(), taken with the
+# hand-written recursive-descent parser this one replaced; the same on
+# Python 3.10, 3.11, 3.12 and 3.13
+CORPUS_DIGEST = "cab42aed0bf0b0001684e9761fcb2427d0d27f7c010221e173bfe76d7350b0af"
+
+
+def test_parse_outcomes_match_the_pinned_corpus():
+    texts = parse_corpus.corpus()
+    assert len(texts) >= 20000
+    assert not any(text != text.rstrip() for text in texts)
+    assert parse_corpus.digest(parse_expression, texts) == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("007", Num(Fraction(7))),
+    ("007.50", Num(Fraction(15, 2))),
+    ("\u0663*x", Mul(Num(Fraction(3)), Sym("x"))),  # Arabic-Indic 3
+    ("x^\u0662", Pow(Sym("x"), 2)),
+    ("\u3000x\t*\n2\u00a0", Mul(Sym("x"), Num(Fraction(2)))),
+    ("x^--1", Pow(Sym("x"), 1)),
+    ("x^-(-(2))", Pow(Sym("x"), 2)),
+    ("x^((-2))", Pow(Sym("x"), -2)),
+    ("sin (x)", Call("sin", Sym("x"))),
+    ("x--x", Sub(Sym("x"), Neg(Sym("x")))),
+    ("2*-x", Mul(Num(Fraction(2)), Neg(Sym("x")))),
+    ("(x^2)^3", Pow(Pow(Sym("x"), 2), 3)),
+    ("-2^2", Neg(Pow(Num(Fraction(2)), 2))),
+])
+def test_grammar_corners(text, tree):
+    assert parse_expression(text) == tree
+
+
+@pytest.mark.parametrize("text", [
+    "1e5", "0x1", "1_0", "1.", "1j", ".", "...", "2x", "x2", "1 2", "1.5.5",
+    "**", "x**2", "x*^2", "x^^2", "+x", "x//2", "x^+2", "x^2^3", "x^1.5", "x^x",
+    "x if x else x", "(x for x in x)", "sin(x for x in x)", "()", "sin()",
+    "(sin)(x)", "sin(x)(x)", "x(2)", "pi(x)", "sin", "x.real", "not x", "x is x",
+    "None", "lambda", "await x", "y", "foo(x)", "x,", "x $", "é",
+])
+def test_python_forms_outside_the_grammar_are_refused(text):
+    with pytest.raises(ParseError):
+        parse_expression(text)
+
+
+def test_a_character_outside_the_alphabet_is_refused_at_its_position():
+    for text, position in (("sin(x) + $", 9), ("x^2 , 1", 4), ("  \u00e9", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert err.value.position == position
+
+
+def test_a_literal_past_the_int_limit_is_not_a_parse_error():
+    # the CLI maps this ValueError to exit 3, as for any integer too long
+    # to convert
+    with pytest.raises(ValueError) as err:
+        parse_expression("x*" + "7" * (sys.get_int_max_str_digits() + 1))
+    assert not isinstance(err.value, ParseError)
+
+
+@pytest.mark.parametrize("text", ["x ", "sinc(x)\t", "exp(-x)\n", " x\u3000"])
+def test_trailing_whitespace_is_whitespace(text):
+    # trailing whitespace was an IndexError from the tokenizer
+    assert parse_expression(text) == parse_expression(text.strip())
+
+
+@pytest.mark.parametrize("text", ["", " ", "\n"])
+def test_an_empty_expression_is_refused(text):
+    with pytest.raises(ParseError):
+        parse_expression(text)
+
+
+def test_a_decimal_literal_prints_as_one():
+    for text, printed in (("0.25*x", "0.25 * x"), ("12.5", "12.5"), (".0625", "0.0625")):
+        assert to_source(parse_expression(text)) == printed
+    assert to_source(Num(Fraction(1, 3))) == "(1/3)"
+
+
+_PIECES = ["x", "pi", "sinc(", "sin(", "exp(", "(", ")", "+", "-", "*", "/", "^", "2",
+           "0.5", ".5", "007", "\u0663", " ", "\t", "\n", "\u3000", ".", "_", "e", "y"]
+
+
+@given(st.one_of(st.text(alphabet="".join(_PIECES), max_size=40),
+                 st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)))
+@settings(max_examples=400, deadline=None)
+def test_any_text_over_the_alphabet_is_a_tree_or_a_parse_error(text):
+    try:
+        tree = parse_expression(text)
+    except ParseError:
+        return
+    assert parse_expression(to_source(tree)) == tree
