@@ -63,9 +63,10 @@ def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int,
     gamma runs over all +-1 assignments to the slots, beta_gamma is
     sum_k gamma_k rates_k, and w(gamma) is the product of gamma_k over the
     slots whose *weighted* flag is set (sinc slots); the others (cos
-    slots) weigh +1.  R_m(x) = x^m/m! Theta(x), and at m = 0 a tuple with
-    beta exactly 0 raises RampBoundaryError, whatever its weight.  *poly*
-    holds the coefficients of a polynomial added to every ramp.
+    slots) weigh +1.  R_m(x) = x^m/m! Theta(x); at m = 0 the tuples with
+    beta exactly 0 sit on the jump, and unless their weights cancel that
+    raises RampBoundaryError.  *poly* holds the coefficients of a
+    polynomial added to every ramp.
 
     Meet in the middle (Horowitz & Sahni, JACM 21, 1974): with the rates
     scaled to integers by the lcm L of their denominators, each half of
@@ -84,7 +85,7 @@ def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int,
              for r, flag in zip(rates, weighted, strict=True)]
     left = _partial_sums(slots[:len(slots) // 2])
     right = _partial_sums(slots[len(slots) // 2:])
-    if m == 0 and any(-s in right for s in left):
+    if m == 0 and sum(w * right.get(-s, 0) for s, w in left.items()):
         raise RampBoundaryError("step evaluated exactly at its jump")
 
     ups = sorted(right.items(), reverse=True)
@@ -185,17 +186,9 @@ class SincProductSpec:
                                tuple(b / c for b in self.cos_rates), Fraction(1))
 
 
-@dataclass(frozen=True)
-class SincProductValue:
-    value: ExactValue
-    lord_condition: bool
-    is_pi: bool
-    rescaled_by: Fraction
-
-
 def sinc_cos_product_integral(spec: SincProductSpec,
                               ramp_perturbation: Optional[Sequence] = None
-                              ) -> SincProductValue:
+                              ) -> ExactValue:
     """Exact real-line integral of the sinc/cos product.
 
     The tuple sum always runs on the spec normalized to outer rate 1
@@ -203,6 +196,9 @@ def sinc_cos_product_integral(spec: SincProductSpec,
     condition the value is exactly pi.  *ramp_perturbation* optionally
     adds a fixed polynomial of degree < m to every ramp representative;
     admissible perturbations cancel exactly and the tests insist on it.
+    At m = 0 a step may sit at its jump (sinc(x) cos(x)), but the outer
+    sinc is the only weighted slot, so gamma -> -gamma pairs each tuple
+    with beta = 0 with one of opposite weight: the jumps always cancel.
     """
     norm = spec.normalized()
     a, b = norm.sinc_rates, norm.cos_rates
@@ -215,10 +211,8 @@ def sinc_cos_product_integral(spec: SincProductSpec,
     total = signed_ramp_sum(a + b + (Fraction(1),), (True,) * m + (False,) * n + (True,),
                             m, ramp_perturbation or ())
 
-    coeff = total / (Fraction(2 ** (m + n)) * math.prod(a)) / spec.outer_rate
-    value = ExactValue.pi_times(coeff)
-    return SincProductValue(value, spec.lord_condition,
-                            coeff == 1, spec.outer_rate)
+    return ExactValue.pi_times(total / (Fraction(2 ** (m + n)) * math.prod(a))
+                               / spec.outer_rate)
 
 
 # ---------------------------------------------------------------------------

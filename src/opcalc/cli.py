@@ -69,10 +69,7 @@ def _int_at_least(low: int):
 
 
 def _rate_list(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(Fraction(part) for part in text.split(","))
+    return tuple(_fraction_arg(part) for part in text.split(",")) if text.strip() else ()
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -236,7 +233,7 @@ def run(argv=None) -> int:
     args = _arg_parser().parse_args(_shield_negative_numbers(argv))
     if getattr(args, "expr", "").startswith(" -"):
         args.expr = args.expr[1:]
-    input_text = getattr(args, "expr", None) or \
+    input_text = " ".join(getattr(args, "expr", "").split()) or \
         (f"borwein({args.n})" if args.command == "borwein" else args.command)
     try:
         result = _COMMANDS[args.command](args)

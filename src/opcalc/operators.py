@@ -66,6 +66,34 @@ def _nf_scale(a: ExpPoly, c: ComplexRational) -> ExpPoly:
     return _nf_merge({k: v * c for k, v in a.items()})
 
 
+def _nf_power(base: ExpPoly, k: int) -> ExpPoly:
+    """base^k by J.C.P. Miller's recurrence over the base's terms t_0..t_r:
+    (sum t_i z^i)^k = sum P_n z^n with P_0 = t_0^k, the whole power of a
+    monomial, and n t_0 P_n = sum_(i=1..min(n,r)) ((k+1) i - n) t_i P_(n-i),
+    at z = 1.  Terms are keyed by (rate * lcm of denominators, power), in ints."""
+    if k < 0 and len(base) != 1:
+        raise NotExponentialPolynomial("negative powers need a monomial base in this family")
+    ((mu0, n0), c0), *rest = base.items() or [((CR_ZERO, 0), CR_ZERO)]  # 0^k
+    if not rest:
+        return _nf_merge({(mu0 * k, n0 * k): c0 ** k})
+    scale = math.lcm(*(q.denominator for mu, _n in base for q in (mu.re, mu.im)))
+    steps = [(int((mu.re - mu0.re) * scale), int((mu.im - mu0.im) * scale), n - n0, c / c0)
+             for (mu, n), c in rest]
+    parts = [{(int(mu0.re * scale) * k, int(mu0.im * scale) * k, n0 * k): c0 ** k}]
+    out = dict(parts[0])
+    for n in range(1, k * len(steps) + 1):
+        parts.append(part := {})
+        for i, (a, b, m, ratio) in enumerate(steps[:n], 1):
+            w = ratio * ComplexRational(Fraction((k + 1) * i - n, n))
+            for (a0, b0, m0), c in parts[n - i].items():
+                key = (a0 + a, b0 + b, m0 + m)
+                part[key] = part[key] + c * w if key in part else c * w
+        for key, c in part.items():
+            out[key] = out[key] + c if key in out else c
+    return {(ComplexRational(Fraction(a, scale), Fraction(b, scale)), m): c
+            for (a, b, m), c in out.items() if not c.is_zero}
+
+
 def exp_poly_normal_form(ast: Node) -> ExpPoly:
     """Rewrite the AST as sum of c * x^n * e^(mu x) terms, exactly.
 
@@ -102,27 +130,7 @@ def exp_poly_normal_form(ast: Node) -> ExpPoly:
         inv = CR_ONE / c
         return _nf_merge({(m, k - n): v * inv for (m, k), v in num.items()})
     if isinstance(ast, Pow):
-        base = exp_poly_normal_form(ast.base)
-        k = ast.exponent
-        if len(base) == 1:
-            # (c x^n e^(mu x))^k = c^k x^(nk) e^(k mu x), either sign of k
-            ((mu, n), c), = base.items()
-            return {(mu * k, n * k): c ** k}
-        if k < 0:
-            raise NotExponentialPolynomial(
-                "negative powers need a monomial base in this family")
-        if len(base) == 2:
-            # the binomial row (a + b)^k, in the order k products would give
-            ((mu1, n1), c1), ((mu2, n2), c2) = base.items()
-            row, term, ratio = {}, c1 ** k, c2 / c1
-            for j in range(k, -1, -1):  # term is C(k, j) c1^j c2^(k-j)
-                row[mu1 * j + mu2 * (k - j), n1 * j + n2 * (k - j)] = term
-                term = term * ratio * ComplexRational(Fraction(j, k - j + 1))
-            return row
-        out: ExpPoly = {(CR_ZERO, 0): CR_ONE}
-        for _ in range(k):
-            out = _nf_mul(out, base)
-        return out
+        return _nf_power(exp_poly_normal_form(ast.base), ast.exponent)
     if isinstance(ast, Call):
         if ast.func == "exp":
             return {(ComplexRational(linear_rate(ast.arg)), 0): CR_ONE}

@@ -24,15 +24,14 @@ logging every attempt.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oracle
-from .borwein import (RampBoundaryError, SincProductSpec, borwein_exact,
-                      sinc_cos_product_integral, sinc_power_gaussian)
+from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
+                      sinc_power_gaussian)
 from .classify import classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
@@ -41,7 +40,7 @@ from .kernels import (DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel,
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
                         laurent_defect, word_of)
-from .parser import X, Call, Mul, Node, Num, as_vector_callable
+from .parser import Node, as_vector_callable
 from .result import TransformResult
 from .series import (CONVERGED, DIVERGED, DEFAULT_TRUNCATION, PowerSeries,
                      _monomial_compose, finite_interval_transform,
@@ -295,25 +294,12 @@ def fourier_at(ast: Node, y) -> TransformResult:
                      "breakpoints": [str(b) for b in image.breakpoints()]})
 
 
-def _enumeration_result(spec: SincProductSpec) -> TransformResult:
-    outcome = sinc_cos_product_integral(spec)
-    return TransformResult.from_exact(
-        outcome.value, method="sinc_product_enumeration",
-        formula="delta_ramp_tuple_sum",
-        diagnostics={"lord_condition": outcome.lord_condition, "verdict": "exact"})
-
-
 def sinc_product_result(spec: SincProductSpec) -> TransformResult:
-    """The exact sinc/cos product integral, with Lord's condition.  A step
-    at its jump in the tuple sum sends the product to integrate_real_line,
-    which logs the miss and answers by the delta route."""
-    try:
-        return _enumeration_result(spec)
-    except RampBoundaryError:
-        return integrate_real_line(functools.reduce(Mul, (
-            Call(func, Mul(Num(rate), X)) for func, rates in
-            (("sinc", spec.sinc_rates + (spec.outer_rate,)), ("cos", spec.cos_rates))
-            for rate in rates)))
+    """The exact sinc/cos product integral, with Lord's condition."""
+    return TransformResult.from_exact(
+        sinc_cos_product_integral(spec), method="sinc_product_enumeration",
+        formula="delta_ramp_tuple_sum",
+        diagnostics={"lord_condition": spec.lord_condition, "verdict": "exact"})
 
 
 def borwein_result(n: int) -> TransformResult:
@@ -325,7 +311,7 @@ def borwein_result(n: int) -> TransformResult:
 
 
 def _solve_sinc_cos_product(ast: Node, params: dict, truncation: int) -> TransformResult:
-    return _enumeration_result(SincProductSpec(
+    return sinc_product_result(SincProductSpec(
         params["sinc_rates"], params["cos_rates"], params["outer_rate"]))
 
 
@@ -366,8 +352,8 @@ def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
     """Integral over the real line by the first route of ROUTES that
     serves the integrand's family and does not miss.
 
-    A miss (not exp-poly, unsupported shape, divergent, a step at its jump)
-    is logged and the next route tried; the diagnostics list every attempt.
+    A miss (not exp-poly, unsupported shape, divergent) is logged and the
+    next route tried; the diagnostics list every attempt.
     ``method`` names one route to run alone: its misses propagate, and an
     integrand outside its families is an UnsupportedFamilyError.
     """
@@ -386,7 +372,7 @@ def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
         try:
             result = solve(ast, route.params, truncation)
         except (NotExponentialPolynomial, UnsupportedFamilyError,
-                DivergentIntegralError, RampBoundaryError) as exc:
+                DivergentIntegralError) as exc:
             if method == name:
                 raise
             attempts.append(f"{name}: {exc}")

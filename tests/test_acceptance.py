@@ -80,18 +80,18 @@ def test_criterion_03_lord_theorem():
             continue
         count += 1
         spec = SincProductSpec(tuple(rates[:m]), tuple(rates[m:]), 1)
-        outcome = sinc_cos_product_integral(spec)
-        ok = ok and spec.lord_condition and outcome.value == PI
+        value = sinc_cos_product_integral(spec)
+        ok = ok and spec.lord_condition and value == PI
     worst = 0.0
     for sinc_rates, cos_rates in VIOLATING_SPECS:
         spec = SincProductSpec(sinc_rates, cos_rates, 1)
-        outcome = sinc_cos_product_integral(spec)
-        ok = ok and not spec.lord_condition and outcome.value != PI
+        value = sinc_cos_product_integral(spec)
+        ok = ok and not spec.lord_condition and value != PI
         text = "*".join([f"sinc(({a})*x)" for a in sinc_rates]
                         + [f"cos(({b})*x)" for b in cos_rates] + ["sinc(x)"])
         rep = quad_real_line(as_vector_callable(P(text)), tol=1e-8,
                              decay="oscillatory_algebraic", segments=128)
-        diff = abs(float(outcome.value) - rep.value)
+        diff = abs(float(value) - rep.value)
         worst = max(worst, diff)
         ok = ok and diff < 1e-6
     report(3, "lord-theorem", ok, f"worst oracle gap {worst:.2e}")
@@ -194,11 +194,10 @@ def test_criterion_08_representative_invariance():
         ok = ok and base.exact == pert.exact
     # Borwein pipeline: perturb the tuple-sum ramp representatives
     spec = SincProductSpec((Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)), (), 1)
-    base_value = sinc_cos_product_integral(spec).value
+    base_value = sinc_cos_product_integral(spec)
     for _ in range(5):
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-        ok = ok and sinc_cos_product_integral(spec, ramp_perturbation=poly).value \
-            == base_value
+        ok = ok and sinc_cos_product_integral(spec, ramp_perturbation=poly) == base_value
     # Gaussian-sinc pipeline: perturb the Gaussian anti-derivative chain
     for n in (1, 2, 3, 4):
         base_g = sinc_power_gaussian(n).exact

@@ -18,7 +18,9 @@ from opcalc.exact import SQRT_TWO_PI, ExactValue, double_factorial
 from opcalc.kernels import gaussian_chain
 from opcalc.oracle import quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
+from opcalc.transforms import integrate_real_line, sinc_product_result
 
+PI = ExactValue.pi_times(1)
 B8_DEFICIT = Fraction(6879714958723010531, 467807924720320453655260875000)
 
 # sha256 of the exact strings of the integrals of sinc(x)^n e^(-x^2/2),
@@ -40,19 +42,22 @@ def _integer_rates(rates):
 
 def brute_ramp_sum(rates, weighted, m, poly=()):
     """signed_ramp_sum term by term: sum over all 2^k tuples of
-    w(gamma) [R_m(beta) + poly(beta)]."""
+    w(gamma) [R_m(beta) + poly(beta)].  At m = 0 the tuples with beta = 0
+    sit on the step's jump: they count as 0 when their weights cancel."""
     scale, ints = _integer_rates(rates)
-    ramps = 0
+    ramps = tie = 0
     moments = [0] * len(poly)
     for signs in itertools.product((1, -1), repeat=len(ints)):
         beta = sum(g * r for g, r in zip(signs, ints))
         w = math.prod(g for g, flag in zip(signs, weighted) if flag)
-        if m == 0 and beta == 0:
-            raise RampBoundaryError("the reference hit a jump")
         if beta > 0:
             ramps += w * beta ** m
+        elif beta == 0:
+            tie += w
         for j in range(len(moments)):
             moments[j] += w * beta ** j
+    if m == 0 and tie:
+        raise RampBoundaryError("the reference hit a jump whose weights do not cancel")
     return Fraction(ramps, scale ** m * math.factorial(m)) + \
         sum(Fraction(c) * Fraction(mom, scale ** j)
             for j, (c, mom) in enumerate(zip(poly, moments)))
@@ -68,27 +73,53 @@ def brute_borwein(n):
 def brute_sinc_cos(spec, perturbation=()):
     """pi-coefficient of the sinc/cos product integral: all 2^(m+n) tuples
     of the normalized spec, each giving R_m(beta + 1) - R_m(beta - 1),
-    with *perturbation* added to every ramp."""
+    with *perturbation* added to every ramp.  At m = 0 the ramps at 0 sit
+    on the step's jump: they count as 0 when their weights cancel."""
     norm = spec.normalized()
     m, n = len(norm.sinc_rates), len(norm.cos_rates)
     scale, rates = _integer_rates(norm.sinc_rates + norm.cos_rates + (1,))
     one = rates.pop()
-    ramps = 0
+    ramps = tie = 0
     moments = [0] * len(perturbation)
     for signs in itertools.product((1, -1), repeat=m + n):
         beta = sum(g * r for g, r in zip(signs, rates))
         sign = math.prod(signs[:m])
         for x, side in ((beta + one, sign), (beta - one, -sign)):
-            if m == 0 and x == 0:
-                raise RampBoundaryError("the reference hit a jump")
             if x > 0:
                 ramps += side * x ** m
+            elif x == 0:
+                tie += side
             for j in range(len(moments)):
                 moments[j] += side * x ** j
+    if m == 0 and tie:
+        raise RampBoundaryError("the reference hit a jump whose weights do not cancel")
     total = Fraction(ramps, scale ** m * math.factorial(m))
     total += sum(Fraction(c) * Fraction(mom, scale ** j)
                  for j, (c, mom) in enumerate(zip(perturbation, moments)))
     return total / (2 ** (m + n) * math.prod(norm.sinc_rates)) / spec.outer_rate
+
+
+def product_text(spec):
+    """The integrand of *spec* as opcalc reads it."""
+    return "*".join([f"sinc(({a})*x)" for a in spec.sinc_rates]
+                    + [f"cos(({b})*x)" for b in spec.cos_rates]
+                    + [f"sinc(({spec.outer_rate})*x)"])
+
+
+def delta_route_value(spec):
+    """The product's integral by the delta route: f(-i d/dy) on the delta,
+    one merged word, read at 0, independent of the tuple sum."""
+    result = integrate_real_line(parse_expression(product_text(spec)), method="delta")
+    assert result.method == "fourier_delta"
+    return result.exact
+
+
+def reaches_a_tie(spec):
+    """No inner sinc, and a signed cos sum lands on the outer rate: the
+    tuple sum has steps at their jumps."""
+    return not spec.sinc_rates and any(
+        abs(sum(g * b for g, b in zip(signs, spec.cos_rates))) == spec.outer_rate
+        for signs in itertools.product((1, -1), repeat=len(spec.cos_rates)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,38 +162,42 @@ def test_coefficient_identity():
 # ---------------------------------------------------------------------------
 
 def test_single_sinc_is_pi():
-    out = sinc_cos_product_integral(SincProductSpec())
-    assert out.value == ExactValue.pi_times(1)
-    assert out.lord_condition
+    spec = SincProductSpec()
+    assert sinc_cos_product_integral(spec) == PI
+    assert spec.lord_condition
 
 
 def test_b2_spec_is_pi():
-    out = sinc_cos_product_integral(SincProductSpec((Fraction(1, 3),), (), 1))
-    assert out.value == ExactValue.pi_times(1)
+    assert sinc_cos_product_integral(SincProductSpec((Fraction(1, 3),), (), 1)) == PI
 
 
 def test_b8_via_product_spec():
     spec = SincProductSpec(borwein_rates(8)[1:], (), 1)
-    out = sinc_cos_product_integral(spec)
-    assert out.value == ExactValue.pi_times(1 - B8_DEFICIT)
-    assert not out.lord_condition
+    assert sinc_cos_product_integral(spec) == ExactValue.pi_times(1 - B8_DEFICIT)
+    assert not spec.lord_condition
 
 
 def test_sinc_cubed():
-    out = sinc_cos_product_integral(SincProductSpec((1, 1), (), 1))
-    assert out.value == ExactValue.pi_times(Fraction(3, 4))
+    value = sinc_cos_product_integral(SincProductSpec((1, 1), (), 1))
+    assert value == ExactValue.pi_times(Fraction(3, 4))
 
 
 def test_outer_rescaling():
     # substituting u = c x scales the value by 1/c against the normalized spec
-    out = sinc_cos_product_integral(SincProductSpec((), (), 2))
-    assert out.value == ExactValue.pi_times(Fraction(1, 2))
-    assert out.rescaled_by == 2
+    spec = SincProductSpec((), (), 2)
+    value = sinc_cos_product_integral(spec)
+    assert value == ExactValue.pi_times(Fraction(1, 2))
+    assert value == sinc_cos_product_integral(spec.normalized()) * (1 / spec.outer_rate)
 
 
 def test_step_boundary_is_reported():
-    with pytest.raises(RampBoundaryError):
-        sinc_cos_product_integral(SincProductSpec((), (Fraction(1),), 1))
+    # sinc(x) cos(x): the steps at their jumps cancel, and the tuple sum
+    # answers what the delta route answers
+    spec = SincProductSpec((), (Fraction(1),), 1)
+    result = sinc_product_result(spec)
+    assert result.method == "sinc_product_enumeration"
+    assert result.exact == sinc_cos_product_integral(spec) == delta_route_value(spec)
+    assert str(result.exact) == "(1/2)*pi"
 
 
 def test_lord_condition_randomized_pi():
@@ -175,8 +210,7 @@ def test_lord_condition_randomized_pi():
             rates = [r / 2 for r in rates]
         spec = SincProductSpec(tuple(rates[:m]), tuple(rates[m:]), 1)
         assert spec.lord_condition
-        out = sinc_cos_product_integral(spec)
-        assert out.value == ExactValue.pi_times(1)
+        assert sinc_cos_product_integral(spec) == PI
 
 
 def test_violating_specs_leave_pi_and_match_oracle():
@@ -187,23 +221,20 @@ def test_violating_specs_leave_pi_and_match_oracle():
     ]
     for spec in violating:
         assert not spec.lord_condition
-        out = sinc_cos_product_integral(spec)
-        assert out.value != ExactValue.pi_times(1)
-        text = "*".join([f"sinc(({a})*x)" for a in spec.sinc_rates]
-                        + [f"cos(({b})*x)" for b in spec.cos_rates]
-                        + ["sinc(x)"])
-        rep = quad_real_line(as_vector_callable(parse_expression(text)),
+        value = sinc_cos_product_integral(spec)
+        assert value != PI
+        rep = quad_real_line(as_vector_callable(parse_expression(product_text(spec))),
                              tol=1e-8, decay="oscillatory_algebraic", segments=128)
-        assert float(out.value) == pytest.approx(rep.value, abs=1e-6)
+        assert float(value) == pytest.approx(rep.value, abs=1e-6)
 
 
 def test_ramp_perturbation_cancels_exactly():
     rng = random.Random(99)
     spec = SincProductSpec((Fraction(1, 3), Fraction(1, 5)), (Fraction(1, 7),), 1)
-    base = sinc_cos_product_integral(spec).value
+    base = sinc_cos_product_integral(spec)
     for _ in range(5):
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
-        assert sinc_cos_product_integral(spec, ramp_perturbation=poly).value == base
+        assert sinc_cos_product_integral(spec, ramp_perturbation=poly) == base
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +328,7 @@ def _random_spec(rng):
 
 def test_sinc_cos_matches_brute_force():
     rng = random.Random(31)
-    perturbed = boundaries = 0
+    perturbed = ties = 0
     for _ in range(200):
         spec = _random_spec(rng)
         m = len(spec.sinc_rates)
@@ -306,39 +337,61 @@ def test_sinc_cos_matches_brute_force():
             poly = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                          for _ in range(rng.randint(1, m)))
             perturbed += 1
-        try:
-            want = brute_sinc_cos(spec, poly)
-        except RampBoundaryError:
-            boundaries += 1
-            with pytest.raises(RampBoundaryError):
-                sinc_cos_product_integral(spec, ramp_perturbation=poly)
-            continue
-        out = sinc_cos_product_integral(spec, ramp_perturbation=poly)
-        assert out.value.pi_coefficient == want, spec
-        assert out.is_pi == (want == 1)
-    assert perturbed >= 20 and boundaries >= 5
+        ties += reaches_a_tie(spec)
+        want = brute_sinc_cos(spec, poly)
+        value = sinc_cos_product_integral(spec, ramp_perturbation=poly)
+        assert value.pi_coefficient == want, spec
+        assert (value == PI) == (want == 1)
+    assert perturbed >= 20 and ties >= 5
 
 
 def test_step_hits_raise_in_both():
     # no sinc slots (m = 0): a cos sum landing on +-1 puts a step at its
-    # jump; the tuples with beta = 1 and beta = -1 cancel in weight.  In
-    # (1/3, 1/3, 1) they also cancel inside one half of the slots.
-    for cos in [(Fraction(1, 3), Fraction(2, 3)),
-                (Fraction(1, 3), Fraction(1, 3), Fraction(1)),
-                (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
-                (Fraction(3, 2), Fraction(1, 2), Fraction(1, 5), Fraction(1, 5)),
-                (Fraction(1),)]:
+    # jump, and gamma -> -gamma pairs the tuples there with opposite
+    # weights.  In (1/3, 1/3, 1) they also cancel inside one half of the
+    # slots.  Both sums count the jumps as 0 and agree with the delta route.
+    for cos, exact in [((Fraction(1, 3), Fraction(2, 3)), "(3/4)*pi"),
+                       ((Fraction(1, 3), Fraction(1, 3), Fraction(1)), "(1/2)*pi"),
+                       ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), "(7/8)*pi"),
+                       ((Fraction(3, 2), Fraction(1, 2), Fraction(1, 5), Fraction(1, 5)),
+                        "(1/4)*pi"),
+                       ((Fraction(1),), "(1/2)*pi")]:
         spec = SincProductSpec((), cos, 1)
-        with pytest.raises(RampBoundaryError):
-            brute_sinc_cos(spec)
-        with pytest.raises(RampBoundaryError):
-            sinc_cos_product_integral(spec)
+        assert reaches_a_tie(spec)
+        result = sinc_product_result(spec)
+        assert result.method == "sinc_product_enumeration"
+        assert result.exact.pi_coefficient == brute_sinc_cos(spec)
+        assert result.exact == delta_route_value(spec)
+        assert str(result.exact) == exact
+
+
+def _tie_spec(rng):
+    """A spec with up to six cos rates, no inner sinc, and an outer rate
+    that is a signed sum of the cos rates, when that sum is not 0."""
+    cos = [Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))]
+    outer = abs(sum(rng.choice((1, -1)) * b for b in cos))
+    return SincProductSpec((), tuple(cos), outer or cos[0])
+
+
+def test_tuple_sum_equals_the_delta_route():
+    # ties and ordinary specs alike: the tuple sum is the delta route's value
+    rng = random.Random(19)
+    specs = [_tie_spec(rng) for _ in range(100)]
+    while len(specs) < 200:  # the delta route's word grows fast with the slots
+        spec = _random_spec(rng)
+        if len(spec.sinc_rates) + len(spec.cos_rates) <= 5:
+            specs.append(spec)
+    assert sum(map(reaches_a_tie, specs)) >= 50
+    for spec in specs:
+        assert sinc_cos_product_integral(spec) == delta_route_value(spec), spec
 
 
 def test_signed_ramp_sum_matches_brute_force():
-    # any polynomial, not only the admissible ones that cancel
+    # any polynomial, not only the admissible ones that cancel; with an
+    # even number of weighted slots a step at its jump need not cancel
     rng = random.Random(17)
-    for _ in range(150):
+    jumps = cancelled = 0
+    for case in range(250):
         k = rng.randint(1, 10)
         pool = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
         rates = [rng.choice(pool) if rng.random() < 0.4 else
@@ -347,12 +400,22 @@ def test_signed_ramp_sum_matches_brute_force():
         m = rng.randint(0, 6)
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(rng.randint(0, 4))]
+        if case >= 150:  # a step at its jump: the last rate is a signed sum of the others
+            m = 0
+            rates[-1] = abs(sum(rng.choice((1, -1)) * r for r in rates[:-1])) or rates[-1]
         try:
             want = brute_ramp_sum(rates, weighted, m, poly)
         except RampBoundaryError:
+            jumps += 1
             with pytest.raises(RampBoundaryError):
                 signed_ramp_sum(rates, weighted, m, poly)
             continue
+        cancelled += m == 0 and any(sum(g * r for g, r in zip(signs, rates)) == 0
+                                    for signs in itertools.product((1, -1), repeat=k))
         assert signed_ramp_sum(rates, weighted, m, poly) == want
+    assert jumps >= 20 and cancelled >= 20
+    # (+, -) and (-, +) both land on 0 with weight -1
+    with pytest.raises(RampBoundaryError):
+        signed_ramp_sum([1, 1], [True, True], 0)
     with pytest.raises(ValueError):
         signed_ramp_sum([1, 2], [True], 1)

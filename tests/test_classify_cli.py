@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import opcalc
-from opcalc.borwein import RampBoundaryError
 from opcalc.classify import classify
 from opcalc import cli
 from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
@@ -371,6 +370,18 @@ def test_cli_malformed_interval_endpoint_is_a_usage_error(capsys):
     assert "argument --interval: not a rational number: '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, rates, bad", [("--sinc", "1/0", "1/0"), ("--cos", "1,1/0", "1/0"),
+                                              ("--sinc", "1/2,,1/3", ""),
+                                              ("--cos", "1/2,half", "half")])
+def test_cli_malformed_lord_rate_is_a_usage_error(capsys, flag, rates, bad):
+    # a zero denominator was a ZeroDivisionError traceback with exit 1
+    with pytest.raises(SystemExit) as exc:
+        run(["lord", flag, rates])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not a rational number: {bad!r}" in err and "Traceback" not in err
+
+
 def test_cli_method_applies_on_the_written_real_line(capsys):
     for interval in ((), ("--interval", "-inf", "inf")):
         code, out, err = run_cli(capsys, "integrate", "sinc(x)", *interval,
@@ -426,7 +437,20 @@ def test_cli_accepts_trailing_whitespace(capsys, command):
     code, out, err = run_cli(capsys, *command)
     assert code == EXIT_OK, err
     stripped = [command[0], command[1].rstrip()] + command[2:]
-    assert out.replace(command[1], stripped[1]) == run_cli(capsys, *stripped)[1]
+    assert out == run_cli(capsys, *stripped)[1]
+
+
+@pytest.mark.parametrize("expr, echo", [("exp(-x)\n", "exp(-x)"), ("  exp(-x)", "exp(-x)"),
+                                        ("x *\texp(-x)\n", "x * exp(-x)"),
+                                        ("x\u3000*  exp(-x)", "x * exp(-x)")])
+def test_cli_echoes_the_input_with_its_whitespace_collapsed(capsys, expr, echo):
+    # the echo was the text as typed: a trailing newline printed an empty line
+    code, out, err = run_cli(capsys, "integrate", expr, "--interval", "0", "1")
+    assert code == EXIT_OK, err
+    assert out.splitlines()[:2] == [f"input:   {echo}", "method:  series_finite_interval"]
+    code, out, err = run_cli(capsys, "integrate", expr, "--interval", "0", "1", "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["input"] == echo
 
 
 @pytest.mark.parametrize("expr", [" ", "\n", "\t \u3000"])
@@ -788,9 +812,9 @@ def test_cli_closed_stdout_exits_quietly():
 
 
 # A sinc/cos product whose tuple sum has a step exactly at its jump (no
-# sinc slot besides the outer one, and a cos rate equal to it) is a miss of
-# the enumeration route, not an error: the delta route reads the merged
-# word, whose steps at the jump cancel, and answers exactly.
+# sinc slot besides the outer one, and a signed cos sum equal to it): the
+# tuples at the jump cancel in weight, so the tuple sum answers, with the
+# exact string the delta route gives for the merged word.
 TUPLE_SUM_TIES = [("sinc(x)*cos(x)", "(1/2)*pi"), ("sinc(x)*cos(x/2)^2", "(3/4)*pi"),
                   ("sinc(2*x)*cos(2*x)", "(1/4)*pi")]
 
@@ -801,21 +825,26 @@ def test_a_tuple_sum_tie_falls_through_to_the_delta_route(capsys, command, expr,
     code, out, err = run_cli(capsys, command, expr, "--json")
     assert code == EXIT_OK, err
     payload = json.loads(out)
-    assert payload["exact"] == exact and payload["method"] == "fourier_delta"
-    assert payload["diagnostics"]["attempts"] == [
-        "sinc_cos_product: step evaluated exactly at its jump", "delta"]
+    assert payload["exact"] == exact and payload["method"] == "sinc_product_enumeration"
+    assert payload["diagnostics"]["attempts"] == ["sinc_cos_product"]
+    assert payload["diagnostics"]["lord_condition"] is False
+    delta = integrate_real_line(parse_expression(expr), method="delta")
+    assert delta.method == "fourier_delta" and str(delta.exact) == exact
 
 
 @pytest.mark.parametrize("expr, exact", TUPLE_SUM_TIES)
 def test_a_named_enumeration_route_still_raises_at_a_tie(expr, exact):
-    with pytest.raises(RampBoundaryError, match="exactly at its jump"):
-        integrate_real_line(parse_expression(expr), method="sinc_cos_product")
-    result = integrate_real_line(parse_expression(expr), method="delta")
-    assert str(result.exact) == exact
+    # the enumeration route alone answers a tie, and so does the delta route
+    for method, want in [("sinc_cos_product", "sinc_product_enumeration"),
+                         ("delta", "fourier_delta")]:
+        result = integrate_real_line(parse_expression(expr), method=method)
+        assert result.method == want and str(result.exact) == exact
+        assert result.diagnostics["attempts"] == [method]
 
 
-# lord runs the tuple sum itself; a tie there falls through to the delta
-# route as well, and prints what integrate prints for the same product
+# lord runs the tuple sum as integrate does, and prints what integrate
+# prints for the same product, less the attempts log; --method delta still
+# reads the product by the delta route
 LORD_TIES = [(("--cos", "1"), "sinc(x)*cos(x)", "(1/2)*pi"),
              (("--cos", "1/2,1/2"), "sinc(x)*cos(x/2)^2", "(3/4)*pi"),
              (("--cos", "1/3,2/3"), "sinc(x)*cos(x/3)*cos(2*x/3)", "(3/4)*pi"),
@@ -827,12 +856,17 @@ def test_lord_at_a_tuple_sum_tie_falls_through_to_the_delta_route(capsys, argv, 
     code, out, err = run_cli(capsys, "lord", *argv, "--json")
     assert code == EXIT_OK, err
     payload = json.loads(out)
-    assert payload["exact"] == exact and payload["method"] == "fourier_delta"
-    assert payload["diagnostics"]["attempts"] == [
-        "sinc_cos_product: step evaluated exactly at its jump", "delta"]
+    assert payload["exact"] == exact and payload["method"] == "sinc_product_enumeration"
+    assert payload["diagnostics"]["lord_condition"] is False
     code, out, err = run_cli(capsys, "integrate", expr, "--json")
     assert code == EXIT_OK, err
-    assert dict(json.loads(out), input="lord") == payload
+    integrated = json.loads(out)
+    assert integrated["diagnostics"].pop("attempts") == ["sinc_cos_product"]
+    assert dict(integrated, input="lord") == payload
+    code, out, err = run_cli(capsys, "integrate", expr, "--method", "delta", "--json")
+    assert code == EXIT_OK, err
+    delta = json.loads(out)
+    assert delta["method"] == "fourier_delta" and delta["exact"] == exact
 
 
 def test_printing_more_digits_sums_each_term_once(capsys, monkeypatch):

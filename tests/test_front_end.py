@@ -344,6 +344,40 @@ def test_two_term_powers_are_the_binomial_row(monkeypatch):
     assert row == {j: math.comb(200, j) for j in range(201)}
 
 
+def test_powers_of_any_base_equal_repeated_products(monkeypatch):
+    # on named and seeded bases of one to six terms, rates and powers of
+    # x mixed and colliding, base^k is the k repeated products as a dict;
+    # the power itself takes no product
+    rng = random.Random(19)
+    texts = ["1+x+x^2", "x^2+1+x", "1+x^2+x^5", "cos(x)+cos(2*x)", "sinc(x)+cos(x)",
+             "sin(x)+sin(3*x)+sin(5*x)", "1+x+exp(-x)", "sinc(x)+cos(x/3)+exp(-x)",
+             "x-x", "x^-1+2+x", "(1+x)*(1-x)", "0.5*x+exp(x/2)*cos(x)-1"]
+    terms = ["x", "x^2", "x^-1", "exp(-x)", "exp(x/3)", "cos(x)", "sin(x/2)", "sinc(x)"]
+    while len(texts) < 30:
+        texts.append("+".join(f"({Fraction(rng.randint(-9, 9), rng.randint(1, 4))})*"
+                              f"{rng.choice(terms)}" for _ in range(rng.randint(2, 6))))
+    powers = []
+    for text in texts:
+        base = exp_poly_normal_form(parse_expression(text))
+        want = {(CR_ZERO, 0): CR_ONE}
+        for k in range(8 if len(base) < 5 else 5):
+            powers.append((text, k, want))
+            want = operators._nf_mul(want, base)
+    assert sum(len(exp_poly_normal_form(parse_expression(t))) >= 3 for t in texts) >= 20
+    calls = []
+    original = operators._nf_mul
+    monkeypatch.setattr(operators, "_nf_mul",
+                        lambda a, b: calls.append(1) or original(a, b))
+    for text, k, want in powers:
+        exp_poly_normal_form(parse_expression(text))
+        products_in_base = len(calls)
+        assert exp_poly_normal_form(parse_expression(f"({text})^{k}")) == want, (text, k)
+        assert len(calls) == 2 * products_in_base
+        calls.clear()
+    row = operators.polynomial_of(parse_expression("(1+x+x^2)^60"))
+    assert sum(row.values()) == 3 ** 60 and row[60] == max(row.values())
+
+
 def test_series_powers_square_and_multiply(monkeypatch):
     base = taylor_of(parse_expression("sinc(x)+x"), 24)
     want = {0: base.pow(0)}
