@@ -12,10 +12,10 @@ Families, tried most specific first:
   closed-form patterns; handled by truncated-series kernels.
 * unsupported: everything else, carrying the per-family failure reasons.
 
-Arguments and denominator factors are read with the operators module's
-polynomial reader (``polynomial_of``, ``linear_rate``).  A product is
-scanned once into (factor, multiplicity) pairs, so a power's rate is
-read once, not once per copy.
+A product is scanned once into (factor, multiplicity) pairs, which name
+both product families, so a power's rate is read once, not once per
+copy.  Arguments and denominator factors are read with the operators
+module's polynomial reader (``polynomial_of``, ``linear_rate``).
 """
 
 from __future__ import annotations
@@ -60,56 +60,43 @@ def _factor_scan(node: Node, count: int = 1):
     return [(node, count)] if count else [], 1
 
 
-# -- family matchers --------------------------------------------------------
+# -- family matchers: each returns (tag, params) or raises why it misses ----
 
-def _match_sinc_cos(ast: Node) -> dict:
+_UNIT_GAUSSIAN = {2: Fraction(-1, 2)}
+
+
+def _match_product(ast: Node) -> tuple:
+    """One scan of a product into sinc rates, cos rates and unit Gaussians
+    e^(-x^2/2) names its family: with no Gaussian and a sinc,
+    sinc_cos_product (the widest sinc plays the outer role); with one
+    Gaussian and only sinc(+-x) factors, gaussian_sinc."""
     factors, sign = _factor_scan(ast)
     if sign != 1:
         raise _NoMatch("an overall minus sign is not a plain sinc/cos product")
-    sinc_rates = []
-    cos_rates = []
-    for f, count in factors:
-        if isinstance(f, Num) and f.value == 1:
-            continue
-        if not isinstance(f, Call):
-            raise _NoMatch(f"factor {type(f).__name__} is not sinc or cos")
-        rate = linear_rate(f.arg)
-        if rate == 0:
-            raise _NoMatch("zero-frequency factor")
-        if f.func == "sinc":
-            sinc_rates += [abs(rate)] * count
-        elif f.func == "cos":
-            cos_rates += [abs(rate)] * count
-        else:
-            raise _NoMatch(f"factor {f.func} is not sinc or cos")
-    if not sinc_rates:
-        raise _NoMatch("needs at least one sinc factor to be integrable")
-    sinc_rates.sort()
-    outer = sinc_rates.pop()  # widest sinc plays the outer role
-    return {"sinc_rates": tuple(sinc_rates), "cos_rates": tuple(cos_rates),
-            "outer_rate": outer}
-
-
-def _match_gaussian_sinc(ast: Node) -> dict:
-    factors, sign = _factor_scan(ast)
-    if sign != 1:
-        raise _NoMatch("an overall minus sign is not in this family")
+    rates = {"sinc": [], "cos": []}  # (|rate|, multiplicity) in factor order
     gaussians = 0
-    sinc_power = 0
     for f, count in factors:
         if isinstance(f, Num) and f.value == 1:
             continue
-        if isinstance(f, Call) and f.func == "exp" \
-                and polynomial_of(f.arg) == {2: Fraction(-1, 2)}:
+        if not isinstance(f, Call) or f.func not in ("sinc", "cos", "exp"):
+            raise _NoMatch(f"factor {getattr(f, 'func', type(f).__name__)} is not sinc, cos or exp")
+        if f.func == "exp":
+            if polynomial_of(f.arg) != _UNIT_GAUSSIAN:
+                raise _NoMatch("an exp factor other than the unit Gaussian")
             gaussians += count
-        elif isinstance(f, Call) and f.func == "sinc" and linear_rate(f.arg) in (1, -1):
-            sinc_power += count
+        elif (rate := abs(linear_rate(f.arg))) == 0:
+            raise _NoMatch("zero-frequency factor")
         else:
-            raise _NoMatch(
-                f"factor {type(f).__name__} is neither sinc(x) nor the unit Gaussian")
-    if gaussians != 1:
-        raise _NoMatch("needs exactly one unit Gaussian factor")
-    return {"sinc_power": sinc_power}
+            rates[f.func].append((rate, count))
+    if not gaussians and rates["sinc"]:
+        sincs = sorted(rate for rate, count in rates["sinc"] for _ in range(count))
+        return "sinc_cos_product", {
+            "sinc_rates": tuple(sincs[:-1]),
+            "cos_rates": tuple(rate for rate, count in rates["cos"] for _ in range(count)),
+            "outer_rate": sincs[-1]}
+    if gaussians == 1 and not rates["cos"] and all(rate == 1 for rate, _ in rates["sinc"]):
+        return "gaussian_sinc", {"sinc_power": sum(count for _, count in rates["sinc"])}
+    raise _NoMatch("needs a sinc and no Gaussian, or one unit Gaussian and only sinc(x)")
 
 
 def _match_rational_trig(ast: Node) -> dict:
@@ -135,7 +122,7 @@ def _match_rational_trig(ast: Node) -> dict:
         raise _NoMatch("no x^2 + a^2 factor in the denominator")
     if len(set(rates)) != len(rates):
         raise _NoMatch("repeated factors unsupported")
-    return {"rates": tuple(sorted(rates)), "numerator": ast.left}
+    return "rational_trig", {"rates": tuple(sorted(rates)), "numerator": ast.left}
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -145,27 +132,30 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-_FAMILIES = (("sinc_cos_product", _match_sinc_cos),
-             ("gaussian_sinc", _match_gaussian_sinc),
-             ("rational_trig", _match_rational_trig))
+def _probe_exp_poly(ast: Node) -> tuple:
+    exp_poly_normal_form(ast)
+    return "exp_poly", {}
+
+
+def _probe_series(ast: Node) -> tuple:
+    taylor_of(ast, 8)
+    return "series_only", {}
+
+
+# (the tags an entry can name, its matcher), most specific first
+_FAMILIES = ((("sinc_cos_product", "gaussian_sinc"), _match_product),
+             (("rational_trig",), _match_rational_trig),
+             (("exp_poly",), _probe_exp_poly),
+             (("series_only",), _probe_series))
 
 
 def classify(ast: Node) -> RouteClass:
     """Total, deterministic classification with per-family failure reasons."""
     reasons = {}
-    for tag, match in _FAMILIES:
+    for tags, match in _FAMILIES:
         try:
-            return RouteClass(tag, match(ast))
-        except (_NoMatch, NotExponentialPolynomial) as exc:
-            reasons[tag] = str(exc)
-    try:
-        exp_poly_normal_form(ast)
-        return RouteClass("exp_poly", {})
-    except NotExponentialPolynomial as exc:
-        reasons["exp_poly"] = str(exc)
-    try:
-        taylor_of(ast, 8)
-        return RouteClass("series_only", {})
-    except (NotSeriesRepresentable, ZeroDivisionError) as exc:
-        reasons["series_only"] = str(exc)
+            return RouteClass(*match(ast))
+        except (_NoMatch, NotExponentialPolynomial, NotSeriesRepresentable,
+                ZeroDivisionError) as exc:
+            reasons.update(dict.fromkeys(tags, str(exc)))
     return RouteClass("unsupported", {}, reasons)

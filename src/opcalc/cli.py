@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -218,12 +219,17 @@ _COMMANDS = {
 }
 
 
+# --name or --name=value, the name letters and dashes but neither x nor pi
+_OPTION = re.compile(r"--(?!(?:x|pi)(?:=|$))[A-Za-z][A-Za-z-]*(?:=.*)?", re.DOTALL)
+
+
 def _shield_negative_numbers(argv):
-    """argparse treats "-1/2", "-inf" or "-sinc(x)" as flags; a leading
-    space keeps every single-dash token but -h a value (Fraction parsing
-    tolerates the whitespace; run() takes it off the expression)."""
-    return [" " + token if token.startswith("-") and not token.startswith("--")
-            and token != "-h" else token for token in argv]
+    """argparse treats "-1/2", "-inf", "-sinc(x)" or "--x" as flags; a
+    leading space keeps every dash token a value but -h, the "--" marker
+    and an option (Fraction parsing tolerates the whitespace; run() takes
+    it off the expression)."""
+    return [" " + token if token.startswith("-") and token not in ("-h", "--")
+            and not _OPTION.fullmatch(token) else token for token in argv]
 
 
 def run(argv=None) -> int:

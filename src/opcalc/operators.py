@@ -184,17 +184,13 @@ def laurent_defect(nf: ExpPoly) -> dict:
     All of them vanish exactly iff f extends to an entire function; the
     check is what licenses the formal half-line and delta routes.
     """
-    lowest = min((n for (_mu, n) in nf), default=0)
-    defects = {}
-    for d in range(lowest, 0):
-        total = CR_ZERO
-        for (mu, n), c in nf.items():
-            if n <= d:
-                k = d - n
-                total = total + c * mu ** k / ComplexRational(Fraction(math.factorial(k)))
-        if not total.is_zero:
-            defects[d] = total
-    return defects
+    totals: dict = {}
+    for (mu, n), c in nf.items():
+        term = c  # c mu^(d-n)/(d-n)!, the term's share of degree d
+        for d in range(n, 0):
+            totals[d] = totals[d] + term if d in totals else term
+            term = term * mu / (d - n + 1)
+    return {d: totals[d] for d in sorted(totals) if not totals[d].is_zero}
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +237,8 @@ class OperatorWord:
 
 def word_of(nf: ExpPoly, rot: ComplexRational) -> OperatorWord:
     """The word f(rot d/dy) of a normal form: each c x^n e^(mu x) becomes
-    c rot^n T_(rot mu) D^n.  The shift must come out real."""
+    c rot^n T_(rot mu) D^n.  The shift must come out real.  rot is one of
+    +-1, +-i, so rot^n is rot^(n mod 4)."""
     terms = []
     for (mu, n), c in nf.items():
         shift = rot * mu
@@ -249,7 +246,7 @@ def word_of(nf: ExpPoly, rot: ComplexRational) -> OperatorWord:
             kind = "oscillatory factors" if rot.is_real else "real exponential rates"
             raise NotExponentialPolynomial(
                 f"{kind} give complex translations under this variant")
-        terms.append(OperatorTerm(c * rot ** n, shift.re, n))
+        terms.append(OperatorTerm(c * rot ** (n % 4), shift.re, n))
     return OperatorWord.from_terms(terms)
 
 

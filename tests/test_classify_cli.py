@@ -2,26 +2,38 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import opcalc
-from opcalc.classify import classify
+from opcalc.classify import RouteClass, classify
 from opcalc import cli
 from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
                         EXIT_PARSE, EXIT_UNSUPPORTED, build_arg_parser, run)
 from opcalc.exact import Residue
-from opcalc.parser import parse_expression
+from opcalc.operators import (NotExponentialPolynomial, exp_poly_normal_form,
+                              linear_rate, polynomial_of)
+from opcalc.parser import Call, Num, ParseError, parse_expression
+from opcalc.series import NotSeriesRepresentable, taylor_of
 from opcalc.transforms import ROUTES, integrate_real_line
+
+sys.path.insert(0, str(Path(__file__).parent))
+import parse_corpus  # noqa: E402  (a script as well, so not a package module)
+
+# the package exports the function classify under the submodule's name
+classify_module = importlib.import_module("opcalc.classify")
 
 try:
     import jsonschema
@@ -112,6 +124,148 @@ def test_classify_is_deterministic():
     for text in corpus:
         tags = {classify(parse_expression(text)).tag for _ in range(3)}
         assert len(tags) == 1
+
+
+# The classify of the code in which sinc/cos products and Gaussian-sinc
+# products were matched by two scans of the product, kept as the reference
+# for the one scan that names both families.
+
+def _reference_sinc_cos(ast):
+    factors, sign = classify_module._factor_scan(ast)
+    if sign != 1:
+        raise classify_module._NoMatch("an overall minus sign")
+    sinc_rates, cos_rates = [], []
+    for f, count in factors:
+        if isinstance(f, Num) and f.value == 1:
+            continue
+        if not isinstance(f, Call):
+            raise classify_module._NoMatch("not sinc or cos")
+        rate = linear_rate(f.arg)
+        if rate == 0:
+            raise classify_module._NoMatch("zero-frequency factor")
+        if f.func == "sinc":
+            sinc_rates += [abs(rate)] * count
+        elif f.func == "cos":
+            cos_rates += [abs(rate)] * count
+        else:
+            raise classify_module._NoMatch("not sinc or cos")
+    if not sinc_rates:
+        raise classify_module._NoMatch("needs a sinc")
+    sinc_rates.sort()
+    outer = sinc_rates.pop()
+    return {"sinc_rates": tuple(sinc_rates), "cos_rates": tuple(cos_rates),
+            "outer_rate": outer}
+
+
+def _reference_gaussian_sinc(ast):
+    factors, sign = classify_module._factor_scan(ast)
+    if sign != 1:
+        raise classify_module._NoMatch("an overall minus sign")
+    gaussians = sinc_power = 0
+    for f, count in factors:
+        if isinstance(f, Num) and f.value == 1:
+            continue
+        if isinstance(f, Call) and f.func == "exp" \
+                and polynomial_of(f.arg) == {2: Fraction(-1, 2)}:
+            gaussians += count
+        elif isinstance(f, Call) and f.func == "sinc" and linear_rate(f.arg) in (1, -1):
+            sinc_power += count
+        else:
+            raise classify_module._NoMatch("neither sinc(x) nor the unit Gaussian")
+    if gaussians != 1:
+        raise classify_module._NoMatch("needs one unit Gaussian")
+    return {"sinc_power": sinc_power}
+
+
+def _reference_classify(ast):
+    reasons = {}
+    for tag, match in (("sinc_cos_product", _reference_sinc_cos),
+                       ("gaussian_sinc", _reference_gaussian_sinc),
+                       ("rational_trig", lambda a: classify_module._match_rational_trig(a)[1])):
+        try:
+            return RouteClass(tag, match(ast))
+        except (classify_module._NoMatch, NotExponentialPolynomial) as exc:
+            reasons[tag] = str(exc)
+    try:
+        exp_poly_normal_form(ast)
+        return RouteClass("exp_poly", {})
+    except NotExponentialPolynomial as exc:
+        reasons["exp_poly"] = str(exc)
+    try:
+        taylor_of(ast, 8)
+        return RouteClass("series_only", {})
+    except (NotSeriesRepresentable, ZeroDivisionError) as exc:
+        reasons["series_only"] = str(exc)
+    return RouteClass("unsupported", {}, reasons)
+
+
+def _classified(classifier, ast):
+    """Tag, params and reason keys, or the exception's type."""
+    try:
+        route = classifier(ast)
+    except Exception as exc:
+        return type(exc).__name__
+    return route.tag, route.params, sorted(route.reasons)
+
+
+# the second pool weights the factors of Gaussian-sinc products
+PRODUCT_FACTORS = (("sinc(x)", "sinc(-x)", "sinc(x/3)", "sinc(2*x)", "sinc(0*x)",
+                    "cos(x)", "cos(x/3)", "cos(0*x)", "exp(-x^2/2)", "exp(-x^2/8)",
+                    "exp(-x)", "sin(x)", "x", "2", "(1/2)", "1"),
+                   ("sinc(x)",) * 3 + ("sinc(-x)",) * 2 + ("exp(-x^2/2)",) * 4
+                   + ("1", "sinc(2*x)", "cos(x)", "exp(-x^2/8)", "sinc(0*x)"))
+NAMED_PRODUCTS = ("exp(-x^2/2)", "exp(-x^2/2)^2", "exp(-x^2/2)*exp(-x^2/2)*sinc(x)",
+                  "exp(-x^2/8)*sinc(x)", "exp(-x^2/2)*cos(x)", "exp(-x^2/2)*sinc(2*x)",
+                  "exp(-x^2/2)*sinc(0*x)", "sinc(x)*cos(0*x)", "sinc(x)^0*cos(x)",
+                  "exp(-x^2/2)^0*sinc(x)", "-sinc(x)^2*exp(-x^2/2)", "(-sinc(-x))^2",
+                  "cos(x)*sinc(x/3)*cos(x/3)*cos(x)", "sinc(x/3)^2*sinc(2*x)*sinc(x)")
+
+
+def _seeded_products(count: int, seed: int = 20) -> list:
+    """Products of 1 to 4 factors, some negated, raised to powers 0 to 3,
+    under an overall sign or two."""
+    rng = random.Random(seed)
+    texts = list(NAMED_PRODUCTS)
+    while len(texts) < count:
+        factors, pool = [], rng.choice(PRODUCT_FACTORS)
+        for _ in range(rng.randint(1, 4)):
+            factor = rng.choice(pool)
+            factor = f"(-{factor})" if rng.random() < 0.15 else factor
+            factors.append(factor + rng.choice(("", "", "^0", "^2", "^3")))
+        texts.append(rng.choice(("{}", "{}", "{}", "-{}", "-(-{})", "--{}"))
+                     .format("*".join(factors)))
+    return texts
+
+
+def test_one_product_scan_classifies_as_the_two_matchers_did():
+    texts = _seeded_products(1200)
+    sample = parse_corpus.corpus()[::25]
+    tags = Counter()
+    for text in texts + sample:
+        try:
+            ast = parse_expression(text)
+        except ParseError:
+            continue
+        want = _classified(_reference_classify, ast)
+        assert _classified(classify, ast) == want, text
+        tags[want[0] if isinstance(want, tuple) else want] += 1
+    assert tags["sinc_cos_product"] >= 150 and tags["gaussian_sinc"] >= 30, tags
+    assert tags["unsupported"] >= 100 and tags["exp_poly"] >= 100, tags
+
+
+@pytest.mark.parametrize("text", ["sinc(x)^8*exp(-x^2/2)", "exp(-x^2/2)*cos(x)"])
+def test_classify_scans_a_product_once(monkeypatch, text):
+    ast = parse_expression(text)
+    scans = []
+    original = classify_module._factor_scan
+
+    def counting(node, count=1):
+        scans.append(node is ast)
+        return original(node, count)
+
+    monkeypatch.setattr(classify_module, "_factor_scan", counting)
+    classify(ast)
+    assert scans.count(True) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +729,46 @@ def test_cli_leading_minus_expression(capsys):
         run(["integrate", "-h"])
     assert exc.value.code == EXIT_OK
     assert "usage: opcalc integrate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (("integrate", "--x", "--interval", "0", "1"), "approx", "0.5"),
+    (("integrate", "---sinc(x)"), "exact", "-pi"),
+    (("integrate", "--8*exp(-x)", "--interval", "0", "inf"), "exact", "8"),
+])
+def test_cli_reads_a_double_dash_expression_as_a_value(capsys, argv, key, want):
+    # argparse took "--x" for an unknown option and exited 2 with "the
+    # following arguments are required: expr"
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["input"] == argv[1] and payload[key] == want
+
+
+def test_cli_options_still_parse_beside_double_dash_expressions(capsys):
+    code, out, err = run_cli(capsys, "laplace", "exp(-x)", "--at=-1/2", "--json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["exact"] == "2"
+    code, out, err = run_cli(capsys, "integrate", "--exp(x)", "--interval", "-inf", "0",
+                             "--prec", "20", "--json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["exact"] == "1" and payload["approx"] == "1.0"
+    assert cli._shield_negative_numbers(["--json", "--at=-1/2", "--prec", "--", "-h"]) \
+        == ["--json", "--at=-1/2", "--prec", "--", "-h"]
+
+
+def test_every_parseable_dash_text_of_the_corpus_is_a_value():
+    values = 0
+    for text in parse_corpus.corpus():
+        if text.startswith("-"):
+            try:
+                parse_expression(text)
+            except ParseError:
+                continue
+            assert cli._shield_negative_numbers([text]) == [" " + text], text
+            values += 1
+    assert values >= 2000
 
 
 # integrand per family, and the (exit code, method) each --method gives it

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcalc.exact import CR_ZERO, ComplexRational, ExactValue, as_fraction
+from opcalc.exact import CR_I, CR_ZERO, ComplexRational, ExactValue, as_fraction
 from opcalc.kernels import DELTA, HEAT, ONE_OVER_Y, Ramp, green_kernel, with_representatives
 from opcalc.operators import (NotExponentialPolynomial, OperatorTerm,
                               OperatorWord, RampEvaluationError, RampSum,
                               apply_word, decompose, eval_limit_at_zero,
-                              exp_poly_normal_form, laurent_defect)
+                              exp_poly_normal_form, laurent_defect, word_of)
 from opcalc.parser import parse_expression
 
 small_fractions = st.fractions(
@@ -73,6 +73,74 @@ def test_normal_form_entirety_defects():
     assert -1 in laurent_defect(nf)
     nf = exp_poly_normal_form(parse_expression("(1-exp(-x))^2/x^2"))
     assert laurent_defect(nf) == {}
+
+
+# laurent_defect as one sum per degree, each rate raised to each depth, and
+# word_of raising rot to each term's power: kept as the references for one
+# product per degree along each term and rot^(n mod 4)
+
+def _reference_laurent_defect(nf):
+    lowest = min((n for (_mu, n) in nf), default=0)
+    defects = {}
+    for d in range(lowest, 0):
+        total = CR_ZERO
+        for (mu, n), c in nf.items():
+            if n <= d:
+                k = d - n
+                total = total + c * mu ** k / ComplexRational(Fraction(math.factorial(k)))
+        if not total.is_zero:
+            defects[d] = total
+    return defects
+
+
+def _reference_word_of(nf, rot):
+    terms = []
+    for (mu, n), c in nf.items():
+        shift = rot * mu
+        if not shift.is_real:
+            raise NotExponentialPolynomial("complex translation")
+        terms.append(OperatorTerm(c * rot ** n, shift.re, n))
+    return OperatorWord.from_terms(terms)
+
+
+def _seeded_normal_form_texts(count, seed=20):
+    """Sinc/cos products (entire), and sin or exponential-difference powers
+    over x^m, entire when m is at most the power and with a pole above it."""
+    rng = random.Random(seed)
+    texts = ["sinc(x)^36", "sinc(x)^24", "cos(x)/x", "(1-exp(-x))^2/x^2", "1", "x^-3"]
+
+    def rate():
+        return f"({Fraction(rng.randint(-6, 6), rng.randint(1, 4))})"
+
+    while len(texts) < count:
+        p, m = rng.randint(1, 6), rng.randint(0, 8)
+        texts.append(rng.choice((
+            f"sinc({rate()}*x)^{p}*cos({rate()}*x)^{m % 4}*sinc({rate()}*x)",
+            f"sin({rate()}*x)^{p}*exp({rate()}*x)/x^{m}",
+            f"sin({rate()}*x)^{p}*cos({rate()}*x)/x^{m}",
+            f"(exp({rate()}*x)-exp({rate()}*x))^{p}/x^{m}")))
+    return texts
+
+
+def test_laurent_defect_and_word_of_match_the_reference_loops():
+    poles = entire = 0
+    rots = (ComplexRational(-1), ComplexRational(1), -CR_I, CR_I)
+    for text in _seeded_normal_form_texts(120):
+        nf = exp_poly_normal_form(parse_expression(text))
+        defects = laurent_defect(nf)
+        want = _reference_laurent_defect(nf)
+        assert defects == want and list(defects) == list(want), text
+        poles += bool(defects)
+        entire += not defects and any(n < 0 for _mu, n in nf)
+        for rot in rots:
+            try:
+                want = _reference_word_of(nf, rot)
+            except NotExponentialPolynomial:
+                with pytest.raises(NotExponentialPolynomial):
+                    word_of(nf, rot)
+            else:
+                assert word_of(nf, rot) == want, (text, rot)
+    assert poles >= 30 and entire >= 30, (poles, entire)
 
 
 # ---------------------------------------------------------------------------
