@@ -182,14 +182,20 @@ def laurent_defect(nf: ExpPoly) -> dict:
     """Coefficients of the negative-degree Laurent terms of f at 0.
 
     All of them vanish exactly iff f extends to an entire function; the
-    check is what licenses the formal half-line and delta routes.
-    """
-    totals: dict = {}
-    for (mu, n), c in nf.items():
-        term = c  # c mu^(d-n)/(d-n)!, the term's share of degree d
-        for d in range(n, 0):
-            totals[d] = totals[d] + term if d in totals else term
-            term = term * mu / (d - n + 1)
+    check is what licenses the formal half-line and delta routes.  The terms (p + iq)/D
+    x^n e^((a + ib) x/L) of one n < 0 add sum (p + iq)(a + ib)^j/(D L^j j!) to degree n + j."""
+    totals = dict.fromkeys(range(min((n for _mu, n in nf), default=0), 0), CR_ZERO)
+    for n in {n for _mu, n in nf if n < 0}:
+        terms = [(mu, c) for (mu, k), c in nf.items() if k == n]
+        rate_den = math.lcm(*(q.denominator for mu, _ in terms for q in (mu.re, mu.im)))
+        den = math.lcm(*(q.denominator for _, c in terms for q in (c.re, c.im)))
+        steps = [(int(c.re * den), int(c.im * den), int(mu.re * rate_den), int(mu.im * rate_den))
+                 for mu, c in terms]
+        for j, d in enumerate(range(n, 0)):
+            totals[d] += ComplexRational(Fraction(sum(p for p, *_ in steps), den),
+                                         Fraction(sum(q for _, q, *_ in steps), den))
+            steps = [(p * a - q * b, p * b + q * a, a, b) for p, q, a, b in steps]
+            den *= rate_den * (j + 1)
     return {d: totals[d] for d in sorted(totals) if not totals[d].is_zero}
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -151,6 +152,10 @@ class _Reader:
             self.parens = list(accumulate((c == "(") - (c == ")") for c in source))
             if max(self.parens) >= MAX_DEPTH:
                 raise ParseError(_DEEPER, self.position(self.parens.index(MAX_DEPTH)))
+        for offset, literal in self.literals.items():  # int() reads each part
+            if max(map(len, literal.split("."))) > (limit := sys.get_int_max_str_digits()) > 0:
+                raise ParseError(f"a literal of {len(literal)} characters is past Python's "
+                                 f"int-to-str limit of {limit} digits", self.position(offset))
         try:
             body = ast.parse(source, mode="eval").body
         except SyntaxError as exc:

@@ -1,7 +1,7 @@
 """Truncated power series with exact coefficients, and the series routes.
 
 A ``PowerSeries`` holds Taylor coefficients a_0..a_N of an integrand at 0,
-as exact complex rationals.  The two user-facing routes built on it are
+as exact complex rationals.  The routes built on it are
 
 * the Laurent-series Laplace transform, sum_k a_k k! / y^(k+1), valid for
   y beyond the majorant abscissa of the coefficient sequence, and
@@ -10,7 +10,8 @@ as exact complex rationals.  The two user-facing routes built on it are
   over [a, b], whose own Taylor coefficients are exact.  This is one
   integer sum read off at y = 0; a frequency y != 0 first multiplies f by
   the e^(ixy) series, and the windowed Fourier route
-  (transforms.fourier_regularized) is the same pass on [-a, a].
+  (transforms.fourier_regularized) is the same pass on [-a, a].  The
+  Gaussian moment pairing (transforms) takes its order from moment_order.
 
 Coefficient arithmetic never leaves the rationals; the one float
 conversion, of the finished value, is range-checked.  Products and the
@@ -352,8 +353,70 @@ def _taylor(node: Node, n: int) -> PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Majorant and the Laurent Laplace route
+# Majorants: the Gaussian moment tail and the Laurent Laplace route
 # ---------------------------------------------------------------------------
+
+def growth_majorant(node: Node) -> tuple:
+    """(a, m, b1, b2) with |g| <= a r^m e^(b1 r + b2 r^2) on |z| = r >= 1, g as
+    taylor_of accepts: |exp|, |cos|, |sin|, |sinc| of p are at most e^|p|; sums
+    take the larger powers and rates, products add them, c x^v divides."""
+    if isinstance(node, (Num, Sym)):  # taylor_of refuses pi
+        return (abs(node.value), 0, 0, 0) if isinstance(node, Num) else (1, 1, 0, 0)
+    if isinstance(node, Neg):
+        return growth_majorant(node.arg)
+    if isinstance(node, Pow):
+        if node.exponent < 0:  # of a constant, as taylor_of requires
+            return abs(_monomial(node.base)[0]) ** node.exponent, 0, 0, 0
+        a, *rest = growth_majorant(node.base)
+        return a ** node.exponent, *(node.exponent * e for e in rest)
+    if isinstance(node, Call):
+        try:
+            poly = polynomial_of(node.arg)
+        except NotExponentialPolynomial:
+            raise NotSeriesRepresentable(f"{parser.to_source(node)} composes entire "
+                                         "functions: its order is infinite") from None
+        if max(poly, default=0) > 2:
+            raise NotSeriesRepresentable(f"{parser.to_source(node)} grows like "
+                                         f"exp(|x|^{max(poly)}), faster than a Gaussian decays")
+        return 1, 0, abs(poly.get(1, 0)), abs(poly.get(2, 0))
+    a, *f = growth_majorant(node.left)
+    if isinstance(node, Div):
+        c, v = _monomial(node.right)
+        return a / abs(c), f[0] - v, *f[1:]
+    c, *g = growth_majorant(node.right)
+    if isinstance(node, Mul):
+        return a * c, *(x + y for x, y in zip(f, g))
+    return a + c, *map(max, f, g)  # Add, Sub
+
+
+def moment_order(majorant: tuple, s2: Fraction, tol: float, budget: int) -> tuple:
+    """(N, bound): the least even N <= budget whose bound on the tail past N of
+    s sqrt(2 pi) sum_(k even) g_k s^k (k-1)!!, s^2 = s2, is at most tol.  Cauchy's
+    |g_k| <= a r^(m-k) e^(b1 r + b2 r^2) is least at b1 r + 2 b2 r^2 = k - m, and
+    that r bounds g_(k+2) by it over r^2: later bounds fall by at least q."""
+    a, m, b1, b2 = majorant
+    b1, b2, s2 = float(b1), float(b2), float(s2)
+    if 2 * b2 * s2 >= 1:
+        raise NotSeriesRepresentable(f"the moment series diverges: 2*B*s^2 = {2 * b2 * s2:g} >= 1 "
+                                     f"for exp({b2:g}*x^2) against exp(-x^2/{2 * s2:g})")
+    order, bound = max(m, 0) + max(m, 0) % 2, math.inf
+    log_a = math.log(Fraction(a).numerator) - math.log(Fraction(a).denominator) if a else 0.0
+    while order <= budget:
+        if not (a and (b1 or b2)):  # a polynomial: no term past its degree
+            return order, 0.0
+        k, n = order + 2, order + 2 - m
+        r = 2 * n / (b1 + math.sqrt(b1 * b1 + 8 * b2 * n))
+        q = s2 * (2 * b2 + b1 / r + max(m + 1, 0) / r ** 2)
+        if r >= 1 and q < 1:  # s sqrt(2 pi) s^k (k-1)!! times Cauchy's bound, over 1 - q
+            moment = (k + 1) / 2 * math.log(s2 / 2) + math.lgamma(k + 1) - math.lgamma(k / 2 + 1)
+            bound = math.exp(min(709.0, log_a + moment + b1 * r + b2 * r * r - n * math.log(r)
+                                 - math.log1p(-q) + math.log(4 * math.pi) / 2))
+            if bound <= tol:
+                return order, bound
+        order += 2
+    raise SeriesConvergenceError(f"the Gaussian moment series needs an order above its budget "
+                                 f"{budget}: the tail bound there is {bound:.2e}")
+
 
 @dataclass(frozen=True)
 class Majorant:

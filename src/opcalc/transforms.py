@@ -11,9 +11,9 @@ point with ``evaluate_at``:
   integral of e^(-xy) over [0, a], is the regularized Laplace route;
 * Green route: the trig numerator's word on the partial-fraction sum of
   Green's functions of Pi(x^2 + a^2) denominators;
-* series routes: the windowed Fourier route, which is the exact
-  finite-interval series pass of series.py on [-a, a], and the
-  Paley-Wiener pairing sum against test-function profiles.
+* series routes: the Gaussian moment pairing on the real line, the
+  windowed Fourier route (the finite-interval pass of series.py on
+  [-a, a]) and the Paley-Wiener pairing sum against test profiles.
 
 Convergence is the kernel's call: a member refuses by type (see
 ``kernels``; ``DivergentIntegralError`` is re-exported here), and no route
@@ -24,6 +24,7 @@ logging every attempt.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,19 +33,19 @@ from typing import Optional, Sequence
 from . import oracle
 from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
                       sinc_power_gaussian)
-from .classify import classify
+from .classify import _factor_scan, classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
 from .kernels import (DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel,
                       interval_kernel, with_representatives)
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
-                        laurent_defect, word_of)
-from .parser import Node, as_vector_callable
+                        laurent_defect, polynomial_of, word_of)
+from .parser import X, Call, Div, Mul, Node, Num, Pow, as_vector_callable
 from .result import TransformResult
-from .series import (CONVERGED, DIVERGED, DEFAULT_TRUNCATION, PowerSeries,
-                     _monomial_compose, finite_interval_transform,
-                     series_verdict, taylor_of)
+from .series import (CONVERGED, DEFAULT_TRUNCATION, DIVERGED, NotSeriesRepresentable, PowerSeries,
+                     SeriesConvergenceError, _monomial_compose, finite_interval_transform,
+                     growth_majorant, moment_order, series_verdict, taylor_of)
 
 
 class UnsupportedFamilyError(ValueError):
@@ -190,7 +191,7 @@ def fourier_regularized(ast: Node, y, a, n_terms: int = 400,
 
 
 # ---------------------------------------------------------------------------
-# Paley-Wiener pairing
+# Pairings: Paley-Wiener profiles and the Gaussian moments
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -249,6 +250,53 @@ def pw_pairing(f: PowerSeries, profile: TaylorProfile, n_terms: int,
     verdict = series_verdict(mags, tol)
     value = complex(total) * math.sqrt(2 * math.pi)
     return PairingReport(value, verdict, len(mags))
+
+
+PAIRING_TOL, PAIRING_BUDGET = 1e-17, 800  # tail tolerance; no order above it
+
+
+def gaussian_split(ast: Node) -> tuple:
+    """(s^2, g) with ast = e^(-x^2/(2 s^2)) g(x): each exp factor of a degree
+    <= 2 polynomial p, p(0) = 0, gives its x^2 part to the Gaussian and the
+    rest to g (exp(-x^2/2+x) leaves exp(x)); a quotient splits its numerator."""
+    num, den = (ast.left, ast.right) if isinstance(ast, Div) else (ast, None)
+    factors, sign = _factor_scan(num)
+    c, rate, g = Fraction(0), Fraction(0), [Num(Fraction(-1))] * (sign < 0)
+    for f, count in factors:
+        try:
+            poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
+        except NotExponentialPolynomial:
+            poly = {0: 1}
+        if set(poly) <= {1, 2}:
+            c, rate = c - count * poly.get(2, 0), rate + count * poly.get(1, 0)
+        else:
+            g.append(f if count == 1 else Pow(f, count))
+    if c <= 0:
+        raise UnsupportedFamilyError("no Gaussian factor exp(-c*x^2), c > 0: nothing decays")
+    g += [Call("exp", Mul(Num(rate), X))] * (rate != 0)
+    g = functools.reduce(Mul, g) if g else Num(Fraction(1))
+    return 1 / (2 * c), (g if den is None else Div(g, den))
+
+
+def gaussian_pairing(ast: Node) -> TransformResult:
+    """The integral of e^(-c x^2) g(x), s^2 = 1/(2c), as s sqrt(2 pi) sum_j
+    g_(2j) s^(2j) (2j-1)!!, g(-i d/dy) on the heat kernel term by term, summed
+    exactly to the order moment_order picks; the bound adds the rounding."""
+    s2, g = gaussian_split(ast)
+    order, tail = moment_order(growth_majorant(g), s2, PAIRING_TOL, PAIRING_BUDGET)
+    coeffs, total, weight = taylor_of(g, order), Fraction(0), Fraction(1)
+    for j in range(order // 2 + 1):  # weight = s^(2j) (2j-1)!!
+        total, weight = total + coeffs[2 * j].require_real() * weight, weight * s2 * (2 * j + 1)
+    import mpmath  # loaded already, by result
+    with mpmath.workdps(30):
+        value = float(mpmath.sqrt(2 * mpmath.pi * s2.numerator / s2.denominator)
+                      * total.numerator / total.denominator)
+    if not math.isfinite(value):
+        raise SeriesConvergenceError("the Gaussian moment sum is beyond the double range")
+    bound = tail + abs(value) * 2.0 ** -52
+    return TransformResult(
+        value, method="gaussian_moment_pairing", formula="heat_kernel_moment_sum",
+        diagnostics={"verdict": f"error<={bound:.2e}", "tail_bound": bound, "order": order})
 
 
 # ---------------------------------------------------------------------------
@@ -310,45 +358,21 @@ def borwein_result(n: int) -> TransformResult:
         diagnostics={"verdict": "exact", "deficit": str(1 - value.pi_coefficient)})
 
 
-def _solve_sinc_cos_product(ast: Node, params: dict, truncation: int) -> TransformResult:
-    return sinc_product_result(SincProductSpec(
-        params["sinc_rates"], params["cos_rates"], params["outer_rate"]))
-
-
-def _solve_gaussian_sinc(ast: Node, params: dict, truncation: int) -> TransformResult:
-    return sinc_power_gaussian(params["sinc_power"])
-
-
-def _solve_green(ast: Node, params: dict, truncation: int) -> TransformResult:
-    return integrate_rational_trig(params["numerator"], params["rates"])
-
-
-def _solve_delta(ast: Node, params: dict, truncation: int) -> TransformResult:
-    return fourier_at(ast, 0)
-
-
-def _solve_series(ast: Node, params: dict, truncation: int) -> TransformResult:
-    # windowed kernel: the Gaussian-type decay of series-only corpus
-    # members makes a modest window exact to well below tolerance
-    window = Fraction(12)
-    return fourier_regularized(ast, 0, window,
-                               n_terms=max(truncation, 4 * int(window) ** 2))
-
-
-# (name, families it serves, solve(ast, params, truncation)), in the order
-# the dispatcher tries them; integrate_real_line's method names one of
-# them, and the CLI's --method offers delta, green and series.
+# (name, families it serves, solve(ast, params)), tried in order; a method
+# names one, --method offers delta, green and series, and each solve looks
+# its route function up when it runs.
 ROUTES = (
-    ("sinc_cos_product", ("sinc_cos_product",), _solve_sinc_cos_product),
-    ("gaussian_sinc", ("gaussian_sinc",), _solve_gaussian_sinc),
-    ("green", ("rational_trig",), _solve_green),
-    ("delta", ("sinc_cos_product", "exp_poly"), _solve_delta),
-    ("series", ("series_only",), _solve_series),
+    ("sinc_cos_product", ("sinc_cos_product",), lambda ast, p: sinc_product_result(
+        SincProductSpec(p["sinc_rates"], p["cos_rates"], p["outer_rate"]))),
+    ("gaussian_sinc", ("gaussian_sinc",), lambda ast, p: sinc_power_gaussian(p["sinc_power"])),
+    ("green", ("rational_trig",),
+     lambda ast, p: integrate_rational_trig(p["numerator"], p["rates"])),
+    ("delta", ("sinc_cos_product", "exp_poly"), lambda ast, p: fourier_at(ast, 0)),
+    ("series", ("series_only",), lambda ast, p: gaussian_pairing(ast)),
 )
 
 
-def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
-                        method: str = "auto") -> TransformResult:
+def integrate_real_line(ast: Node, method: str = "auto") -> TransformResult:
     """Integral over the real line by the first route of ROUTES that
     serves the integrand's family and does not miss.
 
@@ -370,9 +394,9 @@ def integrate_real_line(ast: Node, truncation: int = DEFAULT_TRUNCATION,
                     route.reasons)
             continue
         try:
-            result = solve(ast, route.params, truncation)
-        except (NotExponentialPolynomial, UnsupportedFamilyError,
-                DivergentIntegralError) as exc:
+            result = solve(ast, route.params)
+        except (NotExponentialPolynomial, NotSeriesRepresentable,
+                UnsupportedFamilyError, DivergentIntegralError) as exc:
             if method == name:
                 raise
             attempts.append(f"{name}: {exc}")
@@ -418,7 +442,8 @@ def quadrature(ast: Node, lo=-math.inf, hi=math.inf) -> TransformResult:
                 f"the oracle has no real-line envelope for the {family.tag} family",
                 family.reasons)
         decay, tol = _ORACLE_ENVELOPES[family.tag]
-        report = oracle.quad_real_line(f, tol=tol, decay=decay)
+        rate = 1 / gaussian_split(ast)[0] if family.tag == "series_only" else 1  # e^(-rate x^2/2)
+        report = oracle.quad_real_line(f, tol=tol, decay=decay, rate=float(rate))
     elif math.inf in (abs(lo), abs(hi)):
         raise UnsupportedFamilyError(
             "the oracle integrates finite intervals or the whole real line, "
@@ -457,7 +482,7 @@ def integrate(ast: Node, lo=-math.inf, hi=math.inf,
     if method == "oracle":
         return quadrature(ast, lo, hi)
     if (lo, hi) == _REAL_LINE:
-        return integrate_real_line(ast, truncation, method)
+        return integrate_real_line(ast, method)
     if (lo, hi) in _HALF_LINES:
         return integrate_half_line(ast, _HALF_LINES[lo, hi])
     value = finite_interval_transform(taylor_of(ast, truncation), lo, hi)

@@ -143,6 +143,48 @@ def test_laurent_defect_and_word_of_match_the_reference_loops():
     assert poles >= 30 and entire >= 30, (poles, entire)
 
 
+# laurent_defect stepping each term through ComplexRational products, one
+# per degree: kept as the reference for the Gaussian-integer sums per power
+
+def _stepped_laurent_defect(nf):
+    totals = {}
+    for (mu, n), c in nf.items():
+        term = c  # c mu^(d-n)/(d-n)!, the term's share of degree d
+        for d in range(n, 0):
+            totals[d] = totals[d] + term if d in totals else term
+            term = term * mu / (d - n + 1)
+    return {d: totals[d] for d in sorted(totals) if not totals[d].is_zero}
+
+
+def _seeded_product_texts(count, seed=21):
+    """Products of sinc, cos, sin and exp of rational rates over x^0..x^4,
+    with and without poles at 0."""
+    rng = random.Random(seed)
+    texts = ["sin(x)/x^3", "(exp(-x)-exp(-3*x))/x", "(exp(-x)-exp(-3*x))/x^2",
+             "(1-cos(x))/x^2", "(1-cos(x))/x^3"] + [f"sinc(x)^{n}" for n in (1, 2, 8, 24, 36)]
+
+    def rate():
+        return f"({Fraction(rng.randint(-9, 9), rng.randint(1, 6))})"
+
+    while len(texts) < count:
+        factors = [f"{rng.choice(('sinc', 'cos', 'sin', 'exp'))}({rate()}*x)^{rng.randint(1, 3)}"
+                   for _ in range(rng.randint(1, 4))]
+        texts.append("*".join(factors) + f"/x^{rng.randint(0, 4)}")
+    return texts
+
+
+def test_integer_laurent_defect_matches_the_stepped_loop():
+    poles = entire = 0
+    for text in _seeded_product_texts(200) + _seeded_normal_form_texts(120):
+        nf = exp_poly_normal_form(parse_expression(text))
+        defects = laurent_defect(nf)
+        want = _stepped_laurent_defect(nf)
+        assert defects == want and list(defects) == list(want), text
+        poles += bool(defects)
+        entire += not defects and any(n < 0 for _mu, n in nf)
+    assert poles >= 60 and entire >= 60, (poles, entire)
+
+
 # ---------------------------------------------------------------------------
 # apply_word / ramp calculus
 # ---------------------------------------------------------------------------

@@ -142,15 +142,31 @@ def test_depth_limit_bounds_nesting_and_tree_depth():
 
 # sha256 of the outcomes over parse_corpus.corpus(), taken with the
 # hand-written recursive-descent parser this one replaced; the same on
-# Python 3.10, 3.11, 3.12 and 3.13
+# Python 3.10, 3.11, 3.12 and 3.13.  That parser let a literal past the
+# int-to-str limit raise a bare ValueError, now a ParseError: the digest
+# is taken with that one refusal read back as the ValueError it was.
 CORPUS_DIGEST = "cab42aed0bf0b0001684e9761fcb2427d0d27f7c010221e173bfe76d7350b0af"
+
+
+def _parse_as_pinned(text):
+    try:
+        return parse_expression(text)
+    except ParseError as exc:
+        if "int-to-str limit" in str(exc):
+            raise ValueError(str(exc)) from None
+        raise
 
 
 def test_parse_outcomes_match_the_pinned_corpus():
     texts = parse_corpus.corpus()
     assert len(texts) >= 20000
     assert not any(text != text.rstrip() for text in texts)
-    assert parse_corpus.digest(parse_expression, texts) == CORPUS_DIGEST
+    assert parse_corpus.digest(_parse_as_pinned, texts) == CORPUS_DIGEST
+    # the texts read back: NAMED's six literals past the limit, now refused
+    refused = [text for text in texts if len(text) > sys.get_int_max_str_digits()
+               and parse_corpus.outcome(_parse_as_pinned, text) == "ValueError"]
+    assert len(refused) == 6 and set(refused) <= set(parse_corpus.NAMED)
+    assert {parse_corpus.outcome(parse_expression, text) for text in refused} == {"ParseError"}
 
 
 @pytest.mark.parametrize("text, tree", [
@@ -191,12 +207,16 @@ def test_a_character_outside_the_alphabet_is_refused_at_its_position():
         assert err.value.position == position
 
 
-def test_a_literal_past_the_int_limit_is_not_a_parse_error():
-    # the CLI maps this ValueError to exit 3, as for any integer too long
-    # to convert
-    with pytest.raises(ValueError) as err:
-        parse_expression("x*" + "7" * (sys.get_int_max_str_digits() + 1))
-    assert not isinstance(err.value, ParseError)
+@pytest.mark.parametrize("text, position", [
+    ("x*" + "7" * (sys.get_int_max_str_digits() + 1), 2),
+    (" x^" + "3" * (sys.get_int_max_str_digits() + 1), 3),
+    ("sinc(0." + "7" * (sys.get_int_max_str_digits() + 1) + "*x)", 5)],
+    ids=["product", "exponent", "decimal"])
+def test_a_literal_past_the_int_limit_is_a_parse_error(text, position):
+    # it was a bare ValueError from Python's int-to-str limit, exit 3
+    with pytest.raises(ParseError, match="int-to-str limit") as err:
+        parse_expression(text)
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize("text", ["x ", "sinc(x)\t", "exp(-x)\n", " x\u3000"])

@@ -479,7 +479,7 @@ def test_dispatch_sine_over_x_written_out():
 def test_dispatch_series_fallback():
     r = integrate_real_line(P("x^2*exp(-x^2/2)"))
     assert r.approx == pytest.approx(math.sqrt(2 * math.pi), abs=1e-9)
-    assert r.method == "fourier_regularized"
+    assert r.method == "gaussian_moment_pairing"
 
 
 def test_dispatch_unsupported_carries_reasons():
