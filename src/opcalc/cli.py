@@ -215,7 +215,7 @@ _COMMANDS = {
     "borwein": lambda args: borwein_result(args.n),
     "lord": lambda args: sinc_product_result(SincProductSpec(args.sinc, args.cos,
                                                              args.outer)),
-    "compare": lambda args: compare(parse_expression(args.expr), args.truncation),
+    "compare": lambda args: compare(parse_expression(args.expr)),
 }
 
 

@@ -18,8 +18,9 @@ point with ``evaluate_at``:
 Convergence is the kernel's call: a member refuses by type (see
 ``kernels``; ``DivergentIntegralError`` is re-exported here), and no route
 converts or repeats a refusal.  ``integrate`` owns a request (interval,
-method, oracle), and the real-line dispatcher walks ROUTES in order,
-logging every attempt.
+method, oracle).  On the real line one table, FAMILY_ROUTES, gives each
+family its one route and the oracle's envelope; ``truncation`` applies
+only to a finite interval.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 from . import oracle
 from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
                       sinc_power_gaussian)
-from .classify import _factor_scan, classify
+from .classify import RouteClass, _factor_scan, classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
 from .kernels import (DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel,
@@ -256,9 +257,10 @@ PAIRING_TOL, PAIRING_BUDGET = 1e-17, 800  # tail tolerance; no order above it
 
 
 def gaussian_split(ast: Node) -> tuple:
-    """(s^2, g) with ast = e^(-x^2/(2 s^2)) g(x): each exp factor of a degree
-    <= 2 polynomial p, p(0) = 0, gives its x^2 part to the Gaussian and the
-    rest to g (exp(-x^2/2+x) leaves exp(x)); a quotient splits its numerator."""
+    """(s^2, b, g) with ast = e^(-x^2/(2 s^2)) g(x): each exp factor of a
+    degree <= 2 polynomial p, p(0) = 0, gives its x^2 part to the Gaussian and
+    the rest to g, whose exp(b x) sums their x parts (exp(-x^2/2+x) leaves
+    exp(x), b = 1); a quotient splits its numerator."""
     num, den = (ast.left, ast.right) if isinstance(ast, Div) else (ast, None)
     factors, sign = _factor_scan(num)
     c, rate, g = Fraction(0), Fraction(0), [Num(Fraction(-1))] * (sign < 0)
@@ -275,14 +277,14 @@ def gaussian_split(ast: Node) -> tuple:
         raise UnsupportedFamilyError("no Gaussian factor exp(-c*x^2), c > 0: nothing decays")
     g += [Call("exp", Mul(Num(rate), X))] * (rate != 0)
     g = functools.reduce(Mul, g) if g else Num(Fraction(1))
-    return 1 / (2 * c), (g if den is None else Div(g, den))
+    return 1 / (2 * c), rate, (g if den is None else Div(g, den))
 
 
 def gaussian_pairing(ast: Node) -> TransformResult:
     """The integral of e^(-c x^2) g(x), s^2 = 1/(2c), as s sqrt(2 pi) sum_j
     g_(2j) s^(2j) (2j-1)!!, g(-i d/dy) on the heat kernel term by term, summed
     exactly to the order moment_order picks; the bound adds the rounding."""
-    s2, g = gaussian_split(ast)
+    s2, _, g = gaussian_split(ast)
     order, tail = moment_order(growth_majorant(g), s2, PAIRING_TOL, PAIRING_BUDGET)
     coeffs, total, weight = taylor_of(g, order), Fraction(0), Fraction(1)
     for j in range(order // 2 + 1):  # weight = s^(2j) (2j-1)!!
@@ -358,56 +360,52 @@ def borwein_result(n: int) -> TransformResult:
         diagnostics={"verdict": "exact", "deficit": str(1 - value.pi_coefficient)})
 
 
-# (name, families it serves, solve(ast, params)), tried in order; a method
-# names one, --method offers delta, green and series, and each solve looks
-# its route function up when it runs.
-ROUTES = (
-    ("sinc_cos_product", ("sinc_cos_product",), lambda ast, p: sinc_product_result(
-        SincProductSpec(p["sinc_rates"], p["cos_rates"], p["outer_rate"]))),
-    ("gaussian_sinc", ("gaussian_sinc",), lambda ast, p: sinc_power_gaussian(p["sinc_power"])),
-    ("green", ("rational_trig",),
-     lambda ast, p: integrate_rational_trig(p["numerator"], p["rates"])),
-    ("delta", ("sinc_cos_product", "exp_poly"), lambda ast, p: fourier_at(ast, 0)),
-    ("series", ("series_only",), lambda ast, p: gaussian_pairing(ast)),
-)
+# family tag -> (its route, solve(ast, params), the oracle's real-line
+# envelope and tolerance).  A solve looks its route function up when it
+# runs.  exp_poly has no known decay on both sides (exp(-x) grows as
+# x -> -inf), so the oracle refuses it rather than truncate at a guess.
+FAMILY_ROUTES = {
+    "sinc_cos_product": ("sinc_cos_product", lambda ast, p: sinc_product_result(
+        SincProductSpec(p["sinc_rates"], p["cos_rates"], p["outer_rate"])),
+        ("oscillatory_algebraic", 1e-8)),
+    "gaussian_sinc": ("gaussian_sinc", lambda ast, p: sinc_power_gaussian(p["sinc_power"]),
+                      ("gaussian", 1e-10)),
+    "rational_trig": ("green", lambda ast, p: integrate_rational_trig(p["numerator"], p["rates"]),
+                      ("oscillatory_algebraic", 1e-8)),
+    "exp_poly": ("delta", lambda ast, p: fourier_at(ast, 0), None),
+    "series_only": ("series", lambda ast, p: gaussian_pairing(ast), ("gaussian", 1e-10)),
+}
 
 
 def integrate_real_line(ast: Node, method: str = "auto") -> TransformResult:
-    """Integral over the real line by the first route of ROUTES that
-    serves the integrand's family and does not miss.
-
-    A miss (not exp-poly, unsupported shape, divergent) is logged and the
-    next route tried; the diagnostics list every attempt.
-    ``method`` names one route to run alone: its misses propagate, and an
-    integrand outside its families is an UnsupportedFamilyError.
-    """
-    routes = [entry for entry in ROUTES if method in ("auto", entry[0])]
-    if not routes:
+    """Integral over the real line by the route of the integrand's family,
+    which ``attempts`` names; in auto mode its miss (not exp-poly, unsupported
+    shape, divergent) is an UnsupportedFamilyError.  ``method`` names a route
+    to run alone: its misses propagate, and another family is refused."""
+    if method != "auto" and method not in {name for name, _, _ in FAMILY_ROUTES.values()}:
         raise ValueError(f"unknown method {method!r}")
-    route = classify(ast)
-    attempts = []
-    for name, families, solve in routes:
-        if route.tag not in families:
-            if method == name:
-                raise UnsupportedFamilyError(
-                    f"the {name} route does not serve the {route.tag} family",
-                    route.reasons)
-            continue
-        try:
-            result = solve(ast, route.params)
-        except (NotExponentialPolynomial, NotSeriesRepresentable,
-                UnsupportedFamilyError, DivergentIntegralError) as exc:
-            if method == name:
-                raise
-            attempts.append(f"{name}: {exc}")
-            continue
-        result.diagnostics["attempts"] = attempts + [name]
-        return result
-    if attempts:
+    return _solve_real_line(ast, classify(ast), method)
+
+
+def _solve_real_line(ast: Node, family: RouteClass, method: str = "auto") -> TransformResult:
+    name, solve, _ = FAMILY_ROUTES.get(family.tag, (None, None, None))
+    if method == "delta" and family.tag == "sinc_cos_product":  # an exp-poly product too
+        name, solve, _ = FAMILY_ROUTES["exp_poly"]
+    if method not in ("auto", name):
         raise UnsupportedFamilyError(
-            f"no exact route applies: {'; '.join(attempts)}",
-            dict(route.reasons, attempts="; ".join(attempts)))
-    raise UnsupportedFamilyError("unsupported integrand family", route.reasons)
+            f"the {method} route does not serve the {family.tag} family", family.reasons)
+    if solve is None:
+        raise UnsupportedFamilyError("unsupported integrand family", family.reasons)
+    try:
+        result = solve(ast, family.params)
+    except (NotExponentialPolynomial, NotSeriesRepresentable,
+            UnsupportedFamilyError, DivergentIntegralError) as exc:
+        if method != "auto":
+            raise
+        raise UnsupportedFamilyError(f"no exact route applies: {name}: {exc}",
+                                     dict(family.reasons, attempts=f"{name}: {exc}"))
+    result.diagnostics["attempts"] = [name]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -417,52 +415,51 @@ def integrate_real_line(ast: Node, method: str = "auto") -> TransformResult:
 _REAL_LINE = (-math.inf, math.inf)
 _HALF_LINES = {(0, math.inf): "positive", (-math.inf, 0): "negative"}
 
-# Quadrature envelope and tolerance per family.  A family without one has
-# no known decay on both sides (exp(-x) grows as x -> -inf), so the oracle
-# refuses its real-line integral rather than truncate it at a guess; an
-# integrand that is not even finite at 0 has no quadrature value under any
-# envelope, and says so first.
-_ORACLE_ENVELOPES = {
-    "gaussian_sinc": ("gaussian", 1e-10),
-    "series_only": ("gaussian", 1e-10),
-    "sinc_cos_product": ("oscillatory_algebraic", 1e-8),
-    "rational_trig": ("oscillatory_algebraic", 1e-8),
-}
-
 
 def quadrature(ast: Node, lo=-math.inf, hi=math.inf) -> TransformResult:
     """The oracle's value over [lo, hi]: a finite interval, or the whole
     real line under the envelope of the integrand's family."""
-    f = as_vector_callable(ast)
     if (lo, hi) == _REAL_LINE:
-        family = classify(ast)
-        if family.tag not in _ORACLE_ENVELOPES:
-            oracle.require_finite(f, 0.0)
-            raise UnsupportedFamilyError(
-                f"the oracle has no real-line envelope for the {family.tag} family",
-                family.reasons)
-        decay, tol = _ORACLE_ENVELOPES[family.tag]
-        rate = 1 / gaussian_split(ast)[0] if family.tag == "series_only" else 1  # e^(-rate x^2/2)
-        report = oracle.quad_real_line(f, tol=tol, decay=decay, rate=float(rate))
+        report = _quadrature_real_line(ast, classify(ast))
     elif math.inf in (abs(lo), abs(hi)):
         raise UnsupportedFamilyError(
             "the oracle integrates finite intervals or the whole real line, "
             "not half-lines")
     else:
-        report = oracle.quad_interval(f, float(lo), float(hi))
+        report = oracle.quad_interval(as_vector_callable(ast), float(lo), float(hi))
     return TransformResult(
         report.value, method="oracle_quadrature", formula="adaptive_quadrature",
         diagnostics={"verdict": f"error<={report.error_estimate:.2e}",
                      "subdivisions": report.subdivisions})
 
 
-def compare(ast: Node, truncation: int = DEFAULT_TRUNCATION) -> TransformResult:
+def _quadrature_real_line(ast: Node, family: RouteClass) -> oracle.QuadReport:
+    """The oracle under the family's envelope; an integrand not finite at 0
+    has no value under any envelope, and says so first.  The Gaussian
+    e^(-x^2/(2 s^2) + b x) is A e^(-(x - mu)^2/(2 s^2)), mu = b s^2 and
+    A = e^(b^2 s^2/2), so f(x + mu)/A goes under the centred envelope."""
+    f, envelope = as_vector_callable(ast), FAMILY_ROUTES.get(family.tag, (None, None, None))[2]
+    if envelope is None:
+        oracle.require_finite(f, 0.0)
+        raise UnsupportedFamilyError(
+            f"the oracle has no real-line envelope for the {family.tag} family",
+            family.reasons)
+    decay, tol = envelope
+    s2, b, _ = gaussian_split(ast) if decay == "gaussian" else (1, 0, None)
+    mu, amp = float(b * s2), math.exp(b * b * s2 / 2)  # amp is 1.0 when b = 0
+    report = oracle.quad_real_line((lambda xs: f(xs + mu) / amp) if b else f,
+                                   tol=tol, decay=decay, rate=float(1 / s2))
+    return oracle.QuadReport(report.value * amp, report.error_estimate * amp,
+                             report.subdivisions)
+
+
+def compare(ast: Node) -> TransformResult:
     """The engine's real-line integral; the oracle's value and the gap in diagnostics."""
-    engine = integrate(ast, truncation=truncation)
+    family = classify(ast)
+    engine = _solve_real_line(ast, family)
     approx = engine.approx  # past the double range this refuses before the oracle runs
-    ora = quadrature(ast)
-    engine.diagnostics["oracle"] = ora.approx
-    engine.diagnostics["difference"] = abs(approx - ora.approx)
+    ora = _quadrature_real_line(ast, family).value
+    engine.diagnostics.update(oracle=ora, difference=abs(approx - ora))
     return engine
 
 

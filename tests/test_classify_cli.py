@@ -27,7 +27,7 @@ from opcalc.operators import (NotExponentialPolynomial, exp_poly_normal_form,
                               linear_rate, polynomial_of)
 from opcalc.parser import Call, Num, ParseError, parse_expression
 from opcalc.series import NotSeriesRepresentable, taylor_of
-from opcalc.transforms import ROUTES, integrate_real_line
+from opcalc.transforms import FAMILY_ROUTES, integrate_real_line
 
 sys.path.insert(0, str(Path(__file__).parent))
 import parse_corpus  # noqa: E402  (a script as well, so not a package module)
@@ -824,7 +824,7 @@ def test_method_choices_name_routes():
     assert {"delta", "green", "series"} <= set(choices)
     # the real-line laplace route could answer only f = 0, which delta gives
     assert "laplace" not in choices
-    assert set(choices) - {"auto", "oracle"} <= {name for name, _f, _s in ROUTES}
+    assert set(choices) - {"auto", "oracle"} <= {name for name, _s, _e in FAMILY_ROUTES.values()}
 
 
 def test_cli_attempts_reach_json(capsys):
@@ -840,6 +840,39 @@ def test_cli_attempts_reach_json(capsys):
     # a lone method's own miss keeps its exit code
     code, _, err = run_cli(capsys, "integrate", "1/x", "--method", "delta")
     assert code == EXIT_NONCONVERGENT and "pole at 0" in err
+
+
+# the route function each FAMILY_ROUTES solve looks up when it runs
+ROUTE_FUNCTIONS = ("sinc_product_result", "sinc_power_gaussian", "integrate_rational_trig",
+                   "fourier_at", "gaussian_pairing")
+
+
+def test_auto_mode_runs_one_route_per_request(monkeypatch):
+    transforms = importlib.import_module("opcalc.transforms")
+    solves = []
+    for name in ROUTE_FUNCTIONS:
+        real = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name,
+                            lambda *a, _name=name, _real=real: solves.append(_name) or _real(*a))
+    texts = list(METHOD_FAMILIES) + ["1/x", "sin(sin(x))"] + _seeded_products(400, seed=22)
+    for text in texts:
+        ast = parse_expression(text)
+        solves.clear()
+        try:
+            integrate_real_line(ast)
+        except (ValueError, ArithmeticError):
+            pass  # a miss, a refusal or a divergence still ran at most one route
+        assert len(solves) == (classify(ast).tag != "unsupported"), (text, solves)
+
+
+@pytest.mark.parametrize("expr", ["cos(x)/(x^2+1)", "sinc(x)^3*exp(-x^2/2)", "sinc(x)*sinc(x/3)",
+                                  "exp(-x^2/2+x)", "sin(x)^2/x^2", "sqrt(x)"])
+def test_compare_classifies_once(capsys, monkeypatch, expr):
+    transforms = importlib.import_module("opcalc.transforms")
+    calls = []
+    monkeypatch.setattr(transforms, "classify", lambda ast: calls.append(ast) or classify(ast))
+    run_cli(capsys, "compare", expr)
+    assert len(calls) == 1
 
 
 def test_cli_precision_flag(capsys):

@@ -249,11 +249,11 @@ def test_the_order_budget_is_never_passed(capsys, monkeypatch):
 
 
 def test_gaussian_split_reads_every_exp_factor():
-    s2, g = gaussian_split(P("exp(-x^2/2+x)*exp(-x^2)^2*cos(x)"))
-    assert s2 == Fraction(1, 5)
+    s2, b, g = gaussian_split(P("exp(-x^2/2+x)*exp(-x^2)^2*cos(x)"))
+    assert s2 == Fraction(1, 5) and b == 1
     assert taylor_of(g, 6) == taylor_of(P("cos(x)*exp(x)"), 6)
-    s2, g = gaussian_split(P("-sin(x)*exp(-x^2/2)/x"))
-    assert s2 == 1 and taylor_of(g, 6) == taylor_of(P("-sinc(x)"), 6)
+    s2, b, g = gaussian_split(P("-sin(x)*exp(-x^2/2)/x"))
+    assert s2 == 1 and b == 0 and taylor_of(g, 6) == taylor_of(P("-sinc(x)"), 6)
     # |sin(z)/z| <= e^r/r on |z| = r
     assert growth_majorant(g) == (1, -1, 1, 0)
 
@@ -282,3 +282,36 @@ def test_unit_gaussians_keep_rate_one_and_no_gaussian_has_no_envelope(capsys, mo
     assert rates == [1.0, 1.0, 0.25]
     code, out, err = run_cli(capsys, "integrate", "sin(sin(x))", "--method", "oracle")
     assert code == EXIT_UNSUPPORTED and out == "" and "no Gaussian factor" in err
+
+
+# e^(-x^2/(2 s^2) + b x) peaks at mu = b s^2 with height e^(b^2 s^2/2): the
+# oracle centres its window there and scales by the height, so each value
+# lies within its printed bound of the 40-digit reference
+@pytest.mark.parametrize("s2, factors", [
+    (Fraction(1), [("exp", Fraction(3))]),
+    (Fraction(1), [("exp", Fraction(1))]),
+    (Fraction(1), [("exp", Fraction(-2)), ("cos", Fraction(1))]),
+    (Fraction(1, 4), [("exp", Fraction(5, 2)), ("cos", Fraction(2))]),
+    (Fraction(4), [("exp", Fraction(-1, 2)), ("cos", Fraction(1, 3))]),
+    (Fraction(25), [("exp", Fraction(1, 5))]),
+    (Fraction(1, 9), [("exp", Fraction(-3)), ("cos", Fraction(3))]),
+    (Fraction(9, 2), [("exp", Fraction(2, 3)), ("sinc", Fraction(1, 2))]),
+])
+def test_oracle_centres_a_gaussian_with_a_linear_rate(s2, factors):
+    truth = reference(s2, factors)
+    for text in (text_of(s2, factors),
+                 text_of(s2, factors).replace(")*exp((", "+(", 1)):  # one exp factor
+        report = quadrature(P(text))
+        bound = float(report.diagnostics["verdict"].removeprefix("error<="))
+        assert abs(report.approx - truth) <= bound, (text, report.approx, truth)
+        assert abs(report.approx - truth) <= 1e-10 * abs(truth), text
+
+
+def test_oracle_prints_the_linear_rate_rows_within_their_bounds(capsys):
+    for text, truth in [("exp(-x^2/2+3*x)", mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(4.5)),
+                        ("exp(-x^2/2+x)", mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(0.5))]:
+        code, out, err = run_cli(capsys, "integrate", text, "--method", "oracle")
+        assert code == EXIT_OK, err
+        fields = dict(line.split(":", 1) for line in out.splitlines())
+        bound = float(fields["verdict"].strip().removeprefix("error<="))
+        assert abs(float(fields["approx"]) - truth) <= bound, (text, out)
