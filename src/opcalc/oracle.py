@@ -17,7 +17,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 
 @functools.cache
@@ -53,19 +53,21 @@ def _ensure_vectorized(f):
 
 
 def _panels(f, spans):
-    """Value and error estimate of the 10/21-node pair on every (a, b) of
-    *spans*, from one call of f on all their nodes."""
+    """Values and error estimates of the 10/21-node pair on every (a, b)
+    of *spans*, from one call of f on all their nodes and one dot call
+    per rule (np.vecdot takes each row's BLAS dot, the bits of w @ row)."""
     import numpy as np
     if not spans:
-        return []
+        return [], []
     (nodes_lo, weights_lo), (nodes_hi, weights_hi) = _rules()
     ends = np.array(spans, dtype=float)
     mid = 0.5 * (ends[:, :1] + ends[:, 1:])
     half = 0.5 * (ends[:, 1:] - ends[:, :1])
     nodes = mid + half * np.concatenate((nodes_lo, nodes_hi))
     rows = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    pairs = [(float(weights_lo @ row[:10]), float(weights_hi @ row[10:])) for row in rows]
-    return [(hi * h, abs(hi - lo) * h) for h, (lo, hi) in zip(half[:, 0].tolist(), pairs)]
+    lo = np.vecdot(rows[:, :10], weights_lo)
+    hi = np.vecdot(rows[:, 10:], weights_hi)
+    return (hi * half[:, 0]).tolist(), (abs(hi - lo) * half[:, 0]).tolist()
 
 
 def _quiet(fn):
@@ -103,65 +105,76 @@ def require_finite(f: Callable[[float], float], x: float) -> None:
         raise QuadratureError(f"the integrand is not finite at x = {x:g}")
 
 
-def _adaptive(f, intervals, tol: float,
-              max_subdivisions: int = 4000) -> list[QuadReport]:
+def _lockstep(f, intervals, tol: float, max_subdivisions: int = 4000):
     """Adaptive integrals over every (a, b) of *intervals*, refined in
-    lockstep.  Each interval keeps its own heap, error total and budget,
-    and bisects its worst panel exactly as it would alone; one call of f
-    per round evaluates the new halves of all of them.  Raises
+    lockstep: their values, error estimates and subdivision counts.  The
+    first panels of all intervals are one batch.  An interval whose first
+    estimate is above tol gets a heap, its own error total and budget, and
+    bisects its worst panel exactly as it would alone; one call of f per
+    round evaluates the new halves of all of them.  Raises
     QuadratureError for the first interval whose sum is not finite."""
     spans = [(min(a, b), max(a, b)) for a, b in intervals]
-    heaps = [[] for _ in spans]
+    values = [0.0] * len(spans)
     errs = [0.0] * len(spans)
     splits = [0] * len(spans)
-    done = [False] * len(spans)
     live = [i for i, (a, b) in enumerate(spans) if a != b]
-    for i, (v, e) in zip(live, _panels(f, [spans[i] for i in live])):
-        heaps[i].append((-e, *spans[i], v, e))
-        errs[i] = e
+    heaps = {}
+    for i, v, e in zip(live, *_panels(f, [spans[i] for i in live])):
+        values[i], errs[i] = v, e
+        if e > tol:
+            heaps[i] = [(-e, *spans[i], v, e)]
+    done = set()
+    live = list(heaps)
     while live := [i for i in live
-                   if errs[i] > tol and splits[i] < max_subdivisions and not done[i]]:
+                   if errs[i] > tol and splits[i] < max_subdivisions and i not in done]:
         halves = []
         for i in live:
             _, xa, xb, v, e = heapq.heappop(heaps[i])
             errs[i] -= e
             mid = 0.5 * (xa + xb)
             if mid == xa or mid == xb:  # cannot split further in floats
-                done[i] = e == 0.0  # then every panel left has error 0
+                if e == 0.0:  # then every panel left has error 0
+                    done.add(i)
                 errs[i] += e
                 heapq.heappush(heaps[i], (0.0, xa, xb, v, 0.0))
             else:
                 halves.append((i, xa, mid, xb))
-        panels = _panels(f, [span for _, xa, mid, xb in halves
+        vs, es = _panels(f, [span for _, xa, mid, xb in halves
                              for span in ((xa, mid), (mid, xb))])
-        for (i, xa, mid, xb), (v1, e1), (v2, e2) in zip(halves, panels[::2], panels[1::2]):
+        for (i, xa, mid, xb), v1, e1, v2, e2 in zip(halves, vs[::2], es[::2], vs[1::2], es[1::2]):
             splits[i] += 1
             errs[i] += e1 + e2
             heapq.heappush(heaps[i], (-e1, xa, mid, v1, e1))
             heapq.heappush(heaps[i], (-e2, mid, xb, v2, e2))
-    reports = []
-    for (a, b), (lo, hi), heap, err, n in zip(intervals, spans, heaps, errs, splits):
-        total = sum(item[3] for item in heap)
+    for i, ((a, b), (lo, hi), err) in enumerate(zip(intervals, spans, errs)):
+        # summed as the heap of one panel would be: 0 + v, never -0.0
+        total = sum(item[3] for item in heaps[i]) if i in heaps else 0 + values[i]
         if not (math.isfinite(total) and math.isfinite(err)):
             raise QuadratureError(
                 f"the integrand is not finite at a quadrature node in [{lo:g}, {hi:g}]")
-        reports.append(QuadReport((-1.0 if a > b else 1.0) * total, err, n))
-    return reports
+        values[i] = (-1.0 if a > b else 1.0) * total
+    return values, errs, splits
 
 
-def _iterated_mean(partial: Sequence[float]):
+def _adaptive(f, intervals, tol: float,
+              max_subdivisions: int = 4000) -> list[QuadReport]:
+    """_lockstep's results as one QuadReport per interval."""
+    return [QuadReport(*r) for r in zip(*_lockstep(f, intervals, tol, max_subdivisions))]
+
+
+def _iterated_mean(partial):
     """Repeatedly average adjacent partial sums; every oscillating mode of
     the tail is damped by a factor per level, so slowly alternating segment
-    sums converge geometrically.  Returns the triangle apex and the gap to
-    the previous level as the error clue."""
+    sums converge geometrically.  *partial* runs along its first axis; the
+    columns of a 2-D array are averaged side by side in one triangle.
+    Returns the triangle apex and the gap to the previous level as the
+    error clue: floats for one column, lists for several."""
     import numpy as np
-    heads = [partial[0]]
-    row = np.asarray(partial, dtype=float)
+    row = prev = np.asarray(partial, dtype=float)
     while len(row) > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        heads.append(float(row[0]))
-    err = abs(heads[-1] - heads[-2]) if len(heads) > 1 else 0.0
-    return heads[-1], err
+        prev, row = row, 0.5 * (row[:-1] + row[1:])
+    err = abs(row[0] - prev[0]) if prev is not row else np.zeros_like(row[0])
+    return row[0].tolist(), err.tolist()
 
 
 def _truncation_radius(decay: str, rate: float, tol: float) -> float:
@@ -186,6 +199,7 @@ def quad_real_line(f: Callable[[float], float], tol: float = 1e-8,
     half-period segments and the alternating partial sums are accelerated
     by repeated averaging.
     """
+    import numpy as np
     f = _ensure_vectorized(f)
     if decay in ("exponential", "gaussian"):
         radius = _truncation_radius(decay, rate, tol)
@@ -197,20 +211,12 @@ def quad_real_line(f: Callable[[float], float], tol: float = 1e-8,
 
     seg_tol = tol / (20.0 * segments)
     ends = [k * half_period for k in range(segments + 1)]
-    reports = _adaptive(f, [(ends[k], ends[k + 1]) for k in range(segments)]
-                        + [(-ends[k + 1], -ends[k]) for k in range(segments)], seg_tol)
-    subdivisions = 0
-    seg_err = 0.0
-    sides = []
-    for side in (reports[:segments], reports[segments:]):
-        sums = []
-        acc = 0.0
-        for rep in side:
-            subdivisions += rep.subdivisions
-            seg_err += rep.error_estimate
-            acc += rep.value
-            sums.append(acc)
-        sides.append(_iterated_mean(sums))
-    value = sides[0][0] + sides[1][0]
-    err = sides[0][1] + sides[1][1] + seg_err
-    return QuadReport(value, err, subdivisions, segments * half_period)
+    values, errs, splits = _lockstep(
+        f, [(ends[k], ends[k + 1]) for k in range(segments)]
+        + [(-ends[k + 1], -ends[k]) for k in range(segments)], seg_tol)
+    # cumsum is sequential: the bits of adding one segment at a time
+    (right, left), (right_err, left_err) = _iterated_mean(
+        np.cumsum(np.reshape(values, (2, segments)).T, axis=0))
+    seg_err = float(np.cumsum(errs)[-1])
+    return QuadReport(right + left, right_err + left_err + seg_err, sum(splits),
+                      segments * half_period)

@@ -72,7 +72,7 @@ def reference(s2, factors):
 
 
 def text_of(s2, factors):
-    parts = [f"exp(-x^2/{2 * s2})" if s2 >= 1 else f"exp(-{1 / (2 * s2)}*x^2)"]
+    parts = [f"exp(-x^2/({2 * s2}))" if s2 >= 1 else f"exp(-{1 / (2 * s2)}*x^2)"]
     for kind, p in factors:
         parts.append({"pow": f"x^{p}", "exp": f"exp(({p})*x)", "cos": f"cos(({p})*x)",
                       "sinc": f"sinc(({p})*x)", "chirp": f"cos(x^2/{p})"}[kind])
@@ -80,6 +80,12 @@ def text_of(s2, factors):
 
 
 WIDTHS = (Fraction(1, 9), Fraction(1, 4), Fraction(1), Fraction(4), Fraction(25), Fraction(100))
+
+
+@pytest.mark.parametrize("s2", [*WIDTHS, Fraction(9, 4), Fraction(3, 2)])
+def test_text_of_writes_the_gaussian_of_its_width(s2):
+    # x^2/9/2 would be x^2/18: a fractional 2 s^2 needs its parentheses
+    assert gaussian_split(parse_expression(text_of(s2, [])))[0] == s2
 
 
 def seeded_corpus(seed=21, per_width=7):

@@ -295,6 +295,73 @@ def test_iterated_mean_matches_the_loop(seed):
             partial.append(acc)
         got = _iterated_mean(partial)
         assert [x.hex() for x in got] == [x.hex() for x in iterated_mean_loop(partial)]
+        # two columns side by side average each as if alone
+        other = [rng.uniform(-4, 4) for _ in range(length)]
+        heads, errs = _iterated_mean(np.array([partial, other]).T)
+        assert [[x.hex() for x in pair] for pair in zip(heads, errs)] == [
+            [x.hex() for x in iterated_mean_loop(row)] for row in (partial, other)]
+
+
+# -- the real-line sum equals the loop one segment at a time -------------
+
+def quad_real_line_loop(f, tol, decay, half_period=math.pi, segments=96):
+    """quad_real_line one panel row at a time: the one-interval loop on each
+    segment, a QuadReport per segment, partial sums added one float at a
+    time and each side averaged alone."""
+    if decay == "gaussian":
+        radius = math.sqrt(2.0 * math.log(1.0 / (tol / 100.0)))  # rate 1
+        report = sequential(f, -radius, radius, tol / 2, 4000)
+        return QuadReport(report.value, report.error_estimate + tol / 100.0,
+                          report.subdivisions, radius)
+    seg_tol = tol / (20.0 * segments)
+    ends = [k * half_period for k in range(segments + 1)]
+    subdivisions, seg_err, sides = 0, 0.0, []
+    for side in ([(ends[k], ends[k + 1]) for k in range(segments)],
+                 [(-ends[k + 1], -ends[k]) for k in range(segments)]):
+        acc, sums = 0.0, []
+        for a, b in side:
+            report = sequential(f, a, b, seg_tol, 4000)
+            subdivisions += report.subdivisions
+            seg_err += report.error_estimate
+            acc += report.value
+            sums.append(acc)
+        sides.append(iterated_mean_loop(sums))
+    return QuadReport(sides[0][0] + sides[1][0], sides[0][1] + sides[1][1] + seg_err,
+                      subdivisions, segments * half_period)
+
+
+def real_line_corpus(seed):
+    """Seeded (text, decay) pairs: sinc/cos products, some with
+    rates whose signed sums are 0 or near it, cos(bx)/(x^2+a^2), and
+    sinc(x)^n*exp(-x^2/2) under the Gaussian envelope."""
+    rng = random.Random(seed)
+
+    def rate():
+        return f"{rng.randint(1, 9)}*x/{rng.randint(1, 9)}"
+
+    texts = ["sinc(x)*sinc(x/2)*sinc(x/2)", "sinc(x)*cos(x)",
+             "sinc(x)*sinc(x/2)*sinc(x/3)*sinc(x/7)", f"sinc(x)*cos({999 + seed}*x/1000)"]
+    for _ in range(3):
+        texts.append("*".join([f"sinc({rate()})" for _ in range(rng.randint(1, 4))]
+                              + [f"cos({rate()})" for _ in range(rng.randint(0, 2))]))
+    for _ in range(2):
+        texts.append(f"cos({rate()})/(x^2+{rng.randint(1, 9)}/{rng.randint(1, 4)})")
+    return ([(text, "oscillatory_algebraic") for text in texts]
+            + [(f"sinc(x)^{rng.randint(1, 8)}*exp(-x^2/2)", "gaussian")])
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+@pytest.mark.parametrize("seed", range(3))
+def test_real_line_sum_matches_the_loop(seed, tol):
+    splits = []
+    for text, decay in real_line_corpus(seed):
+        f = f_of(text)
+        got = quad_real_line(f, tol=tol, decay=decay)
+        want = quad_real_line_loop(f, tol, decay)
+        assert (*bits(got), got.truncation_radius.hex()) == (
+            *bits(want), want.truncation_radius.hex()), text
+        splits.append(got.subdivisions)
+    assert 0 in splits and max(splits) > 0  # heaps both skipped and used
 
 
 # -- pinned output and work guard ----------------------------------------
