@@ -8,26 +8,29 @@ Families, tried most specific first:
 * rational_trig: a trig/exp-poly numerator over a product of distinct
   (x^2 + a^2) factors with rational a.  Resolved via Green's functions.
 * exp_poly: anything the exponential-polynomial normal form accepts.
-* series_only: entire (exact Taylor coefficients exist) but none of the
-  closed-form patterns; handled by truncated-series kernels.
+* series_only: a Gaussian e^(-x^2/(2 s^2) + b x) times g with exact Taylor
+  coefficients; params s2, b and g feed the Gaussian moment pairing.
 * unsupported: everything else, carrying the per-family failure reasons.
 
-A product is scanned once into (factor, multiplicity) pairs, which name
-both product families, so a power's rate is read once, not once per
-copy.  Arguments and denominator factors are read with the operators
-module's polynomial reader (``polynomial_of``, ``linear_rate``).
+The integrand (a quotient's numerator) is scanned once into (factor,
+multiplicity) pairs, which split off the Gaussian and name both product
+families, so an argument is read once, not once per copy or per family.
+Arguments and denominator factors are read with the operators module's
+polynomial reader (``polynomial_of``, ``linear_rate``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .operators import (NotExponentialPolynomial, exp_poly_normal_form,
                         linear_rate, polynomial_of)
-from .parser import Call, Div, Mul, Neg, Node, Num, Pow
+from .parser import X, Call, Div, Mul, Neg, Node, Num, Pow
 from .series import NotSeriesRepresentable, taylor_of
 
 
@@ -60,46 +63,65 @@ def _factor_scan(node: Node, count: int = 1):
     return [(node, count)] if count else [], 1
 
 
+# the one scan: the sign, the Gaussian e^(-c x^2 + b x) summed from `exps`
+# exp factors, and the rest as (factor, multiplicity) pairs
+_Split = namedtuple("_Split", "sign c b exps rest")
+
+
+def _split(ast: Node) -> _Split:
+    """Each exp factor of a degree <= 2 polynomial p, p(0) = 0, gives its
+    x^2 part to c and its x part to b; a quotient splits its numerator."""
+    factors, sign = _factor_scan(ast.left if isinstance(ast, Div) else ast)
+    c, b, exps, rest = Fraction(0), Fraction(0), 0, []
+    for f, count in factors:
+        try:
+            poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
+        except NotExponentialPolynomial:
+            poly = {0: 1}
+        if set(poly) <= {1, 2}:
+            c, b, exps = c - count * poly.get(2, 0), b + count * poly.get(1, 0), exps + count
+        else:
+            rest.append((f, count))
+    return _Split(sign, c, b, exps, rest)
+
+
 # -- family matchers: each returns (tag, params) or raises why it misses ----
 
-_UNIT_GAUSSIAN = {2: Fraction(-1, 2)}
+# the series_only reason of an entire integrand; the oracle reads it as "finite at 0"
+NO_GAUSSIAN = "no Gaussian factor exp(-c*x^2), c > 0: nothing decays"
 
 
-def _match_product(ast: Node) -> tuple:
-    """One scan of a product into sinc rates, cos rates and unit Gaussians
-    e^(-x^2/2) names its family: with no Gaussian and a sinc,
-    sinc_cos_product (the widest sinc plays the outer role); with one
-    Gaussian and only sinc(+-x) factors, gaussian_sinc."""
-    factors, sign = _factor_scan(ast)
-    if sign != 1:
+def _match_product(ast: Node, split: _Split) -> tuple:
+    """With no exp factor and a sinc, sinc_cos_product (the widest sinc plays
+    the outer role); with the unit Gaussian and only sinc(+-x), gaussian_sinc."""
+    if isinstance(ast, Div):  # the quotient is its one factor
+        raise _NoMatch("factor Div is not sinc, cos or exp")
+    if split.sign != 1:
         raise _NoMatch("an overall minus sign is not a plain sinc/cos product")
     rates = {"sinc": [], "cos": []}  # (|rate|, multiplicity) in factor order
-    gaussians = 0
-    for f, count in factors:
+    for f, count in split.rest:
         if isinstance(f, Num) and f.value == 1:
             continue
         if not isinstance(f, Call) or f.func not in ("sinc", "cos", "exp"):
             raise _NoMatch(f"factor {getattr(f, 'func', type(f).__name__)} is not sinc, cos or exp")
         if f.func == "exp":
-            if polynomial_of(f.arg) != _UNIT_GAUSSIAN:
-                raise _NoMatch("an exp factor other than the unit Gaussian")
-            gaussians += count
-        elif (rate := abs(linear_rate(f.arg))) == 0:
+            raise _NoMatch("an exp factor other than the unit Gaussian")
+        if (rate := abs(linear_rate(f.arg))) == 0:
             raise _NoMatch("zero-frequency factor")
-        else:
-            rates[f.func].append((rate, count))
-    if not gaussians and rates["sinc"]:
+        rates[f.func].append((rate, count))
+    if not split.exps and rates["sinc"]:
         sincs = sorted(rate for rate, count in rates["sinc"] for _ in range(count))
         return "sinc_cos_product", {
             "sinc_rates": tuple(sincs[:-1]),
             "cos_rates": tuple(rate for rate, count in rates["cos"] for _ in range(count)),
             "outer_rate": sincs[-1]}
-    if gaussians == 1 and not rates["cos"] and all(rate == 1 for rate, _ in rates["sinc"]):
+    if (split.c, split.b) == (Fraction(1, 2), 0) and not rates["cos"] \
+            and all(rate == 1 for rate, _ in rates["sinc"]):
         return "gaussian_sinc", {"sinc_power": sum(count for _, count in rates["sinc"])}
     raise _NoMatch("needs a sinc and no Gaussian, or one unit Gaussian and only sinc(x)")
 
 
-def _match_rational_trig(ast: Node) -> dict:
+def _match_rational_trig(ast: Node, split: _Split) -> tuple:
     if not isinstance(ast, Div):
         raise _NoMatch("not a quotient")
     factors, sign = _factor_scan(ast.right)
@@ -132,29 +154,39 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _probe_exp_poly(ast: Node) -> tuple:
+def _probe_exp_poly(ast: Node, split: _Split) -> tuple:
+    if split.c > 0:  # the Gaussian's x^2 exponent is never exp-poly
+        raise _NoMatch("a Gaussian factor exp(-c*x^2) is not exp-poly")
     exp_poly_normal_form(ast)
     return "exp_poly", {}
 
 
-def _probe_series(ast: Node) -> tuple:
-    taylor_of(ast, 8)
-    return "series_only", {}
+def _match_series(ast: Node, split: _Split) -> tuple:
+    """s^2 = 1/(2c), b and g(x) = ast e^(x^2/(2 s^2)): the sign, the other
+    factors and exp(b x), over the denominator; g must have Taylor coefficients."""
+    g = [Num(Fraction(-1))] * (split.sign < 0) + [f if n == 1 else Pow(f, n) for f, n in split.rest]
+    g += [Call("exp", Mul(Num(split.b), X))] * (split.b != 0)
+    g = functools.reduce(Mul, g) if g else Num(Fraction(1))
+    g = Div(g, ast.right) if isinstance(ast, Div) else g
+    taylor_of(g, 8)
+    if split.c <= 0:
+        raise _NoMatch(NO_GAUSSIAN)
+    return "series_only", {"s2": 1 / (2 * split.c), "b": split.b, "g": g}
 
 
 # (the tags an entry can name, its matcher), most specific first
 _FAMILIES = ((("sinc_cos_product", "gaussian_sinc"), _match_product),
              (("rational_trig",), _match_rational_trig),
              (("exp_poly",), _probe_exp_poly),
-             (("series_only",), _probe_series))
+             (("series_only",), _match_series))
 
 
 def classify(ast: Node) -> RouteClass:
     """Total, deterministic classification with per-family failure reasons."""
-    reasons = {}
+    split, reasons = _split(ast), {}
     for tags, match in _FAMILIES:
         try:
-            return RouteClass(*match(ast))
+            return RouteClass(*match(ast, split))
         except (_NoMatch, NotExponentialPolynomial, NotSeriesRepresentable,
                 ZeroDivisionError) as exc:
             reasons.update(dict.fromkeys(tags, str(exc)))

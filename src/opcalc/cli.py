@@ -84,7 +84,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=_int_at_least(1), default=15,
                        help="significant digits for the numeric shadow")
         p.add_argument("--truncation", type=_int_at_least(0), default=DEFAULT_TRUNCATION,
-                       help="series truncation order")
+                       help="series order of integrate over a finite interval")
         p.add_argument("--exact", action="store_true",
                        help="suppress the float shadow")
 

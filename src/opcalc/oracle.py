@@ -3,7 +3,7 @@
 Deliberately self-contained: nothing here touches the operator-calculus
 code paths.  Finite intervals use adaptive bisection with an embedded
 Gauss-Legendre pair (10 vs 21 nodes; their difference is the error
-estimate).  Real-line integrals are truncated where a declared decay
+estimate).  Real-line integrals are truncated where a declared Gaussian
 envelope drops below tol/100, except for oscillatory-algebraic integrands
 (sinc products), which are summed over half-period segments and
 accelerated by repeated averaging of the partial sums.  All the intervals
@@ -177,35 +177,24 @@ def _iterated_mean(partial):
     return row[0].tolist(), err.tolist()
 
 
-def _truncation_radius(decay: str, rate: float, tol: float) -> float:
-    cutoff = tol / 100.0
-    if decay == "exponential":
-        return math.log(1.0 / cutoff) / rate
-    if decay == "gaussian":
-        return math.sqrt(2.0 * math.log(1.0 / cutoff)) / math.sqrt(rate)
-    raise ValueError(f"no truncation radius for decay {decay!r}")
-
-
 @_quiet
-def quad_real_line(f: Callable[[float], float], tol: float = 1e-8,
-                   decay: str = "exponential", rate: float = 1.0,
-                   half_period: float = math.pi,
+def quad_real_line(f: Callable[[float], float], tol: float = 1e-8, *, decay: str,
+                   rate: float = 1.0, half_period: float = math.pi,
                    segments: int = 96) -> QuadReport:
     """Integral of f over the whole real line.
 
-    *decay* declares the integrand class: "exponential" and "gaussian"
-    envelopes are truncated once they fall below tol/100; for
+    *decay* declares the integrand class: a "gaussian" envelope
+    e^(-rate x^2/2) is truncated where it falls below tol/100; for
     "oscillatory_algebraic" each side is integrated over consecutive
     half-period segments and the alternating partial sums are accelerated
-    by repeated averaging.
+    by repeated averaging.  Any other decay is a ValueError.
     """
     import numpy as np
     f = _ensure_vectorized(f)
-    if decay in ("exponential", "gaussian"):
-        radius = _truncation_radius(decay, rate, tol)
-        report, = _adaptive(f, [(-radius, radius)], tol / 2)
-        return QuadReport(report.value, report.error_estimate + tol / 100.0,
-                          report.subdivisions, radius)
+    if decay == "gaussian":
+        radius = math.sqrt(2.0 * math.log(1.0 / (tol / 100.0))) / math.sqrt(rate)
+        (value,), (err,), (splits,) = _lockstep(f, [(-radius, radius)], tol / 2)
+        return QuadReport(value, err + tol / 100.0, splits, radius)
     if decay != "oscillatory_algebraic":
         raise ValueError(f"unknown decay class {decay!r}")
 

@@ -11,9 +11,10 @@ point with ``evaluate_at``:
   integral of e^(-xy) over [0, a], is the regularized Laplace route;
 * Green route: the trig numerator's word on the partial-fraction sum of
   Green's functions of Pi(x^2 + a^2) denominators;
-* series routes: the Gaussian moment pairing on the real line, the
-  windowed Fourier route (the finite-interval pass of series.py on
-  [-a, a]) and the Paley-Wiener pairing sum against test profiles.
+* series routes: the Gaussian moment pairing on the real line (of the
+  split in classify's series_only params), the windowed Fourier route
+  (series.py's finite-interval pass on [-a, a]) and the Paley-Wiener
+  pairing sum against test profiles.
 
 Convergence is the kernel's call: a member refuses by type (see
 ``kernels``; ``DivergentIntegralError`` is re-exported here), and no route
@@ -25,7 +26,6 @@ only to a finite interval.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,15 +34,15 @@ from typing import Optional, Sequence
 from . import oracle
 from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
                       sinc_power_gaussian)
-from .classify import RouteClass, _factor_scan, classify
+from .classify import NO_GAUSSIAN, RouteClass, classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
 from .kernels import (DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel,
                       interval_kernel, with_representatives)
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
-                        laurent_defect, polynomial_of, word_of)
-from .parser import X, Call, Div, Mul, Node, Num, Pow, as_vector_callable
+                        laurent_defect, word_of)
+from .parser import Node, as_vector_callable
 from .result import TransformResult
 from .series import (CONVERGED, DEFAULT_TRUNCATION, DIVERGED, NotSeriesRepresentable, PowerSeries,
                      SeriesConvergenceError, _monomial_compose, finite_interval_transform,
@@ -256,35 +256,10 @@ def pw_pairing(f: PowerSeries, profile: TaylorProfile, n_terms: int,
 PAIRING_TOL, PAIRING_BUDGET = 1e-17, 800  # tail tolerance; no order above it
 
 
-def gaussian_split(ast: Node) -> tuple:
-    """(s^2, b, g) with ast = e^(-x^2/(2 s^2)) g(x): each exp factor of a
-    degree <= 2 polynomial p, p(0) = 0, gives its x^2 part to the Gaussian and
-    the rest to g, whose exp(b x) sums their x parts (exp(-x^2/2+x) leaves
-    exp(x), b = 1); a quotient splits its numerator."""
-    num, den = (ast.left, ast.right) if isinstance(ast, Div) else (ast, None)
-    factors, sign = _factor_scan(num)
-    c, rate, g = Fraction(0), Fraction(0), [Num(Fraction(-1))] * (sign < 0)
-    for f, count in factors:
-        try:
-            poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
-        except NotExponentialPolynomial:
-            poly = {0: 1}
-        if set(poly) <= {1, 2}:
-            c, rate = c - count * poly.get(2, 0), rate + count * poly.get(1, 0)
-        else:
-            g.append(f if count == 1 else Pow(f, count))
-    if c <= 0:
-        raise UnsupportedFamilyError("no Gaussian factor exp(-c*x^2), c > 0: nothing decays")
-    g += [Call("exp", Mul(Num(rate), X))] * (rate != 0)
-    g = functools.reduce(Mul, g) if g else Num(Fraction(1))
-    return 1 / (2 * c), rate, (g if den is None else Div(g, den))
-
-
-def gaussian_pairing(ast: Node) -> TransformResult:
-    """The integral of e^(-c x^2) g(x), s^2 = 1/(2c), as s sqrt(2 pi) sum_j
-    g_(2j) s^(2j) (2j-1)!!, g(-i d/dy) on the heat kernel term by term, summed
-    exactly to the order moment_order picks; the bound adds the rounding."""
-    s2, _, g = gaussian_split(ast)
+def gaussian_pairing(s2: Fraction, g: Node) -> TransformResult:
+    """The integral of e^(-x^2/(2 s^2)) g(x) (the series_only split) as s sqrt(2 pi)
+    sum_j g_(2j) s^(2j) (2j-1)!!, g(-i d/dy) on the heat kernel term by term,
+    summed exactly to the order moment_order picks; the bound adds the rounding."""
     order, tail = moment_order(growth_majorant(g), s2, PAIRING_TOL, PAIRING_BUDGET)
     coeffs, total, weight = taylor_of(g, order), Fraction(0), Fraction(1)
     for j in range(order // 2 + 1):  # weight = s^(2j) (2j-1)!!
@@ -373,7 +348,8 @@ FAMILY_ROUTES = {
     "rational_trig": ("green", lambda ast, p: integrate_rational_trig(p["numerator"], p["rates"]),
                       ("oscillatory_algebraic", 1e-8)),
     "exp_poly": ("delta", lambda ast, p: fourier_at(ast, 0), None),
-    "series_only": ("series", lambda ast, p: gaussian_pairing(ast), ("gaussian", 1e-10)),
+    "series_only": ("series", lambda ast, p: gaussian_pairing(p["s2"], p["g"]),
+                    ("gaussian", 1e-10)),
 }
 
 
@@ -434,18 +410,20 @@ def quadrature(ast: Node, lo=-math.inf, hi=math.inf) -> TransformResult:
 
 
 def _quadrature_real_line(ast: Node, family: RouteClass) -> oracle.QuadReport:
-    """The oracle under the family's envelope; an integrand not finite at 0
-    has no value under any envelope, and says so first.  The Gaussian
-    e^(-x^2/(2 s^2) + b x) is A e^(-(x - mu)^2/(2 s^2)), mu = b s^2 and
-    A = e^(b^2 s^2/2), so f(x + mu)/A goes under the centred envelope."""
+    """The oracle under the family's envelope; an integrand not finite at 0 has
+    no value under any envelope and says so first, unless classify found its
+    Taylor coefficients.  The params' Gaussian e^(-x^2/(2 s^2) + b x) (unit if
+    none) is A e^(-(x - mu)^2/(2 s^2)), mu = b s^2 and A = e^(b^2 s^2/2), so
+    f(x + mu)/A goes under the centred envelope."""
     f, envelope = as_vector_callable(ast), FAMILY_ROUTES.get(family.tag, (None, None, None))[2]
     if envelope is None:
-        oracle.require_finite(f, 0.0)
+        if family.reasons.get("series_only") != NO_GAUSSIAN:
+            oracle.require_finite(f, 0.0)
         raise UnsupportedFamilyError(
             f"the oracle has no real-line envelope for the {family.tag} family",
             family.reasons)
     decay, tol = envelope
-    s2, b, _ = gaussian_split(ast) if decay == "gaussian" else (1, 0, None)
+    s2, b = family.params.get("s2", 1), family.params.get("b", 0)
     mu, amp = float(b * s2), math.exp(b * b * s2 / 2)  # amp is 1.0 when b = 0
     report = oracle.quad_real_line((lambda xs: f(xs + mu) / amp) if b else f,
                                    tol=tol, decay=decay, rate=float(1 / s2))

@@ -1,6 +1,7 @@
 """Route classification and the command-line surface (text, JSON, exits)."""
 
 import argparse
+import functools
 import hashlib
 import importlib
 import json
@@ -25,9 +26,9 @@ from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
 from opcalc.exact import Residue
 from opcalc.operators import (NotExponentialPolynomial, exp_poly_normal_form,
                               linear_rate, polynomial_of)
-from opcalc.parser import Call, Num, ParseError, parse_expression
+from opcalc.parser import X, Call, Div, Mul, Num, ParseError, Pow, parse_expression
 from opcalc.series import NotSeriesRepresentable, taylor_of
-from opcalc.transforms import FAMILY_ROUTES, integrate_real_line
+from opcalc.transforms import FAMILY_ROUTES, UnsupportedFamilyError, integrate_real_line
 
 sys.path.insert(0, str(Path(__file__).parent))
 import parse_corpus  # noqa: E402  (a script as well, so not a package module)
@@ -181,7 +182,7 @@ def _reference_classify(ast):
     reasons = {}
     for tag, match in (("sinc_cos_product", _reference_sinc_cos),
                        ("gaussian_sinc", _reference_gaussian_sinc),
-                       ("rational_trig", lambda a: classify_module._match_rational_trig(a)[1])):
+                       ("rational_trig", lambda a: classify_module._match_rational_trig(a, None)[1])):
         try:
             return RouteClass(tag, match(ast))
         except (classify_module._NoMatch, NotExponentialPolynomial) as exc:
@@ -237,8 +238,44 @@ def _seeded_products(count: int, seed: int = 20) -> list:
     return texts
 
 
+def _reference_gaussian_split(ast):
+    """(s^2, b, g) as the series route read them before classify split the
+    Gaussian: each exp factor of a degree <= 2 polynomial p, p(0) = 0, gives
+    its x^2 part to the Gaussian and the rest to g; a quotient splits its
+    numerator."""
+    num, den = (ast.left, ast.right) if isinstance(ast, Div) else (ast, None)
+    factors, sign = classify_module._factor_scan(num)
+    c, rate, g = Fraction(0), Fraction(0), [Num(Fraction(-1))] * (sign < 0)
+    for f, count in factors:
+        try:
+            poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
+        except NotExponentialPolynomial:
+            poly = {0: 1}
+        if set(poly) <= {1, 2}:
+            c, rate = c - count * poly.get(2, 0), rate + count * poly.get(1, 0)
+        else:
+            g.append(f if count == 1 else Pow(f, count))
+    if c <= 0:
+        raise UnsupportedFamilyError("no Gaussian factor exp(-c*x^2), c > 0: nothing decays")
+    g += [Call("exp", Mul(Num(rate), X))] * (rate != 0)
+    g = functools.reduce(Mul, g) if g else Num(Fraction(1))
+    return 1 / (2 * c), rate, (g if den is None else Div(g, den))
+
+
+# the unit Gaussian spelled as several exp factors, with sinc(x)^2, ^1, ^2, ^1, ^0
+RESPELLED_UNIT_GAUSSIANS = ("exp(-x^2/4)^2*sinc(x)^2", "exp(-x^2/4)*exp(-x^2/4)*sinc(x)",
+                            "exp(x^2/2)*exp(-x^2)*sinc(x)^2", "exp(-x^2/2)*exp(0*x)*sinc(x)",
+                            "exp(-x^2/2)*exp(x)*exp(-x)")
+ALL_FAMILIES = sorted(["sinc_cos_product", "gaussian_sinc", "rational_trig", "exp_poly",
+                       "series_only"])
+
+
 def test_one_product_scan_classifies_as_the_two_matchers_did():
-    texts = _seeded_products(1200)
+    # as the two matchers and the series route's split did, but for two
+    # classes: a respelled unit Gaussian is gaussian_sinc, and an entire
+    # integrand with no Gaussian is unsupported
+    texts = _seeded_products(1200) + list(RESPELLED_UNIT_GAUSSIANS) \
+        + ["sin(sin(x))", "exp(-x^2/2)*exp(x^2/2)*cos(x)"]
     sample = parse_corpus.corpus()[::25]
     tags = Counter()
     for text in texts + sample:
@@ -246,21 +283,39 @@ def test_one_product_scan_classifies_as_the_two_matchers_did():
             ast = parse_expression(text)
         except ParseError:
             continue
-        want = _classified(_reference_classify, ast)
-        assert _classified(classify, ast) == want, text
+        want, got = _classified(_reference_classify, ast), _classified(classify, ast)
+        if want[0] == "series_only":
+            try:
+                s2, b, g = _reference_gaussian_split(ast)
+            except UnsupportedFamilyError:
+                assert got == ("unsupported", {}, ALL_FAMILIES), text
+                assert "no Gaussian factor" in classify(ast).reasons["series_only"], text
+                tags["no Gaussian"] += 1
+                continue
+            if got[0] == "gaussian_sinc":
+                n = got[1]["sinc_power"]
+                assert got == ("gaussian_sinc", {"sinc_power": n}, []) and (s2, b) == (1, 0)
+                assert taylor_of(g, 12) == taylor_of(parse_expression(f"sinc(x)^{n}"), 12), text
+                tags["respelled"] += 1
+                continue
+            want = ("series_only", {"s2": s2, "b": b, "g": g}, [])
+        assert got == want, text
         tags[want[0] if isinstance(want, tuple) else want] += 1
     assert tags["sinc_cos_product"] >= 150 and tags["gaussian_sinc"] >= 30, tags
     assert tags["unsupported"] >= 100 and tags["exp_poly"] >= 100, tags
+    assert tags["series_only"] >= 30 and tags["respelled"] >= 5 and tags["no Gaussian"] >= 2, tags
 
 
-@pytest.mark.parametrize("text", ["sinc(x)^8*exp(-x^2/2)", "exp(-x^2/2)*cos(x)"])
+@pytest.mark.parametrize("text", ["sinc(x)^8*exp(-x^2/2)", "exp(-x^2/2)*cos(x)",
+                                  "exp(-x^2/2)*sin(x)/x"])
 def test_classify_scans_a_product_once(monkeypatch, text):
     ast = parse_expression(text)
+    product = ast.left if isinstance(ast, Div) else ast  # a quotient's numerator
     scans = []
     original = classify_module._factor_scan
 
     def counting(node, count=1):
-        scans.append(node is ast)
+        scans.append(node is product)
         return original(node, count)
 
     monkeypatch.setattr(classify_module, "_factor_scan", counting)

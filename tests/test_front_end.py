@@ -119,7 +119,10 @@ def digest(text: str) -> str:
 # taken through the public routes; recomputed on the code in which those
 # routes still repeated the 1/y kernel's convergence checks, so only an
 # answer that no check refused can differ.  Print the table with
-# `python tests/test_front_end.py`
+# `python tests/test_front_end.py`.  The 15 Gaussian and entire entries
+# whose classify reading changed when classify began to carry the Gaussian
+# split (series_only params s2, b, g; no Gaussian is unsupported) were
+# re-pinned; with the earlier classify line each gives its earlier pin.
 PINS = {
     'exp(-x)': '9ec00eb7c7a6670f',
     'x*exp(-x)': 'db987505d7bd98f0',
@@ -136,7 +139,7 @@ PINS = {
     'sinc(x)': 'dffcd930903a8991',
     'sinc(x)*sinc(x/3)': '28fdc402af3e45bd',
     'sin(x)^2/x^2': '83b472892410d5d1',
-    'x^2*exp(-x^2/2)': '6da604dfec36cbef',
+    'x^2*exp(-x^2/2)': '6d23b09969d56733',
     'sqrt(x)': '7077637569951b75',
     'sinc(x)^2*exp(-x^2/2)': '311cf8a8fe81163d',
     '1/(x^3+1)': '7077637569951b75',
@@ -153,7 +156,7 @@ PINS = {
     'cos(x)/((x^2+1)*(x^2+9/4))': '6701fda022e14163',
     'cos(x)/(x^2+2)': '7077637569951b75',
     'sin(x)/x': '6814fec047fee0f1',
-    'sin(x)*exp(-x^2/2)/x': 'd1ddf3ee3403ac86',
+    'sin(x)*exp(-x^2/2)/x': '0662d857d02e7e3c',
     'x': '917ecc624c4b933c',
     'exp(x)*sin(x)': 'e9847ccbdab8dee6',
     'pi*exp(-1)': '7077637569951b75',
@@ -162,10 +165,10 @@ PINS = {
     'sinc(x/3)': '0126a111c3b52371',
     '1/(x^2+1)': '4d47c0ece5f10361',
     'sin(x)': '91ebcc117fb71b6c',
-    'sin(x)*exp(-x^2/2)': '6b91540c4907a2dc',
+    'sin(x)*exp(-x^2/2)': 'fa43c5a73698cdaa',
     'cos(3*x)': 'e1f6aa2215e3067a',
     'x^2': '88bc336fbb317476',
-    'exp(-x^2/2)*cos(x)': '8a1c7524b4c05faa',
+    'exp(-x^2/2)*cos(x)': 'ade783488b526c2a',
     'exp(-x^2/2)/x': '7077637569951b75',
     'cos(x)/((x^2+1)*(x^2+4))': 'f7c12b997b2943ed',
     '-(x+1)^2*sin(2*x)': '3c0893aa9f76b654',
@@ -183,17 +186,17 @@ PINS = {
     'exp(3*x)': 'ca90f1016e2f85e1',
     'sinc(x)^3*exp(-x)': '437fc983c24791fb',
     'x^4*exp(-3*x/2)': '9af05df90861ccd5',
-    'sin(x^2+x)*cos(2*x)': '7e6f99715cc307ec',
-    'exp(x-x^3/3)': 'fcb99b19bd615135',
-    'sinc(x+x^2)': 'b64a9379e8786791',
+    'sin(x^2+x)*cos(2*x)': '63c36c15a38869bd',
+    'exp(x-x^3/3)': '29ad6cdad70574b4',
+    'sinc(x+x^2)': '0b57cfb0c4a11a9e',
     'exp(-2*x)': '1706cefe47fc5fc5',
     'sinc(x)*exp(-x)': '2221b2fcb0f98b63',
     'x^5*exp(-3*x/2)': 'c5f169258f02f6b4',
     'exp(-2*x)*cos(3*x)': '96eb87e635432a05',
     'sqrt(x+1)': '7077637569951b75',
     'exp(2*x)': '9c96bcbac9281ef8',
-    'exp(x^2/2)': 'f31f8d03284517b9',
-    'x*exp(-x^2/2)': '44c5792ee7d3f8c6',
+    'exp(x^2/2)': '2e4e828aaabb961c',
+    'x*exp(-x^2/2)': '906bef22daf509e9',
     'sinc(x)-sinc(x)': 'c94150c938aefccf',
     'sin(x)*sin(x/2)/x^2': '839f29f43764212e',
     '(1-exp(-x))/x': 'b8363bbf8fc2011b',
@@ -217,22 +220,22 @@ PINS = {
     '(x/2)^3*exp(-x)': '1b11f23876f02589',
     'sinc(x+1)': '7077637569951b75',
     'exp(exp(x))': '7077637569951b75',
-    'sin(sin(x))': '4e396f86a6416c1c',
-    'sinc(sin(x))': '7a78b6220eb9eb74',
-    'sinc(x^2)': 'daff59aacefbc69d',
+    'sin(sin(x))': '365ced99860d82b2',
+    'sinc(sin(x))': '206c9f740dc9a72d',
+    'sinc(x^2)': '9d6cbc5e2472c2df',
     'cos(x^-1)': '7077637569951b75',
     'exp(x^2)^-1': '7077637569951b75',
     '1/(x^2+1)^2': '7077637569951b75',
     'cos(x)^2/((x^2+1)*(x^2+4))': '21aced5967ba69d6',
-    'exp(-x^2/2)^2': '9e709df41078e015',
+    'exp(-x^2/2)^2': '9478b321c5226380',
     'sinc(x)*sinc(x)*exp(-x^2/2)': '311cf8a8fe81163d',
-    'exp(-x^2/2)*exp(-x^2/2)*sinc(x)': 'edef1171d90071f7',
+    'exp(-x^2/2)*exp(-x^2/2)*sinc(x)': 'fb44b600a1eb7f60',
     '-(sinc(x)*cos(x/2))': 'cd871a9e4a8db08a',
     'sinc(-x)^4': '682ec0154ee9c321',
     'cos(x/7)^3*sinc(x/3)': '022bd339e78bf07b',
     'sinc(x)^4*exp(-x^2/2)*1': '397dd90e3378071e',
     '2*sinc(x)': '35e6a604bf08fba5',
-    '(sinc(x)*exp(-x^2/2))^2': '443a561d0a2dfed1',
+    '(sinc(x)*exp(-x^2/2))^2': 'c4f5176603ce059c',
     'exp(-x^2/2)^1*sinc(x)^5': 'fb2fcb4cf804f773',
     'cos(x)/(4+x^2)': '44318937916b9780',
     'sin(2*x)/(x^2+1/4)': '6474ff78c1710cc4',

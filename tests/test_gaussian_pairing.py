@@ -5,19 +5,20 @@ order a Cauchy tail bound picks before any coefficient is computed."""
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from opcalc import transforms
+from opcalc import operators, transforms
+from opcalc.classify import classify
 from opcalc.cli import EXIT_NONCONVERGENT, EXIT_OK, EXIT_UNSUPPORTED, run
 from opcalc.parser import parse_expression
 from opcalc.series import (SeriesConvergenceError, growth_majorant, moment_order,
                            taylor_of)
-from opcalc.transforms import (PAIRING_BUDGET, gaussian_pairing, gaussian_split,
-                               integrate, quadrature)
+from opcalc.transforms import PAIRING_BUDGET, gaussian_pairing, integrate, quadrature
 
 
 def P(text):
@@ -84,8 +85,9 @@ WIDTHS = (Fraction(1, 9), Fraction(1, 4), Fraction(1), Fraction(4), Fraction(25)
 
 @pytest.mark.parametrize("s2", [*WIDTHS, Fraction(9, 4), Fraction(3, 2)])
 def test_text_of_writes_the_gaussian_of_its_width(s2):
-    # x^2/9/2 would be x^2/18: a fractional 2 s^2 needs its parentheses
-    assert gaussian_split(parse_expression(text_of(s2, [])))[0] == s2
+    # x^2/9/2 would be x^2/18: a fractional 2 s^2 needs its parentheses;
+    # the unit Gaussian is the gaussian_sinc family, whose width is 1
+    assert classify(parse_expression(text_of(s2, []))).params.get("s2", 1) == s2
 
 
 def seeded_corpus(seed=21, per_width=7):
@@ -214,7 +216,8 @@ def test_series_request_keeps_its_digits(capsys):
 
 
 def test_a_polynomial_g_is_a_finite_sum():
-    result = gaussian_pairing(P("(x^2-1)^2*exp(-x^2/8)"))
+    params = classify(P("(x^2-1)^2*exp(-x^2/8)")).params
+    result = gaussian_pairing(params["s2"], params["g"])
     assert result.diagnostics["order"] == 4
     # the tail is 0: only the rounding to a double is left in the bound
     assert result.diagnostics["tail_bound"] == abs(result.approx) * 2.0 ** -52
@@ -255,10 +258,12 @@ def test_the_order_budget_is_never_passed(capsys, monkeypatch):
 
 
 def test_gaussian_split_reads_every_exp_factor():
-    s2, b, g = gaussian_split(P("exp(-x^2/2+x)*exp(-x^2)^2*cos(x)"))
-    assert s2 == Fraction(1, 5) and b == 1
+    route = classify(P("exp(-x^2/2+x)*exp(-x^2)^2*cos(x)"))
+    s2, b, g = route.params["s2"], route.params["b"], route.params["g"]
+    assert route.tag == "series_only" and s2 == Fraction(1, 5) and b == 1
     assert taylor_of(g, 6) == taylor_of(P("cos(x)*exp(x)"), 6)
-    s2, b, g = gaussian_split(P("-sin(x)*exp(-x^2/2)/x"))
+    route = classify(P("-sin(x)*exp(-x^2/2)/x"))
+    s2, b, g = route.params["s2"], route.params["b"], route.params["g"]
     assert s2 == 1 and b == 0 and taylor_of(g, 6) == taylor_of(P("-sinc(x)"), 6)
     # |sin(z)/z| <= e^r/r on |z| = r
     assert growth_majorant(g) == (1, -1, 1, 0)
@@ -286,8 +291,10 @@ def test_unit_gaussians_keep_rate_one_and_no_gaussian_has_no_envelope(capsys, mo
     for text in ("sinc(x)^4*exp(-x^2/2)", "exp(-x^2/2)*cos(x)", "exp(-x^2/8)*sinc(x)"):
         quadrature(P(text))
     assert rates == [1.0, 1.0, 0.25]
-    code, out, err = run_cli(capsys, "integrate", "sin(sin(x))", "--method", "oracle")
-    assert code == EXIT_UNSUPPORTED and out == "" and "no Gaussian factor" in err
+    # an entire integrand is finite at 0 even where its float reads 0/0 there
+    for text in ("sin(sin(x))", "sin(sin(x)^2/(-2))/x"):
+        code, out, err = run_cli(capsys, "integrate", text, "--method", "oracle")
+        assert code == EXIT_UNSUPPORTED and out == "" and "no Gaussian factor" in err, text
 
 
 # e^(-x^2/(2 s^2) + b x) peaks at mu = b s^2 with height e^(b^2 s^2/2): the
@@ -321,3 +328,41 @@ def test_oracle_prints_the_linear_rate_rows_within_their_bounds(capsys):
         fields = dict(line.split(":", 1) for line in out.splitlines())
         bound = float(fields["verdict"].strip().removeprefix("error<="))
         assert abs(float(fields["approx"]) - truth) <= bound, (text, out)
+
+
+# ---------------------------------------------------------------------------
+# One Gaussian reading: classify splits it, the routes read the split
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, n", [
+    ("exp(-x^2/4)^2*sinc(x)^2", 2), ("exp(-x^2/4)*exp(-x^2/4)*sinc(x)", 1),
+    ("exp(x^2/2)*exp(-x^2)*sinc(x)^2", 2), ("exp(-x^2/2)*exp(0*x)*sinc(x)", 1),
+    ("exp(-x^2/2)*exp(x)*exp(-x)", 0),
+])
+def test_a_respelled_unit_gaussian_is_exact(capsys, text, n):
+    want = json.loads(run_cli(capsys, "integrate", f"sinc(x)^{n}*exp(-x^2/2)", "--json")[1])
+    code, out, err = run_cli(capsys, "integrate", text, "--json")
+    assert code == EXIT_OK, err
+    got = json.loads(out)
+    assert got["method"] == "gaussian_heat_kernel" and got["exact"] == want["exact"] is not None
+
+
+@pytest.mark.parametrize("text", ["exp(-x^2/2)*cos(x)", "sinc(x)^4*exp(-x^2/2)"])
+def test_the_gaussian_argument_is_read_once(capsys, monkeypatch, text):
+    gaussian = P("exp(-x^2/2)").arg
+    real, reads = operators.exp_poly_normal_form, []
+
+    def counting(node):
+        reads.append(node == gaussian)
+        return real(node)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "opcalc" and getattr(module, "exp_poly_normal_form", None) is real:
+            monkeypatch.setattr(module, "exp_poly_normal_form", counting)
+    counts = []
+    for argv in (["integrate", text], ["compare", text], ["integrate", text, "--method", "oracle"]):
+        reads.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        counts.append(reads.count(True))
+    assert counts == [1, 1, 1]
