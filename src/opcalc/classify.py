@@ -12,11 +12,14 @@ Families, tried most specific first:
   coefficients; params s2, b and g feed the Gaussian moment pairing.
 * unsupported: everything else, carrying the per-family failure reasons.
 
-The integrand (a quotient's numerator) is scanned once into (factor,
-multiplicity) pairs, which split off the Gaussian and name both product
-families, so an argument is read once, not once per copy or per family.
-Arguments and denominator factors are read with the operators module's
-polynomial reader (``polynomial_of``, ``linear_rate``).
+The integrand (a quotient: numerator and denominator, once each) is
+scanned once into (factor, multiplicity) pairs and a rational scale, the
+product of its numbers, signs and constant denominators.  The pairs split
+off the Gaussian and name both product families, so an argument is read
+once, not once per copy or per family; f(-d/dy) is linear in f, so c*f
+names f's family, with ``scale`` in the product and Green params unless it
+is 1.  Arguments and denominator factors are read with the operators
+module's polynomial reader (``polynomial_of``, ``linear_rate``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .operators import (NotExponentialPolynomial, exp_poly_normal_form,
                         linear_rate, polynomial_of)
@@ -47,31 +49,46 @@ class _NoMatch(Exception):
 
 def _factor_scan(node: Node, count: int = 1):
     """Multiplicative factors of a product as (factor, multiplicity) pairs,
-    a power's base counted exponent times without copies, and the sign
-    the unary minus signs leave (a base's sign raised to the exponent).
-    A zeroth power is the factor 1: a multiplicity 0 leaves no pair."""
+    a power's base counted exponent times without copies, and the rational
+    scale of one copy: its number literals, unary minus signs and constant
+    denominators (a quotient whose denominator scans to no factors and a
+    nonzero scale) multiply it, raised through powers, and none of them is
+    left as a factor; any other quotient is one factor.  A zeroth power is
+    the factor 1: a multiplicity 0 leaves no pair."""
     if isinstance(node, Mul):
-        left, left_sign = _factor_scan(node.left, count)
-        right, right_sign = _factor_scan(node.right, count)
-        return left + right, left_sign * right_sign
+        left, left_scale = _factor_scan(node.left, count)
+        right, right_scale = _factor_scan(node.right, count)
+        return left + right, left_scale * right_scale
     if isinstance(node, Neg):
-        inner, sign = _factor_scan(node.arg, count)
-        return inner, -sign
+        inner, scale = _factor_scan(node.arg, count)
+        return inner, -scale
     if isinstance(node, Pow) and node.exponent >= 0:
-        inner, sign = _factor_scan(node.base, count * node.exponent)
-        return inner, sign ** node.exponent
-    return [(node, count)] if count else [], 1
+        inner, scale = _factor_scan(node.base, count * node.exponent)
+        return inner, scale ** node.exponent
+    if isinstance(node, Num):
+        return [], node.value
+    if isinstance(node, Div):
+        den, den_scale = _factor_scan(node.right)
+        if not den and den_scale:
+            inner, scale = _factor_scan(node.left, count)
+            return inner, scale / den_scale
+    return [(node, count)] if count else [], Fraction(1)
 
-
-# the one scan: the sign, the Gaussian e^(-c x^2 + b x) summed from `exps`
-# exp factors, and the rest as (factor, multiplicity) pairs
-_Split = namedtuple("_Split", "sign c b exps rest")
+# the one scan: the scale, the Gaussian e^(-c x^2 + b x) summed from `exps`
+# exp factors, the rest as (factor, multiplicity) pairs, and the scan
+# (factors, scale) of a top-level quotient's denominator, None if there is none
+_Split = namedtuple("_Split", "scale c b exps rest den")
 
 
 def _split(ast: Node) -> _Split:
     """Each exp factor of a degree <= 2 polynomial p, p(0) = 0, gives its
-    x^2 part to c and its x part to b; a quotient splits its numerator."""
-    factors, sign = _factor_scan(ast.left if isinstance(ast, Div) else ast)
+    x^2 part to c and its x part to b.  A quotient's numerator and
+    denominator are scanned once each; a constant denominator divides the
+    scale, as in a product, and any other is carried as den."""
+    num, den = (ast.left, _factor_scan(ast.right)) if isinstance(ast, Div) else (ast, None)
+    factors, scale = _factor_scan(num)
+    if den and not den[0] and den[1]:
+        scale, den = scale / den[1], None
     c, b, exps, rest = Fraction(0), Fraction(0), 0, []
     for f, count in factors:
         try:
@@ -82,26 +99,18 @@ def _split(ast: Node) -> _Split:
             c, b, exps = c - count * poly.get(2, 0), b + count * poly.get(1, 0), exps + count
         else:
             rest.append((f, count))
-    return _Split(sign, c, b, exps, rest)
+    return _Split(scale, c, b, exps, rest, den)
 
 
 # -- family matchers: each returns (tag, params) or raises why it misses ----
 
-# the series_only reason of an entire integrand; the oracle reads it as "finite at 0"
-NO_GAUSSIAN = "no Gaussian factor exp(-c*x^2), c > 0: nothing decays"
-
-
 def _match_product(ast: Node, split: _Split) -> tuple:
     """With no exp factor and a sinc, sinc_cos_product (the widest sinc plays
     the outer role); with the unit Gaussian and only sinc(+-x), gaussian_sinc."""
-    if isinstance(ast, Div):  # the quotient is its one factor
+    if split.den:  # the quotient is its one factor
         raise _NoMatch("factor Div is not sinc, cos or exp")
-    if split.sign != 1:
-        raise _NoMatch("an overall minus sign is not a plain sinc/cos product")
     rates = {"sinc": [], "cos": []}  # (|rate|, multiplicity) in factor order
     for f, count in split.rest:
-        if isinstance(f, Num) and f.value == 1:
-            continue
         if not isinstance(f, Call) or f.func not in ("sinc", "cos", "exp"):
             raise _NoMatch(f"factor {getattr(f, 'func', type(f).__name__)} is not sinc, cos or exp")
         if f.func == "exp":
@@ -109,49 +118,46 @@ def _match_product(ast: Node, split: _Split) -> tuple:
         if (rate := abs(linear_rate(f.arg))) == 0:
             raise _NoMatch("zero-frequency factor")
         rates[f.func].append((rate, count))
+    scale = {"scale": split.scale} if split.scale != 1 else {}
     if not split.exps and rates["sinc"]:
         sincs = sorted(rate for rate, count in rates["sinc"] for _ in range(count))
         return "sinc_cos_product", {
             "sinc_rates": tuple(sincs[:-1]),
             "cos_rates": tuple(rate for rate, count in rates["cos"] for _ in range(count)),
-            "outer_rate": sincs[-1]}
+            "outer_rate": sincs[-1], **scale}
     if (split.c, split.b) == (Fraction(1, 2), 0) and not rates["cos"] \
             and all(rate == 1 for rate, _ in rates["sinc"]):
-        return "gaussian_sinc", {"sinc_power": sum(count for _, count in rates["sinc"])}
+        return "gaussian_sinc", {"sinc_power": sum(count for _, count in rates["sinc"]), **scale}
     raise _NoMatch("needs a sinc and no Gaussian, or one unit Gaussian and only sinc(x)")
 
 
 def _match_rational_trig(ast: Node, split: _Split) -> tuple:
-    if not isinstance(ast, Div):
+    """The numerator as written over q prod (x^2 + a^2), distinct rational a;
+    the params carry 1/q as the scale when q is not 1."""
+    if not split.den:
         raise _NoMatch("not a quotient")
-    factors, sign = _factor_scan(ast.right)
+    factors, scale = split.den
+    if not scale:
+        raise _NoMatch("the denominator has the constant factor 0")
     rates = []
     for f, count in factors:
         try:
             poly = polynomial_of(f)
         except NotExponentialPolynomial as exc:
             raise _NoMatch(f"denominator factor not polynomial: {exc}")
-        if set(poly) <= {0, 2} and poly.get(2) == 1 and poly.get(0, 0) > 0:
-            root = _rational_sqrt(poly[0])
-            if root is None:
-                raise _NoMatch(f"decay rate sqrt({poly[0]}) is irrational")
+        if set(poly) <= {0, 2} and poly.get(2) == 1 and (a2 := poly.get(0, 0)) > 0:
+            root = Fraction(math.isqrt(a2.numerator), math.isqrt(a2.denominator))
+            if root * root != a2:
+                raise _NoMatch(f"decay rate sqrt({a2}) is irrational")
             rates += [root] * count
         else:
             raise _NoMatch("denominator factors must look like x^2 + a^2")
-    if sign != 1:
-        raise _NoMatch("negated denominators are not supported")
     if not rates:
         raise _NoMatch("no x^2 + a^2 factor in the denominator")
     if len(set(rates)) != len(rates):
         raise _NoMatch("repeated factors unsupported")
-    return "rational_trig", {"rates": tuple(sorted(rates)), "numerator": ast.left}
-
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        return None
-    return Fraction(num, den)
+    return "rational_trig", {"rates": tuple(sorted(rates)), "numerator": ast.left,
+                             **({"scale": 1 / scale} if scale != 1 else {})}
 
 
 def _probe_exp_poly(ast: Node, split: _Split) -> tuple:
@@ -162,15 +168,15 @@ def _probe_exp_poly(ast: Node, split: _Split) -> tuple:
 
 
 def _match_series(ast: Node, split: _Split) -> tuple:
-    """s^2 = 1/(2c), b and g(x) = ast e^(x^2/(2 s^2)): the sign, the other
+    """s^2 = 1/(2c), b and g(x) = ast e^(x^2/(2 s^2)): the scale, the other
     factors and exp(b x), over the denominator; g must have Taylor coefficients."""
-    g = [Num(Fraction(-1))] * (split.sign < 0) + [f if n == 1 else Pow(f, n) for f, n in split.rest]
+    g = [Num(split.scale)] * (split.scale != 1) + [f if n == 1 else Pow(f, n) for f, n in split.rest]
     g += [Call("exp", Mul(Num(split.b), X))] * (split.b != 0)
     g = functools.reduce(Mul, g) if g else Num(Fraction(1))
-    g = Div(g, ast.right) if isinstance(ast, Div) else g
+    g = Div(g, ast.right) if split.den else g
     taylor_of(g, 8)
     if split.c <= 0:
-        raise _NoMatch(NO_GAUSSIAN)
+        raise _NoMatch("no Gaussian factor exp(-c*x^2), c > 0: nothing decays")
     return "series_only", {"s2": 1 / (2 * split.c), "b": split.b, "g": g}
 
 

@@ -97,14 +97,6 @@ def quad_interval(f: Callable[[float], float], a: float, b: float,
     return _adaptive(_ensure_vectorized(f), [(a, b)], tol, max_subdivisions)[0]
 
 
-@_quiet
-def require_finite(f: Callable[[float], float], x: float) -> None:
-    """Raise QuadratureError unless f is finite at x."""
-    import numpy as np
-    if not np.all(np.isfinite(_ensure_vectorized(f)(np.array([x])))):
-        raise QuadratureError(f"the integrand is not finite at x = {x:g}")
-
-
 def _lockstep(f, intervals, tol: float, max_subdivisions: int = 4000):
     """Adaptive integrals over every (a, b) of *intervals*, refined in
     lockstep: their values, error estimates and subdivision counts.  The

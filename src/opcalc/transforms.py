@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from . import oracle
 from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
                       sinc_power_gaussian)
-from .classify import NO_GAUSSIAN, RouteClass, classify
+from .classify import RouteClass, classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
 from .kernels import (DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel,
@@ -200,7 +200,6 @@ class TaylorProfile:
     """Taylor data of a test function: derivs[k] = phi^(k)(0)/k!."""
 
     derivs: tuple
-    decay_hint: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "derivs", tuple(
@@ -208,15 +207,14 @@ class TaylorProfile:
             for d in self.derivs))
 
     @staticmethod
-    def from_series(series: PowerSeries, decay_hint=None) -> "TaylorProfile":
-        return TaylorProfile(series.coeffs, decay_hint)
+    def from_series(series: PowerSeries) -> "TaylorProfile":
+        return TaylorProfile(series.coeffs)
 
     @staticmethod
     def gaussian(order: int) -> "TaylorProfile":
         """Unit Gaussian e^(-y^2/2); super-exponentially decaying terms."""
         minus_half = ComplexRational(Fraction(-1, 2))
-        return TaylorProfile(_monomial_compose("exp", minus_half, 2, order).coeffs,
-                             "gaussian")
+        return TaylorProfile(_monomial_compose("exp", minus_half, 2, order).coeffs)
 
 
 @dataclass(frozen=True)
@@ -337,8 +335,9 @@ def borwein_result(n: int) -> TransformResult:
 
 # family tag -> (its route, solve(ast, params), the oracle's real-line
 # envelope and tolerance).  A solve looks its route function up when it
-# runs.  exp_poly has no known decay on both sides (exp(-x) grows as
-# x -> -inf), so the oracle refuses it rather than truncate at a guess.
+# runs; the dispatcher multiplies its value by the params' scale.  exp_poly
+# has no known decay on both sides (exp(-x) grows as x -> -inf), so the
+# oracle refuses it rather than truncate at a guess.
 FAMILY_ROUTES = {
     "sinc_cos_product": ("sinc_cos_product", lambda ast, p: sinc_product_result(
         SincProductSpec(p["sinc_rates"], p["cos_rates"], p["outer_rate"])),
@@ -365,8 +364,9 @@ def integrate_real_line(ast: Node, method: str = "auto") -> TransformResult:
 
 def _solve_real_line(ast: Node, family: RouteClass, method: str = "auto") -> TransformResult:
     name, solve, _ = FAMILY_ROUTES.get(family.tag, (None, None, None))
-    if method == "delta" and family.tag == "sinc_cos_product":  # an exp-poly product too
-        name, solve, _ = FAMILY_ROUTES["exp_poly"]
+    scale = family.params.get("scale", 1)
+    if method == "delta" and family.tag == "sinc_cos_product":  # the whole product, unscaled
+        (name, solve, _), scale = FAMILY_ROUTES["exp_poly"], 1
     if method not in ("auto", name):
         raise UnsupportedFamilyError(
             f"the {method} route does not serve the {family.tag} family", family.reasons)
@@ -380,6 +380,9 @@ def _solve_real_line(ast: Node, family: RouteClass, method: str = "auto") -> Tra
             raise
         raise UnsupportedFamilyError(f"no exact route applies: {name}: {exc}",
                                      dict(family.reasons, attempts=f"{name}: {exc}"))
+    if scale != 1:
+        result = TransformResult.from_exact(result.exact * scale, result.method,
+                                            result.formula, result.diagnostics)
     result.diagnostics["attempts"] = [name]
     return result
 
@@ -410,15 +413,13 @@ def quadrature(ast: Node, lo=-math.inf, hi=math.inf) -> TransformResult:
 
 
 def _quadrature_real_line(ast: Node, family: RouteClass) -> oracle.QuadReport:
-    """The oracle under the family's envelope; an integrand not finite at 0 has
-    no value under any envelope and says so first, unless classify found its
-    Taylor coefficients.  The params' Gaussian e^(-x^2/(2 s^2) + b x) (unit if
-    none) is A e^(-(x - mu)^2/(2 s^2)), mu = b s^2 and A = e^(b^2 s^2/2), so
-    f(x + mu)/A goes under the centred envelope."""
+    """The oracle under the family's envelope; a family with none has no bound
+    on its tails and is refused, whatever its values.  The params' Gaussian
+    e^(-x^2/(2 s^2) + b x) (unit if none) is A e^(-(x - mu)^2/(2 s^2)),
+    mu = b s^2 and A = e^(b^2 s^2/2), so f(x + mu)/A goes under the centred
+    envelope."""
     f, envelope = as_vector_callable(ast), FAMILY_ROUTES.get(family.tag, (None, None, None))[2]
     if envelope is None:
-        if family.reasons.get("series_only") != NO_GAUSSIAN:
-            oracle.require_finite(f, 0.0)
         raise UnsupportedFamilyError(
             f"the oracle has no real-line envelope for the {family.tag} family",
             family.reasons)

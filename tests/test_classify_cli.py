@@ -26,7 +26,7 @@ from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
 from opcalc.exact import Residue
 from opcalc.operators import (NotExponentialPolynomial, exp_poly_normal_form,
                               linear_rate, polynomial_of)
-from opcalc.parser import X, Call, Div, Mul, Num, ParseError, Pow, parse_expression
+from opcalc.parser import X, Call, Div, Mul, Neg, Num, ParseError, Pow, parse_expression
 from opcalc.series import NotSeriesRepresentable, taylor_of
 from opcalc.transforms import FAMILY_ROUTES, UnsupportedFamilyError, integrate_real_line
 
@@ -35,6 +35,7 @@ import parse_corpus  # noqa: E402  (a script as well, so not a package module)
 
 # the package exports the function classify under the submodule's name
 classify_module = importlib.import_module("opcalc.classify")
+transforms_module = importlib.import_module("opcalc.transforms")
 
 try:
     import jsonschema
@@ -93,11 +94,17 @@ def test_classify_unsupported_lists_reasons():
 
 
 def test_classify_raises_a_base_sign_to_the_exponent():
-    for text, tag in [("(-sinc(x))^2", "sinc_cos_product"),
-                      ("(-sinc(x))^2*exp(-x^2/2)", "gaussian_sinc"),
-                      ("(-sinc(x))^3", "exp_poly"), ("-(-sinc(x))^2", "exp_poly"),
-                      ("(-(-sinc(x)))^3", "sinc_cos_product")]:
-        assert classify(parse_expression(text)).tag == tag, text
+    # a base's sign or number is raised to the power, as its factors are
+    for text, tag, scale in [("(-sinc(x))^2", "sinc_cos_product", None),
+                             ("(-sinc(x))^2*exp(-x^2/2)", "gaussian_sinc", None),
+                             ("(-sinc(x))^3", "sinc_cos_product", -1),
+                             ("-(-sinc(x))^2", "sinc_cos_product", -1),
+                             ("(-(-sinc(x)))^3", "sinc_cos_product", None),
+                             ("(2*sinc(x))^3", "sinc_cos_product", 8),
+                             ("(-sinc(x)/2)^3*exp(-x^2/2)", "gaussian_sinc", Fraction(-1, 8)),
+                             ("(2*sinc(x))^0*sinc(x)", "sinc_cos_product", None)]:
+        route = classify(parse_expression(text))
+        assert (route.tag, route.params.get("scale")) == (tag, scale), text
 
 
 def test_cli_squared_minus_sign_is_exact(capsys):
@@ -114,6 +121,30 @@ def test_cli_squared_minus_sign_is_exact(capsys):
     assert json.loads(out)["exact"] == "pi"
 
 
+@pytest.mark.parametrize("text, bare, scale", [
+    ("2*sinc(x)*sinc(x/3)", "sinc(x)*sinc(x/3)", 2), ("-sinc(x)", "sinc(x)", -1),
+    ("sinc(x)/2", "sinc(x)", Fraction(1, 2)), ("(1/2)*sinc(x)", "sinc(x)", Fraction(1, 2)),
+    ("sinc(x)*(-3)*cos(x/2)/(-6)", "sinc(x)*cos(x/2)", Fraction(1, 2)),
+    ("0*sinc(x)", "sinc(x)", 0), ("exp(-x^2/2)/2", "exp(-x^2/2)", Fraction(1, 2)),
+    ("3*sinc(x)*exp(-x^2/2)", "sinc(x)*exp(-x^2/2)", 3),
+    ("-sinc(x)^2*exp(-x^2/2)", "sinc(x)^2*exp(-x^2/2)", -1),
+    ("cos(x)/(2*(x^2+1))", "cos(x)/(x^2+1)", Fraction(1, 2)),
+    ("cos(x)/(-(x^2+1)*(x^2+4))", "cos(x)/((x^2+1)*(x^2+4))", -1)])
+def test_classify_reads_a_constant_factor_as_a_scale(text, bare, scale):
+    # c*f is f's family, its params plus scale c (a quotient's: one over its
+    # denominator's constant)
+    want = classify(parse_expression(bare))
+    assert "scale" not in want.params
+    assert classify(parse_expression(text)) == RouteClass(want.tag, dict(want.params, scale=scale))
+
+
+def test_classify_keeps_a_quotient_by_a_non_constant():
+    # the minus sign stays in the series g, over the denominator as written
+    route = classify(parse_expression("-sin(x)*exp(-x^2/2)/x"))
+    assert route.tag == "series_only"
+    assert route.params["g"] == Div(Mul(Num(Fraction(-1)), Call("sin", X)), X)
+
+
 def test_classify_irrational_rate_not_rational_trig():
     # x^2 + 2 has an irrational decay rate; it must not reach the Green route
     route = classify(parse_expression("cos(x)/(x^2+2)"))
@@ -128,11 +159,28 @@ def test_classify_is_deterministic():
 
 
 # The classify of the code in which sinc/cos products and Gaussian-sinc
-# products were matched by two scans of the product, kept as the reference
-# for the one scan that names both families.
+# products were matched by two scans of the product, and the scan read a
+# minus sign but no other constant, kept as the reference for the one scan
+# that names both families and reads every constant as a scale.
+
+def _parent_factor_scan(node, count=1):
+    """(factor, multiplicity) pairs and the sign of the unary minus signs (a
+    base's sign raised to the exponent); a number or a quotient is a factor."""
+    if isinstance(node, Mul):
+        left, left_sign = _parent_factor_scan(node.left, count)
+        right, right_sign = _parent_factor_scan(node.right, count)
+        return left + right, left_sign * right_sign
+    if isinstance(node, Neg):
+        inner, sign = _parent_factor_scan(node.arg, count)
+        return inner, -sign
+    if isinstance(node, Pow) and node.exponent >= 0:
+        inner, sign = _parent_factor_scan(node.base, count * node.exponent)
+        return inner, sign ** node.exponent
+    return [(node, count)] if count else [], 1
+
 
 def _reference_sinc_cos(ast):
-    factors, sign = classify_module._factor_scan(ast)
+    factors, sign = _parent_factor_scan(ast)
     if sign != 1:
         raise classify_module._NoMatch("an overall minus sign")
     sinc_rates, cos_rates = [], []
@@ -159,7 +207,7 @@ def _reference_sinc_cos(ast):
 
 
 def _reference_gaussian_sinc(ast):
-    factors, sign = classify_module._factor_scan(ast)
+    factors, sign = _parent_factor_scan(ast)
     if sign != 1:
         raise classify_module._NoMatch("an overall minus sign")
     gaussians = sinc_power = 0
@@ -178,11 +226,29 @@ def _reference_gaussian_sinc(ast):
     return {"sinc_power": sinc_power}
 
 
+def _reference_rational_trig(ast):
+    if not isinstance(ast, Div):
+        raise classify_module._NoMatch("not a quotient")
+    factors, sign = _parent_factor_scan(ast.right)
+    rates = []
+    for f, count in factors:
+        poly = polynomial_of(f)
+        if not (set(poly) <= {0, 2} and poly.get(2) == 1 and poly.get(0, 0) > 0):
+            raise classify_module._NoMatch("denominator factors must look like x^2 + a^2")
+        root = Fraction(math.isqrt(poly[0].numerator), math.isqrt(poly[0].denominator))
+        if root * root != poly[0]:
+            raise classify_module._NoMatch("irrational decay rate")
+        rates += [root] * count
+    if sign != 1 or not rates or len(set(rates)) != len(rates):
+        raise classify_module._NoMatch("negated, without x^2 + a^2 factors or repeated")
+    return {"rates": tuple(sorted(rates)), "numerator": ast.left}
+
+
 def _reference_classify(ast):
     reasons = {}
     for tag, match in (("sinc_cos_product", _reference_sinc_cos),
                        ("gaussian_sinc", _reference_gaussian_sinc),
-                       ("rational_trig", lambda a: classify_module._match_rational_trig(a, None)[1])):
+                       ("rational_trig", _reference_rational_trig)):
         try:
             return RouteClass(tag, match(ast))
         except (classify_module._NoMatch, NotExponentialPolynomial) as exc:
@@ -238,14 +304,14 @@ def _seeded_products(count: int, seed: int = 20) -> list:
     return texts
 
 
-def _reference_gaussian_split(ast):
+def _reference_gaussian_split(ast, scale=1):
     """(s^2, b, g) as the series route read them before classify split the
     Gaussian: each exp factor of a degree <= 2 polynomial p, p(0) = 0, gives
     its x^2 part to the Gaussian and the rest to g; a quotient splits its
-    numerator."""
+    numerator.  g starts with the number scale (times the sign) unless it is 1."""
     num, den = (ast.left, ast.right) if isinstance(ast, Div) else (ast, None)
-    factors, sign = classify_module._factor_scan(num)
-    c, rate, g = Fraction(0), Fraction(0), [Num(Fraction(-1))] * (sign < 0)
+    factors, sign = _parent_factor_scan(num)
+    c, rate, g = Fraction(0), Fraction(0), [Num(Fraction(scale * sign))] * (scale * sign != 1)
     for f, count in factors:
         try:
             poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
@@ -262,19 +328,63 @@ def _reference_gaussian_split(ast):
     return 1 / (2 * c), rate, (g if den is None else Div(g, den))
 
 
+def _without_constants(node, zeroth=True):
+    """The product *node* without its number literals, signs and quotients by
+    a nonzero constant (None if nothing is left), and the number they
+    multiply to; any other quotient stays whole.  A denominator is read
+    without its zeroth powers too (the factor 1), which the exp-poly probe
+    of a whole integrand still reads."""
+    if isinstance(node, Mul):
+        (left, p), (right, q) = (_without_constants(side, zeroth) for side in (node.left, node.right))
+        return (Mul(left, right) if left and right else left or right), p * q
+    if isinstance(node, Neg):
+        inner, q = _without_constants(node.arg, zeroth)
+        return inner, -q
+    if isinstance(node, Pow) and node.exponent >= 0:
+        inner, q = _without_constants(node.base, zeroth)
+        keep = inner and (node.exponent or zeroth)
+        return (Pow(inner, node.exponent) if keep else None), q ** node.exponent
+    if isinstance(node, Num):
+        return None, node.value
+    if isinstance(node, Div):
+        den, q = _without_constants(node.right, zeroth=False)
+        if den is None and q:
+            inner, p = _without_constants(node.left, zeroth)
+            return inner, p / q
+    return node, Fraction(1)
+
+
+def _bare(ast):
+    """The integrand without its constants (a quotient by a non-constant:
+    its numerator's), and the number they multiply to."""
+    bare, q = _without_constants(ast)
+    if isinstance(ast, Div) and bare is ast:
+        num, q = _without_constants(ast.left)
+        bare = Div(num or Num(Fraction(1)), ast.right)
+    return bare or Num(Fraction(1)), q
+
+
 # the unit Gaussian spelled as several exp factors, with sinc(x)^2, ^1, ^2, ^1, ^0
 RESPELLED_UNIT_GAUSSIANS = ("exp(-x^2/4)^2*sinc(x)^2", "exp(-x^2/4)*exp(-x^2/4)*sinc(x)",
                             "exp(x^2/2)*exp(-x^2)*sinc(x)^2", "exp(-x^2/2)*exp(0*x)*sinc(x)",
                             "exp(-x^2/2)*exp(x)*exp(-x)")
+# constants in and around quotients
+SCALED_QUOTIENTS = ("cos(x)/(2*(x^2+1))", "-cos(x)/(-(x^2+1))", "2*cos(x)/(x^2+1)",
+                    "cos(x)/((x^2+1)*(-3)*(x^2+4))", "cos(x)/(0*(x^2+1))", "cos(x)/0",
+                    "x^2*2*exp(-x^2/2)/x", "-sin(x)*exp(-x^2/2)/(3*x)", "sinc(x)/2/3",
+                    "(1/2)*sinc(x)", "exp(-x^2/2)/(-2)", "sinc(x)/(x^0*2)")
 ALL_FAMILIES = sorted(["sinc_cos_product", "gaussian_sinc", "rational_trig", "exp_poly",
                        "series_only"])
 
 
 def test_one_product_scan_classifies_as_the_two_matchers_did():
-    # as the two matchers and the series route's split did, but for two
-    # classes: a respelled unit Gaussian is gaussian_sinc, and an entire
-    # integrand with no Gaussian is unsupported
-    texts = _seeded_products(1200) + list(RESPELLED_UNIT_GAUSSIANS) \
+    # as the two matchers and the series route's split did on the integrand
+    # without its constants, which multiply to q, but for four classes: the
+    # product families add scale q when q != 1 and the series g starts with
+    # the number q; a quotient by q_den times x^2 + a^2 factors is
+    # rational_trig with scale 1/q_den; a respelled unit Gaussian is
+    # gaussian_sinc; and an entire integrand with no Gaussian is unsupported
+    texts = _seeded_products(1200) + list(RESPELLED_UNIT_GAUSSIANS) + list(SCALED_QUOTIENTS) \
         + ["sin(sin(x))", "exp(-x^2/2)*exp(x^2/2)*cos(x)"]
     sample = parse_corpus.corpus()[::25]
     tags = Counter()
@@ -283,10 +393,23 @@ def test_one_product_scan_classifies_as_the_two_matchers_did():
             ast = parse_expression(text)
         except ParseError:
             continue
-        want, got = _classified(_reference_classify, ast), _classified(classify, ast)
-        if want[0] == "series_only":
+        bare, q = _bare(ast)
+        scale = {"scale": q} if q != 1 else {}
+        want, got = _classified(_reference_classify, bare), _classified(classify, ast)
+        if got[0] == "rational_trig" and want[0] != "rational_trig":
+            den, den_q = _without_constants(ast.right)
+            want = _classified(_reference_classify, Div(ast.left, den))
+            assert den_q not in (0, 1) and want[0] == "rational_trig", text
+            assert got == ("rational_trig", dict(want[1], scale=1 / den_q), []), text
+            tags["scaled denominator"] += 1
+            continue
+        if want[0] == "rational_trig":  # the numerator as written
+            want = ("rational_trig", dict(want[1], numerator=ast.left), [])
+        elif want[0] in ("sinc_cos_product", "gaussian_sinc"):
+            want = (want[0], dict(want[1], **scale), [])
+        elif want[0] == "series_only":
             try:
-                s2, b, g = _reference_gaussian_split(ast)
+                s2, b, g = _reference_gaussian_split(bare, q)
             except UnsupportedFamilyError:
                 assert got == ("unsupported", {}, ALL_FAMILIES), text
                 assert "no Gaussian factor" in classify(ast).reasons["series_only"], text
@@ -294,16 +417,18 @@ def test_one_product_scan_classifies_as_the_two_matchers_did():
                 continue
             if got[0] == "gaussian_sinc":
                 n = got[1]["sinc_power"]
-                assert got == ("gaussian_sinc", {"sinc_power": n}, []) and (s2, b) == (1, 0)
-                assert taylor_of(g, 12) == taylor_of(parse_expression(f"sinc(x)^{n}"), 12), text
+                assert got == ("gaussian_sinc", {"sinc_power": n, **scale}, []) and (s2, b) == (1, 0)
+                assert taylor_of(g, 12) == taylor_of(parse_expression(f"{q}*sinc(x)^{n}"), 12), text
                 tags["respelled"] += 1
                 continue
             want = ("series_only", {"s2": s2, "b": b, "g": g}, [])
         assert got == want, text
         tags[want[0] if isinstance(want, tuple) else want] += 1
+        tags["scaled"] += bool(scale) and want[0] in ("sinc_cos_product", "gaussian_sinc")
     assert tags["sinc_cos_product"] >= 150 and tags["gaussian_sinc"] >= 30, tags
     assert tags["unsupported"] >= 100 and tags["exp_poly"] >= 100, tags
     assert tags["series_only"] >= 30 and tags["respelled"] >= 5 and tags["no Gaussian"] >= 2, tags
+    assert tags["scaled"] >= 50 and tags["scaled denominator"] == 3, tags
 
 
 @pytest.mark.parametrize("text", ["sinc(x)^8*exp(-x^2/2)", "exp(-x^2/2)*cos(x)",
@@ -701,30 +826,29 @@ def test_cli_json_carries_every_route_diagnostic(capsys):
 
 
 def test_cli_non_finite_oracle_value_exits_4(capsys):
-    # sin(x)/x is nan at x = 0, which the oracle checks first for a family
-    # without an envelope (exp_poly); the Gaussian envelope's first
-    # Gauss-Legendre panel meets the nan of sin(x)*exp(-x^2/2)/x at its
-    # midpoint node.  numpy's floating-point warnings are off inside the
-    # oracle, so the exit-4 line is all of stderr
-    for argv in [("integrate", "sin(x)/x", "--method", "oracle"),
-                 ("compare", "sin(x)/x"),
-                 ("integrate", "sin(x)*exp(-x^2/2)/x", "--method", "oracle")]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_NONCONVERGENT and out == ""
-        assert err.startswith("non-convergent: the integrand is not finite")
-        assert len(err.splitlines()) == 1 and not caught
+    # the Gaussian envelope's first Gauss-Legendre panel meets the nan of
+    # sin(x)*exp(-x^2/2)/x at its midpoint node.  numpy's floating-point
+    # warnings are off inside the oracle, so the exit-4 line is all of stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "integrate", "sin(x)*exp(-x^2/2)/x", "--method", "oracle")
+    assert code == EXIT_NONCONVERGENT and out == ""
+    assert err.startswith("non-convergent: the integrand is not finite")
+    assert len(err.splitlines()) == 1 and not caught
 
 
 def test_cli_oracle_refuses_families_without_an_envelope(capsys):
     # no envelope to truncate the real line at: exp(-x) diverges as
-    # x -> -inf, and 1/(1+x^4) decays too slowly for an exponential one
-    for expr, family in [("exp(-x)", "exp_poly"), ("1/(1+x^4)", "unsupported"),
-                         ("cos(x)", "exp_poly")]:
-        code, out, err = run_cli(capsys, "integrate", expr, "--method", "oracle")
-        assert code == EXIT_UNSUPPORTED and out == ""
-        assert f"no real-line envelope for the {family} family" in err
+    # x -> -inf, and 1/(1+x^4) decays too slowly for an exponential one.
+    # The family decides, whatever f(0) is: sin(x)/x is 0/0 there and 1/x
+    # has a pole
+    for argv, family in [(("integrate", "exp(-x)"), "exp_poly"),
+                         (("integrate", "1/(1+x^4)"), "unsupported"),
+                         (("integrate", "cos(x)"), "exp_poly"), (("integrate", "1/x"), "exp_poly"),
+                         (("integrate", "sin(x)/x"), "exp_poly"), (("compare", "sin(x)/x"), "exp_poly")]:
+        code, out, err = run_cli(capsys, *argv, *(("--method", "oracle") if argv[0] == "integrate" else ()))
+        assert code == EXIT_UNSUPPORTED and out == "", argv
+        assert f"no real-line envelope for the {family} family" in err, argv
     code, out, err = run_cli(capsys, "integrate", "1/(1+x^4)", "--interval", "-1", "2",
                              "--method", "oracle", "--json")
     assert code == EXIT_OK, err
@@ -740,6 +864,55 @@ def quartic_integral(a, b):
         return (math.log((x * x + r * x + 1) / (x * x - r * x + 1)) / (4 * r)
                 + (math.atan(r * x + 1) + math.atan(r * x - 1)) / (2 * r))
     return F(b) - F(a)
+
+
+@pytest.mark.parametrize("expr, method, exact", [
+    ("2*sinc(x)*sinc(x/3)", "sinc_product_enumeration", "(2)*pi"),
+    ("(-sinc(x))^3", "sinc_product_enumeration", "(-3/4)*pi"),
+    ("sinc(x)/2", "sinc_product_enumeration", "(1/2)*pi"),
+    ("(1/2)*sinc(x)", "sinc_product_enumeration", "(1/2)*pi"),
+    ("exp(-x^2/2)/2", "gaussian_heat_kernel", "(1/2)*sqrt(2*pi)"),
+    ("3*sinc(x)*exp(-x^2/2)", "gaussian_heat_kernel", "(3)*pi*erf(1/sqrt(2))"),
+    ("-sinc(x)^2*exp(-x^2/2)", "gaussian_heat_kernel",
+     "(-1/2)*sqrt(2*pi)*exp(-2) + (1/2)*sqrt(2*pi) - pi*erf(2/sqrt(2))"),
+    ("cos(x)/(2*(x^2+1))", "greens_function", "(1/2)*pi*exp(-1)"),
+    ("-cos(x)/(-(x^2+1))", "greens_function", "pi*exp(-1)")])
+def test_cli_a_constant_factor_keeps_the_family_route(capsys, expr, method, exact):
+    # the sinc products printed these strings by the delta route, the
+    # Gaussian ones only the moment pairing's value and the quotients exit 3
+    code, out, err = run_cli(capsys, "integrate", expr, "--json")
+    assert code == EXIT_OK, err
+    got = json.loads(out)
+    assert (got["method"], got["exact"]) == (method, exact)
+    if method == "gaussian_heat_kernel":  # inside the pairing's own bound
+        route = classify(parse_expression(expr))
+        g = Mul(Num(route.params["scale"]), parse_expression(f"sinc(x)^{route.params['sinc_power']}"))
+        pairing = transforms_module.gaussian_pairing(Fraction(1), g)
+        value = integrate_real_line(parse_expression(expr)).approx
+        assert abs(value - pairing.approx) <= pairing.diagnostics["tail_bound"]
+
+
+def test_cli_compare_scaled_sinc_products(capsys):
+    # the exp_poly family of the old reading had no oracle envelope: exit 3
+    for expr, pi_times in [("2*sinc(x)", 2), ("sinc(x)/2", 0.5), ("-sinc(x)", -1)]:
+        code, out, err = run_cli(capsys, "compare", expr, "--json")
+        assert code == EXIT_OK, err
+        got = json.loads(out)
+        assert got["diagnostics"]["oracle"] == pytest.approx(pi_times * math.pi, abs=1e-8)
+
+
+def test_cli_delta_method_reads_the_whole_scaled_product(capsys):
+    code, out, err = run_cli(capsys, "integrate", "2*sinc(x)", "--method", "delta", "--json")
+    assert code == EXIT_OK, err
+    assert (json.loads(out)["method"], json.loads(out)["exact"]) == ("fourier_delta", "(2)*pi")
+
+
+def test_cli_zero_denominator_is_named(capsys):
+    for expr in ("cos(x)/(0*(x^2+1))", "cos(x)/0"):
+        code, out, err = run_cli(capsys, "integrate", expr)
+        assert code == EXIT_UNSUPPORTED and out == ""
+        assert "rational_trig: the denominator has the constant factor 0" in err
+        assert "Traceback" not in err and "Fraction" not in err
 
 
 def test_cli_finite_interval_refuses_an_unsettled_tail(capsys):

@@ -123,6 +123,10 @@ def digest(text: str) -> str:
 # whose classify reading changed when classify began to carry the Gaussian
 # split (series_only params s2, b, g; no Gaussian is unsupported) were
 # re-pinned; with the earlier classify line each gives its earlier pin.
+# So were the 4 scaled sinc products -sinc(x), -sinc(x)^2*cos(x),
+# -(sinc(x)*cos(x/2)) and 2*sinc(x) when the product scan began to read
+# every constant as a scale: exp_poly before, sinc_cos_product with a
+# scale now.
 PINS = {
     'exp(-x)': '9ec00eb7c7a6670f',
     'x*exp(-x)': 'db987505d7bd98f0',
@@ -149,7 +153,7 @@ PINS = {
     'exp(-20)': '7077637569951b75',
     '1/(1+x^4)': '7077637569951b75',
     'x^120': '82306ded4480628b',
-    '-sinc(x)': '395bc07876304f9e',
+    '-sinc(x)': '7aff4706493ecef4',
     '1/x': '301634e2c33ede99',
     'sinc(2^(-1)*x)': 'a0f610be0d4e8207',
     'sinc(x^2/x)': 'dffcd930903a8991',
@@ -207,7 +211,7 @@ PINS = {
     'sinc(x)^3*sinc(x/2)^2*cos(x/5)': '6bb9e8c2bbc193a8',
     # a squared minus sign keeps it in the sinc/cos product family
     '(-sinc(x))^2': '521b806e92106bc2',
-    '-sinc(x)^2*cos(x)': '0630387e5c9c787e',
+    '-sinc(x)^2*cos(x)': '3e7b6127a50476bc',
     'exp(-x)^5': '25bafba60e250f8f',
     'exp(-x)^0': '7cf38ab6e23649cf',
     'exp(-x)^-3': 'd7533bd2b703e748',
@@ -230,11 +234,11 @@ PINS = {
     'exp(-x^2/2)^2': '9478b321c5226380',
     'sinc(x)*sinc(x)*exp(-x^2/2)': '311cf8a8fe81163d',
     'exp(-x^2/2)*exp(-x^2/2)*sinc(x)': 'fb44b600a1eb7f60',
-    '-(sinc(x)*cos(x/2))': 'cd871a9e4a8db08a',
+    '-(sinc(x)*cos(x/2))': '79df2f51ba3ebf21',
     'sinc(-x)^4': '682ec0154ee9c321',
     'cos(x/7)^3*sinc(x/3)': '022bd339e78bf07b',
     'sinc(x)^4*exp(-x^2/2)*1': '397dd90e3378071e',
-    '2*sinc(x)': '35e6a604bf08fba5',
+    '2*sinc(x)': '13ce29fbdd505d43',
     '(sinc(x)*exp(-x^2/2))^2': 'c4f5176603ce059c',
     'exp(-x^2/2)^1*sinc(x)^5': 'fb2fcb4cf804f773',
     'cos(x)/(4+x^2)': '44318937916b9780',

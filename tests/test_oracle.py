@@ -14,8 +14,7 @@ import pytest
 from opcalc import transforms
 from opcalc.cli import run
 from opcalc.oracle import (QuadratureError, QuadReport, _adaptive, _ensure_vectorized,
-                           _iterated_mean, _rules, quad_interval, quad_real_line,
-                           require_finite)
+                           _iterated_mean, _rules, quad_interval, quad_real_line)
 from opcalc.parser import as_vector_callable, parse_expression
 
 
@@ -102,9 +101,6 @@ def test_non_finite_values_raise_without_numpy_warnings():
             quad_interval(f_of("sin(x)/x"), -1.0, 1.0)
         with pytest.raises(QuadratureError, match="not finite"):
             quad_real_line(f_of("exp(-x^2/2)/x"), decay="gaussian")
-        with pytest.raises(QuadratureError, match="x = 0"):
-            require_finite(f_of("1/x"), 0.0)
-        require_finite(f_of("sinc(x)"), 0.0)
 
 
 # -- lockstep refinement equals the one-interval loop --------------------

@@ -379,8 +379,7 @@ def test_pairing_plane_wave_evaluates_profile():
 
 def test_pairing_divergent_profile():
     f = complex_exponential_series(Fraction(1, 2), 60)
-    bad = TaylorProfile(tuple(Fraction(math.factorial(k)) for k in range(61)),
-                        decay_hint="borel")
+    bad = TaylorProfile(tuple(Fraction(math.factorial(k)) for k in range(61)))
     assert pw_pairing(f, bad, 60).verdict == "diverged"
 
 
