@@ -9,12 +9,14 @@ atoms:
 with q, r, s rational.  ``ExactValue`` stores such a combination exactly
 (bit-exact rational coefficients, structural equality) and produces a
 high-precision numeric shadow on demand, summed once per digit count.
-Each exp, erf and log atom is evaluated once per mpmath working
-precision and kept in a bounded process-wide memo (``_atom``), so values
-that share atoms, such as the erf(m/sqrt 2) of every Gaussian sinc
-power, share their cost; pi and sqrt(2 pi) are taken from mpmath's
-cached pi as before.  A value is a "pure pi multiple" iff its plain rational part is
-zero and no transcendental residues remain.
+Each residue is evaluated once per binary precision and kept, as one
+(mantissa, exponent) pair, in a bounded process-wide memo
+(``_residue_value``), so values that share residues, such as the
+sqrt(2 pi) erf(m/sqrt 2) of every Gaussian sinc power, share their cost.
+The shadow itself is an exact integer sum: each coefficient times its
+residue is floored to one common binary exponent, so no coefficient is
+ever converted to mpmath.  A value is a "pure pi multiple" iff its plain
+rational part is zero and no transcendental residues remain.
 
 ``Rational`` is the stdlib ``fractions.Fraction``, which already maintains
 lowest terms and a positive denominator.  ``ComplexRational`` supplies the
@@ -31,8 +33,11 @@ from fractions import Fraction
 from typing import Iterable
 
 import mpmath
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 Rational = Fraction
+# bits kept below the largest term's precision by the exact shadow sum
+_GUARD = 32
 
 
 def as_fraction(x) -> Fraction:
@@ -266,20 +271,18 @@ class Residue:
         return h
 
     def evalf(self) -> mpmath.mpf:
-        """Numeric value at the current mpmath working precision, each
-        atom from the memo."""
-        prec = mpmath.mp.prec
+        """Numeric value at the current mpmath working precision."""
         v = mpmath.mpf(1)
         if self.pi_power:
             v *= mpmath.pi ** self.pi_power
         if self.sqrt_two_pi:
             v *= mpmath.sqrt(2 * mpmath.pi) ** self.sqrt_two_pi
         if self.e_exp != 0:
-            v *= _atom("exp", self.e_exp, prec)
+            v *= mpmath.exp(_to_mpf(self.e_exp))
         for r in self.erf_args:
-            v *= _atom("erf", r, prec)
+            v *= mpmath.erf(_to_mpf(r) / mpmath.sqrt(2))
         for s in self.log_args:
-            v *= _atom("log", s, prec)
+            v *= mpmath.log(_to_mpf(s))
         return v
 
 
@@ -288,16 +291,12 @@ def _to_mpf(q: Fraction) -> mpmath.mpf:
 
 
 @functools.lru_cache(maxsize=1024)
-def _atom(kind: str, arg: Fraction, prec: int) -> mpmath.mpf:
-    """exp(arg), erf(arg/sqrt 2) or log(arg) at *prec* bits, the current
-    working precision: the same mpf the atom gives when computed afresh.
-    The last 1024 atoms are kept."""
-    x = _to_mpf(arg)
-    if kind == "exp":
-        return mpmath.exp(x)
-    if kind == "erf":
-        return mpmath.erf(x / mpmath.sqrt(2))
-    return mpmath.log(x)
+def _residue_value(residue: Residue, prec: int) -> tuple:
+    """``residue.evalf()`` at *prec* bits as (signed mantissa, exponent):
+    the same mpf it gives when computed afresh.  The last 1024 are kept."""
+    with mpmath.workprec(prec):
+        sign, man, exp, _ = residue.evalf()._mpf_
+    return -man if sign else man, exp
 
 
 def _normalize_term(residue: Residue, coeff: Fraction):
@@ -474,12 +473,13 @@ class ExactValue:
     def evalf(self, dps: int = 30) -> mpmath.mpf:
         """High-precision numeric shadow with *dps* significant digits.
 
-        The terms are summed at dps + 10 digits beside their absolute
-        values.  While cancellation, log10(sum |t| / |sum t|) digits, leaves
-        fewer than dps + 2 correct, the sum is taken again with that many
-        extra digits: a total that is all rounding error bounds the loss
-        only from below.  A sum of rationals cancels by fewer digits than
-        its coefficients have bits, which bounds the extra digits."""
+        The terms are summed in integers to dps + 10 digits beside their
+        absolute values.  While cancellation, log10(sum |t| / |sum t|)
+        digits, leaves fewer than dps + 2 correct, the sum is taken again
+        with that many extra digits: a total that is all rounding error
+        bounds the loss only from below.  A sum of rationals cancels by
+        fewer digits than its coefficients have bits, which bounds the
+        extra digits."""
         if dps in self._shadows:
             return self._shadows[dps]
         extra = 10
@@ -492,16 +492,25 @@ class ExactValue:
         return total
 
     def _sum(self, dps: int):
-        """The sum of the terms at *dps* digits and the digits it lost."""
-        with mpmath.workdps(dps):
-            total = size = mpmath.mpf(0)
-            for r, c in self.terms:
-                term = _to_mpf(c) * r.evalf()
-                total += term
-                size += abs(term)
-            if size <= 1e8 * abs(total):
-                return +total, 0
-            return +total, float(mpmath.log10(size / abs(total))) if total else dps
+        """The sum of the terms at *dps* digits and the digits it lost.
+
+        Each term c*R, with R = man * 2^exp from the residue memo, is
+        floored to the multiple of 2^base just below it, where base lies
+        _GUARD bits under the precision of the largest term.  The floors
+        and their absolute values are summed in Python ints, so the total
+        is within (number of terms) * 2^base of the sum of the c*R, and
+        one mpf is rounded from it."""
+        prec = dps_to_prec(dps)
+        terms = [(c.numerator, c.denominator, *_residue_value(r, prec)) for r, c in self.terms]
+        base = max((n.bit_length() - d.bit_length() + m.bit_length() + e
+                    for n, d, m, e in terms), default=0) - prec - _GUARD
+        total = size = 0
+        for n, d, m, e in terms:
+            t = (n * m << (e - base)) // d if e >= base else n * m // (d << (base - e))
+            total += t
+            size += abs(t)
+        lost = math.log10(size) - math.log10(abs(total)) if total else dps
+        return mpmath.mp.make_mpf(from_man_exp(total, base, prec, round_nearest)), lost
 
     def __float__(self) -> float:
         return float(self.evalf(25))

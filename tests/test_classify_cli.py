@@ -16,14 +16,16 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from mpmath.libmp import libmpf
 
 import opcalc
 from opcalc.classify import RouteClass, classify
 from opcalc import cli
 from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
                         EXIT_PARSE, EXIT_UNSUPPORTED, build_arg_parser, run)
-from opcalc.exact import Residue
+from opcalc.exact import Residue, _residue_value
 from opcalc.operators import (NotExponentialPolynomial, exp_poly_normal_form,
                               linear_rate, polynomial_of)
 from opcalc.parser import X, Call, Div, Mul, Neg, Num, ParseError, Pow, parse_expression
@@ -762,6 +764,23 @@ def test_cli_exact_flag_prints_a_value_beyond_the_double_range(capsys):
         assert err.startswith("non-convergent: exact value is beyond the double range")
 
 
+def test_cli_huge_coefficient_is_refused_without_converting_it(capsys, monkeypatch):
+    # 2^1000000 * pi: the shadow sum floors the term in integers, so the
+    # million-bit coefficient never reaches mpmath, which took seconds on it
+    bits = []
+    from_man_exp = libmpf.from_man_exp
+    monkeypatch.setattr(libmpf, "from_man_exp",
+                        lambda man, *rest: bits.append(abs(man).bit_length())
+                        or from_man_exp(man, *rest))
+    code, out, err = run_cli(capsys, "integrate", "2^1000000*sinc(x)")
+    assert code == EXIT_NONCONVERGENT and out == ""
+    assert err.startswith("non-convergent: exact value is beyond the double range")
+    assert "10^301030.5" in err
+    assert max(bits, default=0) < 1000
+    mpmath.mpf(3 ** 700)  # the hook does see an int converted to mpmath
+    assert bits[-1] == (3 ** 700).bit_length()
+
+
 @pytest.mark.parametrize("command", [["integrate", "sinc(x) "], ["integrate", "sinc(x)\t"],
                                      ["laplace", "exp(-x)\n", "--at", "2"],
                                      ["fourier", "sinc(x)  ", "--at", "1/2"],
@@ -1337,6 +1356,7 @@ def test_lord_at_a_tuple_sum_tie_falls_through_to_the_delta_route(capsys, argv, 
 def test_printing_more_digits_sums_each_term_once(capsys, monkeypatch):
     # the float shadow and the printed 20 digits are both 25-digit sums of
     # the same exact value: each residue is evaluated once, not twice
+    _residue_value.cache_clear()
     calls = []
     evalf = Residue.evalf
     monkeypatch.setattr(Residue, "evalf", lambda self: calls.append(self) or evalf(self))

@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcalc.borwein import sinc_power_gaussian
-from opcalc.exact import (ComplexRational, ExactValue, Residue, _atom,
+from opcalc.exact import (ComplexRational, ExactValue, Residue, _residue_value,
                           double_factorial, erf_value, exp_value, log_value)
 from opcalc.parser import parse_expression
 from opcalc.transforms import integrate, laplace_formal
@@ -192,13 +193,28 @@ def test_exact_value_high_precision():
         assert abs(v.evalf(50) - mpmath.pi) < mpmath.mpf(10) ** -49
 
 
+def _binary(man, exp):
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _fraction(x):
+    """An mpf read exactly."""
+    sign, man, exp, _ = x._mpf_
+    return _binary(-man if sign else man, exp)
+
+
+def _exact_sum(value, dps):
+    """The sum of c * R over the terms, in Fractions, where each R is the
+    residue's memoized mpf at dps digits read exactly."""
+    prec = dps_to_prec(dps)
+    return sum((c * _binary(*_residue_value(r, prec)) for r, c in value.terms), Fraction(0))
+
+
 def _one_pass(value, dps):
-    """The shadow summed once at dps + 10 digits."""
-    with mpmath.workdps(dps + 10):
-        total = mpmath.mpf(0)
-        for r, c in value.terms:
-            total += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * r.evalf()
-        return +total
+    """The exact sum of the memoized terms rounded once at dps + 10 digits."""
+    s = _exact_sum(value, dps + 10)
+    return mpmath.mp.make_mpf(from_rational(s.numerator, s.denominator,
+                                            dps_to_prec(dps + 10), round_nearest))
 
 
 @pytest.mark.parametrize("scale", [10 ** 9, 10 ** 25, 10 ** 60])
@@ -220,17 +236,16 @@ def test_evalf_is_one_pass_when_little_cancels():
         assert v.evalf(dps) == _one_pass(v, dps)
 
 
-def test_evalf_shadow_is_summed_once_per_digit_count(monkeypatch):
+def test_evalf_shadow_is_summed_once_per_digit_count():
     # the kept shadow changes neither equality, hash nor text of the value
     v = ExactValue.pi_times(Fraction(3, 7)) + exp_value(Fraction(-1, 2), 5) + erf_value(2)
     twin = ExactValue(v.terms)
-    calls = []
-    evalf = Residue.evalf
-    monkeypatch.setattr(Residue, "evalf", lambda self: calls.append(self) or evalf(self))
+    _residue_value.cache_clear()
+    misses = lambda: _residue_value.cache_info().misses
     first = v.evalf(25)
-    assert len(calls) == 3
-    assert v.evalf(25) is first and len(calls) == 3
-    assert v.evalf(30) == twin.evalf(30) and len(calls) == 9
+    assert misses() == 3
+    assert v.evalf(25) is first and misses() == 3
+    assert v.evalf(30) == twin.evalf(30) and misses() == 6
     assert v == twin and hash(v) == hash(twin) and repr(v) == repr(twin) == str(twin)
     assert first == _one_pass(twin, 25)
 
@@ -269,11 +284,11 @@ def test_high_precision_erf_against_mpmath(x):
 
 
 # ---------------------------------------------------------------------------
-# The atom memo
+# The residue memo and the exact shadow sum
 # ---------------------------------------------------------------------------
 
 def _fresh_evalf(self):
-    """Residue.evalf with every atom computed afresh, as before the memo."""
+    """Residue.evalf with every atom computed afresh, as it was before any memo."""
     v = mpmath.mpf(1)
     if self.pi_power:
         v *= mpmath.pi ** self.pi_power
@@ -304,7 +319,7 @@ SHADOW_DPS = (15, 25, 35, 50)
 
 
 def test_atom_memo_shadows_are_bit_identical(monkeypatch):
-    # a cleared memo, a warm one and no memo at all give the same mpf
+    # a cleared residue memo, a warm one and no memo at all give the same mpf
     values = _memo_corpus()
     assert any(r.log_args for v in values for r, _ in v.terms)
     assert any(r.erf_args for v in values for r, _ in v.terms)
@@ -312,26 +327,30 @@ def test_atom_memo_shadows_are_bit_identical(monkeypatch):
     cleared = []
     for v in values:
         for dps in SHADOW_DPS:
-            _atom.cache_clear()
+            _residue_value.cache_clear()
             cleared.append(ExactValue(v.terms).evalf(dps)._mpf_)
     warm = [ExactValue(v.terms).evalf(dps)._mpf_ for v in values for dps in SHADOW_DPS]
-    assert _atom.cache_info().hits > 0
+    assert _residue_value.cache_info().hits > 0
     monkeypatch.setattr(Residue, "evalf", _fresh_evalf)
-    fresh = [ExactValue(v.terms).evalf(dps)._mpf_ for v in values for dps in SHADOW_DPS]
+    fresh = []
+    for v in values:
+        for dps in SHADOW_DPS:
+            _residue_value.cache_clear()
+            fresh.append(ExactValue(v.terms).evalf(dps)._mpf_)
     assert cleared == warm == fresh
 
 
 def test_atom_memo_is_keyed_by_precision():
-    # an atom asked at 15 digits and then at 50 is the 50-digit mpf
-    _atom.cache_clear()
+    # a residue asked at 15 digits and then at 50 is the 50-digit mpf
+    _residue_value.cache_clear()
     residue = Residue(e_exp=Fraction(-49, 2), erf_args=(Fraction(7),))
-    with mpmath.workdps(15):
-        low = residue.evalf()
+    low = _residue_value(residue, dps_to_prec(15))
+    high = _residue_value(residue, dps_to_prec(50))
     with mpmath.workdps(50):
-        high = residue.evalf()
-        assert high._mpf_ == _fresh_evalf(residue)._mpf_
+        sign, man, exp, _ = _fresh_evalf(residue)._mpf_
+    assert high == (-man if sign else man, exp)
     assert high != low
-    assert _atom.cache_info().currsize == 4
+    assert _residue_value.cache_info().currsize == 2
     value = erf_value(13, Fraction(1, 3))
     value.evalf(15)
     with mpmath.workdps(60):
@@ -340,13 +359,60 @@ def test_atom_memo_is_keyed_by_precision():
 
 
 def test_atom_memo_is_bounded():
-    maxsize = _atom.cache_info().maxsize
+    # the residue memo keeps at most its maxsize entries
+    maxsize = _residue_value.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 4096
     with mpmath.workdps(15):
         for k in range(maxsize + 50):
             exp_value(Fraction(k, 7)).evalf(15)
-            assert _atom.cache_info().currsize <= maxsize
-    assert _atom.cache_info().currsize == maxsize
+            assert _residue_value.cache_info().currsize <= maxsize
+    assert _residue_value.cache_info().currsize == maxsize
+
+
+def _shadow_corpus(seed=27):
+    """Values with every atom kind, coefficients up to 300 bits, an
+    exp(-800) term beside O(1) ones, a 2^100000 coefficient and the
+    scale*pi - nearest cancellations."""
+    rng = random.Random(seed)
+    big = lambda: rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300)) or 1
+    values = []
+    for _ in range(30):
+        terms = [(_random_residue(rng), Fraction(big(), abs(big())))
+                 for _ in range(rng.randint(1, 8))]
+        values.append(ExactValue.from_terms(terms))
+    values.append(exp_value(-800, 3) + ExactValue.rational(Fraction(1, 3))
+                  + ExactValue.pi_times(-2) + erf_value(Fraction(1, 2)))
+    values.append(ExactValue.pi_times(2 ** 100000) + log_value(3, Fraction(-5, 7)))
+    for scale in (10 ** 9, 10 ** 25, 10 ** 60):
+        with mpmath.workdps(200):
+            nearest = int(mpmath.nint(scale * mpmath.pi))
+        values.append(ExactValue.pi_times(scale) - nearest)
+    return values
+
+
+def test_shadow_sum_matches_an_exact_reference():
+    # each pass is within (number of terms) * 2^base of the exact sum of
+    # the memoized terms, plus one rounding, where base lies at least 8
+    # bits under the largest term's precision (its bit-length estimate is
+    # below log2 |term| + 2); and the shadow holds dps digits
+    values = _shadow_corpus()
+    assert {"pi", "sqrt", "exp", "erf", "log"} <= {
+        kind for v in values for r, _ in v.terms
+        for kind, on in (("pi", r.pi_power), ("sqrt", r.sqrt_two_pi), ("exp", r.e_exp),
+                         ("erf", r.erf_args), ("log", r.log_args)) if on}
+    for v in values:
+        for dps in SHADOW_DPS:
+            prec = dps_to_prec(dps)
+            total, _ = v._sum(dps)
+            reference = _exact_sum(v, dps)
+            largest = max(abs(c * _binary(*_residue_value(r, prec))) for r, c in v.terms)
+            ours = _fraction(total)
+            bound = len(v.terms) * largest / 2 ** (prec + 8 - 2) + abs(ours) / 2 ** (prec - 1)
+            assert abs(ours - reference) <= bound, (v, dps)
+            with mpmath.workdps(120):
+                truth = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * _fresh_evalf(r)
+                                    for r, c in v.terms)
+                assert abs(v.evalf(dps) - truth) <= abs(truth) * mpmath.mpf(10) ** (2 - dps)
 
 
 # ---------------------------------------------------------------------------
