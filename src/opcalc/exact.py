@@ -499,14 +499,17 @@ class ExactValue:
         _GUARD bits under the precision of the largest term.  The floors
         and their absolute values are summed in Python ints, so the total
         is within (number of terms) * 2^base of the sum of the c*R, and
-        one mpf is rounded from it."""
+        one mpf is rounded from it.  A term far below 2^base floors to 0 or
+        -1, so its shift stops once the divisor outgrows its numerator."""
         prec = dps_to_prec(dps)
         terms = [(c.numerator, c.denominator, *_residue_value(r, prec)) for r, c in self.terms]
         base = max((n.bit_length() - d.bit_length() + m.bit_length() + e
                     for n, d, m, e in terms), default=0) - prec - _GUARD
         total = size = 0
         for n, d, m, e in terms:
-            t = (n * m << (e - base)) // d if e >= base else n * m // (d << (base - e))
+            nm = n * m
+            t = (nm << (e - base)) // d if e >= base else \
+                nm // (d << min(base - e, nm.bit_length() + 1))
             total += t
             size += abs(t)
         lost = math.log10(size) - math.log10(abs(total)) if total else dps

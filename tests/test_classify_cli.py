@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -779,6 +780,34 @@ def test_cli_huge_coefficient_is_refused_without_converting_it(capsys, monkeypat
     assert max(bits, default=0) < 1000
     mpmath.mpf(3 ** 700)  # the hook does see an int converted to mpmath
     assert bits[-1] == (3 ** 700).bit_length()
+
+
+FAR_GREEN = "cos({}*x)/((x^2+1)*(x^2+4))"
+
+
+@pytest.mark.parametrize("precision,approx", [
+    ("15", "0.0"),
+    ("50", "5.8640945876565385287779165295386121230208049865422e-434294481904")])
+def test_cli_green_terms_far_apart_are_summed_in_small_ints(capsys, precision, approx):
+    # pi/3 exp(-k) - pi/6 exp(-2k) has terms about 1.44 k bits apart: the
+    # shadow sum's ints stay a few hundred bits at any k; shifting by the
+    # whole gap would build an int of k/5 bytes.  The memory check runs
+    # first, at a k whose gap would be a few MB, so the 10^12 request below
+    # only runs once it is known to stay small
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "integrate", FAR_GREEN.format(10 ** 8),
+                             "--precision", precision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak < 2 ** 20
+    code, out, _ = run_cli(capsys, "integrate", FAR_GREEN.format("10^12"), "--precision", precision)
+    assert code == EXIT_OK
+    assert out == ("input:   cos(10^12*x)/((x^2+1)*(x^2+4))\n"
+                   "method:  greens_function\n"
+                   "exact:   (-1/6)*pi*exp(-2000000000000) + (1/3)*pi*exp(-1000000000000)\n"
+                   f"approx:  {approx}\nverdict: exact\n")
 
 
 @pytest.mark.parametrize("command", [["integrate", "sinc(x) "], ["integrate", "sinc(x)\t"],

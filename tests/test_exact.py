@@ -371,8 +371,8 @@ def test_atom_memo_is_bounded():
 
 def _shadow_corpus(seed=27):
     """Values with every atom kind, coefficients up to 300 bits, an
-    exp(-800) term beside O(1) ones, a 2^100000 coefficient and the
-    scale*pi - nearest cancellations."""
+    exp(-800) term beside O(1) ones, a 2^100000 coefficient, terms some
+    10^5 bits below the largest and the scale*pi - nearest cancellations."""
     rng = random.Random(seed)
     big = lambda: rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300)) or 1
     values = []
@@ -383,6 +383,9 @@ def _shadow_corpus(seed=27):
     values.append(exp_value(-800, 3) + ExactValue.rational(Fraction(1, 3))
                   + ExactValue.pi_times(-2) + erf_value(Fraction(1, 2)))
     values.append(ExactValue.pi_times(2 ** 100000) + log_value(3, Fraction(-5, 7)))
+    for k in (10 ** 4, 10 ** 5):  # terms far below the largest, of either sign
+        values.append(exp_value(-k, Fraction(1, 3)) + exp_value(-2 * k, Fraction(-1, 6)))
+    values.append(exp_value(-80000, -5) + erf_value(400, Fraction(1, 2)))
     for scale in (10 ** 9, 10 ** 25, 10 ** 60):
         with mpmath.workdps(200):
             nearest = int(mpmath.nint(scale * mpmath.pi))
