@@ -38,6 +38,14 @@ class RampBoundaryError(ArithmeticError):
     """A step function would be evaluated exactly at its jump."""
 
 
+def require_slots(count: int) -> None:
+    """Refuse a tuple sum over more than MAX_SLOTS sign slots, with the
+    count alone: callers check it before they build any rate."""
+    if count > MAX_SLOTS:
+        raise ValueError(f"{count} sign slots exceed the limit of {MAX_SLOTS} "
+                         f"for an exact tuple sum")
+
+
 def borwein_rates(n: int) -> tuple:
     """1, 1/3, ..., 1/(2n-1)."""
     return tuple(Fraction(1, 2 * k - 1) for k in range(1, n + 1))
@@ -76,9 +84,7 @@ def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int,
     division by L^m m! ends it.  The cost is about 2^(k/2) (m+1)
     big-integer products for k slots instead of 2^k Fraction ramps.
     """
-    if len(rates) > MAX_SLOTS:
-        raise ValueError(f"{len(rates)} sign slots exceed the limit of {MAX_SLOTS} "
-                         f"for an exact tuple sum")
+    require_slots(len(rates))
     rates = [as_fraction(r) for r in rates]
     scale = math.lcm(*(r.denominator for r in rates))
     slots = [(r.numerator * (scale // r.denominator), flag)
@@ -120,6 +126,7 @@ def borwein_exact(n: int) -> ExactValue:
     (2n-1)!! pi / 2^(n-1) * sum sign(gamma) R_(n-1)(beta_gamma)."""
     if n < 1:
         raise ValueError("Borwein integrals are indexed from 1")
+    require_slots(n)
     total = signed_ramp_sum(borwein_rates(n), (True,) * n, n - 1)
     coeff = Fraction(double_factorial(2 * n - 1), 2 ** (n - 1)) * total
     return ExactValue.pi_times(coeff)

@@ -30,6 +30,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .borwein import require_slots
 from .operators import (NotExponentialPolynomial, exp_poly_normal_form,
                         linear_rate, polynomial_of)
 from .parser import X, Call, Div, Mul, Neg, Node, Num, Pow
@@ -106,7 +107,10 @@ def _split(ast: Node) -> _Split:
 
 def _match_product(ast: Node, split: _Split) -> tuple:
     """With no exp factor and a sinc, sinc_cos_product (the widest sinc plays
-    the outer role); with the unit Gaussian and only sinc(+-x), gaussian_sinc."""
+    the outer role); with the unit Gaussian and only sinc(+-x), gaussian_sinc.
+    A product of more sign slots than the tuple sum takes is still
+    sinc_cos_product, but its rates are not expanded: its params carry the
+    slot count, counted from the multiplicities, for the route to refuse."""
     if split.den:  # the quotient is its one factor
         raise _NoMatch("factor Div is not sinc, cos or exp")
     rates = {"sinc": [], "cos": []}  # (|rate|, multiplicity) in factor order
@@ -120,6 +124,11 @@ def _match_product(ast: Node, split: _Split) -> tuple:
         rates[f.func].append((rate, count))
     scale = {"scale": split.scale} if split.scale != 1 else {}
     if not split.exps and rates["sinc"]:
+        slots = sum(count for pairs in rates.values() for _, count in pairs)
+        try:
+            require_slots(slots)
+        except ValueError:
+            return "sinc_cos_product", {"slots": slots, **scale}
         sincs = sorted(rate for rate, count in rates["sinc"] for _ in range(count))
         return "sinc_cos_product", {
             "sinc_rates": tuple(sincs[:-1]),

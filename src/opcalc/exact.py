@@ -57,6 +57,17 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
+def sort_rank(q: Fraction) -> float:
+    """The float nearest q, +-inf past the double range.  Rounding is
+    monotone, so ranks order rationals as they compare, except that
+    distinct rationals may share a rank: an ordering key puts q right
+    after its rank, and only such ties compare Fractions."""
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        return math.inf if q.numerator > 0 else -math.inf
+
+
 def double_factorial(n: int) -> int:
     """Product of the odd numbers 1*3*...*n for odd n >= 1."""
     if not isinstance(n, int):
@@ -254,21 +265,38 @@ class Residue:
         return "*".join(parts) if parts else "1"
 
     # Residues key the per-residue sums of every read-off, and a chain
-    # reuses its residues from point to point: the field tuple, which
-    # orders residues as the dataclass does, and its hash are built once.
+    # reuses its residues from point to point: the ordering key and the
+    # hash are built once.  The key orders residues as the dataclass does,
+    # with each rational preceded by its sort_rank.
     @property
     def sort_key(self) -> tuple:
         key = self.__dict__.get("_key")
         if key is None:
-            key = self.__dict__["_key"] = (self.pi_power, self.sqrt_two_pi, self.e_exp,
-                                           self.erf_args, self.log_args)
+            key = self.__dict__["_key"] = (
+                self.pi_power, self.sqrt_two_pi, sort_rank(self.e_exp), self.e_exp,
+                tuple((sort_rank(r), r) for r in self.erf_args),
+                tuple((sort_rank(s), s) for s in self.log_args))
         return key
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = self.__dict__["_hash"] = hash(self.sort_key)
+            h = self.__dict__["_hash"] = hash((self.pi_power, self.sqrt_two_pi, self.e_exp,
+                                               self.erf_args, self.log_args))
         return h
+
+    def _times(self, pi_power: int, sqrt_two_pi: int, e_exp: Fraction) -> "Residue":
+        """A residue with these pi and sqrt(2 pi) powers and exp argument and
+        this one's erf and log arguments as they stand: its ordering key is
+        this one's with a new head, so nothing is sorted or ranked again."""
+        key = self.sort_key
+        out = object.__new__(Residue)
+        out.__dict__.update(
+            pi_power=pi_power, sqrt_two_pi=sqrt_two_pi, e_exp=e_exp,
+            erf_args=self.erf_args, log_args=self.log_args,
+            _key=(pi_power, sqrt_two_pi, *(key[2:] if e_exp is self.e_exp
+                                           else (sort_rank(e_exp), e_exp, *key[4:]))))
+        return out
 
     def evalf(self) -> mpmath.mpf:
         """Numeric value at the current mpmath working precision."""
@@ -359,7 +387,7 @@ class ExactValue:
         """The value of (residue, Fraction) pairs whose residues are already
         canonical and distinct, such as per-residue sums of canonical
         values: zero terms are dropped and the rest sorted, nothing else."""
-        return ExactValue(tuple(sorted(((r, c) for r, c in items if c != 0),
+        return ExactValue(tuple(sorted(((r, c) for r, c in items if c),
                                        key=lambda term: term[0].sort_key)))
 
     @staticmethod
@@ -452,13 +480,18 @@ class ExactValue:
         atoms only.  Multiplying by it maps canonical residues one to one
         and keeps their order: it adds constants to pi_power and e_exp, and
         sqrt(2 pi) sends (p, 0, ...) to (p, 1, ...) and (p, 1, ...) to
-        (p + 1, 0, ...).  So the products are canonical as they stand."""
+        (p + 1, 0, ...).  So the products are canonical as they stand, and
+        each keeps its factor's erf and log arguments (Residue._times)."""
         factors = {carry: (carry * coeff, carry * coeff != 1) for carry in (1, 2)}
         out = []
         for r, c in self.terms:
-            res, carry = r.combine(residue)
+            pi_power = r.pi_power + residue.pi_power
+            sqrt = r.sqrt_two_pi + residue.sqrt_two_pi
+            carry = 2 if sqrt >= 2 else 1  # sqrt(2*pi)**2 == 2*pi
             factor, scales = factors[carry]
-            out.append((res, c * factor if scales else c))
+            e_exp = r.e_exp + residue.e_exp if residue.e_exp else r.e_exp
+            out.append((r._times(pi_power + carry - 1, sqrt - 2 * (carry - 1), e_exp),
+                        c * factor if scales else c))
         return ExactValue(tuple(out))
 
     def __truediv__(self, other):

@@ -178,6 +178,10 @@ def _poly_eval(poly: tuple, z: Fraction) -> Fraction:
     numerators, d = poly
     u, v = z.numerator, z.denominator
     total, scale = 0, 1  # v^(deg - k)
+    if v == 1:  # an integer point: plain Horner
+        for c in reversed(numerators):
+            total = total * u + c
+        return Fraction(total, d)
     for c in reversed(numerators):
         total = total * u + c * scale
         scale *= v
@@ -211,23 +215,24 @@ class GaussianChain:
         """Exact value at rational z, p(z) and q(z) each read by one integer
         pass (_poly_eval), in canonical form as it stands: the e^(-z^2/2)
         term, then sqrt(2 pi)/2 q(z) erf(|z|/sqrt 2) with erf's sign, zero
-        terms dropped.  The two residues of a point are built once."""
+        terms dropped.  The two residues of +-z are built once."""
         z = as_fraction(z)
-        gauss, erf = _heat_residues(z)
+        negative = z.numerator < 0
+        gauss, erf = _heat_residues(-z if negative else z)
         p_form, (q_nums, q_den) = self.integer_form
         p = _poly_eval(p_form, z)
         q = _poly_eval((q_nums, 2 * q_den), z) if z else 0  # erf(0) = 0
         terms = ((gauss, p),) if p else ()
         if q:
-            terms += ((erf, q if z > 0 else -q),)
+            terms += ((erf, -q if negative else q),)
         return ExactValue(terms)
 
 
 @functools.lru_cache(maxsize=256)
 def _heat_residues(z: Fraction) -> tuple:
-    """The residues e^(-z^2/2) and sqrt(2 pi) erf(|z|/sqrt 2) of a heat
-    member at z; sqrt(pi/2) = sqrt(2 pi)/2."""
-    return Residue(e_exp=-z * z / 2), Residue(sqrt_two_pi=1, erf_args=(abs(z),))
+    """The residues e^(-z^2/2) and sqrt(2 pi) erf(z/sqrt 2) of a heat
+    member at +-z, z >= 0; sqrt(pi/2) = sqrt(2 pi)/2."""
+    return Residue(e_exp=-z * z / 2), Residue(sqrt_two_pi=1, erf_args=(z,))
 
 
 def _times_y_plus(a: list, c: int, b: list) -> list:

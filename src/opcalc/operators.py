@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .exact import (CR_I, CR_ONE, CR_ZERO, ComplexRational, ExactValue,
-                    as_fraction)
+                    as_fraction, sort_rank)
 from .kernels import RampEvaluationError  # noqa: F401 (re-exported)
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
@@ -220,13 +220,18 @@ class OperatorWord:
 
     @staticmethod
     def from_terms(items: Iterable[OperatorTerm]) -> "OperatorWord":
+        """The terms merged by (shift, power), zero sums dropped, in the
+        order of shift, then power: a key met once keeps its term."""
         acc: dict = {}
         for t in items:
             key = (t.shift, t.power)
-            acc[key] = acc.get(key, CR_ZERO) + t.coeff
-        return OperatorWord(tuple(
-            OperatorTerm(c, s, p)
-            for (s, p), c in sorted(acc.items()) if not c.is_zero))
+            if key in acc:
+                acc[key] = OperatorTerm(acc[key].coeff + t.coeff, t.shift, t.power)
+            else:
+                acc[key] = t
+        return OperatorWord(tuple(sorted(
+            (t for t in acc.values() if not t.coeff.is_zero),
+            key=lambda t: (sort_rank(t.shift), t.shift, t.power))))
 
     @staticmethod
     def identity() -> "OperatorWord":
@@ -292,17 +297,29 @@ class RampSum:
 
     def evaluate_at(self, y) -> ExactValue:
         """Exact value at rational y: per residue one sum on one denominator,
-        checked real once.  Members hand over canonical terms, so the sums
-        are only sorted.  The highest power is read first, so that a member
-        refusing y (for the delta, a jump or delta at y) is the most singular."""
+        of the real parts alone when every coefficient is real, else of both
+        parts, checked real once.  Members hand over canonical terms, so the
+        sums are only sorted.  The highest power is read first, so that a
+        member refusing y (for the delta, a jump or delta at y) is the most
+        singular; a word built directly may hold its terms in any order."""
         y = as_fraction(y)
-        acc: dict = {}  # residue -> [(coeff, q)]
+        terms = sorted(self.word.terms, reverse=True,
+                       key=lambda t: (t.power, sort_rank(t.shift), t.shift))
+        real = all(not t.coeff.im for t in terms)
+        acc: dict = {}  # residue -> [(coeff or its real part, q)]
         members: dict = {}
-        for t in sorted(self.word.terms, key=lambda term: (-term.power, -term.shift)):
-            if t.power not in members:
-                members[t.power] = self.kernel(t.power)
-            for residue, q in members[t.power].value_at(y + t.shift).terms:
-                acc.setdefault(residue, []).append((t.coeff, q))
+        for t in terms:
+            member = members.get(t.power)
+            if member is None:
+                member = members[t.power] = self.kernel(t.power)
+            c = t.coeff.re if real else t.coeff
+            for residue, q in member.value_at(y + t.shift if y else t.shift).terms:
+                if residue in acc:
+                    acc[residue].append((c, q))
+                else:
+                    acc[residue] = [(c, q)]
+        if real:
+            return ExactValue.from_canonical((r, _dot(pairs)) for r, pairs in acc.items())
         return ExactValue.from_canonical(
             (r, ComplexRational(_dot((c.re, q) for c, q in pairs),
                                 _dot((c.im, q) for c, q in pairs)).require_real())

@@ -1,7 +1,8 @@
 """Truncated power series with exact coefficients, and the series routes.
 
 A ``PowerSeries`` holds Taylor coefficients a_0..a_N of an integrand at 0,
-as exact complex rationals.  The routes built on it are
+exact complex rationals, as its k!-scaled integer form.  The routes built
+on it are
 
 * the Laurent-series Laplace transform, sum_k a_k k! / y^(k+1), valid for
   y beyond the majorant abscissa of the coefficient sequence, and
@@ -14,18 +15,22 @@ as exact complex rationals.  The routes built on it are
   Gaussian moment pairing (transforms) takes its order from moment_order.
 
 Coefficient arithmetic never leaves the rationals; the one float
-conversion, of the finished value, is range-checked.  Products and the
-read-off share one integer form, a_k = A_k/(d k!), since
-G^(k)(0) = k! c_k, in which a product is a binomial convolution.  Every
-factorial ladder (exp, sin, cos, sinc of c x^v) is built in integers by
-_monomial_compose; of any other argument g, the function's own ladder is
-composed with g's series.  A monomial, and any polynomial subtree with
-no call, negative power or power of a sum, is read with
+conversion, of the finished value, is range-checked.  The form is
+a_k = (re_k + i im_k)/(d k!), since G^(k)(0) = k! c_k: a product is a
+binomial convolution of integers, and every operation ends with one gcd
+that keeps d the least it can be, so equal series have equal forms.
+Products, powers, composition and the read-off stay in that form;
+ComplexRational coefficients are built only when a caller asks for
+them.  Every factorial ladder (exp, sin, cos, sinc of c x^v) is built in
+the form by _monomial_compose; of any other argument g, the function's
+own ladder is composed with g's series.  A monomial, and any polynomial
+subtree with no call, negative power or power of a sum, is read with
 operators.polynomial_of.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -92,21 +97,28 @@ def series_verdict(magnitudes: Sequence[float], tol: float) -> str:
 # PowerSeries
 # ---------------------------------------------------------------------------
 
-def _integer_form(coeffs):
-    """(d, re, im) with coeffs[k] == (re[k] + i*im[k]) / (d * k!), d the
-    lcm of the reduced denominators of coeffs[k] * k! (cos has re = +-1)."""
-    fact, parts = 1, []
-    for k, c in enumerate(coeffs):
-        fact *= k or 1
-        for num, den in (c.re.as_integer_ratio(), c.im.as_integer_ratio()):
-            g = math.gcd(fact, den) if num else den  # a zero part is 0/1
-            parts.append((num and num * (fact // g), den // g))
-    d = math.lcm(*[e for _, e in parts])
-    scaled = [v * (d // e) for v, e in parts]
-    return d, scaled[0::2], scaled[1::2]
+def _integer_form(parts: dict, n: int) -> tuple:
+    """(d, re, im) of the order-n series whose coefficient k is the pair
+    parts[k] = (real part, imaginary part) of Fractions, or 0 where k is
+    absent, as (re[k] + i*im[k]) / (d * k!): d is the lcm of the reduced
+    denominators of the coefficients times k!, the least it can be."""
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    fact, at, scaled = 1, 0, []
+    for k in sorted(parts):
+        fact *= math.perm(k, k - at)  # k!
+        at = k
+        for out, q in zip((re, im), parts[k]):
+            num, den = q.numerator, q.denominator
+            if num:
+                g = math.gcd(fact, den)
+                scaled.append((out, k, num * (fact // g), den // g))
+    d = math.lcm(*(den for *_, den in scaled))
+    for out, k, num, den in scaled:
+        out[k] = num * (d // den)
+    return d, tuple(re), tuple(im)
 
 
-def _binomial_convolve(x: list, y: list) -> list:
+def _binomial_convolve(x: Sequence, y: Sequence) -> list:
     """out_m = sum_i C(m, i) x_i y_(m-i) for m < len(x), two equally long
     integer lists, skipping zero entries.  For each nonzero x_i the term
     x_i C(i + j, j) steps from one nonzero y_j to the next: across a gap g
@@ -127,63 +139,100 @@ def _binomial_convolve(x: list, y: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerSeries:
-    """Coefficients a_0..a_N of f(x) = sum a_k x^k, exact."""
+    """f(x) = sum a_k x^k through order N with exact coefficients, held as
+    its k!-scaled integer form a_k = (re[k] + i*im[k]) / (d * k!), d > 0 as
+    small as it can be, so that equal series have equal forms.  In that
+    form a product is a binomial convolution of integers; the coefficients
+    a_k are built as ComplexRationals only on request (``coeffs``, [k])."""
 
-    coeffs: tuple
+    d: int
+    re: tuple
+    im: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(
-            c if isinstance(c, ComplexRational) else ComplexRational(as_fraction(c))
-            for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        """The series of the coefficients a_0..a_N: ComplexRationals,
+        Fractions or ints."""
+        coeffs = tuple(c if isinstance(c, ComplexRational) else ComplexRational(as_fraction(c))
+                       for c in coeffs)
+        if not coeffs:
             raise ValueError("a PowerSeries needs at least one coefficient")
+        self.__dict__.update(PowerSeries._sparse(
+            {k: (c.re, c.im) for k, c in enumerate(coeffs) if not c.is_zero},
+            len(coeffs) - 1).__dict__)
+
+    @staticmethod
+    def _of(d: int, re: Sequence, im: Sequence) -> "PowerSeries":
+        """The series (re[k] + i*im[k]) / (d * k!), reduced by one gcd."""
+        g = math.gcd(d, *re, *im)
+        out = object.__new__(PowerSeries)
+        out.__dict__.update(d=d // g, re=tuple(v // g for v in re) if g > 1 else tuple(re),
+                            im=tuple(v // g for v in im) if g > 1 else tuple(im))
+        return out
+
+    @staticmethod
+    def _sparse(parts: dict, n: int) -> "PowerSeries":
+        """The order-n series of the coefficient pairs parts[k] (_integer_form)."""
+        return PowerSeries._of(*_integer_form(parts, n))
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
+
+    @functools.cached_property
+    def coeffs(self) -> tuple:
+        """a_0..a_N as ComplexRationals, built on the first request."""
+        out, den = [], self.d
+        for k, (r, i) in enumerate(zip(self.re, self.im)):
+            den *= k or 1  # d k!
+            out.append(ComplexRational(Fraction(r, den), Fraction(i, den)) if r or i else CR_ZERO)
+        return tuple(out)
 
     def __getitem__(self, k: int) -> ComplexRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else CR_ZERO
+        if not 0 <= k < len(self.re) or not (self.re[k] or self.im[k]):
+            return CR_ZERO
+        den = self.d * math.factorial(k)
+        return ComplexRational(Fraction(self.re[k], den), Fraction(self.im[k], den))
 
     # -- arithmetic (all truncated to the shorter operand) ---------------
     def _order_with(self, other: "PowerSeries") -> int:
         return min(self.order, other.order)
 
-    def add(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._order_with(other)
-        return PowerSeries(tuple(self[k] + other[k] for k in range(n + 1)))
+    def add(self, other: "PowerSeries", sign: int = 1) -> "PowerSeries":
+        """self + sign * other, on the lcm of the two d."""
+        n = self._order_with(other) + 1
+        d = math.lcm(self.d, other.d)
+        fa, fb = d // self.d, sign * (d // other.d)
+        return PowerSeries._of(d, [x * fa + y * fb for x, y in zip(self.re[:n], other.re[:n])],
+                               [x * fa + y * fb for x, y in zip(self.im[:n], other.im[:n])])
 
     def sub(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._order_with(other)
-        return PowerSeries(tuple(self[k] - other[k] for k in range(n + 1)))
+        return self.add(other, -1)
 
     def scale(self, c: ComplexRational) -> "PowerSeries":
-        return PowerSeries(tuple(a * c for a in self.coeffs))  # a real c: part-wise
+        """c times the series: with c = (p + iq)/L, the form times p + iq over d L."""
+        den = math.lcm(c.re.denominator, c.im.denominator)
+        p, q = c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+        return PowerSeries._of(self.d * den, [x * p - y * q for x, y in zip(self.re, self.im)],
+                               [x * q + y * p for x, y in zip(self.re, self.im)])
 
     def mul(self, other: "PowerSeries") -> "PowerSeries":
-        """Truncated product, the binomial convolution of the k!-scaled
-        integer forms: the m-th coefficient is sum_i C(m, i) A_i B_(m-i)
-        over d_a d_b m!, built, and reduced, once."""
-        n = self._order_with(other)
-        da, ar, ai = _integer_form(self.coeffs[:n + 1])
-        db, br, bi = _integer_form(other.coeffs[:n + 1])
+        """Truncated product, the binomial convolution of the two forms:
+        the m-th coefficient is sum_i C(m, i) A_i B_(m-i) over d_a d_b m!,
+        reduced by one gcd."""
+        n = self._order_with(other) + 1
+        ar, ai, br, bi = self.re[:n], self.im[:n], other.re[:n], other.im[:n]
         # an all-zero part costs one pass over the other list
         re = [r - s for r, s in zip(_binomial_convolve(ar, br), _binomial_convolve(ai, bi))]
         im = [r + s for r, s in zip(_binomial_convolve(ar, bi), _binomial_convolve(ai, br))]
-        out, den = [], da * db
-        for m, (r, i) in enumerate(zip(re, im)):
-            den *= m or 1  # d_a d_b m!
-            out.append(ComplexRational(Fraction(r, den), Fraction(i, den))
-                       if r or i else CR_ZERO)
-        return PowerSeries(tuple(out))
+        return PowerSeries._of(self.d * other.d, re, im)
 
     def pow(self, n: int) -> "PowerSeries":
         """self^n by squaring and multiplying: about 2 log2(n) products."""
         if n < 0:
             raise ValueError("negative series powers are not supported")
-        out = PowerSeries((CR_ONE,) + (CR_ZERO,) * self.order)
+        out = PowerSeries._sparse({0: (Fraction(1), Fraction(0))}, self.order)
         base = self
         while n:
             if n & 1:
@@ -194,33 +243,42 @@ class PowerSeries:
         return out
 
     def valuation(self) -> int:
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return k
-        return len(self.coeffs)
+        return next((k for k, (r, i) in enumerate(zip(self.re, self.im)) if r or i),
+                    len(self.re))
 
     def shift_down(self, n: int) -> "PowerSeries":
-        """Divide by x^n; requires valuation >= n."""
+        """Divide by x^n; requires valuation >= n.  Coefficient k + n moves
+        to k, so A_(k+n) is divided by (k+n)!/k! over the lcm m of those
+        quotients, and d is multiplied by m."""
         if self.valuation() < n:
             raise NotSeriesRepresentable(
                 f"division by x^{n} leaves a pole (valuation {self.valuation()})")
-        return PowerSeries(self.coeffs[n:] or (CR_ZERO,))
+        if n > self.order:
+            return PowerSeries._sparse({}, 0)
+        quotients = [math.perm(k, n) for k in range(n, self.order + 1)]
+        m = math.lcm(*quotients)
+        return PowerSeries._of(self.d * m,
+                               [v * (m // q) for v, q in zip(self.re[n:], quotients)],
+                               [v * (m // q) for v, q in zip(self.im[n:], quotients)])
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(x)) for inner with zero constant term (Horner scheme)."""
-        if not inner[0].is_zero:
+        if inner.re[0] or inner.im[0]:
             raise NotSeriesRepresentable(
                 "series composition needs a zero constant term in the argument")
         n = inner.order
-        acc = PowerSeries((self[self.order],) + (CR_ZERO,) * n)
+
+        def constant(k: int) -> "PowerSeries":
+            c = self[k]
+            return PowerSeries._sparse({0: (c.re, c.im)}, n)
+
+        acc = constant(self.order)
         for k in range(self.order - 1, -1, -1):
-            acc = acc.mul(inner)
-            acc = PowerSeries(tuple((acc[j] + self[k] if j == 0 else acc[j])
-                                    for j in range(n + 1)))
+            acc = acc.mul(inner).add(constant(k))
         return acc
 
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
+        return not any(self.im)
 
     def real_coeffs(self) -> tuple:
         return tuple(c.require_real() for c in self.coeffs)
@@ -244,22 +302,32 @@ _LADDERS = {"exp": (1, 1, 0, 0), "cos": (2, -1, 0, 0),
 def _monomial_compose(func: str, c: ComplexRational, v: int, n: int) -> PowerSeries:
     """func(c x^v) through order n, one factorial ladder for every
     function: the O(n) path that keeps large truncation orders (Gaussian
-    kernels) affordable, and the only place a Taylor ladder is written:
-    with c = (a + ib)/L it steps on the integers (a + ib)^e and L^e k!."""
+    kernels) affordable, and the only place a Taylor ladder is written.
+    With c = (a + ib)/L, term e of the ladder, sign^j c^e x^(ve)/(e + s)!,
+    has the scaled numerator A_(ve) = sign^j (a + ib)^e L^(E-e) f_e over
+    d = L^E Q, E the last e; f_e = Q (ve)!/(e + s)! steps on integers,
+    and Q = lcm(1, 3, ..., E + 1) makes it one for sinc(c x), 1 else."""
     step, sign, p, s = _LADDERS[func]
+    last = (n // v + s - p) // step  # terms j = 0..last, e = step j + p - s
+    if last < 0:
+        return PowerSeries._sparse({}, n)
+    top = step * last + p - s  # E
     scale = math.lcm(c.re.denominator, c.im.denominator)
     a, b = int(c.re * scale), int(c.im * scale)
     ratio = ComplexRational(sign) * ComplexRational(a, b) ** step
     wr, wi = int(ratio.re), int(ratio.im)  # sign (a + ib)^step
-    re, im, den = (a, b, scale) if p > s else (1, 0, 1)  # (a + ib)^(p-s), L^(p-s) p!
-    coeffs = [CR_ZERO] * (n + 1)
-    k = p
-    while (k - s) * v <= n:
-        coeffs[(k - s) * v] = ComplexRational(Fraction(re, den), Fraction(im, den))
-        re, im = re * wr - im * wi, re * wi + im * wr
-        den *= scale ** step * math.perm(k + step, step)
-        k += step
-    return PowerSeries(tuple(coeffs))
+    q = math.lcm(*range(1, top + 2, step)) if (s, v) == (1, 1) else 1
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    pr, pi = (a, b) if p > s else (1, 0)  # (a + ib)^(p-s)
+    e, powers, stride = p - s, scale ** (top - p + s), scale ** step  # L^(E-e), L^step
+    fact = q * math.factorial(v * e) // math.factorial(p)  # f_e
+    for _ in range(last + 1):
+        re[v * e], im[v * e] = pr * powers * fact, pi * powers * fact
+        pr, pi = pr * wr - pi * wi, pr * wi + pi * wr
+        fact = fact * math.perm(v * (e + step), v * step) // math.perm(e + s + step, step)
+        powers //= stride
+        e += step
+    return PowerSeries._of(scale ** top * q, re, im)
 
 
 def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
@@ -307,8 +375,7 @@ def _taylor(node: Node, n: int) -> PowerSeries:
         except NotExponentialPolynomial:
             pass  # pi or a pole: the cases below refuse it
         else:  # one step, where products and scale passes would run at order n
-            return PowerSeries(tuple(ComplexRational(poly[k]) if k in poly else CR_ZERO
-                                     for k in range(n + 1)))
+            return PowerSeries._sparse({k: (c, Fraction(0)) for k, c in poly.items() if k <= n}, n)
     if isinstance(node, Sym):  # numbers and x are read above: this is pi
         raise NotSeriesRepresentable("pi is not an exact rational coefficient")
     if isinstance(node, Neg):
@@ -335,18 +402,17 @@ def _taylor(node: Node, n: int) -> PowerSeries:
         if base is None or base[1] > 0:
             raise NotSeriesRepresentable(
                 "negative powers need a constant base: anything else has a pole")
-        return PowerSeries((CR_ONE / base[0] ** (-node.exponent),) + (CR_ZERO,) * n)
+        return PowerSeries._sparse({0: (1 / base[0] ** (-node.exponent), Fraction(0))}, n)
     if isinstance(node, Call):
         if node.func == "sqrt":
             raise NotSeriesRepresentable(
                 "sqrt does not have rational Taylor coefficients")
         arg = _taylor(node.arg, n)
-        if not arg[0].is_zero:
+        if arg.re[0] or arg.im[0]:
             raise NotSeriesRepresentable(
                 f"{node.func} arguments must vanish at 0 for rational coefficients")
         v = arg.valuation()
-        if v <= arg.order and all(arg[k].is_zero
-                                  for k in range(v + 1, arg.order + 1)):
+        if v <= arg.order and not any(arg.re[v + 1:]) and not any(arg.im[v + 1:]):
             return _monomial_compose(node.func, arg[v], v, n)
         return _monomial_compose(node.func, CR_ONE, 1, n).compose(arg)
     raise TypeError(f"not an AST node: {node!r}")
@@ -537,19 +603,18 @@ def _check_interval_tail(series: PowerSeries, radius: Fraction, log_total: float
     term bounds |a_k| R^(k+1)/(k+1) of the last three orders sit below
     tol * max(1, |total|); R bounds |x| on the interval and log_total is
     log |total|.  Compared as logarithms, so no bound overflows."""
+    if series.order < 2:  # no bound is computed
+        raise SeriesConvergenceError(
+            "finite-interval series needs truncation order 2 or more to bound its tail")
     ceiling = math.log(tol) + max(0.0, log_total)
-    log_bounds = [
-        -math.inf if c.is_zero or radius == 0 else
-        _log_abs(c.re, c.im) + (k + 1) * math.log(radius) - math.log(k + 1)
-        for k, c in enumerate(series.coeffs[-3:], start=max(series.order - 2, 0))]
-    worst = max(log_bounds)
-    if len(log_bounds) < 3:
-        message = "finite-interval series needs truncation order 2 or more to bound its tail"
-    elif worst >= ceiling:
-        message = "finite-interval series did not settle at this truncation order"
-    else:
-        return
-    raise SeriesConvergenceError(message, math.exp(worst) if worst < 709 else math.inf)
+    tail = [(k, series[k]) for k in range(series.order - 2, series.order + 1)]
+    worst = max(-math.inf if c.is_zero or radius == 0 else
+                _log_abs(c.re, c.im) + (k + 1) * math.log(radius) - math.log(k + 1)
+                for k, c in tail)
+    if worst >= ceiling:
+        raise SeriesConvergenceError(
+            "finite-interval series did not settle at this truncation order",
+            math.exp(worst) if worst < 709 else math.inf)
 
 
 def finite_interval_transform(series: PowerSeries, a, b, y=0,
@@ -580,18 +645,18 @@ def finite_interval_transform(series: PowerSeries, a, b, y=0,
         m = series.order + 60 + int(4 * float(max(radius, 1) * max(abs(y), 1)))
         shift = _monomial_compose(
             "exp", ComplexRational(0, y) if kernel == "fourier" else ComplexRational(y), 1, m)
-        series = PowerSeries(series.coeffs + (CR_ZERO,) * (m - series.order)).mul(shift)
+        pad = (0,) * (m - series.order)  # zero orders: the form stays reduced
+        series = PowerSeries._of(series.d, series.re + pad, series.im + pad).mul(shift)
     # (-d/dy)^k K at 0 is (-1)^k k! num_k/den_c and the k!-scaled form holds
-    # A_k = den_a a_k k!: the value is sum_k A_k c_k/(den_a den_c) with
+    # A_k = d a_k k!: the value is sum_k A_k c_k/(d den_c) with
     # c_k = (-1)^k num_k, the term-wise rule that termwise_integral checks.
-    den_a, ar, ai = _integer_form(series.coeffs)
     den_c, nums = interval_taylor(a, b, series.order)
     re = im = 0
-    for k, (xr, xi, c) in enumerate(zip(ar, ai, nums)):
+    for k, (xr, xi, c) in enumerate(zip(series.re, series.im, nums)):
         c = -c if k % 2 else c
         re += xr * c
         im += xi * c
-    den = den_a * den_c
+    den = series.d * den_c
     total = (Fraction(re, den), Fraction(im, den))
     size = _log_abs(*total) if any(total) else -math.inf
     # f's own truncation: its padded product with e^(ixy) cannot show it

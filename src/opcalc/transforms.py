@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oracle
-from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
-                      sinc_power_gaussian)
+from .borwein import (SincProductSpec, borwein_exact, require_slots,
+                      sinc_cos_product_integral, sinc_power_gaussian)
 from .classify import RouteClass, classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
@@ -317,6 +317,15 @@ def fourier_at(ast: Node, y) -> TransformResult:
                      "breakpoints": [str(b) for b in image.breakpoints()]})
 
 
+def _sinc_product_solve(params: dict) -> TransformResult:
+    """The sinc_cos_product route on classify's params: a product past the
+    tuple sum's limit carries its slot count alone and is refused by it."""
+    if "slots" in params:
+        require_slots(params["slots"])
+    return sinc_product_result(SincProductSpec(params["sinc_rates"], params["cos_rates"],
+                                               params["outer_rate"]))
+
+
 def sinc_product_result(spec: SincProductSpec) -> TransformResult:
     """The exact sinc/cos product integral, with Lord's condition."""
     return TransformResult.from_exact(
@@ -339,9 +348,8 @@ def borwein_result(n: int) -> TransformResult:
 # has no known decay on both sides (exp(-x) grows as x -> -inf), so the
 # oracle refuses it rather than truncate at a guess.
 FAMILY_ROUTES = {
-    "sinc_cos_product": ("sinc_cos_product", lambda ast, p: sinc_product_result(
-        SincProductSpec(p["sinc_rates"], p["cos_rates"], p["outer_rate"])),
-        ("oscillatory_algebraic", 1e-8)),
+    "sinc_cos_product": ("sinc_cos_product", lambda ast, p: _sinc_product_solve(p),
+                         ("oscillatory_algebraic", 1e-8)),
     "gaussian_sinc": ("gaussian_sinc", lambda ast, p: sinc_power_gaussian(p["sinc_power"]),
                       ("gaussian", 1e-10)),
     "rational_trig": ("green", lambda ast, p: integrate_rational_trig(p["numerator"], p["rates"]),

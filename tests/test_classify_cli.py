@@ -532,6 +532,24 @@ def test_cli_slot_limit_exits_fast(capsys):
         assert "slots exceed the limit" in err and "Traceback" not in err
 
 
+def test_cli_large_sinc_power_is_refused_before_its_slots_are_expanded(capsys):
+    # the slots are counted from the multiplicities: 3,000,000 of them are
+    # refused at once, with the tuple sum's own message, where expanding
+    # them first took 19-22 s; the delta and oracle routes still serve a
+    # product past the limit
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "integrate", "sinc(x)^3000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert err == "error: 3000000 sign slots exceed the limit of 30 for an exact tuple sum\n"
+    assert classify(parse_expression("-sinc(x)^40*cos(x/50)^2")).params == \
+        {"slots": 42, "scale": -1}
+    code, out, err = run_cli(capsys, "integrate", "sinc(x)^31*cos(x/90)", "--method", "delta")
+    assert code == EXIT_OK and "verdict: exact" in out, err
+    code, out, err = run_cli(capsys, "integrate", "sinc(x)^31", "--method", "oracle")
+    assert code == EXIT_OK and "approx:  0.77599343691535" in out, err
+
+
 def test_cli_json_schema_across_corpus(capsys):
     corpus = [
         ("integrate", "sinc(x)*sinc(x/3)"),
@@ -973,6 +991,13 @@ def test_cli_finite_interval_refuses_an_unsettled_tail(capsys):
         code, out, err = run_cli(capsys, "integrate", *argv)
         assert code == EXIT_NONCONVERGENT and out == ""
         assert err.startswith(f"non-convergent: finite-interval series {why}")
+    # below order 2 no term bound is computed, so none is printed
+    for order in ("0", "1"):
+        code, out, err = run_cli(capsys, "integrate", "x*exp(-x)", "--interval", "0", "1",
+                                 "--truncation", order)
+        assert (code, out) == (EXIT_NONCONVERGENT, "")
+        assert err == ("non-convergent: finite-interval series needs truncation order 2 "
+                       "or more to bound its tail\n")
     code, out, err = run_cli(capsys, "integrate", "x*exp(-x)", "--interval", "0", "1")
     assert code == EXIT_OK and "approx:  0.264241117657115" in out
 

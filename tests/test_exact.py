@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcalc.borwein import sinc_power_gaussian
-from opcalc.exact import (ComplexRational, ExactValue, Residue, _residue_value,
-                          double_factorial, erf_value, exp_value, log_value)
+from opcalc.exact import (SQRT_TWO_PI, ComplexRational, ExactValue, Residue,
+                          _residue_value, double_factorial, erf_value, exp_value,
+                          log_value)
 from opcalc.parser import parse_expression
 from opcalc.transforms import integrate, laplace_formal
 
@@ -454,3 +455,30 @@ def test_sort_key_orders_residues_as_the_dataclass():
     twin = [Residue(r.pi_power, r.sqrt_two_pi, r.e_exp, r.erf_args, r.log_args)
             for r in residues]
     assert [hash(r) for r in residues] == [hash(r) for r in twin] and residues == twin
+
+
+# rationals whose floats tie (1/3 and 1/3 +- 10^-30, integers past 2^53
+# beside their neighbours) or overflow: their order must come from the
+# Fractions
+FLOAT_TIES = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30),
+              Fraction(1, 3) - Fraction(1, 10 ** 30), Fraction(2 ** 53 + 1),
+              Fraction(2 ** 53) + Fraction(5, 4), Fraction(10 ** 400),
+              Fraction(10 ** 400) + Fraction(1, 2), -Fraction(10 ** 400, 3), Fraction(0))
+
+
+def test_sort_key_orders_residues_whose_arguments_tie_as_floats():
+    rng = random.Random(2804)
+    residues = list({Residue(rng.randint(0, 1), rng.randint(0, 1), rng.choice(FLOAT_TIES),
+                             tuple(sorted(rng.sample(FLOAT_TIES[:5], rng.randint(0, 2)))),
+                             tuple(sorted(rng.sample(FLOAT_TIES[:5], rng.randint(0, 1)))))
+                     for _ in range(500)})
+    assert sorted(residues) == sorted(residues, key=lambda r: r.sort_key)
+    # a product by a pi, sqrt(2 pi) or exp monomial builds its residues'
+    # keys from its factors' keys; they equal fresh residues' keys
+    value = ExactValue(tuple((r, Fraction(k + 1)) for k, r in enumerate(sorted(residues))))
+    for factor in (SQRT_TWO_PI, exp_value(FLOAT_TIES[1]), ExactValue.pi_times(3)):
+        product = value * factor
+        fresh = [Residue(r.pi_power, r.sqrt_two_pi, r.e_exp, r.erf_args, r.log_args)
+                 for r, _ in product.terms]
+        assert [r.sort_key for r, _ in product.terms] == [r.sort_key for r in fresh]
+        assert [r for r, _ in product.terms] == sorted(fresh)

@@ -612,3 +612,46 @@ def test_a_refused_image_names_its_imaginary_part():
     with pytest.raises(ValueError) as exc:
         image.evaluate_at(1)
     assert str(exc.value) == "value (1/2 + -1/2*i) has a nonzero imaginary part"
+
+
+def test_from_terms_orders_shifts_that_tie_as_floats():
+    # shifts that share a float (1/3 and 1/3 +- 10^-30, integers past 2^53)
+    # or overflow it: the word is in exact (shift, power) order, a key met
+    # once keeps its term, repeated keys are summed and zero sums dropped
+    third, tiny = Fraction(1, 3), Fraction(1, 10 ** 30)
+    shifts = [third, third + tiny, third - tiny, Fraction(2 ** 53 + 1),
+              Fraction(2 ** 53) + Fraction(5, 4), Fraction(10 ** 400),
+              Fraction(10 ** 400) + Fraction(1, 2), -Fraction(10 ** 400, 3)]
+    rng = random.Random(2805)
+    terms = [OperatorTerm(ComplexRational(Fraction(rng.randint(1, 9), rng.randint(1, 5))), s, p)
+             for s in shifts for p in (-2, 0, 1)]
+    rng.shuffle(terms)
+    w = OperatorWord.from_terms(terms)
+    assert [(t.shift, t.power) for t in w.terms] == sorted((t.shift, t.power) for t in terms)
+    assert all(any(t is u for u in terms) for t in w.terms)
+    twice = OperatorWord.from_terms(terms + [OperatorTerm(-t.coeff, t.shift, t.power)
+                                             for t in terms[:5]] + terms[5:])
+    assert twice.terms == tuple(OperatorTerm(t.coeff * 2, t.shift, t.power)
+                                for t in w.terms if t not in terms[:5])
+
+
+@pytest.mark.parametrize("name, kernel, powers, shifts", IMAGE_SUM_CASES,
+                         ids=[case[0] for case in IMAGE_SUM_CASES])
+def test_a_word_built_directly_reads_off_as_its_sorted_word(name, kernel, powers, shifts):
+    # a word built as OperatorWord(terms) keeps its terms in any order; the
+    # read-off sorts them, so it refuses first where the merged, sorted word
+    # does (the most singular member), and otherwise gives its value
+    rng = random.Random(f"unsorted {name}")
+    for _ in range(40):
+        w = _complex_word(rng, powers, shifts)
+        real = OperatorWord(tuple(OperatorTerm(ComplexRational(t.coeff.re), t.shift, t.power)
+                                  for t in w.terms))
+        for canonical in (w, real):
+            terms = list(canonical.terms)
+            rng.shuffle(terms)
+            shuffled = RampSum(OperatorWord(tuple(terms)), kernel)
+            image = RampSum(canonical, kernel)
+            for y in IMAGE_SUM_POINTS:
+                got = _message(lambda: shuffled.evaluate_at(y))
+                assert got == _message(lambda: image.evaluate_at(y)), (name, terms, y)
+                assert got == _message(lambda: per_term_evaluate(shuffled, y)), (name, terms, y)

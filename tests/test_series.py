@@ -10,7 +10,8 @@ from opcalc.exact import CR_ZERO, ComplexRational
 from opcalc.oracle import quad_interval
 from opcalc.parser import Num, Sym, as_vector_callable, parse_expression
 from opcalc.series import (_LADDERS, CONVERGED, DIVERGED, NotSeriesRepresentable,
-                           PowerSeries, SeriesConvergenceError, _monomial_compose,
+                           PowerSeries, SeriesConvergenceError, _binomial_convolve,
+                           _monomial_compose,
                            complex_exponential_series,
                            finite_interval_transform, laplace_laurent,
                            majorant_abscissa, taylor_of, termwise_integral)
@@ -290,13 +291,20 @@ def test_interval_tail_refuses_unsettled_truncations():
     # the term bounds |a_k| R^(k+1)/(k+1) of the last three orders must be
     # below tol * max(1, |value|); each of these used to print a number.
     # The rule is conservative: x^2 at order 3 is exact, but its own
-    # coefficient sits in the last three orders
-    for text, a, b, order in [("x*exp(-x)", 0, 1, 0), ("x*exp(-x)", 0, 1, 1),
-                              ("exp(x)", 0, 100, 80), ("exp(x)*sin(x)", 0, 50, 80),
+    # coefficient sits in the last three orders.  Below order 2 no bound
+    # is computed, so the refusal names no magnitude.
+    for text, a, b, order in [("exp(x)", 0, 100, 80), ("exp(x)*sin(x)", 0, 50, 80),
                               ("exp(x)", 0, 10 ** 6, 80), ("x^2", 0, 1, 3)]:
         s = taylor_of(parse_expression(text), order)
         with pytest.raises(SeriesConvergenceError, match="magnitude"):
             finite_interval_transform(s, a, b)
+    for order in (0, 1):
+        s = taylor_of(parse_expression("x*exp(-x)"), order)
+        with pytest.raises(SeriesConvergenceError) as exc:
+            finite_interval_transform(s, 0, 1)
+        assert str(exc.value) == ("finite-interval series needs truncation order 2 "
+                                  "or more to bound its tail")
+        assert exc.value.last_term is None
 
 
 def test_interval_tail_accepts_settled_truncations():
@@ -576,3 +584,142 @@ def test_scale_matches_the_complex_product():
         for k in range(40)))
     for c in _ladder_arguments():
         assert series.scale(c).coeffs == tuple(_complex_product(c, a) for a in series.coeffs), c
+
+
+# ---------------------------------------------------------------------------
+# The k!-scaled form against the Fraction-coefficient path it replaced
+# ---------------------------------------------------------------------------
+
+def fraction_integer_form(coeffs):
+    """(d, re, im) of ComplexRational coefficients, as the Fraction path
+    built it before every product."""
+    fact, parts = 1, []
+    for k, c in enumerate(coeffs):
+        fact *= k or 1
+        for num, den in (c.re.as_integer_ratio(), c.im.as_integer_ratio()):
+            g = math.gcd(fact, den) if num else den
+            parts.append((num and num * (fact // g), den // g))
+    d = math.lcm(*[e for _, e in parts])
+    scaled = [v * (d // e) for v, e in parts]
+    return d, scaled[0::2], scaled[1::2]
+
+
+def fraction_mul(self, other):
+    """PowerSeries.mul as the Fraction path ran it: both operands' coefficients
+    to the integer form, the convolution, and the product back to Fractions."""
+    n = min(self.order, other.order)
+    da, ar, ai = fraction_integer_form(self.coeffs[:n + 1])
+    db, br, bi = fraction_integer_form(other.coeffs[:n + 1])
+    re = [r - s for r, s in zip(_binomial_convolve(ar, br), _binomial_convolve(ai, bi))]
+    im = [r + s for r, s in zip(_binomial_convolve(ar, bi), _binomial_convolve(ai, br))]
+    out, den = [], da * db
+    for m, (r, i) in enumerate(zip(re, im)):
+        den *= m or 1
+        out.append(ComplexRational(Fraction(r, den), Fraction(i, den)) if r or i else CR_ZERO)
+    return PowerSeries(tuple(out))
+
+
+def fraction_ladder(func, c, v, n):
+    """_monomial_compose's coefficients as the Fraction path built them:
+    one reduced Fraction pair per ladder step."""
+    step, sign, p, s = _LADDERS[func]
+    scale = math.lcm(c.re.denominator, c.im.denominator)
+    a, b = int(c.re * scale), int(c.im * scale)
+    ratio = ComplexRational(sign) * ComplexRational(a, b) ** step
+    wr, wi = int(ratio.re), int(ratio.im)
+    re, im, den = (a, b, scale) if p > s else (1, 0, 1)
+    coeffs = [CR_ZERO] * (n + 1)
+    k = p
+    while (k - s) * v <= n:
+        coeffs[(k - s) * v] = ComplexRational(Fraction(re, den), Fraction(im, den))
+        re, im = re * wr - im * wi, re * wi + im * wr
+        den *= scale ** step * math.perm(k + step, step)
+        k += step
+    return tuple(coeffs)
+
+
+def assert_reduced(series):
+    """d is the lcm of the reduced denominators of a_k k!: the form is the
+    one the coefficients give, so equal series have equal forms."""
+    assert series.d > 0 and math.gcd(series.d, *series.re, *series.im) == 1
+    assert series == PowerSeries(series.coeffs)
+
+
+FORM_ORDERS = (0, 1, 2, 3, 5, 8, 13, 40, 77, 120)
+
+
+@pytest.mark.parametrize("func", sorted(_LADDERS))
+def test_ladder_forms_match_the_fraction_path(func):
+    # complex, imaginary and large c, v >= 1 and sinc's shift, orders 0-120
+    for c in _ladder_arguments():
+        for v in (1, 2, 5):
+            for n in FORM_ORDERS:
+                got = _monomial_compose(func, c, v, n)
+                assert got.coeffs == fraction_ladder(func, c, v, n), (func, c, v, n)
+                assert got.order == n
+                assert_reduced(got)
+
+
+def form_corpus(rng):
+    """Seeded series pairs of unequal orders up to 120: random complex,
+    real and imaginary coefficients with zero runs, factorial-denominator
+    coefficients and Taylor series of the route shapes."""
+    texts = ("exp(-x^2/2)", "cos(x)", "sinc(x/3)^2", "exp(2*x/5)*sin(x)", "x^3-x/7",
+             "sinc(x+x^2)", "exp(-x)-1")
+    pairs = []
+    for _ in range(40):
+        order_a, order_b = rng.randint(0, 120), rng.randint(0, 120)
+        make = rng.choice([lambda o: random_series(rng, o, rng.choice(KINDS)),
+                           lambda o: factorial_series(rng, o, rng.choice(KINDS)),
+                           lambda o: taylor_of(parse_expression(rng.choice(texts)), o)])
+        pairs.append((make(order_a), make(order_b)))
+    return pairs
+
+
+def test_products_match_the_fraction_path():
+    # the product is truncated to the shorter operand and stays reduced
+    for a, b in form_corpus(random.Random(2801)):
+        got = a.mul(b)
+        assert got.coeffs == fraction_mul(a, b).coeffs
+        assert got.order == min(a.order, b.order)
+        assert_reduced(got)
+        for s in (a.add(b), a.sub(b), a.scale(ComplexRational(Fraction(-3, 4), Fraction(5, 6)))):
+            assert_reduced(s)
+        assert a.add(b).coeffs == tuple(a[k] + b[k] for k in range(got.order + 1))
+
+
+def test_powers_and_compositions_match_the_fraction_path(monkeypatch):
+    rng = random.Random(2802)
+    for _ in range(30):
+        base = random_series(rng, rng.randint(0, 40), rng.choice(KINDS))
+        k = rng.randint(0, 6)
+        got = base.pow(k)
+        assert got.coeffs == with_reference_mul(monkeypatch, lambda: base.pow(k)).coeffs
+        with monkeypatch.context() as patch:
+            patch.setattr(PowerSeries, "mul", fraction_mul)
+            assert got.coeffs == base.pow(k).coeffs
+        assert_reduced(got)
+        outer = random_series(rng, rng.randint(0, 8), rng.choice(KINDS))
+        inner = random_series(rng, rng.randint(1, 30), rng.choice(KINDS))
+        inner = PowerSeries((CR_ZERO,) + inner.coeffs[1:])
+        got = outer.compose(inner)
+        with monkeypatch.context() as patch:
+            patch.setattr(PowerSeries, "mul", fraction_mul)
+            assert got.coeffs == outer.compose(inner).coeffs
+        assert_reduced(got)
+
+
+def test_forms_read_off_as_the_termwise_rule():
+    # the pass reads the form; the term-wise rule reads the Fractions
+    rng = random.Random(2803)
+    q = lambda bound: Fraction(rng.randint(-bound, bound), rng.randint(1, 9))
+    for text in ("exp(-x/3)*cos(2*x/5)", "sinc(x/2)^3*exp(x/7)", "x*sin(x^2/3)",
+                 "exp(-x^2/2)*cos(x)", "(exp(-x)-exp(-2*x))/x", "cos(x/4)^5-1"):
+        for n in (40, 77, 120):
+            s = taylor_of(parse_expression(text), n)
+            for lo, hi in ((q(3), q(3)), (0, q(2)), (q(2), q(2))):
+                try:
+                    got = finite_interval_transform(s, lo, hi, tol=1e-12)
+                except SeriesConvergenceError:
+                    continue
+                assert got == complex(termwise_integral(s, lo, hi)), (text, n, lo, hi)
