@@ -12,14 +12,13 @@ Families, tried most specific first:
   coefficients; params s2, b and g feed the Gaussian moment pairing.
 * unsupported: everything else, carrying the per-family failure reasons.
 
-The integrand (a quotient: numerator and denominator, once each) is
-scanned once into (factor, multiplicity) pairs and a rational scale, the
-product of its numbers, signs and constant denominators.  The pairs split
-off the Gaussian and name both product families, so an argument is read
-once, not once per copy or per family; f(-d/dy) is linear in f, so c*f
-names f's family, with ``scale`` in the product and Green params unless it
-is 1.  Arguments and denominator factors are read with the operators
-module's polynomial reader (``polynomial_of``, ``linear_rate``).
+The integrand, any chain of products and quotients, is scanned once into
+(factor, signed multiplicity) pairs, a denominator's negative, and one
+rational scale: its numbers, signs and nonzero constant denominators.  The
+pairs split off the Gaussian and feed every matcher, so an argument is read
+once and no spelling picks the family; f(-d/dy) is linear in f, so c*f names
+f's family, with ``scale`` in its params unless it is 1.  Arguments and
+factors are read with ``operators.polynomial_of`` and ``linear_rate``.
 """
 
 from __future__ import annotations
@@ -49,13 +48,14 @@ class _NoMatch(Exception):
 
 
 def _factor_scan(node: Node, count: int = 1):
-    """Multiplicative factors of a product as (factor, multiplicity) pairs,
-    a power's base counted exponent times without copies, and the rational
-    scale of one copy: its number literals, unary minus signs and constant
-    denominators (a quotient whose denominator scans to no factors and a
-    nonzero scale) multiply it, raised through powers, and none of them is
-    left as a factor; any other quotient is one factor.  A zeroth power is
-    the factor 1: a multiplicity 0 leaves no pair."""
+    """Factors of a product/quotient chain as (factor, signed multiplicity)
+    pairs, a power's base counted exponent times without copies and a
+    denominator's negatively, and the rational scale of one copy: its numbers,
+    unary minus signs and nonzero constant denominators, raised through powers,
+    none left as a factor.  A zero base under a negative power (a zero
+    denominator) is one factor; a multiplicity 0 leaves no pair."""
+    if isinstance(node, Div):
+        node = Mul(node.left, Pow(node.right, -1))
     if isinstance(node, Mul):
         left, left_scale = _factor_scan(node.left, count)
         right, right_scale = _factor_scan(node.right, count)
@@ -63,44 +63,44 @@ def _factor_scan(node: Node, count: int = 1):
     if isinstance(node, Neg):
         inner, scale = _factor_scan(node.arg, count)
         return inner, -scale
-    if isinstance(node, Pow) and node.exponent >= 0:
+    if isinstance(node, Pow):
         inner, scale = _factor_scan(node.base, count * node.exponent)
-        return inner, scale ** node.exponent
-    if isinstance(node, Num):
+        if scale or node.exponent >= 0:
+            return inner, scale ** node.exponent
+        node, count = node.base, count * node.exponent
+    elif isinstance(node, Num):
         return [], node.value
-    if isinstance(node, Div):
-        den, den_scale = _factor_scan(node.right)
-        if not den and den_scale:
-            inner, scale = _factor_scan(node.left, count)
-            return inner, scale / den_scale
     return [(node, count)] if count else [], Fraction(1)
 
-# the one scan: the scale, the Gaussian e^(-c x^2 + b x) summed from `exps`
-# exp factors, the rest as (factor, multiplicity) pairs, and the scan
-# (factors, scale) of a top-level quotient's denominator, None if there is none
+# the scan's scale, the Gaussian e^(-c x^2 + b x) of the `exps`, other numerator pairs, den pairs
 _Split = namedtuple("_Split", "scale c b exps rest den")
 
 
 def _split(ast: Node) -> _Split:
-    """Each exp factor of a degree <= 2 polynomial p, p(0) = 0, gives its
-    x^2 part to c and its x part to b.  A quotient's numerator and
-    denominator are scanned once each; a constant denominator divides the
-    scale, as in a product, and any other is carried as den."""
-    num, den = (ast.left, _factor_scan(ast.right)) if isinstance(ast, Div) else (ast, None)
-    factors, scale = _factor_scan(num)
-    if den and not den[0] and den[1]:
-        scale, den = scale / den[1], None
-    c, b, exps, rest = Fraction(0), Fraction(0), 0, []
+    """Each numerator exp factor of a degree <= 2 polynomial p, p(0) = 0, gives
+    its x^2 part to c and its x part to b; den's multiplicities are positive."""
+    factors, scale = _factor_scan(ast)
+    c, b, exps, rest, den = Fraction(0), Fraction(0), [], [], []
     for f, count in factors:
         try:
-            poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
+            exp = count > 0 and getattr(f, "func", None) == "exp"
+            poly = polynomial_of(f.arg) if exp else {0: 1}
         except NotExponentialPolynomial:
             poly = {0: 1}
-        if set(poly) <= {1, 2}:
-            c, b, exps = c - count * poly.get(2, 0), b + count * poly.get(1, 0), exps + count
+        if count < 0:
+            den.append((f, -count))
+        elif set(poly) <= {1, 2}:
+            c, b = c - count * poly.get(2, 0), b + count * poly.get(1, 0)
+            exps.append((f, count))
         else:
             rest.append((f, count))
     return _Split(scale, c, b, exps, rest, den)
+
+
+def _product(pairs) -> Node:
+    """The product of (factor, multiplicity) pairs as written, 1 if none."""
+    factors = [f if n == 1 else Pow(f, n) for f, n in pairs]
+    return functools.reduce(Mul, factors) if factors else Num(Fraction(1))
 
 
 # -- family matchers: each returns (tag, params) or raises why it misses ----
@@ -111,7 +111,7 @@ def _match_product(ast: Node, split: _Split) -> tuple:
     A product of more sign slots than the tuple sum takes is still
     sinc_cos_product, but its rates are not expanded: its params carry the
     slot count, counted from the multiplicities, for the route to refuse."""
-    if split.den:  # the quotient is its one factor
+    if split.den:
         raise _NoMatch("factor Div is not sinc, cos or exp")
     rates = {"sinc": [], "cos": []}  # (|rate|, multiplicity) in factor order
     for f, count in split.rest:
@@ -141,32 +141,30 @@ def _match_product(ast: Node, split: _Split) -> tuple:
 
 
 def _match_rational_trig(ast: Node, split: _Split) -> tuple:
-    """The numerator as written over q prod (x^2 + a^2), distinct rational a;
-    the params carry 1/q as the scale when q is not 1."""
+    """The numerator over prod (q x^2 + r), r/q = a^2 for distinct rational a;
+    the params carry the scale over the product of the q unless it is 1."""
     if not split.den:
         raise _NoMatch("not a quotient")
-    factors, scale = split.den
-    if not scale:
-        raise _NoMatch("the denominator has the constant factor 0")
-    rates = []
-    for f, count in factors:
+    rates, scale = [], split.scale
+    for f, count in split.den:
         try:
             poly = polynomial_of(f)
         except NotExponentialPolynomial as exc:
             raise _NoMatch(f"denominator factor not polynomial: {exc}")
-        if set(poly) <= {0, 2} and poly.get(2) == 1 and (a2 := poly.get(0, 0)) > 0:
+        if not poly:
+            raise _NoMatch("the denominator has the constant factor 0")
+        if set(poly) <= {0, 2} and (q := poly.get(2)) and (a2 := poly.get(0, 0) / q) > 0:
             root = Fraction(math.isqrt(a2.numerator), math.isqrt(a2.denominator))
             if root * root != a2:
                 raise _NoMatch(f"decay rate sqrt({a2}) is irrational")
-            rates += [root] * count
+            if count > 1 or root in rates:
+                raise _NoMatch("repeated factors unsupported")
+            rates, scale = rates + [root], scale / q
         else:
             raise _NoMatch("denominator factors must look like x^2 + a^2")
-    if not rates:
-        raise _NoMatch("no x^2 + a^2 factor in the denominator")
-    if len(set(rates)) != len(rates):
-        raise _NoMatch("repeated factors unsupported")
-    return "rational_trig", {"rates": tuple(sorted(rates)), "numerator": ast.left,
-                             **({"scale": 1 / scale} if scale != 1 else {})}
+    return "rational_trig", {"rates": tuple(sorted(rates)),
+                             "numerator": _product(split.exps + split.rest),
+                             **({"scale": scale} if scale != 1 else {})}
 
 
 def _probe_exp_poly(ast: Node, split: _Split) -> tuple:
@@ -177,12 +175,11 @@ def _probe_exp_poly(ast: Node, split: _Split) -> tuple:
 
 
 def _match_series(ast: Node, split: _Split) -> tuple:
-    """s^2 = 1/(2c), b and g(x) = ast e^(x^2/(2 s^2)): the scale, the other
-    factors and exp(b x), over the denominator; g must have Taylor coefficients."""
-    g = [Num(split.scale)] * (split.scale != 1) + [f if n == 1 else Pow(f, n) for f, n in split.rest]
-    g += [Call("exp", Mul(Num(split.b), X))] * (split.b != 0)
-    g = functools.reduce(Mul, g) if g else Num(Fraction(1))
-    g = Div(g, ast.right) if split.den else g
+    """s^2 = 1/(2c), b and g(x) = ast e^(x^2/(2 s^2)): the scale, the other numerator
+    factors and exp(b x) over the denominator's; g must have Taylor coefficients."""
+    g = [(Num(split.scale), 1)] * (split.scale != 1) + split.rest
+    g = _product(g + [(Call("exp", Mul(Num(split.b), X)), 1)] * (split.b != 0))
+    g = Div(g, _product(split.den)) if split.den else g
     taylor_of(g, 8)
     if split.c <= 0:
         raise _NoMatch("no Gaussian factor exp(-c*x^2), c > 0: nothing decays")

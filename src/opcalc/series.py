@@ -346,6 +346,8 @@ def _monomial(node: Node) -> Optional[tuple]:
     """(c, v) when *node* is exactly c x^v with v >= 0, else None.  Read
     off the polynomial, not a truncated series: truncation drops the high
     orders of 1 + x^4 and would pass it as the constant 1."""
+    if isinstance(node, Pow) and node.exponent > 0:  # iff its base is: no power is expanded
+        return (m := _monomial(node.base)) and (m[0] ** node.exponent, m[1] * node.exponent)
     try:
         (v, c), = polynomial_of(node).items()
     except ValueError:  # not a polynomial, or not a single term

@@ -382,11 +382,12 @@ ALL_FAMILIES = sorted(["sinc_cos_product", "gaussian_sinc", "rational_trig", "ex
 
 def test_one_product_scan_classifies_as_the_two_matchers_did():
     # as the two matchers and the series route's split did on the integrand
-    # without its constants, which multiply to q, but for four classes: the
-    # product families add scale q when q != 1 and the series g starts with
-    # the number q; a quotient by q_den times x^2 + a^2 factors is
-    # rational_trig with scale 1/q_den; a respelled unit Gaussian is
-    # gaussian_sinc; and an entire integrand with no Gaussian is unsupported
+    # without its constants, which multiply to q (a quotient's denominator
+    # constants divide it), but for three classes: the product families and
+    # rational_trig (its numerator without constants) add scale q when
+    # q != 1 and the series g starts with the number q; a respelled unit
+    # Gaussian is gaussian_sinc; and an entire integrand with no Gaussian is
+    # unsupported
     texts = _seeded_products(1200) + list(RESPELLED_UNIT_GAUSSIANS) + list(SCALED_QUOTIENTS) \
         + ["sin(sin(x))", "exp(-x^2/2)*exp(x^2/2)*cos(x)"]
     sample = parse_corpus.corpus()[::25]
@@ -397,18 +398,14 @@ def test_one_product_scan_classifies_as_the_two_matchers_did():
         except ParseError:
             continue
         bare, q = _bare(ast)
+        got = _classified(classify, ast)
+        den, den_q = _without_constants(ast.right, zeroth=False) if isinstance(bare, Div) else (None, 1)
+        if den_q not in (0, 1):  # the denominator's constants join the scale
+            bare, q = Div(bare.left, den), q / den_q
+            tags["scaled denominator"] += got[0] == "rational_trig"
         scale = {"scale": q} if q != 1 else {}
-        want, got = _classified(_reference_classify, bare), _classified(classify, ast)
-        if got[0] == "rational_trig" and want[0] != "rational_trig":
-            den, den_q = _without_constants(ast.right)
-            want = _classified(_reference_classify, Div(ast.left, den))
-            assert den_q not in (0, 1) and want[0] == "rational_trig", text
-            assert got == ("rational_trig", dict(want[1], scale=1 / den_q), []), text
-            tags["scaled denominator"] += 1
-            continue
-        if want[0] == "rational_trig":  # the numerator as written
-            want = ("rational_trig", dict(want[1], numerator=ast.left), [])
-        elif want[0] in ("sinc_cos_product", "gaussian_sinc"):
+        want = _classified(_reference_classify, bare)
+        if want[0] in ("sinc_cos_product", "gaussian_sinc", "rational_trig"):
             want = (want[0], dict(want[1], **scale), [])
         elif want[0] == "series_only":
             try:
@@ -530,6 +527,17 @@ def test_cli_slot_limit_exits_fast(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_UNSUPPORTED and out == ""
         assert "slots exceed the limit" in err and "Traceback" not in err
+
+
+def test_cli_large_power_in_a_denominator_is_refused_without_expanding_it(capsys):
+    # a power is a monomial iff its base is, so the series split reads these
+    # denominators without expanding them, and a repeated Green factor is
+    # refused before its rates are listed
+    for text in ("sinc(x)^-3000000", "exp(-x^2/2)*cos(x)^-3000000", "cos(x)*(x^2+1)^-3000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "integrate", text)
+        assert time.perf_counter() - start < 1.0, text
+        assert (code, out) == (EXIT_UNSUPPORTED, "") and "Traceback" not in err, text
 
 
 def test_cli_large_sinc_power_is_refused_before_its_slots_are_expanded(capsys):
@@ -973,8 +981,66 @@ def test_cli_delta_method_reads_the_whole_scaled_product(capsys):
     assert (json.loads(out)["method"], json.loads(out)["exact"]) == ("fourier_delta", "(2)*pi")
 
 
+def _green_quotients(count: int = 10, seed: int = 29) -> list:
+    """Seeded Green quotients c cos(b x)/prod (x^2 + a^2): a rational c and
+    b, and 1 to 3 distinct rational a; each is (c, N, the factor texts, the
+    real-line integral of N/D by partial fractions in x^2)."""
+    rng = random.Random(seed)
+    pool = sorted({Fraction(p, q) for p in range(1, 7) for q in (1, 2, 3)})
+    quotients = []
+    for _ in range(count):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        b, rates = Fraction(rng.randint(0, 8), rng.randint(1, 4)), rng.sample(pool, rng.randint(1, 3))
+        value = sum(math.pi * math.exp(-a * b) / a
+                    / math.prod(float(r * r - a * a) for r in rates if r != a) for a in rates)
+        quotients.append((c, f"cos({b}*x)", [f"(x^2+{a * a})" for a in rates], value))
+    return quotients
+
+
+def _green_spellings(c, n, factors) -> list:
+    """(scale, top-level spelling, respellings) of c*N/D and of N/D: the
+    scale after the quotient, a quotient inside a product, a quotient chain
+    and a negative power."""
+    d, first, others = "*".join(factors), factors[0], "*".join(factors[1:]) or "1"
+    return [(c, f"({c})*{n}/({d})", [f"{n}/({d})*({c})", f"(1/{first})*{n}*({c})/({others})"]),
+            (1, f"{n}/({d})", [f"{n}/{first}/({others})", f"({d})^-1*{n}"])]
+
+
+def test_every_spelling_of_a_green_quotient_takes_its_route(capsys):
+    # each respelling prints its top-level spelling's exact string, through
+    # auto, the green route and compare alike
+    for c, n, factors, value in _green_quotients():
+        for scale, top, respellings in _green_spellings(c, n, factors):
+            code, out, err = run_cli(capsys, "integrate", top, "--json")
+            assert code == EXIT_OK, (top, err)
+            want = {k: v for k, v in json.loads(out).items() if k != "input"}
+            assert want["method"] == "greens_function", top
+            assert math.isclose(float(want["approx"]), float(scale) * value, rel_tol=1e-9), top
+            for text in respellings:
+                for method in ("auto", "green"):
+                    code, out, err = run_cli(capsys, "integrate", text, "--method", method, "--json")
+                    assert code == EXIT_OK, (text, method, err)
+                    assert {k: v for k, v in json.loads(out).items() if k != "input"} == want, text
+                code, out, err = run_cli(capsys, "compare", text)
+                assert code == EXIT_OK and f"exact:   {want['exact']}\n" in out, (text, err)
+
+
+def test_constants_inside_a_denominator_factor_are_scale(capsys):
+    # q x^2 + r with r/q > 0 is q (x^2 + r/q); x^2 - 1 has real poles
+    for text, top in [("cos(x)/(2*x^2+2)", "cos(x)/(2*(x^2+1))"),
+                      ("cos(x)/(-x^2-1)", "-cos(x)/(x^2+1)"),
+                      ("cos(x)/((1/4*x^2+1)*(x^2+1))", "4*cos(x)/((x^2+4)*(x^2+1))")]:
+        want = run_cli(capsys, "integrate", top, "--json")[1]
+        code, out, err = run_cli(capsys, "integrate", text, "--json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["exact"] == json.loads(want)["exact"] is not None, text
+    code, out, err = run_cli(capsys, "integrate", "cos(x)/(x^2-1)")
+    assert code == EXIT_UNSUPPORTED and out == ""
+    assert "rational_trig: denominator factors must look like x^2 + a^2" in err
+
+
 def test_cli_zero_denominator_is_named(capsys):
-    for expr in ("cos(x)/(0*(x^2+1))", "cos(x)/0"):
+    for expr in ("cos(x)/(0*(x^2+1))", "cos(x)/0", "sinc(x)*(1/0)"):
         code, out, err = run_cli(capsys, "integrate", expr)
         assert code == EXIT_UNSUPPORTED and out == ""
         assert "rational_trig: the denominator has the constant factor 0" in err
