@@ -251,8 +251,8 @@ def sinc_power_gaussian(n: int,
         OperatorTerm(ComplexRational(Fraction((-1) ** k * math.comb(n, k), 2 ** n)),
                      Fraction(n - 2 * k), -n)
         for k in range(n + 1))
-    kernel = with_representatives(HEAT, lambda _order: coeffs) if coeffs else HEAT
-    image = apply_word(word, RampSum.of(kernel))
+    image = apply_word(word, RampSum.of(
+        with_representatives(HEAT, (lambda _order: coeffs) if coeffs else None)))
     value = SQRT_TWO_PI * image.evaluate_at(0)
     return TransformResult.from_exact(
         value, method="gaussian_heat_kernel", formula="gaussian_sinc_difference",

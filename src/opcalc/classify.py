@@ -15,10 +15,11 @@ Families, tried most specific first:
 The integrand, any chain of products and quotients, is scanned once into
 (factor, signed multiplicity) pairs, a denominator's negative, and one
 rational scale: its numbers, signs and nonzero constant denominators.  The
-pairs split off the Gaussian and feed every matcher, so an argument is read
-once and no spelling picks the family; f(-d/dy) is linear in f, so c*f names
-f's family, with ``scale`` in its params unless it is 1.  Arguments and
-factors are read with ``operators.polynomial_of`` and ``linear_rate``.
+pairs split off the Gaussian (numerator exp factors only) and feed every
+matcher, so an argument is read once and a factor's place in the chain does
+not pick the family; f(-d/dy) is linear in f, so c*f names f's family, with
+``scale`` in its params unless it is 1.  Arguments and factors are read with
+``operators.polynomial_of`` and ``linear_rate``.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ class _NoMatch(Exception):
 
 
 def _factor_scan(node: Node, count: int = 1):
-    """Factors of a product/quotient chain as (factor, signed multiplicity)
-    pairs, a power's base counted exponent times without copies and a
-    denominator's negatively, and the rational scale of one copy: its numbers,
-    unary minus signs and nonzero constant denominators, raised through powers,
-    none left as a factor.  A zero base under a negative power (a zero
-    denominator) is one factor; a multiplicity 0 leaves no pair."""
+    """Factors of a product/quotient chain as (factor, signed multiplicity) pairs,
+    a power's base counted exponent times without copies and a denominator's
+    negatively, and the rational scale of one copy: its numbers, unary minus
+    signs and nonzero constant denominators, raised through powers.  A zero base
+    under a negative power stays a denominator factor however often inverted."""
     if isinstance(node, Div):
         node = Mul(node.left, Pow(node.right, -1))
     if isinstance(node, Mul):
@@ -67,7 +67,7 @@ def _factor_scan(node: Node, count: int = 1):
         inner, scale = _factor_scan(node.base, count * node.exponent)
         if scale or node.exponent >= 0:
             return inner, scale ** node.exponent
-        node, count = node.base, count * node.exponent
+        node, count = node.base, -abs(count * node.exponent)
     elif isinstance(node, Num):
         return [], node.value
     return [(node, count)] if count else [], Fraction(1)
@@ -82,14 +82,14 @@ def _split(ast: Node) -> _Split:
     factors, scale = _factor_scan(ast)
     c, b, exps, rest, den = Fraction(0), Fraction(0), [], [], []
     for f, count in factors:
-        try:
-            exp = count > 0 and getattr(f, "func", None) == "exp"
-            poly = polynomial_of(f.arg) if exp else {0: 1}
-        except NotExponentialPolynomial:
-            poly = {0: 1}
         if count < 0:
             den.append((f, -count))
-        elif set(poly) <= {1, 2}:
+            continue
+        try:
+            poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
+        except NotExponentialPolynomial:
+            poly = {0: 1}
+        if set(poly) <= {1, 2}:
             c, b = c - count * poly.get(2, 0), b + count * poly.get(1, 0)
             exps.append((f, count))
         else:

@@ -1,7 +1,6 @@
 """Borwein-family machinery: tuples, exact values, the theorem, Gaussians."""
 
 import hashlib
-import importlib
 import itertools
 import math
 import random
@@ -272,16 +271,13 @@ def test_sinc_gaussian_perturbation_invariance():
         assert sinc_power_gaussian(n, chain_perturbation=poly).exact == base
 
 
-def test_sinc_gaussian_wraps_the_heat_kernel_only_when_perturbed(monkeypatch):
-    # an empty perturbation reads the heat kernel's own members
-    borwein_module, wrapped = importlib.import_module("opcalc.borwein"), []
-    original = borwein_module.with_representatives
-    monkeypatch.setattr(borwein_module, "with_representatives",
-                        lambda *args: wrapped.append(args) or original(*args))
-    assert sinc_power_gaussian(4).exact == sinc_power_gaussian(4, chain_perturbation=()).exact
-    assert not wrapped
-    assert sinc_power_gaussian(4, chain_perturbation=[1, 2]).exact == sinc_power_gaussian(4).exact
-    assert len(wrapped) == 1
+def test_sinc_gaussian_empty_perturbation_is_the_heat_kernel():
+    # no perturbation, an empty one and one of degree < n give one exact value
+    for n in range(1, 7):
+        plain = sinc_power_gaussian(n).exact
+        assert sinc_power_gaussian(n, chain_perturbation=()).exact == plain
+        assert sinc_power_gaussian(n, chain_perturbation=[]).exact == plain
+        assert sinc_power_gaussian(n, chain_perturbation=list(range(1, n + 1))).exact == plain
 
 
 def central_difference_reference(n, chain_perturbation=()):

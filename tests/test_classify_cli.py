@@ -399,7 +399,7 @@ def test_one_product_scan_classifies_as_the_two_matchers_did():
             continue
         bare, q = _bare(ast)
         got = _classified(classify, ast)
-        den, den_q = _without_constants(ast.right, zeroth=False) if isinstance(bare, Div) else (None, 1)
+        den, den_q = _without_constants(bare.right, zeroth=False) if isinstance(bare, Div) else (None, 1)
         if den_q not in (0, 1):  # the denominator's constants join the scale
             bare, q = Div(bare.left, den), q / den_q
             tags["scaled denominator"] += got[0] == "rational_trig"
@@ -1040,7 +1040,9 @@ def test_constants_inside_a_denominator_factor_are_scale(capsys):
 
 
 def test_cli_zero_denominator_is_named(capsys):
-    for expr in ("cos(x)/(0*(x^2+1))", "cos(x)/0", "sinc(x)*(1/0)"):
+    # a zero inverted twice is still a zero denominator, never a factor 0
+    for expr in ("cos(x)/(0*(x^2+1))", "cos(x)/0", "sinc(x)*(1/0)", "cos(x)/(x^2+1)/(1/0)",
+                 "(0^-1)^-1*cos(x)/(x^2+1)", "exp(-x^2/2)/(1/0)"):
         code, out, err = run_cli(capsys, "integrate", expr)
         assert code == EXIT_UNSUPPORTED and out == ""
         assert "rational_trig: the denominator has the constant factor 0" in err
