@@ -12,10 +12,11 @@ Families, tried most specific first:
   coefficients; params s2, b and g feed the Gaussian moment pairing.
 * unsupported: everything else, carrying the per-family failure reasons.
 
-The integrand, any chain of products and quotients, is scanned once into
-(factor, signed multiplicity) pairs, a denominator's negative, and one
-rational scale: its numbers, signs and nonzero constant denominators.  The
-pairs split off the Gaussian (numerator exp factors only) and feed every
+The integrand, any chain of products and quotients, is scanned once by
+``parser.factor_scan`` into (factor, signed multiplicity) pairs, a
+denominator's negative, and one rational scale: its numbers, signs and
+nonzero constant denominators.  The pairs split off the Gaussian (exp
+factors of the numerator and of the denominator alike) and feed every
 matcher, so an argument is read once and a factor's place in the chain does
 not pick the family; f(-d/dy) is linear in f, so c*f names f's family, with
 ``scale`` in its params unless it is 1.  Arguments and factors are read with
@@ -33,7 +34,7 @@ from fractions import Fraction
 from .borwein import require_slots
 from .operators import (NotExponentialPolynomial, exp_poly_normal_form,
                         linear_rate, polynomial_of)
-from .parser import X, Call, Div, Mul, Neg, Node, Num, Pow
+from .parser import X, Call, Div, Mul, Node, Num, Pow, factor_scan
 from .series import NotSeriesRepresentable, taylor_of
 
 
@@ -48,43 +49,17 @@ class _NoMatch(Exception):
     pass
 
 
-def _factor_scan(node: Node, count: int = 1):
-    """Factors of a product/quotient chain as (factor, signed multiplicity) pairs,
-    a power's base counted exponent times without copies and a denominator's
-    negatively, and the rational scale of one copy: its numbers, unary minus
-    signs and nonzero constant denominators, raised through powers.  A zero base
-    under a negative power stays a denominator factor however often inverted."""
-    if isinstance(node, Div):
-        node = Mul(node.left, Pow(node.right, -1))
-    if isinstance(node, Mul):
-        left, left_scale = _factor_scan(node.left, count)
-        right, right_scale = _factor_scan(node.right, count)
-        return left + right, left_scale * right_scale
-    if isinstance(node, Neg):
-        inner, scale = _factor_scan(node.arg, count)
-        return inner, -scale
-    if isinstance(node, Pow):
-        inner, scale = _factor_scan(node.base, count * node.exponent)
-        if scale or node.exponent >= 0:
-            return inner, scale ** node.exponent
-        node, count = node.base, -abs(count * node.exponent)
-    elif isinstance(node, Num):
-        return [], node.value
-    return [(node, count)] if count else [], Fraction(1)
-
 # the scan's scale, the Gaussian e^(-c x^2 + b x) of the `exps`, other numerator pairs, den pairs
 _Split = namedtuple("_Split", "scale c b exps rest den")
 
 
 def _split(ast: Node) -> _Split:
-    """Each numerator exp factor of a degree <= 2 polynomial p, p(0) = 0, gives
-    its x^2 part to c and its x part to b; den's multiplicities are positive."""
-    factors, scale = _factor_scan(ast)
+    """Each exp factor of a degree <= 2 polynomial p, p(0) = 0, gives its x^2
+    part to c and its x part to b times its signed multiplicity, from the
+    numerator or the denominator; den's multiplicities are positive."""
+    factors, scale = factor_scan(ast)
     c, b, exps, rest, den = Fraction(0), Fraction(0), [], [], []
     for f, count in factors:
-        if count < 0:
-            den.append((f, -count))
-            continue
         try:
             poly = polynomial_of(f.arg) if getattr(f, "func", None) == "exp" else {0: 1}
         except NotExponentialPolynomial:
@@ -92,6 +67,8 @@ def _split(ast: Node) -> _Split:
         if set(poly) <= {1, 2}:
             c, b = c - count * poly.get(2, 0), b + count * poly.get(1, 0)
             exps.append((f, count))
+        elif count < 0:
+            den.append((f, -count))
         else:
             rest.append((f, count))
     return _Split(scale, c, b, exps, rest, den)

@@ -1,6 +1,8 @@
 """Formal operator words and the one image algebra they act through.
 
-An exponential-polynomial integrand f decomposes into a finite word
+An exponential-polynomial integrand f, its chains read by ``factor_scan``
+(a denominator factor must be one term: 1/exp(x) is exp(-x)), decomposes
+into a finite word
 
     f(-d/dy)   or   f(-i d/dy)  =  sum_j  c_j * T_{b_j} * D^{n_j}
 
@@ -20,6 +22,7 @@ never a silently picked side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +31,7 @@ from typing import Callable, Iterable
 from .exact import (CR_I, CR_ONE, CR_ZERO, ComplexRational, ExactValue,
                     as_fraction, sort_rank)
 from .kernels import RampEvaluationError  # noqa: F401 (re-exported)
-from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
+from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym, factor_scan
 
 
 class NotExponentialPolynomial(ValueError):
@@ -72,7 +75,8 @@ def _nf_power(base: ExpPoly, k: int) -> ExpPoly:
     monomial, and n t_0 P_n = sum_(i=1..min(n,r)) ((k+1) i - n) t_i P_(n-i),
     at z = 1.  Terms are keyed by (rate * lcm of denominators, power), in ints."""
     if k < 0 and len(base) != 1:
-        raise NotExponentialPolynomial("negative powers need a monomial base in this family")
+        raise NotExponentialPolynomial(
+            "denominators and negative powers need a monomial base in this family")
     ((mu0, n0), c0), *rest = base.items() or [((CR_ZERO, 0), CR_ZERO)]  # 0^k
     if not rest:
         return _nf_merge({(mu0 * k, n0 * k): c0 ** k})
@@ -98,7 +102,8 @@ def exp_poly_normal_form(ast: Node) -> ExpPoly:
     """Rewrite the AST as sum of c * x^n * e^(mu x) terms, exactly.
 
     sin, cos and sinc are expanded into complex exponentials, so mu is
-    complex rational in general.  Gaussians, sqrt, pi and non-monomial
+    complex rational in general.  A denominator factor must be one term, and
+    a power of it is refused unexpanded.  Gaussians, sqrt, pi and other
     denominators are rejected: those integrands travel other routes.
     """
     if isinstance(ast, Num):
@@ -108,29 +113,17 @@ def exp_poly_normal_form(ast: Node) -> ExpPoly:
             raise NotExponentialPolynomial(
                 "pi is not an exact rational coefficient")
         return {(CR_ZERO, 1): CR_ONE}
-    if isinstance(ast, Neg):
-        return _nf_scale(exp_poly_normal_form(ast.arg), ComplexRational(-1))
+    if isinstance(ast, (Neg, Mul, Div, Pow)):  # a denominator is a factor's negative power
+        factors, scale = factor_scan(ast)
+        parts = [exp_poly_normal_form(f) if k == 1 else _nf_power(exp_poly_normal_form(f), k)
+                 for f, k in factors]
+        nf = functools.reduce(_nf_mul, parts) if parts else {(CR_ZERO, 0): CR_ONE}
+        return nf if scale == 1 else _nf_scale(nf, ComplexRational(scale))
     if isinstance(ast, Add):
         return _nf_add(exp_poly_normal_form(ast.left), exp_poly_normal_form(ast.right))
     if isinstance(ast, Sub):
         return _nf_add(exp_poly_normal_form(ast.left),
                        _nf_scale(exp_poly_normal_form(ast.right), ComplexRational(-1)))
-    if isinstance(ast, Mul):
-        return _nf_mul(exp_poly_normal_form(ast.left), exp_poly_normal_form(ast.right))
-    if isinstance(ast, Div):
-        den = exp_poly_normal_form(ast.right)
-        if len(den) != 1:
-            raise NotExponentialPolynomial(
-                "denominators must be single monomials in this family")
-        ((mu, n), c), = den.items()
-        if not mu.is_zero:
-            raise NotExponentialPolynomial(
-                "exponential denominators are not exp-poly")
-        num = exp_poly_normal_form(ast.left)
-        inv = CR_ONE / c
-        return _nf_merge({(m, k - n): v * inv for (m, k), v in num.items()})
-    if isinstance(ast, Pow):
-        return _nf_power(exp_poly_normal_form(ast.base), ast.exponent)
     if isinstance(ast, Call):
         if ast.func == "exp":
             return {(ComplexRational(linear_rate(ast.arg)), 0): CR_ONE}

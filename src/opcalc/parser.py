@@ -16,7 +16,8 @@ Expressions nest at most MAX_DEPTH levels: a leaf counts 1 plus the
 parentheses (call and exponent ones included) and the signs outside an
 exponent around it, and the tree is at most MAX_DEPTH deep (a sum of n
 terms is n levels deep).  Deeper input is a ParseError, so that no
-later recursion over the tree can exhaust the stack.
+later recursion over the tree can exhaust the stack.  ``factor_scan`` is
+the one reader of a chain of products, quotients, signs and powers.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ class _Reader:
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Printing, and reading a product/quotient chain
 # ---------------------------------------------------------------------------
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Sym: 5, Call: 5}
@@ -253,6 +254,32 @@ def to_source(node: Node) -> str:
         return (f"{_operand(node.left, prec)} {_OPS[type(node)]} "
                 f"{_operand(node.right, prec, right=True)}")
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def factor_scan(node: Node, count: int = 1):
+    """Factors of a product/quotient chain as (factor, signed multiplicity) pairs,
+    a power's base counted exponent times without copies and a denominator's
+    negatively, and the rational scale of one copy: its numbers, unary minus
+    signs and nonzero constant denominators, raised through powers.  A zero base
+    under a negative power stays a denominator factor however often inverted,
+    and under any exponent."""
+    if isinstance(node, Div):
+        node = Mul(node.left, Pow(node.right, -1))
+    if isinstance(node, Mul):
+        left, left_scale = factor_scan(node.left, count)
+        right, right_scale = factor_scan(node.right, count)
+        return left + right, left_scale * right_scale
+    if isinstance(node, Neg):
+        inner, scale = factor_scan(node.arg, count)
+        return inner, -scale
+    if isinstance(node, Pow):
+        inner, scale = factor_scan(node.base, count * node.exponent)
+        if scale or node.exponent >= 0:
+            return inner, scale ** node.exponent
+        node, count = node.base, -abs(count * node.exponent) or -1
+    elif isinstance(node, Num):
+        return [], node.value
+    return [(node, count)] if count else [], Fraction(1)
 
 
 # ---------------------------------------------------------------------------

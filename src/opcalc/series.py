@@ -23,9 +23,10 @@ Products, powers, composition and the read-off stay in that form;
 ComplexRational coefficients are built only when a caller asks for
 them.  Every factorial ladder (exp, sin, cos, sinc of c x^v) is built in
 the form by _monomial_compose; of any other argument g, the function's
-own ladder is composed with g's series.  A monomial, and any polynomial
-subtree with no call, negative power or power of a sum, is read with
-operators.polynomial_of.
+own ladder is composed with g's series.  In a chain (parser.factor_scan)
+x and every denominator but exp(p), which is exp(-p), are a scale and a
+shift c x^v.  A monomial, and any polynomial subtree with no call, negative
+power or power of a sum, is read with operators.polynomial_of.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
 
     Only combinations that stay entire are accepted: exp/sin/cos/sinc of
     polynomial arguments, Gaussians, polynomials, products, sums, and
-    division by monomials that cancel (as in (e^-x - e^-2x)/x).  Anything
+    division by exp(p) or by monomials that cancel (as in (e^-x - e^-2x)/x).  Anything
     with a genuine pole, such as 1/(x^2+1), is rejected: its series stops
     converging before the real line ends.
     """
@@ -346,8 +347,6 @@ def _monomial(node: Node) -> Optional[tuple]:
     """(c, v) when *node* is exactly c x^v with v >= 0, else None.  Read
     off the polynomial, not a truncated series: truncation drops the high
     orders of 1 + x^4 and would pass it as the constant 1."""
-    if isinstance(node, Pow) and node.exponent > 0:  # iff its base is: no power is expanded
-        return (m := _monomial(node.base)) and (m[0] ** node.exponent, m[1] * node.exponent)
     try:
         (v, c), = polynomial_of(node).items()
     except ValueError:  # not a polynomial, or not a single term
@@ -380,31 +379,33 @@ def _taylor(node: Node, n: int) -> PowerSeries:
             return PowerSeries._sparse({k: (c, Fraction(0)) for k, c in poly.items() if k <= n}, n)
     if isinstance(node, Sym):  # numbers and x are read above: this is pi
         raise NotSeriesRepresentable("pi is not an exact rational coefficient")
-    if isinstance(node, Neg):
-        return _taylor(node.arg, n).scale(ComplexRational(-1))
+    if isinstance(node, (Neg, Mul, Div, Pow)):
+        # scale x^power prod f^k, k > 0: x and a denominator c x^v join the
+        # scale and the power, and exp(p)^-k is exp(-p)^k
+        factors, scale = parser.factor_scan(node)
+        power, parts = 0, []
+        for f, k in factors:
+            if k < 0 and getattr(f, "func", None) == "exp":
+                f, k = Call("exp", Neg(f.arg)), -k
+            if k > 0 and f != parser.X:
+                parts.append((f, k))
+            elif mono := _monomial(f):
+                scale, power = scale * mono[0] ** k, power + mono[1] * k
+            else:
+                den = parser.to_source(f if k == -1 else Pow(f, -k))
+                raise NotSeriesRepresentable("not series-representable on the real line: "
+                                             f"denominator {den!r} is not a monomial")
+        low = max(-power, 0)  # the division by x^low takes low orders
+        out = None if scale == 1 and power <= 0 and parts else PowerSeries._sparse(
+            {power + low: (scale, Fraction(0))} if power <= n else {}, n + low)  # scale x^power
+        for f, k in parts:
+            series = _taylor(f, n + low) if k == 1 else _taylor(f, n + low).pow(k)
+            out = series if out is None else out.mul(series)
+        return out.shift_down(low) if low else out
     if isinstance(node, Add):
         return _taylor(node.left, n).add(_taylor(node.right, n))
     if isinstance(node, Sub):
         return _taylor(node.left, n).sub(_taylor(node.right, n))
-    if isinstance(node, Mul):
-        return _taylor(node.left, n).mul(_taylor(node.right, n))
-    if isinstance(node, Div):
-        den = _monomial(node.right)
-        if den is None:
-            raise NotSeriesRepresentable(
-                "not series-representable on the real line: denominator "
-                f"{parser.to_source(node.right)!r} is not a monomial")
-        # monomial denominator c*x^v: exact shift, still entire
-        c, v = den
-        return _taylor(node.left, n + v).shift_down(v).scale(CR_ONE / c)
-    if isinstance(node, Pow):
-        if node.exponent >= 0:
-            return _taylor(node.base, n).pow(node.exponent)
-        base = _monomial(node.base)
-        if base is None or base[1] > 0:
-            raise NotSeriesRepresentable(
-                "negative powers need a constant base: anything else has a pole")
-        return PowerSeries._sparse({0: (1 / base[0] ** (-node.exponent), Fraction(0))}, n)
     if isinstance(node, Call):
         if node.func == "sqrt":
             raise NotSeriesRepresentable(
@@ -427,16 +428,21 @@ def _taylor(node: Node, n: int) -> PowerSeries:
 def growth_majorant(node: Node) -> tuple:
     """(a, m, b1, b2) with |g| <= a r^m e^(b1 r + b2 r^2) on |z| = r >= 1, g as
     taylor_of accepts: |exp|, |cos|, |sin|, |sinc| of p are at most e^|p|; sums
-    take the larger powers and rates, products add them, c x^v divides."""
+    take the larger powers and rates, products add them, a denominator c x^v
+    divides and one exp(p) counts as exp(-p)."""
     if isinstance(node, (Num, Sym)):  # taylor_of refuses pi
         return (abs(node.value), 0, 0, 0) if isinstance(node, Num) else (1, 1, 0, 0)
-    if isinstance(node, Neg):
-        return growth_majorant(node.arg)
-    if isinstance(node, Pow):
-        if node.exponent < 0:  # of a constant, as taylor_of requires
-            return abs(_monomial(node.base)[0]) ** node.exponent, 0, 0, 0
-        a, *rest = growth_majorant(node.base)
-        return a ** node.exponent, *(node.exponent * e for e in rest)
+    if isinstance(node, (Neg, Mul, Div, Pow)):
+        factors, scale = parser.factor_scan(node)
+        a, m, b1, b2 = abs(scale), 0, 0, 0
+        for f, k in factors:
+            if k < 0 and getattr(f, "func", None) != "exp":  # c x^v, as taylor_of requires
+                c, v = _monomial(f)
+                f_a, f_m, f_b1, f_b2 = abs(c), v, 0, 0
+            else:  # |exp(-p)| has exp(p)'s bound
+                f_a, f_m, f_b1, f_b2 = growth_majorant(f)
+            a, m, b1, b2 = a * f_a ** k, m + f_m * k, b1 + f_b1 * abs(k), b2 + f_b2 * abs(k)
+        return a, m, b1, b2
     if isinstance(node, Call):
         try:
             poly = polynomial_of(node.arg)
@@ -448,12 +454,7 @@ def growth_majorant(node: Node) -> tuple:
                                          f"exp(|x|^{max(poly)}), faster than a Gaussian decays")
         return 1, 0, abs(poly.get(1, 0)), abs(poly.get(2, 0))
     a, *f = growth_majorant(node.left)
-    if isinstance(node, Div):
-        c, v = _monomial(node.right)
-        return a / abs(c), f[0] - v, *f[1:]
     c, *g = growth_majorant(node.right)
-    if isinstance(node, Mul):
-        return a * c, *(x + y for x, y in zip(f, g))
     return a + c, *map(max, f, g)  # Add, Sub
 
 

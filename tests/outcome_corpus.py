@@ -1,0 +1,161 @@
+"""The CLI outcomes of the parse corpus, and the difference between two trees.
+
+The outcome of a request is its exit status, stdout and stderr, with the
+request run in process under a per-request alarm.  Every text of
+``parse_corpus`` that parses is run four ways: ``integrate`` on the real
+line, on [0, 1] and on [0, inf), and ``laplace --at 2``.  A request past
+the alarm is a "timeout", and an exception that the CLI lets through a
+"traceback".
+
+Write the outcomes of a tree (its ``src`` directory is imported, so run
+one tree per process), then compare two such files by category:
+
+    python tests/outcome_corpus.py run PARENT/src parent.jsonl
+    python tests/outcome_corpus.py run src new.jsonl
+    python tests/outcome_corpus.py diff parent.jsonl new.jsonl
+
+A category names how an outcome moved, such as "exit 3 -> exit 0" or
+"exit 3 -> exit 3, reason" (another stderr); an answer that is no longer
+byte-identical is "exit 0 -> exit 0, stdout".  Each category prints its
+count and its first examples, and the reasons that moved are tallied per
+family with the quoted sources and the numbers masked.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import io
+import json
+import re
+import signal
+import sys
+import traceback
+from collections import Counter
+from pathlib import Path
+
+import parse_corpus
+
+COMMANDS = (("integrate",), ("integrate", "--interval", "0", "1"),
+            ("integrate", "--interval", "0", "inf"), ("laplace", "--at", "2"))
+ALARM_S = 3
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+def outcome(run, argv: list, alarm: float = ALARM_S) -> dict:
+    """{"exit", "stdout", "stderr"} of run(argv), exit "timeout" or "traceback"
+    when the alarm rings or an exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, alarm)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    except _Timeout:
+        code = "timeout"
+    except SystemExit as exc:  # argparse refusing the argv
+        code = exc.code
+    except Exception:  # noqa: BLE001  (recorded, not raised)
+        code, err = "traceback", io.StringIO(traceback.format_exc())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def parseable(parse, texts=None) -> list:
+    """The texts of the parse corpus (or *texts*) that *parse* accepts."""
+    keep = []
+    for text in parse_corpus.corpus() if texts is None else texts:
+        try:
+            parse(text)
+        except ValueError:  # the parser's refusals, ParseError among them
+            continue
+        keep.append(text)
+    return keep
+
+
+def load_tree(src: str):
+    """opcalc imported from the tree whose package directory is under *src*."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    return importlib.import_module("opcalc.cli"), importlib.import_module("opcalc.parser")
+
+
+def write(run, texts, stream) -> None:
+    """One JSON line per request: {"argv", "exit", "stdout", "stderr"}."""
+    for text in texts:
+        for command in COMMANDS:
+            argv = [command[0], text, *command[1:]]
+            stream.write(json.dumps({"argv": argv, **outcome(run, argv)}) + "\n")
+
+
+def read(lines) -> dict:
+    """argv -> outcome of the JSON lines that write() wrote."""
+    return {tuple(r["argv"]): r for r in map(json.loads, lines)}
+
+
+def category(old: dict, new: dict):
+    """How one request's outcome moved, or None when it did not."""
+    if old == new:
+        return None
+    moved = f"exit {old['exit']} -> exit {new['exit']}"
+    if old["exit"] != new["exit"]:
+        return moved
+    return f"{moved}, {'stdout' if old['stdout'] != new['stdout'] else 'reason'}"
+
+
+_QUOTED = re.compile(r"'[^']*'|\d+")
+
+
+def _reasons(stderr: str) -> dict:
+    """family -> reason of an unsupported request, quoted sources and numbers masked."""
+    pairs = (line.strip().split(": ", 1) for line in stderr.splitlines()[1:])
+    return {p[0]: _QUOTED.sub("#", p[1]) for p in pairs if len(p) == 2}
+
+
+def diff(old: dict, new: dict, examples: int = 3):
+    """(category counts, examples per category, (family, old reason, new reason) counts)."""
+    counts, shown, reasons = Counter(), {}, Counter()
+    for argv in old.keys() & new.keys():
+        moved = category(old[argv], new[argv])
+        counts[moved or "unchanged"] += 1
+        if moved is None:
+            continue
+        if len(shown.setdefault(moved, [])) < examples:
+            shown[moved].append(argv)
+        if old[argv]["exit"] == new[argv]["exit"] == 3:
+            was, now = _reasons(old[argv]["stderr"]), _reasons(new[argv]["stderr"])
+            reasons.update((family, was.get(family), now[family])
+                           for family in now if was.get(family) != now[family])
+    counts["only in the first"] = len(old.keys() - new.keys())
+    counts["only in the second"] = len(new.keys() - old.keys())
+    return counts, shown, reasons
+
+
+def main(argv: list) -> None:
+    if argv[:1] == ["run"] and len(argv) == 3:
+        cli, parser = load_tree(argv[1])
+        with open(argv[2], "w") as fh:
+            write(cli.run, parseable(parser.parse_expression), fh)
+    elif argv[:1] == ["diff"] and len(argv) == 3:
+        with open(argv[1]) as old, open(argv[2]) as new:
+            counts, shown, reasons = diff(read(old), read(new))
+        for moved, n in sorted(counts.items()):
+            print(f"{n:7d}  {moved}")
+            for example in shown.get(moved, ()):
+                print(f"           {' '.join(example)}")
+        for (family, was, now), n in reasons.most_common():
+            print(f"{n:7d}  {family}: {was} -> {now}")
+    else:
+        sys.exit(__doc__)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

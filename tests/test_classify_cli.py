@@ -38,6 +38,8 @@ import parse_corpus  # noqa: E402  (a script as well, so not a package module)
 
 # the package exports the function classify under the submodule's name
 classify_module = importlib.import_module("opcalc.classify")
+operators_module = importlib.import_module("opcalc.operators")
+parser_module = importlib.import_module("opcalc.parser")
 transforms_module = importlib.import_module("opcalc.transforms")
 
 try:
@@ -437,13 +439,15 @@ def test_classify_scans_a_product_once(monkeypatch, text):
     ast = parse_expression(text)
     product = ast.left if isinstance(ast, Div) else ast  # a quotient's numerator
     scans = []
-    original = classify_module._factor_scan
+    original = parser_module.factor_scan
 
     def counting(node, count=1):
         scans.append(node is product)
         return original(node, count)
 
-    monkeypatch.setattr(classify_module, "_factor_scan", counting)
+    # the one scan, as every reader holds it (series reads it off parser)
+    for module in (parser_module, classify_module, operators_module):
+        monkeypatch.setattr(module, "factor_scan", counting)
     classify(ast)
     assert scans.count(True) == 1
 
@@ -538,6 +542,55 @@ def test_cli_large_power_in_a_denominator_is_refused_without_expanding_it(capsys
         code, out, err = run_cli(capsys, "integrate", text)
         assert time.perf_counter() - start < 1.0, text
         assert (code, out) == (EXIT_UNSUPPORTED, "") and "Traceback" not in err, text
+
+
+@pytest.mark.parametrize("text", ["1/(x^2+1)^3000000", "cos(x)*(x^2+1)^-3000000",
+                                  "x/(x^2+1)^3000000"])
+def test_cli_large_power_of_a_sum_in_a_denominator_is_refused_from_process_start(text):
+    # a denominator factor must be one term: its power is refused before the
+    # normal form or the Taylor reader expands it (the normal form ran for
+    # over 60 s on the real line and on [0, inf) when it expanded it first)
+    for command in (("integrate",), ("integrate", "--interval", "0", "inf"),
+                    ("integrate", "--interval", "0", "1"), ("laplace", "--at", "1")):
+        proc = subprocess.run([sys.executable, "-m", "opcalc", command[0], text, *command[1:]],
+                              capture_output=True, text=True, timeout=1.0, env=CHILD_ENV)
+        assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, ""), (command, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def _respelt_quotients(seed: int = 30) -> list:
+    """(N, D) pairs: the three of the motivating reports, and for each kind of
+    denominator (x^k, exp(a x), exp(x^2/2), a constant) three seeded numerators
+    of the exp-poly, Gaussian-sinc and series families."""
+    rng = random.Random(seed)
+
+    def q():
+        return f"({Fraction(rng.randint(1, 6), rng.randint(1, 3))})"
+
+    numerators = (lambda: f"x^{rng.randint(0, 3)}*exp(-{q()}*x)",
+                  lambda: f"cos({q()}*x)*exp(-x)", lambda: "(1+x)^2*sinc(x)",
+                  lambda: f"sinc(x)^{rng.randint(0, 4)}*exp(-x^2/2)",
+                  lambda: f"exp(-x^2/2)*cos({q()}*x)",
+                  lambda: f"x^{rng.randint(1, 2)}*exp(-x^2/{q()})")
+    denominators = (lambda: f"x^{rng.randint(1, 3)}", lambda: f"exp({q()}*x)",
+                    lambda: "exp(x^2/2)", q)
+    return [("x^2", "exp(x)"), ("sin(x)^2", "x^2"), ("sinc(x)", "exp(x^2/2)")] + \
+        [(rng.choice(numerators)(), d()) for d in denominators for _ in range(3)]
+
+
+def test_every_spelling_of_a_denominator_has_one_outcome(capsys):
+    # N/D, N*D^-1, N*(1/D) and D^-1*N: one exit status and one stdout but
+    # for the input line, on the real line, on [0, inf) and on [0, 1]
+    codes = Counter()
+    for n, d in _respelt_quotients():
+        for interval in ((), ("--interval", "0", "inf"), ("--interval", "0", "1")):
+            outcomes = set()
+            for text in (f"({n})/({d})", f"({n})*({d})^-1", f"({n})*(1/({d}))", f"({d})^-1*({n})"):
+                code, out, _ = run_cli(capsys, "integrate", text, *interval)
+                outcomes.add((code, out.partition("\n")[2]))
+                codes[code] += 1
+            assert len(outcomes) == 1, (n, d, interval, outcomes)
+    assert codes[EXIT_OK] >= 80 and codes[EXIT_UNSUPPORTED] >= 40, codes
 
 
 def test_cli_large_sinc_power_is_refused_before_its_slots_are_expanded(capsys):
@@ -1040,9 +1093,11 @@ def test_constants_inside_a_denominator_factor_are_scale(capsys):
 
 
 def test_cli_zero_denominator_is_named(capsys):
-    # a zero inverted twice is still a zero denominator, never a factor 0
+    # a zero inverted twice, or under a zero exponent, is still a zero
+    # denominator, never a factor 0 or 1
     for expr in ("cos(x)/(0*(x^2+1))", "cos(x)/0", "sinc(x)*(1/0)", "cos(x)/(x^2+1)/(1/0)",
-                 "(0^-1)^-1*cos(x)/(x^2+1)", "exp(-x^2/2)/(1/0)"):
+                 "(0^-1)^-1*cos(x)/(x^2+1)", "exp(-x^2/2)/(1/0)", "(1/0)^0*sinc(x)",
+                 "(1/0)^0*cos(x)/(x^2+1)"):
         code, out, err = run_cli(capsys, "integrate", expr)
         assert code == EXIT_UNSUPPORTED and out == ""
         assert "rational_trig: the denominator has the constant factor 0" in err

@@ -126,7 +126,10 @@ def digest(text: str) -> str:
 # So were the 4 scaled sinc products -sinc(x), -sinc(x)^2*cos(x),
 # -(sinc(x)*cos(x/2)) and 2*sinc(x) when the product scan began to read
 # every constant as a scale: exp_poly before, sinc_cos_product with a
-# scale now.
+# scale now.  And so were three whose Taylor reading refused a negative
+# power before the Taylor reader took x^-k as a shift and exp(p)^-k as
+# exp(-p)^k (exp(x^2)^-1 also became series_only): each now has the pin of
+# a spelling pinned before, (1-exp(-x))^2/x^2, exp(3*x) and exp(-x^2/2)^2.
 PINS = {
     'exp(-x)': '9ec00eb7c7a6670f',
     'x*exp(-x)': 'db987505d7bd98f0',
@@ -177,7 +180,7 @@ PINS = {
     'cos(x)/((x^2+1)*(x^2+4))': 'f7c12b997b2943ed',
     '-(x+1)^2*sin(2*x)': '3c0893aa9f76b654',
     'sqrt(2)*x - pi': '7077637569951b75',
-    'x^-2*(1-exp(-x))^2': '39e3f2c531114ade',
+    'x^-2*(1-exp(-x))^2': 'db57833b25a22299',
     '0.25*x': '0a168b3ce5a39187',
     '-x^2': 'baf83833f9390285',
     '1+2*x': 'cad80d6b9fa0c1a5',
@@ -214,7 +217,7 @@ PINS = {
     '-sinc(x)^2*cos(x)': '3e7b6127a50476bc',
     'exp(-x)^5': '25bafba60e250f8f',
     'exp(-x)^0': '7cf38ab6e23649cf',
-    'exp(-x)^-3': 'd7533bd2b703e748',
+    'exp(-x)^-3': 'ca90f1016e2f85e1',
     '(2*x)^-3': '6bf44bd1ea9df969',
     '(x*exp(-x))^-2': '9d1c2f4519aa7e92',
     '(1+x)^-2': '7077637569951b75',
@@ -228,7 +231,7 @@ PINS = {
     'sinc(sin(x))': '206c9f740dc9a72d',
     'sinc(x^2)': '9d6cbc5e2472c2df',
     'cos(x^-1)': '7077637569951b75',
-    'exp(x^2)^-1': '7077637569951b75',
+    'exp(x^2)^-1': '9478b321c5226380',
     '1/(x^2+1)^2': '7077637569951b75',
     'cos(x)^2/((x^2+1)*(x^2+4))': '21aced5967ba69d6',
     'exp(-x^2/2)^2': '9478b321c5226380',
@@ -345,7 +348,7 @@ def test_two_term_powers_are_the_binomial_row(monkeypatch):
         products_in_base = len(calls)
         got = exp_poly_normal_form(parse_expression(f"({text})^{k}"))
         assert list(got.items()) == list(want.items()), (text, k)
-        assert len(calls) == 2 * products_in_base
+        assert len(calls) == (2 if k else 1) * products_in_base  # f^0 does not read f
         calls.clear()
     row = operators.polynomial_of(parse_expression("(1+x)^200"))
     assert row == {j: math.comb(200, j) for j in range(201)}
@@ -379,7 +382,7 @@ def test_powers_of_any_base_equal_repeated_products(monkeypatch):
         exp_poly_normal_form(parse_expression(text))
         products_in_base = len(calls)
         assert exp_poly_normal_form(parse_expression(f"({text})^{k}")) == want, (text, k)
-        assert len(calls) == 2 * products_in_base
+        assert len(calls) == (2 if k else 1) * products_in_base  # f^0 does not read f
         calls.clear()
     row = operators.polynomial_of(parse_expression("(1+x+x^2)^60"))
     assert sum(row.values()) == 3 ** 60 and row[60] == max(row.values())
