@@ -238,19 +238,29 @@ def sinc_power_gaussian(n: int,
 
         sqrt(2 pi)/2^n * sum_k (-1)^k C(n,k) G_n(n - 2k)
 
-    with G_n the n-th Gaussian anti-derivative chain.  A polynomial of
+    with G_n the n-th Gaussian anti-derivative chain.  G_n(-y) =
+    (-1)^n G_n(y) and the k-th and (n-k)-th weights differ by (-1)^n, so
+    the two terms of shifts +-(n - 2k) are equal and the word is read at
+    its shifts >= 0 only:
+
+        sqrt(2 pi)/2^n * sum_(k <= n/2) w_k (-1)^k C(n,k) G_n(n - 2k)
+
+    with w_k = 2, and 1 for the middle term 2k = n.  A polynomial of
     degree < n added to G_n is annihilated by the n-th central difference;
-    pass *chain_perturbation* to exercise exactly that.
+    pass *chain_perturbation* to exercise exactly that.  A perturbed
+    member has no parity, so it keeps the full difference (every k, w_k = 1).
     """
     if n < 0:
         raise ValueError("sinc powers are indexed by n >= 0")
     coeffs = tuple(chain_perturbation or ())
     if len(coeffs) > n:
         raise ValueError("perturbation degree must stay below n")
+    folded = not coeffs
     word = OperatorWord.from_terms(
-        OperatorTerm(ComplexRational(Fraction((-1) ** k * math.comb(n, k), 2 ** n)),
+        OperatorTerm(ComplexRational(Fraction((2 if folded and 2 * k < n else 1) * (-1) ** k
+                                              * math.comb(n, k), 2 ** n)),
                      Fraction(n - 2 * k), -n)
-        for k in range(n + 1))
+        for k in range(n // 2 + 1 if folded else n + 1))
     image = apply_word(word, RampSum.of(
         with_representatives(HEAT, (lambda _order: coeffs) if coeffs else None)))
     value = SQRT_TWO_PI * image.evaluate_at(0)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from .borwein import require_slots
 from .operators import (NotExponentialPolynomial, exp_poly_normal_form,
                         linear_rate, polynomial_of)
-from .parser import X, Call, Div, Mul, Node, Num, Pow, factor_scan
+from .parser import X, Call, Div, Mul, Node, Num, Pow, factor_scan, to_source
 from .series import NotSeriesRepresentable, taylor_of
 
 
@@ -89,7 +89,8 @@ def _match_product(ast: Node, split: _Split) -> tuple:
     sinc_cos_product, but its rates are not expanded: its params carry the
     slot count, counted from the multiplicities, for the route to refuse."""
     if split.den:
-        raise _NoMatch("factor Div is not sinc, cos or exp")
+        raise _NoMatch(f"denominator {to_source(_product(split.den[:1]))!r}: "
+                       "products of sinc, cos and exp take no denominator")
     rates = {"sinc": [], "cos": []}  # (|rate|, multiplicity) in factor order
     for f, count in split.rest:
         if not isinstance(f, Call) or f.func not in ("sinc", "cos", "exp"):

@@ -15,7 +15,7 @@ from opcalc.borwein import (RampBoundaryError, SincProductSpec,
                             coefficient_identity_check, signed_ramp_sum,
                             sinc_cos_product_integral, sinc_power_gaussian)
 from opcalc.exact import SQRT_TWO_PI, ExactValue, double_factorial
-from opcalc.kernels import gaussian_chain
+from opcalc.kernels import GaussianChain, gaussian_chain
 from opcalc.oracle import quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 from opcalc.transforms import integrate_real_line, sinc_product_result
@@ -298,11 +298,30 @@ def central_difference_reference(n, chain_perturbation=()):
 
 def test_sinc_gaussian_matches_central_difference_reference():
     rng = random.Random(2016)
-    for n in range(25):
+    for n in range(46):
         assert sinc_power_gaussian(n).exact == central_difference_reference(n)
+        if n >= 25:
+            continue
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, n))]
         assert sinc_power_gaussian(n, chain_perturbation=poly).exact == \
             central_difference_reference(n, poly)
+
+
+def test_sinc_gaussian_reads_the_chain_once_per_shift(monkeypatch):
+    # the heat chain's parity folds the word onto its shifts n - 2k >= 0;
+    # a perturbed member has no parity and is read at all n + 1 shifts
+    points = []
+    read = GaussianChain.value_at
+    monkeypatch.setattr(GaussianChain, "value_at",
+                        lambda self, z: points.append(z) or read(self, z))
+    for n in range(46):
+        points.clear()
+        sinc_power_gaussian(n)
+        assert sorted(points) == list(range(n % 2, n + 1, 2)), n
+        if n:
+            points.clear()
+            sinc_power_gaussian(n, chain_perturbation=[1] * n)
+            assert sorted(points) == list(range(-n, n + 1, 2)), n
 
 
 def test_sinc_gaussian_exact_strings_pinned():

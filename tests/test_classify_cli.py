@@ -98,6 +98,16 @@ def test_classify_unsupported_lists_reasons():
                                   "rational_trig", "exp_poly", "series_only"}
 
 
+def test_product_families_name_the_denominator_as_written():
+    for text, den in [("cos(x)/(1+x)", "'1 + x'"),
+                      ("sinc(x)/(x^2+1)^2/(x+3)", "'(x^2 + 1)^2'"),
+                      ("sinc(x)*exp(-x^2/2)*sinc(2*x)^-1", "'sinc(2 * x)'")]:
+        reasons = classify(parse_expression(text)).reasons
+        for tag in ("sinc_cos_product", "gaussian_sinc"):
+            assert reasons[tag] == f"denominator {den}: products of sinc, cos and exp " \
+                                   "take no denominator", text
+
+
 def test_classify_raises_a_base_sign_to_the_exponent():
     # a base's sign or number is raised to the power, as its factors are
     for text, tag, scale in [("(-sinc(x))^2", "sinc_cos_product", None),
