@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exact import (SQRT_TWO_PI, ComplexRational, ExactValue, as_fraction,
                     double_factorial)
-from .kernels import HEAT, with_representatives
+from .kernels import HEAT, RampEvaluationError
 from .operators import OperatorTerm, OperatorWord, RampSum, apply_word
 from .result import TransformResult
 
@@ -32,10 +32,6 @@ from .result import TransformResult
 # sum holds up to 2^(slots/2) partial sums; borwein 30 takes under a second
 # (0.7 s on a 2-CPU VM), and every two more slots double time and memory.
 MAX_SLOTS = 30
-
-
-class RampBoundaryError(ArithmeticError):
-    """A step function would be evaluated exactly at its jump."""
 
 
 def require_slots(count: int) -> None:
@@ -64,17 +60,15 @@ def _partial_sums(slots) -> dict:
     return sums
 
 
-def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int,
-                    poly: Sequence = ()) -> Fraction:
-    """sum_gamma w(gamma) [R_m(beta_gamma) + poly(beta_gamma)], exactly.
+def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int) -> Fraction:
+    """sum_gamma w(gamma) R_m(beta_gamma), exactly.
 
     gamma runs over all +-1 assignments to the slots, beta_gamma is
     sum_k gamma_k rates_k, and w(gamma) is the product of gamma_k over the
     slots whose *weighted* flag is set (sinc slots); the others (cos
     slots) weigh +1.  R_m(x) = x^m/m! Theta(x); at m = 0 the tuples with
     beta exactly 0 sit on the jump, and unless their weights cancel that
-    raises RampBoundaryError.  *poly* holds the coefficients of a
-    polynomial added to every ramp.
+    raises the kernel's RampEvaluationError.
 
     Meet in the middle (Horowitz & Sahni, JACM 21, 1974): with the rates
     scaled to integers by the lcm L of their denominators, each half of
@@ -92,7 +86,7 @@ def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int,
     left = _partial_sums(slots[:len(slots) // 2])
     right = _partial_sums(slots[len(slots) // 2:])
     if m == 0 and sum(w * right.get(-s, 0) for s, w in left.items()):
-        raise RampBoundaryError("step evaluated exactly at its jump")
+        raise RampEvaluationError("discontinuous: a step has its jump at the point")
 
     ups = sorted(right.items(), reverse=True)
     coeffs = [math.comb(m, j) for j in range(m + 1)]
@@ -110,15 +104,7 @@ def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int,
         for c, p in zip(coeffs, moments):
             acc = acc * s + c * p
         total += w * acc
-    value = Fraction(total, scale ** m * math.factorial(m))
-
-    # The polynomial part is a moment sum over the full range of tuples.
-    full = [sum(w * t ** i for t, w in right.items()) for i in range(len(poly))]
-    for j, c in enumerate(poly):
-        moment = sum(w * sum(math.comb(j, i) * s ** (j - i) * full[i] for i in range(j + 1))
-                     for s, w in left.items())
-        value += as_fraction(c) * Fraction(moment, scale ** j)
-    return value
+    return Fraction(total, scale ** m * math.factorial(m))
 
 
 def borwein_exact(n: int) -> ExactValue:
@@ -193,30 +179,23 @@ class SincProductSpec:
                                tuple(b / c for b in self.cos_rates), Fraction(1))
 
 
-def sinc_cos_product_integral(spec: SincProductSpec,
-                              ramp_perturbation: Optional[Sequence] = None
-                              ) -> ExactValue:
+def sinc_cos_product_integral(spec: SincProductSpec) -> ExactValue:
     """Exact real-line integral of the sinc/cos product.
 
     The tuple sum always runs on the spec normalized to outer rate 1
     (substituting u = c x), then divides by c; for c = 1 under the Lord
-    condition the value is exactly pi.  *ramp_perturbation* optionally
-    adds a fixed polynomial of degree < m to every ramp representative;
-    admissible perturbations cancel exactly and the tests insist on it.
-    At m = 0 a step may sit at its jump (sinc(x) cos(x)), but the outer
-    sinc is the only weighted slot, so gamma -> -gamma pairs each tuple
-    with beta = 0 with one of opposite weight: the jumps always cancel.
+    condition the value is exactly pi.  At m = 0 a step may sit at its
+    jump (sinc(x) cos(x)), but the outer sinc is the only weighted slot,
+    so gamma -> -gamma pairs each tuple with beta = 0 with one of
+    opposite weight: the jumps always cancel.
     """
     norm = spec.normalized()
     a, b = norm.sinc_rates, norm.cos_rates
     m, n = len(a), len(b)
-    if ramp_perturbation is not None and len(ramp_perturbation) > m:
-        raise ValueError("perturbation degree must stay below the ramp order")
 
     # The outer sinc is one more weighted slot of rate 1: its two signs
     # give R_m(beta + 1) - R_m(beta - 1).
-    total = signed_ramp_sum(a + b + (Fraction(1),), (True,) * m + (False,) * n + (True,),
-                            m, ramp_perturbation or ())
+    total = signed_ramp_sum(a + b + (Fraction(1),), (True,) * m + (False,) * n + (True,), m)
 
     return ExactValue.pi_times(total / (Fraction(2 ** (m + n)) * math.prod(a))
                                / spec.outer_rate)
@@ -226,9 +205,7 @@ def sinc_cos_product_integral(spec: SincProductSpec,
 # sinc powers against a Gaussian
 # ---------------------------------------------------------------------------
 
-def sinc_power_gaussian(n: int,
-                        chain_perturbation: Optional[Sequence] = None
-                        ) -> TransformResult:
+def sinc_power_gaussian(n: int) -> TransformResult:
     """Integral of sinc(x)^n e^(-x^2/2) over the real line.
 
     The Gaussian part turns the delta into e^(-y^2/2)/sqrt(2 pi) (the heat
@@ -245,24 +222,16 @@ def sinc_power_gaussian(n: int,
 
         sqrt(2 pi)/2^n * sum_(k <= n/2) w_k (-1)^k C(n,k) G_n(n - 2k)
 
-    with w_k = 2, and 1 for the middle term 2k = n.  A polynomial of
-    degree < n added to G_n is annihilated by the n-th central difference;
-    pass *chain_perturbation* to exercise exactly that.  A perturbed
-    member has no parity, so it keeps the full difference (every k, w_k = 1).
+    with w_k = 2, and 1 for the middle term 2k = n.
     """
     if n < 0:
         raise ValueError("sinc powers are indexed by n >= 0")
-    coeffs = tuple(chain_perturbation or ())
-    if len(coeffs) > n:
-        raise ValueError("perturbation degree must stay below n")
-    folded = not coeffs
     word = OperatorWord.from_terms(
-        OperatorTerm(ComplexRational(Fraction((2 if folded and 2 * k < n else 1) * (-1) ** k
+        OperatorTerm(ComplexRational(Fraction((2 if 2 * k < n else 1) * (-1) ** k
                                               * math.comb(n, k), 2 ** n)),
                      Fraction(n - 2 * k), -n)
-        for k in range(n // 2 + 1 if folded else n + 1))
-    image = apply_word(word, RampSum.of(
-        with_representatives(HEAT, (lambda _order: coeffs) if coeffs else None)))
+        for k in range(n // 2 + 1))
+    image = apply_word(word, RampSum.of(HEAT))
     value = SQRT_TWO_PI * image.evaluate_at(0)
     return TransformResult.from_exact(
         value, method="gaussian_heat_kernel", formula="gaussian_sinc_difference",

@@ -160,8 +160,9 @@ def _exact_str(exact) -> str:
 def _render(result: TransformResult, args, input_text: str) -> str:
     diag = result.diagnostics
     exact = result.exact
+    shadow = exact is None or not args.exact  # --exact hides the float beside an exact value
     approx = None
-    if args.json or not args.exact:
+    if args.json or shadow:
         approx = result.approx  # OverflowError past the double range
         if exact is not None and args.precision > 15:
             approx = exact.evalf(args.precision + 5)
@@ -189,7 +190,7 @@ def _render(result: TransformResult, args, input_text: str) -> str:
     lines = [f"input:   {input_text}", f"method:  {result.method}"]
     if exact is not None:
         lines.append(f"exact:   {exact_text}")
-    if not args.exact:
+    if shadow:
         lines.append(f"approx:  {approx}")
     if diag.get("verdict"):
         lines.append(f"verdict: {diag['verdict']}")

@@ -621,33 +621,27 @@ def _check_interval_tail(series: PowerSeries, radius: Fraction, log_total: float
 
 
 def finite_interval_transform(series: PowerSeries, a, b, y=0,
-                              kernel: str = "none",
                               tol: float = 1e-15) -> complex:
-    """Integral of f over [a, b] against e^(ixy), e^(xy), or nothing.
+    """Integral of f(x) e^(ixy) over [a, b].
 
     The operator series sum_k a_k (-d/dy)^k is applied to the interval
     kernel K(y), the integral of e^(-xy) over [a, b], and read off at 0,
     where K's derivatives are its own exact Taylor coefficients
-    (kernels.interval_taylor).  A frequency y != 0 weighs f by the
-    kernel "fourier" e^(ixy) or "laplace" e^(xy), so f is multiplied by
-    that series first; kernel "none" leaves f as it is.  The last orders'
-    term bounds must fall below tol relative to the value, or
-    SeriesConvergenceError is raised; so is a value beyond the double
-    range.
+    (kernels.interval_taylor).  A frequency y != 0 multiplies f by the
+    series of e^(ixy) first.  The last orders' term bounds must fall
+    below tol relative to the value, or SeriesConvergenceError is raised;
+    so is a value beyond the double range.
     """
-    if kernel not in ("none", "fourier", "laplace"):
-        raise ValueError(f"unknown kernel {kernel!r}")
     a = as_fraction(a)
     b = as_fraction(b)
     radius = max(abs(a), abs(b))
     own = series
-    if kernel != "none" and y != 0:
+    if y != 0:
         # the product keeps the exponential's terms up to a margin past
         # f's own order that grows with the phase |x y|
         y = as_fraction(y)
         m = series.order + 60 + int(4 * float(max(radius, 1) * max(abs(y), 1)))
-        shift = _monomial_compose(
-            "exp", ComplexRational(0, y) if kernel == "fourier" else ComplexRational(y), 1, m)
+        shift = _monomial_compose("exp", ComplexRational(0, y), 1, m)
         pad = (0,) * (m - series.order)  # zero orders: the form stays reduced
         series = PowerSeries._of(series.d, series.re + pad, series.im + pad).mul(shift)
     # (-d/dy)^k K at 0 is (-1)^k k! num_k/den_c and the k!-scaled form holds

@@ -37,8 +37,7 @@ from .borwein import (SincProductSpec, borwein_exact, require_slots,
 from .classify import RouteClass, classify
 from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
                     ExactValue, as_fraction)
-from .kernels import (DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel,
-                      interval_kernel, with_representatives)
+from .kernels import DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel, interval_kernel
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
                         laurent_defect, word_of)
@@ -124,7 +123,7 @@ def _word_for_halfline(ast: Node, side: str = "positive") -> OperatorWord:
                    ComplexRational(-1 if side == "positive" else 1))
 
 
-def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
+def laplace_formal(ast: Node, y) -> TransformResult:
     """Laplace transform by the formal action of f(-d/dy) on 1/y.
 
     Valid beyond the Laurent series' domain: every translated chain only
@@ -133,19 +132,18 @@ def laplace_formal(ast: Node, y, perturb=None) -> TransformResult:
     """
     word = _word_for_halfline(ast)
     min_shift = min((t.shift for t in word.terms), default=Fraction(0))
-    value = apply_word(word, RampSum.of(with_representatives(ONE_OVER_Y, perturb))).evaluate_at(y)
+    value = apply_word(word, RampSum.of(ONE_OVER_Y)).evaluate_at(y)
     return TransformResult.from_exact(
         value, method="laplace_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"verdict": "exact", "abscissa": float(-min_shift)})
 
 
-def integrate_half_line(ast: Node, side: str = "positive",
-                        perturb=None) -> TransformResult:
+def integrate_half_line(ast: Node, side: str = "positive") -> TransformResult:
     """Integral over a half-line by the zero-frequency formal route."""
     if side not in ("positive", "negative"):
         raise ValueError(f"unknown side {side!r}")
     word = _word_for_halfline(ast, side)
-    value = apply_word(word, RampSum.of(with_representatives(ONE_OVER_Y, perturb))).evaluate_at(0)
+    value = apply_word(word, RampSum.of(ONE_OVER_Y)).evaluate_at(0)
     return TransformResult.from_exact(
         value, method="halfline_formal", formula="halfline_one_over_y_kernel",
         diagnostics={"side": side, "verdict": "exact"})
@@ -181,7 +179,7 @@ def fourier_regularized(ast: Node, y, a, n_terms: int = 400,
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("the window half-width must be positive")
-    approx = finite_interval_transform(taylor_of(ast, n_terms), -a, a, y, "fourier", tol)
+    approx = finite_interval_transform(taylor_of(ast, n_terms), -a, a, y, tol=tol)
     scale = max(1.0, abs(approx))
     result = approx.real if abs(approx.imag) < 1e-30 * scale else approx
     return TransformResult(

@@ -12,14 +12,16 @@ from fractions import Fraction
 from opcalc.borwein import (SincProductSpec, borwein_exact,
                             coefficient_identity_check,
                             sinc_cos_product_integral, sinc_power_gaussian)
-from opcalc.exact import ExactValue, exp_value, log_value
+from opcalc.exact import SQRT_TWO_PI, ExactValue, exp_value, log_value
+from opcalc.kernels import DELTA, HEAT, ONE_OVER_Y, with_representatives
+from opcalc.operators import RampSum, apply_word, decompose
 from opcalc.oracle import quad_interval, quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 from opcalc.series import (complex_exponential_series, finite_interval_transform,
                            laplace_laurent, taylor_of)
-from opcalc.transforms import (TaylorProfile, integrate_half_line,
-                               integrate_rational_trig, laplace_formal,
-                               laplace_regularized, pw_pairing)
+from opcalc.transforms import (TaylorProfile, _word_for_halfline, fourier_via_delta,
+                               integrate_half_line, integrate_rational_trig,
+                               laplace_formal, laplace_regularized, pw_pairing)
 
 PI = ExactValue.pi_times(1)
 B8_DEFICIT = Fraction(6879714958723010531, 467807924720320453655260875000)
@@ -183,26 +185,35 @@ def _entire_exp_poly(rng: random.Random):
 
 
 def test_criterion_08_representative_invariance():
+    # each route's word acting on other anti-derivative representatives of
+    # its kernel gives the route's value
     rng = random.Random(424242)
     ok = True
     for _ in range(20):
         ast, order = _entire_exp_poly(rng)
         polys = {n: [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                      for _ in range(n)] for n in range(1, order + 1)}
-        base = integrate_half_line(ast)
-        pert = integrate_half_line(ast, perturb=lambda n: polys[n][:n])
-        ok = ok and base.exact == pert.exact
-    # Borwein pipeline: perturb the tuple-sum ramp representatives
+        kernel = with_representatives(ONE_OVER_Y, lambda n: polys[n][:n])
+        pert = apply_word(_word_for_halfline(ast), RampSum.of(kernel)).evaluate_at(0)
+        ok = ok and integrate_half_line(ast).exact == pert
+    # Borwein pipeline: the delta route's word on other ramp representatives
     spec = SincProductSpec((Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)), (), 1)
     base_value = sinc_cos_product_integral(spec)
+    word = fourier_via_delta(P("sinc(x/3)*sinc(x/5)*sinc(x/7)*sinc(x)")).ramps.word
     for _ in range(5):
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-        ok = ok and sinc_cos_product_integral(spec, ramp_perturbation=poly) == base_value
-    # Gaussian-sinc pipeline: perturb the Gaussian anti-derivative chain
+        kernel = with_representatives(DELTA, lambda k: poly)
+        pert = ExactValue.pi_times(2) * apply_word(word, RampSum.of(kernel)).evaluate_at(0)
+        ok = ok and pert == base_value
+    # Gaussian-sinc pipeline: the normal-form word of sinc(x)^n, all n + 1
+    # shifts, on other Gaussian anti-derivative chains
     for n in (1, 2, 3, 4):
         base_g = sinc_power_gaussian(n).exact
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-        ok = ok and sinc_power_gaussian(n, chain_perturbation=poly).exact == base_g
+        word = decompose(P(f"sinc(x)^{n}"), "imaginary_fourier")
+        kernel = with_representatives(HEAT, lambda k: poly)
+        pert = SQRT_TWO_PI * apply_word(word, RampSum.of(kernel)).evaluate_at(0)
+        ok = ok and pert == base_g
     report(8, "representative-invariance", ok)
 
 

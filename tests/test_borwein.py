@@ -9,16 +9,18 @@ from fractions import Fraction
 
 import pytest
 
-from opcalc.borwein import (RampBoundaryError, SincProductSpec,
-                            borwein_deficit, borwein_exact,
+from opcalc.borwein import (SincProductSpec, borwein_deficit, borwein_exact,
                             borwein_exact_half, borwein_rates,
                             coefficient_identity_check, signed_ramp_sum,
                             sinc_cos_product_integral, sinc_power_gaussian)
 from opcalc.exact import SQRT_TWO_PI, ExactValue, double_factorial
-from opcalc.kernels import GaussianChain, gaussian_chain
+from opcalc.kernels import (DELTA, HEAT, GaussianChain, RampEvaluationError,
+                            gaussian_chain, with_representatives)
+from opcalc.operators import RampSum, apply_word, decompose
 from opcalc.oracle import quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
-from opcalc.transforms import integrate_real_line, sinc_product_result
+from opcalc.transforms import (FourierImage, fourier_via_delta, integrate_real_line,
+                               sinc_product_result)
 
 PI = ExactValue.pi_times(1)
 B8_DEFICIT = Fraction(6879714958723010531, 467807924720320453655260875000)
@@ -40,13 +42,12 @@ def _integer_rates(rates):
     return scale, [int(r * scale) for r in rates]
 
 
-def brute_ramp_sum(rates, weighted, m, poly=()):
+def brute_ramp_sum(rates, weighted, m):
     """signed_ramp_sum term by term: sum over all 2^k tuples of
-    w(gamma) [R_m(beta) + poly(beta)].  At m = 0 the tuples with beta = 0
-    sit on the step's jump: they count as 0 when their weights cancel."""
+    w(gamma) R_m(beta).  At m = 0 the tuples with beta = 0 sit on the
+    step's jump: they count as 0 when their weights cancel."""
     scale, ints = _integer_rates(rates)
     ramps = tie = 0
-    moments = [0] * len(poly)
     for signs in itertools.product((1, -1), repeat=len(ints)):
         beta = sum(g * r for g, r in zip(signs, ints))
         w = math.prod(g for g, flag in zip(signs, weighted) if flag)
@@ -54,13 +55,9 @@ def brute_ramp_sum(rates, weighted, m, poly=()):
             ramps += w * beta ** m
         elif beta == 0:
             tie += w
-        for j in range(len(moments)):
-            moments[j] += w * beta ** j
     if m == 0 and tie:
-        raise RampBoundaryError("the reference hit a jump whose weights do not cancel")
-    return Fraction(ramps, scale ** m * math.factorial(m)) + \
-        sum(Fraction(c) * Fraction(mom, scale ** j)
-            for j, (c, mom) in enumerate(zip(poly, moments)))
+        raise RampEvaluationError("the reference hit a jump whose weights do not cancel")
+    return Fraction(ramps, scale ** m * math.factorial(m))
 
 
 def brute_borwein(n):
@@ -70,17 +67,16 @@ def brute_borwein(n):
         brute_ramp_sum(borwein_rates(n), [True] * n, n - 1)
 
 
-def brute_sinc_cos(spec, perturbation=()):
+def brute_sinc_cos(spec):
     """pi-coefficient of the sinc/cos product integral: all 2^(m+n) tuples
-    of the normalized spec, each giving R_m(beta + 1) - R_m(beta - 1),
-    with *perturbation* added to every ramp.  At m = 0 the ramps at 0 sit
-    on the step's jump: they count as 0 when their weights cancel."""
+    of the normalized spec, each giving R_m(beta + 1) - R_m(beta - 1).
+    At m = 0 the ramps at 0 sit on the step's jump: they count as 0 when
+    their weights cancel."""
     norm = spec.normalized()
     m, n = len(norm.sinc_rates), len(norm.cos_rates)
     scale, rates = _integer_rates(norm.sinc_rates + norm.cos_rates + (1,))
     one = rates.pop()
     ramps = tie = 0
-    moments = [0] * len(perturbation)
     for signs in itertools.product((1, -1), repeat=m + n):
         beta = sum(g * r for g, r in zip(signs, rates))
         sign = math.prod(signs[:m])
@@ -89,13 +85,9 @@ def brute_sinc_cos(spec, perturbation=()):
                 ramps += side * x ** m
             elif x == 0:
                 tie += side
-            for j in range(len(moments)):
-                moments[j] += side * x ** j
     if m == 0 and tie:
-        raise RampBoundaryError("the reference hit a jump whose weights do not cancel")
+        raise RampEvaluationError("the reference hit a jump whose weights do not cancel")
     total = Fraction(ramps, scale ** m * math.factorial(m))
-    total += sum(Fraction(c) * Fraction(mom, scale ** j)
-                 for j, (c, mom) in enumerate(zip(perturbation, moments)))
     return total / (2 ** (m + n) * math.prod(norm.sinc_rates)) / spec.outer_rate
 
 
@@ -112,6 +104,20 @@ def delta_route_value(spec):
     result = integrate_real_line(parse_expression(product_text(spec)), method="delta")
     assert result.method == "fourier_delta"
     return result.exact
+
+
+def perturbed_delta_route_value(spec, poly):
+    """The delta route's word of the product acting on the delta whose
+    anti-derivatives D^-k, k > len(poly), carry the polynomial *poly*."""
+    word = fourier_via_delta(parse_expression(product_text(spec))).ramps.word
+    return FourierImage(RampSum(word, with_representatives(DELTA, lambda k: poly))).transform_at(0)
+
+
+def perturbed_sinc_gaussian(n, perturb):
+    """The normal-form word of sinc(x)^n, all n + 1 shifts, acting on the
+    heat kernel whose D^-k carries the polynomial perturb(k), read at 0."""
+    word = decompose(parse_expression(f"sinc(x)^{n}"), "imaginary_fourier")
+    return SQRT_TWO_PI * apply_word(word, RampSum.of(with_representatives(HEAT, perturb))).evaluate_at(0)
 
 
 def reaches_a_tie(spec):
@@ -229,12 +235,14 @@ def test_violating_specs_leave_pi_and_match_oracle():
 
 
 def test_ramp_perturbation_cancels_exactly():
+    # the delta route's word, on ramp representatives of degree < 3, gives
+    # the tuple sum's value
     rng = random.Random(99)
     spec = SincProductSpec((Fraction(1, 3), Fraction(1, 5)), (Fraction(1, 7),), 1)
     base = sinc_cos_product_integral(spec)
     for _ in range(5):
-        poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
-        assert sinc_cos_product_integral(spec, ramp_perturbation=poly) == base
+        poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+        assert perturbed_delta_route_value(spec, poly) == base
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +276,25 @@ def test_sinc_gaussian_perturbation_invariance():
     for n in (1, 2, 3, 5):
         base = sinc_power_gaussian(n).exact
         poly = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
-        assert sinc_power_gaussian(n, chain_perturbation=poly).exact == base
+        assert perturbed_sinc_gaussian(n, lambda k: poly) == base
 
 
 def test_sinc_gaussian_empty_perturbation_is_the_heat_kernel():
     # no perturbation, an empty one and one of degree < n give one exact value
     for n in range(1, 7):
         plain = sinc_power_gaussian(n).exact
-        assert sinc_power_gaussian(n, chain_perturbation=()).exact == plain
-        assert sinc_power_gaussian(n, chain_perturbation=[]).exact == plain
-        assert sinc_power_gaussian(n, chain_perturbation=list(range(1, n + 1))).exact == plain
+        assert perturbed_sinc_gaussian(n, None) == plain
+        assert perturbed_sinc_gaussian(n, lambda k: ()) == plain
+        assert perturbed_sinc_gaussian(n, lambda k: []) == plain
+        assert perturbed_sinc_gaussian(n, lambda k: list(range(1, k + 1))) == plain
 
 
-def central_difference_reference(n, chain_perturbation=()):
+def central_difference_reference(n, poly=()):
     """The central-difference loop sinc_power_gaussian ran before it
     became a word acting on the heat kernel: sqrt(2 pi)/2^n *
     sum_k (-1)^k C(n,k) [G_n(n - 2k) + poly(n - 2k)]."""
     chain = gaussian_chain(n)
-    coeffs = tuple(Fraction(c) for c in chain_perturbation)
+    coeffs = tuple(Fraction(c) for c in poly)
     total = ExactValue.zero()
     for k in range(n + 1):
         arg = Fraction(n - 2 * k)
@@ -297,19 +306,21 @@ def central_difference_reference(n, chain_perturbation=()):
 
 
 def test_sinc_gaussian_matches_central_difference_reference():
+    # perturbed, the reference adds the polynomial at each shift and the
+    # word reads it from the kernel: both are the folded route's value
     rng = random.Random(2016)
     for n in range(46):
-        assert sinc_power_gaussian(n).exact == central_difference_reference(n)
+        value = sinc_power_gaussian(n).exact
+        assert value == central_difference_reference(n)
         if n >= 25:
             continue
         poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, n))]
-        assert sinc_power_gaussian(n, chain_perturbation=poly).exact == \
-            central_difference_reference(n, poly)
+        assert central_difference_reference(n, poly) == \
+            perturbed_sinc_gaussian(n, lambda k: poly) == value
 
 
 def test_sinc_gaussian_reads_the_chain_once_per_shift(monkeypatch):
-    # the heat chain's parity folds the word onto its shifts n - 2k >= 0;
-    # a perturbed member has no parity and is read at all n + 1 shifts
+    # the heat chain's parity folds the word onto its shifts n - 2k >= 0
     points = []
     read = GaussianChain.value_at
     monkeypatch.setattr(GaussianChain, "value_at",
@@ -318,10 +329,6 @@ def test_sinc_gaussian_reads_the_chain_once_per_shift(monkeypatch):
         points.clear()
         sinc_power_gaussian(n)
         assert sorted(points) == list(range(n % 2, n + 1, 2)), n
-        if n:
-            points.clear()
-            sinc_power_gaussian(n, chain_perturbation=[1] * n)
-            assert sorted(points) == list(range(-n, n + 1, 2)), n
 
 
 def test_sinc_gaussian_exact_strings_pinned():
@@ -330,8 +337,9 @@ def test_sinc_gaussian_exact_strings_pinned():
 
 
 def test_sinc_gaussian_rejects_high_degree_perturbation():
-    with pytest.raises(ValueError):
-        sinc_power_gaussian(2, chain_perturbation=[1, 2, 3])
+    # degree 2 on D^-2 G is no representative of it
+    with pytest.raises(ValueError, match="degree 2 not allowed for order 2"):
+        perturbed_sinc_gaussian(2, lambda k: [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +363,8 @@ def _random_spec(rng):
 
 
 def test_sinc_cos_matches_brute_force():
+    # about one spec in three with an inner sinc also reads the delta
+    # route's word on ramp representatives of degree < m
     rng = random.Random(31)
     perturbed = ties = 0
     for _ in range(200):
@@ -366,10 +376,12 @@ def test_sinc_cos_matches_brute_force():
                          for _ in range(rng.randint(1, m)))
             perturbed += 1
         ties += reaches_a_tie(spec)
-        want = brute_sinc_cos(spec, poly)
-        value = sinc_cos_product_integral(spec, ramp_perturbation=poly)
+        want = brute_sinc_cos(spec)
+        value = sinc_cos_product_integral(spec)
         assert value.pi_coefficient == want, spec
         assert (value == PI) == (want == 1)
+        if poly:
+            assert perturbed_delta_route_value(spec, poly) == value, spec
     assert perturbed >= 20 and ties >= 5
 
 
@@ -415,8 +427,7 @@ def test_tuple_sum_equals_the_delta_route():
 
 
 def test_signed_ramp_sum_matches_brute_force():
-    # any polynomial, not only the admissible ones that cancel; with an
-    # even number of weighted slots a step at its jump need not cancel
+    # with an even number of weighted slots a step at its jump need not cancel
     rng = random.Random(17)
     jumps = cancelled = 0
     for case in range(250):
@@ -426,24 +437,22 @@ def test_signed_ramp_sum_matches_brute_force():
                  Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k)]
         weighted = [rng.random() < 0.5 for _ in range(k)]
         m = rng.randint(0, 6)
-        poly = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for _ in range(rng.randint(0, 4))]
         if case >= 150:  # a step at its jump: the last rate is a signed sum of the others
             m = 0
             rates[-1] = abs(sum(rng.choice((1, -1)) * r for r in rates[:-1])) or rates[-1]
         try:
-            want = brute_ramp_sum(rates, weighted, m, poly)
-        except RampBoundaryError:
+            want = brute_ramp_sum(rates, weighted, m)
+        except RampEvaluationError:
             jumps += 1
-            with pytest.raises(RampBoundaryError):
-                signed_ramp_sum(rates, weighted, m, poly)
+            with pytest.raises(RampEvaluationError, match="discontinuous"):
+                signed_ramp_sum(rates, weighted, m)
             continue
         cancelled += m == 0 and any(sum(g * r for g, r in zip(signs, rates)) == 0
                                     for signs in itertools.product((1, -1), repeat=k))
-        assert signed_ramp_sum(rates, weighted, m, poly) == want
+        assert signed_ramp_sum(rates, weighted, m) == want
     assert jumps >= 20 and cancelled >= 20
     # (+, -) and (-, +) both land on 0 with weight -1
-    with pytest.raises(RampBoundaryError):
+    with pytest.raises(RampEvaluationError):
         signed_ramp_sum([1, 1], [True, True], 0)
     with pytest.raises(ValueError):
         signed_ramp_sum([1, 2], [True], 1)

@@ -749,6 +749,22 @@ def test_cli_exact_flag_suppresses_shadow(capsys):
     assert "approx" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "exp(-x^2/2)*cos(x)"],
+    ["integrate", "sinc(x)", "--method", "oracle"],
+    ["integrate", "cos(x)", "--interval", "0", "1"],
+    ["compare", "exp(-x^2/2)*cos(x)"],
+])
+def test_cli_exact_flag_keeps_a_numeric_result(capsys, argv):
+    # with no exact value there is nothing to show instead of the float
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, *argv, "--exact")
+    assert code == EXIT_OK
+    assert "exact:" not in out and "approx:" in out
+    assert out == plain
+
+
 def test_cli_compare(capsys):
     code, out, _ = run_cli(capsys, "compare", "cos(x)/(x^2+1)")
     assert code == EXIT_OK

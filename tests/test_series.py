@@ -218,15 +218,8 @@ def test_interval_x_exp():
 
 def test_interval_fourier_kernel_full_period():
     s = taylor_of(parse_expression("1"), 10)
-    v = finite_interval_transform(s, 0, math.pi, 1, "fourier")
+    v = finite_interval_transform(s, 0, math.pi, 1)
     assert v == pytest.approx(2j, abs=1e-12)
-
-
-def test_interval_laplace_kernel():
-    # integral of e^-x e^(x y) over [0,1] at y = 1/2 is (1 - e^-1/2)/(1/2)
-    s = taylor_of(parse_expression("exp(-x)"), 60)
-    v = finite_interval_transform(s, 0, 1, Fraction(1, 2), "laplace")
-    assert v.real == pytest.approx((1 - math.exp(-0.5)) / 0.5, abs=1e-12)
 
 
 def test_interval_matches_termwise_rule_exactly():
@@ -262,28 +255,26 @@ def test_interval_truncation_nonconvergence_is_reported():
     # to answer and reports the dangling term magnitude
     s = taylor_of(parse_expression("exp(-x)"), 10)
     with pytest.raises(SeriesConvergenceError, match="magnitude"):
-        finite_interval_transform(s, 0, 1, 50, "fourier")
+        finite_interval_transform(s, 0, 1, 50)
 
 
 # Values of finite_interval_transform at y != 0 while it differentiated
 # the kernel at y in a ComplexRational double loop; the translation T_y
-# (multiply f by the e^(ixy) or e^(xy) series, read off at 0) must give
-# the same floats.
+# (multiply f by the e^(ixy) series, read off at 0) must give the same
+# floats.
 PINNED_FREQUENCIES = [
-    (("1", 10, 0, math.pi, 1, "fourier"), (1.2246467991473532e-16 + 2j)),
-    (("exp(-x)", 60, 0, 1, Fraction(1, 2), "laplace"), (0.7869386805747332 + 0j)),
-    (("x*exp(-x)", 40, Fraction(-1, 2), Fraction(4, 3), Fraction(3, 2), "fourier"),
+    (("1", 10, 0, math.pi, 1), (1.2246467991473532e-16 + 2j)),
+    (("x*exp(-x)", 40, Fraction(-1, 2), Fraction(4, 3), Fraction(3, 2)),
      (-0.020907829478540436 + 0.39883127526051787j)),
-    (("exp(-x)", 60, 0, 1, Fraction(-2), "laplace"), (0.3167376438773787 + 0j)),
-    (("sinc(x)*exp(-x)", 70, -1, 2, Fraction(5, 7), "fourier"),
+    (("sinc(x)*exp(-x)", 70, -1, 2, Fraction(5, 7)),
      (2.0999091152809197 - 0.3191325249486933j)),
 ]
 
 
 @pytest.mark.parametrize("args, want", PINNED_FREQUENCIES)
 def test_interval_frequency_values_are_pinned(args, want):
-    text, order, a, b, y, kernel = args
-    got = finite_interval_transform(taylor_of(parse_expression(text), order), a, b, y, kernel)
+    text, order, a, b, y = args
+    got = finite_interval_transform(taylor_of(parse_expression(text), order), a, b, y)
     assert got == want
 
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from opcalc.exact import ExactValue, exp_value, log_value
-from opcalc.kernels import one_over_y_chain
+from opcalc.kernels import ONE_OVER_Y, one_over_y_chain, with_representatives
+from opcalc.operators import RampSum, apply_word
 from opcalc.oracle import quad_interval, quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 from opcalc.series import (SeriesConvergenceError, complex_exponential_series,
@@ -241,11 +242,15 @@ def test_halfline_routes_match_chain_value_reference():
                 integrate_half_line(ast)
             continue
         assert integrate_half_line(ast).exact == expected, text
+        # other representatives of the 1/y chain: at 0 and above the abscissa
+        # the half-line word reads the routes' values off them too
         polys = {n: [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
                  for n in range(1, 6)}
         perturb = lambda n: polys[n]
-        assert integrate_half_line(ast, perturb=perturb).exact == chain_value_reference(
-            _word_for_halfline(ast, "positive"), Fraction(0), perturb) == expected
+        perturbed = RampSum.of(with_representatives(ONE_OVER_Y, perturb))
+        for y in (Fraction(0), max(abscissa, 0) + Fraction(1, 5), max(abscissa, 0) + 3):
+            assert apply_word(pos, perturbed).evaluate_at(y) == \
+                chain_value_reference(pos, y, perturb) == laplace_formal(ast, y).exact, (text, y)
 
 
 def test_laplace_regularized_closed_form():
