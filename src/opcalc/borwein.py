@@ -1,18 +1,19 @@
 """Exact machinery for sinc-product integrals of Borwein type.
 
-The integral of sinc(a_1 x)...sinc(a_m x) cos(b_1 x)...cos(b_n x) sinc(c x)
-over the real line reduces, through the delta route, to a signed sum of
-generalized ramps over all 2^(m+n) sign assignments gamma:
+The integral of sinc(s_0 x)...sinc(s_m x) cos(b_1 x)...cos(b_n x) over
+the real line reduces, through the delta route, to a signed sum of
+generalized ramps over all 2^(m+1+n) sign assignments gamma:
 
-    I = pi / 2^(m+n) * (prod a_i)^-1
-        * sum_gamma sign(gamma) [R_m(beta_gamma + 1) - R_m(beta_gamma - 1)]
+    I = pi / (2^(m+n) prod s_i) * sum_gamma w(gamma) R_m(beta_gamma)
 
-with beta_gamma the signed frequency sum and sign(gamma) the product of
-the sinc entries only.  Every such sum goes through signed_ramp_sum, an
-exact integer meet-in-the-middle evaluation; pi stays symbolic.  The
-classical Borwein sequence uses rates 1/(2k-1): the value is pi exactly
-until the rates sum past 1, and the first deficit appears in the eighth
-term.
+with beta_gamma the signed sum of all the rates and w(gamma) the product
+of the sinc entries only.  The sum is symmetric in the sinc rates and
+R_m(lambda z) = lambda^m R_m(z), so it is taken at the rates as given,
+with no sinc singled out or rescaled.  Every such sum goes through
+signed_ramp_sum, an exact integer meet-in-the-middle evaluation; pi stays
+symbolic.  The classical Borwein sequence is the product of sincs at
+rates 1/(2k-1): the value is pi exactly while 1/3 + ... + 1/(2n-1)
+stays below 1, and the first deficit appears in the eighth term.
 """
 
 from __future__ import annotations
@@ -107,15 +108,22 @@ def signed_ramp_sum(rates: Sequence, weighted: Sequence, m: int) -> Fraction:
     return Fraction(total, scale ** m * math.factorial(m))
 
 
+def _sinc_cos_integral(sinc_rates: tuple, cos_rates: tuple) -> ExactValue:
+    """pi/(2^(m+n) prod s_i) * sum_gamma w(gamma) R_m(beta_gamma) for the
+    m + 1 sinc rates s_i, the weighted slots, and the n cos rates, the
+    slots in that order."""
+    m, n = len(sinc_rates) - 1, len(cos_rates)
+    total = signed_ramp_sum(sinc_rates + cos_rates, (True,) * (m + 1) + (False,) * n, m)
+    return ExactValue.pi_times(total / (2 ** (m + n) * math.prod(sinc_rates)))
+
+
 def borwein_exact(n: int) -> ExactValue:
-    """The n-th Borwein integral as an exact multiple of pi:
-    (2n-1)!! pi / 2^(n-1) * sum sign(gamma) R_(n-1)(beta_gamma)."""
+    """The n-th Borwein integral, the product of the sincs at
+    borwein_rates(n), as an exact multiple of pi."""
     if n < 1:
         raise ValueError("Borwein integrals are indexed from 1")
     require_slots(n)
-    total = signed_ramp_sum(borwein_rates(n), (True,) * n, n - 1)
-    coeff = Fraction(double_factorial(2 * n - 1), 2 ** (n - 1)) * total
-    return ExactValue.pi_times(coeff)
+    return _sinc_cos_integral(borwein_rates(n), ())
 
 
 def borwein_exact_half(n: int) -> ExactValue:
@@ -173,32 +181,16 @@ class SincProductSpec:
     def lord_condition(self) -> bool:
         return self.outer_rate > sum(self.sinc_rates) + sum(self.cos_rates)
 
-    def normalized(self) -> "SincProductSpec":
-        c = self.outer_rate
-        return SincProductSpec(tuple(a / c for a in self.sinc_rates),
-                               tuple(b / c for b in self.cos_rates), Fraction(1))
-
 
 def sinc_cos_product_integral(spec: SincProductSpec) -> ExactValue:
-    """Exact real-line integral of the sinc/cos product.
-
-    The tuple sum always runs on the spec normalized to outer rate 1
-    (substituting u = c x), then divides by c; for c = 1 under the Lord
+    """Exact real-line integral of the sinc/cos product at the spec's own
+    rates, the outer sinc one more sinc slot; for c = 1 under the Lord
     condition the value is exactly pi.  At m = 0 a step may sit at its
     jump (sinc(x) cos(x)), but the outer sinc is the only weighted slot,
     so gamma -> -gamma pairs each tuple with beta = 0 with one of
     opposite weight: the jumps always cancel.
     """
-    norm = spec.normalized()
-    a, b = norm.sinc_rates, norm.cos_rates
-    m, n = len(a), len(b)
-
-    # The outer sinc is one more weighted slot of rate 1: its two signs
-    # give R_m(beta + 1) - R_m(beta - 1).
-    total = signed_ramp_sum(a + b + (Fraction(1),), (True,) * m + (False,) * n + (True,), m)
-
-    return ExactValue.pi_times(total / (Fraction(2 ** (m + n)) * math.prod(a))
-                               / spec.outer_rate)
+    return _sinc_cos_integral(spec.sinc_rates + (spec.outer_rate,), spec.cos_rates)
 
 
 # ---------------------------------------------------------------------------
@@ -235,4 +227,4 @@ def sinc_power_gaussian(n: int) -> TransformResult:
     value = SQRT_TWO_PI * image.evaluate_at(0)
     return TransformResult.from_exact(
         value, method="gaussian_heat_kernel", formula="gaussian_sinc_difference",
-        diagnostics={"sinc_power": n, "verdict": "exact"})
+        diagnostics={"sinc_power": n})

@@ -94,7 +94,8 @@ def _match_product(ast: Node, split: _Split) -> tuple:
     rates = {"sinc": [], "cos": []}  # (|rate|, multiplicity) in factor order
     for f, count in split.rest:
         if not isinstance(f, Call) or f.func not in ("sinc", "cos", "exp"):
-            raise _NoMatch(f"factor {getattr(f, 'func', type(f).__name__)} is not sinc, cos or exp")
+            raise _NoMatch(f"factor {to_source(_product([(f, count)]))!r} "
+                           "is not sinc, cos or exp")
         if f.func == "exp":
             raise _NoMatch("an exp factor other than the unit Gaussian")
         if (rate := abs(linear_rate(f.arg))) == 0:

@@ -23,7 +23,9 @@ residues are e-powers, erf values and logarithms; a read-off
               canonical, on residues built once per point; the last 32
               chains are kept;
 * ``green_kernel(rates)``  the partial-fraction sum of Green's functions
-              e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp``; n = 0 only;
+              e^(-a|y|)/(2a) of -D^2 + a^2, a ``PiecewiseExp`` of real
+              (coeff, rate) terms c e^(-a|y|); n = 0 only, shifts stay
+              in the word's T_b;
 * ``interval_kernel(a, b)``  the entire kernel, the integral of e^(-xy)
               over [a, b]; ``IntervalChain`` members n >= 0 (n < 0 needs
               Ei), Taylor coefficients from ``interval_taylor``.
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import ComplexRational, CR_ZERO, ExactValue, Residue, as_fraction
+from .exact import ExactValue, Residue, as_fraction
 
 
 class RampEvaluationError(ArithmeticError):
@@ -277,28 +279,14 @@ def HEAT(n: int) -> GaussianChain:
 
 @dataclass(frozen=True)
 class PiecewiseExp:
-    """sum coeff * e^(-rate * |y - shift|) with positive rational rates."""
+    """sum coeff * e^(-rate * |y|), rational coefficients, positive rates."""
 
-    terms: tuple  # (coeff: ComplexRational, rate: Fraction, shift: Fraction)
-
-    @staticmethod
-    def from_terms(items) -> "PiecewiseExp":
-        acc: dict = {}
-        for c, a, s in items:
-            a = as_fraction(a)
-            if a <= 0:
-                raise ValueError(f"decay rates must be positive, got {a}")
-            key = (a, as_fraction(s))
-            acc[key] = acc.get(key, CR_ZERO) + c
-        return PiecewiseExp(tuple((c, a, s)
-                                  for (a, s), c in sorted(acc.items())
-                                  if not c.is_zero))
+    terms: tuple  # (coeff: Fraction, rate: Fraction)
 
     def value_at(self, z) -> ExactValue:
-        """Exact value at rational z; the coefficients must be real."""
-        z = as_fraction(z)
-        return ExactValue.from_terms((Residue(e_exp=-a * abs(z - s)), c.require_real())
-                                     for c, a, s in self.terms)
+        """Exact value at rational z."""
+        z = abs(as_fraction(z))
+        return ExactValue.from_terms((Residue(e_exp=-a * z), c) for c, a in self.terms)
 
 
 def green_function(a) -> PiecewiseExp:
@@ -306,8 +294,7 @@ def green_function(a) -> PiecewiseExp:
     a = as_fraction(a)
     if a <= 0:
         raise ValueError(f"green_function needs a positive rate, got {a}")
-    return PiecewiseExp.from_terms(
-        [(ComplexRational(Fraction(1, 2) / a), a, Fraction(0))])
+    return PiecewiseExp(((1 / (2 * a), a),))
 
 
 def green_kernel(rates):
@@ -318,8 +305,8 @@ def green_kernel(rates):
     for k, ak in enumerate(rates):
         ck = math.prod((Fraction(1) / (aj * aj - ak * ak)
                         for j, aj in enumerate(rates) if j != k), start=Fraction(1))
-        terms += [(c * ck, a, s) for c, a, s in green_function(ak).terms]
-    combined = PiecewiseExp.from_terms(terms)
+        terms += [(c * ck, a) for c, a in green_function(ak).terms]
+    combined = PiecewiseExp(tuple(terms))
 
     def chain(n: int) -> PiecewiseExp:
         if n != 0:

@@ -30,8 +30,10 @@ class TransformResult:
     @staticmethod
     def from_exact(value: ExactValue, method: str, formula: str,
                    diagnostics: Optional[dict] = None) -> "TransformResult":
+        """An exact value with its shadow; the verdict is "exact" unless
+        *diagnostics* names another."""
         return TransformResult(float(value.evalf(25)), method, formula, value,
-                               dict(diagnostics or {}))
+                               {"verdict": "exact", **(diagnostics or {})})
 
     @property
     def approx(self):

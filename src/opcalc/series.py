@@ -211,13 +211,6 @@ class PowerSeries:
     def sub(self, other: "PowerSeries") -> "PowerSeries":
         return self.add(other, -1)
 
-    def scale(self, c: ComplexRational) -> "PowerSeries":
-        """c times the series: with c = (p + iq)/L, the form times p + iq over d L."""
-        den = math.lcm(c.re.denominator, c.im.denominator)
-        p, q = c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
-        return PowerSeries._of(self.d * den, [x * p - y * q for x, y in zip(self.re, self.im)],
-                               [x * q + y * p for x, y in zip(self.re, self.im)])
-
     def mul(self, other: "PowerSeries") -> "PowerSeries":
         """Truncated product, the binomial convolution of the two forms:
         the m-th coefficient is sum_i C(m, i) A_i B_(m-i) over d_a d_b m!,

@@ -135,7 +135,7 @@ def laplace_formal(ast: Node, y) -> TransformResult:
     value = apply_word(word, RampSum.of(ONE_OVER_Y)).evaluate_at(y)
     return TransformResult.from_exact(
         value, method="laplace_formal", formula="halfline_one_over_y_kernel",
-        diagnostics={"verdict": "exact", "abscissa": float(-min_shift)})
+        diagnostics={"abscissa": float(-min_shift)})
 
 
 def integrate_half_line(ast: Node, side: str = "positive") -> TransformResult:
@@ -146,7 +146,7 @@ def integrate_half_line(ast: Node, side: str = "positive") -> TransformResult:
     value = apply_word(word, RampSum.of(ONE_OVER_Y)).evaluate_at(0)
     return TransformResult.from_exact(
         value, method="halfline_formal", formula="halfline_one_over_y_kernel",
-        diagnostics={"side": side, "verdict": "exact"})
+        diagnostics={"side": side})
 
 
 def laplace_regularized(ast: Node, y, a) -> TransformResult:
@@ -162,7 +162,7 @@ def laplace_regularized(ast: Node, y, a) -> TransformResult:
     value = apply_word(word, RampSum.of(interval_kernel(0, a))).evaluate_at(y)
     return TransformResult.from_exact(
         value, method="laplace_regularized", formula="regularized_one_over_y_kernel",
-        diagnostics={"regularization": float(a), "verdict": "exact"})
+        diagnostics={"regularization": float(a)})
 
 
 def fourier_regularized(ast: Node, y, a, n_terms: int = 400,
@@ -299,7 +299,7 @@ def integrate_rational_trig(numerator: Node, rates: Sequence) -> TransformResult
     value = ExactValue.pi_times(2) * image.evaluate_at(0)
     return TransformResult.from_exact(
         value, method="greens_function", formula="greens_function_convolution",
-        diagnostics={"rates": [str(r) for r in rates], "verdict": "exact"})
+        diagnostics={"rates": [str(r) for r in rates]})
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,7 @@ def fourier_at(ast: Node, y) -> TransformResult:
     image = fourier_via_delta(ast)
     return TransformResult.from_exact(
         image.transform_at(y), method="fourier_delta", formula="delta_ramp_sum",
-        diagnostics={"verdict": "exact",
-                     "breakpoints": [str(b) for b in image.breakpoints()]})
+        diagnostics={"breakpoints": [str(b) for b in image.breakpoints()]})
 
 
 def _sinc_product_solve(params: dict) -> TransformResult:
@@ -329,7 +328,7 @@ def sinc_product_result(spec: SincProductSpec) -> TransformResult:
     return TransformResult.from_exact(
         sinc_cos_product_integral(spec), method="sinc_product_enumeration",
         formula="delta_ramp_tuple_sum",
-        diagnostics={"lord_condition": spec.lord_condition, "verdict": "exact"})
+        diagnostics={"lord_condition": spec.lord_condition})
 
 
 def borwein_result(n: int) -> TransformResult:
@@ -337,7 +336,7 @@ def borwein_result(n: int) -> TransformResult:
     value = borwein_exact(n)
     return TransformResult.from_exact(
         value, method="sinc_product_enumeration", formula="delta_ramp_tuple_sum",
-        diagnostics={"verdict": "exact", "deficit": str(1 - value.pi_coefficient)})
+        diagnostics={"deficit": str(1 - value.pi_coefficient)})
 
 
 # family tag -> (its route, solve(ast, params), the oracle's real-line

@@ -3,9 +3,10 @@
 The outcome of a request is its exit status, stdout and stderr, with the
 request run in process under a per-request alarm.  Every text of
 ``parse_corpus`` that parses is run four ways: ``integrate`` on the real
-line, on [0, 1] and on [0, inf), and ``laplace --at 2``.  A request past
-the alarm is a "timeout", and an exception that the CLI lets through a
-"traceback".
+line, on [0, 1] and on [0, inf), and ``laplace --at 2``.  So is every
+request of ``spec_argvs``: ``borwein 0..22`` and 300 seeded ``lord``
+specs, plain and ``--json``.  A request past the alarm is a "timeout",
+and an exception that the CLI lets through a "traceback".
 
 Write the outcomes of a tree (its ``src`` directory is imported, so run
 one tree per process), then compare two such files by category:
@@ -27,11 +28,13 @@ import contextlib
 import importlib
 import io
 import json
+import random
 import re
 import signal
 import sys
 import traceback
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import parse_corpus
@@ -39,6 +42,7 @@ import parse_corpus
 COMMANDS = (("integrate",), ("integrate", "--interval", "0", "1"),
             ("integrate", "--interval", "0", "inf"), ("laplace", "--at", "2"))
 ALARM_S = 3
+LORD_SEED = 33
 
 
 class _Timeout(Exception):
@@ -88,12 +92,47 @@ def load_tree(src: str):
     return importlib.import_module("opcalc.cli"), importlib.import_module("opcalc.parser")
 
 
-def write(run, texts, stream) -> None:
+def _lord_argv(rng: random.Random) -> list:
+    """A seeded lord request of up to 12 inner slots: rates drawn partly
+    from a small pool (repeats and merged sums), an outer rate other than
+    1 half the time, and, with no inner sinc, often an outer rate that is
+    a signed cos sum (a step at its jump); --sinc is then left out or
+    given empty."""
+    def rate():
+        return Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    pool = [rate() for _ in range(3)]
+    slots = [rng.choice(pool) if rng.random() < 0.4 else rate()
+             for _ in range(rng.randint(0, 12))]
+    m = rng.randint(0, len(slots))
+    outer = rng.choice((Fraction(1), rate()))
+    if m == 0 and rng.random() < 0.5:
+        outer = abs(sum(rng.choice((1, -1)) * b for b in slots)) or outer
+    argv = ["lord"]
+    if m or rng.random() < 0.5:
+        argv += ["--sinc", ",".join(map(str, slots[:m]))]
+    if slots[m:]:
+        argv += ["--cos", ",".join(map(str, slots[m:]))]
+    return argv + (["--outer", str(outer)] if outer != 1 else [])
+
+
+def spec_argvs(seed: int = LORD_SEED) -> list:
+    """borwein 0..22 and 300 seeded lord requests, each plain and --json."""
+    rng = random.Random(seed)
+    argvs = [["borwein", str(n)] for n in range(23)]
+    argvs += [_lord_argv(rng) for _ in range(300)]
+    return [argv + flag for argv in argvs for flag in ([], ["--json"])]
+
+
+def write_argvs(run, argvs, stream) -> None:
     """One JSON line per request: {"argv", "exit", "stdout", "stderr"}."""
-    for text in texts:
-        for command in COMMANDS:
-            argv = [command[0], text, *command[1:]]
-            stream.write(json.dumps({"argv": argv, **outcome(run, argv)}) + "\n")
+    for argv in argvs:
+        stream.write(json.dumps({"argv": argv, **outcome(run, argv)}) + "\n")
+
+
+def write(run, texts, stream) -> None:
+    """write_argvs of every text under each of COMMANDS."""
+    write_argvs(run, ([command[0], text, *command[1:]] for text in texts
+                      for command in COMMANDS), stream)
 
 
 def read(lines) -> dict:
@@ -144,6 +183,7 @@ def main(argv: list) -> None:
         cli, parser = load_tree(argv[1])
         with open(argv[2], "w") as fh:
             write(cli.run, parseable(parser.parse_expression), fh)
+            write_argvs(cli.run, spec_argvs(), fh)
     elif argv[:1] == ["diff"] and len(argv) == 3:
         with open(argv[1]) as old, open(argv[2]) as new:
             counts, shown, reasons = diff(read(old), read(new))

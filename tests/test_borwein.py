@@ -69,10 +69,13 @@ def brute_borwein(n):
 
 def brute_sinc_cos(spec):
     """pi-coefficient of the sinc/cos product integral: all 2^(m+n) tuples
-    of the normalized spec, each giving R_m(beta + 1) - R_m(beta - 1).
+    of the spec normalized to outer rate 1 (substituting u = c x, which
+    divides the value by c), each giving R_m(beta + 1) - R_m(beta - 1).
     At m = 0 the ramps at 0 sit on the step's jump: they count as 0 when
     their weights cancel."""
-    norm = spec.normalized()
+    c = spec.outer_rate
+    norm = SincProductSpec(tuple(a / c for a in spec.sinc_rates),
+                           tuple(b / c for b in spec.cos_rates), 1)
     m, n = len(norm.sinc_rates), len(norm.cos_rates)
     scale, rates = _integer_rates(norm.sinc_rates + norm.cos_rates + (1,))
     one = rates.pop()
@@ -151,6 +154,16 @@ def test_borwein_matches_brute_force():
         assert borwein_exact_half(n) == borwein_exact(n)
 
 
+def test_borwein_is_the_sinc_product_at_its_rates():
+    # the double-factorial form, and the product spec with the rate-1 sinc
+    # as the outer one
+    for n in range(1, 21):
+        value = borwein_exact(n)
+        assert value.pi_coefficient == Fraction(double_factorial(2 * n - 1), 2 ** (n - 1)) * \
+            signed_ramp_sum(borwein_rates(n), [True] * n, n - 1)
+        assert value == sinc_cos_product_integral(SincProductSpec(borwein_rates(n)[1:]))
+
+
 def test_borwein_runtime():
     start = time.perf_counter()
     for n in range(1, 13):
@@ -189,11 +202,17 @@ def test_sinc_cubed():
 
 
 def test_outer_rescaling():
-    # substituting u = c x scales the value by 1/c against the normalized spec
-    spec = SincProductSpec((), (), 2)
-    value = sinc_cos_product_integral(spec)
-    assert value == ExactValue.pi_times(Fraction(1, 2))
-    assert value == sinc_cos_product_integral(spec.normalized()) * (1 / spec.outer_rate)
+    # substituting u = c x: I(spec) = I(spec with every rate divided by c)/c
+    assert sinc_cos_product_integral(SincProductSpec((), (), 2)) == \
+        ExactValue.pi_times(Fraction(1, 2))
+    rng = random.Random(3301)
+    for _ in range(60):
+        spec = _random_spec(rng)
+        c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        divided = SincProductSpec(tuple(a / c for a in spec.sinc_rates),
+                                  tuple(b / c for b in spec.cos_rates), spec.outer_rate / c)
+        assert sinc_cos_product_integral(spec) == \
+            sinc_cos_product_integral(divided) * (1 / c), (spec, c)
 
 
 def test_step_boundary_is_reported():

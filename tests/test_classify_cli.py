@@ -108,6 +108,15 @@ def test_product_families_name_the_denominator_as_written():
                                    "take no denominator", text
 
 
+def test_product_families_name_a_factor_as_written():
+    for text, factor in [("1/(x^2+1)-1/(x^2+1)", "'1 / (x^2 + 1) - 1 / (x^2 + 1)'"),
+                         ("sinc(x)*sqrt(x^2+1)^3", "'sqrt(x^2 + 1)^3'"),
+                         ("cos(x)*sqrt(1+x)", "'sqrt(1 + x)'")]:
+        reasons = classify(parse_expression(text)).reasons
+        for tag in ("sinc_cos_product", "gaussian_sinc"):
+            assert reasons[tag] == f"factor {factor} is not sinc, cos or exp", text
+
+
 def test_classify_raises_a_base_sign_to_the_exponent():
     # a base's sign or number is raised to the power, as its factors are
     for text, tag, scale in [("(-sinc(x))^2", "sinc_cos_product", None),
@@ -534,13 +543,16 @@ def test_cli_dyadic_lord_is_pi(capsys):
 
 
 def test_cli_slot_limit_exits_fast(capsys):
-    for argv in [("borwein", "40"),
-                 ("lord", "--sinc", ",".join(["1/80"] * 40))]:
+    # borwein n counts its slots before it builds its n rates; lord's
+    # inner rates and the outer sinc are the slots
+    for argv, slots in [(("borwein", "40"), 40), (("borwein", "10000000"), 10000000),
+                        (("lord", "--sinc", ",".join(["1/80"] * 40)), 41),
+                        (("lord", "--sinc", ",".join(["1/80"] * 30)), 31)]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0
-        assert code == EXIT_UNSUPPORTED and out == ""
-        assert "slots exceed the limit" in err and "Traceback" not in err
+        assert (code, out) == (EXIT_UNSUPPORTED, "")
+        assert err == f"error: {slots} sign slots exceed the limit of 30 for an exact tuple sum\n"
 
 
 def test_cli_large_power_in_a_denominator_is_refused_without_expanding_it(capsys):

@@ -9,8 +9,7 @@ import mpmath
 import pytest
 
 from opcalc.borwein import sinc_power_gaussian
-from opcalc.exact import (CR_ONE, ComplexRational, ExactValue, Residue, exp_value,
-                          log_value)
+from opcalc.exact import CR_ONE, ExactValue, Residue, exp_value, log_value
 from opcalc.kernels import (DELTA, HEAT, ONE_OVER_Y, GaussianChain, LogChain, PiecewiseExp,
                             _integer_poly, _poly_eval, eval_kernel, gaussian_chain,
                             green_function, green_kernel, interval_kernel,
@@ -331,7 +330,7 @@ def test_central_difference_annihilates_low_degree():
 
 def test_green_function_unit_rate():
     g = green_function(1)
-    assert g.terms == ((ComplexRational(Fraction(1, 2)), Fraction(1), Fraction(0)),)
+    assert g.terms == ((Fraction(1, 2), Fraction(1)),)
     assert float(eval_kernel(g, 1.0)) == pytest.approx(0.5 / math.e, abs=1e-15)
 
 

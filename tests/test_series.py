@@ -567,16 +567,6 @@ def test_ladders_match_the_object_path(func):
                            for a in got.coeffs)
 
 
-def test_scale_matches_the_complex_product():
-    rng = random.Random(73)
-    series = PowerSeries(tuple(
-        ComplexRational(Fraction(rng.randint(-99, 99), rng.randint(1, 50)),
-                        Fraction(rng.randint(-99, 99), rng.randint(1, 50)) if k % 3 else 0)
-        for k in range(40)))
-    for c in _ladder_arguments():
-        assert series.scale(c).coeffs == tuple(_complex_product(c, a) for a in series.coeffs), c
-
-
 # ---------------------------------------------------------------------------
 # The k!-scaled form against the Fraction-coefficient path it replaced
 # ---------------------------------------------------------------------------
@@ -674,7 +664,7 @@ def test_products_match_the_fraction_path():
         assert got.coeffs == fraction_mul(a, b).coeffs
         assert got.order == min(a.order, b.order)
         assert_reduced(got)
-        for s in (a.add(b), a.sub(b), a.scale(ComplexRational(Fraction(-3, 4), Fraction(5, 6)))):
+        for s in (a.add(b), a.sub(b)):
             assert_reduced(s)
         assert a.add(b).coeffs == tuple(a[k] + b[k] for k in range(got.order + 1))
 
