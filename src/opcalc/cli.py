@@ -46,6 +46,12 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NONCONVERGENT = 4
 
+# Input limits, past which a flag is a usage error (exit 2): a series
+# product costs the square of its order in ever longer integers, and an
+# exact shadow's work grows with its digits.
+MAX_PRECISION = 1000
+MAX_TRUNCATION = 1000
+
 
 def _fraction_arg(text: str) -> Fraction:
     try:
@@ -60,11 +66,13 @@ def _endpoint_arg(text: str):
     return _fraction_arg(text) if infinite is None else infinite
 
 
-def _int_at_least(low: int):
+def _int_between(low: int, high: int):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return integer
 
@@ -81,9 +89,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--precision", type=_int_at_least(1), default=15,
+        p.add_argument("--precision", type=_int_between(1, MAX_PRECISION), default=15,
                        help="significant digits for the numeric shadow")
-        p.add_argument("--truncation", type=_int_at_least(0), default=DEFAULT_TRUNCATION,
+        p.add_argument("--truncation", type=_int_between(0, MAX_TRUNCATION),
+                       default=DEFAULT_TRUNCATION,
                        help="series order of integrate over a finite interval")
         p.add_argument("--exact", action="store_true",
                        help="suppress the float shadow")
@@ -136,13 +145,9 @@ _arg_parser = functools.cache(build_arg_parser)
 # ---------------------------------------------------------------------------
 
 def _approx_str(value, digits: int) -> str:
+    """A float or an mpf shadow to *digits* significant digits."""
     with mpmath.workdps(max(digits + 5, 20)):
-        if isinstance(value, (mpmath.mpf, mpmath.mpc)):
-            return mpmath.nstr(value, digits)
-        if isinstance(value, complex) and value.imag != 0:
-            return mpmath.nstr(mpmath.mpc(value), digits)
-        real = value.real if isinstance(value, complex) else value
-        return mpmath.nstr(mpmath.mpf(real), digits)
+        return mpmath.nstr(value if isinstance(value, mpmath.mpf) else mpmath.mpf(value), digits)
 
 
 def _exact_str(exact) -> str:

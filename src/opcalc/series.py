@@ -1,7 +1,7 @@
 """Truncated power series with exact coefficients, and the series routes.
 
-A ``PowerSeries`` holds Taylor coefficients a_0..a_N of an integrand at 0,
-exact complex rationals, as its k!-scaled integer form.  The routes built
+A ``PowerSeries`` holds Taylor coefficients a_0..a_N of a real integrand
+at 0, exact rationals, as its k!-scaled integer form.  The routes built
 on it are
 
 * the Laurent-series Laplace transform, sum_k a_k k! / y^(k+1), valid for
@@ -9,21 +9,22 @@ on it are
 * finite-interval transforms, where f(-d/dy) is applied as a truncated
   series to the interval kernel of kernels.py, the integral of e^(-xy)
   over [a, b], whose own Taylor coefficients are exact.  This is one
-  integer sum read off at y = 0; a frequency y != 0 first multiplies f by
-  the e^(ixy) series, and the windowed Fourier route
+  integer sum read off at y = 0; a frequency y != 0 reads the products of
+  f with the cos(xy) and sin(xy) series as the real and imaginary parts of
+  f e^(ixy), and the windowed Fourier route
   (transforms.fourier_regularized) is the same pass on [-a, a].  The
   Gaussian moment pairing (transforms) takes its order from moment_order.
 
 Coefficient arithmetic never leaves the rationals; the one float
 conversion, of the finished value, is range-checked.  The form is
-a_k = (re_k + i im_k)/(d k!), since G^(k)(0) = k! c_k: a product is a
-binomial convolution of integers, and every operation ends with one gcd
-that keeps d the least it can be, so equal series have equal forms.
-Products, powers, composition and the read-off stay in that form;
-ComplexRational coefficients are built only when a caller asks for
-them.  Every factorial ladder (exp, sin, cos, sinc of c x^v) is built in
-the form by _monomial_compose; of any other argument g, the function's
-own ladder is composed with g's series.  In a chain (parser.factor_scan)
+a_k = A_k/(d k!), since G^(k)(0) = k! c_k: a product is a binomial
+convolution of integers, and every operation ends with one gcd that keeps
+d the least it can be, so equal series have equal forms.  Products,
+powers, composition and the read-off stay in that form; Fraction
+coefficients are built only when a caller asks for them.  Every factorial
+ladder (exp, sin, cos, sinc of c x^v) is built in the form by
+_monomial_compose; of any other argument g, the function's own ladder is
+composed with g's series.  In a chain (parser.factor_scan)
 x and every denominator but exp(p), which is exp(-p), are a scale and a
 shift c x^v.  A monomial, and any polynomial subtree with no call, negative
 power or power of a sum, is read with operators.polynomial_of.
@@ -33,18 +34,20 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import CR_ONE, CR_ZERO, ComplexRational, as_fraction
+from .exact import as_fraction
 from .kernels import interval_taylor
 from . import parser
 from .operators import NotExponentialPolynomial, polynomial_of
 from .parser import Add, Call, Div, Mul, Neg, Node, Num, Pow, Sub, Sym
 
 DEFAULT_TRUNCATION = 80
+_ZERO = Fraction(0)
 
 
 class NotSeriesRepresentable(ValueError):
@@ -98,25 +101,24 @@ def series_verdict(magnitudes: Sequence[float], tol: float) -> str:
 # PowerSeries
 # ---------------------------------------------------------------------------
 
-def _integer_form(parts: dict, n: int) -> tuple:
-    """(d, re, im) of the order-n series whose coefficient k is the pair
-    parts[k] = (real part, imaginary part) of Fractions, or 0 where k is
-    absent, as (re[k] + i*im[k]) / (d * k!): d is the lcm of the reduced
-    denominators of the coefficients times k!, the least it can be."""
-    re, im = [0] * (n + 1), [0] * (n + 1)
+def _integer_form(coeffs: dict, n: int) -> tuple:
+    """(d, nums) of the order-n series whose coefficient k is the Fraction
+    coeffs[k], or 0 where k is absent, as nums[k] / (d * k!): d is the lcm
+    of the reduced denominators of the coefficients times k!, the least it
+    can be."""
+    nums = [0] * (n + 1)
     fact, at, scaled = 1, 0, []
-    for k in sorted(parts):
+    for k in sorted(coeffs):
         fact *= math.perm(k, k - at)  # k!
         at = k
-        for out, q in zip((re, im), parts[k]):
-            num, den = q.numerator, q.denominator
-            if num:
-                g = math.gcd(fact, den)
-                scaled.append((out, k, num * (fact // g), den // g))
+        num, den = coeffs[k].numerator, coeffs[k].denominator
+        if num:
+            g = math.gcd(fact, den)
+            scaled.append((k, num * (fact // g), den // g))
     d = math.lcm(*(den for *_, den in scaled))
-    for out, k, num, den in scaled:
-        out[k] = num * (d // den)
-    return d, tuple(re), tuple(im)
+    for k, num, den in scaled:
+        nums[k] = num * (d // den)
+    return d, tuple(nums)
 
 
 def _binomial_convolve(x: Sequence, y: Sequence) -> list:
@@ -142,59 +144,53 @@ def _binomial_convolve(x: Sequence, y: Sequence) -> list:
 
 @dataclass(frozen=True, init=False)
 class PowerSeries:
-    """f(x) = sum a_k x^k through order N with exact coefficients, held as
-    its k!-scaled integer form a_k = (re[k] + i*im[k]) / (d * k!), d > 0 as
+    """f(x) = sum a_k x^k through order N with exact rational coefficients,
+    held as its k!-scaled integer form a_k = nums[k] / (d * k!), d > 0 as
     small as it can be, so that equal series have equal forms.  In that
     form a product is a binomial convolution of integers; the coefficients
-    a_k are built as ComplexRationals only on request (``coeffs``, [k])."""
+    a_k are built as Fractions only on request (``coeffs``, [k])."""
 
     d: int
-    re: tuple
-    im: tuple
+    nums: tuple
 
     def __init__(self, coeffs):
-        """The series of the coefficients a_0..a_N: ComplexRationals,
-        Fractions or ints."""
-        coeffs = tuple(c if isinstance(c, ComplexRational) else ComplexRational(as_fraction(c))
-                       for c in coeffs)
+        """The series of the coefficients a_0..a_N: Fractions or ints."""
+        coeffs = tuple(map(as_fraction, coeffs))
         if not coeffs:
             raise ValueError("a PowerSeries needs at least one coefficient")
         self.__dict__.update(PowerSeries._sparse(
-            {k: (c.re, c.im) for k, c in enumerate(coeffs) if not c.is_zero},
-            len(coeffs) - 1).__dict__)
+            {k: c for k, c in enumerate(coeffs) if c}, len(coeffs) - 1).__dict__)
 
     @staticmethod
-    def _of(d: int, re: Sequence, im: Sequence) -> "PowerSeries":
-        """The series (re[k] + i*im[k]) / (d * k!), reduced by one gcd."""
-        g = math.gcd(d, *re, *im)
+    def _of(d: int, nums: Sequence) -> "PowerSeries":
+        """The series nums[k] / (d * k!), reduced by one gcd."""
+        g = math.gcd(d, *nums)
         out = object.__new__(PowerSeries)
-        out.__dict__.update(d=d // g, re=tuple(v // g for v in re) if g > 1 else tuple(re),
-                            im=tuple(v // g for v in im) if g > 1 else tuple(im))
+        out.__dict__.update(d=d // g, nums=tuple(v // g for v in nums) if g > 1 else tuple(nums))
         return out
 
     @staticmethod
-    def _sparse(parts: dict, n: int) -> "PowerSeries":
-        """The order-n series of the coefficient pairs parts[k] (_integer_form)."""
-        return PowerSeries._of(*_integer_form(parts, n))
+    def _sparse(coeffs: dict, n: int) -> "PowerSeries":
+        """The order-n series of the Fractions coeffs[k] (_integer_form)."""
+        return PowerSeries._of(*_integer_form(coeffs, n))
 
     @property
     def order(self) -> int:
-        return len(self.re) - 1
+        return len(self.nums) - 1
 
     @functools.cached_property
     def coeffs(self) -> tuple:
-        """a_0..a_N as ComplexRationals, built on the first request."""
+        """a_0..a_N as Fractions, built on the first request."""
         out, den = [], self.d
-        for k, (r, i) in enumerate(zip(self.re, self.im)):
+        for k, v in enumerate(self.nums):
             den *= k or 1  # d k!
-            out.append(ComplexRational(Fraction(r, den), Fraction(i, den)) if r or i else CR_ZERO)
+            out.append(Fraction(v, den) if v else _ZERO)
         return tuple(out)
 
-    def __getitem__(self, k: int) -> ComplexRational:
-        if not 0 <= k < len(self.re) or not (self.re[k] or self.im[k]):
-            return CR_ZERO
-        den = self.d * math.factorial(k)
-        return ComplexRational(Fraction(self.re[k], den), Fraction(self.im[k], den))
+    def __getitem__(self, k: int) -> Fraction:
+        if not 0 <= k < len(self.nums) or not self.nums[k]:
+            return _ZERO
+        return Fraction(self.nums[k], self.d * math.factorial(k))
 
     # -- arithmetic (all truncated to the shorter operand) ---------------
     def _order_with(self, other: "PowerSeries") -> int:
@@ -205,8 +201,7 @@ class PowerSeries:
         n = self._order_with(other) + 1
         d = math.lcm(self.d, other.d)
         fa, fb = d // self.d, sign * (d // other.d)
-        return PowerSeries._of(d, [x * fa + y * fb for x, y in zip(self.re[:n], other.re[:n])],
-                               [x * fa + y * fb for x, y in zip(self.im[:n], other.im[:n])])
+        return PowerSeries._of(d, [x * fa + y * fb for x, y in zip(self.nums[:n], other.nums[:n])])
 
     def sub(self, other: "PowerSeries") -> "PowerSeries":
         return self.add(other, -1)
@@ -216,17 +211,14 @@ class PowerSeries:
         the m-th coefficient is sum_i C(m, i) A_i B_(m-i) over d_a d_b m!,
         reduced by one gcd."""
         n = self._order_with(other) + 1
-        ar, ai, br, bi = self.re[:n], self.im[:n], other.re[:n], other.im[:n]
-        # an all-zero part costs one pass over the other list
-        re = [r - s for r, s in zip(_binomial_convolve(ar, br), _binomial_convolve(ai, bi))]
-        im = [r + s for r, s in zip(_binomial_convolve(ar, bi), _binomial_convolve(ai, br))]
-        return PowerSeries._of(self.d * other.d, re, im)
+        return PowerSeries._of(self.d * other.d,
+                               _binomial_convolve(self.nums[:n], other.nums[:n]))
 
     def pow(self, n: int) -> "PowerSeries":
         """self^n by squaring and multiplying: about 2 log2(n) products."""
         if n < 0:
             raise ValueError("negative series powers are not supported")
-        out = PowerSeries._sparse({0: (Fraction(1), Fraction(0))}, self.order)
+        out = PowerSeries._sparse({0: 1}, self.order)
         base = self
         while n:
             if n & 1:
@@ -237,8 +229,7 @@ class PowerSeries:
         return out
 
     def valuation(self) -> int:
-        return next((k for k, (r, i) in enumerate(zip(self.re, self.im)) if r or i),
-                    len(self.re))
+        return next((k for k, v in enumerate(self.nums) if v), len(self.nums))
 
     def shift_down(self, n: int) -> "PowerSeries":
         """Divide by x^n; requires valuation >= n.  Coefficient k + n moves
@@ -251,36 +242,18 @@ class PowerSeries:
             return PowerSeries._sparse({}, 0)
         quotients = [math.perm(k, n) for k in range(n, self.order + 1)]
         m = math.lcm(*quotients)
-        return PowerSeries._of(self.d * m,
-                               [v * (m // q) for v, q in zip(self.re[n:], quotients)],
-                               [v * (m // q) for v, q in zip(self.im[n:], quotients)])
+        return PowerSeries._of(self.d * m, [v * (m // q) for v, q in zip(self.nums[n:], quotients)])
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(x)) for inner with zero constant term (Horner scheme)."""
-        if inner.re[0] or inner.im[0]:
+        if inner.nums[0]:
             raise NotSeriesRepresentable(
                 "series composition needs a zero constant term in the argument")
         n = inner.order
-
-        def constant(k: int) -> "PowerSeries":
-            c = self[k]
-            return PowerSeries._sparse({0: (c.re, c.im)}, n)
-
-        acc = constant(self.order)
+        acc = PowerSeries._sparse({0: self[self.order]}, n)
         for k in range(self.order - 1, -1, -1):
-            acc = acc.mul(inner).add(constant(k))
+            acc = acc.mul(inner).add(PowerSeries._sparse({0: self[k]}, n))
         return acc
-
-    def is_real(self) -> bool:
-        return not any(self.im)
-
-    def real_coeffs(self) -> tuple:
-        return tuple(c.require_real() for c in self.coeffs)
-
-
-def complex_exponential_series(a: Fraction, n: int) -> PowerSeries:
-    """Series of exp(i a x): coefficients (ia)^k / k!."""
-    return _monomial_compose("exp", ComplexRational(0, as_fraction(a)), 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +266,33 @@ _LADDERS = {"exp": (1, 1, 0, 0), "cos": (2, -1, 0, 0),
             "sin": (2, -1, 1, 0), "sinc": (2, -1, 1, 1)}
 
 
-def _monomial_compose(func: str, c: ComplexRational, v: int, n: int) -> PowerSeries:
+def _monomial_compose(func: str, c: Fraction, v: int, n: int) -> PowerSeries:
     """func(c x^v) through order n, one factorial ladder for every
     function: the O(n) path that keeps large truncation orders (Gaussian
     kernels) affordable, and the only place a Taylor ladder is written.
-    With c = (a + ib)/L, term e of the ladder, sign^j c^e x^(ve)/(e + s)!,
-    has the scaled numerator A_(ve) = sign^j (a + ib)^e L^(E-e) f_e over
-    d = L^E Q, E the last e; f_e = Q (ve)!/(e + s)! steps on integers,
-    and Q = lcm(1, 3, ..., E + 1) makes it one for sinc(c x), 1 else."""
+    With c = a/L, term e of the ladder, sign^j c^e x^(ve)/(e + s)!, has
+    the scaled numerator A_(ve) = sign^j a^e L^(E-e) f_e over d = L^E Q,
+    E the last e; f_e = Q (ve)!/(e + s)! steps on integers, and
+    Q = lcm(1, 3, ..., E + 1) makes it one for sinc(c x), 1 else."""
     step, sign, p, s = _LADDERS[func]
     last = (n // v + s - p) // step  # terms j = 0..last, e = step j + p - s
     if last < 0:
         return PowerSeries._sparse({}, n)
     top = step * last + p - s  # E
-    scale = math.lcm(c.re.denominator, c.im.denominator)
-    a, b = int(c.re * scale), int(c.im * scale)
-    ratio = ComplexRational(sign) * ComplexRational(a, b) ** step
-    wr, wi = int(ratio.re), int(ratio.im)  # sign (a + ib)^step
+    a, scale = c.numerator, c.denominator
+    ratio = sign * a ** step
     q = math.lcm(*range(1, top + 2, step)) if (s, v) == (1, 1) else 1
-    re, im = [0] * (n + 1), [0] * (n + 1)
-    pr, pi = (a, b) if p > s else (1, 0)  # (a + ib)^(p-s)
+    nums = [0] * (n + 1)
+    signed = a if p > s else 1  # sign^j a^e
     e, powers, stride = p - s, scale ** (top - p + s), scale ** step  # L^(E-e), L^step
     fact = q * math.factorial(v * e) // math.factorial(p)  # f_e
     for _ in range(last + 1):
-        re[v * e], im[v * e] = pr * powers * fact, pi * powers * fact
-        pr, pi = pr * wr - pi * wi, pr * wi + pi * wr
+        nums[v * e] = signed * powers * fact
+        signed *= ratio
         fact = fact * math.perm(v * (e + step), v * step) // math.perm(e + s + step, step)
         powers //= stride
         e += step
-    return PowerSeries._of(scale ** top * q, re, im)
+    return PowerSeries._of(scale ** top * q, nums)
 
 
 def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
@@ -369,7 +340,7 @@ def _taylor(node: Node, n: int) -> PowerSeries:
         except NotExponentialPolynomial:
             pass  # pi or a pole: the cases below refuse it
         else:  # one step, where products and scale passes would run at order n
-            return PowerSeries._sparse({k: (c, Fraction(0)) for k, c in poly.items() if k <= n}, n)
+            return PowerSeries._sparse({k: c for k, c in poly.items() if k <= n}, n)
     if isinstance(node, Sym):  # numbers and x are read above: this is pi
         raise NotSeriesRepresentable("pi is not an exact rational coefficient")
     if isinstance(node, (Neg, Mul, Div, Pow)):
@@ -390,7 +361,7 @@ def _taylor(node: Node, n: int) -> PowerSeries:
                                              f"denominator {den!r} is not a monomial")
         low = max(-power, 0)  # the division by x^low takes low orders
         out = None if scale == 1 and power <= 0 and parts else PowerSeries._sparse(
-            {power + low: (scale, Fraction(0))} if power <= n else {}, n + low)  # scale x^power
+            {power + low: scale} if power <= n else {}, n + low)  # scale x^power
         for f, k in parts:
             series = _taylor(f, n + low) if k == 1 else _taylor(f, n + low).pow(k)
             out = series if out is None else out.mul(series)
@@ -404,13 +375,13 @@ def _taylor(node: Node, n: int) -> PowerSeries:
             raise NotSeriesRepresentable(
                 "sqrt does not have rational Taylor coefficients")
         arg = _taylor(node.arg, n)
-        if arg.re[0] or arg.im[0]:
+        if arg.nums[0]:
             raise NotSeriesRepresentable(
                 f"{node.func} arguments must vanish at 0 for rational coefficients")
         v = arg.valuation()
-        if v <= arg.order and not any(arg.re[v + 1:]) and not any(arg.im[v + 1:]):
+        if v <= arg.order and not any(arg.nums[v + 1:]):
             return _monomial_compose(node.func, arg[v], v, n)
-        return _monomial_compose(node.func, CR_ONE, 1, n).compose(arg)
+        return _monomial_compose(node.func, 1, 1, n).compose(arg)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -498,9 +469,7 @@ def majorant_abscissa(series: PowerSeries) -> Majorant:
     it is validated on the exponential family where the true abscissa is
     known.
     """
-    if not series.is_real():
-        raise ValueError("majorants are defined for real coefficient series")
-    mags = tuple(abs(c) for c in series.real_coeffs())
+    mags = tuple(map(abs, series.coeffs))
     n = len(mags)
 
     def root(k: int) -> float:
@@ -525,14 +494,10 @@ def majorant_abscissa(series: PowerSeries) -> Majorant:
 
 @dataclass(frozen=True)
 class LaurentReport:
-    value: complex
+    value: float
     verdict: str
     terms_used: int
     last_term: float
-
-    @property
-    def real(self) -> float:
-        return self.value.real
 
 
 def laplace_laurent(series: PowerSeries, y, tol: float = 1e-12) -> LaurentReport:
@@ -546,16 +511,16 @@ def laplace_laurent(series: PowerSeries, y, tol: float = 1e-12) -> LaurentReport
     y = float(y)
     if y <= 0:
         raise ValueError("the Laurent kernel 1/y needs y > 0")
-    total = 0j
+    total = 0.0
     mags = []
     fact = 1.0
     ypow = y
     used = 0
     overflowed = False
     for k, a in enumerate(series.coeffs):
-        term = complex(a) * fact / ypow
+        term = float(a) * fact / ypow
         used = k + 1
-        if not math.isfinite(abs(term)):
+        if not math.isfinite(term):
             overflowed = True
             break
         total += term
@@ -565,47 +530,47 @@ def laplace_laurent(series: PowerSeries, y, tol: float = 1e-12) -> LaurentReport
         fact *= k + 1
         ypow *= y
     verdict = DIVERGED if overflowed else series_verdict(mags, tol)
-    value = total if total.imag != 0 else complex(total.real, 0)
-    return LaurentReport(value, verdict, used, mags[-1] if mags else 0.0)
+    return LaurentReport(total, verdict, used, mags[-1] if mags else 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Finite-interval transforms
 # ---------------------------------------------------------------------------
 
-def termwise_integral(series: PowerSeries, a, b) -> ComplexRational:
+def termwise_integral(series: PowerSeries, a, b) -> Fraction:
     """Exact sum_k a_k (b^(k+1) - a^(k+1))/(k+1); the independent check for
     the kernel route below."""
     a = as_fraction(a)
     b = as_fraction(b)
-    total = CR_ZERO
-    for k, c in enumerate(series.coeffs):
-        total = total + c * ComplexRational(Fraction(b ** (k + 1) - a ** (k + 1), k + 1))
-    return total
+    return sum((c * Fraction(b ** (k + 1) - a ** (k + 1), k + 1)
+                for k, c in enumerate(series.coeffs)), _ZERO)
 
 
-def _log_abs(re: Fraction, im: Fraction) -> float:
-    """log |re + i*im| for a nonzero value, without leaving the float range."""
-    sq = re * re + im * im
+def _log_abs(*parts: Fraction) -> float:
+    """log |re + i*im| of a nonzero value given by its parts, without
+    leaving the float range."""
+    sq = sum(q * q for q in parts)
     return 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _check_interval_tail(series: PowerSeries, radius: Fraction, log_total: float,
+def _check_interval_tail(parts: Sequence[PowerSeries], radius: Fraction, log_total: float,
                          tol: float) -> None:
     """Raise SeriesConvergenceError, carrying the largest bound, unless the
     term bounds |a_k| R^(k+1)/(k+1) of the last three orders sit below
-    tol * max(1, |total|); R bounds |x| on the interval and log_total is
+    tol * max(1, |total|); a_k has the parts' k-th coefficients as its real
+    (and imaginary) part, R bounds |x| on the interval and log_total is
     log |total|.  Compared as logarithms, so no bound overflows."""
-    if series.order < 2:  # no bound is computed
+    order = parts[0].order
+    if order < 2:  # no bound is computed
         raise SeriesConvergenceError(
             "finite-interval series needs truncation order 2 or more to bound its tail")
     ceiling = math.log(tol) + max(0.0, log_total)
-    tail = [(k, series[k]) for k in range(series.order - 2, series.order + 1)]
-    worst = max(-math.inf if c.is_zero or radius == 0 else
-                _log_abs(c.re, c.im) + (k + 1) * math.log(radius) - math.log(k + 1)
+    tail = [(k, [p[k] for p in parts]) for k in range(order - 2, order + 1)]
+    worst = max(-math.inf if not any(c) or radius == 0 else
+                _log_abs(*c) + (k + 1) * math.log(radius) - math.log(k + 1)
                 for k, c in tail)
     if worst >= ceiling:
         raise SeriesConvergenceError(
@@ -613,48 +578,42 @@ def _check_interval_tail(series: PowerSeries, radius: Fraction, log_total: float
             math.exp(worst) if worst < 709 else math.inf)
 
 
-def finite_interval_transform(series: PowerSeries, a, b, y=0,
-                              tol: float = 1e-15) -> complex:
-    """Integral of f(x) e^(ixy) over [a, b].
+def finite_interval_transform(series: PowerSeries, a, b, y=0, tol: float = 1e-15):
+    """Integral of f(x) e^(ixy) over [a, b]: a float at y = 0, else complex.
 
     The operator series sum_k a_k (-d/dy)^k is applied to the interval
     kernel K(y), the integral of e^(-xy) over [a, b], and read off at 0,
     where K's derivatives are its own exact Taylor coefficients
-    (kernels.interval_taylor).  A frequency y != 0 multiplies f by the
-    series of e^(ixy) first.  The last orders' term bounds must fall
-    below tol relative to the value, or SeriesConvergenceError is raised;
-    so is a value beyond the double range.
+    (kernels.interval_taylor).  A frequency y != 0 reads f cos(xy) and
+    f sin(xy), the real and imaginary parts of f e^(ixy), the same way.
+    The last orders' term bounds must fall below tol relative to the
+    value, or SeriesConvergenceError is raised; so is a value beyond the
+    double range.
     """
     a = as_fraction(a)
     b = as_fraction(b)
     radius = max(abs(a), abs(b))
-    own = series
+    parts = (series,)
     if y != 0:
-        # the product keeps the exponential's terms up to a margin past
-        # f's own order that grows with the phase |x y|
+        # the products keep the cos and sin terms up to a margin past f's
+        # own order that grows with the phase |x y|
         y = as_fraction(y)
         m = series.order + 60 + int(4 * float(max(radius, 1) * max(abs(y), 1)))
-        shift = _monomial_compose("exp", ComplexRational(0, y), 1, m)
-        pad = (0,) * (m - series.order)  # zero orders: the form stays reduced
-        series = PowerSeries._of(series.d, series.re + pad, series.im + pad).mul(shift)
+        padded = PowerSeries._of(series.d, series.nums + (0,) * (m - series.order))
+        parts = tuple(padded.mul(_monomial_compose(func, y, 1, m)) for func in ("cos", "sin"))
     # (-d/dy)^k K at 0 is (-1)^k k! num_k/den_c and the k!-scaled form holds
     # A_k = d a_k k!: the value is sum_k A_k c_k/(d den_c) with
     # c_k = (-1)^k num_k, the term-wise rule that termwise_integral checks.
-    den_c, nums = interval_taylor(a, b, series.order)
-    re = im = 0
-    for k, (xr, xi, c) in enumerate(zip(series.re, series.im, nums)):
-        c = -c if k % 2 else c
-        re += xr * c
-        im += xi * c
-    den = series.d * den_c
-    total = (Fraction(re, den), Fraction(im, den))
+    den_c, nums = interval_taylor(a, b, parts[0].order)
+    signed = [-c if k % 2 else c for k, c in enumerate(nums)]
+    total = [Fraction(sum(map(operator.mul, p.nums, signed)), p.d * den_c) for p in parts]
     size = _log_abs(*total) if any(total) else -math.inf
-    # f's own truncation: its padded product with e^(ixy) cannot show it
-    _check_interval_tail(own, radius, size, tol)
-    if series is not own:
-        _check_interval_tail(series, radius, size, tol)
+    # f's own truncation: its padded products with cos and sin cannot show it
+    _check_interval_tail((series,), radius, size, tol)
+    if y != 0:
+        _check_interval_tail(parts, radius, size, tol)
     if size >= _LOG_FLOAT_MAX:
         raise SeriesConvergenceError(
             "finite-interval value is beyond the double range: "
             f"|value| is about 10^{size / math.log(10):.1f}")
-    return complex(ComplexRational(*total))
+    return float(total[0]) if y == 0 else complex(*map(float, total))

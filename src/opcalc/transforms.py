@@ -35,8 +35,7 @@ from . import oracle
 from .borwein import (SincProductSpec, borwein_exact, require_slots,
                       sinc_cos_product_integral, sinc_power_gaussian)
 from .classify import RouteClass, classify
-from .exact import (CR_I, CR_ONE, CR_ZERO, SQRT_TWO_PI, ComplexRational,
-                    ExactValue, as_fraction)
+from .exact import CR_I, CR_ONE, CR_ZERO, ComplexRational, ExactValue, as_fraction
 from .kernels import DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel, interval_kernel
 from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
                         apply_word, decompose, exp_poly_normal_form,
@@ -75,10 +74,6 @@ class FourierImage:
     def transform_at(self, y) -> ExactValue:
         """Integral of f(x) e^(ixy) dx at rational y."""
         return ExactValue.pi_times(2) * self.ramps.evaluate_at(as_fraction(y))
-
-    def hat_at(self, y) -> ExactValue:
-        """Unitary-convention transform value at rational y."""
-        return SQRT_TWO_PI * self.ramps.evaluate_at(as_fraction(y))
 
     def breakpoints(self) -> tuple:
         return tuple(sorted({-t.shift for t in self.ramps.word.terms}))
@@ -211,8 +206,7 @@ class TaylorProfile:
     @staticmethod
     def gaussian(order: int) -> "TaylorProfile":
         """Unit Gaussian e^(-y^2/2); super-exponentially decaying terms."""
-        minus_half = ComplexRational(Fraction(-1, 2))
-        return TaylorProfile(_monomial_compose("exp", minus_half, 2, order).coeffs)
+        return TaylorProfile(_monomial_compose("exp", Fraction(-1, 2), 2, order).coeffs)
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ def gaussian_pairing(s2: Fraction, g: Node) -> TransformResult:
     order, tail = moment_order(growth_majorant(g), s2, PAIRING_TOL, PAIRING_BUDGET)
     coeffs, total, weight = taylor_of(g, order), Fraction(0), Fraction(1)
     for j in range(order // 2 + 1):  # weight = s^(2j) (2j-1)!!
-        total, weight = total + coeffs[2 * j].require_real() * weight, weight * s2 * (2 * j + 1)
+        total, weight = total + coeffs[2 * j] * weight, weight * s2 * (2 * j + 1)
     import mpmath  # loaded already, by result
     with mpmath.workdps(30):
         value = float(mpmath.sqrt(2 * mpmath.pi * s2.numerator / s2.denominator)
@@ -466,8 +460,7 @@ def integrate(ast: Node, lo=-math.inf, hi=math.inf,
         return integrate_real_line(ast, method)
     if (lo, hi) in _HALF_LINES:
         return integrate_half_line(ast, _HALF_LINES[lo, hi])
-    value = finite_interval_transform(taylor_of(ast, truncation), lo, hi)
     return TransformResult(
-        value.real if value.imag == 0 else value,
+        finite_interval_transform(taylor_of(ast, truncation), lo, hi),
         method="series_finite_interval", formula="finite_interval_kernel",
         diagnostics={"truncation": truncation, "verdict": "truncated-exact"})

@@ -5,8 +5,12 @@ request run in process under a per-request alarm.  Every text of
 ``parse_corpus`` that parses is run four ways: ``integrate`` on the real
 line, on [0, 1] and on [0, inf), and ``laplace --at 2``.  So is every
 request of ``spec_argvs``: ``borwein 0..22`` and 300 seeded ``lord``
-specs, plain and ``--json``.  A request past the alarm is a "timeout",
-and an exception that the CLI lets through a "traceback".
+specs, plain and ``--json``; and of ``series_argvs``: seeded exp-poly,
+trig and Gaussian integrands over finite intervals at three truncation
+orders, plain, ``--precision 30`` and ``--json``, and seeded Gaussian
+products on the real line at ``--precision 30``.  A request past the
+alarm is a "timeout", and an exception that the CLI lets through a
+"traceback".
 
 Write the outcomes of a tree (its ``src`` directory is imported, so run
 one tree per process), then compare two such files by category:
@@ -43,6 +47,8 @@ COMMANDS = (("integrate",), ("integrate", "--interval", "0", "1"),
             ("integrate", "--interval", "0", "inf"), ("laplace", "--at", "2"))
 ALARM_S = 3
 LORD_SEED = 33
+SERIES_SEED = 34
+TRUNCATIONS = (2, 40, 200)
 
 
 class _Timeout(Exception):
@@ -123,6 +129,43 @@ def spec_argvs(seed: int = LORD_SEED) -> list:
     return [argv + flag for argv in argvs for flag in ([], ["--json"])]
 
 
+def _series_text(rng: random.Random, gaussian: bool) -> str:
+    """A seeded product of rational rates: an exp-poly, trig or Gaussian
+    shape, or with *gaussian* a Gaussian times one of the series_only
+    factors (trig, exp-poly and sinc products)."""
+    def rate():
+        return f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+    k = rng.randint(0, 4)
+    trig = [f"cos({rate()}*x)", f"sin({rate()}*x)^2", f"x^{k}*cos({rate()}*x)",
+            f"exp({rate()}*x)*cos({rate()}*x)", f"cos({rate()}*x)*sinc({rate()}*x)",
+            f"sinc({rate()}*x)^{k + 1}*cos(x)"]
+    if gaussian:
+        return f"exp(-x^2/(2*{rate()}))*{rng.choice(trig)}"
+    return rng.choice([f"x^{k}*exp(-{rate()}*x)", f"(1+x)^{k}*exp({rate()}*x)",
+                       f"exp(-{rate()}*x)*cos({rate()}*x)", f"sin({rate()}*x)*cos({rate()}*x)",
+                       f"sinc({rate()}*x)^{k + 1}", f"x^{k}*sin({rate()}*x)",
+                       f"exp(-x^2/(2*{rate()}))*{rng.choice(trig)}",
+                       f"x^{k}*exp(-x^2/2+{rate()}*x)"])
+
+
+def series_argvs(seed: int = SERIES_SEED) -> list:
+    """60 seeded integrands over finite intervals at each of TRUNCATIONS,
+    and 60 Gaussian products on the real line: the finite-interval ones
+    plain, with --precision 30 and with --json, the real-line ones with
+    --precision 30."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(60):
+        text = _series_text(rng, gaussian=False)
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        b = a + Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        argvs += [["integrate", text, "--interval", str(a), str(b), "--truncation", str(n)]
+                  for n in TRUNCATIONS]
+    argvs = [argv + flag for argv in argvs for flag in ([], ["--precision", "30"], ["--json"])]
+    return argvs + [["integrate", _series_text(rng, gaussian=True), "--precision", "30"]
+                    for _ in range(60)]
+
+
 def write_argvs(run, argvs, stream) -> None:
     """One JSON line per request: {"argv", "exit", "stdout", "stderr"}."""
     for argv in argvs:
@@ -183,7 +226,7 @@ def main(argv: list) -> None:
         cli, parser = load_tree(argv[1])
         with open(argv[2], "w") as fh:
             write(cli.run, parseable(parser.parse_expression), fh)
-            write_argvs(cli.run, spec_argvs(), fh)
+            write_argvs(cli.run, spec_argvs() + series_argvs(), fh)
     elif argv[:1] == ["diff"] and len(argv) == 3:
         with open(argv[1]) as old, open(argv[2]) as new:
             counts, shown, reasons = diff(read(old), read(new))

@@ -676,6 +676,22 @@ def test_cli_rejects_out_of_range_flags(capsys, flag, value):
     assert "usage:" in err and f"argument {flag}: must be at least" in err
 
 
+@pytest.mark.parametrize("argv, flag, top", [
+    (["integrate", "x", "--interval", "0", "1", "--truncation"], "--truncation", 1000),
+    (["borwein", "8", "--precision"], "--precision", 1000)])
+def test_cli_refuses_flags_above_their_maxima(capsys, argv, flag, top):
+    # both flags used to have only a floor: --truncation 30000 took 919 MB
+    # and --precision 20000 a minute; the maxima themselves still answer
+    for value in (top + 1, 10001):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [str(value)])
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}: must be at most {top}, got {value}" in err
+    code, out, _ = run_cli(capsys, *argv, str(top))
+    assert code == EXIT_OK and "approx:" in out
+
+
 @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000,
                                   "+".join(["sinc(x)"] * 3000)],
                          ids=["nested_parentheses", "long_sum"])

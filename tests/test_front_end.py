@@ -73,7 +73,7 @@ def _canon(value) -> str:
         return "{" + ",".join(f"{k}:{_canon(v)}" for k, v in sorted(value.items())
                               if k != "normal_form") + "}"
     if isinstance(value, PowerSeries):
-        return ",".join(f"{c.re} {c.im}" for c in value.coeffs)
+        return ",".join(f"{c} 0" for c in value.coeffs)
     return repr(value)
 
 
