@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    integrate <expr> [--interval A B] [--method auto|series|delta|green|oracle]
+    integrate <expr> [--interval A B] [--method auto|oracle]
     laplace   <expr> --at Y [--regularized A]
     fourier   <expr> --at Y
     borwein   <n>
@@ -10,6 +10,9 @@ Subcommands:
     compare   <expr>
 
 Shared flags: --json, --precision DIGITS, --truncation N, --exact.
+
+``integrate --method`` is ``auto``, the one exact route of the integrand's
+family or interval, or ``oracle``, the quadrature oracle.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 parse error, 3
 unsupported integrand family or an exact value with more digits than
@@ -102,8 +105,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", nargs=2, type=_endpoint_arg, metavar=("A", "B"),
                    default=(-math.inf, math.inf),
                    help="finite endpoints, 0 inf / -inf 0 (half-lines) or -inf inf")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "series", "delta", "green", "oracle"])
+    p.add_argument("--method", default="auto", choices=["auto", "oracle"])
     common(p)
 
     p = sub.add_parser("laplace", help="Laplace transform at a point")

@@ -298,9 +298,13 @@ def green_function(a) -> PiecewiseExp:
 
 
 def green_kernel(rates):
-    """Kernel of 1/prod_k (x^2 + a_k^2) for distinct rates: by partial
-    fractions in x^2, sum_k c_k e^(-a_k|y|)/(2 a_k) with
+    """Kernel of 1/prod_k (x^2 + a_k^2) for distinct positive rates, any
+    other rate refused by name before a division: by partial fractions in
+    x^2, sum_k c_k e^(-a_k|y|)/(2 a_k) with
     c_k = prod_(j != k) 1/(a_j^2 - a_k^2).  It takes translations only."""
+    for k, ak in enumerate(rates):
+        if ak <= 0 or ak in rates[:k]:
+            raise ValueError(f"the Green kernel needs distinct positive rates, got {ak}")
     terms = []
     for k, ak in enumerate(rates):
         ck = math.prod((Fraction(1) / (aj * aj - ak * ak)

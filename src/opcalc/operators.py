@@ -289,17 +289,18 @@ class RampSum:
         return RampSum(OperatorWord.identity(), kernel)
 
     def evaluate_at(self, y) -> ExactValue:
-        """Exact value at rational y: per residue one sum on one denominator,
-        of the real parts alone when every coefficient is real, else of both
-        parts, checked real once.  Members hand over canonical terms, so the
-        sums are only sorted.  The highest power is read first, so that a
-        member refusing y (for the delta, a jump or delta at y) is the most
-        singular; a word built directly may hold its terms in any order."""
+        """Exact value at rational y: each member term c q adds into its
+        residue's sum as it arrives, a Fraction when every coefficient is
+        real, else a ComplexRational, checked real once.  Members hand over
+        canonical terms, so the sums are only sorted.  The highest power is
+        read first, so that a member refusing y (for the delta, a jump or
+        delta at y) is the most singular; a word built directly may hold
+        its terms in any order."""
         y = as_fraction(y)
         terms = sorted(self.word.terms, reverse=True,
                        key=lambda t: (t.power, sort_rank(t.shift), t.shift))
         real = all(not t.coeff.im for t in terms)
-        acc: dict = {}  # residue -> [(coeff or its real part, q)]
+        acc: dict = {}  # residue -> the sum of c q
         members: dict = {}
         for t in terms:
             member = members.get(t.power)
@@ -307,23 +308,9 @@ class RampSum:
                 member = members[t.power] = self.kernel(t.power)
             c = t.coeff.re if real else t.coeff
             for residue, q in member.value_at(y + t.shift if y else t.shift).terms:
-                if residue in acc:
-                    acc[residue].append((c, q))
-                else:
-                    acc[residue] = [(c, q)]
-        if real:
-            return ExactValue.from_canonical((r, _dot(pairs)) for r, pairs in acc.items())
+                acc[residue] = acc[residue] + c * q if residue in acc else c * q
         return ExactValue.from_canonical(
-            (r, ComplexRational(_dot((c.re, q) for c, q in pairs),
-                                _dot((c.im, q) for c, q in pairs)).require_real())
-            for r, pairs in acc.items())
-
-
-def _dot(pairs) -> Fraction:
-    """sum a q over rational pairs (a, q), reduced once on one denominator."""
-    parts = [(a.numerator * q.numerator, a.denominator * q.denominator) for a, q in pairs if a]
-    d = math.lcm(*(den for _, den in parts))
-    return Fraction(sum(num * (d // den) for num, den in parts), d)
+            acc.items() if real else ((r, v.require_real()) for r, v in acc.items()))
 
 
 def apply_word(word: OperatorWord, target: RampSum) -> RampSum:

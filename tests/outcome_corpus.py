@@ -2,8 +2,9 @@
 
 The outcome of a request is its exit status, stdout and stderr, with the
 request run in process under a per-request alarm.  Every text of
-``parse_corpus`` that parses is run four ways: ``integrate`` on the real
-line, on [0, 1] and on [0, inf), and ``laplace --at 2``.  So is every
+``parse_corpus`` that parses is run five ways: ``integrate`` on the real
+line, on [0, 1] and on [0, inf), ``laplace --at 2`` and ``fourier --at
+1/3`` (the delta image read away from 0, complex words included).  So is every
 request of ``spec_argvs``: ``borwein 0..22`` and 300 seeded ``lord``
 specs, plain and ``--json``; and of ``series_argvs``: seeded exp-poly,
 trig and Gaussian integrands over finite intervals at three truncation
@@ -44,7 +45,8 @@ from pathlib import Path
 import parse_corpus
 
 COMMANDS = (("integrate",), ("integrate", "--interval", "0", "1"),
-            ("integrate", "--interval", "0", "inf"), ("laplace", "--at", "2"))
+            ("integrate", "--interval", "0", "inf"), ("laplace", "--at", "2"),
+            ("fourier", "--at", "1/3"))
 ALARM_S = 3
 LORD_SEED = 33
 SERIES_SEED = 34

@@ -19,7 +19,7 @@ from opcalc.kernels import (DELTA, HEAT, GaussianChain, RampEvaluationError,
 from opcalc.operators import RampSum, apply_word, decompose
 from opcalc.oracle import quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
-from opcalc.transforms import (FourierImage, fourier_via_delta, integrate_real_line,
+from opcalc.transforms import (FourierImage, fourier_at, fourier_via_delta,
                                sinc_product_result)
 
 PI = ExactValue.pi_times(1)
@@ -104,7 +104,7 @@ def product_text(spec):
 def delta_route_value(spec):
     """The product's integral by the delta route: f(-i d/dy) on the delta,
     one merged word, read at 0, independent of the tuple sum."""
-    result = integrate_real_line(parse_expression(product_text(spec)), method="delta")
+    result = fourier_at(parse_expression(product_text(spec)), 0)
     assert result.method == "fourier_delta"
     return result.exact
 

@@ -31,7 +31,8 @@ from opcalc.operators import (NotExponentialPolynomial, exp_poly_normal_form,
                               linear_rate, polynomial_of)
 from opcalc.parser import X, Call, Div, Mul, Neg, Num, ParseError, Pow, parse_expression
 from opcalc.series import NotSeriesRepresentable, taylor_of
-from opcalc.transforms import FAMILY_ROUTES, UnsupportedFamilyError, integrate_real_line
+from opcalc.transforms import (FAMILY_ROUTES, UnsupportedFamilyError, fourier_at,
+                               integrate_real_line)
 
 sys.path.insert(0, str(Path(__file__).parent))
 import parse_corpus  # noqa: E402  (a script as well, so not a package module)
@@ -618,8 +619,8 @@ def test_every_spelling_of_a_denominator_has_one_outcome(capsys):
 def test_cli_large_sinc_power_is_refused_before_its_slots_are_expanded(capsys):
     # the slots are counted from the multiplicities: 3,000,000 of them are
     # refused at once, with the tuple sum's own message, where expanding
-    # them first took 19-22 s; the delta and oracle routes still serve a
-    # product past the limit
+    # them first took 19-22 s; the delta route (fourier --at 0) and the
+    # oracle still serve a product past the limit
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "integrate", "sinc(x)^3000000")
     assert time.perf_counter() - start < 1.0
@@ -627,7 +628,7 @@ def test_cli_large_sinc_power_is_refused_before_its_slots_are_expanded(capsys):
     assert err == "error: 3000000 sign slots exceed the limit of 30 for an exact tuple sum\n"
     assert classify(parse_expression("-sinc(x)^40*cos(x/50)^2")).params == \
         {"slots": 42, "scale": -1}
-    code, out, err = run_cli(capsys, "integrate", "sinc(x)^31*cos(x/90)", "--method", "delta")
+    code, out, err = run_cli(capsys, "fourier", "sinc(x)^31*cos(x/90)", "--at", "0")
     assert code == EXIT_OK and "verdict: exact" in out, err
     code, out, err = run_cli(capsys, "integrate", "sinc(x)^31", "--method", "oracle")
     assert code == EXIT_OK and "approx:  0.77599343691535" in out, err
@@ -854,14 +855,13 @@ def test_cli_malformed_lord_rate_is_a_usage_error(capsys, flag, rates, bad):
 
 def test_cli_method_applies_on_the_written_real_line(capsys):
     for interval in ((), ("--interval", "-inf", "inf")):
-        code, out, err = run_cli(capsys, "integrate", "sinc(x)", *interval,
-                                 "--method", "green")
-        assert code == EXIT_UNSUPPORTED and out == ""
-        assert "the green route does not serve the sinc_cos_product family" in err
-        code, out, err = run_cli(capsys, "integrate", "sinc(x)", *interval,
-                                 "--method", "delta", "--json")
+        code, out, err = run_cli(capsys, "integrate", "sinc(x)", *interval, "--json")
         assert code == EXIT_OK, err
-        assert json.loads(out)["diagnostics"]["attempts"] == ["delta"]
+        assert json.loads(out)["diagnostics"]["attempts"] == ["sinc_cos_product"]
+        code, out, err = run_cli(capsys, "integrate", "sinc(x)", *interval,
+                                 "--method", "oracle", "--json")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["method"] == "oracle_quadrature"
 
 
 def test_cli_value_beyond_the_double_range_exits_4(capsys):
@@ -1083,7 +1083,7 @@ def test_cli_compare_scaled_sinc_products(capsys):
 
 
 def test_cli_delta_method_reads_the_whole_scaled_product(capsys):
-    code, out, err = run_cli(capsys, "integrate", "2*sinc(x)", "--method", "delta", "--json")
+    code, out, err = run_cli(capsys, "fourier", "2*sinc(x)", "--at", "0", "--json")
     assert code == EXIT_OK, err
     assert (json.loads(out)["method"], json.loads(out)["exact"]) == ("fourier_delta", "(2)*pi")
 
@@ -1115,7 +1115,7 @@ def _green_spellings(c, n, factors) -> list:
 
 def test_every_spelling_of_a_green_quotient_takes_its_route(capsys):
     # each respelling prints its top-level spelling's exact string, through
-    # auto, the green route and compare alike
+    # integrate and compare alike
     for c, n, factors, value in _green_quotients():
         for scale, top, respellings in _green_spellings(c, n, factors):
             code, out, err = run_cli(capsys, "integrate", top, "--json")
@@ -1124,10 +1124,9 @@ def test_every_spelling_of_a_green_quotient_takes_its_route(capsys):
             assert want["method"] == "greens_function", top
             assert math.isclose(float(want["approx"]), float(scale) * value, rel_tol=1e-9), top
             for text in respellings:
-                for method in ("auto", "green"):
-                    code, out, err = run_cli(capsys, "integrate", text, "--method", method, "--json")
-                    assert code == EXIT_OK, (text, method, err)
-                    assert {k: v for k, v in json.loads(out).items() if k != "input"} == want, text
+                code, out, err = run_cli(capsys, "integrate", text, "--json")
+                assert code == EXIT_OK, (text, err)
+                assert {k: v for k, v in json.loads(out).items() if k != "input"} == want, text
                 code, out, err = run_cli(capsys, "compare", text)
                 assert code == EXIT_OK and f"exact:   {want['exact']}\n" in out, (text, err)
 
@@ -1256,7 +1255,8 @@ def test_every_parseable_dash_text_of_the_corpus_is_a_value():
     assert values >= 2000
 
 
-# integrand per family, and the (exit code, method) each --method gives it
+# integrand per family, and the (exit code, method) each --method gave it
+# when a named route was a choice
 METHOD_FAMILIES = ("sinc(x)*sinc(x/3)", "sinc(x)^3*exp(-x^2/2)", "cos(x)/(x^2+1)",
                    "sin(x)^2/x^2", "x^2*exp(-x^2/2)", "sqrt(x)")
 UNSUPPORTED = (EXIT_UNSUPPORTED, None)
@@ -1280,18 +1280,31 @@ ROUTE_OF = {"sinc_product_enumeration": "sinc_cos_product",
 
 @pytest.mark.parametrize("method", sorted(METHOD_TABLE))
 def test_cli_method_choices_per_family(capsys, method):
-    for expr, (want_code, want_method) in zip(METHOD_FAMILIES, METHOD_TABLE[method]):
-        code, out, err = run_cli(capsys, "integrate", expr, "--method", method, "--json")
+    # a named route is a usage error at once; each answer it gave is auto's,
+    # or, for the delta route on a sinc/cos product, fourier --at 0's
+    for expr, (want_code, want_method), auto in zip(METHOD_FAMILIES, METHOD_TABLE[method],
+                                                    METHOD_TABLE["auto"]):
+        argv = ["integrate", expr]
+        if method != "auto":
+            start = time.perf_counter()
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--method", method])
+            assert time.perf_counter() - start < 1.0
+            assert exc.value.code == EXIT_PARSE
+            assert f"argument --method: invalid choice: '{method}'" in capsys.readouterr().err
+            if want_method is None:  # the named route refused another family
+                continue
+            if auto != (want_code, want_method):
+                argv = ["fourier", expr, "--at", "0"]
+        code, out, err = run_cli(capsys, *argv, "--json")
         assert code == want_code, (expr, err)
         if want_method is None:
             assert out == "" and "Traceback" not in err
             continue
         payload = json.loads(out)
         assert payload["method"] == want_method
-        attempts = payload["diagnostics"]["attempts"]
-        assert attempts[-1] == ROUTE_OF[want_method]
-        if method != "auto":
-            assert attempts == [method]
+        if argv[0] == "integrate":
+            assert payload["diagnostics"]["attempts"] == [ROUTE_OF[want_method]]
 
 
 def test_method_choices_name_routes():
@@ -1299,10 +1312,9 @@ def test_method_choices_name_routes():
                     if isinstance(a, argparse._SubParsersAction))
     choices = next(a for a in commands.choices["integrate"]._actions
                    if a.dest == "method").choices
-    assert {"delta", "green", "series"} <= set(choices)
-    # the real-line laplace route could answer only f = 0, which delta gives
-    assert "laplace" not in choices
-    assert set(choices) - {"auto", "oracle"} <= {name for name, _s, _e in FAMILY_ROUTES.values()}
+    # auto runs the family's one route: no route is a choice of its own
+    assert choices == ["auto", "oracle"]
+    assert not set(choices) & {name for name, _s, _e in FAMILY_ROUTES.values()}
 
 
 def test_cli_attempts_reach_json(capsys):
@@ -1315,8 +1327,8 @@ def test_cli_attempts_reach_json(capsys):
     assert "attempts: delta: integrand has a pole at 0" in err
     assert err.splitlines()[-1] == "  attempts: delta: integrand has a pole at 0 " \
         "(Laurent orders [-1])"
-    # a lone method's own miss keeps its exit code
-    code, _, err = run_cli(capsys, "integrate", "1/x", "--method", "delta")
+    # the delta route's own request keeps its miss's exit code
+    code, _, err = run_cli(capsys, "fourier", "1/x", "--at", "0")
     assert code == EXIT_NONCONVERGENT and "pole at 0" in err
 
 
@@ -1543,23 +1555,23 @@ def test_a_tuple_sum_tie_falls_through_to_the_delta_route(capsys, command, expr,
     assert payload["exact"] == exact and payload["method"] == "sinc_product_enumeration"
     assert payload["diagnostics"]["attempts"] == ["sinc_cos_product"]
     assert payload["diagnostics"]["lord_condition"] is False
-    delta = integrate_real_line(parse_expression(expr), method="delta")
+    delta = fourier_at(parse_expression(expr), 0)
     assert delta.method == "fourier_delta" and str(delta.exact) == exact
 
 
 @pytest.mark.parametrize("expr, exact", TUPLE_SUM_TIES)
 def test_a_named_enumeration_route_still_raises_at_a_tie(expr, exact):
     # the enumeration route alone answers a tie, and so does the delta route
-    for method, want in [("sinc_cos_product", "sinc_product_enumeration"),
-                         ("delta", "fourier_delta")]:
-        result = integrate_real_line(parse_expression(expr), method=method)
-        assert result.method == want and str(result.exact) == exact
-        assert result.diagnostics["attempts"] == [method]
+    result = integrate_real_line(parse_expression(expr))
+    assert result.method == "sinc_product_enumeration" and str(result.exact) == exact
+    assert result.diagnostics["attempts"] == ["sinc_cos_product"]
+    result = fourier_at(parse_expression(expr), 0)
+    assert result.method == "fourier_delta" and str(result.exact) == exact
 
 
 # lord runs the tuple sum as integrate does, and prints what integrate
-# prints for the same product, less the attempts log; --method delta still
-# reads the product by the delta route
+# prints for the same product, less the attempts log; fourier --at 0 reads
+# the product by the delta route
 LORD_TIES = [(("--cos", "1"), "sinc(x)*cos(x)", "(1/2)*pi"),
              (("--cos", "1/2,1/2"), "sinc(x)*cos(x/2)^2", "(3/4)*pi"),
              (("--cos", "1/3,2/3"), "sinc(x)*cos(x/3)*cos(2*x/3)", "(3/4)*pi"),
@@ -1578,10 +1590,32 @@ def test_lord_at_a_tuple_sum_tie_falls_through_to_the_delta_route(capsys, argv, 
     integrated = json.loads(out)
     assert integrated["diagnostics"].pop("attempts") == ["sinc_cos_product"]
     assert dict(integrated, input="lord") == payload
-    code, out, err = run_cli(capsys, "integrate", expr, "--method", "delta", "--json")
+    code, out, err = run_cli(capsys, "fourier", expr, "--at", "0", "--json")
     assert code == EXIT_OK, err
     delta = json.loads(out)
     assert delta["method"] == "fourier_delta" and delta["exact"] == exact
+
+
+# the (method, exact) that integrate P --method delta --json printed while a
+# named route was a choice; sinc(x)^31*cos(x/90) has 32 slots, past the
+# tuple sum's limit
+DELTA_SPELLING_ANSWERS = [(expr, "fourier_delta", exact) for _argv, expr, exact in LORD_TIES] + [
+    ("2*sinc(x)", "fourier_delta", "(2)*pi"),
+    ("sinc(x)^31*cos(x/90)", "fourier_delta",
+     "(4141983482150717254983949854098576235445796568808489526321500120365732132950336360254029203"
+     "261059/1676882882850598621261832481736108383244973287798501939976601600000000000000000000000"
+     "0000000000000)*pi")]
+
+
+@pytest.mark.parametrize("expr, method, exact", DELTA_SPELLING_ANSWERS)
+def test_fourier_at_zero_prints_what_the_delta_spelling_printed(capsys, expr, method, exact):
+    with pytest.raises(SystemExit) as exc:
+        run(["integrate", expr, "--method", "delta"])
+    assert exc.value.code == EXIT_PARSE and "invalid choice: 'delta'" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "fourier", expr, "--at", "0", "--json")
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert (payload["method"], payload["exact"]) == (method, exact)
 
 
 def test_printing_more_digits_sums_each_term_once(capsys, monkeypatch):

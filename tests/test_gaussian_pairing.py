@@ -236,9 +236,9 @@ def test_refusals_exit_3_at_once_with_a_reason(capsys, monkeypatch, text, why):
     orders = []
     real = transforms.taylor_of
     monkeypatch.setattr(transforms, "taylor_of", lambda ast, n: orders.append(n) or real(ast, n))
-    for method in ("auto", "series"):
-        code, out, err = run_cli(capsys, "integrate", text, "--method", method)
-        assert code == EXIT_UNSUPPORTED and out == "" and why in err, (method, err)
+    for command in ("integrate", "compare"):
+        code, out, err = run_cli(capsys, command, text)
+        assert code == EXIT_UNSUPPORTED and out == "" and why in err, (command, err)
     assert orders == []
 
 

@@ -518,6 +518,14 @@ def test_green_kernel_takes_power_zero_only():
             kernel(n)
 
 
+@pytest.mark.parametrize("rates, bad", [([1, -1], "-1"), ([1, 1], "1"), ([0], "0"),
+                                        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)], "1/2")])
+def test_green_kernel_names_a_repeated_or_non_positive_rate(rates, bad):
+    # [1, -1] and [1, 1] divided by a_j^2 - a_k^2 = 0 first: a ZeroDivisionError
+    with pytest.raises(ValueError, match=f"distinct positive rates, got {bad}$"):
+        green_kernel(rates)
+
+
 @pytest.mark.parametrize("kernel", [DELTA, ONE_OVER_Y, HEAT], ids=["delta", "one_over_y", "heat"])
 def test_representatives_add_the_polynomial(kernel):
     # with_representatives(K, p)(-k) - K(-k) is the polynomial with plain

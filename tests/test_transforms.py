@@ -438,7 +438,8 @@ def test_green_route_odd_numerator_vanishes():
 
 
 def test_green_route_rejections():
-    with pytest.raises(UnsupportedFamilyError):
+    # a repeated rate is the Green kernel's refusal (classify never passes one)
+    with pytest.raises(ValueError, match="distinct positive rates, got 1$"):
         integrate_rational_trig(P("cos(x)"), [1, 1])
     with pytest.raises(UnsupportedFamilyError):
         integrate_rational_trig(P("x*cos(x)"), [1])
