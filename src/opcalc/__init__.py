@@ -18,12 +18,10 @@ from .operators import (OperatorTerm, OperatorWord, RampSum, apply_word,
 from .oracle import QuadReport, quad_interval, quad_real_line
 from .parser import parse_expression, to_source
 from .result import TransformResult
-from .series import (Majorant, PowerSeries, finite_interval_transform,
-                     laplace_laurent, majorant_abscissa, taylor_of)
-from .transforms import (FourierImage, TaylorProfile, fourier_regularized,
-                         fourier_via_delta, integrate_half_line,
+from .series import PowerSeries, finite_interval_transform, taylor_of
+from .transforms import (FourierImage, fourier_via_delta, integrate_half_line,
                          integrate_rational_trig, integrate_real_line,
-                         laplace_formal, laplace_regularized, pw_pairing)
+                         laplace_formal, laplace_regularized)
 
 __version__ = "0.1.0"
 
@@ -40,9 +38,8 @@ __all__ = [
     "QuadReport", "quad_interval", "quad_real_line",
     "parse_expression", "to_source",
     "TransformResult",
-    "Majorant", "PowerSeries", "finite_interval_transform", "laplace_laurent",
-    "majorant_abscissa", "taylor_of",
-    "FourierImage", "TaylorProfile", "fourier_regularized", "fourier_via_delta",
+    "PowerSeries", "finite_interval_transform", "taylor_of",
+    "FourierImage", "fourier_via_delta",
     "integrate_half_line", "integrate_rational_trig", "integrate_real_line",
-    "laplace_formal", "laplace_regularized", "pw_pairing",
+    "laplace_formal", "laplace_regularized",
 ]

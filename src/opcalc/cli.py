@@ -2,14 +2,14 @@
 
 Subcommands:
 
-    integrate <expr> [--interval A B] [--method auto|oracle]
+    integrate <expr> [--interval A B] [--method auto|oracle] [--truncation N]
     laplace   <expr> --at Y [--regularized A]
     fourier   <expr> --at Y
     borwein   <n>
     lord      --sinc a1,a2,... [--cos b1,b2,...] [--outer C]
     compare   <expr>
 
-Shared flags: --json, --precision DIGITS, --truncation N, --exact.
+Shared flags: --json, --precision DIGITS, --exact.
 
 ``integrate --method`` is ``auto``, the one exact route of the integrand's
 family or interval, or ``oracle``, the quadrature oracle.
@@ -90,13 +90,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Integrals and transforms by differential-operator calculus")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, truncation=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--precision", type=_int_between(1, MAX_PRECISION), default=15,
                        help="significant digits for the numeric shadow")
-        p.add_argument("--truncation", type=_int_between(0, MAX_TRUNCATION),
-                       default=DEFAULT_TRUNCATION,
-                       help="series order of integrate over a finite interval")
+        if truncation:  # integrate's alone: no other command reads a series order
+            p.add_argument("--truncation", type=_int_between(0, MAX_TRUNCATION),
+                           default=DEFAULT_TRUNCATION,
+                           help="series order of integrate over a finite interval")
         p.add_argument("--exact", action="store_true",
                        help="suppress the float shadow")
 
@@ -106,7 +107,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    default=(-math.inf, math.inf),
                    help="finite endpoints, 0 inf / -inf 0 (half-lines) or -inf inf")
     p.add_argument("--method", default="auto", choices=["auto", "oracle"])
-    common(p)
+    common(p, truncation=True)
 
     p = sub.add_parser("laplace", help="Laplace transform at a point")
     p.add_argument("expr")

@@ -1,19 +1,12 @@
 """Truncated power series with exact coefficients, and the series routes.
 
 A ``PowerSeries`` holds Taylor coefficients a_0..a_N of a real integrand
-at 0, exact rationals, as its k!-scaled integer form.  The routes built
-on it are
-
-* the Laurent-series Laplace transform, sum_k a_k k! / y^(k+1), valid for
-  y beyond the majorant abscissa of the coefficient sequence, and
-* finite-interval transforms, where f(-d/dy) is applied as a truncated
-  series to the interval kernel of kernels.py, the integral of e^(-xy)
-  over [a, b], whose own Taylor coefficients are exact.  This is one
-  integer sum read off at y = 0; a frequency y != 0 reads the products of
-  f with the cos(xy) and sin(xy) series as the real and imaginary parts of
-  f e^(ixy), and the windowed Fourier route
-  (transforms.fourier_regularized) is the same pass on [-a, a].  The
-  Gaussian moment pairing (transforms) takes its order from moment_order.
+at 0, exact rationals, as its k!-scaled integer form.  Two routes read
+it: the finite-interval transform, where f(-d/dy) is applied as a
+truncated series to the interval kernel of kernels.py, the integral of
+e^(-xy) over [a, b], whose own Taylor coefficients are exact, in one
+integer sum read off at y = 0; and the Gaussian moment pairing
+(transforms), whose order moment_order picks from growth_majorant's bound.
 
 Coefficient arithmetic never leaves the rationals; the one float
 conversion, of the finished value, is range-checked.  The form is
@@ -62,39 +55,6 @@ class SeriesConvergenceError(ArithmeticError):
         super().__init__(message if last_term is None
                          else f"{message} (last term magnitude {last_term:.3e})")
         self.last_term = last_term
-
-
-# ---------------------------------------------------------------------------
-# Convergence bookkeeping shared by every series route
-# ---------------------------------------------------------------------------
-
-CONVERGED = "converged"
-DIVERGED = "diverged"
-INCONCLUSIVE = "inconclusive"
-
-
-def series_verdict(magnitudes: Sequence[float], tol: float) -> str:
-    """Classify a stream of term magnitudes.
-
-    converged: the final three magnitudes sit below *tol* and the last five
-    nonzero magnitudes are non-increasing.  diverged: ten consecutive
-    strictly growing nonzero magnitudes appear anywhere.  Exact zeros are
-    ignored by the monotonicity checks (even/odd series interleave zeros).
-    """
-    nonzero = [m for m in magnitudes if m != 0.0]
-    growth = 0
-    for prev, cur in zip(nonzero, nonzero[1:]):
-        if cur > prev:
-            growth += 1
-            if growth >= 10:
-                return DIVERGED
-        else:
-            growth = 0
-    if len(magnitudes) >= 3 and all(m < tol for m in magnitudes[-3:]):
-        tail = nonzero[-5:]
-        if all(b <= a for a, b in zip(tail, tail[1:])):
-            return CONVERGED
-    return INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +346,7 @@ def _taylor(node: Node, n: int) -> PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Majorants: the Gaussian moment tail and the Laurent Laplace route
+# Majorants: the Gaussian moment tail
 # ---------------------------------------------------------------------------
 
 def growth_majorant(node: Node) -> tuple:
@@ -451,86 +411,18 @@ def moment_order(majorant: tuple, s2: Fraction, tol: float, budget: int) -> tupl
                                  f"{budget}: the tail bound there is {bound:.2e}")
 
 
-@dataclass(frozen=True)
-class Majorant:
-    """Coefficient magnitudes |a_k| plus the estimated Laplace abscissa."""
-
-    coeffs: tuple
-    abscissa_estimate: float
-
-
-def majorant_abscissa(series: PowerSeries) -> Majorant:
-    """Majorant coefficients and an abscissa estimate.
-
-    The estimate is the stabilized lim-sup of (|a_k| k!)^(1/(k+1)): the
-    maximum over the tail third of the available coefficients.  When the
-    tail still grows against the middle third the abscissa is reported as
-    infinity (no convergent Laurent domain detected).  This is a heuristic;
-    it is validated on the exponential family where the true abscissa is
-    known.
-    """
-    mags = tuple(map(abs, series.coeffs))
-    n = len(mags)
-
-    def root(k: int) -> float:
-        if mags[k] == 0:
-            return 0.0
-        ln = math.log(mags[k].numerator) - math.log(mags[k].denominator) \
-            + math.lgamma(k + 1)
-        return math.exp(ln / (k + 1))
-
-    if n < 9:
-        est = max((root(k) for k in range(n)), default=0.0)
-        return Majorant(mags, est)
-    third = n // 3
-    mid = max(root(k) for k in range(third, 2 * third))
-    tail = max(root(k) for k in range(2 * third, n))
-    if tail > 0 and tail > 1.15 * max(mid, 1e-300):
-        # still climbing against the middle third: factorial-type growth,
-        # no convergent Laurent domain
-        return Majorant(mags, math.inf)
-    return Majorant(mags, tail)
+def majorant_abscissa(*args, **kwargs):
+    """Retired: growth_majorant bounds g by Cauchy's estimate on circles.
+    The name stays only for the benchmark's span list
+    (perfbench/spans.py TARGETS), until that list drops it and this shim."""
+    raise NotImplementedError("majorant_abscissa is retired: use growth_majorant")
 
 
-@dataclass(frozen=True)
-class LaurentReport:
-    value: float
-    verdict: str
-    terms_used: int
-    last_term: float
-
-
-def laplace_laurent(series: PowerSeries, y, tol: float = 1e-12) -> LaurentReport:
-    """Partial sums of sum_k a_k k!/y^(k+1) with a convergence verdict.
-
-    The series is the Laurent form of the Laplace transform of the series'
-    function; it only converges for y beyond the majorant abscissa, which
-    is how the verdict can come back "diverged" even though the transform
-    itself exists.
-    """
-    y = float(y)
-    if y <= 0:
-        raise ValueError("the Laurent kernel 1/y needs y > 0")
-    total = 0.0
-    mags = []
-    fact = 1.0
-    ypow = y
-    used = 0
-    overflowed = False
-    for k, a in enumerate(series.coeffs):
-        term = float(a) * fact / ypow
-        used = k + 1
-        if not math.isfinite(term):
-            overflowed = True
-            break
-        total += term
-        mags.append(abs(term))
-        if series_verdict(mags, tol) == DIVERGED:
-            break
-        fact *= k + 1
-        ypow *= y
-    verdict = DIVERGED if overflowed else series_verdict(mags, tol)
-    return LaurentReport(total, verdict, used, mags[-1] if mags else 0.0)
+def laplace_laurent(*args, **kwargs):
+    """Retired: transforms.laplace_formal is exact at every y past the
+    abscissa.  The name stays only for the benchmark's span list
+    (perfbench/spans.py TARGETS), until that list drops it and this shim."""
+    raise NotImplementedError("laplace_laurent is retired: use transforms.laplace_formal")
 
 
 # ---------------------------------------------------------------------------
@@ -546,74 +438,57 @@ def termwise_integral(series: PowerSeries, a, b) -> Fraction:
                 for k, c in enumerate(series.coeffs)), _ZERO)
 
 
-def _log_abs(*parts: Fraction) -> float:
-    """log |re + i*im| of a nonzero value given by its parts, without
-    leaving the float range."""
-    sq = sum(q * q for q in parts)
+def _log_abs(q: Fraction) -> float:
+    """log |q| of a nonzero rational, without leaving the float range."""
+    sq = q * q
     return 0.5 * (math.log(sq.numerator) - math.log(sq.denominator))
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _check_interval_tail(parts: Sequence[PowerSeries], radius: Fraction, log_total: float,
+def _check_interval_tail(series: PowerSeries, radius: Fraction, log_total: float,
                          tol: float) -> None:
     """Raise SeriesConvergenceError, carrying the largest bound, unless the
     term bounds |a_k| R^(k+1)/(k+1) of the last three orders sit below
-    tol * max(1, |total|); a_k has the parts' k-th coefficients as its real
-    (and imaginary) part, R bounds |x| on the interval and log_total is
+    tol * max(1, |total|); R bounds |x| on the interval and log_total is
     log |total|.  Compared as logarithms, so no bound overflows."""
-    order = parts[0].order
+    order = series.order
     if order < 2:  # no bound is computed
         raise SeriesConvergenceError(
             "finite-interval series needs truncation order 2 or more to bound its tail")
     ceiling = math.log(tol) + max(0.0, log_total)
-    tail = [(k, [p[k] for p in parts]) for k in range(order - 2, order + 1)]
-    worst = max(-math.inf if not any(c) or radius == 0 else
-                _log_abs(*c) + (k + 1) * math.log(radius) - math.log(k + 1)
-                for k, c in tail)
+    worst = max(-math.inf if not series[k] or radius == 0 else
+                _log_abs(series[k]) + (k + 1) * math.log(radius) - math.log(k + 1)
+                for k in range(order - 2, order + 1))
     if worst >= ceiling:
         raise SeriesConvergenceError(
             "finite-interval series did not settle at this truncation order",
             math.exp(worst) if worst < 709 else math.inf)
 
 
-def finite_interval_transform(series: PowerSeries, a, b, y=0, tol: float = 1e-15):
-    """Integral of f(x) e^(ixy) over [a, b]: a float at y = 0, else complex.
+def finite_interval_transform(series: PowerSeries, a, b, tol: float = 1e-15) -> float:
+    """Integral of f over [a, b].
 
     The operator series sum_k a_k (-d/dy)^k is applied to the interval
     kernel K(y), the integral of e^(-xy) over [a, b], and read off at 0,
     where K's derivatives are its own exact Taylor coefficients
-    (kernels.interval_taylor).  A frequency y != 0 reads f cos(xy) and
-    f sin(xy), the real and imaginary parts of f e^(ixy), the same way.
-    The last orders' term bounds must fall below tol relative to the
-    value, or SeriesConvergenceError is raised; so is a value beyond the
-    double range.
+    (kernels.interval_taylor).  The last orders' term bounds must fall
+    below tol relative to the value, or SeriesConvergenceError is raised;
+    so is a value beyond the double range.
     """
     a = as_fraction(a)
     b = as_fraction(b)
-    radius = max(abs(a), abs(b))
-    parts = (series,)
-    if y != 0:
-        # the products keep the cos and sin terms up to a margin past f's
-        # own order that grows with the phase |x y|
-        y = as_fraction(y)
-        m = series.order + 60 + int(4 * float(max(radius, 1) * max(abs(y), 1)))
-        padded = PowerSeries._of(series.d, series.nums + (0,) * (m - series.order))
-        parts = tuple(padded.mul(_monomial_compose(func, y, 1, m)) for func in ("cos", "sin"))
     # (-d/dy)^k K at 0 is (-1)^k k! num_k/den_c and the k!-scaled form holds
     # A_k = d a_k k!: the value is sum_k A_k c_k/(d den_c) with
     # c_k = (-1)^k num_k, the term-wise rule that termwise_integral checks.
-    den_c, nums = interval_taylor(a, b, parts[0].order)
+    den_c, nums = interval_taylor(a, b, series.order)
     signed = [-c if k % 2 else c for k, c in enumerate(nums)]
-    total = [Fraction(sum(map(operator.mul, p.nums, signed)), p.d * den_c) for p in parts]
-    size = _log_abs(*total) if any(total) else -math.inf
-    # f's own truncation: its padded products with cos and sin cannot show it
-    _check_interval_tail((series,), radius, size, tol)
-    if y != 0:
-        _check_interval_tail(parts, radius, size, tol)
+    total = Fraction(sum(map(operator.mul, series.nums, signed)), series.d * den_c)
+    size = _log_abs(total) if total else -math.inf
+    _check_interval_tail(series, max(abs(a), abs(b)), size, tol)
     if size >= _LOG_FLOAT_MAX:
         raise SeriesConvergenceError(
             "finite-interval value is beyond the double range: "
             f"|value| is about 10^{size / math.log(10):.1f}")
-    return float(total[0]) if y == 0 else complex(*map(float, total))
+    return float(total)

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
+
 from opcalc.borwein import (SincProductSpec, borwein_exact,
                             coefficient_identity_check,
                             sinc_cos_product_integral, sinc_power_gaussian)
@@ -17,10 +19,11 @@ from opcalc.kernels import DELTA, HEAT, ONE_OVER_Y, with_representatives
 from opcalc.operators import RampSum, apply_word, decompose
 from opcalc.oracle import quad_interval, quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
-from opcalc.series import finite_interval_transform, laplace_laurent, taylor_of
-from opcalc.transforms import (TaylorProfile, _word_for_halfline, fourier_via_delta,
+from opcalc.series import (NotSeriesRepresentable, finite_interval_transform,
+                           growth_majorant, taylor_of)
+from opcalc.transforms import (_word_for_halfline, fourier_via_delta, gaussian_pairing,
                                integrate_half_line, integrate_rational_trig,
-                               laplace_formal, laplace_regularized, pw_pairing)
+                               laplace_formal, laplace_regularized)
 
 PI = ExactValue.pi_times(1)
 B8_DEFICIT = Fraction(6879714958723010531, 467807924720320453655260875000)
@@ -99,14 +102,20 @@ def test_criterion_03_lord_theorem():
 
 
 def test_criterion_04_laplace_analytic_continuation():
+    # the Laurent series sum_k a_k k!/y^(k+1) of exp(-x) converges past the
+    # abscissa b1 of its growth majorant, where |a_k| k! <= b1^k leaves a
+    # geometric tail after the order-80 partial sum; inside it the terms grow
     series = taylor_of(P("exp(-x)"), 80)
-    ok = True
+    b1 = growth_majorant(P("exp(-x)"))[2]
+    ok = b1 == 1
+    terms = lambda y: [series[k] * math.factorial(k) / y ** (k + 1) for k in range(81)]
     for y in (2, 5, 10):
-        rep = laplace_laurent(series, y)
-        ok = ok and rep.verdict == "converged"
-        ok = ok and abs(rep.value.real - 1 / (y + 1)) < 1e-12
-    for y in (0.2, 0.5, 0.9):
-        ok = ok and laplace_laurent(series, y).verdict == "diverged"
+        y = Fraction(y)
+        tail = (b1 / y) ** 81 / (y - b1)
+        ok = ok and abs(sum(terms(y)) - 1 / (y + 1)) <= tail
+    for y in (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)):
+        first, *_, last = terms(y)
+        ok = ok and abs(last) > abs(first)
     for y in (Fraction(-1, 2), Fraction(0), Fraction(2)):
         r = laplace_formal(P("exp(-x)"), y)
         ok = ok and abs(r.approx - 1 / (float(y) + 1)) < 1e-12
@@ -229,17 +238,22 @@ def test_criterion_09_regularized_vs_formal():
 
 
 def test_criterion_10_pw_pairing():
-    # e^(ix/2) = cos(x/2) + i sin(x/2), paired part by part (the pairing is linear)
-    cos, sin = (taylor_of(P(f"{func}(x/2)"), 80) for func in ("cos", "sin"))
-    phi = TaylorProfile.gaussian(80)
-    reps = [pw_pairing(f, phi, 60) for f in (cos, sin)]
-    value = reps[0].value + 1j * reps[1].value
-    expected = math.sqrt(2 * math.pi) * math.exp(-0.125)
-    ok = all(rep.verdict == "converged" for rep in reps) \
-        and abs(value.real - expected) < 1e-8 and abs(value.imag) < 1e-8
-    borel = TaylorProfile(tuple(Fraction(math.factorial(k)) for k in range(61)))
-    ok = ok and pw_pairing(cos, borel, 60).verdict == "diverged"
-    report(10, "pw-pairing", ok, f"gap {abs(value.real - expected):.2e}")
+    # e^(ix/2) = cos(x/2) + i sin(x/2) against the unit Gaussian, part by
+    # part (the pairing is linear), each within its own bound; a g growing
+    # like e^(x^2/2) has no pairing
+    parts = [gaussian_pairing(Fraction(1), P(f"{func}(x/2)")) for func in ("cos", "sin")]
+    with mpmath.workdps(40):
+        expected = mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(mpmath.mpf(-1) / 8)
+        gaps = [abs(mpmath.mpf(r.approx) - want) for r, want in zip(parts, (expected, 0))]
+    ok = all(gap <= r.diagnostics["tail_bound"]
+             and r.diagnostics["verdict"] == f"error<={r.diagnostics['tail_bound']:.2e}"
+             for r, gap in zip(parts, gaps))
+    try:
+        gaussian_pairing(Fraction(1), P("exp(x^2/2)"))
+        ok = False
+    except NotSeriesRepresentable:
+        pass
+    report(10, "pw-pairing", ok, f"gap {float(gaps[0]):.2e}")
 
 
 def test_criterion_11_frullani_log_chain():

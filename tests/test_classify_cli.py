@@ -693,6 +693,37 @@ def test_cli_refuses_flags_above_their_maxima(capsys, argv, flag, top):
     assert code == EXIT_OK and "approx:" in out
 
 
+@pytest.mark.parametrize("argv", [["laplace", "exp(-x)", "--at", "2"],
+                                  ["fourier", "sinc(x)", "--at", "1/2"], ["borwein", "8"],
+                                  ["lord", "--sinc", "1/3"], ["compare", "sinc(x)"]])
+def test_truncation_is_an_integrate_option_only(capsys, argv):
+    # only integrate reads a series order: the other commands ignored it
+    # (borwein 8 --truncation 5 printed borwein 8) and now refuse it
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--truncation", "5"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --truncation 5" in capsys.readouterr().err
+
+
+def test_laplace_keeps_an_exact_value_whose_diagnostic_is_past_the_double_range(capsys):
+    # the abscissa and the regularization are diagnostics: past the double
+    # range they read -inf and inf, where float() threw away the exact value
+    big = 10 ** 400
+    code, out, err = run_cli(capsys, "laplace", f"exp(-{big}*x)", "--at", "1")
+    assert code == EXIT_OK, err
+    assert f"exact:   1/{big + 1}" in out.splitlines()
+    for argv, exact, key, value in [
+            (("laplace", f"exp(-{big}*x)", "--at", "1"), f"1/{big + 1}", "abscissa", -math.inf),
+            (("laplace", "exp(-x)", "--at", "1", "--regularized", str(big)),
+             f"(-1/2)*exp(-{2 * big}) + 1/2", "regularization", math.inf)]:
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert (payload["exact"], payload["diagnostics"][key]) == (exact, value)
+        if jsonschema is not None:
+            jsonschema.validate(payload, JSON_SCHEMA)
+
+
 @pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000,
                                   "+".join(["sinc(x)"] * 3000)],
                          ids=["nested_parentheses", "long_sum"])

@@ -1,4 +1,4 @@
-"""Series engine: Taylor extraction, majorants, Laurent Laplace, intervals."""
+"""Series engine: Taylor extraction, growth majorants, Laurent terms, intervals."""
 
 import math
 import random
@@ -8,10 +8,10 @@ import pytest
 
 from opcalc.oracle import quad_interval
 from opcalc.parser import Num, Sym, as_vector_callable, parse_expression
-from opcalc.series import (_LADDERS, CONVERGED, DIVERGED, NotSeriesRepresentable,
-                           PowerSeries, SeriesConvergenceError, _binomial_convolve,
-                           _monomial_compose, finite_interval_transform, laplace_laurent,
-                           majorant_abscissa, taylor_of, termwise_integral)
+from opcalc.series import (_LADDERS, NotSeriesRepresentable, PowerSeries,
+                           SeriesConvergenceError, _binomial_convolve, _monomial_compose,
+                           finite_interval_transform, growth_majorant, taylor_of,
+                           termwise_integral)
 
 
 def frs(*nums):
@@ -117,79 +117,90 @@ def test_taylor_coefficients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# majorant abscissa
+# growth majorants and the Laurent series of the Laplace transform
 # ---------------------------------------------------------------------------
 
 def test_majorant_exp_minus_x():
-    est = majorant_abscissa(taylor_of(parse_expression("exp(-x)"), 80))
-    assert est.abscissa_estimate == pytest.approx(1.0, rel=0.10)
-    assert all(m >= 0 for m in est.coeffs)
+    # the abscissa of the Laplace transform's Laurent series is b1
+    assert growth_majorant(parse_expression("exp(-x)")) == (1, 0, 1, 0)
 
 
 def test_majorant_constant():
-    est = majorant_abscissa(taylor_of(parse_expression("1"), 80))
-    assert est.abscissa_estimate == 0.0
+    assert growth_majorant(parse_expression("1")) == (1, 0, 0, 0)
 
 
 def test_majorant_exp_2x():
-    est = majorant_abscissa(taylor_of(parse_expression("exp(2*x)"), 80))
-    assert est.abscissa_estimate == pytest.approx(2.0, rel=0.10)
+    assert growth_majorant(parse_expression("exp(2*x)")) == (1, 0, 2, 0)
+
+
+def laurent_terms(text, y, order=80):
+    """The terms a_k k!/y^(k+1), k <= order, of sum_k a_k k!/y^(k+1), the
+    Laurent series of the Laplace transform of *text*, exactly."""
+    s, y = taylor_of(parse_expression(text), order), Fraction(y)
+    return [s[k] * math.factorial(k) / y ** (k + 1) for k in range(order + 1)]
+
+
+def laurent_sum(text, y, order=80):
+    """(partial sum, bound on the rest) of the Laurent series of a c x^m e^(+-b x),
+    whose |a_k| k! <= a k^m b1^(k-m) with (a, m, b1) its growth majorant: past
+    the order each term is at most q = ((order+2)/(order+1))^m b1/y times the last."""
+    a, m, b1, _ = growth_majorant(parse_expression(text))
+    y, k = Fraction(y), order + 1
+    q = Fraction(k + 1, k) ** m * b1 / y
+    assert b1 < y and q < 1
+    return sum(laurent_terms(text, y, order)), a * k ** m * b1 ** (k - m) / y ** (k + 1) / (1 - q)
 
 
 def test_majorant_gaussian_tail_growth_means_no_laurent_domain():
-    est = majorant_abscissa(taylor_of(parse_expression("exp(x^2/2)"), 80))
-    assert est.abscissa_estimate == math.inf
+    # b2 > 0: a_(2j) (2j)! = (2j-1)!! outgrows every y^(2j), so at each y
+    # the terms of order 4 y^2 exceed the first one
+    assert growth_majorant(parse_expression("exp(x^2/2)")) == (1, 0, 0, Fraction(1, 2))
+    for y in (2, 5, 10):
+        first, *_, last = laurent_terms("exp(x^2/2)", y, 4 * y * y)
+        assert abs(last) > abs(first)
 
-
-# ---------------------------------------------------------------------------
-# Laurent Laplace route
-# ---------------------------------------------------------------------------
 
 def test_laurent_exp_converges_beyond_abscissa():
-    s = taylor_of(parse_expression("exp(-x)"), 80)
-    rep = laplace_laurent(s, 2)
-    assert rep.verdict == CONVERGED
-    assert rep.value == pytest.approx(1 / 3, abs=1e-12)
+    total, tail = laurent_sum("exp(-x)", 2)
+    assert abs(total - Fraction(1, 3)) <= tail < 1e-24
 
 
 def test_laurent_exp_diverges_inside_abscissa():
-    s = taylor_of(parse_expression("exp(-x)"), 80)
-    assert laplace_laurent(s, 0.5).verdict == DIVERGED
+    first, *_, last = laurent_terms("exp(-x)", Fraction(1, 2))
+    assert abs(last) > abs(first)
 
 
 def test_laurent_constant():
-    s = taylor_of(parse_expression("1"), 80)
-    rep = laplace_laurent(s, 3)
-    assert rep.verdict == CONVERGED
-    assert rep.value == pytest.approx(1 / 3, abs=1e-14)
+    assert laurent_sum("1", 3) == (Fraction(1, 3), 0)
 
 
 def test_laurent_rejects_nonpositive_y():
-    s = taylor_of(parse_expression("1"), 10)
-    with pytest.raises(ValueError):
-        laplace_laurent(s, 0)
+    # the transform 1/y of 1 has no value at y <= 0: the 1/y kernel refuses
+    from opcalc.transforms import DivergentIntegralError, laplace_formal
+    for y in (0, -1):
+        with pytest.raises(DivergentIntegralError):
+            laplace_formal(parse_expression("1"), y)
 
 
 def test_laurent_agrees_with_quadrature_when_converged():
     for text, y in [("exp(-x)", 2.0), ("x*exp(-x)", 3.0), ("exp(-2*x)", 4.0)]:
-        s = taylor_of(parse_expression(text), 80)
-        rep = laplace_laurent(s, y)
-        assert rep.verdict == CONVERGED
+        total, tail = laurent_sum(text, y)
+        assert tail < 1e-20
         f = as_vector_callable(parse_expression(text))
         radius = 60.0 / y
         quad = quad_interval(lambda xs: f(xs) * _np().exp(-xs * y),
                              0.0, radius, tol=1e-11)
-        assert rep.value == pytest.approx(quad.value, abs=1e-8)
+        assert float(total) == pytest.approx(quad.value, abs=1e-8)
 
 
 def test_laurent_divergence_monotone_in_y():
-    # diverging at y implies diverging at every smaller positive y
+    # the terms grow (the last beyond the first nonzero one) at every y up
+    # to the abscissa b1 and at no y past it
     for text in ("exp(-x)", "exp(3*x)", "x^2*exp(-2*x)"):
-        s = taylor_of(parse_expression(text), 80)
-        grid = [0.2, 0.5, 0.8, 1.2, 2.0, 3.5, 5.0]
-        verdicts = [laplace_laurent(s, y).verdict == DIVERGED for y in grid]
-        for small, big in zip(verdicts, verdicts[1:]):
-            assert big <= small  # once False (not diverged), never True again
+        b1 = growth_majorant(parse_expression(text))[2]
+        for y in (0.2, 0.5, 0.8, 1.2, 2.0, 3.5, 5.0):
+            terms = [t for t in laurent_terms(text, Fraction(y)) if t]
+            assert (abs(terms[-1]) > abs(terms[0])) == (y <= b1), (text, y)
 
 
 def _np():
@@ -213,10 +224,34 @@ def test_interval_x_exp():
     assert type(v) is float
 
 
+def frequency(text, order, a, b, y):
+    """The integral of f(x) e^(ixy) over [a, b], the interval pass of the
+    products f cos(xy) and f sin(xy) as its real and imaginary parts."""
+    return complex(*(finite_interval_transform(
+        taylor_of(parse_expression(f"({text})*{func}(({Fraction(y)})*x)"), order), a, b)
+        for func in ("cos", "sin")))
+
+
 def test_interval_fourier_kernel_full_period():
-    s = taylor_of(parse_expression("1"), 10)
-    v = finite_interval_transform(s, 0, math.pi, 1)
-    assert v == pytest.approx(2j, abs=1e-12)
+    assert frequency("1", 60, 0, math.pi, 1) == pytest.approx(2j, abs=1e-12)
+
+
+# Values of the integral of f e^(ixy) over [a, b] while the interval pass
+# read a frequency itself, by differentiating the kernel at y and then by
+# the cos and sin products of f's own series: the products' series must
+# round to the same floats.
+PINNED_FREQUENCIES = [
+    (("1", 60, 0, math.pi, 1), (1.2246467991473532e-16 + 2j)),
+    (("x*exp(-x)", 40, Fraction(-1, 2), Fraction(4, 3), Fraction(3, 2)),
+     (-0.020907829478540436 + 0.39883127526051787j)),
+    (("sinc(x)*exp(-x)", 70, -1, 2, Fraction(5, 7)),
+     (2.0999091152809197 - 0.3191325249486933j)),
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_FREQUENCIES)
+def test_interval_frequency_values_are_pinned(args, want):
+    assert frequency(*args) == want
 
 
 def test_interval_matches_termwise_rule_exactly():
@@ -243,29 +278,9 @@ def test_interval_agrees_with_quadrature_on_random_endpoints():
 def test_interval_truncation_nonconvergence_is_reported():
     # at a frequency the truncated series cannot resolve, the route refuses
     # to answer and reports the dangling term magnitude
-    s = taylor_of(parse_expression("exp(-x)"), 10)
+    s = taylor_of(parse_expression("exp(-x)*cos(50*x)"), 10)
     with pytest.raises(SeriesConvergenceError, match="magnitude"):
-        finite_interval_transform(s, 0, 1, 50)
-
-
-# Values of finite_interval_transform at y != 0 while it differentiated
-# the kernel at y in a ComplexRational double loop; the translation T_y
-# (multiply f by the e^(ixy) series, read off at 0) must give the same
-# floats.
-PINNED_FREQUENCIES = [
-    (("1", 10, 0, math.pi, 1), (1.2246467991473532e-16 + 2j)),
-    (("x*exp(-x)", 40, Fraction(-1, 2), Fraction(4, 3), Fraction(3, 2)),
-     (-0.020907829478540436 + 0.39883127526051787j)),
-    (("sinc(x)*exp(-x)", 70, -1, 2, Fraction(5, 7)),
-     (2.0999091152809197 - 0.3191325249486933j)),
-]
-
-
-@pytest.mark.parametrize("args, want", PINNED_FREQUENCIES)
-def test_interval_frequency_values_are_pinned(args, want):
-    text, order, a, b, y = args
-    got = finite_interval_transform(taylor_of(parse_expression(text), order), a, b, y)
-    assert got == want
+        finite_interval_transform(s, 0, 1)
 
 
 def test_interval_tail_refuses_unsettled_truncations():
@@ -412,9 +427,10 @@ def test_sinc_ladder_matches_sin_over_argument(inner):
 
 
 def test_series_fallback_value_is_unchanged():
-    from opcalc.transforms import fourier_regularized
-    result = fourier_regularized(parse_expression("exp(-x^2/2)*cos(x)"), 0, 12, 576)
-    assert f"{result.approx:.15g}" == "1.52034690106628"
+    # at order 576 and tail tolerance 1e-12 the window [-12, 12] holds the
+    # real-line value sqrt(2 pi) e^(-1/2) to every printed digit
+    s = taylor_of(parse_expression("exp(-x^2/2)*cos(x)"), 576)
+    assert f"{finite_interval_transform(s, -12, 12, tol=1e-12):.15g}" == "1.52034690106628"
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +444,6 @@ ROUTE_PRODUCTS = [("exp(-x^2/2)", "cos(x)"), ("sinc(x)^3", "exp(-x^2/2)"),
 
 @pytest.mark.parametrize("left, right", ROUTE_PRODUCTS)
 def test_mul_matches_the_reference_loop_at_route_orders(left, right):
-    # cos(3x/2) and sin(3x/2) are the parts a frequency y = 3/2 multiplies f by
     for order in (120, 200):
         a = taylor_of(parse_expression(left), order)
         b = taylor_of(parse_expression(right), order)
@@ -460,7 +475,7 @@ def test_mul_matches_the_reference_loop_on_factorial_denominators():
 
 
 def test_interval_matches_termwise_rule_at_the_fallback_order():
-    # the windowed fallback's own series, order and window
+    # the series, order and window of test_series_fallback_value_is_unchanged
     s = taylor_of(parse_expression("exp(-x^2/2)*cos(x)"), 576)
     route = finite_interval_transform(s, -12, 12, tol=1e-12)
     assert route == float(termwise_integral(s, -12, 12))
@@ -484,25 +499,6 @@ def test_interval_pass_is_the_termwise_rule_on_a_seeded_corpus():
                        ("x^3*exp(-x^2)", Fraction(-3), Fraction(-1, 5))):
         s = taylor_of(parse_expression(text), 120)
         assert finite_interval_transform(s, a, b) == float(termwise_integral(s, a, b))
-
-
-def test_interval_frequency_pass_reads_the_cos_and_sin_products():
-    # at y != 0 the pass reads f cos(xy) and f sin(xy), f padded by zero
-    # orders to the route's margin, as the real and imaginary parts of its
-    # value: each is the term-wise rule of its product, exactly, on
-    # negative, reversed and equal endpoints
-    rng = random.Random(3401)
-    q = lambda bound: Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
-    for trial in range(30):
-        f = PowerSeries(tuple(q(50) for _ in range(rng.randint(1, 26))) + (0,) * 3)
-        y, a, b = q(30) or Fraction(1, 3), q(40), q(40)
-        for lo, hi in ((a, b), (b, a), (a, a)):
-            m = f.order + 60 + int(4 * float(max(abs(lo), abs(hi), 1) * max(abs(y), 1)))
-            padded = PowerSeries(f.coeffs + (0,) * (m - f.order))
-            cos, sin = (padded.mul(reference_ladder(func, y, 1, m)) for func in ("cos", "sin"))
-            got = finite_interval_transform(f, lo, hi, y)
-            assert got.real == float(termwise_integral(cos, lo, hi)), (trial, y, lo, hi)
-            assert got.imag == float(termwise_integral(sin, lo, hi)), (trial, y, lo, hi)
 
 
 # ---------------------------------------------------------------------------

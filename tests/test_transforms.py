@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from opcalc.exact import ExactValue, exp_value, log_value
@@ -12,13 +13,12 @@ from opcalc.kernels import ONE_OVER_Y, one_over_y_chain, with_representatives
 from opcalc.operators import RampSum, apply_word
 from opcalc.oracle import quad_interval, quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
-from opcalc.series import SeriesConvergenceError, laplace_laurent, taylor_of
-from opcalc.transforms import (DivergentIntegralError, TaylorProfile,
-                               UnsupportedFamilyError, _word_for_halfline,
-                               fourier_regularized, fourier_via_delta,
+from opcalc.series import (NotSeriesRepresentable, SeriesConvergenceError,
+                           finite_interval_transform, growth_majorant, taylor_of)
+from opcalc.transforms import (DivergentIntegralError, UnsupportedFamilyError,
+                               _word_for_halfline, fourier_via_delta, gaussian_pairing,
                                integrate_half_line, integrate_rational_trig,
-                               integrate_real_line, laplace_formal,
-                               laplace_regularized, pw_pairing)
+                               integrate_real_line, laplace_formal, laplace_regularized)
 
 PI = ExactValue.pi_times(1)
 
@@ -162,14 +162,16 @@ def test_laplace_formal_matches_oracle_at_zero():
 
 
 def test_laplace_formal_agrees_with_laurent_when_it_converges():
-    s = taylor_of(P("exp(-x)"), 80)
-    for y in (Fraction(3, 2), 2, 5, 10):
-        lau = laplace_laurent(s, float(y))
-        assert lau.verdict == "converged"
-        formal = laplace_formal(P("exp(-x)"), y)
-        assert lau.value.real == pytest.approx(formal.approx, abs=1e-10)
-    # ... and extends beyond the Laurent domain
-    assert laplace_laurent(s, 0.5).verdict == "diverged"
+    # the exact Laurent sum of exp(-x) through order 80, sum_k (-1)^k/y^(k+1),
+    # is within its geometric tail (b1/y)^81/(y - b1) past the abscissa b1
+    s, b1 = taylor_of(P("exp(-x)"), 80), growth_majorant(P("exp(-x)"))[2]
+    terms = lambda y: [s[k] * math.factorial(k) / y ** (k + 1) for k in range(81)]
+    for y in (Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10)):
+        assert laplace_formal(P("exp(-x)"), y).exact == ExactValue.rational(1 / (y + 1))
+        assert abs(sum(terms(y)) - 1 / (y + 1)) <= (b1 / y) ** 81 / (y - b1)
+    # ... and extends beyond the Laurent domain, where the terms grow
+    first, *_, last = terms(Fraction(1, 2))
+    assert abs(last) > abs(first)
     assert laplace_formal(P("exp(-x)"), Fraction(1, 2)).exact == \
         ExactValue.rational(Fraction(2, 3))
 
@@ -268,62 +270,84 @@ def test_laplace_regularized_vs_formal():
             assert abs(formal - reg) <= 1e-10
 
 
+def mp(q):
+    """The rational q at the current mpmath precision."""
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def regularized_cases(rng, count):
+    """(text, f as an mpmath callable, y, A): x^k e^(ax), (1+x)^k e^(ax) and
+    e^(ax) - e^(bx) at real rates of either sign, y of either sign, A > 0."""
+    q = lambda lo, hi: Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+    for i in range(count):
+        k, a, b = rng.randint(0, 4), q(-6, 6), q(-6, 6)
+        b += b == a  # e^(ax) - e^(bx) is not 0
+        if i % 3 == 0:
+            text, f = f"x^{k}*exp(({a})*x)", lambda x, k=k, a=a: x ** k * mpmath.exp(mp(a) * x)
+        elif i % 3 == 1:
+            text, f = (f"(1+x)^{k}*exp(({a})*x)",
+                       lambda x, k=k, a=a: (1 + x) ** k * mpmath.exp(mp(a) * x))
+        else:
+            text, f = (f"exp(({a})*x)-exp(({b})*x)",
+                       lambda x, a=a, b=b: mpmath.exp(mp(a) * x) - mpmath.exp(mp(b) * x))
+        yield text, f, q(-8, 8), q(1, 12)
+
+
+def test_laplace_regularized_matches_quadrature_on_a_seeded_corpus():
+    # the word on the interval kernel of [0, A] against an independent
+    # reference: mpmath's quadrature of f(x) e^(-xy) over [0, A] at 40 digits
+    for text, f, y, A in regularized_cases(random.Random(3607), 36):
+        value = laplace_regularized(P(text), y, A).exact.evalf(30)
+        with mpmath.workdps(40):
+            ref = mpmath.quad(lambda x: f(x) * mpmath.exp(-x * mp(y)), [0, mp(A)])
+            assert abs(value - ref) <= mpmath.mpf(10) ** -30 * abs(ref), (text, y, A)
+
+
 def test_laplace_regularized_rejects_antiderivative_words():
     with pytest.raises(ValueError, match="need Ei"):
         laplace_regularized(P("(exp(-x)-exp(-2*x))/x"), 1, 10)
 
 
 # ---------------------------------------------------------------------------
-# fourier_regularized
+# The window [-a, a]: the claims of the retired windowed Fourier route
+# (fourier_regularized), read by the interval pass that integrate runs
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def regularized(text, y, a, n_terms):
-    """fourier_regularized on parsed *text*, computed once per input: the
-    pinned values below share the costliest inputs with the tests above."""
-    return fourier_regularized(P(text), y, a, n_terms)
+def window(text, y, a, order):
+    """The integral of f(x) cos(xy) over [-a, a], the real part of f's
+    windowed transform at y: the interval pass of the product's series,
+    computed once per input."""
+    source = text if y == 0 else f"({text})*cos(({y})*x)"
+    return finite_interval_transform(taylor_of(P(source), order), -a, a, tol=1e-12)
 
 
 def test_fourier_regularized_identity_on_constants():
-    # f = 1: the operator is the identity, value = 2a sinc(a y)
-    r = regularized("1", Fraction(1, 2), 3, 40)
+    # f = 1: the windowed transform is 2a sinc(a y)
     expected = 2 * 3 * math.sin(1.5) / 1.5
-    assert r.approx == pytest.approx(expected, abs=1e-12)
+    assert window("1", Fraction(1, 2), 3, 40) == pytest.approx(expected, abs=1e-12)
 
 
 def test_fourier_regularized_gaussian_window():
-    r = regularized("exp(-x^2/2)", 0, 30, 2600)
-    assert r.approx == pytest.approx(math.sqrt(2 * math.pi), abs=1e-6)
-    assert r.diagnostics["verdict"] == "converged"
+    assert window("exp(-x^2/2)", 0, 30, 2600) == pytest.approx(math.sqrt(2 * math.pi),
+                                                               abs=1e-6)
 
 
 def test_fourier_regularized_odd_integrand():
-    r = regularized("x*exp(-x^2/2)", 0, 10, 400)
-    assert r.approx == pytest.approx(0.0, abs=1e-20)
+    assert window("x*exp(-x^2/2)", 0, 10, 400) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_fourier_regularized_equals_windowed_integral():
-    # at finite a the value is the integral of f e^(ixy) over [-a, a]
     a = 6
-    r = regularized("exp(-x^2/2)", 1, a, 260)
     f = as_vector_callable(P("exp(-x^2/2)"))
-    rep = quad_interval(lambda xs: f(xs) * np().cos(xs), -float(a), float(a),
-                        tol=1e-12)
-    assert r.approx == pytest.approx(rep.value, abs=1e-10)
+    rep = quad_interval(lambda xs: f(xs) * np().cos(xs), -float(a), float(a), tol=1e-12)
+    assert window("exp(-x^2/2)", 1, a, 260) == pytest.approx(rep.value, abs=1e-10)
 
 
-def test_heat_kernel_identity_numerically():
-    # transform of the unit Gaussian is sqrt(2 pi) times itself: the fact
-    # that exp(D^2/2) turns the delta into the unit Gaussian over sqrt(2 pi)
-    for y in (Fraction(1), Fraction(3, 2)):
-        r = regularized("exp(-x^2/2)", y, 12, 620)
-        expected = math.sqrt(2 * math.pi) * math.exp(-float(y) ** 2 / 2)
-        assert r.approx == pytest.approx(expected, abs=1e-9)
-
-
-# repr of the value each input gave while the route summed in adaptive
-# mpmath precision; the exact finite-interval pass must round to the same
-# floats.  The last two inputs are the real-line series fallback.
+# repr of the value each input gave while the windowed route summed in
+# adaptive mpmath precision, and then as its exact pass on [-a, a]: the
+# interval pass of f (y = 0) or of f cos(xy) must round to the same floats.
+# The last two inputs are the real-line series fallback.
 PINNED_REGULARIZED = [
     (("1", Fraction(1, 2), 3, 40), "3.989979946416218"),
     (("exp(-x^2/2)", 0, 30, 2600), "2.5066282746310007"),
@@ -338,64 +362,61 @@ PINNED_REGULARIZED = [
 
 @pytest.mark.parametrize("args, want", PINNED_REGULARIZED)
 def test_fourier_regularized_values_are_pinned(args, want):
-    r = regularized(*args)
-    assert repr(r.approx) == want
-    assert (r.method, r.formula, r.exact) == ("fourier_regularized",
-                                              "windowed_sinc_kernel", None)
-    assert r.diagnostics == {"regularization": float(args[2]), "truncation": args[3],
-                             "verdict": "converged"}
+    assert repr(window(*args)) == want
 
 
 def test_fourier_regularized_refuses_a_value_beyond_the_double_range():
     # the window integral of e^(x^2/2) on [-38, 38] is about 10^312; the
-    # tail settles at this order, and the value used to print inf with
-    # verdict converged
+    # tail settles at this order, and the windowed route used to print inf
     with pytest.raises(SeriesConvergenceError,
                        match=r"double range: \|value\| is about 10\^312"):
-        fourier_regularized(P("exp(x^2/2)"), 0, 38, 1900)
+        window("exp(x^2/2)", 0, 38, 1900)
 
 
 # ---------------------------------------------------------------------------
-# Paley-Wiener pairing
+# Gaussian moment pairing
 # ---------------------------------------------------------------------------
+
+def within_bound(result, want) -> bool:
+    """|value - want| within the pairing's own printed bound, want at 40 digits."""
+    diag = result.diagnostics
+    with mpmath.workdps(40):
+        gap = abs(mpmath.mpf(result.approx) - want)
+    return gap <= diag["tail_bound"] and diag["verdict"] == f"error<={diag['tail_bound']:.2e}"
+
+
+def gaussian_transform(y):
+    """sqrt(2 pi) e^(-y^2/2), the unit Gaussian's transform at y, at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(-mp(Fraction(y)) ** 2 / 2)
+
+
+def test_heat_kernel_identity_numerically():
+    # transform of the unit Gaussian is sqrt(2 pi) times itself: the fact
+    # that exp(D^2/2) turns the delta into the unit Gaussian over sqrt(2 pi)
+    for y in (Fraction(1), Fraction(3, 2)):
+        r = gaussian_pairing(Fraction(1), P(f"cos(({y})*x)"))
+        assert within_bound(r, gaussian_transform(y))
+
 
 def test_pairing_constant_and_monomial():
-    phi = TaylorProfile.gaussian(60)
-    one = taylor_of(P("1"), 60)
-    rep = pw_pairing(one, phi, 60)
-    assert rep.value.real == pytest.approx(math.sqrt(2 * math.pi), abs=1e-12)
-    fx = taylor_of(P("x"), 60)
-    rep = pw_pairing(fx, phi, 60)
-    assert abs(rep.value) == pytest.approx(0.0, abs=1e-15)
-
-
-def plane_wave(order):
-    """e^(ix/2) as its parts cos(x/2) and sin(x/2), which pw_pairing takes
-    one by one: the pairing is linear."""
-    return [taylor_of(P(f"{func}(x/2)"), order) for func in ("cos", "sin")]
+    assert within_bound(gaussian_pairing(Fraction(1), P("1")), gaussian_transform(0))
+    r = gaussian_pairing(Fraction(1), P("x"))
+    assert r.approx == 0.0 and r.diagnostics["tail_bound"] == 0.0
 
 
 def test_pairing_plane_wave_evaluates_profile():
-    phi = TaylorProfile.gaussian(80)
-    reps = [pw_pairing(f, phi, 60) for f in plane_wave(80)]
-    assert [rep.verdict for rep in reps] == ["converged", "converged"]
-    value = reps[0].value + 1j * reps[1].value
-    expected = math.sqrt(2 * math.pi) * math.exp(-0.125)
-    assert value.real == pytest.approx(expected, abs=1e-8)
-    assert abs(value.imag) < 1e-10
+    # e^(ix/2) as its parts cos(x/2) and sin(x/2), paired one by one: the
+    # pairing is linear
+    cos, sin = (gaussian_pairing(Fraction(1), P(f"{func}(x/2)")) for func in ("cos", "sin"))
+    assert within_bound(cos, gaussian_transform(Fraction(1, 2)))
+    assert within_bound(sin, 0)
 
 
 def test_pairing_divergent_profile():
-    bad = TaylorProfile(tuple(Fraction(math.factorial(k)) for k in range(61)))
-    assert pw_pairing(plane_wave(60)[0], bad, 60).verdict == "diverged"
-
-
-def test_profile_from_closed_form_matches_builtin():
-    built = TaylorProfile.gaussian(40)
-    derived = TaylorProfile.from_series(taylor_of(P("exp(-x^2/2)"), 40))
-    assert built.derivs == derived.derivs
-    for f in plane_wave(40):
-        assert pw_pairing(f, built, 40).value == pw_pairing(f, derived, 40).value
+    # a g growing like e^(x^2/2) against e^(-x^2/2) has no pairing
+    with pytest.raises(NotSeriesRepresentable, match="diverges"):
+        gaussian_pairing(Fraction(1), P("exp(x^2/2)"))
 
 
 # ---------------------------------------------------------------------------
