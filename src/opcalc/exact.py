@@ -18,6 +18,13 @@ residue is floored to one common binary exponent, so no coefficient is
 ever converted to mpmath.  A value is a "pure pi multiple" iff its plain
 rational part is zero and no transcendental residues remain.
 
+The atoms are written once, in the table ``ATOMS``: one row per
+``Residue`` field, in printing and ordering order, with the printed form
+and the mpmath value of one argument.  ``Residue`` and ``_normalize_term``
+read the table.  A new function atom, whose field is a sorted tuple of
+arguments like erf's and log's, is one row with its canonical rule plus
+one defaulted tuple field appended to ``Residue``.
+
 ``Rational`` is the stdlib ``fractions.Fraction``, which already maintains
 lowest terms and a positive denominator.  ``ComplexRational`` supplies the
 exact complex coefficients needed when trigonometric integrands are
@@ -28,9 +35,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import mpmath
 from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
@@ -205,17 +213,66 @@ CR_I = ComplexRational(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
-# Transcendental residues and exact values
+# Transcendental atoms and residues
 # ---------------------------------------------------------------------------
+
+def _to_mpf(q: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+
+
+def _ranked(q: Fraction) -> tuple:
+    """The ordering key of a rational: its sort_rank, then itself."""
+    return sort_rank(q), q
+
+
+def _log_canonical(s: Fraction, coeff: Fraction):
+    """log(1/s) == -log(s), so arguments are kept above 1, and log(1) == 0."""
+    if s <= 0:
+        raise ValueError(f"log argument must be positive, got {s}")
+    return None if s == 1 else (1 / s, -coeff) if s < 1 else (s, coeff)
+
+
+class Atom(NamedTuple):
+    """One row of ATOMS: its Residue field, the printed form, mpmath value
+    and ordering key of one argument.  A function atom's field is a sorted
+    tuple of arguments that a product joins, and its canonical rule maps
+    (argument, coefficient) to the same or to None when the atom is 0; any
+    other field is one argument that a product adds, 0 for no atom."""
+
+    name: str
+    text: Callable
+    value: Callable
+    key: Callable = _ranked
+    canonical: Optional[Callable] = None
+
+
+# in printing and ordering order; a canonical sqrt(2 pi) power is 0 or 1
+ATOMS = (
+    Atom("pi_power", lambda n: "pi" if n == 1 else f"pi^{n}", lambda n: mpmath.pi ** n, key=int),
+    Atom("sqrt_two_pi", lambda n: "sqrt(2*pi)", lambda n: mpmath.sqrt(2 * mpmath.pi) ** n,
+         key=int),
+    Atom("e_exp", lambda q: f"exp({q})", lambda q: mpmath.exp(_to_mpf(q))),
+    Atom("erf_args", lambda r: f"erf({r}/sqrt(2))",
+         lambda r: mpmath.erf(_to_mpf(r) / mpmath.sqrt(2)),
+         canonical=lambda r, c: None if r == 0 else (-r, -c) if r < 0 else (r, c)),  # odd
+    Atom("log_args", lambda s: f"log({s})", lambda s: mpmath.log(_to_mpf(s)),
+         canonical=_log_canonical),
+)
+_fields = operator.attrgetter(*(atom.name for atom in ATOMS))
+_function_fields = operator.attrgetter(*(atom.name for atom in ATOMS if atom.canonical))
+_NO_ATOMS = tuple(() if atom.canonical else 0 for atom in ATOMS)
+_PI_ONLY = (1, *_NO_ATOMS[1:])
+
 
 @dataclass(frozen=True, order=True)
 class Residue:
     """A product of transcendental atoms multiplying a rational coefficient.
 
     Represents pi**pi_power * sqrt(2*pi)**sqrt_two_pi * exp(e_exp)
-    * prod(erf(r/sqrt(2)) for r in erf_args) * prod(log(s) for s in log_args).
-    The trivial residue (all unit factors) stands for the plain rational
-    slot, and the residue with only pi_power == 1 is the pi slot.
+    * prod(erf(r/sqrt(2)) for r in erf_args) * prod(log(s) for s in log_args):
+    one field per row of ATOMS, in its order.  The trivial residue (all
+    unit factors) stands for the plain rational slot, and the residue with
+    only pi_power == 1 is the pi slot.
     """
 
     pi_power: int = 0
@@ -226,43 +283,28 @@ class Residue:
 
     @property
     def is_trivial(self) -> bool:
-        return (self.pi_power == 0 and self.sqrt_two_pi == 0
-                and self.e_exp == 0 and not self.erf_args and not self.log_args)
+        return _fields(self) == _NO_ATOMS
 
     @property
     def is_pure_pi(self) -> bool:
-        return (self.pi_power == 1 and self.sqrt_two_pi == 0
-                and self.e_exp == 0 and not self.erf_args and not self.log_args)
+        return _fields(self) == _PI_ONLY
 
     def combine(self, other: "Residue") -> tuple["Residue", int]:
         """Product of two residues; returns (residue, carried factor 1 or 2)."""
-        carry = 1
-        pi_power = self.pi_power + other.pi_power
-        sqrt = self.sqrt_two_pi + other.sqrt_two_pi
-        if sqrt >= 2:
-            # sqrt(2*pi)**2 == 2*pi
-            sqrt -= 2
-            pi_power += 1
-            carry = 2
-        return Residue(pi_power, sqrt, self.e_exp + other.e_exp if other.e_exp else self.e_exp,
-                       tuple(sorted(self.erf_args + other.erf_args)),
-                       tuple(sorted(self.log_args + other.log_args))), carry
+        fields = [tuple(sorted(a + b)) if atom.canonical else a + b if b else a
+                  for atom, a, b in zip(ATOMS, _fields(self), _fields(other))]
+        if fields[1] < 2:
+            return Residue(*fields), 1
+        fields[0] += 1  # sqrt(2*pi)**2 == 2*pi
+        fields[1] -= 2
+        return Residue(*fields), 2
 
     def expr(self) -> str:
         parts = []
-        if self.pi_power == 1:
-            parts.append("pi")
-        elif self.pi_power:
-            parts.append(f"pi^{self.pi_power}")
-        if self.sqrt_two_pi:
-            parts.append("sqrt(2*pi)")
-        if self.e_exp != 0:
-            parts.append(f"exp({self.e_exp})")
-        for r in self.erf_args:
-            parts.append(f"erf({r}/sqrt(2))")
-        for s in self.log_args:
-            parts.append(f"log({s})")
-        return "*".join(parts) if parts else "1"
+        for atom, arg in zip(ATOMS, _fields(self)):
+            if arg:  # scalar rows print nothing at 0
+                parts += map(atom.text, arg) if atom.canonical else (atom.text(arg),)
+        return "*".join(parts) or "1"
 
     # Residues key the per-residue sums of every read-off, and a chain
     # reuses its residues from point to point: the ordering key and the
@@ -272,50 +314,37 @@ class Residue:
     def sort_key(self) -> tuple:
         key = self.__dict__.get("_key")
         if key is None:
-            key = self.__dict__["_key"] = (
-                self.pi_power, self.sqrt_two_pi, sort_rank(self.e_exp), self.e_exp,
-                tuple((sort_rank(r), r) for r in self.erf_args),
-                tuple((sort_rank(s), s) for s in self.log_args))
+            key = self.__dict__["_key"] = tuple(
+                tuple(map(atom.key, arg)) if atom.canonical else atom.key(arg)
+                for atom, arg in zip(ATOMS, _fields(self)))
         return key
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = self.__dict__["_hash"] = hash((self.pi_power, self.sqrt_two_pi, self.e_exp,
-                                               self.erf_args, self.log_args))
+            h = self.__dict__["_hash"] = hash(_fields(self))
         return h
 
     def _times(self, pi_power: int, sqrt_two_pi: int, e_exp: Fraction) -> "Residue":
         """A residue with these pi and sqrt(2 pi) powers and exp argument and
-        this one's erf and log arguments as they stand: its ordering key is
-        this one's with a new head, so nothing is sorted or ranked again."""
+        this one's function atoms as they stand: its ordering key is this
+        one's with a new head, so nothing is sorted or ranked again."""
         key = self.sort_key
         out = object.__new__(Residue)
         out.__dict__.update(
-            pi_power=pi_power, sqrt_two_pi=sqrt_two_pi, e_exp=e_exp,
-            erf_args=self.erf_args, log_args=self.log_args,
+            self.__dict__, pi_power=pi_power, sqrt_two_pi=sqrt_two_pi, e_exp=e_exp,
             _key=(pi_power, sqrt_two_pi, *(key[2:] if e_exp is self.e_exp
-                                           else (sort_rank(e_exp), e_exp, *key[4:]))))
+                                           else (_ranked(e_exp), *key[3:]))))
+        out.__dict__.pop("_hash", None)
         return out
 
     def evalf(self) -> mpmath.mpf:
         """Numeric value at the current mpmath working precision."""
         v = mpmath.mpf(1)
-        if self.pi_power:
-            v *= mpmath.pi ** self.pi_power
-        if self.sqrt_two_pi:
-            v *= mpmath.sqrt(2 * mpmath.pi) ** self.sqrt_two_pi
-        if self.e_exp != 0:
-            v *= mpmath.exp(_to_mpf(self.e_exp))
-        for r in self.erf_args:
-            v *= mpmath.erf(_to_mpf(r) / mpmath.sqrt(2))
-        for s in self.log_args:
-            v *= mpmath.log(_to_mpf(s))
+        for atom, arg in zip(ATOMS, _fields(self)):
+            for a in arg if atom.canonical else (arg,) if arg else ():
+                v *= atom.value(a)
         return v
-
-
-def _to_mpf(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -333,26 +362,18 @@ def _normalize_term(residue: Residue, coeff: Fraction):
         return None
     if residue.pi_power < 0 or residue.sqrt_two_pi not in (0, 1):
         raise ValueError(f"unsupported residue shape: {residue}")
-    erf_args = []
-    for r in residue.erf_args:
-        if r == 0:
-            return None  # erf(0) == 0 kills the whole product
-        if r < 0:
-            coeff = -coeff  # erf is odd
-            r = -r
-        erf_args.append(r)
-    log_args = []
-    for s in residue.log_args:
-        if s <= 0:
-            raise ValueError(f"log argument must be positive, got {s}")
-        if s == 1:
-            return None  # log(1) == 0
-        if s < 1:
-            coeff = -coeff  # log(1/s) == -log(s); keep arguments > 1
-            s = 1 / s
-        log_args.append(s)
-    return Residue(residue.pi_power, residue.sqrt_two_pi, residue.e_exp,
-                   tuple(sorted(erf_args)), tuple(sorted(log_args))), coeff
+    fields = list(_fields(residue))
+    for i, atom in enumerate(ATOMS):
+        if atom.canonical and fields[i]:
+            args = []
+            for arg in fields[i]:
+                term = atom.canonical(arg, coeff)
+                if term is None:
+                    return None
+                arg, coeff = term
+                args.append(arg)
+            fields[i] = tuple(sorted(args))
+    return Residue(*fields), coeff
 
 
 _TRIVIAL = Residue()
@@ -409,17 +430,11 @@ class ExactValue:
     # -- structure -----------------------------------------------------
     @property
     def rational_part(self) -> Fraction:
-        for r, c in self.terms:
-            if r.is_trivial:
-                return c
-        return Fraction(0)
+        return next((c for r, c in self.terms if r.is_trivial), Fraction(0))
 
     @property
     def pi_coefficient(self) -> Fraction:
-        for r, c in self.terms:
-            if r.is_pure_pi:
-                return c
-        return Fraction(0)
+        return next((c for r, c in self.terms if r.is_pure_pi), Fraction(0))
 
     @property
     def residues(self) -> tuple:
@@ -462,8 +477,7 @@ class ExactValue:
             return ExactValue.from_terms((r, c * q) for r, c in self.terms)
         if isinstance(other, ExactValue):
             for mono, rest in ((self, other), (other, self)):
-                if len(mono.terms) == 1 and not (mono.terms[0][0].erf_args
-                                                 or mono.terms[0][0].log_args):
+                if len(mono.terms) == 1 and not any(_function_fields(mono.terms[0][0])):
                     return rest._times_monomial(*mono.terms[0])
             items = []
             for r1, c1 in self.terms:
@@ -553,27 +567,12 @@ class ExactValue:
 
     # -- formatting ------------------------------------------------------
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        out = ""
         for r, c in self.terms:
-            if r.is_trivial:
-                frag = str(c)
-            else:
-                if c == 1:
-                    frag = r.expr()
-                elif c == -1:
-                    frag = f"-{r.expr()}"
-                else:
-                    frag = f"({c})*{r.expr()}"
-            parts.append(frag)
-        out = parts[0]
-        for frag in parts[1:]:
-            if frag.startswith("-"):
-                out += " - " + frag[1:]
-            else:
-                out += " + " + frag
-        return out
+            frag = str(c) if r.is_trivial else r.expr() if c == 1 else \
+                f"-{r.expr()}" if c == -1 else f"({c})*{r.expr()}"
+            out += frag if not out else f" - {frag[1:]}" if frag[0] == "-" else f" + {frag}"
+        return out or "0"
 
     __repr__ = __str__
 

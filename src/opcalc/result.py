@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +40,9 @@ class TransformResult:
     def approx(self):
         """The float shadow; OverflowError for an exact value past the double range."""
         if self.exact is not None and not mpmath.isfinite(self.shadow):
+            digits = mpmath.log10(abs(self.exact.evalf(25)))
+            shown = (f"{float(digits):.1f}" if math.isfinite(float(digits))
+                     else f"({mpmath.nstr(digits, 2)})")  # itself past the double range
             raise OverflowError(
-                "exact value is beyond the double range: |value| is about "
-                f"10^{float(mpmath.log10(abs(self.exact.evalf(25)))):.1f}")
+                f"exact value is beyond the double range: |value| is about 10^{shown}")
         return self.shadow

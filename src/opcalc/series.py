@@ -467,6 +467,19 @@ def _check_interval_tail(series: PowerSeries, radius: Fraction, log_total: float
             math.exp(worst) if worst < 709 else math.inf)
 
 
+def interval_series(ast: Node, n: int) -> PowerSeries:
+    """taylor_of(ast, n) for the finite-interval pass.  A series that is 0
+    through order n >= 2 bounds nothing, since the terms of x^81 or
+    sin(x)^90 all lie past 80: SeriesConvergenceError, unless ast is a
+    polynomial of degree <= n, so the zero polynomial.  A power of a sum or
+    a function is not expanded to tell, so sin(x) - sin(x) is refused."""
+    series = taylor_of(ast, n)
+    if n < 2 or any(series.nums) or (_plain_polynomial(ast) and not polynomial_of(ast)):
+        return series
+    raise SeriesConvergenceError(f"finite-interval series is identically 0 at truncation "
+                                 f"order {n}: its terms may all lie past that order")
+
+
 def finite_interval_transform(series: PowerSeries, a, b, tol: float = 1e-15) -> float:
     """Integral of f over [a, b].
 

@@ -41,7 +41,8 @@ from .operators import (NotExponentialPolynomial, OperatorWord, RampSum,
 from .parser import Node, as_vector_callable
 from .result import TransformResult
 from .series import (DEFAULT_TRUNCATION, NotSeriesRepresentable, SeriesConvergenceError,
-                     finite_interval_transform, growth_majorant, moment_order, taylor_of)
+                     finite_interval_transform, growth_majorant, interval_series,
+                     moment_order, taylor_of)
 
 
 class UnsupportedFamilyError(ValueError):
@@ -380,6 +381,6 @@ def integrate(ast: Node, lo=-math.inf, hi=math.inf,
     if (lo, hi) in _HALF_LINES:
         return integrate_half_line(ast, _HALF_LINES[lo, hi])
     return TransformResult(
-        finite_interval_transform(taylor_of(ast, truncation), lo, hi),
+        finite_interval_transform(interval_series(ast, truncation), lo, hi),
         method="series_finite_interval", formula="finite_interval_kernel",
         diagnostics={"truncation": truncation, "verdict": "truncated-exact"})

@@ -25,7 +25,9 @@ A category names how an outcome moved, such as "exit 3 -> exit 0" or
 "exit 3 -> exit 3, reason" (another stderr); an answer that is no longer
 byte-identical is "exit 0 -> exit 0, stdout".  Each category prints its
 count and its first examples, and the reasons that moved are tallied per
-family with the quoted sources and the numbers masked.
+family with the quoted sources and the numbers masked.  ``diff`` exits 1
+when any request moved or is in one file only, and 0 when the outcomes are
+unchanged, so a refactor that keeps every outcome checks in one status.
 """
 
 from __future__ import annotations
@@ -239,6 +241,7 @@ def main(argv: list) -> None:
                 print(f"           {' '.join(example)}")
         for (family, was, now), n in reasons.most_common():
             print(f"{n:7d}  {family}: {was} -> {now}")
+        sys.exit(any(n for moved, n in counts.items() if moved != "unchanged"))
     else:
         sys.exit(__doc__)
 

@@ -911,6 +911,20 @@ def test_cli_exact_value_beyond_the_double_range_exits_4(capsys):
     assert "10^977.9" in err
 
 
+def test_cli_exact_value_whose_exponent_is_beyond_the_double_range_exits_4(capsys):
+    # (e^(2(N + 1)) - 1)/(N + 1) at N = 10^400 has a decimal exponent near
+    # 8.7e399: this printed 10^inf
+    code, out, err = run_cli(capsys, "laplace", "exp(x)", "--at", f"-{10 ** 400}",
+                             "--regularized", "2")
+    assert (code, out) == (EXIT_NONCONVERGENT, "")
+    assert err == ("non-convergent: exact value is beyond the double range: "
+                   "|value| is about 10^(8.7e+399)\n")
+    # a finite exponent keeps its one-decimal text
+    code, out, err = run_cli(capsys, "laplace", "exp(x)", "--at", "-1000", "--regularized", "2")
+    assert (code, out) == (EXIT_NONCONVERGENT, "")
+    assert err.endswith("|value| is about 10^866.5\n")
+
+
 def test_cli_exact_flag_prints_a_value_beyond_the_double_range(capsys):
     # sum_j C(200, j) j!, about 10^375: --exact asks for no float, but the
     # value was refused as beyond the double range all the same
@@ -1207,6 +1221,26 @@ def test_cli_finite_interval_refuses_an_unsettled_tail(capsys):
                        "or more to bound its tail\n")
     code, out, err = run_cli(capsys, "integrate", "x*exp(-x)", "--interval", "0", "1")
     assert code == EXIT_OK and "approx:  0.264241117657115" in out
+
+
+def test_cli_finite_interval_refuses_a_series_with_no_term(capsys):
+    # every term lies past the truncation order, so the series is 0 there;
+    # each of these printed 0.0 with verdict truncated-exact
+    for expr, *rest, order in [("x^81", "0", "1", "80"), ("x^100", "0", "1", "80"),
+                               ("exp(-x)*x^90", "0", "1", "80"), ("sin(x)^90", "0", "1", "80"),
+                               ("x^3", "0", "2", "2"), ("sin(x)-sin(x)", "0", "1", "80")]:
+        code, out, err = run_cli(capsys, "integrate", expr, "--interval", *rest,
+                                 "--truncation", order)
+        assert (code, out) == (EXIT_NONCONVERGENT, ""), expr
+        assert err == (f"non-convergent: finite-interval series is identically 0 at truncation "
+                       f"order {order}: its terms may all lie past that order\n")
+    # a polynomial of degree <= the order is read whole: 0 is its value
+    for expr in ("x-x", "x^100-x^100", "x*(x-x)"):
+        code, out, err = run_cli(capsys, "integrate", expr, "--interval", "0", "1")
+        assert code == EXIT_OK and "approx:  0.0\n" in out, (expr, err)
+    # below order 2 the missing tail bound is named first
+    code, _, err = run_cli(capsys, "integrate", "x^3", "--interval", "0", "2", "--truncation", "1")
+    assert code == EXIT_NONCONVERGENT and "needs truncation order 2 or more" in err
 
 
 def test_cli_finite_interval_refuses_a_truncated_denominator(capsys):

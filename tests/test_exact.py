@@ -1,5 +1,7 @@
 """Exact-core: rationals, complex rationals, residues, special integers."""
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcalc.borwein import sinc_power_gaussian
-from opcalc.exact import (SQRT_TWO_PI, ComplexRational, ExactValue, Residue,
+from opcalc.exact import (ATOMS, SQRT_TWO_PI, ComplexRational, ExactValue, Residue,
                           _residue_value, double_factorial, erf_value, exp_value,
                           log_value)
 from opcalc.parser import parse_expression
@@ -482,3 +484,90 @@ def test_sort_key_orders_residues_whose_arguments_tie_as_floats():
                  for r, _ in product.terms]
         assert [r.sort_key for r, _ in product.terms] == [r.sort_key for r in fresh]
         assert [r for r, _ in product.terms] == sorted(fresh)
+
+
+# ---------------------------------------------------------------------------
+# The atom table
+# ---------------------------------------------------------------------------
+
+def test_atom_table_has_one_row_per_residue_field_in_order():
+    assert [atom.name for atom in ATOMS] == [f.name for f in dataclasses.fields(Residue)]
+    # the function atoms, and only they, hold tuples of arguments
+    assert [bool(atom.canonical) for atom in ATOMS] == \
+        [f.default == () for f in dataclasses.fields(Residue)]
+
+
+def test_a_residue_of_every_atom_prints_and_evaluates_atom_by_atom():
+    args = (2, 1, Fraction(-1, 3), (Fraction(1, 2), Fraction(3)), (Fraction(5, 2),))
+    residue = Residue(*args)
+    atoms = [(atom, a) for atom, arg in zip(ATOMS, args)
+             for a in (arg if atom.canonical else (arg,))]
+    assert residue.expr() == "*".join(atom.text(a) for atom, a in atoms) == \
+        "pi^2*sqrt(2*pi)*exp(-1/3)*erf(1/2/sqrt(2))*erf(3/sqrt(2))*log(5/2)"
+    with mpmath.workdps(40):
+        want = mpmath.fprod(atom.value(a) for atom, a in atoms)
+        truth = (mpmath.pi ** 2 * mpmath.sqrt(2 * mpmath.pi) * mpmath.exp(mpmath.mpf(-1) / 3)
+                 * mpmath.erf(mpmath.mpf(1) / 2 / mpmath.sqrt(2)) * mpmath.erf(3 / mpmath.sqrt(2))
+                 * mpmath.log(mpmath.mpf(5) / 2))
+    assert abs(want - truth) <= abs(truth) * mpmath.mpf(10) ** -38
+    assert abs(ExactValue.single(residue).evalf(40) - truth) <= abs(truth) * mpmath.mpf(10) ** -38
+
+
+def test_canonical_rules_of_the_function_atoms():
+    erf, log = (atom.canonical for atom in ATOMS[3:])
+    assert erf(Fraction(-2), Fraction(3)) == (2, -3) and erf(Fraction(0), 1) is None
+    assert log(Fraction(1, 4), Fraction(3)) == (4, -3) and log(Fraction(1), 1) is None
+    with pytest.raises(ValueError, match="log argument must be positive"):
+        log(Fraction(-1), 1)
+
+
+# ---------------------------------------------------------------------------
+# Pinned values: text, term order, pi coefficient and shadows
+# ---------------------------------------------------------------------------
+
+def _pinned_values(seed=3701):
+    """500 seeded values: single atoms of every kind (negative erf and
+    below-1 log arguments among them, and unsorted residues through
+    from_terms), sums, general products and monomial products."""
+    rng = random.Random(seed)
+    q = lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+    pos = lambda: Fraction(rng.randint(1, 40), rng.randint(1, 7))
+    atoms = (lambda: ExactValue.rational(q()), lambda: ExactValue.pi_times(q()),
+             lambda: SQRT_TWO_PI * q(), lambda: exp_value(q(), q()),
+             lambda: erf_value(q(), q()), lambda: log_value(pos(), q()),
+             lambda: ExactValue.from_terms([(Residue(
+                 rng.randint(0, 2), rng.randint(0, 1), q(),
+                 tuple(q() for _ in range(rng.randint(0, 2))),
+                 tuple(pos() for _ in range(rng.randint(0, 2)))), q())]))
+    term = lambda: rng.choice(atoms)()
+    total = lambda: sum((term() for _ in range(rng.randint(1, 4))), ExactValue.zero())
+    values = []
+    for _ in range(500):
+        shape = rng.randrange(4)
+        if shape == 0:
+            values.append(term())
+        elif shape == 1:
+            values.append(total())
+        elif shape == 2:
+            values.append(total() * total())
+        else:
+            values.append(total() * term() - term())
+    return values
+
+
+# sha256 of the pinned values' text, terms, pi coefficient and shadows,
+# computed before the atoms were read from one table
+PINNED_DIGEST = "e9753cbc1817810d3610b45a4772730bde651072644b98b2b1d760833224bad8"
+
+
+def test_pinned_values_keep_their_text_order_and_shadows():
+    values = _pinned_values()
+    kinds = {atom.name for v in values for r, _ in v.terms
+             for atom, arg in zip(ATOMS, dataclasses.astuple(r)) if arg}
+    assert kinds == {atom.name for atom in ATOMS}
+    digest = hashlib.sha256()
+    for v in values:
+        digest.update(f"{v}|{v.terms!r}|{v.pi_coefficient}|".encode())
+        for dps in (15, 30, 50):
+            digest.update(repr(v.evalf(dps)._mpf_).encode())
+    assert digest.hexdigest() == PINNED_DIGEST

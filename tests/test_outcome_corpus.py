@@ -1,8 +1,12 @@
-"""Smoke test of the outcome comparison tool over 20 parse-corpus texts."""
+"""Smoke tests of the outcome comparison tool: 20 parse-corpus texts run and
+compared, and the exit status of its diff."""
 
 import io
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import outcome_corpus  # noqa: E402  (a script as well, so not a package module)
@@ -44,3 +48,19 @@ def test_a_request_past_the_alarm_is_a_timeout():
 
     assert outcome_corpus.outcome(slow, ["integrate", "x"], alarm=0.05)["exit"] == "timeout"
     assert outcome_corpus.outcome(lambda argv: 1 / 0, [])["exit"] == "traceback"
+
+
+def test_diff_exits_1_when_any_request_moved(tmp_path, capsys):
+    # "the corpus is unchanged" is exit status 0; a moved answer, or a
+    # request in one file only, is 1
+    rows = [{"argv": ["integrate", t], "exit": 0, "stdout": t, "stderr": ""} for t in "xyz"]
+    def status(old, new):
+        for name, lines in (("old", old), ("new", new)):
+            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in lines))
+        with pytest.raises(SystemExit) as exit_:
+            outcome_corpus.main(["diff", str(tmp_path / "old"), str(tmp_path / "new")])
+        return exit_.value.code
+    assert status(rows, rows) == 0
+    assert status(rows, rows[:2] + [{**rows[2], "exit": 4}]) == 1
+    assert status(rows, rows[:2]) == 1
+    assert "exit 0 -> exit 4" in capsys.readouterr().out
