@@ -161,7 +161,8 @@ def coefficient_identity_check(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SincProductSpec:
-    """Rates of sinc(a_i x), cos(b_j x) factors and the outer sinc(c x)."""
+    """Rates of sinc(a_i x), cos(b_j x) factors and the outer sinc(c x), one
+    per sign slot; from_factors builds it from (rate, multiplicity) pairs."""
 
     sinc_rates: tuple = ()
     cos_rates: tuple = ()
@@ -176,6 +177,16 @@ class SincProductSpec:
         if any(a <= 0 for a in self.sinc_rates) or \
                 any(b <= 0 for b in self.cos_rates) or self.outer_rate <= 0:
             raise ValueError("all rates must be positive")
+
+    @classmethod
+    def from_factors(cls, sincs, cosines=()) -> "SincProductSpec":
+        """The product of sinc(a x)^k and cos(b x)^l over the (a, k) and
+        (b, l) pairs, at least one sinc: the slots are counted from the
+        multiplicities and refused past MAX_SLOTS before any rate is
+        expanded, and the widest sinc is the outer one."""
+        require_slots(sum(k for _, k in sincs) + sum(k for _, k in cosines))
+        rates = sorted(a for a, k in sincs for _ in range(k))
+        return cls(tuple(rates[:-1]), tuple(b for b, k in cosines for _ in range(k)), rates[-1])
 
     @property
     def lord_condition(self) -> bool:

@@ -2,8 +2,8 @@
 
 Families, tried most specific first:
 
-* sinc_cos_product: products of sinc and cos factors (positive rational
-  rates), at least one sinc.  Resolved by exact tuple enumeration.
+* sinc_cos_product: (rate, multiplicity) pairs of sinc and cos factors
+  (positive rational rates), at least one sinc.  Exact tuple enumeration.
 * gaussian_sinc: sinc(x)^n times the unit Gaussian e^(-x^2/2).
 * rational_trig: a trig/exp-poly numerator over a product of distinct
   (x^2 + a^2) factors with rational a.  Resolved via Green's functions.
@@ -31,7 +31,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .borwein import require_slots
 from .operators import (NotExponentialPolynomial, exp_poly_normal_form,
                         linear_rate, polynomial_of)
 from .parser import X, Call, Div, Mul, Node, Num, Pow, factor_scan, to_source
@@ -83,11 +82,10 @@ def _product(pairs) -> Node:
 # -- family matchers: each returns (tag, params) or raises why it misses ----
 
 def _match_product(ast: Node, split: _Split) -> tuple:
-    """With no exp factor and a sinc, sinc_cos_product (the widest sinc plays
-    the outer role); with the unit Gaussian and only sinc(+-x), gaussian_sinc.
-    A product of more sign slots than the tuple sum takes is still
-    sinc_cos_product, but its rates are not expanded: its params carry the
-    slot count, counted from the multiplicities, for the route to refuse."""
+    """With no exp factor and a sinc, sinc_cos_product, its params the sincs' and
+    cosines' (|rate|, multiplicity) pairs in factor order, however many slots
+    (SincProductSpec.from_factors counts them); with the unit Gaussian and only
+    sinc(+-x), gaussian_sinc."""
     if split.den:
         raise _NoMatch(f"denominator {to_source(_product(split.den[:1]))!r}: "
                        "products of sinc, cos and exp take no denominator")
@@ -103,16 +101,8 @@ def _match_product(ast: Node, split: _Split) -> tuple:
         rates[f.func].append((rate, count))
     scale = {"scale": split.scale} if split.scale != 1 else {}
     if not split.exps and rates["sinc"]:
-        slots = sum(count for pairs in rates.values() for _, count in pairs)
-        try:
-            require_slots(slots)
-        except ValueError:
-            return "sinc_cos_product", {"slots": slots, **scale}
-        sincs = sorted(rate for rate, count in rates["sinc"] for _ in range(count))
-        return "sinc_cos_product", {
-            "sinc_rates": tuple(sincs[:-1]),
-            "cos_rates": tuple(rate for rate, count in rates["cos"] for _ in range(count)),
-            "outer_rate": sincs[-1], **scale}
+        return "sinc_cos_product", {"sinc": tuple(rates["sinc"]), "cos": tuple(rates["cos"]),
+                                    **scale}
     if (split.c, split.b) == (Fraction(1, 2), 0) and not rates["cos"] \
             and all(rate == 1 for rate, _ in rates["sinc"]):
         return "gaussian_sinc", {"sinc_power": sum(count for _, count in rates["sinc"]), **scale}

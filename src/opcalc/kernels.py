@@ -352,13 +352,13 @@ class IntervalChain:
             raise ValueError("anti-derivatives of the interval kernel need Ei")
 
     def value_at(self, z) -> ExactValue:
-        """Exact at every rational z: n! k_n of interval_taylor at 0, and
-        elsewhere, by Leibniz on e^(-cy) y^(-1) for each endpoint c,
-        e^(-cz) (-1)^n n!/z^(n+1) sum_(j <= n) (cz)^j/j!."""
+        """Exact at every rational z: n! k_n = (-1)^n (b^(n+1) - a^(n+1))/(n+1)
+        at 0 (see interval_taylor), and elsewhere, by Leibniz on e^(-cy) y^(-1)
+        for each endpoint c, e^(-cz) (-1)^n n!/z^(n+1) sum_(j <= n) (cz)^j/j!."""
         n, z = self.n, as_fraction(z)
         if z == 0:
-            den, nums = interval_taylor(self.a, self.b, n)
-            return ExactValue.rational(Fraction(math.factorial(n) * nums[n], den))
+            return ExactValue.rational(Fraction((-1) ** n * (self.b ** (n + 1) - self.a ** (n + 1)),
+                                               n + 1))
         scale = (-1) ** n * math.factorial(n) / z ** (n + 1)
         return ExactValue.from_terms(
             (Residue(e_exp=-c * z), sign * scale * sum(

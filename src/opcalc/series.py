@@ -267,14 +267,17 @@ def taylor_of(ast: Node, n: int = DEFAULT_TRUNCATION) -> PowerSeries:
     return _taylor(ast, n)
 
 
-def _monomial(node: Node) -> Optional[tuple]:
-    """(c, v) when *node* is exactly c x^v with v >= 0, else None.  Read
-    off the polynomial, not a truncated series: truncation drops the high
-    orders of 1 + x^4 and would pass it as the constant 1."""
+def _monomial(node: Node, k: int) -> tuple:
+    """(c, v) when *node* is exactly c x^v with v >= 0; otherwise the factor
+    node^k of a denominator, k < 0, is refused by name.  Read off the
+    polynomial, not a truncated series: truncation drops the high orders of
+    1 + x^4 and would pass it as the constant 1."""
     try:
         (v, c), = polynomial_of(node).items()
     except ValueError:  # not a polynomial, or not a single term
-        return None
+        den = parser.to_source(node if k == -1 else Pow(node, -k))
+        raise NotSeriesRepresentable("not series-representable on the real line: "
+                                     f"denominator {den!r} is not a monomial") from None
     return c, v
 
 
@@ -313,12 +316,9 @@ def _taylor(node: Node, n: int) -> PowerSeries:
                 f, k = Call("exp", Neg(f.arg)), -k
             if k > 0 and f != parser.X:
                 parts.append((f, k))
-            elif mono := _monomial(f):
-                scale, power = scale * mono[0] ** k, power + mono[1] * k
             else:
-                den = parser.to_source(f if k == -1 else Pow(f, -k))
-                raise NotSeriesRepresentable("not series-representable on the real line: "
-                                             f"denominator {den!r} is not a monomial")
+                c, v = _monomial(f, k)
+                scale, power = scale * c ** k, power + v * k
         low = max(-power, 0)  # the division by x^low takes low orders
         out = None if scale == 1 and power <= 0 and parts else PowerSeries._sparse(
             {power + low: scale} if power <= n else {}, n + low)  # scale x^power
@@ -361,7 +361,7 @@ def growth_majorant(node: Node) -> tuple:
         a, m, b1, b2 = abs(scale), 0, 0, 0
         for f, k in factors:
             if k < 0 and getattr(f, "func", None) != "exp":  # c x^v, as taylor_of requires
-                c, v = _monomial(f)
+                c, v = _monomial(f, k)
                 f_a, f_m, f_b1, f_b2 = abs(c), v, 0, 0
             else:  # |exp(-p)| has exp(p)'s bound
                 f_a, f_m, f_b1, f_b2 = growth_majorant(f)

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oracle
-from .borwein import (SincProductSpec, borwein_exact, require_slots,
-                      sinc_cos_product_integral, sinc_power_gaussian)
+from .borwein import (SincProductSpec, borwein_exact, sinc_cos_product_integral,
+                      sinc_power_gaussian)
 from .classify import RouteClass, classify
 from .exact import CR_I, ComplexRational, ExactValue, as_fraction, sort_rank
 from .kernels import DELTA, ONE_OVER_Y, DivergentIntegralError, green_kernel, interval_kernel
@@ -100,12 +100,17 @@ def fourier_via_delta(ast: Node) -> FourierImage:
 # ---------------------------------------------------------------------------
 
 def _entire_normal_form(ast: Node) -> dict:
-    """The exp-poly normal form of an integrand without a pole at 0."""
+    """The exp-poly normal form of an integrand without a pole at 0.  With negative
+    powers, taylor_of, which divides by x only where the AST does, proves no pole
+    by its read; only its refusal pays for the Laurent terms that word a pole."""
     nf = exp_poly_normal_form(ast)
-    defects = laurent_defect(nf)
-    if defects:
-        raise DivergentIntegralError(
-            f"integrand has a pole at 0 (Laurent orders {sorted(defects)})")
+    if any(n < 0 for _mu, n in nf):
+        try:
+            taylor_of(ast, 0)
+        except NotSeriesRepresentable:
+            if defects := laurent_defect(nf):
+                raise DivergentIntegralError(
+                    f"integrand has a pole at 0 (Laurent orders {sorted(defects)})") from None
     return nf
 
 
@@ -236,15 +241,6 @@ def fourier_at(ast: Node, y) -> TransformResult:
         diagnostics={"breakpoints": [str(b) for b in image.breakpoints()]})
 
 
-def _sinc_product_solve(params: dict) -> TransformResult:
-    """The sinc_cos_product route on classify's params: a product past the
-    tuple sum's limit carries its slot count alone and is refused by it."""
-    if "slots" in params:
-        require_slots(params["slots"])
-    return sinc_product_result(SincProductSpec(params["sinc_rates"], params["cos_rates"],
-                                               params["outer_rate"]))
-
-
 def sinc_product_result(spec: SincProductSpec) -> TransformResult:
     """The exact sinc/cos product integral, with Lord's condition."""
     return TransformResult.from_exact(
@@ -267,8 +263,8 @@ def borwein_result(n: int) -> TransformResult:
 # has no known decay on both sides (exp(-x) grows as x -> -inf), so the
 # oracle refuses it rather than truncate at a guess.
 FAMILY_ROUTES = {
-    "sinc_cos_product": ("sinc_cos_product", lambda ast, p: _sinc_product_solve(p),
-                         ("oscillatory_algebraic", 1e-8)),
+    "sinc_cos_product": ("sinc_cos_product", lambda ast, p: sinc_product_result(
+        SincProductSpec.from_factors(p["sinc"], p["cos"])), ("oscillatory_algebraic", 1e-8)),
     "gaussian_sinc": ("gaussian_sinc", lambda ast, p: sinc_power_gaussian(p["sinc_power"]),
                       ("gaussian", 1e-10)),
     "rational_trig": ("green", lambda ast, p: integrate_rational_trig(p["numerator"], p["rates"]),

@@ -215,6 +215,34 @@ def test_outer_rescaling():
             sinc_cos_product_integral(divided) * (1 / c), (spec, c)
 
 
+def test_from_factors_expands_the_pairs_and_takes_the_widest_sinc_outer():
+    rng = random.Random(3802)
+    for _ in range(200):
+        pool = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+        sincs = [(rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        cosines = [(rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        if sum(k for _, k in sincs + cosines) > 12:
+            continue
+        rates = sorted(a for a, k in sincs for _ in range(k))
+        spec = SincProductSpec.from_factors(sincs, cosines)
+        assert spec == SincProductSpec(rates[:-1], [b for b, k in cosines for _ in range(k)],
+                                       rates[-1]), (sincs, cosines)
+    assert SincProductSpec.from_factors([(1, 1), (Fraction(1, 3), 1)]) == \
+        SincProductSpec((Fraction(1, 3),), (), 1)
+
+
+def test_from_factors_counts_the_slots_before_it_expands_a_rate():
+    # 30 slots are summed; 31, or 10^12 (whose expansion would not fit in
+    # memory), are refused with the count alone
+    spec = SincProductSpec.from_factors([(Fraction(1, 31), 29)], [(Fraction(1, 2), 1)])
+    assert len(spec.sinc_rates) + len(spec.cos_rates) + 1 == 30
+    for sincs, cosines, slots in (([(1, 30)], [(Fraction(1, 50), 1)], 31),
+                                  ([(1, 10 ** 12)], (), 10 ** 12)):
+        with pytest.raises(ValueError, match=f"^{slots} sign slots exceed the limit of 30 "
+                                             "for an exact tuple sum$"):
+            SincProductSpec.from_factors(sincs, cosines)
+
+
 def test_step_boundary_is_reported():
     # sinc(x) cos(x): the steps at their jumps cancel, and the tuple sum
     # answers what the delta route answers

@@ -1,6 +1,7 @@
 """Route classification and the command-line surface (text, JSON, exits)."""
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -22,6 +23,7 @@ import pytest
 from mpmath.libmp import libmpf
 
 import opcalc
+from opcalc.borwein import SincProductSpec
 from opcalc.classify import RouteClass, classify
 from opcalc import cli
 from opcalc.cli import (EXIT_BROKEN_PIPE, EXIT_NONCONVERGENT, EXIT_OK,
@@ -58,11 +60,17 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 # classify
 # ---------------------------------------------------------------------------
 
+def _spec(params: dict) -> SincProductSpec:
+    """The tuple sum's spec of a sinc_cos_product's (rate, multiplicity) params."""
+    return SincProductSpec.from_factors(params["sinc"], params["cos"])
+
+
 def test_classify_sinc_product():
     route = classify(parse_expression("sinc(x)*sinc(x/3)"))
     assert route.tag == "sinc_cos_product"
-    assert route.params["outer_rate"] == 1
-    assert route.params["sinc_rates"] == (Fraction(1, 3),)
+    assert route.params == {"sinc": ((1, 1), (Fraction(1, 3), 1)), "cos": ()}
+    assert _spec(route.params).outer_rate == 1
+    assert _spec(route.params).sinc_rates == (Fraction(1, 3),)
 
 
 def test_classify_reads_rates_through_the_normal_form():
@@ -70,7 +78,7 @@ def test_classify_reads_rates_through_the_normal_form():
     for text, rate in [("sinc(2^(-1)*x)", Fraction(1, 2)), ("sinc(x^2/x)", 1)]:
         route = classify(parse_expression(text))
         assert route.tag == "sinc_cos_product"
-        assert route.params["outer_rate"] == rate
+        assert _spec(route.params).outer_rate == rate
 
 
 def test_classify_gaussian_sinc():
@@ -421,6 +429,9 @@ def test_one_product_scan_classifies_as_the_two_matchers_did():
             continue
         bare, q = _bare(ast)
         got = _classified(classify, ast)
+        if got[0] == "sinc_cos_product":  # the pairs, expanded as the matcher did
+            rest = {k: v for k, v in got[1].items() if k not in ("sinc", "cos")}
+            got = (got[0], {**dataclasses.asdict(_spec(got[1])), **rest}, got[2])
         den, den_q = _without_constants(bare.right, zeroth=False) if isinstance(bare, Div) else (None, 1)
         if den_q not in (0, 1):  # the denominator's constants join the scale
             bare, q = Div(bare.left, den), q / den_q
@@ -626,8 +637,10 @@ def test_cli_large_sinc_power_is_refused_before_its_slots_are_expanded(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (EXIT_UNSUPPORTED, "")
     assert err == "error: 3000000 sign slots exceed the limit of 30 for an exact tuple sum\n"
-    assert classify(parse_expression("-sinc(x)^40*cos(x/50)^2")).params == \
-        {"slots": 42, "scale": -1}
+    params = classify(parse_expression("-sinc(x)^40*cos(x/50)^2")).params
+    assert params == {"sinc": ((1, 40),), "cos": ((Fraction(1, 50), 2),), "scale": -1}
+    with pytest.raises(ValueError, match="^42 sign slots exceed the limit of 30 "):
+        _spec(params)
     code, out, err = run_cli(capsys, "fourier", "sinc(x)^31*cos(x/90)", "--at", "0")
     assert code == EXIT_OK and "verdict: exact" in out, err
     code, out, err = run_cli(capsys, "integrate", "sinc(x)^31", "--method", "oracle")

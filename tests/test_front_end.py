@@ -3,6 +3,7 @@ or an operator word.  Pinned outcomes guard every word, classification
 and Taylor coefficient bit for bit; counted regression tests guard that
 powers are taken whole."""
 
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from opcalc import operators
+from opcalc.borwein import SincProductSpec
 from opcalc.classify import classify
 from opcalc.cli import EXIT_OK, run
 from opcalc.exact import CR_ONE, CR_ZERO, ComplexRational
@@ -92,6 +94,16 @@ def _ramp_steps(image) -> str:
     return "|".join(map(str, steps))
 
 
+def _params(route) -> dict:
+    """classify's params; a sinc/cos product's (rate, multiplicity) pairs read
+    through SincProductSpec.from_factors, as the rates they were pinned as."""
+    if route.tag != "sinc_cos_product":
+        return route.params
+    spec = SincProductSpec.from_factors(route.params["sinc"], route.params["cos"])
+    return {**dataclasses.asdict(spec),
+            **{k: v for k, v in route.params.items() if k not in ("sinc", "cos")}}
+
+
 def outcomes(text: str) -> dict:
     """Every front-end reading of *text*, as canonical strings."""
     ast = parse_expression(text)
@@ -104,7 +116,7 @@ def outcomes(text: str) -> dict:
         out[f"laplace/{y}"] = _outcome(lambda: laplace_formal(ast, y).exact)
     out["delta"] = _outcome(lambda: _ramp_steps(fourier_via_delta(ast).ramps))
     route = classify(ast)
-    out["classify"] = f"{route.tag} {_canon(route.params)}"
+    out["classify"] = f"{route.tag} {_canon(_params(route))}"
     for order in (9, 40):
         out[f"taylor{order}"] = _outcome(lambda: taylor_of(ast, order))
     return out

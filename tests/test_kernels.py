@@ -510,6 +510,20 @@ def test_interval_taylor_is_one_denominator():
                 Fraction((-1) ** j) * (b ** (j + 1) - a ** (j + 1)) / math.factorial(j + 1)
 
 
+def test_interval_chain_at_0_is_the_closed_form_of_interval_taylor():
+    # n! k_n read as (-1)^n (b^(n+1) - a^(n+1))/(n+1), the Fraction that the
+    # n + 1 coefficients of interval_taylor gave, reversed endpoints included
+    rng = random.Random(38)
+    ends = [(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+             Fraction(rng.randint(-30, 30), rng.randint(1, 12))) for _ in range(12)]
+    for a, b in ends + [(Fraction(3, 2), Fraction(-2, 7)), (Fraction(-5), Fraction(0))]:
+        for n in range(61):
+            den, nums = interval_taylor(a, b, n)
+            want = Fraction(math.factorial(n) * nums[n], den)
+            got = interval_kernel(a, b)(n).value_at(0)
+            assert got.terms == ExactValue.rational(want).terms, (a, b, n)
+
+
 def test_green_kernel_takes_power_zero_only():
     kernel = green_kernel([Fraction(1), Fraction(2)])
     assert isinstance(kernel(0), PiecewiseExp)

@@ -1,9 +1,21 @@
 """Smoke tests of the outcome comparison tool: 20 parse-corpus texts run and
-compared, and the exit status of its diff."""
+compared, and the exit status of its diff; and a seeded sample of the
+corpus, pinned.
 
+The sample is 400 seeded parse-corpus texts under every ``COMMANDS`` entry
+and every tenth request of ``spec_argvs()`` and of ``series_argvs()``.  The
+sha256 over repr((argv, exit, stdout, stderr)) of its requests, in order,
+must equal ``SAMPLE_DIGEST``, so a change that moves any byte of a sampled
+outcome fails here, as a full ``outcome_corpus.py diff`` would show.  A
+change that moves an outcome on purpose re-pins the digest (print it with
+``python tests/test_outcome_corpus.py``) and says so in CHANGES."""
+
+import hashlib
 import io
 import json
+import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,3 +76,35 @@ def test_diff_exits_1_when_any_request_moved(tmp_path, capsys):
     assert status(rows, rows[:2] + [{**rows[2], "exit": 4}]) == 1
     assert status(rows, rows[:2]) == 1
     assert "exit 0 -> exit 4" in capsys.readouterr().out
+
+
+SAMPLE_SEED = 38
+SAMPLE_DIGEST = (2525, "0489994c61b63499882838567e9311eb0cbdd4a58cbb531df20a370bf4fbeaf3")
+
+
+def sample_argvs() -> list:
+    texts = random.Random(SAMPLE_SEED).sample(
+        outcome_corpus.parseable(parse_expression), 400)
+    return [[command[0], text, *command[1:]] for text in texts
+            for command in outcome_corpus.COMMANDS] \
+        + outcome_corpus.spec_argvs()[::10] + outcome_corpus.series_argvs()[::10]
+
+
+def sample_digest() -> tuple:
+    """(requests, sha256, slowest request in seconds, its argv) of the sample."""
+    digest, slowest = hashlib.sha256(), (0.0, None)
+    argvs = sample_argvs()
+    for argv in argvs:
+        start = time.perf_counter()
+        got = outcome_corpus.outcome(run, argv)
+        slowest = max(slowest, (time.perf_counter() - start, argv))
+        digest.update(repr((argv, got["exit"], got["stdout"], got["stderr"])).encode())
+    return len(argvs), digest.hexdigest(), *slowest
+
+
+def test_a_seeded_sample_of_the_corpus_is_pinned():
+    assert sample_digest()[:2] == SAMPLE_DIGEST
+
+
+if __name__ == "__main__":
+    print(sample_digest())

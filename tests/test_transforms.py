@@ -3,14 +3,18 @@
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from opcalc import transforms
+from opcalc.cli import EXIT_NONCONVERGENT, run
 from opcalc.exact import ExactValue, exp_value, log_value
 from opcalc.kernels import ONE_OVER_Y, one_over_y_chain, with_representatives
-from opcalc.operators import RampSum, apply_word
+from opcalc.operators import RampSum, apply_word, exp_poly_normal_form, laurent_defect
 from opcalc.oracle import quad_interval, quad_real_line
 from opcalc.parser import as_vector_callable, parse_expression
 from opcalc.series import (NotSeriesRepresentable, SeriesConvergenceError,
@@ -19,6 +23,9 @@ from opcalc.transforms import (DivergentIntegralError, UnsupportedFamilyError,
                                _word_for_halfline, fourier_via_delta, gaussian_pairing,
                                integrate_half_line, integrate_rational_trig,
                                integrate_real_line, laplace_formal, laplace_regularized)
+
+sys.path.insert(0, str(Path(__file__).parent))
+import parse_corpus  # noqa: E402  (a script as well, so not a package module)
 
 PI = ExactValue.pi_times(1)
 
@@ -77,6 +84,41 @@ def test_delta_route_rejects_distributional_images():
 def test_delta_route_rejects_poles():
     with pytest.raises(DivergentIntegralError):
         fourier_via_delta(P("cos(x)/x"))
+
+
+def test_the_taylor_reader_reads_no_text_with_a_pole():
+    # _entire_normal_form skips laurent_defect where taylor_of(ast, 0) reads
+    # the AST: on the parse corpus no such read has a negative Laurent order
+    read = with_negative_powers = 0
+    for text in parse_corpus.corpus():
+        try:
+            ast = P(text)
+            nf = exp_poly_normal_form(ast)
+        except ValueError:  # no parse or no normal form
+            continue
+        try:
+            taylor_of(ast, 0)
+        except NotSeriesRepresentable:
+            continue
+        read += 1
+        with_negative_powers += any(n < 0 for _mu, n in nf)
+        assert laurent_defect(nf) == {}, text
+    assert read >= 5900 and with_negative_powers >= 250, (read, with_negative_powers)
+
+
+def test_the_pole_check_runs_laurent_defect_only_on_a_refused_read(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(transforms, "laurent_defect",
+                        lambda nf: calls.append(nf) or laurent_defect(nf))
+    for argv in (["fourier", "sinc(x)^300", "--at", "0"], ["integrate", "sinc(x)^300+sinc(x)"],
+                 ["integrate", "(exp(-x)-exp(-3*x))/x", "--interval", "0", "inf"]):
+        assert run(argv) == 0
+    assert calls == []
+    capsys.readouterr()
+    assert run(["fourier", "1/x^2", "--at", "0"]) == EXIT_NONCONVERGENT
+    assert len(calls) == 1
+    assert capsys.readouterr().err == \
+        "non-convergent: integrand has a pole at 0 (Laurent orders [-2])\n"
 
 
 def test_transform_grid_matches_oracle():
@@ -417,6 +459,18 @@ def test_pairing_divergent_profile():
     # a g growing like e^(x^2/2) against e^(-x^2/2) has no pairing
     with pytest.raises(NotSeriesRepresentable, match="diverges"):
         gaussian_pairing(Fraction(1), P("exp(x^2/2)"))
+
+
+@pytest.mark.parametrize("text, den", [("cos(x)/(1+x^2)", "'1 + x^2'"),
+                                       ("exp(-x)/(x+2)^3", "'(x + 2)^3'")])
+def test_majorant_and_pairing_name_a_denominator_that_is_not_a_monomial(text, den):
+    # as taylor_of does for the same factor, where a tuple unpacking of None raised
+    want = f"not series-representable on the real line: denominator {den} is not a monomial"
+    for read in (growth_majorant, functools.partial(gaussian_pairing, Fraction(1)),
+                 taylor_of):
+        with pytest.raises(NotSeriesRepresentable) as refused:
+            read(P(text))
+        assert str(refused.value) == want
 
 
 # ---------------------------------------------------------------------------
