@@ -32,8 +32,6 @@ import re
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from .borwein import SincProductSpec
 from .operators import NotExponentialPolynomial
 from .parser import ParseError, parse_expression
@@ -148,9 +146,36 @@ _arg_parser = functools.cache(build_arg_parser)
 # ---------------------------------------------------------------------------
 
 def _approx_str(value, digits: int) -> str:
-    """A float or an mpf shadow to *digits* significant digits."""
-    with mpmath.workdps(max(digits + 5, 20)):
-        return mpmath.nstr(value if isinstance(value, mpmath.mpf) else mpmath.mpf(value), digits)
+    """A float, or a shadow's (mantissa, exponent) ints, to *digits*
+    significant digits as mpmath.nstr prints it: a port of its to_str and
+    to_digits_exp.  Past 3500 bits from 1, where mpmath finds the power of
+    ten with ln2/ln10 arithmetic, mpmath prints it."""
+    if not isinstance(value, tuple):
+        if not math.isfinite(value):
+            return "nan" if value != value else "+inf" if value > 0 else "-inf"
+        man, den = value.as_integer_ratio()
+        value = man, 1 - den.bit_length()
+    man, exp = value
+    if not man:
+        return "0.0"
+    sign, man = ("-", -man) if man < 0 else ("", man)
+    if abs(exp + man.bit_length()) > 3500:
+        import mpmath
+        return mpmath.nstr(mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(*value)), digits)
+    # the leading digits of |value|, floored, at digits + 3 digits or more
+    fixprec = max(int((digits + 3) * math.log(10, 2)) + 10 - exp - man.bit_length(), 0)
+    fixdps, shift = int(fixprec / math.log(10, 2) + 0.5), exp + fixprec
+    text = str(((man << shift if shift >= 0 else man >> -shift) * 10 ** fixdps) >> fixprec)
+    exponent = len(text) - fixdps - 1
+    if len(text) > digits and text[digits] in "56789":  # round on the next digit
+        text = str(int(text[:digits]) + 1)
+        exponent += len(text) > digits
+    text, split = text[:digits], 1
+    if min(-(digits // 3), -5) < exponent < digits:  # fixed point near 1
+        text, split, exponent = "0" * -exponent + text, max(exponent, 0) + 1, 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    text += "0" if text.endswith(".") else ""
+    return sign + text + (f"e{exponent:+d}" if exponent else "")
 
 
 def _exact_str(exact) -> str:
@@ -172,8 +197,8 @@ def _render(result: TransformResult, args, input_text: str) -> str:
     approx = None
     if args.json or shadow:
         approx = result.approx  # OverflowError past the double range
-        if exact is not None and args.precision > 15:
-            approx = exact.evalf(args.precision + 5)
+        if exact is not None and (args.precision > 15 or abs(approx) < sys.float_info.min):
+            approx = exact.shadow(args.precision + 5)  # more than a normal float holds
         approx = _approx_str(approx, args.precision)
     exact_text = _exact_str(exact) if exact is not None else None
     if args.json:

@@ -18,6 +18,11 @@ residue is floored to one common binary exponent, so no coefficient is
 ever converted to mpmath.  A value is a "pure pi multiple" iff its plain
 rational part is zero and no transcendental residues remain.
 
+mpmath is imported on first use.  The rational residue is (1, 0) and pi
+comes from Machin's formula in integers, rounded as mpmath rounds its pi,
+so a value of rational and pi terms has its shadow, its float (rounded as
+``mpf.__float__`` rounds) and its digits without mpmath.
+
 The atoms are written once, in the table ``ATOMS``: one row per
 ``Residue`` field, in printing and ordering order, with the printed form
 and the mpmath value of one argument.  ``Residue`` and ``_normalize_term``
@@ -40,12 +45,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
-import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
-
 Rational = Fraction
 # bits kept below the largest term's precision by the exact shadow sum
 _GUARD = 32
+
+
+class _OnFirstUse:
+    """mpmath until an attribute is read, which imports it in its place."""
+    def __getattr__(self, name):
+        import mpmath as module
+        globals()["mpmath"] = module
+        return getattr(module, name)
+
+
+mpmath = _OnFirstUse()
 
 
 def as_fraction(x) -> Fraction:
@@ -347,10 +360,47 @@ class Residue:
         return v
 
 
+def _round_nearest(man: int, exp: int, bits: int) -> tuple:
+    """man * 2^exp rounded half to even at *bits* bits, as mpmath's
+    normalize rounds: (mantissa, exponent) with an odd mantissa, or (0, 0)."""
+    sign, man = (-1, -man) if man < 0 else (1, man)
+    shift = man.bit_length() - bits
+    if shift > 0:
+        rest, half = man & ((1 << shift) - 1), 1 << (shift - 1)
+        man, exp = man >> shift, exp + shift
+        if rest > half or rest == half and man & 1:
+            man += 1
+    if not man:
+        return 0, 0
+    zeros = (man & -man).bit_length() - 1
+    return sign * (man >> zeros), exp + zeros
+
+
+def _atan_inv(x: int, one: int) -> int:
+    """atan(1/x) * one, summed in integers with each term floored."""
+    total, power, k = 0, one // x, 1
+    while power:
+        total, power, k = total + (-(power // k) if k & 2 else power // k), power // (x * x), k + 2
+    return total
+
+
+def _pi(prec: int) -> tuple:
+    """pi at *prec* bits as mpmath makes it: floor(pi 2^wp), wp = prec + 20,
+    rounded half to even.  The floor is Machin's formula pi =
+    16 atan(1/5) - 4 atan(1/239) summed with 64 guard bits."""
+    wp, one = prec + 20, 1 << (prec + 84)
+    return _round_nearest((16 * _atan_inv(5, one) - 4 * _atan_inv(239, one)) >> 64, -wp, prec)
+
+
 @functools.lru_cache(maxsize=1024)
 def _residue_value(residue: Residue, prec: int) -> tuple:
     """``residue.evalf()`` at *prec* bits as (signed mantissa, exponent):
-    the same mpf it gives when computed afresh.  The last 1024 are kept."""
+    the same mpf it gives when computed afresh, and without mpmath for 1
+    and pi.  The last 1024 are kept."""
+    if residue.is_trivial:
+        return 1, 0
+    if residue.is_pure_pi:
+        return _pi(prec)
     with mpmath.workprec(prec):
         sign, man, exp, _ = residue.evalf()._mpf_
     return -man if sign else man, exp
@@ -385,7 +435,7 @@ class ExactValue:
     """Exact real scalar: rational + rational*pi + transcendental residues.
 
     Immutable and structurally comparable; two values are equal iff their
-    canonical term lists match.  ``evalf``'s shadow is kept per digit count.
+    canonical term lists match.  ``shadow`` and ``evalf`` are kept per digit count.
     """
 
     terms: tuple = ()  # tuple of (Residue, Fraction), canonically sorted
@@ -517,8 +567,9 @@ class ExactValue:
         return NotImplemented
 
     # -- numerics --------------------------------------------------------
-    def evalf(self, dps: int = 30) -> mpmath.mpf:
-        """High-precision numeric shadow with *dps* significant digits.
+    def shadow(self, dps: int) -> tuple:
+        """High-precision numeric shadow with *dps* significant digits, as
+        (mantissa, exponent) ints: mantissa * 2^exponent.
 
         The terms are summed in integers to dps + 10 digits beside their
         absolute values.  While cancellation, log10(sum |t| / |sum t|)
@@ -526,7 +577,7 @@ class ExactValue:
         with that many extra digits: a total that is all rounding error
         bounds the loss only from below.  A sum of rationals cancels by
         fewer digits than its coefficients have bits, which bounds the
-        extra digits."""
+        extra digits.  The shadow is kept per digit count."""
         if dps in self._shadows:
             return self._shadows[dps]
         extra = 10
@@ -538,17 +589,25 @@ class ExactValue:
         self._shadows[dps] = total
         return total
 
+    def evalf(self, dps: int = 30) -> mpmath.mpf:
+        """The shadow with *dps* digits as an mpf, kept: the same object on
+        a second call."""
+        key = ("mpf", dps)
+        if key not in self._shadows:
+            self._shadows[key] = mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(*self.shadow(dps)))
+        return self._shadows[key]
+
     def _sum(self, dps: int):
-        """The sum of the terms at *dps* digits and the digits it lost.
+        """The rounded sum of the terms at *dps* digits and the digits it lost.
 
         Each term c*R, with R = man * 2^exp from the residue memo, is
         floored to the multiple of 2^base just below it, where base lies
         _GUARD bits under the precision of the largest term.  The floors
         and their absolute values are summed in Python ints, so the total
-        is within (number of terms) * 2^base of the sum of the c*R, and
-        one mpf is rounded from it.  A term far below 2^base floors to 0 or
-        -1, so its shift stops once the divisor outgrows its numerator."""
-        prec = dps_to_prec(dps)
+        is within (number of terms) * 2^base of the sum of the c*R, and it
+        is rounded once.  A term far below 2^base floors to 0 or -1, so its
+        shift stops once the divisor outgrows its numerator."""
+        prec = max(1, round((dps + 1) * 3.3219280948873626))  # mpmath's dps_to_prec
         terms = [(c.numerator, c.denominator, *_residue_value(r, prec)) for r, c in self.terms]
         base = max((n.bit_length() - d.bit_length() + m.bit_length() + e
                     for n, d, m, e in terms), default=0) - prec - _GUARD
@@ -560,10 +619,16 @@ class ExactValue:
             total += t
             size += abs(t)
         lost = math.log10(size) - math.log10(abs(total)) if total else dps
-        return mpmath.mp.make_mpf(from_man_exp(total, base, prec, round_nearest)), lost
+        return _round_nearest(total, base, prec), lost
 
     def __float__(self) -> float:
-        return float(self.evalf(25))
+        """float(self.evalf(25)) from the shadow's ints: half to even at 53
+        bits, then ldexp, which rounds a subnormal again; +-inf past the range."""
+        man, exp = _round_nearest(*self.shadow(25), 53)
+        try:
+            return math.ldexp(man, exp)
+        except OverflowError:
+            return math.copysign(math.inf, man)
 
     # -- formatting ------------------------------------------------------
     def __str__(self):

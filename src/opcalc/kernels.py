@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .exact import ExactValue, Residue, as_fraction
 
 
@@ -411,7 +409,7 @@ def with_representatives(kernel, perturb=None):
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
-def eval_kernel(chain, y, precision: int = 30) -> mpmath.mpf:
+def eval_kernel(chain, y, precision: int = 30):
     """Numeric value of any kernel member at a float/rational point with
-    *precision* significant digits: the shadow of its exact value."""
+    *precision* significant digits: the mpf shadow of its exact value."""
     return chain.value_at(as_fraction(y)).evalf(precision)

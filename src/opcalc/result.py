@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import mpmath
-
 from .exact import ExactValue
 
 
@@ -33,13 +31,14 @@ class TransformResult:
                    diagnostics: Optional[dict] = None) -> "TransformResult":
         """An exact value with its shadow; the verdict is "exact" unless
         *diagnostics* names another."""
-        return TransformResult(float(value.evalf(25)), method, formula, value,
+        return TransformResult(float(value), method, formula, value,
                                {"verdict": "exact", **(diagnostics or {})})
 
     @property
     def approx(self):
         """The float shadow; OverflowError for an exact value past the double range."""
-        if self.exact is not None and not mpmath.isfinite(self.shadow):
+        if self.exact is not None and not math.isfinite(self.shadow):
+            import mpmath
             digits = mpmath.log10(abs(self.exact.evalf(25)))
             shown = (f"{float(digits):.1f}" if math.isfinite(float(digits))
                      else f"({mpmath.nstr(digits, 2)})")  # itself past the double range

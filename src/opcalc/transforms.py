@@ -192,7 +192,7 @@ def gaussian_pairing(s2: Fraction, g: Node) -> TransformResult:
     coeffs, total, weight = taylor_of(g, order), Fraction(0), Fraction(1)
     for j in range(order // 2 + 1):  # weight = s^(2j) (2j-1)!!
         total, weight = total + coeffs[2 * j] * weight, weight * s2 * (2 * j + 1)
-    import mpmath  # loaded already, by result
+    import mpmath  # here, not at the top: a rational or pi value never needs it
     with mpmath.workdps(30):
         value = float(mpmath.sqrt(2 * mpmath.pi * s2.numerator / s2.denominator)
                       * total.numerator / total.denominator)

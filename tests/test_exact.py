@@ -200,12 +200,6 @@ def _binary(man, exp):
     return Fraction(man) * Fraction(2) ** exp
 
 
-def _fraction(x):
-    """An mpf read exactly."""
-    sign, man, exp, _ = x._mpf_
-    return _binary(-man if sign else man, exp)
-
-
 def _exact_sum(value, dps):
     """The sum of c * R over the terms, in Fractions, where each R is the
     residue's memoized mpf at dps digits read exactly."""
@@ -412,7 +406,7 @@ def test_shadow_sum_matches_an_exact_reference():
             total, _ = v._sum(dps)
             reference = _exact_sum(v, dps)
             largest = max(abs(c * _binary(*_residue_value(r, prec))) for r, c in v.terms)
-            ours = _fraction(total)
+            ours = _binary(*total)  # the rounded (mantissa, exponent)
             bound = len(v.terms) * largest / 2 ** (prec + 8 - 2) + abs(ours) / 2 ** (prec - 1)
             assert abs(ours - reference) <= bound, (v, dps)
             with mpmath.workdps(120):
